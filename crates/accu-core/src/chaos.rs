@@ -18,6 +18,7 @@
 //! [`ChaosConfig::none`] is trivial and adds zero overhead.
 
 use crate::error::AccuError;
+use crate::fault::splitmix64;
 use std::time::Duration;
 
 /// Canonical metric names for chaos accounting, so producers and
@@ -326,13 +327,6 @@ impl Default for ChaosPlan {
 fn mix(seed: u64, key: u64) -> u64 {
     let x = (key ^ seed.rotate_left(17)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
     splitmix64(x ^ 0xC0A5_C0A5)
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 fn fnv1a(bytes: &[u8]) -> u64 {

@@ -36,7 +36,7 @@ use rand::{Rng, SeedableRng};
 use crate::AccuError;
 
 /// Well-known fault metric names recorded by the fault-aware simulator
-/// (see [`crate::run_attack_faulted_recorded`]) and the experiment
+/// (see [`crate::AttackOptions::faults`]) and the experiment
 /// runner's quarantine path.
 pub mod fault_metrics {
     /// Total fault events injected (transient + dropped + rate-limited
@@ -191,7 +191,7 @@ pub struct FaultPlan {
 impl FaultPlan {
     /// The trivial plan: no faults, zero overhead. Exactly the
     /// pre-fault simulator behavior.
-    pub fn none() -> Self {
+    pub const fn none() -> Self {
         FaultPlan {
             transient: Vec::new(),
             dropped: Vec::new(),
@@ -399,9 +399,10 @@ impl RetryPolicy {
     }
 }
 
-/// SplitMix64 finalizer shared with the chaos stream: a cheap,
-/// well-mixed hash for the jitter draw.
-fn splitmix64(mut x: u64) -> u64 {
+/// The SplitMix64 finalizer: a cheap, well-mixed 64-bit hash. The one
+/// copy behind the retry jitter draw, the chaos stream and the
+/// validator's demoted-user probabilities.
+pub(crate) fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

@@ -22,7 +22,9 @@
 //!   stochastic-optimization machinery of paper §II-B;
 //! * [`policy`] — [`policy::Abm`] (Algorithm 1) and the §IV baselines;
 //! * [`run_attack`] / [`expected_benefit`] — simulation and Monte-Carlo
-//!   evaluation of Eq. (2);
+//!   evaluation of Eq. (2); [`run_attack_with`] runs an episode inside a
+//!   reusable [`EpisodeScratch`] under [`AttackOptions`] (model
+//!   mismatch, platform faults, telemetry, causal tracing);
 //! * [`theory`] — adaptive submodular ratio (Definitions 4–5, Lemmas
 //!   4–5), adaptive total primal curvature, exact marginal gains and the
 //!   exhaustively-optimal policy for small instances;
@@ -98,9 +100,7 @@ pub use validate::{
 };
 
 pub use simulator::{
-    resolve_acceptance, run_attack, run_attack_episode, run_attack_episode_traced,
-    run_attack_faulted, run_attack_faulted_recorded, run_attack_recorded, run_attack_with_beliefs,
-    run_attack_with_beliefs_faulted_recorded, run_attack_with_beliefs_recorded, sim_metrics,
-    AttackOutcome, RequestRecord,
+    resolve_acceptance, run_attack, run_attack_episode, run_attack_with, sim_metrics,
+    AttackOptions, AttackOutcome, RequestRecord,
 };
 pub use view::AttackerView;

@@ -11,6 +11,8 @@
 //!   cautious user;
 //! * Fig. 4 / Fig. 7 — average number of cautious friends.
 
+use accu_telemetry::{parse_json, Json};
+
 use crate::{AccuError, AttackOutcome};
 
 /// Streaming aggregator over attack traces.
@@ -230,7 +232,7 @@ impl TraceAccumulator {
     /// Serializes the full accumulator state as a single JSON line.
     ///
     /// Floats are written in Rust's shortest round-trip form, so
-    /// [`from_json`](TraceAccumulator::to_json) restores the state
+    /// [`from_json`](TraceAccumulator::from_json) restores the state
     /// **bit-for-bit** — the property the checkpoint/resume path relies
     /// on to make a resumed run indistinguishable from an uninterrupted
     /// one.
@@ -273,35 +275,43 @@ impl TraceAccumulator {
     ///
     /// # Errors
     ///
-    /// Returns [`AccuError::MalformedSnapshot`] on any syntax error,
-    /// missing or duplicate key, or length mismatch between the series
-    /// and `k`.
+    /// Returns [`AccuError::MalformedSnapshot`] on any syntax error
+    /// (non-finite floats included), missing or duplicate key, count
+    /// that is not an exact non-negative integer, or length mismatch
+    /// between the series and `k`.
     pub fn from_json(s: &str) -> Result<Self, AccuError> {
-        let fields = parse_json_object(s)?;
-        let get = |key: &str| -> Result<&JsonValue, AccuError> {
-            fields
-                .iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| v)
-                .ok_or_else(|| AccuError::MalformedSnapshot {
-                    reason: format!("missing key \"{key}\""),
-                })
+        let doc = parse_json(s).map_err(|e| malformed(format!("invalid JSON: {e}")))?;
+        let Json::Obj(fields) = &doc else {
+            return Err(malformed("expected a JSON object".to_string()));
         };
+        for (i, (key, _)) in fields.iter().enumerate() {
+            if fields[..i].iter().any(|(k, _)| k == key) {
+                return Err(malformed(format!("duplicate key \"{key}\"")));
+            }
+        }
+        let get = |key: &str| -> Result<&Json, AccuError> {
+            doc.get(key)
+                .ok_or_else(|| malformed(format!("missing key \"{key}\"")))
+        };
+        let number = |key: &str| get(key).and_then(|v| as_number(v, key));
+        let count = |key: &str| get(key).and_then(|v| as_count(v, key));
+        let numbers = |key: &str| get(key).and_then(|v| as_series(v, key, as_number));
+        let counts = |key: &str| get(key).and_then(|v| as_series(v, key, as_count));
         let acc = TraceAccumulator {
-            k: get("k")?.as_usize("k")?,
-            runs: get("runs")?.as_usize("runs")?,
-            cum_benefit: get("cum_benefit")?.as_f64_array("cum_benefit")?,
-            marginal_cautious: get("marginal_cautious")?.as_f64_array("marginal_cautious")?,
-            marginal_reckless: get("marginal_reckless")?.as_f64_array("marginal_reckless")?,
-            cautious_requests: get("cautious_requests")?.as_usize_array("cautious_requests")?,
-            sent: get("sent")?.as_usize_array("sent")?,
-            total_benefit: get("total_benefit")?.as_f64("total_benefit")?,
-            total_benefit_sq: get("total_benefit_sq")?.as_f64("total_benefit_sq")?,
-            cautious_friends: get("cautious_friends")?.as_usize("cautious_friends")?,
-            friends: get("friends")?.as_usize("friends")?,
-            faults_seen: get("faults_seen")?.as_usize("faults_seen")?,
-            retries_spent: get("retries_spent")?.as_usize("retries_spent")?,
-            truncated_runs: get("truncated_runs")?.as_usize("truncated_runs")?,
+            k: count("k")?,
+            runs: count("runs")?,
+            cum_benefit: numbers("cum_benefit")?,
+            marginal_cautious: numbers("marginal_cautious")?,
+            marginal_reckless: numbers("marginal_reckless")?,
+            cautious_requests: counts("cautious_requests")?,
+            sent: counts("sent")?,
+            total_benefit: number("total_benefit")?,
+            total_benefit_sq: number("total_benefit_sq")?,
+            cautious_friends: count("cautious_friends")?,
+            friends: count("friends")?,
+            faults_seen: count("faults_seen")?,
+            retries_spent: count("retries_spent")?,
+            truncated_runs: count("truncated_runs")?,
         };
         for (name, len) in [
             ("cum_benefit", acc.cum_benefit.len()),
@@ -311,9 +321,10 @@ impl TraceAccumulator {
             ("sent", acc.sent.len()),
         ] {
             if len != acc.k {
-                return Err(AccuError::MalformedSnapshot {
-                    reason: format!("series \"{name}\" has length {len}, expected k = {}", acc.k),
-                });
+                return Err(malformed(format!(
+                    "series \"{name}\" has length {len}, expected k = {}",
+                    acc.k
+                )));
             }
         }
         Ok(acc)
@@ -356,189 +367,42 @@ fn push_usize_array(s: &mut String, key: &str, values: &[usize]) {
     s.push(']');
 }
 
-/// A parsed value in the restricted JSON dialect the accumulator
-/// snapshot uses: numbers and flat arrays of numbers. Numbers are kept
-/// as their source text so each field converts to its exact target
-/// type.
-enum JsonValue {
-    Num(String),
-    Arr(Vec<String>),
-}
-
-impl JsonValue {
-    fn as_f64(&self, key: &str) -> Result<f64, AccuError> {
-        match self {
-            JsonValue::Num(t) => parse_f64(t, key),
-            JsonValue::Arr(_) => Err(malformed(format!("key \"{key}\": expected number"))),
-        }
-    }
-
-    fn as_usize(&self, key: &str) -> Result<usize, AccuError> {
-        match self {
-            JsonValue::Num(t) => parse_usize(t, key),
-            JsonValue::Arr(_) => Err(malformed(format!("key \"{key}\": expected number"))),
-        }
-    }
-
-    fn as_f64_array(&self, key: &str) -> Result<Vec<f64>, AccuError> {
-        match self {
-            JsonValue::Arr(items) => items.iter().map(|t| parse_f64(t, key)).collect(),
-            JsonValue::Num(_) => Err(malformed(format!("key \"{key}\": expected array"))),
-        }
-    }
-
-    fn as_usize_array(&self, key: &str) -> Result<Vec<usize>, AccuError> {
-        match self {
-            JsonValue::Arr(items) => items.iter().map(|t| parse_usize(t, key)).collect(),
-            JsonValue::Num(_) => Err(malformed(format!("key \"{key}\": expected array"))),
-        }
-    }
-}
-
 fn malformed(reason: String) -> AccuError {
     AccuError::MalformedSnapshot { reason }
 }
 
-fn parse_f64(text: &str, key: &str) -> Result<f64, AccuError> {
-    text.parse::<f64>()
-        .map_err(|_| malformed(format!("key \"{key}\": invalid number {text:?}")))
+/// Integers up to this bound convert through `f64` exactly; above it a
+/// JSON number may already have been rounded to a neighbour.
+const MAX_EXACT_COUNT: f64 = ((1u64 << 53) - 1) as f64;
+
+fn as_number(value: &Json, key: &str) -> Result<f64, AccuError> {
+    value
+        .as_f64()
+        .ok_or_else(|| malformed(format!("key \"{key}\": expected number")))
 }
 
-fn parse_usize(text: &str, key: &str) -> Result<usize, AccuError> {
-    text.parse::<usize>()
-        .map_err(|_| malformed(format!("key \"{key}\": invalid integer {text:?}")))
+fn as_count(value: &Json, key: &str) -> Result<usize, AccuError> {
+    let x = as_number(value, key)?;
+    if x >= 0.0 && x.fract() == 0.0 && x <= MAX_EXACT_COUNT {
+        Ok(x as usize)
+    } else {
+        Err(malformed(format!(
+            "key \"{key}\": {x:?} is not an exact non-negative integer"
+        )))
+    }
 }
 
-/// Parses `{"key":<num|[num,...]>,...}` into key/value pairs, rejecting
-/// trailing garbage and duplicate keys.
-fn parse_json_object(s: &str) -> Result<Vec<(String, JsonValue)>, AccuError> {
-    let mut p = Cursor {
-        bytes: s.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    p.expect(b'{')?;
-    let mut fields: Vec<(String, JsonValue)> = Vec::new();
-    p.skip_ws();
-    if !p.eat(b'}') {
-        loop {
-            p.skip_ws();
-            let key = p.parse_string()?;
-            if fields.iter().any(|(k, _)| *k == key) {
-                return Err(malformed(format!("duplicate key \"{key}\"")));
-            }
-            p.skip_ws();
-            p.expect(b':')?;
-            p.skip_ws();
-            let value = if p.eat(b'[') {
-                let mut items = Vec::new();
-                p.skip_ws();
-                if !p.eat(b']') {
-                    loop {
-                        p.skip_ws();
-                        items.push(p.parse_number_token()?);
-                        p.skip_ws();
-                        if p.eat(b']') {
-                            break;
-                        }
-                        p.expect(b',')?;
-                    }
-                }
-                JsonValue::Arr(items)
-            } else {
-                JsonValue::Num(p.parse_number_token()?)
-            };
-            fields.push((key, value));
-            p.skip_ws();
-            if p.eat(b'}') {
-                break;
-            }
-            p.expect(b',')?;
-        }
-    }
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(malformed(format!(
-            "trailing data at byte {} of snapshot line",
-            p.pos
-        )));
-    }
-    Ok(fields)
-}
-
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Cursor<'_> {
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_whitespace())
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn eat(&mut self, b: u8) -> bool {
-        if self.bytes.get(self.pos) == Some(&b) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), AccuError> {
-        if self.eat(b) {
-            Ok(())
-        } else {
-            Err(malformed(format!(
-                "expected {:?} at byte {}",
-                b as char, self.pos
-            )))
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String, AccuError> {
-        self.expect(b'"')?;
-        let start = self.pos;
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b'"' {
-                let key = std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| malformed("non-UTF-8 key".to_string()))?
-                    .to_string();
-                self.pos += 1;
-                return Ok(key);
-            }
-            if b == b'\\' {
-                return Err(malformed("escape sequences are not supported".to_string()));
-            }
-            self.pos += 1;
-        }
-        Err(malformed("unterminated string".to_string()))
-    }
-
-    fn parse_number_token(&mut self) -> Result<String, AccuError> {
-        let start = self.pos;
-        while self.bytes.get(self.pos).is_some_and(|b| {
-            b.is_ascii_digit()
-                || matches!(
-                    b,
-                    b'-' | b'+' | b'.' | b'e' | b'E' | b'i' | b'n' | b'f' | b'N' | b'a'
-                )
-        }) {
-            self.pos += 1;
-        }
-        if self.pos == start {
-            return Err(malformed(format!("expected a number at byte {start}")));
-        }
-        Ok(std::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("number token is ASCII")
-            .to_string())
-    }
+fn as_series<T>(
+    value: &Json,
+    key: &str,
+    item: fn(&Json, &str) -> Result<T, AccuError>,
+) -> Result<Vec<T>, AccuError> {
+    value
+        .as_arr()
+        .ok_or_else(|| malformed(format!("key \"{key}\": expected array")))?
+        .iter()
+        .map(|v| item(v, key))
+        .collect()
 }
 
 #[cfg(test)]
@@ -686,20 +550,18 @@ mod tests {
 
     #[test]
     fn aggregates_fault_summaries() {
-        use crate::fault::{FaultPlan, RetryPolicy};
-        use crate::run_attack_faulted;
+        use crate::fault::FaultPlan;
+        use crate::simulator::attack_with;
+        use crate::AttackOptions;
 
         let inst = star();
         let real = full(&inst);
         let plan = FaultPlan::from_parts(vec![true, false, false], Vec::new(), Some(2), None);
-        let out = run_attack_faulted(
-            &inst,
-            &real,
-            &mut MaxDegree::new(),
-            3,
-            &plan,
-            &RetryPolicy::give_up(),
-        );
+        let opts = AttackOptions {
+            faults: &plan,
+            ..AttackOptions::default()
+        };
+        let out = attack_with(&inst, &real, &mut MaxDegree::new(), 3, &opts).unwrap();
         let mut acc = TraceAccumulator::new(3);
         acc.add(&out);
         acc.add(&run_attack(&inst, &real, &mut MaxDegree::new(), 3));
@@ -758,7 +620,8 @@ mod tests {
             AccuError::MalformedSnapshot { reason } => reason,
             other => panic!("unexpected error {other:?}"),
         };
-        assert!(reason("").contains("expected '{'"));
+        assert!(reason("").contains("unexpected end of input"));
+        assert!(reason("[1]").contains("expected a JSON object"));
         assert!(reason("{\"k\":1").contains("expected"));
         assert!(reason("{\"k\":1}").contains("missing key \"runs\""));
         assert!(reason("{\"k\":1,\"k\":2}").contains("duplicate key"));
@@ -778,12 +641,29 @@ mod tests {
         // Series length must match k.
         let bad = full_line.replace("\"k\":2", "\"k\":3");
         assert!(reason(&bad).contains("expected k = 3"));
+        // Integer fields must be exact, non-negative integers.
+        for k in ["2.5", "-2", "9007199254740993"] {
+            let bad = full_line.replace("\"k\":2", &format!("\"k\":{k}"));
+            assert!(
+                reason(&bad).contains("exact non-negative integer"),
+                "k = {k}"
+            );
+        }
+        // Non-finite floats are not JSON.
+        for token in ["NaN", "inf", "-inf"] {
+            let bad = full_line.replacen(
+                "\"total_benefit\":",
+                &format!("\"total_benefit\":{token},\"x\":"),
+                1,
+            );
+            assert!(reason(&bad).contains("invalid JSON"), "token {token}");
+        }
     }
 
     #[test]
     fn telemetry_counters_match_accumulator_totals() {
-        use crate::run_attack_recorded;
-        use crate::simulator::sim_metrics;
+        use crate::simulator::{attack_with, sim_metrics};
+        use crate::AttackOptions;
         use accu_telemetry::Recorder;
 
         let inst = star();
@@ -793,7 +673,11 @@ mod tests {
         let mut requests_sent = 0u64;
         for _ in 0..3 {
             let mut abm = Abm::with_recorder(AbmWeights::balanced(), &recorder);
-            let out = run_attack_recorded(&inst, &real, &mut abm, 2, &recorder);
+            let opts = AttackOptions {
+                recorder: &recorder,
+                ..AttackOptions::default()
+            };
+            let out = attack_with(&inst, &real, &mut abm, 2, &opts).unwrap();
             requests_sent += out.trace.len() as u64;
             acc.add(&out);
         }

@@ -863,7 +863,11 @@ mod tests {
         let real = full(&inst);
         let recorder = Recorder::enabled();
         let mut abm = Abm::with_recorder(AbmWeights::balanced(), &recorder);
-        let outcome = crate::run_attack_recorded(&inst, &real, &mut abm, 2, &recorder);
+        let opts = crate::AttackOptions {
+            recorder: &recorder,
+            ..Default::default()
+        };
+        let outcome = crate::simulator::attack_with(&inst, &real, &mut abm, 2, &opts).unwrap();
         assert_eq!(outcome.requests_sent(), 2);
 
         let snap = recorder.snapshot("abm-test").unwrap();
@@ -902,7 +906,12 @@ mod tests {
         let plain = run_attack(&inst, &real, &mut Abm::new(AbmWeights::balanced()), 2);
         let recorder = Recorder::disabled();
         let mut attached = Abm::with_recorder(AbmWeights::balanced(), &recorder);
-        let recorded = crate::run_attack_recorded(&inst, &real, &mut attached, 2, &recorder);
+        let opts = crate::AttackOptions {
+            recorder: &recorder,
+            ..Default::default()
+        };
+        let recorded =
+            crate::simulator::attack_with(&inst, &real, &mut attached, 2, &opts).unwrap();
         assert_eq!(plain.total_benefit, recorded.total_benefit);
         assert!(recorder.snapshot("none").is_none());
     }

@@ -4,7 +4,7 @@
 //! same instance; allocating a fresh [`Realization`], [`Observation`],
 //! [`BenefitState`] and outcome buffers for each one dominates small
 //! episodes. An [`EpisodeScratch`] owns all of those buffers and hands
-//! them back to the simulator ([`run_attack_episode`](crate::run_attack_episode))
+//! them back to the simulator ([`run_attack_with`](crate::run_attack_with))
 //! so that once the buffers have grown to an instance's size, further
 //! episodes allocate nothing at all.
 
@@ -251,7 +251,7 @@ impl BatchScratch {
 mod tests {
     use super::*;
     use crate::policy::{Abm, AbmWeights};
-    use crate::{run_attack_episode, run_attack_faulted, AccuInstanceBuilder, UserClass};
+    use crate::{run_attack, run_attack_episode, AccuInstanceBuilder, UserClass};
     use crate::{FaultPlan, RetryPolicy};
     use accu_telemetry::Recorder;
     use osn_graph::NodeId;
@@ -290,14 +290,7 @@ mod tests {
             let mut real = Realization::empty();
             real.sample_into(&inst, &mut rng_a);
             let mut pol_ref = Abm::new(AbmWeights::balanced());
-            let reference = run_attack_faulted(
-                &inst,
-                &real,
-                &mut pol_ref,
-                12,
-                &FaultPlan::none(),
-                &RetryPolicy::give_up(),
-            );
+            let reference = run_attack(&inst, &real, &mut pol_ref, 12);
             // Scratch-reuse path.
             scratch.prepare(&inst);
             scratch.realization.sample_into(&inst, &mut rng_b);
@@ -341,14 +334,7 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(s);
             let real = Realization::sample(&inst, &mut rng);
             let mut fresh = Abm::new(AbmWeights::balanced());
-            let reference = run_attack_faulted(
-                &inst,
-                &real,
-                &mut fresh,
-                12,
-                &FaultPlan::none(),
-                &RetryPolicy::give_up(),
-            );
+            let reference = run_attack(&inst, &real, &mut fresh, 12);
             assert_eq!(outcome, reference);
         }
     }

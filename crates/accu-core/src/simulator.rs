@@ -6,11 +6,14 @@
 //! cautious users), updates the observation and benefit state, and
 //! notifies the policy.
 //!
-//! The faulted variants additionally run the episode under a
-//! pre-sampled [`FaultPlan`] — transient failures the attacker may
-//! retry under a [`RetryPolicy`], silent response drops, rate-limit
-//! windows and account suspension — while keeping the zero-fault path
-//! bit-for-bit identical to the plain simulator.
+//! Two entry points share one attack loop: [`run_attack`] for a single
+//! episode on a given realization, and [`run_attack_with`] for
+//! Monte-Carlo loops that reuse an [`EpisodeScratch`]. The latter's
+//! [`AttackOptions`] can also run the episode under a pre-sampled
+//! [`FaultPlan`] — transient failures the attacker may retry under a
+//! [`RetryPolicy`], silent response drops, rate-limit windows and
+//! account suspension — with the zero-fault path bit-for-bit identical
+//! to the plain simulator.
 
 use accu_telemetry::{CounterHandle, HistogramHandle, Recorder, TraceTrack, TraceValue};
 use osn_graph::NodeId;
@@ -21,7 +24,7 @@ use crate::{
     AccuError, AccuInstance, AttackerView, MarginalGain, Observation, Policy, Realization,
 };
 
-/// Well-known simulator metric names (see [`run_attack_recorded`]).
+/// Well-known simulator metric names (see [`AttackOptions::recorder`]).
 pub mod sim_metrics {
     /// Episodes simulated.
     pub const EPISODES: &str = "sim.episodes";
@@ -184,12 +187,87 @@ pub fn resolve_acceptance(
     realization.accepts_at(instance, target, observation.mutual_friends(target))
 }
 
+/// Everything an attack episode can carry besides the instance, the
+/// policy and the budget: the policy's beliefs, the fault environment,
+/// and the instrumentation sinks. The [`Default`] is the paper's
+/// setting — exact knowledge, no faults, telemetry and tracing off — and
+/// struct-update syntax sets only what differs:
+///
+/// ```
+/// use accu_core::{AttackOptions, FaultPlan, RetryPolicy};
+/// use accu_telemetry::Recorder;
+///
+/// let plan = FaultPlan::none();
+/// let recorder = Recorder::enabled();
+/// let opts = AttackOptions {
+///     faults: &plan,
+///     retry: RetryPolicy::standard(),
+///     recorder: &recorder,
+///     ..AttackOptions::default()
+/// };
+/// assert!(opts.believed.is_none());
+/// ```
+#[derive(Debug, Clone, Copy)]
+pub struct AttackOptions<'a> {
+    /// What the policy believes the instance to be (*model mismatch*):
+    /// the policy sees this instance — possibly wrong probabilities,
+    /// thresholds or benefits — while requests resolve and benefit
+    /// accrues on the true instance. `None` means exact knowledge, the
+    /// paper's assumption. Must share the true instance's graph.
+    pub believed: Option<&'a AccuInstance>,
+    /// The fault realization: transient failures retried per `retry`,
+    /// dropped responses, rate-limit waits and suspension truncation,
+    /// all paid out of the same budget `k`. Because the plan is indexed
+    /// by budget slot, every policy evaluated against the same plan
+    /// faces the identical fault sequence — the paired-comparison
+    /// property the experiments rely on. The trivial plan
+    /// ([`FaultPlan::none`]) is bit-for-bit the fault-free simulator.
+    pub faults: &'a FaultPlan,
+    /// Attacker retry policy under transient failures (irrelevant when
+    /// `faults` is trivial).
+    pub retry: RetryPolicy,
+    /// Metrics sink: per-request select/resolve/notify span timing and
+    /// request/acceptance/cautious-hit counters under the
+    /// [`sim_metrics`] names, plus the
+    /// [`fault_metrics`](crate::fault::fault_metrics) when the plan can
+    /// inject faults. A disabled recorder never reads the clock.
+    pub recorder: &'a Recorder,
+    /// Causal-trace track. While its sampling gate is open, every
+    /// request emits
+    /// `request{step, target, cautious, theta, mutual, accepted, faulted,
+    /// gain, cum_benefit}`, and every threshold-gated user whose observed
+    /// mutual-friend count an acceptance just bumped emits
+    /// `cautious_progress{node, mutual, theta}`. A disabled (or
+    /// gated-off) track costs a branch on `None` plus one relaxed atomic
+    /// load, with no allocation.
+    pub track: &'a TraceTrack,
+}
+
+static NO_FAULTS: FaultPlan = FaultPlan::none();
+static NO_RECORDER: Recorder = Recorder::disabled();
+static NO_TRACK: TraceTrack = TraceTrack::disabled();
+
+impl Default for AttackOptions<'_> {
+    fn default() -> Self {
+        AttackOptions {
+            believed: None,
+            faults: &NO_FAULTS,
+            retry: RetryPolicy::give_up(),
+            recorder: &NO_RECORDER,
+            track: &NO_TRACK,
+        }
+    }
+}
+
 /// Runs `policy` against `realization` with a budget of `k` requests.
 ///
 /// Stops early if the policy returns `None` (e.g. every user has been
 /// requested). Cautious acceptances are resolved against the attacker's
 /// observed mutual-friend count, which by construction equals the true
 /// realized count `|N(v) ∩ N(s)|`.
+///
+/// Allocates fresh buffers per call; Monte-Carlo loops use
+/// [`run_attack_with`] and an [`EpisodeScratch`] instead.
 ///
 /// # Panics
 ///
@@ -200,129 +278,62 @@ pub fn run_attack(
     policy: &mut dyn Policy,
     k: usize,
 ) -> AttackOutcome {
+    let mut sim = SimScratch::new();
     attack_core(
-        instance,
         instance,
         realization,
         policy,
         k,
-        &FaultPlan::none(),
-        &RetryPolicy::give_up(),
-        &Recorder::disabled(),
-    )
+        &AttackOptions::default(),
+        &mut sim,
+    );
+    sim.outcome
 }
 
-/// [`run_attack`] with telemetry: per-request select/resolve/notify
-/// span timing and request/acceptance/cautious-hit counters recorded
-/// into `recorder` under the [`sim_metrics`] names.
-///
-/// With a disabled recorder this is exactly [`run_attack`]: every
-/// metric handle is a no-op and the clock is never read.
-///
-/// # Panics
-///
-/// Panics if the policy selects an already-requested node.
-pub fn run_attack_recorded(
-    instance: &AccuInstance,
-    realization: &Realization,
-    policy: &mut dyn Policy,
-    k: usize,
-    recorder: &Recorder,
-) -> AttackOutcome {
-    attack_core(
-        instance,
-        instance,
-        realization,
-        policy,
-        k,
-        &FaultPlan::none(),
-        &RetryPolicy::give_up(),
-        recorder,
-    )
-}
-
-/// Runs `policy` under the fault realization `plan`: transient failures
-/// retried per `retry`, dropped responses, rate-limit waits and
-/// suspension truncation, all paid out of the same budget `k`.
-///
-/// With a trivial plan ([`FaultPlan::none`]) this is bit-for-bit
-/// [`run_attack`]. Because the plan is indexed by budget slot, every
-/// policy evaluated against the same plan faces the identical fault
-/// sequence — the paired-comparison property the experiments rely on.
-///
-/// # Panics
-///
-/// Panics if the policy selects an already-requested node.
-pub fn run_attack_faulted(
-    instance: &AccuInstance,
-    realization: &Realization,
-    policy: &mut dyn Policy,
-    k: usize,
-    plan: &FaultPlan,
-    retry: &RetryPolicy,
-) -> AttackOutcome {
-    attack_core(
-        instance,
-        instance,
-        realization,
-        policy,
-        k,
-        plan,
-        retry,
-        &Recorder::disabled(),
-    )
-}
-
-/// [`run_attack_faulted`] with telemetry: in addition to the
-/// [`sim_metrics`], fault events land in `recorder` under the
-/// [`fault_metrics`](crate::fault::fault_metrics) names.
-///
-/// # Panics
-///
-/// Panics if the policy selects an already-requested node.
-#[allow(clippy::too_many_arguments)]
-pub fn run_attack_faulted_recorded(
-    instance: &AccuInstance,
-    realization: &Realization,
-    policy: &mut dyn Policy,
-    k: usize,
-    plan: &FaultPlan,
-    retry: &RetryPolicy,
-    recorder: &Recorder,
-) -> AttackOutcome {
-    attack_core(
-        instance,
-        instance,
-        realization,
-        policy,
-        k,
-        plan,
-        retry,
-        recorder,
-    )
-}
-
-/// How a request attempt at one budget slot resolved.
-enum AttemptFate {
-    /// The request went through; resolve acceptance normally.
-    Resolved,
-    /// The request went unanswered (retries exhausted or response
-    /// dropped); the attacker writes the target off.
-    Unanswered,
-    /// Suspension struck while handling the target; episode over.
-    Suspended(usize),
-}
-
-/// Runs one attack episode entirely inside `scratch`: the caller
-/// samples `scratch.realization` first (see
+/// Runs one attack episode on `instance` under `opts`, entirely inside
+/// `scratch`: the caller samples `scratch.realization` first (see
 /// [`Realization::sample_into`]), then this reuses every per-episode
 /// buffer — observation, benefit state, revealed list, trace and
-/// friend list — so steady-state episodes allocate nothing.
-///
-/// Behaviorally identical (bit-for-bit, including telemetry) to
-/// [`run_attack_faulted_recorded`] on the same realization; the
+/// friend list — so steady-state episodes allocate nothing. The
 /// returned reference points at `scratch`'s outcome slot, valid until
 /// the next episode run in the same scratch.
+///
+/// With [`AttackOptions::default`] the outcome is bit-for-bit
+/// [`run_attack`] on the same realization; no option changes the
+/// outcome except `believed`, `faults` and `retry`.
+///
+/// # Errors
+///
+/// Returns [`AccuError::TopologyMismatch`] if `opts.believed` does not
+/// share `instance`'s graph.
+///
+/// # Panics
+///
+/// Panics if the policy selects an already-requested node.
+pub fn run_attack_with<'s>(
+    instance: &AccuInstance,
+    policy: &mut dyn Policy,
+    k: usize,
+    opts: &AttackOptions<'_>,
+    scratch: &'s mut EpisodeScratch,
+) -> Result<&'s AttackOutcome, AccuError> {
+    if let Some(believed) = opts.believed {
+        check_topology(instance, believed)?;
+    }
+    attack_core(
+        instance,
+        &scratch.realization,
+        policy,
+        k,
+        opts,
+        &mut scratch.sim,
+    );
+    Ok(&scratch.sim.outcome)
+}
+
+/// [`run_attack_with`] with the fault plan, retry policy and recorder
+/// as positional arguments and exact knowledge — the shape the
+/// Monte-Carlo benchmarks drive.
 ///
 /// # Panics
 ///
@@ -336,111 +347,64 @@ pub fn run_attack_episode<'s>(
     recorder: &Recorder,
     scratch: &'s mut EpisodeScratch,
 ) -> &'s AttackOutcome {
-    run_attack_episode_traced(
-        instance,
-        policy,
-        k,
-        plan,
-        retry,
+    let opts = AttackOptions {
+        faults: plan,
+        retry: *retry,
         recorder,
-        &TraceTrack::disabled(),
-        scratch,
-    )
+        ..AttackOptions::default()
+    };
+    run_attack_with(instance, policy, k, &opts, scratch).expect("exact knowledge cannot mismatch")
 }
 
-/// [`run_attack_episode`] additionally emitting per-request trace
-/// events into `track` when its sampling gate is open:
-///
-/// * `request{step, target, cautious, theta, mutual, accepted, faulted,
-///   gain, cum_benefit}` after every resolved or written-off request;
-/// * `cautious_progress{node, mutual, theta}` for each threshold-gated
-///   user whose observed mutual-friend count an acceptance just bumped.
-///
-/// With a disabled (or gated-off) track this is exactly
-/// [`run_attack_episode`]: the guard is a branch on `None` plus one
-/// relaxed atomic load, with no allocation — the zero-alloc episode
-/// invariant holds (asserted by the `zero_alloc` bench test).
-///
-/// # Panics
-///
-/// Panics if the policy selects an already-requested node.
-#[allow(clippy::too_many_arguments)]
-pub fn run_attack_episode_traced<'s>(
+/// [`run_attack_with`] on an explicit realization, returning an owned
+/// outcome: the test seam for recorded, faulted and belief-mismatched
+/// runs.
+#[cfg(test)]
+pub(crate) fn attack_with(
     instance: &AccuInstance,
-    policy: &mut dyn Policy,
-    k: usize,
-    plan: &FaultPlan,
-    retry: &RetryPolicy,
-    recorder: &Recorder,
-    track: &TraceTrack,
-    scratch: &'s mut EpisodeScratch,
-) -> &'s AttackOutcome {
-    attack_core_traced(
-        instance,
-        instance,
-        &scratch.realization,
-        policy,
-        k,
-        plan,
-        retry,
-        recorder,
-        track,
-        &mut scratch.sim,
-    );
-    &scratch.sim.outcome
-}
-
-/// The shared attack loop: the policy sees `believed`, requests resolve
-/// and benefit accrues on `truth` (the two are the same instance for
-/// the plain attack). Budget is consumed per *slot*: fault-free, one
-/// slot per request; under faults, failed attempts, backoff waits and
-/// rate-limit pauses burn slots too.
-///
-/// Allocates a fresh scratch per call; the reuse path is
-/// [`run_attack_episode`].
-#[allow(clippy::too_many_arguments)]
-fn attack_core(
-    truth: &AccuInstance,
-    believed: &AccuInstance,
     realization: &Realization,
     policy: &mut dyn Policy,
     k: usize,
-    faults: &FaultPlan,
-    retry: &RetryPolicy,
-    recorder: &Recorder,
-) -> AttackOutcome {
-    let mut sim = SimScratch::new();
-    attack_core_traced(
-        truth,
+    opts: &AttackOptions<'_>,
+) -> Result<AttackOutcome, AccuError> {
+    let mut scratch = EpisodeScratch::new();
+    scratch.realization = realization.clone();
+    run_attack_with(instance, policy, k, opts, &mut scratch).cloned()
+}
+
+/// How a request attempt at one budget slot resolved.
+enum AttemptFate {
+    /// The request went through; resolve acceptance normally.
+    Resolved,
+    /// The request went unanswered (retries exhausted or response
+    /// dropped); the attacker writes the target off.
+    Unanswered,
+    /// Suspension struck while handling the target; episode over.
+    Suspended(usize),
+}
+
+/// The attack loop behind every entry point: the policy sees
+/// `opts.believed` (or `truth`), requests resolve and benefit accrues on
+/// `truth`. Budget is consumed per *slot*: fault-free, one slot per
+/// request; under faults, failed attempts, backoff waits and rate-limit
+/// pauses burn slots too. Writes every episode artifact into `scratch`
+/// in place.
+fn attack_core(
+    truth: &AccuInstance,
+    realization: &Realization,
+    policy: &mut dyn Policy,
+    k: usize,
+    opts: &AttackOptions<'_>,
+    scratch: &mut SimScratch,
+) {
+    let AttackOptions {
         believed,
-        realization,
-        policy,
-        k,
         faults,
         retry,
         recorder,
-        &TraceTrack::disabled(),
-        &mut sim,
-    );
-    sim.outcome
-}
-
-/// [`attack_core`] writing every episode artifact into `scratch` in
-/// place instead of allocating, and emitting per-request trace events
-/// into `track` when its sampling gate is open.
-#[allow(clippy::too_many_arguments)]
-fn attack_core_traced(
-    truth: &AccuInstance,
-    believed: &AccuInstance,
-    realization: &Realization,
-    policy: &mut dyn Policy,
-    k: usize,
-    faults: &FaultPlan,
-    retry: &RetryPolicy,
-    recorder: &Recorder,
-    track: &TraceTrack,
-    scratch: &mut SimScratch,
-) {
+        track,
+    } = *opts;
+    let believed = believed.unwrap_or(truth);
     let tel = SimTelemetry::new(recorder);
     // Only register fault counters when faults can actually occur, so
     // fault-free telemetry output is unchanged.
@@ -635,104 +599,6 @@ fn attack_core_traced(
     outcome.faults = summary;
 }
 
-/// Runs `policy` under *model mismatch*: the policy sees the `believed`
-/// instance (possibly wrong probabilities, thresholds or benefits) while
-/// requests are resolved and benefit is collected on the `truth`
-/// instance. Measures the robustness of knowledge-driven policies to
-/// estimation noise — the paper assumes exact parameter knowledge.
-///
-/// # Errors
-///
-/// Returns [`AccuError::TopologyMismatch`] if the two instances do not
-/// share a graph.
-///
-/// # Panics
-///
-/// Panics if the policy selects an already-requested node.
-pub fn run_attack_with_beliefs(
-    truth: &AccuInstance,
-    believed: &AccuInstance,
-    realization: &Realization,
-    policy: &mut dyn Policy,
-    k: usize,
-) -> Result<AttackOutcome, AccuError> {
-    run_attack_with_beliefs_recorded(
-        truth,
-        believed,
-        realization,
-        policy,
-        k,
-        &Recorder::disabled(),
-    )
-}
-
-/// [`run_attack_with_beliefs`] with telemetry recorded into `recorder`
-/// under the [`sim_metrics`] names.
-///
-/// # Errors
-///
-/// Returns [`AccuError::TopologyMismatch`] if the two instances do not
-/// share a graph.
-///
-/// # Panics
-///
-/// Panics if the policy selects an already-requested node.
-pub fn run_attack_with_beliefs_recorded(
-    truth: &AccuInstance,
-    believed: &AccuInstance,
-    realization: &Realization,
-    policy: &mut dyn Policy,
-    k: usize,
-    recorder: &Recorder,
-) -> Result<AttackOutcome, AccuError> {
-    check_topology(truth, believed)?;
-    Ok(attack_core(
-        truth,
-        believed,
-        realization,
-        policy,
-        k,
-        &FaultPlan::none(),
-        &RetryPolicy::give_up(),
-        recorder,
-    ))
-}
-
-/// [`run_attack_with_beliefs_recorded`] under a fault realization —
-/// model mismatch and platform faults composed.
-///
-/// # Errors
-///
-/// Returns [`AccuError::TopologyMismatch`] if the two instances do not
-/// share a graph.
-///
-/// # Panics
-///
-/// Panics if the policy selects an already-requested node.
-#[allow(clippy::too_many_arguments)]
-pub fn run_attack_with_beliefs_faulted_recorded(
-    truth: &AccuInstance,
-    believed: &AccuInstance,
-    realization: &Realization,
-    policy: &mut dyn Policy,
-    k: usize,
-    plan: &FaultPlan,
-    retry: &RetryPolicy,
-    recorder: &Recorder,
-) -> Result<AttackOutcome, AccuError> {
-    check_topology(truth, believed)?;
-    Ok(attack_core(
-        truth,
-        believed,
-        realization,
-        policy,
-        k,
-        plan,
-        retry,
-        recorder,
-    ))
-}
-
 fn check_topology(truth: &AccuInstance, believed: &AccuInstance) -> Result<(), AccuError> {
     if truth.graph() != believed.graph() {
         return Err(AccuError::TopologyMismatch {
@@ -768,6 +634,24 @@ mod tests {
             vec![true; inst.node_count()],
         )
         .unwrap()
+    }
+
+    /// [`attack_with`] under the fault plan `plan` and retry policy
+    /// `retry`.
+    fn faulted(
+        inst: &AccuInstance,
+        real: &Realization,
+        policy: &mut dyn Policy,
+        k: usize,
+        plan: &FaultPlan,
+        retry: RetryPolicy,
+    ) -> AttackOutcome {
+        let opts = AttackOptions {
+            faults: plan,
+            retry,
+            ..AttackOptions::default()
+        };
+        attack_with(inst, real, policy, k, &opts).unwrap()
     }
 
     #[test]
@@ -841,7 +725,17 @@ mod tests {
         let mut abm1 = Abm::new(AbmWeights::balanced());
         let mut abm2 = Abm::new(AbmWeights::balanced());
         let plain = run_attack(&inst, &real, &mut abm1, 3);
-        let believed = run_attack_with_beliefs(&inst, &inst, &real, &mut abm2, 3).unwrap();
+        let believed = attack_with(
+            &inst,
+            &real,
+            &mut abm2,
+            3,
+            &AttackOptions {
+                believed: Some(&inst),
+                ..AttackOptions::default()
+            },
+        )
+        .unwrap();
         assert_eq!(plain, believed);
     }
 
@@ -857,7 +751,17 @@ mod tests {
             .build()
             .unwrap();
         let mut abm = Abm::new(AbmWeights::balanced());
-        let out = run_attack_with_beliefs(&inst, &believed, &real, &mut abm, 3).unwrap();
+        let out = attack_with(
+            &inst,
+            &real,
+            &mut abm,
+            3,
+            &AttackOptions {
+                believed: Some(&believed),
+                ..AttackOptions::default()
+            },
+        )
+        .unwrap();
         // All three users still end up friends (budget covers everyone)
         // and the collected benefit uses the TRUE value of node 2.
         assert_eq!(out.friends.len(), 3);
@@ -872,7 +776,17 @@ mod tests {
             .unwrap();
         let real = full(&inst);
         let mut abm = Abm::new(AbmWeights::balanced());
-        let err = run_attack_with_beliefs(&inst, &other, &real, &mut abm, 1).unwrap_err();
+        let err = attack_with(
+            &inst,
+            &real,
+            &mut abm,
+            1,
+            &AttackOptions {
+                believed: Some(&other),
+                ..AttackOptions::default()
+            },
+        )
+        .unwrap_err();
         assert_eq!(
             err,
             AccuError::TopologyMismatch {
@@ -889,8 +803,18 @@ mod tests {
         let real = full(&inst);
         let rec = Recorder::enabled();
         let plain = run_attack(&inst, &real, &mut Abm::new(AbmWeights::balanced()), 3);
-        let recorded =
-            run_attack_recorded(&inst, &real, &mut Abm::new(AbmWeights::balanced()), 3, &rec);
+        let opts = AttackOptions {
+            recorder: &rec,
+            ..AttackOptions::default()
+        };
+        let recorded = attack_with(
+            &inst,
+            &real,
+            &mut Abm::new(AbmWeights::balanced()),
+            3,
+            &opts,
+        )
+        .unwrap();
         assert_eq!(plain, recorded, "telemetry must not change behavior");
         let snap = rec.snapshot("test").unwrap();
         assert_eq!(snap.counter(sim_metrics::EPISODES), Some(1));
@@ -926,7 +850,11 @@ mod tests {
         let inst = path_instance();
         let real = full(&inst);
         let rec = Recorder::disabled();
-        let out = run_attack_recorded(&inst, &real, &mut MaxDegree::new(), 3, &rec);
+        let opts = AttackOptions {
+            recorder: &rec,
+            ..AttackOptions::default()
+        };
+        let out = attack_with(&inst, &real, &mut MaxDegree::new(), 3, &opts).unwrap();
         assert_eq!(out.trace.len(), 3);
         assert!(rec.snapshot("x").is_none());
     }
@@ -936,13 +864,17 @@ mod tests {
         let inst = path_instance();
         let real = full(&inst);
         let rec = Recorder::enabled();
-        let out = run_attack_with_beliefs_recorded(
-            &inst,
+        let opts = AttackOptions {
+            believed: Some(&inst),
+            recorder: &rec,
+            ..AttackOptions::default()
+        };
+        let out = attack_with(
             &inst,
             &real,
             &mut Abm::new(AbmWeights::balanced()),
             2,
-            &rec,
+            &opts,
         )
         .unwrap();
         let snap = rec.snapshot("beliefs").unwrap();
@@ -968,23 +900,24 @@ mod tests {
         let inst = path_instance();
         let real = full(&inst);
         let plain = run_attack(&inst, &real, &mut Abm::new(AbmWeights::balanced()), 3);
-        let faulted = run_attack_faulted(
+        let none = FaultPlan::none();
+        let faulted1 = faulted(
             &inst,
             &real,
             &mut Abm::new(AbmWeights::balanced()),
             3,
-            &FaultPlan::none(),
-            &RetryPolicy::standard(),
+            &none,
+            RetryPolicy::standard(),
         );
-        assert_eq!(plain, faulted);
+        assert_eq!(plain, faulted1);
         let sampled_trivial = FaultPlan::sample(&FaultConfig::none(), 7, 3);
-        let faulted2 = run_attack_faulted(
+        let faulted2 = faulted(
             &inst,
             &real,
             &mut Abm::new(AbmWeights::balanced()),
             3,
             &sampled_trivial,
-            &RetryPolicy::standard(),
+            RetryPolicy::standard(),
         );
         assert_eq!(plain, faulted2);
     }
@@ -1002,7 +935,7 @@ mod tests {
             backoff_cap: 4,
             jitter_pct: 0,
         };
-        let out = run_attack_faulted(&inst, &real, &mut MaxDegree::new(), 4, &plan, &retry);
+        let out = faulted(&inst, &real, &mut MaxDegree::new(), 4, &plan, retry);
         // MaxDegree targets node 1 first; the retry succeeds, then one
         // more slot remains for node 0.
         assert_eq!(out.trace.len(), 2);
@@ -1018,13 +951,13 @@ mod tests {
         let inst = path_instance();
         let real = full(&inst);
         let plan = FaultPlan::from_parts(vec![true, false, false], Vec::new(), None, None);
-        let out = run_attack_faulted(
+        let out = faulted(
             &inst,
             &real,
             &mut MaxDegree::new(),
             3,
             &plan,
-            &RetryPolicy::give_up(),
+            RetryPolicy::give_up(),
         );
         // Node 1's request is lost; nodes 0 and 2 still get requested.
         assert_eq!(out.trace.len(), 3);
@@ -1043,13 +976,13 @@ mod tests {
         let inst = path_instance();
         let real = full(&inst);
         let plan = FaultPlan::from_parts(Vec::new(), vec![true, false, false], None, None);
-        let out = run_attack_faulted(
+        let out = faulted(
             &inst,
             &real,
             &mut MaxDegree::new(),
             3,
             &plan,
-            &RetryPolicy::standard(),
+            RetryPolicy::standard(),
         );
         assert_eq!(out.trace.len(), 3);
         assert!(out.trace[0].faulted);
@@ -1065,13 +998,13 @@ mod tests {
         let inst = path_instance();
         let real = full(&inst);
         let plan = FaultPlan::from_parts(Vec::new(), Vec::new(), Some(2), None);
-        let out = run_attack_faulted(
+        let out = faulted(
             &inst,
             &real,
             &mut MaxDegree::new(),
             3,
             &plan,
-            &RetryPolicy::standard(),
+            RetryPolicy::standard(),
         );
         assert_eq!(out.trace.len(), 2);
         assert_eq!(out.faults.truncated_at, Some(2));
@@ -1092,13 +1025,13 @@ mod tests {
             }),
         );
         // Budget 4, pattern: request, wait, request, wait.
-        let out = run_attack_faulted(
+        let out = faulted(
             &inst,
             &real,
             &mut MaxDegree::new(),
             4,
             &plan,
-            &RetryPolicy::standard(),
+            RetryPolicy::standard(),
         );
         assert_eq!(out.trace.len(), 2);
         assert_eq!(out.faults.rate_limited_slots, 2);
@@ -1112,15 +1045,12 @@ mod tests {
         let rec = Recorder::enabled();
         let plan =
             FaultPlan::from_parts(vec![true, false, false, false], Vec::new(), Some(3), None);
-        let out = run_attack_faulted_recorded(
-            &inst,
-            &real,
-            &mut MaxDegree::new(),
-            4,
-            &plan,
-            &RetryPolicy::give_up(),
-            &rec,
-        );
+        let opts = AttackOptions {
+            faults: &plan,
+            recorder: &rec,
+            ..AttackOptions::default()
+        };
+        let out = attack_with(&inst, &real, &mut MaxDegree::new(), 4, &opts).unwrap();
         let snap = rec.snapshot("faults").unwrap();
         assert_eq!(
             snap.counter(fault_metrics::TRANSIENT),
@@ -1139,21 +1069,21 @@ mod tests {
         let real = full(&inst);
         let cfg = FaultConfig::scaled(1.0);
         let plan = FaultPlan::sample(&cfg, 11, 6);
-        let a = run_attack_faulted(
+        let a = faulted(
             &inst,
             &real,
             &mut MaxDegree::new(),
             6,
             &plan,
-            &RetryPolicy::standard(),
+            RetryPolicy::standard(),
         );
-        let b = run_attack_faulted(
+        let b = faulted(
             &inst,
             &real,
             &mut Abm::new(AbmWeights::balanced()),
             6,
             &plan,
-            &RetryPolicy::standard(),
+            RetryPolicy::standard(),
         );
         // Same fault realization: rate-limit and suspension slots agree
         // regardless of the policy's choices.

@@ -23,6 +23,7 @@ use std::str::FromStr;
 
 use osn_graph::{Graph, NodeId};
 
+use crate::fault::splitmix64;
 use crate::{AccuInstance, AccuInstanceBuilder, BenefitSchedule, UserClass};
 
 /// Well-known validation metric names recorded by the experiment runner.
@@ -840,14 +841,6 @@ fn demoted(index: usize, demotions: &mut usize) -> UserClass {
     UserClass::Reckless {
         acceptance: 0.05 + 0.9 * unit,
     }
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]

@@ -16,7 +16,9 @@
 //! paper's model makes the attack.
 
 use accu_core::policy::{pure_greedy, Abm, AbmWeights, Policy};
-use accu_core::{run_attack_recorded, AccuInstance, AccuInstanceBuilder, Realization, UserClass};
+use accu_core::{
+    run_attack_with, AccuInstance, AccuInstanceBuilder, AttackOptions, EpisodeScratch, UserClass,
+};
 use accu_datasets::{apply_protocol, DatasetSpec, ProtocolConfig};
 use accu_experiments::output::{fnum, Table};
 use accu_experiments::{Cli, Telemetry};
@@ -93,9 +95,15 @@ fn main() {
             let mut eval_rng = StdRng::seed_from_u64(cli.seed ^ 0x0DDB);
             let mut benefit = 0.0;
             let mut falls = 0.0;
+            let opts = AttackOptions {
+                recorder: tel.recorder(),
+                ..AttackOptions::default()
+            };
+            let mut scratch = EpisodeScratch::new();
             for _ in 0..runs {
-                let real = Realization::sample(&inst, &mut eval_rng);
-                let out = run_attack_recorded(&inst, &real, policy.as_mut(), k, tel.recorder());
+                scratch.realization.sample_into(&inst, &mut eval_rng);
+                let out = run_attack_with(&inst, policy.as_mut(), k, &opts, &mut scratch)
+                    .expect("exact knowledge cannot mismatch");
                 benefit += out.total_benefit;
                 falls += high_value
                     .iter()

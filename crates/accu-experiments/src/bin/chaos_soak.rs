@@ -37,7 +37,7 @@ use accu_datasets::{DatasetSpec, ProtocolConfig};
 use accu_experiments::output::series_table;
 use accu_experiments::service::{Daemon, DaemonConfig, JobSpec, JobState, ServiceClient};
 use accu_experiments::{
-    run_policy, run_policy_with, Checkpoint, Deadline, FigureRun, PolicyKind, RunOptions,
+    degrade_report, run_policy_with, Checkpoint, Deadline, FigureRun, PolicyKind, RunOptions,
     SupervisorConfig, DEADLINE_MIN_NETWORKS,
 };
 
@@ -110,11 +110,20 @@ fn matches_baseline(figure: &FigureRun, got: &TraceAccumulator, want: &TraceAccu
     true
 }
 
+/// The chaos-free aggregate of `figure` every schedule must reproduce.
+fn baseline(figure: &FigureRun) -> TraceAccumulator {
+    degrade_report(run_policy_with(
+        figure,
+        PolicyKind::abm_balanced(),
+        RunOptions::default(),
+    ))
+}
+
 /// In-process healing profiles (`panic`, `stall`): the supervisor must
 /// absorb every injected worker fault without touching the results.
 fn heal_profile(fig_seed: u64, config: ChaosConfig) -> bool {
     let figure = soak_figure(fig_seed);
-    let baseline = run_policy(&figure, PolicyKind::abm_balanced());
+    let baseline = baseline(&figure);
     let report = run_policy_with(
         &figure,
         PolicyKind::abm_balanced(),
@@ -175,7 +184,7 @@ fn resume_matches(figure: &FigureRun, path: &Path, baseline: &TraceAccumulator) 
 /// disk, a chaos-free resume must reconstruct the baseline.
 fn checkpoint_chaos_profile(fig_seed: u64, config: ChaosConfig, path: &Path) -> bool {
     let figure = soak_figure(fig_seed);
-    let baseline = run_policy(&figure, PolicyKind::abm_balanced());
+    let baseline = baseline(&figure);
     {
         let mut ckpt = match Checkpoint::open(path, false) {
             Ok(ckpt) => ckpt,
@@ -205,7 +214,7 @@ fn checkpoint_chaos_profile(fig_seed: u64, config: ChaosConfig, path: &Path) -> 
 /// then resumes the orphaned checkpoint.
 fn kill_profile(fig_seed: u64, kill_after: u64, path: &Path) -> bool {
     let figure = soak_figure(fig_seed);
-    let baseline = run_policy(&figure, PolicyKind::abm_balanced());
+    let baseline = baseline(&figure);
     let exe = match std::env::current_exe() {
         Ok(exe) => exe,
         Err(e) => {
@@ -268,7 +277,7 @@ fn deadline_profile(fig_seed: u64) -> bool {
         network_samples: DEADLINE_MIN_NETWORKS,
         ..figure.clone()
     };
-    let expected = run_policy(&prefix, PolicyKind::abm_balanced());
+    let expected = baseline(&prefix);
     for workers in [1usize, 4] {
         let report = match run_policy_with(
             &figure,

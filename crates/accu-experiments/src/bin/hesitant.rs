@@ -10,7 +10,7 @@
 
 use accu_core::policy::{Abm, AbmWeights};
 use accu_core::theory::{curvature_ratio, two_probability_delta_of};
-use accu_core::{run_attack_recorded, AccuInstance, Realization, UserClass};
+use accu_core::{run_attack_with, AccuInstance, AttackOptions, EpisodeScratch, UserClass};
 use accu_datasets::{apply_protocol, DatasetSpec, ProtocolConfig};
 use accu_experiments::output::{fnum, Table};
 use accu_experiments::{Cli, Telemetry};
@@ -83,9 +83,15 @@ fn main() {
         let mut gated = 0.0;
         let mut eval_rng = StdRng::seed_from_u64(cli.seed ^ 0xABCD);
         let mut abm = Abm::with_recorder(AbmWeights::balanced(), tel.recorder());
+        let opts = AttackOptions {
+            recorder: tel.recorder(),
+            ..AttackOptions::default()
+        };
+        let mut scratch = EpisodeScratch::new();
         for _ in 0..runs {
-            let real = Realization::sample(&inst, &mut eval_rng);
-            let out = run_attack_recorded(&inst, &real, &mut abm, k, tel.recorder());
+            scratch.realization.sample_into(&inst, &mut eval_rng);
+            let out = run_attack_with(&inst, &mut abm, k, &opts, &mut scratch)
+                .expect("exact knowledge cannot mismatch");
             benefit += out.total_benefit;
             gated += out.cautious_friends as f64;
         }

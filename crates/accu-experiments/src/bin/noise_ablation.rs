@@ -7,7 +7,9 @@
 //! the knowledge-free Random baseline.
 
 use accu_core::policy::{Abm, AbmWeights, Policy, Random};
-use accu_core::{run_attack_with_beliefs_recorded, AccuInstance, AccuInstanceBuilder, Realization};
+use accu_core::{
+    run_attack_with, AccuInstance, AccuInstanceBuilder, AttackOptions, EpisodeScratch, Realization,
+};
 use accu_datasets::{apply_protocol, DatasetSpec, ProtocolConfig};
 use accu_experiments::output::{fnum, Table};
 use accu_experiments::{Cli, Telemetry};
@@ -67,11 +69,18 @@ fn main() {
     let realizations: Vec<Realization> = (0..runs)
         .map(|_| Realization::sample(&truth, &mut rng))
         .collect();
-    let evaluate = |believed: &AccuInstance, policy: &mut dyn Policy| -> f64 {
+    let mut scratch = EpisodeScratch::new();
+    let mut evaluate = |believed: &AccuInstance, policy: &mut dyn Policy| -> f64 {
+        let opts = AttackOptions {
+            believed: Some(believed),
+            recorder: tel.recorder(),
+            ..AttackOptions::default()
+        };
         realizations
             .iter()
             .map(|real| {
-                run_attack_with_beliefs_recorded(&truth, believed, real, policy, k, tel.recorder())
+                scratch.realization.clone_from(real);
+                run_attack_with(&truth, policy, k, &opts, &mut scratch)
                     .expect("truth and beliefs share a topology by construction")
                     .total_benefit
             })

@@ -14,7 +14,9 @@
 //! threshold itself.
 
 use accu_core::policy::{Abm, AbmWeights};
-use accu_core::{run_attack_recorded, AccuInstance, AccuInstanceBuilder, Realization, UserClass};
+use accu_core::{
+    run_attack_with, AccuInstance, AccuInstanceBuilder, AttackOptions, EpisodeScratch, UserClass,
+};
 use accu_datasets::{select_cautious_users, DatasetSpec, ProtocolConfig};
 use accu_experiments::output::{fnum, Table};
 use accu_experiments::{Cli, Telemetry};
@@ -105,9 +107,15 @@ fn main() {
         let mut falls = 0.0;
         let mut abm = Abm::with_recorder(AbmWeights::balanced(), tel.recorder());
         let mut eval_rng = StdRng::seed_from_u64(cli.seed ^ 0x5151);
+        let opts = AttackOptions {
+            recorder: tel.recorder(),
+            ..AttackOptions::default()
+        };
+        let mut scratch = EpisodeScratch::new();
         for _ in 0..runs {
-            let real = Realization::sample(&inst, &mut eval_rng);
-            let out = run_attack_recorded(&inst, &real, &mut abm, k, tel.recorder());
+            scratch.realization.sample_into(&inst, &mut eval_rng);
+            let out = run_attack_with(&inst, &mut abm, k, &opts, &mut scratch)
+                .expect("exact knowledge cannot mismatch");
             benefit += out.total_benefit;
             falls += out.cautious_friends as f64;
         }

@@ -9,7 +9,7 @@ use accu_datasets::{DatasetSpec, ProtocolConfig};
 use accu_telemetry::Recorder;
 
 use crate::output::{fnum, Table};
-use crate::{run_policy_recorded, ExperimentScale, PolicyKind};
+use crate::{degrade_report, run_policy_with, ExperimentScale, PolicyKind, RunOptions};
 
 /// Result of the two-parameter sensitivity sweep.
 #[derive(Debug, Clone)]
@@ -85,7 +85,11 @@ pub fn run_heatmap_recorded(
                 ..ProtocolConfig::default()
             };
             let figure = scale.figure_run(DatasetSpec::twitter(), protocol);
-            let acc = run_policy_recorded(&figure, PolicyKind::abm_balanced(), recorder);
+            let opts = RunOptions {
+                recorder: recorder.clone(),
+                ..RunOptions::default()
+            };
+            let acc = degrade_report(run_policy_with(&figure, PolicyKind::abm_balanced(), opts));
             brow.push(acc.mean_total_benefit());
             crow.push(acc.mean_cautious_friends());
             cells.incr();

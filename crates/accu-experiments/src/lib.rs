@@ -3,7 +3,11 @@
 //! The experiment harness that regenerates every table and figure of the
 //! ACCU paper. The library provides the shared machinery (CLI parsing,
 //! scaling, the parallel runner, table/CSV output); one binary per
-//! experiment id lives under `src/bin/`:
+//! experiment id lives under `src/bin/`. The runner has one entry point,
+//! [`run_policy_with`], configured by a [`RunOptions`] bundle whose
+//! default is the plain uninstrumented run; figure binaries reach it
+//! through [`Telemetry::run`] or [`Telemetry::run_options`].
+//!
 //!
 //! | Binary                | Paper artifact |
 //! |-----------------------|----------------|
@@ -52,10 +56,8 @@ pub mod telemetry;
 pub use checkpoint::Checkpoint;
 pub use cli::{Cli, CliError, TraceSpec};
 pub use runner::{
-    run_policy, run_policy_checked, run_policy_observed, run_policy_recorded, run_policy_traced,
-    run_policy_tuned, run_policy_with, runner_metrics, Deadline, EngineMode, FigureRun,
-    NetworkFailure, PolicyKind, RunOptions, RunReport, RunnerError, SupervisorConfig,
-    DEADLINE_MIN_NETWORKS,
+    degrade_report, run_policy_with, runner_metrics, Deadline, FigureRun, NetworkFailure,
+    PolicyKind, RunOptions, RunReport, RunnerError, SupervisorConfig, DEADLINE_MIN_NETWORKS,
 };
 pub use scale::ExperimentScale;
 pub use telemetry::Telemetry;

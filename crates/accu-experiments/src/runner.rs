@@ -39,8 +39,8 @@ use accu_core::policy::{
     Abm, AbmWeights, CentralityKind, CentralityPolicy, MaxDegree, PageRankPolicy, Random, Snowball,
 };
 use accu_core::{
-    engine_metrics, repair_instance, run_attack_episode_traced, validate_metrics, AccuError,
-    AccuInstance, AttackOutcome, BatchScratch, FaultConfig, FaultPlan, Policy, RetryPolicy,
+    engine_metrics, repair_instance, run_attack_with, validate_metrics, AccuError, AccuInstance,
+    AttackOptions, AttackOutcome, BatchScratch, FaultConfig, FaultPlan, Policy, RetryPolicy,
     TraceAccumulator, ValidationMode, Violation,
 };
 use accu_telemetry::obs::{NetworkStatus, Observer};
@@ -340,7 +340,7 @@ impl fmt::Display for NetworkFailure {
     }
 }
 
-/// Errors surfaced by [`run_policy_checked`].
+/// Errors surfaced by [`run_policy_with`].
 #[derive(Debug)]
 #[non_exhaustive]
 pub enum RunnerError {
@@ -393,12 +393,12 @@ impl std::error::Error for RunnerError {
 }
 
 /// Everything a run can carry besides the figure and the policy: the
-/// instrumentation handles (recorder, tracer, progress observer), the
-/// checkpoint, and the scheduling knobs. All handles are cheap clones
-/// of `Arc` state; the disabled defaults make every piece a no-op.
-///
-/// This is the kitchen-sink seam behind [`run_policy_with`] — the
-/// positional `run_policy_*` entry points stay for the common cases.
+/// instrumentation handles (recorder, tracer, progress observer,
+/// journal), the checkpoint, and the scheduling knobs. All handles are
+/// cheap clones of `Arc` state; the disabled defaults make every piece a
+/// no-op, so `RunOptions::default()` is the plain, uninstrumented run.
+/// Set only what differs with struct-update syntax. No option changes
+/// the aggregate: they observe, persist, or schedule.
 ///
 /// # Examples
 ///
@@ -439,10 +439,6 @@ pub struct RunOptions<'a> {
     /// Soft deadline; when it passes, not-yet-started networks are shed
     /// instead of run (graceful degradation). `None` never sheds.
     pub deadline: Option<Deadline>,
-    /// Episode-engine selection: scalar per-episode sampling, the SoA
-    /// batched sampler, or footprint-based auto-selection. Every mode
-    /// produces bit-identical results; this is a pure throughput knob.
-    pub engine: EngineMode,
     /// Correlated event journal for run-stage lifecycle events (engine
     /// selection, network folds, quarantines, sheds, worker deaths).
     /// Disabled by default: batch runs stay silent and pay nothing.
@@ -465,61 +461,36 @@ impl Default for RunOptions<'_> {
             chaos: ChaosPlan::none(),
             supervisor: SupervisorConfig::default(),
             deadline: None,
-            engine: EngineMode::Auto,
             journal: Journal::disabled(),
             corr: Corr::default(),
         }
     }
 }
 
-/// How workers sample episode realizations.
+/// Episode lanes per realization-sampling block for a run over
+/// `nodes`-node instances.
 ///
-/// The batched engine fills `lanes` independent realizations in one
-/// structure-of-arrays pass over the instance
-/// ([`BatchScratch::sample_lanes`]), reading each per-edge probability
-/// and per-node acceptance row once per block instead of once per
-/// episode. Every lane keeps its own RNG stream seeded exactly as the
-/// scalar path seeds its per-episode RNG, so **all modes produce
-/// bit-identical episodes, traces, and CSV output** — the mode only
-/// changes memory-access order during sampling.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EngineMode {
-    /// One realization sampled at a time (the historical path; equal to
-    /// `Batched(1)`).
-    Scalar,
-    /// SoA batched sampling with this many episode lanes per block
-    /// (clamped to at least 1).
-    Batched(usize),
-    /// Pick per run: batched lanes for instances big enough that the
-    /// one-pass amortization pays for the lane buffers, scalar for
-    /// small ones.
-    Auto,
-}
-
-impl EngineMode {
-    /// Episode lanes per sampling block for a run over `nodes`-node
-    /// instances.
-    fn lanes(self, nodes: usize) -> usize {
-        /// Auto picks batching once the instance's parameter arrays
-        /// stop fitting comfortably in L2 (~a few hundred KB at ~100
-        /// bytes/node), which is when re-streaming them per episode
-        /// starts to dominate sampling.
-        const AUTO_MIN_NODES: usize = 4096;
-        /// Eight lanes keep the per-lane realization buffers (~17
-        /// bytes/node each) within the last-level cache alongside the
-        /// instance for the graphs the scale tier targets.
-        const AUTO_LANES: usize = 8;
-        match self {
-            EngineMode::Scalar => 1,
-            EngineMode::Batched(lanes) => lanes.max(1),
-            EngineMode::Auto => {
-                if nodes >= AUTO_MIN_NODES {
-                    AUTO_LANES
-                } else {
-                    1
-                }
-            }
-        }
+/// The batched sampler ([`BatchScratch::sample_lanes`]) fills several
+/// realizations in one structure-of-arrays pass over the instance,
+/// reading each per-edge probability and per-node acceptance row once
+/// per block instead of once per episode. Every lane keeps its own RNG
+/// stream seeded exactly as a one-at-a-time sampler would seed it, so
+/// the lane count never changes episodes, traces, or CSV output — only
+/// memory-access order during sampling.
+fn engine_lanes(nodes: usize) -> usize {
+    /// Batching pays once the instance's parameter arrays stop fitting
+    /// comfortably in L2 (~a few hundred KB at ~100 bytes/node), which
+    /// is when re-streaming them per episode starts to dominate
+    /// sampling.
+    const BATCH_MIN_NODES: usize = 4096;
+    /// Eight lanes keep the per-lane realization buffers (~17
+    /// bytes/node each) within the last-level cache alongside the
+    /// instance for the graphs the scale tier targets.
+    const BATCH_LANES: usize = 8;
+    if nodes >= BATCH_MIN_NODES {
+        BATCH_LANES
+    } else {
+        1
     }
 }
 
@@ -649,8 +620,11 @@ impl RunReport {
 }
 
 /// Runs `policy` over all sampled networks and repetitions of `figure`,
-/// in parallel across available cores, and returns the aggregated trace
-/// statistics.
+/// in parallel across worker threads, and returns the aggregated trace
+/// statistics with everything that went wrong or was skipped along the
+/// way. `opts` carries the instrumentation, the checkpoint (each
+/// completed network is appended to it, and networks it already covers
+/// are resumed instead of recomputed), and the scheduling knobs.
 ///
 /// Deterministic given `figure.seed`: network `i` always uses the same
 /// derived RNG stream — and, since policies are instantiated per
@@ -658,191 +632,33 @@ impl RunReport {
 /// The same seed is used across policies so every policy faces
 /// identical networks, realizations, and fault plans (paired
 /// comparison, variance reduction — and the paper's setup of evaluating
-/// all algorithms on the same sample networks).
-pub fn run_policy(figure: &FigureRun, policy: PolicyKind) -> TraceAccumulator {
-    run_policy_recorded(figure, policy, &Recorder::disabled())
-}
-
-/// [`run_policy`] with telemetry: per-worker episode throughput,
-/// per-network wall clock, and (for heap-based policies) the policy's
-/// own counters all land in `recorder`. A disabled recorder reduces
-/// this to [`run_policy`] at no measurable cost.
+/// all algorithms on the same sample networks). Results are
+/// bit-identical across every `max_workers` / `chunks_per_network`
+/// setting, and for every tracer configuration: tracing only observes,
+/// never steers. Non-chunkable policies (see [`PolicyKind::chunkable`])
+/// always run whole networks as a single chunk.
 ///
-/// Failures degrade instead of aborting: quarantined networks are
-/// reported on stderr and dropped from the aggregate, and a worker
-/// death salvages the partial aggregate (also with a stderr report).
-/// Use [`run_policy_checked`] to handle both cases programmatically.
-pub fn run_policy_recorded(
-    figure: &FigureRun,
-    policy: PolicyKind,
-    recorder: &Recorder,
-) -> TraceAccumulator {
-    run_policy_observed(figure, policy, recorder, &Tracer::disabled())
-}
-
-/// [`run_policy_recorded`] with causal tracing (see
-/// [`run_policy_traced`] for what gets recorded): the
-/// degrade-don't-abort entry point for figure binaries that thread a
-/// [`Telemetry`](crate::Telemetry) handle's tracer through.
-pub fn run_policy_observed(
-    figure: &FigureRun,
-    policy: PolicyKind,
-    recorder: &Recorder,
-    tracer: &Tracer,
-) -> TraceAccumulator {
-    degrade_report(run_policy_inner(
-        figure,
-        policy,
-        RunOptions {
-            recorder: recorder.clone(),
-            tracer: tracer.clone(),
-            ..RunOptions::default()
-        },
-    ))
-}
-
-/// The degrade-don't-abort policy shared by [`run_policy_observed`]
-/// and [`Telemetry::run`](crate::Telemetry::run): quarantines land on
-/// stderr, a worker death salvages the partial aggregate, and anything
-/// else panics (no checkpoint is involved on these paths, so only the
-/// panic arm can fire).
-pub(crate) fn degrade_report(result: Result<RunReport, RunnerError>) -> TraceAccumulator {
-    match result {
-        Ok(report) => {
-            for failure in &report.quarantined {
-                eprintln!("runner: {failure}");
-            }
-            report.accumulator
-        }
-        Err(RunnerError::WorkerPanicked {
-            worker,
-            message,
-            completed_networks,
-            partial,
-        }) => {
-            eprintln!(
-                "runner: worker {worker} panicked ({message}); \
-                 returning partial aggregate of {completed_networks} networks"
-            );
-            *partial
-        }
-        Err(e) => panic!("runner failed: {e}"),
-    }
-}
-
-/// The hardened entry point: like [`run_policy_recorded`] but returns
-/// the full [`RunReport`] and, when `checkpoint` is given, appends each
-/// completed network to it and skips networks it already covers.
+/// With an enabled tracer every worker gets its own [`TraceTrack`] (one
+/// Perfetto thread track per worker), stage spans cover network
+/// load/validate, episode chunks, the fold, and checkpoint appends, and
+/// — on episodes selected by the tracer's sampling period — the
+/// simulator and policy emit per-request and per-decision events
+/// bracketed by `episode_begin`/`episode_end`. The observer's JSONL
+/// progress stream is byte-identical across worker counts: every
+/// streamed field derives from the deterministic episode-order fold and
+/// lines are reordered to network-index order before they are written.
+///
+/// Pass the result through [`degrade_report`] for the
+/// degrade-don't-abort behaviour of the figure binaries.
 ///
 /// # Errors
 ///
 /// * [`RunnerError::InvalidFaults`] if `figure.faults` is out of range;
 /// * [`RunnerError::Checkpoint`] if appending to the checkpoint fails;
-/// * [`RunnerError::WorkerPanicked`] if a worker dies outside the
-///   per-network quarantine (the partial aggregate rides along).
-pub fn run_policy_checked(
-    figure: &FigureRun,
-    policy: PolicyKind,
-    recorder: &Recorder,
-    checkpoint: Option<&mut Checkpoint>,
-) -> Result<RunReport, RunnerError> {
-    run_policy_tuned(figure, policy, recorder, checkpoint, None, None)
-}
-
-/// [`run_policy_checked`] with causal tracing: every worker gets its own
-/// [`TraceTrack`] (one Perfetto thread track per worker), stage spans
-/// cover network load/validate, episode chunks, the fold, and
-/// checkpoint appends, and — on episodes selected by the tracer's
-/// sampling period — the simulator and policy emit per-request and
-/// per-decision events bracketed by `episode_begin`/`episode_end`.
-///
-/// Results are bit-identical to the untraced entry points for every
-/// tracer configuration: tracing only observes, never steers. A
-/// disabled tracer reduces this to [`run_policy_checked`] — the
-/// per-event cost is one branch on a `None`.
-///
-/// # Errors
-///
-/// Exactly the error contract of [`run_policy_checked`].
-pub fn run_policy_traced(
-    figure: &FigureRun,
-    policy: PolicyKind,
-    recorder: &Recorder,
-    tracer: &Tracer,
-    checkpoint: Option<&mut Checkpoint>,
-) -> Result<RunReport, RunnerError> {
-    run_policy_inner(
-        figure,
-        policy,
-        RunOptions {
-            recorder: recorder.clone(),
-            tracer: tracer.clone(),
-            checkpoint,
-            ..RunOptions::default()
-        },
-    )
-}
-
-/// The everything entry point: [`run_policy_checked`] driven by a
-/// [`RunOptions`] bundle — recorder, tracer, progress observer,
-/// checkpoint, and scheduling knobs in one struct. Figure binaries that
-/// thread a [`Telemetry`](crate::Telemetry) handle's full
-/// instrumentation through use this.
-///
-/// The observer's JSONL progress stream is byte-identical across
-/// `max_workers` / `chunks_per_network` settings: every streamed field
-/// derives from the deterministic episode-order fold and lines are
-/// reordered to network-index order before they are written.
-///
-/// # Errors
-///
-/// Exactly the error contract of [`run_policy_checked`].
+/// * [`RunnerError::WorkerPanicked`] if a worker dies with the
+///   supervisor's restart budget exhausted (the partial aggregate rides
+///   along).
 pub fn run_policy_with(
-    figure: &FigureRun,
-    policy: PolicyKind,
-    opts: RunOptions<'_>,
-) -> Result<RunReport, RunnerError> {
-    run_policy_inner(figure, policy, opts)
-}
-
-/// [`run_policy_checked`] with explicit scheduling knobs: `max_workers`
-/// caps the worker-thread count and `chunks_per_network` forces the
-/// episode-chunk granularity of the work queue (both default to the
-/// machine's available parallelism). Results are bit-identical across
-/// every knob setting — the knobs only change how work is scheduled —
-/// so this is primarily a benchmarking and testing seam. Non-chunkable
-/// policies (see [`PolicyKind::chunkable`]) always run whole networks
-/// as a single chunk regardless of the override.
-///
-/// # Errors
-///
-/// Exactly the error contract of [`run_policy_checked`].
-pub fn run_policy_tuned(
-    figure: &FigureRun,
-    policy: PolicyKind,
-    recorder: &Recorder,
-    checkpoint: Option<&mut Checkpoint>,
-    max_workers: Option<usize>,
-    chunks_per_network: Option<usize>,
-) -> Result<RunReport, RunnerError> {
-    run_policy_inner(
-        figure,
-        policy,
-        RunOptions {
-            recorder: recorder.clone(),
-            checkpoint,
-            max_workers,
-            chunks_per_network,
-            ..RunOptions::default()
-        },
-    )
-}
-
-/// The shared body behind every `run_policy_*` entry point: resumes
-/// from the checkpoint, seeds the chunk queue, and supervises the
-/// worker pool until every chunk is accounted — completed, quarantined,
-/// shed, or abandoned.
-fn run_policy_inner(
     figure: &FigureRun,
     policy: PolicyKind,
     opts: RunOptions<'_>,
@@ -861,7 +677,6 @@ fn run_policy_inner(
         chaos,
         supervisor,
         deadline,
-        engine,
         journal,
         corr,
     } = opts;
@@ -906,9 +721,7 @@ fn run_policy_inner(
     } else {
         1
     };
-    let lanes = engine
-        .lanes(figure.dataset.node_count())
-        .min(figure.runs_per_network.max(1));
+    let lanes = engine_lanes(figure.dataset.node_count()).min(figure.runs_per_network.max(1));
     // The (network, episode-chunk) work queue over non-resumed
     // networks. Chunks of one network are adjacent, so chunk 0 is
     // always claimed first and its claimer initializes the shared
@@ -1181,6 +994,36 @@ fn run_policy_inner(
     })
 }
 
+/// The degrade-don't-abort reading of a [`run_policy_with`] result that
+/// the figure binaries use (through
+/// [`Telemetry::run`](crate::Telemetry::run)): quarantined networks are
+/// reported on stderr and dropped from the aggregate, a worker death
+/// salvages the partial aggregate (also with a stderr report), and any
+/// other error — invalid faults, a failed checkpoint append — panics.
+pub fn degrade_report(result: Result<RunReport, RunnerError>) -> TraceAccumulator {
+    match result {
+        Ok(report) => {
+            for failure in &report.quarantined {
+                eprintln!("runner: {failure}");
+            }
+            report.accumulator
+        }
+        Err(RunnerError::WorkerPanicked {
+            worker,
+            message,
+            completed_networks,
+            partial,
+        }) => {
+            eprintln!(
+                "runner: worker {worker} panicked ({message}); \
+                 returning partial aggregate of {completed_networks} networks"
+            );
+            *partial
+        }
+        Err(e) => panic!("runner failed: {e}"),
+    }
+}
+
 /// Formats a violation list for a quarantine report: the count plus the
 /// first few concrete violations.
 fn violations_message(violations: &[Violation]) -> String {
@@ -1357,8 +1200,8 @@ struct RunCtx<'env, 'ck> {
     figure: &'env FigureRun,
     policy: PolicyKind,
     chunks: usize,
-    /// Episode lanes per sampling block (resolved from
-    /// [`EngineMode`]; 1 = scalar sampling).
+    /// Episode lanes per sampling block (see [`engine_lanes`]; 1 =
+    /// one realization at a time).
     lanes: usize,
     cell: &'env str,
     recorder: &'env Recorder,
@@ -1895,16 +1738,21 @@ fn process_chunk(
                 // paired comparisons face identical fault sequences; it is
                 // trivial (and free) when figure.faults is none.
                 let plan = FaultPlan::sample(&figure.faults, run_seed, figure.budget);
-                let outcome = run_attack_episode_traced(
+                let opts = AttackOptions {
+                    faults: &plan,
+                    retry: figure.retry,
+                    recorder: ctx.recorder,
+                    track,
+                    believed: None,
+                };
+                let outcome = run_attack_with(
                     &state.instance,
                     policy_impl.as_mut(),
                     figure.budget,
-                    &plan,
-                    &figure.retry,
-                    ctx.recorder,
-                    track,
+                    &opts,
                     scratch.lane(lane),
-                );
+                )
+                .expect("exact knowledge cannot mismatch");
                 if track.is_active() {
                     track.instant(
                         "episode_end",
@@ -2084,6 +1932,46 @@ fn process_chunk(
 mod tests {
     use super::*;
 
+    /// A default-options run's aggregate.
+    fn run(figure: &FigureRun, policy: PolicyKind) -> TraceAccumulator {
+        run_policy_with(figure, policy, RunOptions::default())
+            .expect("clean run")
+            .accumulator
+    }
+
+    /// A run recording into `recorder` and, when given, checkpointing.
+    fn checked(
+        figure: &FigureRun,
+        policy: PolicyKind,
+        recorder: &Recorder,
+        checkpoint: Option<&mut Checkpoint>,
+    ) -> Result<RunReport, RunnerError> {
+        let opts = RunOptions {
+            recorder: recorder.clone(),
+            checkpoint,
+            ..RunOptions::default()
+        };
+        run_policy_with(figure, policy, opts)
+    }
+
+    /// A run on at most `workers` threads with `chunks` episode chunks
+    /// per network.
+    fn tuned(
+        figure: &FigureRun,
+        policy: PolicyKind,
+        recorder: &Recorder,
+        workers: usize,
+        chunks: usize,
+    ) -> RunReport {
+        let opts = RunOptions {
+            recorder: recorder.clone(),
+            max_workers: Some(workers),
+            chunks_per_network: Some(chunks),
+            ..RunOptions::default()
+        };
+        run_policy_with(figure, policy, opts).expect("tuned run")
+    }
+
     fn tiny_figure() -> FigureRun {
         FigureRun {
             dataset: DatasetSpec::facebook().scaled(0.02), // 80 nodes
@@ -2105,7 +1993,7 @@ mod tests {
     #[test]
     fn runner_aggregates_all_episodes() {
         let fig = tiny_figure();
-        let acc = run_policy(&fig, PolicyKind::MaxDegree);
+        let acc = run(&fig, PolicyKind::MaxDegree);
         assert_eq!(acc.runs(), fig.episodes());
         assert_eq!(acc.budget(), 10);
         assert!(acc.mean_total_benefit() > 0.0);
@@ -2114,8 +2002,8 @@ mod tests {
     #[test]
     fn runner_is_deterministic_across_invocations() {
         let fig = tiny_figure();
-        let a = run_policy(&fig, PolicyKind::abm_balanced());
-        let b = run_policy(&fig, PolicyKind::abm_balanced());
+        let a = run(&fig, PolicyKind::abm_balanced());
+        let b = run(&fig, PolicyKind::abm_balanced());
         assert_eq!(a.mean_cumulative_benefit(), b.mean_cumulative_benefit());
         assert_eq!(a.mean_cautious_friends(), b.mean_cautious_friends());
     }
@@ -2126,8 +2014,8 @@ mod tests {
         // independent of worker scheduling.
         let fig = tiny_figure();
         for policy in [PolicyKind::Random, PolicyKind::Snowball] {
-            let a = run_policy(&fig, policy);
-            let b = run_policy(&fig, policy);
+            let a = run(&fig, policy);
+            let b = run(&fig, policy);
             assert_eq!(a, b, "{} must not depend on scheduling", policy.name());
         }
     }
@@ -2135,8 +2023,8 @@ mod tests {
     #[test]
     fn abm_beats_random_on_average() {
         let fig = tiny_figure();
-        let abm = run_policy(&fig, PolicyKind::abm_balanced());
-        let random = run_policy(&fig, PolicyKind::Random);
+        let abm = run(&fig, PolicyKind::abm_balanced());
+        let random = run(&fig, PolicyKind::Random);
         assert!(
             abm.mean_total_benefit() > random.mean_total_benefit(),
             "ABM {} vs Random {}",
@@ -2165,7 +2053,7 @@ mod tests {
     #[test]
     fn centrality_policies_run_through_the_runner() {
         let fig = tiny_figure();
-        let acc = run_policy(&fig, PolicyKind::Centrality(CentralityKind::Eigenvector));
+        let acc = run(&fig, PolicyKind::Centrality(CentralityKind::Eigenvector));
         assert_eq!(acc.runs(), fig.episodes());
         assert!(acc.mean_total_benefit() > 0.0);
     }
@@ -2175,9 +2063,11 @@ mod tests {
         use accu_core::sim_metrics;
 
         let fig = tiny_figure();
-        let plain = run_policy(&fig, PolicyKind::abm_balanced());
+        let plain = run(&fig, PolicyKind::abm_balanced());
         let recorder = Recorder::enabled();
-        let acc = run_policy_recorded(&fig, PolicyKind::abm_balanced(), &recorder);
+        let acc = checked(&fig, PolicyKind::abm_balanced(), &recorder, None)
+            .unwrap()
+            .accumulator;
         // Telemetry must not perturb the simulation.
         assert_eq!(
             plain.mean_cumulative_benefit(),
@@ -2219,13 +2109,13 @@ mod tests {
     #[test]
     fn zero_fault_config_is_bitwise_identical_to_plain() {
         // FaultConfig::none() must add no perturbation whatsoever.
-        let plain = run_policy(&tiny_figure(), PolicyKind::abm_balanced());
+        let plain = run(&tiny_figure(), PolicyKind::abm_balanced());
         let faulted_fig = FigureRun {
             faults: FaultConfig::none(),
             retry: RetryPolicy::aggressive(),
             ..tiny_figure()
         };
-        let faulted = run_policy(&faulted_fig, PolicyKind::abm_balanced());
+        let faulted = run(&faulted_fig, PolicyKind::abm_balanced());
         assert_eq!(plain, faulted);
     }
 
@@ -2235,8 +2125,8 @@ mod tests {
             faults: FaultConfig::scaled(0.8),
             ..tiny_figure()
         };
-        let clean = run_policy(&tiny_figure(), PolicyKind::abm_balanced());
-        let degraded = run_policy(&fig, PolicyKind::abm_balanced());
+        let clean = run(&tiny_figure(), PolicyKind::abm_balanced());
+        let degraded = run(&fig, PolicyKind::abm_balanced());
         assert_eq!(degraded.runs(), fig.episodes());
         assert!(degraded.mean_faults_seen() > 0.0);
         assert!(
@@ -2256,8 +2146,7 @@ mod tests {
             },
             ..tiny_figure()
         };
-        let err = run_policy_checked(&fig, PolicyKind::MaxDegree, &Recorder::disabled(), None)
-            .unwrap_err();
+        let err = checked(&fig, PolicyKind::MaxDegree, &Recorder::disabled(), None).unwrap_err();
         assert!(matches!(err, RunnerError::InvalidFaults(_)));
         assert!(err.to_string().contains("invalid fault config"));
     }
@@ -2275,7 +2164,7 @@ mod tests {
             ..tiny_figure()
         };
         let recorder = Recorder::enabled();
-        let report = run_policy_checked(&fig, PolicyKind::MaxDegree, &recorder, None).unwrap();
+        let report = checked(&fig, PolicyKind::MaxDegree, &recorder, None).unwrap();
         assert_eq!(report.quarantined.len(), fig.network_samples);
         assert_eq!(report.completed_networks, 0);
         assert_eq!(report.accumulator.runs(), 0);
@@ -2293,13 +2182,13 @@ mod tests {
     fn validation_is_transparent_on_clean_instances() {
         // Protocol-generated instances satisfy the paper preconditions
         // by construction, so all three modes must agree bit-for-bit.
-        let reference = run_policy(&tiny_figure(), PolicyKind::abm_balanced());
+        let reference = run(&tiny_figure(), PolicyKind::abm_balanced());
         for validation in [ValidationMode::Off, ValidationMode::Strict] {
             let fig = FigureRun {
                 validation,
                 ..tiny_figure()
             };
-            let acc = run_policy(&fig, PolicyKind::abm_balanced());
+            let acc = run(&fig, PolicyKind::abm_balanced());
             assert_eq!(acc, reference, "mode {validation} must not perturb results");
         }
     }
@@ -2310,8 +2199,7 @@ mod tests {
             validation: ValidationMode::Strict,
             ..tiny_figure()
         };
-        let report =
-            run_policy_checked(&fig, PolicyKind::MaxDegree, &Recorder::disabled(), None).unwrap();
+        let report = checked(&fig, PolicyKind::MaxDegree, &Recorder::disabled(), None).unwrap();
         assert!(report.quarantined.is_empty());
         assert_eq!(report.repaired_networks, 0);
         assert_eq!(report.completed_networks, fig.network_samples);
@@ -2336,7 +2224,7 @@ mod tests {
     fn strict_validation_rejects_precondition_violations() {
         let fig = unreachable_figure(ValidationMode::Strict);
         let recorder = Recorder::enabled();
-        let report = run_policy_checked(&fig, PolicyKind::MaxDegree, &recorder, None).unwrap();
+        let report = checked(&fig, PolicyKind::MaxDegree, &recorder, None).unwrap();
         assert_eq!(report.quarantined.len(), fig.network_samples);
         assert_eq!(report.completed_networks, 0);
         assert_eq!(report.quarantined[0].stage, "validate");
@@ -2357,7 +2245,7 @@ mod tests {
     fn lenient_validation_repairs_and_completes() {
         let fig = unreachable_figure(ValidationMode::Lenient);
         let recorder = Recorder::enabled();
-        let report = run_policy_checked(&fig, PolicyKind::MaxDegree, &recorder, None).unwrap();
+        let report = checked(&fig, PolicyKind::MaxDegree, &recorder, None).unwrap();
         assert!(report.quarantined.is_empty());
         assert_eq!(report.completed_networks, fig.network_samples);
         assert_eq!(report.repaired_networks, fig.network_samples);
@@ -2374,8 +2262,7 @@ mod tests {
         assert!(snap.counter(validate_metrics::DEMOTED_USERS).unwrap() > 0);
         // Off mode happily runs the same degraded instances untouched.
         let off = unreachable_figure(ValidationMode::Off);
-        let report =
-            run_policy_checked(&off, PolicyKind::MaxDegree, &Recorder::disabled(), None).unwrap();
+        let report = checked(&off, PolicyKind::MaxDegree, &Recorder::disabled(), None).unwrap();
         assert_eq!(report.completed_networks, off.network_samples);
         assert_eq!(report.repaired_networks, 0);
     }
@@ -2409,10 +2296,8 @@ mod tests {
 
     #[test]
     fn checkpoint_resume_matches_uninterrupted_run() {
-        use crate::checkpoint::Checkpoint;
-
         let fig = tiny_figure();
-        let reference = run_policy(&fig, PolicyKind::abm_balanced());
+        let reference = run(&fig, PolicyKind::abm_balanced());
         // Simulate an interrupted run: only network 0 made it into the
         // checkpoint. A 1-sample run produces exactly network 0's
         // accumulator (run_network depends only on the net index).
@@ -2420,7 +2305,7 @@ mod tests {
             network_samples: 1,
             ..fig.clone()
         };
-        let net0 = run_policy(&one, PolicyKind::abm_balanced());
+        let net0 = run(&one, PolicyKind::abm_balanced());
         let path = std::env::temp_dir().join(format!(
             "accu-runner-resume-test-{}.jsonl",
             std::process::id()
@@ -2432,9 +2317,7 @@ mod tests {
         }
         let mut ckpt = Checkpoint::resume(&path).unwrap();
         let recorder = Recorder::enabled();
-        let report =
-            run_policy_checked(&fig, PolicyKind::abm_balanced(), &recorder, Some(&mut ckpt))
-                .unwrap();
+        let report = checked(&fig, PolicyKind::abm_balanced(), &recorder, Some(&mut ckpt)).unwrap();
         assert_eq!(report.resumed_networks, 1);
         assert_eq!(report.completed_networks, fig.network_samples);
         assert_eq!(
@@ -2456,7 +2339,7 @@ mod tests {
         // second resume recomputes nothing.
         drop(ckpt);
         let mut ckpt = Checkpoint::resume(&path).unwrap();
-        let report2 = run_policy_checked(
+        let report2 = checked(
             &fig,
             PolicyKind::abm_balanced(),
             &Recorder::disabled(),
@@ -2470,10 +2353,8 @@ mod tests {
 
     #[test]
     fn torn_checkpoint_tail_is_reported_in_the_run_report() {
-        use crate::checkpoint::Checkpoint;
-
         let fig = tiny_figure();
-        let reference = run_policy(&fig, PolicyKind::abm_balanced());
+        let reference = run(&fig, PolicyKind::abm_balanced());
         let path = std::env::temp_dir().join(format!(
             "accu-runner-torn-report-test-{}.jsonl",
             std::process::id()
@@ -2484,7 +2365,7 @@ mod tests {
                 network_samples: 1,
                 ..fig.clone()
             };
-            let net0 = run_policy(&one, PolicyKind::abm_balanced());
+            let net0 = run(&one, PolicyKind::abm_balanced());
             ckpt.record(&fig.cell_label(PolicyKind::abm_balanced()), 0, &net0)
                 .unwrap();
             ckpt.record(&fig.cell_label(PolicyKind::abm_balanced()), 1, &net0)
@@ -2494,7 +2375,7 @@ mod tests {
         let contents = std::fs::read_to_string(&path).unwrap();
         std::fs::write(&path, &contents[..contents.len() - 30]).unwrap();
         let mut ckpt = Checkpoint::resume(&path).unwrap();
-        let report = run_policy_checked(
+        let report = checked(
             &fig,
             PolicyKind::abm_balanced(),
             &Recorder::disabled(),
@@ -2562,12 +2443,8 @@ mod tests {
             PolicyKind::Random,
             PolicyKind::Snowball,
         ] {
-            let sequential =
-                run_policy_tuned(&fig, policy, &Recorder::disabled(), None, Some(1), Some(1))
-                    .unwrap();
-            let chunked =
-                run_policy_tuned(&fig, policy, &Recorder::disabled(), None, Some(2), Some(3))
-                    .unwrap();
+            let sequential = tuned(&fig, policy, &Recorder::disabled(), 1, 1);
+            let chunked = tuned(&fig, policy, &Recorder::disabled(), 2, 3);
             assert_eq!(
                 sequential.accumulator,
                 chunked.accumulator,
@@ -2584,16 +2461,14 @@ mod tests {
             runs_per_network: 5,
             ..tiny_figure()
         };
-        let reference = run_policy(&fig, PolicyKind::abm_balanced());
-        let chunked = run_policy_tuned(
+        let reference = run(&fig, PolicyKind::abm_balanced());
+        let chunked = tuned(
             &fig,
             PolicyKind::abm_balanced(),
             &Recorder::disabled(),
-            None,
-            Some(4),
-            Some(4),
-        )
-        .unwrap();
+            4,
+            4,
+        );
         assert_eq!(reference, chunked.accumulator);
     }
 
@@ -2605,15 +2480,7 @@ mod tests {
         };
         let chunks = 2usize;
         let recorder = Recorder::enabled();
-        let report = run_policy_tuned(
-            &fig,
-            PolicyKind::abm_balanced(),
-            &recorder,
-            None,
-            Some(2),
-            Some(chunks),
-        )
-        .unwrap();
+        let report = tuned(&fig, PolicyKind::abm_balanced(), &recorder, 2, chunks);
         assert!(report.quarantined.is_empty());
         let snap = recorder.snapshot("engine").unwrap();
         let episodes = fig.episodes() as u64;
@@ -2640,15 +2507,7 @@ mod tests {
         let fig = tiny_figure(); // 3 networks
         let recorder = Recorder::enabled();
         // 8 requested workers, 3 single-chunk work items → 3 spawned.
-        run_policy_tuned(
-            &fig,
-            PolicyKind::MaxDegree,
-            &recorder,
-            None,
-            Some(8),
-            Some(1),
-        )
-        .unwrap();
+        tuned(&fig, PolicyKind::MaxDegree, &recorder, 8, 1);
         let snap = recorder.snapshot("workers").unwrap();
         assert_eq!(snap.counter(runner_metrics::WORKERS), Some(3));
     }
@@ -2668,7 +2527,7 @@ mod tests {
         // chunk; the requeued attempt-1 claim is fault-free, so the
         // healed run must match the clean run bit-for-bit.
         let fig = tiny_figure();
-        let reference = run_policy(&fig, PolicyKind::abm_balanced());
+        let reference = run(&fig, PolicyKind::abm_balanced());
         let chaos = ChaosPlan::sample(&accu_core::ChaosConfig {
             worker_panic: 1.0,
             ..accu_core::ChaosConfig::none()
@@ -2712,7 +2571,7 @@ mod tests {
         // the duplicate completion is discarded, so results still match
         // the clean run.
         let fig = tiny_figure();
-        let reference = run_policy(&fig, PolicyKind::abm_balanced());
+        let reference = run(&fig, PolicyKind::abm_balanced());
         let chaos = ChaosPlan::sample(&accu_core::ChaosConfig {
             worker_stall: 1.0,
             stall_ms: 150,
@@ -2761,7 +2620,7 @@ mod tests {
             network_samples: DEADLINE_MIN_NETWORKS,
             ..fig.clone()
         };
-        let expected = run_policy(&prefix, PolicyKind::abm_balanced());
+        let expected = run(&prefix, PolicyKind::abm_balanced());
         for workers in [1usize, 2, 4] {
             let report = run_policy_with(
                 &fig,

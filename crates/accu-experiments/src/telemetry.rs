@@ -26,7 +26,7 @@ use accu_telemetry::{FieldValue, JsonlSink, Recorder, Snapshot, Tracer, DEFAULT_
 use crate::chaosfs::{atomic_write, atomic_write_chaos, ChaosFile, ChaosSite};
 use crate::cli::Cli;
 use crate::output::{experiments_dir, fnum, Table};
-use crate::runner::{runner_metrics, Deadline, EngineMode, RunOptions, SupervisorConfig};
+use crate::runner::{degrade_report, runner_metrics, Deadline, RunOptions, SupervisorConfig};
 
 /// Where the bench trajectory lives relative to the working directory;
 /// `--watchdog` seeds its throughput floor from the last healthy entry
@@ -214,13 +214,13 @@ impl Telemetry {
         }
     }
 
-    /// The recorder to thread into `run_policy_recorded` and friends.
+    /// The recorder to thread into [`RunOptions::recorder`] and the
+    /// simulator's [`AttackOptions::recorder`](accu_core::AttackOptions::recorder).
     pub fn recorder(&self) -> &Recorder {
         &self.recorder
     }
 
-    /// The tracer to thread into
-    /// [`run_policy_traced`](crate::run_policy_traced) (disabled unless
+    /// The tracer to thread into [`RunOptions::tracer`] (disabled unless
     /// `--trace` was passed).
     pub fn tracer(&self) -> &Tracer {
         &self.tracer
@@ -300,7 +300,6 @@ impl Telemetry {
             chaos: self.chaos,
             supervisor: SupervisorConfig::default(),
             deadline: self.deadline_at.map(Deadline::until),
-            engine: EngineMode::Auto,
             journal: accu_telemetry::Journal::disabled(),
             corr: accu_telemetry::Corr::default(),
         }
@@ -308,8 +307,7 @@ impl Telemetry {
 
     /// Runs `policy` over `figure` with this handle's full
     /// instrumentation — recorder, tracer, progress observer, and the
-    /// `--workers` cap — degrading like
-    /// [`run_policy_observed`](crate::run_policy_observed):
+    /// `--workers` cap — degrading through [`degrade_report`]:
     /// quarantines land on stderr and a worker death salvages the
     /// partial aggregate. The one-call path for figure binaries
     /// without a checkpoint; checkpointed binaries use
@@ -320,7 +318,7 @@ impl Telemetry {
         figure: &crate::FigureRun,
         policy: crate::PolicyKind,
     ) -> accu_core::TraceAccumulator {
-        crate::runner::degrade_report(crate::run_policy_with(figure, policy, self.run_options()))
+        degrade_report(crate::run_policy_with(figure, policy, self.run_options()))
     }
 
     /// Prints the summary tables and writes the JSONL snapshot, returning

@@ -8,10 +8,17 @@ use std::time::Duration;
 use accu_core::{ChaosConfig, ChaosPlan, FaultConfig, RetryPolicy, ValidationMode};
 use accu_datasets::{DatasetSpec, ProtocolConfig};
 use accu_experiments::{
-    run_policy, run_policy_with, Checkpoint, Deadline, FigureRun, PolicyKind, RunOptions,
-    SupervisorConfig, DEADLINE_MIN_NETWORKS,
+    run_policy_with, Checkpoint, Deadline, FigureRun, PolicyKind, RunOptions, SupervisorConfig,
+    DEADLINE_MIN_NETWORKS,
 };
 use proptest::prelude::*;
+
+/// The aggregate of a run with default options.
+fn clean_run(figure: &FigureRun, policy: PolicyKind) -> accu_core::TraceAccumulator {
+    run_policy_with(figure, policy, RunOptions::default())
+        .expect("clean run")
+        .accumulator
+}
 
 /// A small but non-trivial figure configuration shared by the tests.
 fn small_figure(seed: u64, network_samples: usize) -> FigureRun {
@@ -59,7 +66,7 @@ proptest! {
             network_samples: DEADLINE_MIN_NETWORKS,
             ..figure.clone()
         };
-        let expected = run_policy(&prefix, PolicyKind::abm_balanced());
+        let expected = clean_run(&prefix, PolicyKind::abm_balanced());
         for workers in [1usize, 2, 4] {
             // Two passes per worker count: shedding must also survive a
             // process restart (same inputs, fresh scheduler races).
@@ -100,7 +107,7 @@ proptest! {
         stall in any::<bool>(),
     ) {
         let figure = small_figure(seed, 3);
-        let reference = run_policy(&figure, PolicyKind::abm_balanced());
+        let reference = clean_run(&figure, PolicyKind::abm_balanced());
         let config = if stall {
             ChaosConfig {
                 worker_stall: 0.8,
@@ -144,7 +151,7 @@ proptest! {
         torn in any::<bool>(),
     ) {
         let figure = small_figure(seed, 3);
-        let reference = run_policy(&figure, PolicyKind::abm_balanced());
+        let reference = clean_run(&figure, PolicyKind::abm_balanced());
         let path = std::env::temp_dir().join(format!(
             "accu-chaos-prop-{}-{}-{}.jsonl",
             std::process::id(),

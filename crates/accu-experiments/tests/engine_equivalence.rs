@@ -1,17 +1,15 @@
-//! Property tests pinning the scratch-reuse episode engine — and the
-//! SoA batched sampler layered on it — to the allocating reference
-//! path: same seeds, same instances, same faults — bit-identical
-//! outcomes, at the single-episode, batched-lane, and whole-figure
-//! level.
+//! Tests pinning the scratch-reuse episode engine — and the SoA
+//! batched sampler layered on it — to the allocating reference path:
+//! same seeds, same instances, same faults — bit-identical outcomes, at
+//! the single-episode, batched-lane, and whole-figure level.
 
 use accu_core::{
-    run_attack_episode, run_attack_faulted, BatchScratch, EpisodeScratch, FaultConfig, FaultPlan,
-    Realization, RetryPolicy, ValidationMode,
+    engine_metrics, repair_instance, run_attack_episode, run_attack_with, AttackOptions,
+    BatchScratch, EpisodeScratch, FaultConfig, FaultPlan, Realization, RetryPolicy,
+    TraceAccumulator, ValidationMode,
 };
 use accu_datasets::{apply_protocol, DatasetSpec, ProtocolConfig};
-use accu_experiments::{
-    run_policy, run_policy_tuned, run_policy_with, EngineMode, FigureRun, PolicyKind, RunOptions,
-};
+use accu_experiments::{run_policy_with, FigureRun, PolicyKind, RunOptions};
 use accu_telemetry::Recorder;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -81,16 +79,23 @@ proptest! {
                 let plan = FaultPlan::sample(&faults, run_seed, k);
 
                 // Allocating reference: fresh realization and buffers.
-                let reference_real =
+                let mut fresh = EpisodeScratch::new();
+                fresh.realization =
                     Realization::sample(&instance, &mut StdRng::seed_from_u64(run_seed));
-                let reference = run_attack_faulted(
+                let opts = AttackOptions {
+                    faults: &plan,
+                    retry,
+                    ..AttackOptions::default()
+                };
+                let reference = run_attack_with(
                     &instance,
-                    &reference_real,
                     reference_policy.as_mut(),
                     k,
-                    &plan,
-                    &retry,
-                );
+                    &opts,
+                    &mut fresh,
+                )
+                .unwrap()
+                .clone();
 
                 // Scratch engine: shared buffers, shared policy.
                 scratch.prepare(&instance);
@@ -200,47 +205,6 @@ proptest! {
         }
     }
 
-    /// Every [`EngineMode`] must aggregate to the identical figure
-    /// result — the mode only changes sampling memory-access order,
-    /// never the streams — for the full extended lineup under faults.
-    #[test]
-    fn engine_modes_agree_on_whole_figures(
-        seed in 0u64..1_000,
-        intensity in 0.0f64..0.5,
-        lanes in 1usize..7,
-    ) {
-        let fig = small_figure(seed, intensity, ValidationMode::default());
-        for policy_kind in PolicyKind::extended_lineup() {
-            let scalar = run_policy_with(
-                &fig,
-                policy_kind,
-                RunOptions {
-                    engine: EngineMode::Scalar,
-                    ..RunOptions::default()
-                },
-            )
-            .expect("scalar run");
-            for engine in [EngineMode::Batched(lanes), EngineMode::Auto] {
-                let other = run_policy_with(
-                    &fig,
-                    policy_kind,
-                    RunOptions {
-                        engine,
-                        ..RunOptions::default()
-                    },
-                )
-                .expect("batched run");
-                prop_assert_eq!(
-                    &scalar.accumulator,
-                    &other.accumulator,
-                    "policy {} diverged under {:?}",
-                    policy_kind.name(),
-                    engine
-                );
-            }
-        }
-    }
-
     /// The chunked work-queue scheduler must aggregate to exactly the
     /// sequential result for every policy in the extended lineup, under
     /// faults and under both validation modes the figures ship with.
@@ -257,22 +221,121 @@ proptest! {
         };
         let fig = small_figure(seed, intensity, validation);
         for policy_kind in PolicyKind::extended_lineup() {
-            let sequential = run_policy(&fig, policy_kind);
-            let chunked = run_policy_tuned(
+            let sequential = run_policy_with(&fig, policy_kind, RunOptions::default())
+                .expect("sequential run");
+            let chunked = run_policy_with(
                 &fig,
                 policy_kind,
-                &Recorder::disabled(),
-                None,
-                Some(3),
-                Some(4),
+                RunOptions {
+                    max_workers: Some(3),
+                    chunks_per_network: Some(4),
+                    ..RunOptions::default()
+                },
             )
             .expect("chunked run");
             prop_assert_eq!(
-                &sequential,
+                &sequential.accumulator,
                 &chunked.accumulator,
                 "policy {} diverged under chunked scheduling",
                 policy_kind.name()
             );
+        }
+    }
+}
+
+/// The runner's per-network stream constants: network `i` draws its
+/// graph, parameters and episode seeds from `seed + i·NET_STREAM` and
+/// seeds its policy with `seed + i·POLICY_STREAM`.
+const NET_STREAM: u64 = 0x9E37_79B9_7F4A_7C15;
+const POLICY_STREAM: u64 = 0xC2B2_AE3D_27D4_EB4F;
+
+/// `figure` computed one episode at a time, without the runner: each
+/// network's instance and episode seeds from its seed stream, then per
+/// episode a realization sampled into one scratch and an attack, folded
+/// in episode order and merged in network order.
+fn per_episode_reference(figure: &FigureRun, policy: PolicyKind) -> TraceAccumulator {
+    let mut total = TraceAccumulator::new(figure.budget);
+    let mut scratch = EpisodeScratch::new();
+    for net in 0..figure.network_samples as u64 {
+        let mut rng = StdRng::seed_from_u64(figure.seed.wrapping_add(net.wrapping_mul(NET_STREAM)));
+        let graph = figure.dataset.generate(&mut rng).expect("generation");
+        let instance = apply_protocol(graph, &figure.protocol, &mut rng).expect("protocol");
+        let instance = match figure.validation.repair_mode() {
+            None => instance,
+            Some(mode) => repair_instance(instance, mode).expect("repairable").0,
+        };
+        let run_seeds: Vec<u64> = (0..figure.runs_per_network).map(|_| rng.gen()).collect();
+        let mut policy_impl =
+            policy.instantiate(figure.seed.wrapping_add(net.wrapping_mul(POLICY_STREAM)));
+        let mut acc = TraceAccumulator::new(figure.budget);
+        for seed in run_seeds {
+            scratch
+                .realization
+                .sample_into(&instance, &mut StdRng::seed_from_u64(seed));
+            let plan = FaultPlan::sample(&figure.faults, seed, figure.budget);
+            acc.add(run_attack_episode(
+                &instance,
+                policy_impl.as_mut(),
+                figure.budget,
+                &plan,
+                &figure.retry,
+                &Recorder::disabled(),
+                &mut scratch,
+            ));
+        }
+        total.merge(&acc);
+    }
+    total
+}
+
+/// On instances of 4096 nodes or more the runner samples realizations
+/// eight lanes at a time; its aggregate must still equal the
+/// one-episode-at-a-time reference exactly, on one worker (whole
+/// networks, blocks of 8 then 2) and on three (one chunk per worker,
+/// partial blocks), for a chunkable and a non-chunkable policy under
+/// faults.
+#[test]
+fn batched_runner_matches_per_episode_reference() {
+    let figure = FigureRun {
+        dataset: DatasetSpec::slashdot().scaled(0.055),
+        protocol: ProtocolConfig::default(),
+        budget: 20,
+        network_samples: 2,
+        runs_per_network: 10,
+        seed: 7,
+        faults: FaultConfig::scaled(0.3),
+        retry: RetryPolicy::standard(),
+        validation: ValidationMode::default(),
+    };
+    assert!(
+        figure.dataset.node_count() >= 4096,
+        "the runner batches lanes only from 4096 nodes"
+    );
+    for policy in [PolicyKind::abm_balanced(), PolicyKind::Random] {
+        let reference = per_episode_reference(&figure, policy);
+        for workers in [1, 3] {
+            let recorder = Recorder::enabled();
+            let report = run_policy_with(
+                &figure,
+                policy,
+                RunOptions {
+                    recorder: recorder.clone(),
+                    max_workers: Some(workers),
+                    ..RunOptions::default()
+                },
+            )
+            .expect("runner");
+            assert_eq!(
+                report.accumulator,
+                reference,
+                "{} on {workers} worker(s) diverged from the reference",
+                policy.name()
+            );
+            if workers == 1 {
+                // One worker sizes each of its eight lanes once.
+                let snap = recorder.snapshot("lanes").unwrap();
+                assert_eq!(snap.counter(engine_metrics::SCRATCH_ALLOCS), Some(8));
+            }
         }
     }
 }

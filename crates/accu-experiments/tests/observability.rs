@@ -9,9 +9,7 @@ use std::process::Command;
 
 use accu_core::{FaultConfig, RetryPolicy, ValidationMode};
 use accu_datasets::{DatasetSpec, ProtocolConfig};
-use accu_experiments::{
-    run_policy_traced, run_policy_with, FigureRun, PolicyKind, RunOptions, Telemetry,
-};
+use accu_experiments::{run_policy_with, FigureRun, PolicyKind, RunOptions, Telemetry};
 use accu_telemetry::obs::{validate_prometheus, MetricsServer, Observer};
 use accu_telemetry::{Recorder, Tracer, DEFAULT_TRACK_CAPACITY};
 
@@ -247,12 +245,13 @@ fn trace_explain_exits_nonzero_on_replay_verification_failure() {
     let dir = scratch_dir("explain");
     let figure = small_figure(11);
     let tracer = Tracer::with_config(1, DEFAULT_TRACK_CAPACITY);
-    run_policy_traced(
+    run_policy_with(
         &figure,
         PolicyKind::abm_balanced(),
-        &Recorder::disabled(),
-        &tracer,
-        None,
+        RunOptions {
+            tracer: tracer.clone(),
+            ..RunOptions::default()
+        },
     )
     .unwrap();
     let causal = tracer.export_causal().expect("tracer enabled");

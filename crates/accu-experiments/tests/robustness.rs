@@ -2,11 +2,11 @@
 //! zero-fault transparency, and checkpoint/resume exactness.
 
 use accu_core::{
-    run_attack, run_attack_faulted, FaultConfig, FaultPlan, RetryPolicy, ValidationMode,
+    run_attack, run_attack_with, AttackOptions, EpisodeScratch, FaultConfig, FaultPlan,
+    RetryPolicy, ValidationMode,
 };
 use accu_datasets::{apply_protocol, DatasetSpec, ProtocolConfig};
-use accu_experiments::{run_policy, run_policy_checked, Checkpoint, FigureRun, PolicyKind};
-use accu_telemetry::Recorder;
+use accu_experiments::{run_policy_with, Checkpoint, FigureRun, PolicyKind, RunOptions};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -81,11 +81,18 @@ proptest! {
         };
         let instance = apply_protocol(graph, &protocol, &mut rng).unwrap();
         let realization = accu_core::Realization::sample(&instance, &mut rng);
-        let retry = RetryPolicy {
-            max_retries,
-            backoff_base: 1,
-            backoff_cap: 8,
-            jitter_pct: 0,
+        let mut scratch = EpisodeScratch::new();
+        scratch.realization = realization.clone();
+        let none = FaultPlan::none();
+        let opts = AttackOptions {
+            faults: &none,
+            retry: RetryPolicy {
+                max_retries,
+                backoff_base: 1,
+                backoff_cap: 8,
+                jitter_pct: 0,
+            },
+            ..AttackOptions::default()
         };
         for kind in PolicyKind::extended_lineup() {
             let policy_seed = rng.gen();
@@ -95,15 +102,15 @@ proptest! {
                 kind.instantiate(policy_seed).as_mut(),
                 budget,
             );
-            let faulted = run_attack_faulted(
+            let faulted = run_attack_with(
                 &instance,
-                &realization,
                 kind.instantiate(policy_seed).as_mut(),
                 budget,
-                &FaultPlan::none(),
-                &retry,
-            );
-            prop_assert_eq!(&faulted, &plain, "{} diverged under a trivial plan", kind.name());
+                &opts,
+                &mut scratch,
+            )
+            .unwrap();
+            prop_assert_eq!(faulted, &plain, "{} diverged under a trivial plan", kind.name());
             prop_assert!(faulted.faults.is_clean());
         }
     }
@@ -122,7 +129,9 @@ proptest! {
     ) {
         let fig = small_figure(seed);
         let policy = PolicyKind::abm_balanced();
-        let reference = run_policy(&fig, policy);
+        let reference = run_policy_with(&fig, policy, RunOptions::default())
+            .unwrap()
+            .accumulator;
 
         let path = std::env::temp_dir().join(format!(
             "accu-robustness-{}-{}-{}.jsonl",
@@ -132,9 +141,15 @@ proptest! {
         ));
         {
             let mut ckpt = Checkpoint::create(&path).unwrap();
-            let report =
-                run_policy_checked(&fig, policy, &Recorder::disabled(), Some(&mut ckpt))
-                    .unwrap();
+            let report = run_policy_with(
+                &fig,
+                policy,
+                RunOptions {
+                    checkpoint: Some(&mut ckpt),
+                    ..RunOptions::default()
+                },
+            )
+            .unwrap();
             assert_eq!(&report.accumulator, &reference);
         }
         // Keep the header, `completed` full entries, and a torn partial
@@ -151,8 +166,15 @@ proptest! {
         let mut ckpt = Checkpoint::resume(&path).unwrap();
         prop_assert_eq!(ckpt.loaded_entries(), completed);
         prop_assert_eq!(ckpt.skipped_lines(), 1);
-        let report =
-            run_policy_checked(&fig, policy, &Recorder::disabled(), Some(&mut ckpt)).unwrap();
+        let report = run_policy_with(
+            &fig,
+            policy,
+            RunOptions {
+                checkpoint: Some(&mut ckpt),
+                ..RunOptions::default()
+            },
+        )
+        .unwrap();
         prop_assert_eq!(report.resumed_networks, completed);
         prop_assert_eq!(report.completed_networks, fig.network_samples);
         prop_assert_eq!(&report.accumulator, &reference);

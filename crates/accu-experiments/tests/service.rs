@@ -15,9 +15,17 @@ use std::time::Duration;
 use accu_experiments::service::{
     result_csv, ClientError, Daemon, DaemonConfig, JobSpec, JobState, Registry, ServiceClient,
 };
-use accu_experiments::{run_policy_checked, Checkpoint};
-use accu_telemetry::Recorder;
+use accu_experiments::{run_policy_with, Checkpoint, FigureRun, PolicyKind, RunOptions, RunReport};
 use proptest::prelude::*;
+
+/// A batch run of `figure` appending every network to `ckpt`.
+fn checkpointed(figure: &FigureRun, policy: PolicyKind, ckpt: &mut Checkpoint) -> RunReport {
+    let opts = RunOptions {
+        checkpoint: Some(ckpt),
+        ..RunOptions::default()
+    };
+    run_policy_with(figure, policy, opts).expect("batch run")
+}
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -48,8 +56,7 @@ fn reference(spec: &JobSpec, dir: &Path) -> (String, usize) {
     let policy = spec.policy_kind().expect("valid policy");
     let path = dir.join("reference_checkpoint.jsonl");
     let mut ckpt = Checkpoint::create(&path).expect("create checkpoint");
-    let report = run_policy_checked(&figure, policy, &Recorder::disabled(), Some(&mut ckpt))
-        .expect("reference run");
+    let report = checkpointed(&figure, policy, &mut ckpt);
     let entries = Checkpoint::resume(&path).expect("reread").loaded_entries();
     (result_csv(&figure, policy, &report.accumulator), entries)
 }
@@ -129,7 +136,7 @@ fn stale_lease_with_torn_checkpoint_is_adopted_byte_identically() {
         let figure = spec.figure().unwrap();
         let policy = spec.policy_kind().unwrap();
         let mut ckpt = Checkpoint::create(reg.checkpoint_path(id)).unwrap();
-        run_policy_checked(&figure, policy, &Recorder::disabled(), Some(&mut ckpt)).unwrap();
+        checkpointed(&figure, policy, &mut ckpt);
         let bytes = fs::read(reg.checkpoint_path(id)).unwrap();
         fs::write(reg.checkpoint_path(id), &bytes[..bytes.len() - 30]).unwrap();
         // The dead owner's lease, never renewed again.
@@ -490,7 +497,7 @@ proptest! {
             let figure = spec.figure().unwrap();
             let policy = spec.policy_kind().unwrap();
             let mut ckpt = Checkpoint::create(reg.checkpoint_path(id)).unwrap();
-            run_policy_checked(&figure, policy, &Recorder::disabled(), Some(&mut ckpt)).unwrap();
+            checkpointed(&figure, policy, &mut ckpt);
             // Cleanly drop whole trailing entries: a valid checkpoint
             // that simply ends early.
             let text = fs::read_to_string(reg.checkpoint_path(id)).unwrap();

@@ -12,8 +12,8 @@
 use accu_core::{FaultConfig, RetryPolicy, ValidationMode};
 use accu_datasets::{DatasetSpec, ProtocolConfig};
 use accu_experiments::replay::{parse_causal_log, verify_episode, EpisodeEvent};
-use accu_experiments::{run_policy_traced, run_policy_tuned, FigureRun, PolicyKind};
-use accu_telemetry::{validate_chrome_trace, Recorder, Tracer, DEFAULT_TRACK_CAPACITY};
+use accu_experiments::{run_policy_with, FigureRun, PolicyKind, RunOptions};
+use accu_telemetry::{validate_chrome_trace, Tracer, DEFAULT_TRACK_CAPACITY};
 use proptest::prelude::*;
 
 fn small_figure(seed: u64, intensity: f64) -> FigureRun {
@@ -45,11 +45,15 @@ fn paired_run(
     accu_core::TraceAccumulator,
     Tracer,
 ) {
-    let untraced = run_policy_tuned(figure, policy, &Recorder::disabled(), None, None, None)
+    let untraced = run_policy_with(figure, policy, RunOptions::default())
         .expect("untraced run")
         .accumulator;
     let tracer = Tracer::with_config(sample, DEFAULT_TRACK_CAPACITY);
-    let traced = run_policy_traced(figure, policy, &Recorder::disabled(), &tracer, None)
+    let opts = RunOptions {
+        tracer: tracer.clone(),
+        ..RunOptions::default()
+    };
+    let traced = run_policy_with(figure, policy, opts)
         .expect("traced run")
         .accumulator;
     (untraced, traced, tracer)

@@ -35,11 +35,13 @@
 //!
 //! ## Layers instrumented in this workspace
 //!
-//! * the simulator (`accu_core::run_attack_recorded`): per-request
+//! * the simulator (`accu_core::run_attack_with` with a recorder in its
+//!   `AttackOptions`): per-request
 //!   select/resolve/notify timing, acceptance and cautious-hit counters;
 //! * the ABM policy (`accu_core::policy::Abm`): heap pushes/pops,
 //!   lazy-reevaluation stale-skip rate, rescore counts;
-//! * the experiment runner (`accu_experiments::run_policy_recorded`):
+//! * the experiment runner (`accu_experiments::run_policy_with` with a
+//!   recorder in its `RunOptions`):
 //!   per-worker episode throughput, per-network wall clock, queue
 //!   imbalance.
 //!

@@ -44,7 +44,7 @@ impl Recorder {
     }
 
     /// A recorder whose handles are all no-ops.
-    pub fn disabled() -> Self {
+    pub const fn disabled() -> Self {
         Recorder { inner: None }
     }
 

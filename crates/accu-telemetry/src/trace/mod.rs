@@ -361,8 +361,8 @@ pub struct TraceTrack {
 
 impl TraceTrack {
     /// A no-op track (same as `TraceTrack::default()`).
-    pub fn disabled() -> Self {
-        TraceTrack::default()
+    pub const fn disabled() -> Self {
+        TraceTrack { inner: None }
     }
 
     /// Whether this track is connected to an enabled tracer.

@@ -4,7 +4,10 @@
 
 use accu_bench::default_instance;
 use accu_core::policy::{Abm, AbmWeights, Policy};
-use accu_core::{run_attack, run_attack_recorded, AttackerView, Observation, Realization};
+use accu_core::{
+    run_attack, run_attack_with, AttackOptions, AttackerView, EpisodeScratch, Observation,
+    Realization,
+};
 use accu_telemetry::{JsonlSink, Recorder};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use osn_graph::NodeId;
@@ -107,16 +110,15 @@ fn bench_reset(c: &mut Criterion) {
 fn emit_telemetry_snapshot(_c: &mut Criterion) {
     let instance = default_instance();
     let mut rng = StdRng::seed_from_u64(9);
-    let realization = Realization::sample(&instance, &mut rng);
+    let mut scratch = EpisodeScratch::new();
+    scratch.realization.sample_into(&instance, &mut rng);
     let recorder = Recorder::enabled();
     let mut abm = Abm::with_recorder(AbmWeights::balanced(), &recorder);
-    black_box(run_attack_recorded(
-        &instance,
-        &realization,
-        &mut abm,
-        100,
-        &recorder,
-    ));
+    let opts = AttackOptions {
+        recorder: &recorder,
+        ..AttackOptions::default()
+    };
+    black_box(run_attack_with(&instance, &mut abm, 100, &opts, &mut scratch).unwrap());
     let snapshot = recorder
         .snapshot("bench/abm_attack_k100")
         .expect("recorder is enabled");

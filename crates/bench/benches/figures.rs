@@ -5,16 +5,24 @@
 //! --bin figN --release [--paper]`.)
 
 use accu_core::theory::{adaptive_submodular_ratio, curvature_ratio, exact_marginal_gain};
+use accu_core::TraceAccumulator;
 use accu_core::{AccuInstanceBuilder, Observation, Realization, UserClass};
 use accu_datasets::{DatasetSpec, ProtocolConfig};
 use accu_experiments::heatmap::run_heatmap;
-use accu_experiments::{run_policy, run_policy_recorded, Cli, ExperimentScale, PolicyKind};
+use accu_experiments::{run_policy_with, Cli, ExperimentScale, FigureRun, PolicyKind, RunOptions};
 use accu_telemetry::{JsonlSink, Recorder};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use osn_graph::algo::DegreeStats;
 use osn_graph::{GraphBuilder, NodeId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// The aggregate of `policy` over `figure`, run with `opts`.
+fn run(figure: &FigureRun, policy: PolicyKind, opts: RunOptions<'_>) -> TraceAccumulator {
+    run_policy_with(figure, policy, opts)
+        .expect("micro figure runs")
+        .accumulator
+}
 
 /// Micro experiment scale shared by the figure benches.
 fn micro_scale() -> ExperimentScale {
@@ -70,7 +78,7 @@ fn bench_fig2(c: &mut Criterion) {
     for policy in PolicyKind::paper_lineup() {
         group.bench_function(policy.name(), |b| {
             let figure = scale.figure_run(DatasetSpec::twitter(), ProtocolConfig::default());
-            b.iter(|| black_box(run_policy(&figure, policy).mean_total_benefit()))
+            b.iter(|| black_box(run(&figure, policy, RunOptions::default()).mean_total_benefit()))
         });
     }
     group.finish();
@@ -83,7 +91,7 @@ fn bench_fig3(c: &mut Criterion) {
     group.bench_function("abm_trace_split", |b| {
         let figure = scale.figure_run(DatasetSpec::slashdot(), ProtocolConfig::default());
         b.iter(|| {
-            let acc = run_policy(&figure, PolicyKind::abm_balanced());
+            let acc = run(&figure, PolicyKind::abm_balanced(), RunOptions::default());
             black_box((
                 acc.mean_marginal_from_cautious(),
                 acc.mean_marginal_from_reckless(),
@@ -101,7 +109,11 @@ fn bench_fig4_fig5(c: &mut Criterion) {
         group.bench_function(format!("w_I={wi}"), |b| {
             let figure = scale.figure_run(DatasetSpec::twitter(), ProtocolConfig::default());
             b.iter(|| {
-                let acc = run_policy(&figure, PolicyKind::abm_with_indirect(wi));
+                let acc = run(
+                    &figure,
+                    PolicyKind::abm_with_indirect(wi),
+                    RunOptions::default(),
+                );
                 black_box((
                     acc.mean_total_benefit(),
                     acc.mean_cautious_friends(),
@@ -133,10 +145,13 @@ fn emit_telemetry_snapshot(_c: &mut Criterion) {
     let scale = micro_scale();
     let recorder = Recorder::enabled();
     let figure = scale.figure_run(DatasetSpec::twitter(), ProtocolConfig::default());
-    black_box(run_policy_recorded(
+    black_box(run(
         &figure,
         PolicyKind::abm_balanced(),
-        &recorder,
+        RunOptions {
+            recorder: recorder.clone(),
+            ..RunOptions::default()
+        },
     ));
     let snapshot = recorder
         .snapshot("bench/fig2_micro")

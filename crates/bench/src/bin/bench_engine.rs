@@ -30,11 +30,11 @@ use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
-use accu_bench::{default_instance, git_revision, host_cores, json_field, utc_date};
+use accu_bench::{default_instance, git_revision, host_cores, utc_date};
 use accu_core::policy::{Abm, AbmWeights};
 use accu_core::{run_attack_episode, sim_metrics, EpisodeScratch, FaultPlan, RetryPolicy};
 use accu_telemetry::obs::TRAJECTORY_SCHEMA;
-use accu_telemetry::Recorder;
+use accu_telemetry::{parse_json, Json, Recorder};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -281,12 +281,17 @@ fn main() {
             eprintln!("bench-check: cannot read {out_path}: {e}");
             std::process::exit(1);
         });
-        let committed_eps = json_field(&committed, "eps_per_sec").unwrap_or_else(|| {
-            eprintln!("bench-check: no eps_per_sec in {out_path}");
+        let committed = parse_json(&committed).unwrap_or_else(|e| {
+            eprintln!("bench-check: {out_path} is not valid JSON: {e}");
+            std::process::exit(1);
+        });
+        let field = |key: &str| committed.get(key).and_then(Json::as_f64);
+        let committed_eps = field("eps_per_sec").unwrap_or_else(|| {
+            eprintln!("bench-check: no numeric eps_per_sec in {out_path}");
             std::process::exit(1);
         });
         let mut failed = false;
-        if let Some(b) = json_field(&committed, "total_benefit") {
+        if let Some(b) = field("total_benefit") {
             if (b - m.total_benefit).abs() > 0.5 {
                 eprintln!(
                     "bench-check: FAIL — total_benefit {:.1} != committed {b:.1} \

@@ -59,18 +59,6 @@ pub fn git_revision() -> String {
         .unwrap_or_else(|| "unknown".to_string())
 }
 
-/// Pulls a numeric field out of flat committed bench JSON without a
-/// parser dependency.
-pub fn json_field(text: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = text.find(&needle)? + needle.len();
-    let rest = text[at..].trim_start();
-    let end = rest
-        .find(|c: char| c != '-' && c != '.' && !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
 /// Logical cores visible to this process — the host-context stamp the
 /// trajectory log carries so entries from differently-sized machines
 /// are never compared as like-for-like.
@@ -106,15 +94,6 @@ mod tests {
         assert_eq!(utc_date(0), "1970-01-01");
         assert_eq!(utc_date(951_868_800), "2000-03-01");
         assert_eq!(utc_date(1_754_006_400), "2025-08-01");
-    }
-
-    #[test]
-    fn json_field_reads_flat_numbers() {
-        let text = "{\"eps_per_sec\": 61.10,\n\"allocs\":0.000,\"neg\":-2.5}";
-        assert_eq!(json_field(text, "eps_per_sec"), Some(61.10));
-        assert_eq!(json_field(text, "allocs"), Some(0.0));
-        assert_eq!(json_field(text, "neg"), Some(-2.5));
-        assert_eq!(json_field(text, "missing"), None);
     }
 
     #[test]

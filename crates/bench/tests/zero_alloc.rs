@@ -11,8 +11,8 @@ use std::sync::Mutex;
 
 use accu_core::policy::{Abm, AbmWeights};
 use accu_core::{
-    run_attack_episode, run_attack_episode_traced, AccuInstanceBuilder, EpisodeScratch, FaultPlan,
-    RetryPolicy, UserClass,
+    run_attack_episode, run_attack_with, AccuInstanceBuilder, AttackOptions, EpisodeScratch,
+    FaultPlan, RetryPolicy, UserClass,
 };
 use accu_telemetry::{Recorder, Tracer};
 use osn_graph::NodeId;
@@ -116,7 +116,7 @@ fn steady_state_episodes_allocate_nothing() {
 }
 
 /// The trace layer's disabled path is part of the zero-alloc contract:
-/// episodes running through `run_attack_episode_traced` with a live
+/// episodes running through `run_attack_with` with a live
 /// tracer whose sampling gate is **closed** must behave exactly like
 /// untraced episodes — no events, no heap traffic, identical totals.
 /// The hot-path cost of tracing-off is one relaxed atomic load.
@@ -135,9 +135,6 @@ fn gated_off_traced_episodes_allocate_nothing() {
 
     let mut scratch = EpisodeScratch::new();
     let mut policy = Abm::new(AbmWeights::balanced());
-    let plan = FaultPlan::none();
-    let retry = RetryPolicy::give_up();
-    let recorder = Recorder::disabled();
     let k = 30;
 
     // A real, enabled tracer — but the gate is closed, as it is for
@@ -146,15 +143,18 @@ fn gated_off_traced_episodes_allocate_nothing() {
     let track = tracer.track("worker-0");
     policy.attach_tracer(&track);
     track.set_active(false);
+    let opts = AttackOptions {
+        track: &track,
+        ..AttackOptions::default()
+    };
 
     let episode = |scratch: &mut EpisodeScratch, policy: &mut Abm, seed: u64| -> f64 {
         let mut rng = StdRng::seed_from_u64(seed);
         scratch.prepare(&instance);
         scratch.realization.sample_into(&instance, &mut rng);
-        run_attack_episode_traced(
-            &instance, policy, k, &plan, &retry, &recorder, &track, scratch,
-        )
-        .total_benefit
+        run_attack_with(&instance, policy, k, &opts, scratch)
+            .unwrap()
+            .total_benefit
     };
 
     let mut seed_rng = StdRng::seed_from_u64(91);

@@ -45,10 +45,10 @@ pub use osn_graph as graph;
 
 pub use accu_core::{
     benefit_of_friend_set, benefit_of_request_set, cautious_risk_scores, expected_benefit,
-    gatekeeper_scores, policy, resolve_acceptance, run_attack, run_attack_with_beliefs,
+    gatekeeper_scores, policy, resolve_acceptance, run_attack, run_attack_with,
     run_omniscient_greedy, sample_outcomes, simulate_exposure, theory, AccuError, AccuInstance,
-    AccuInstanceBuilder, AttackOutcome, AttackerView, BenefitSchedule, BenefitState,
-    ExposureReport, MarginalGain, MonteCarloStats, Observation, Policy, Realization, RequestRecord,
-    TraceAccumulator, UserClass,
+    AccuInstanceBuilder, AttackOptions, AttackOutcome, AttackerView, BenefitSchedule, BenefitState,
+    EpisodeScratch, ExposureReport, MarginalGain, MonteCarloStats, Observation, Policy,
+    Realization, RequestRecord, TraceAccumulator, UserClass,
 };
 pub use osn_graph::{Edge, EdgeId, Graph, GraphBuilder, GraphError, NodeId};
