@@ -93,7 +93,7 @@ pub use observation::{EdgeState, NodeState, Observation};
 pub use oracle::run_omniscient_greedy;
 pub use policy::Policy;
 pub use realization::Realization;
-pub use scratch::{engine_metrics, BatchScratch, EpisodeScratch};
+pub use scratch::{engine_metrics, EpisodeScratch};
 pub use validate::{
     repair_instance, validate_instance, validate_metrics, InstanceReport, RepairMode, RepairReport,
     ValidationMode, Violation,

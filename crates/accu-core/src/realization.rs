@@ -83,32 +83,6 @@ impl Realization {
             .extend((0..g.node_count()).map(|_| rng.gen::<f64>()));
     }
 
-    /// Crate-internal batched-sampling support: clears both outcome
-    /// buffers and reserves the instance's size, so the subsequent
-    /// [`push_edge_outcome`](Self::push_edge_outcome)/
-    /// [`push_draw`](Self::push_draw) streaming fill is allocation-free
-    /// once the buffers have grown. The batch sampler interleaves lanes
-    /// edge-outer/lane-inner, so each lane's own pushes arrive in
-    /// exactly the [`sample_into`](Self::sample_into) order.
-    pub(crate) fn clear_for_fill(&mut self, instance: &AccuInstance) {
-        self.edge_exists.clear();
-        self.edge_exists.reserve(instance.graph().edge_count());
-        self.draw.clear();
-        self.draw.reserve(instance.node_count());
-    }
-
-    /// Appends the next edge-existence outcome (batched fill).
-    #[inline]
-    pub(crate) fn push_edge_outcome(&mut self, exists: bool) {
-        self.edge_exists.push(exists);
-    }
-
-    /// Appends the next acceptance draw (batched fill).
-    #[inline]
-    pub(crate) fn push_draw(&mut self, draw: f64) {
-        self.draw.push(draw);
-    }
-
     /// An empty realization to be filled by
     /// [`sample_into`](Self::sample_into) — the scratch-arena starting
     /// state.

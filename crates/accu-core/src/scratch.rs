@@ -135,118 +135,6 @@ impl Default for EpisodeScratch {
     }
 }
 
-/// Structure-of-arrays arena for **batched** Monte-Carlo episodes: `B`
-/// independent episode lanes whose realizations are sampled in one
-/// pass over the instance.
-///
-/// [`sample_lanes`](Self::sample_lanes) walks the edge array once and
-/// the node array once, drawing for every lane at each element
-/// (edge-outer/lane-inner), so the instance's per-edge probabilities
-/// and per-node acceptance-cut rows are read once per batch instead of
-/// once per episode. Each lane keeps its **own** RNG stream, seeded
-/// exactly like the scalar path seeds its per-episode RNG, and a lane's
-/// own draws still arrive in [`Realization::sample_into`] order (all
-/// edges, then all nodes) — so every lane's realization is
-/// bit-identical to what the scalar path would have sampled for the
-/// same episode seed, and downstream episodes are bit-identical too.
-///
-/// # Examples
-///
-/// ```
-/// use accu_core::{AccuInstanceBuilder, BatchScratch, Realization};
-/// use osn_graph::GraphBuilder;
-/// use rand::{rngs::StdRng, SeedableRng};
-///
-/// let g = GraphBuilder::from_edges(3, [(0u32, 1u32), (1, 2)])?;
-/// let inst = AccuInstanceBuilder::new(g).uniform_edge_probability(0.5).build()?;
-/// let mut batch = BatchScratch::new(4);
-/// batch.sample_lanes(&inst, &[7, 8, 9]);
-/// // Lane 1 matches a scalar sample from the same seed, bit for bit.
-/// let scalar = Realization::sample(&inst, &mut StdRng::seed_from_u64(8));
-/// assert_eq!(batch.lane(1).realization, scalar);
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-#[derive(Debug)]
-pub struct BatchScratch {
-    lanes: Vec<EpisodeScratch>,
-    /// Per-lane RNG states during the batched fill; reused so
-    /// steady-state batches never allocate here.
-    rngs: Vec<rand::rngs::StdRng>,
-}
-
-impl BatchScratch {
-    /// Creates an arena with `lanes` episode lanes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes` is zero.
-    pub fn new(lanes: usize) -> Self {
-        assert!(lanes > 0, "a batch needs at least one lane");
-        BatchScratch {
-            lanes: (0..lanes).map(|_| EpisodeScratch::new()).collect(),
-            rngs: Vec::with_capacity(lanes),
-        }
-    }
-
-    /// Number of episode lanes.
-    pub fn lane_count(&self) -> usize {
-        self.lanes.len()
-    }
-
-    /// Samples `seeds.len()` realizations — one per lane, lane `i`
-    /// seeded with `seeds[i]` — in a single pass over the instance's
-    /// edge and node arrays. Also [`prepare`](EpisodeScratch::prepare)s
-    /// each active lane for the upcoming episode, and returns how many
-    /// of them were pure buffer reuses (lanes already sized for this
-    /// instance).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `seeds.len()` exceeds [`lane_count`](Self::lane_count).
-    pub fn sample_lanes(&mut self, instance: &AccuInstance, seeds: &[u64]) -> usize {
-        use rand::{Rng, SeedableRng};
-        assert!(
-            seeds.len() <= self.lanes.len(),
-            "batch of {} episodes exceeds the {}-lane arena",
-            seeds.len(),
-            self.lanes.len()
-        );
-        let active = &mut self.lanes[..seeds.len()];
-        self.rngs.clear();
-        self.rngs
-            .extend(seeds.iter().map(|&s| rand::rngs::StdRng::seed_from_u64(s)));
-        let mut reuses = 0usize;
-        for lane in active.iter_mut() {
-            reuses += usize::from(lane.prepare(instance));
-            lane.realization.clear_for_fill(instance);
-        }
-        let g = instance.graph();
-        for i in 0..g.edge_count() {
-            let p = instance.edge_probability(osn_graph::EdgeId::from(i));
-            for (lane, rng) in active.iter_mut().zip(self.rngs.iter_mut()) {
-                lane.realization.push_edge_outcome(rng.gen_bool(p));
-            }
-        }
-        for _ in 0..instance.node_count() {
-            for (lane, rng) in active.iter_mut().zip(self.rngs.iter_mut()) {
-                lane.realization.push_draw(rng.gen::<f64>());
-            }
-        }
-        reuses
-    }
-
-    /// The lane at `index` (sampled by the last
-    /// [`sample_lanes`](Self::sample_lanes) if `index` was within that
-    /// batch).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range.
-    pub fn lane(&mut self, index: usize) -> &mut EpisodeScratch {
-        &mut self.lanes[index]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -40,7 +40,7 @@ use accu_core::policy::{
 };
 use accu_core::{
     engine_metrics, repair_instance, run_attack_with, validate_metrics, AccuError, AccuInstance,
-    AttackOptions, AttackOutcome, BatchScratch, FaultConfig, FaultPlan, Policy, RetryPolicy,
+    AttackOptions, AttackOutcome, EpisodeScratch, FaultConfig, FaultPlan, Policy, RetryPolicy,
     TraceAccumulator, ValidationMode, Violation,
 };
 use accu_telemetry::obs::{NetworkStatus, Observer};
@@ -439,8 +439,8 @@ pub struct RunOptions<'a> {
     /// Soft deadline; when it passes, not-yet-started networks are shed
     /// instead of run (graceful degradation). `None` never sheds.
     pub deadline: Option<Deadline>,
-    /// Correlated event journal for run-stage lifecycle events (engine
-    /// selection, network folds, quarantines, sheds, worker deaths).
+    /// Correlated event journal for run-stage lifecycle events (run
+    /// start, network folds, quarantines, sheds, worker deaths).
     /// Disabled by default: batch runs stay silent and pay nothing.
     pub journal: Journal,
     /// Correlation IDs stamped on every journal event this run emits.
@@ -464,33 +464,6 @@ impl Default for RunOptions<'_> {
             journal: Journal::disabled(),
             corr: Corr::default(),
         }
-    }
-}
-
-/// Episode lanes per realization-sampling block for a run over
-/// `nodes`-node instances.
-///
-/// The batched sampler ([`BatchScratch::sample_lanes`]) fills several
-/// realizations in one structure-of-arrays pass over the instance,
-/// reading each per-edge probability and per-node acceptance row once
-/// per block instead of once per episode. Every lane keeps its own RNG
-/// stream seeded exactly as a one-at-a-time sampler would seed it, so
-/// the lane count never changes episodes, traces, or CSV output — only
-/// memory-access order during sampling.
-fn engine_lanes(nodes: usize) -> usize {
-    /// Batching pays once the instance's parameter arrays stop fitting
-    /// comfortably in L2 (~a few hundred KB at ~100 bytes/node), which
-    /// is when re-streaming them per episode starts to dominate
-    /// sampling.
-    const BATCH_MIN_NODES: usize = 4096;
-    /// Eight lanes keep the per-lane realization buffers (~17
-    /// bytes/node each) within the last-level cache alongside the
-    /// instance for the graphs the scale tier targets.
-    const BATCH_LANES: usize = 8;
-    if nodes >= BATCH_MIN_NODES {
-        BATCH_LANES
-    } else {
-        1
     }
 }
 
@@ -721,7 +694,6 @@ pub fn run_policy_with(
     } else {
         1
     };
-    let lanes = engine_lanes(figure.dataset.node_count()).min(figure.runs_per_network.max(1));
     // The (network, episode-chunk) work queue over non-resumed
     // networks. Chunks of one network are adjacent, so chunk 0 is
     // always claimed first and its claimer initializes the shared
@@ -742,7 +714,7 @@ pub fn run_policy_with(
         "run.start",
         &format!(
             "run start: cell {cell}, {} network(s) × {} episode(s), \
-             {chunks} chunk(s)/network, engine lanes {lanes}, {threads} worker(s), \
+             {chunks} chunk(s)/network, {threads} worker(s), \
              {} resumed",
             figure.network_samples,
             figure.runs_per_network,
@@ -772,7 +744,6 @@ pub fn run_policy_with(
         figure,
         policy,
         chunks,
-        lanes,
         cell: &cell,
         recorder: &recorder,
         tracer: &tracer,
@@ -1200,9 +1171,6 @@ struct RunCtx<'env, 'ck> {
     figure: &'env FigureRun,
     policy: PolicyKind,
     chunks: usize,
-    /// Episode lanes per sampling block (see [`engine_lanes`]; 1 =
-    /// one realization at a time).
-    lanes: usize,
     cell: &'env str,
     recorder: &'env Recorder,
     tracer: &'env Tracer,
@@ -1229,7 +1197,7 @@ fn worker_loop(ctx: &RunCtx<'_, '_>, worker: usize, wstate: &WorkerState) {
     let tel = WorkerTelemetry::new(ctx.recorder, worker);
     let etel = EngineTelemetry::new(ctx.recorder);
     let track = ctx.tracer.track(&format!("worker-{worker}"));
-    let mut scratch = BatchScratch::new(ctx.lanes);
+    let mut scratch = EpisodeScratch::new();
     while let Some(item) = ctx.queue.pop() {
         *wstate.in_flight.lock().expect("in-flight mutex poisoned") = Some(item);
         wstate.beat(ctx.run_started);
@@ -1563,11 +1531,10 @@ fn init_network(
 }
 
 /// Claims one `(network, chunk)` work item: initializes (or waits for)
-/// the network's shared state, runs the chunk's episodes through the
-/// worker's [`BatchScratch`] in blocks of `ctx.lanes` (one SoA sampling
-/// pass per block), and — when this was the network's last
-/// outstanding chunk — folds the outcomes in episode order,
-/// checkpoints, and retires the slot. Dataset/protocol/validation
+/// the network's shared state, runs the chunk's episodes one at a time
+/// in the worker's [`EpisodeScratch`], and — when this was the
+/// network's last outstanding chunk — folds the outcomes in episode
+/// order, checkpoints, and retires the slot. Dataset/protocol/validation
 /// failures quarantine via the initializing chunk; an episode-loop
 /// panic quarantines the network at finalize.
 ///
@@ -1584,7 +1551,7 @@ fn process_chunk(
     tel: &WorkerTelemetry,
     etel: &EngineTelemetry,
     track: &TraceTrack,
-    scratch: &mut BatchScratch,
+    scratch: &mut EpisodeScratch,
     wstate: &WorkerState,
 ) {
     let WorkItem { net, chunk, .. } = item;
@@ -1695,95 +1662,90 @@ fn process_chunk(
                 .instantiate_instrumented(state.policy_seed, ctx.recorder, track);
         let mut outcomes: Vec<AttackOutcome> = Vec::with_capacity(hi - lo);
         let episodes_trace = track.span("episodes");
-        let mut block_lo = lo;
-        while block_lo < hi {
-            let block_hi = (block_lo + ctx.lanes).min(hi);
-            // One SoA pass fills every lane's realization; each lane's
-            // stream comes only from its own episode seed, so the block
-            // is bit-identical to sampling the episodes one at a time
-            // (and collapses to exactly that when `lanes` is 1).
-            let seeds = &state.run_seeds[block_lo..block_hi];
-            let reuses = scratch.sample_lanes(&state.instance, seeds);
-            etel.scratch_reuses.add(reuses as u64);
-            etel.scratch_allocs.add((seeds.len() - reuses) as u64);
-            for (lane, ep) in (block_lo..block_hi).enumerate() {
-                let run_seed = state.run_seeds[ep];
-                // Episode indices are global across the run, so which
-                // episodes a sampling period selects is independent of
-                // chunking and thread count.
-                let global_ep = (net * figure.runs_per_network + ep) as u64;
-                if track.is_enabled() {
-                    track.set_active(ctx.tracer.sample_hit(global_ep));
-                }
-                if track.is_active() {
-                    track.instant(
-                        "episode_begin",
-                        &[
-                            ("net", TraceValue::U64(net as u64)),
-                            ("ep", TraceValue::U64(ep as u64)),
-                            ("global_ep", TraceValue::U64(global_ep)),
-                            ("policy", TraceValue::from(ctx.policy.name())),
-                            (
-                                "dataset",
-                                TraceValue::from(figure.dataset.name().to_string()),
-                            ),
-                            ("budget", TraceValue::U64(figure.budget as u64)),
-                            // As a string: u64 seeds above 2^53 do not
-                            // survive a round-trip through JSON doubles.
-                            ("seed", TraceValue::from(run_seed.to_string())),
-                        ],
-                    );
-                }
-                // The plan is seeded by the episode, not the policy, so
-                // paired comparisons face identical fault sequences; it is
-                // trivial (and free) when figure.faults is none.
-                let plan = FaultPlan::sample(&figure.faults, run_seed, figure.budget);
-                let opts = AttackOptions {
-                    faults: &plan,
-                    retry: figure.retry,
-                    recorder: ctx.recorder,
-                    track,
-                    believed: None,
-                };
-                let outcome = run_attack_with(
-                    &state.instance,
-                    policy_impl.as_mut(),
-                    figure.budget,
-                    &opts,
-                    scratch.lane(lane),
-                )
-                .expect("exact knowledge cannot mismatch");
-                if track.is_active() {
-                    track.instant(
-                        "episode_end",
-                        &[
-                            ("net", TraceValue::U64(net as u64)),
-                            ("ep", TraceValue::U64(ep as u64)),
-                            ("global_ep", TraceValue::U64(global_ep)),
-                            ("total_benefit", TraceValue::F64(outcome.total_benefit)),
-                            ("requests", TraceValue::U64(outcome.trace.len() as u64)),
-                            ("friends", TraceValue::U64(outcome.friends.len() as u64)),
-                            (
-                                "cautious_friends",
-                                TraceValue::U64(outcome.cautious_friends as u64),
-                            ),
-                            (
-                                "faults",
-                                TraceValue::U64(outcome.faults.faults_seen() as u64),
-                            ),
-                        ],
-                    );
-                }
-                outcomes.push(outcome.clone());
-                tel.episodes.incr();
-                tel.worker_episodes.incr();
-                // Heartbeats: both the worker's supervisor-facing stamp and
-                // the run-level stall watchdog advance per episode.
-                wstate.beat(ctx.run_started);
-                ctx.observer
-                    .episode_done(outcome.faults.faults_seen() as u64);
+        for ep in lo..hi {
+            let run_seed = state.run_seeds[ep];
+            if scratch.prepare(&state.instance) {
+                etel.scratch_reuses.incr();
+            } else {
+                etel.scratch_allocs.incr();
             }
-            block_lo = block_hi;
+            scratch
+                .realization
+                .sample_into(&state.instance, &mut StdRng::seed_from_u64(run_seed));
+            // Episode indices are global across the run, so which
+            // episodes a sampling period selects is independent of
+            // chunking and thread count.
+            let global_ep = (net * figure.runs_per_network + ep) as u64;
+            if track.is_enabled() {
+                track.set_active(ctx.tracer.sample_hit(global_ep));
+            }
+            if track.is_active() {
+                track.instant(
+                    "episode_begin",
+                    &[
+                        ("net", TraceValue::U64(net as u64)),
+                        ("ep", TraceValue::U64(ep as u64)),
+                        ("global_ep", TraceValue::U64(global_ep)),
+                        ("policy", TraceValue::from(ctx.policy.name())),
+                        (
+                            "dataset",
+                            TraceValue::from(figure.dataset.name().to_string()),
+                        ),
+                        ("budget", TraceValue::U64(figure.budget as u64)),
+                        // As a string: u64 seeds above 2^53 do not
+                        // survive a round-trip through JSON doubles.
+                        ("seed", TraceValue::from(run_seed.to_string())),
+                    ],
+                );
+            }
+            // The plan is seeded by the episode, not the policy, so
+            // paired comparisons face identical fault sequences; it is
+            // trivial (and free) when figure.faults is none.
+            let plan = FaultPlan::sample(&figure.faults, run_seed, figure.budget);
+            let opts = AttackOptions {
+                faults: &plan,
+                retry: figure.retry,
+                recorder: ctx.recorder,
+                track,
+                believed: None,
+            };
+            let outcome = run_attack_with(
+                &state.instance,
+                policy_impl.as_mut(),
+                figure.budget,
+                &opts,
+                scratch,
+            )
+            .expect("exact knowledge cannot mismatch");
+            if track.is_active() {
+                track.instant(
+                    "episode_end",
+                    &[
+                        ("net", TraceValue::U64(net as u64)),
+                        ("ep", TraceValue::U64(ep as u64)),
+                        ("global_ep", TraceValue::U64(global_ep)),
+                        ("total_benefit", TraceValue::F64(outcome.total_benefit)),
+                        ("requests", TraceValue::U64(outcome.trace.len() as u64)),
+                        ("friends", TraceValue::U64(outcome.friends.len() as u64)),
+                        (
+                            "cautious_friends",
+                            TraceValue::U64(outcome.cautious_friends as u64),
+                        ),
+                        (
+                            "faults",
+                            TraceValue::U64(outcome.faults.faults_seen() as u64),
+                        ),
+                    ],
+                );
+            }
+            outcomes.push(outcome.clone());
+            tel.episodes.incr();
+            tel.worker_episodes.incr();
+            // Heartbeats: both the worker's supervisor-facing stamp and
+            // the run-level stall watchdog advance per episode.
+            wstate.beat(ctx.run_started);
+            ctx.observer
+                .episode_done(outcome.faults.faults_seen() as u64);
         }
         drop(episodes_trace);
         outcomes

@@ -1,12 +1,10 @@
-//! Tests pinning the scratch-reuse episode engine — and the SoA
-//! batched sampler layered on it — to the allocating reference path:
-//! same seeds, same instances, same faults — bit-identical outcomes, at
-//! the single-episode, batched-lane, and whole-figure level.
+//! Tests pinning the scratch-reuse episode engine to the allocating
+//! reference path: same seeds, same instances, same faults —
+//! bit-identical outcomes, at the single-episode and whole-figure level.
 
 use accu_core::{
-    engine_metrics, repair_instance, run_attack_episode, run_attack_with, AttackOptions,
-    BatchScratch, EpisodeScratch, FaultConfig, FaultPlan, Realization, RetryPolicy,
-    TraceAccumulator, ValidationMode,
+    repair_instance, run_attack_episode, run_attack_with, AttackOptions, EpisodeScratch,
+    FaultConfig, FaultPlan, Realization, RetryPolicy, TraceAccumulator, ValidationMode,
 };
 use accu_datasets::{apply_protocol, DatasetSpec, ProtocolConfig};
 use accu_experiments::{run_policy_with, FigureRun, PolicyKind, RunOptions};
@@ -123,88 +121,6 @@ proptest! {
         }
     }
 
-    /// The SoA batched sampler must reproduce the scalar scratch path
-    /// episode-for-episode for every policy in the extended lineup,
-    /// including the fault trace: each lane's realization comes only
-    /// from its own episode seed, so lane width must never matter.
-    #[test]
-    fn batched_lanes_match_scalar_episodes(
-        seed in 0u64..1_000,
-        intensity in 0.0f64..0.6,
-        lanes in 1usize..6,
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let graph = DatasetSpec::facebook()
-            .scaled(0.02)
-            .generate(&mut rng)
-            .expect("generation");
-        let instance = apply_protocol(
-            graph,
-            &ProtocolConfig {
-                cautious_count: 2,
-                degree_band: (5, 80),
-                ..ProtocolConfig::default()
-            },
-            &mut rng,
-        )
-        .expect("protocol");
-        let k = 12;
-        let faults = FaultConfig::scaled(intensity);
-        let retry = RetryPolicy::standard();
-        let recorder = Recorder::disabled();
-        let episodes = 6;
-        let mut seed_rng = StdRng::seed_from_u64(seed.wrapping_add(1));
-        let run_seeds: Vec<u64> = (0..episodes).map(|_| seed_rng.gen()).collect();
-
-        for policy_kind in PolicyKind::extended_lineup() {
-            let mut batch = BatchScratch::new(lanes);
-            let mut scratch = EpisodeScratch::new();
-            let mut batched_policy = policy_kind.instantiate(seed ^ 0x5A5A);
-            let mut scalar_policy = policy_kind.instantiate(seed ^ 0x5A5A);
-            for (block_index, block) in run_seeds.chunks(lanes).enumerate() {
-                batch.sample_lanes(&instance, block);
-                for (lane, &run_seed) in block.iter().enumerate() {
-                    let plan = FaultPlan::sample(&faults, run_seed, k);
-
-                    // Scalar reference: one-at-a-time sampling into a
-                    // dedicated scratch.
-                    scratch.prepare(&instance);
-                    scratch
-                        .realization
-                        .sample_into(&instance, &mut StdRng::seed_from_u64(run_seed));
-                    let reference = run_attack_episode(
-                        &instance,
-                        scalar_policy.as_mut(),
-                        k,
-                        &plan,
-                        &retry,
-                        &recorder,
-                        &mut scratch,
-                    )
-                    .clone();
-
-                    let outcome = run_attack_episode(
-                        &instance,
-                        batched_policy.as_mut(),
-                        k,
-                        &plan,
-                        &retry,
-                        &recorder,
-                        batch.lane(lane),
-                    );
-                    prop_assert_eq!(
-                        outcome,
-                        &reference,
-                        "policy {} block {} lane {} diverged",
-                        policy_kind.name(),
-                        block_index,
-                        lane
-                    );
-                }
-            }
-        }
-    }
-
     /// The chunked work-queue scheduler must aggregate to exactly the
     /// sequential result for every policy in the extended lineup, under
     /// faults and under both validation modes the figures ship with.
@@ -288,14 +204,13 @@ fn per_episode_reference(figure: &FigureRun, policy: PolicyKind) -> TraceAccumul
     total
 }
 
-/// On instances of 4096 nodes or more the runner samples realizations
-/// eight lanes at a time; its aggregate must still equal the
+/// The runner's aggregate must equal the hand-written
 /// one-episode-at-a-time reference exactly, on one worker (whole
-/// networks, blocks of 8 then 2) and on three (one chunk per worker,
-/// partial blocks), for a chunkable and a non-chunkable policy under
-/// faults.
+/// networks) and on three (one chunk per worker), for a chunkable and a
+/// non-chunkable policy under faults, on a quick-mode-sized
+/// (4235-node) Slashdot stand-in.
 #[test]
-fn batched_runner_matches_per_episode_reference() {
+fn runner_matches_per_episode_reference() {
     let figure = FigureRun {
         dataset: DatasetSpec::slashdot().scaled(0.055),
         protocol: ProtocolConfig::default(),
@@ -307,19 +222,13 @@ fn batched_runner_matches_per_episode_reference() {
         retry: RetryPolicy::standard(),
         validation: ValidationMode::default(),
     };
-    assert!(
-        figure.dataset.node_count() >= 4096,
-        "the runner batches lanes only from 4096 nodes"
-    );
     for policy in [PolicyKind::abm_balanced(), PolicyKind::Random] {
         let reference = per_episode_reference(&figure, policy);
         for workers in [1, 3] {
-            let recorder = Recorder::enabled();
             let report = run_policy_with(
                 &figure,
                 policy,
                 RunOptions {
-                    recorder: recorder.clone(),
                     max_workers: Some(workers),
                     ..RunOptions::default()
                 },
@@ -331,11 +240,6 @@ fn batched_runner_matches_per_episode_reference() {
                 "{} on {workers} worker(s) diverged from the reference",
                 policy.name()
             );
-            if workers == 1 {
-                // One worker sizes each of its eight lanes once.
-                let snap = recorder.snapshot("lanes").unwrap();
-                assert_eq!(snap.counter(engine_metrics::SCRATCH_ALLOCS), Some(8));
-            }
         }
     }
 }

@@ -1,5 +1,4 @@
-//! Scale-tier benchmark: pack → reload → batched episodes at 10⁵–10⁷
-//! nodes.
+//! Scale-tier benchmark: pack → reload → episodes at 10⁵–10⁷ nodes.
 //!
 //! For each requested node count the sweep:
 //!
@@ -9,8 +8,8 @@
 //!    ([`osn_graph::store`]),
 //! 3. **reloads** it through the steady-state trusted loader (timed;
 //!    `amortization` = build time over load time),
-//! 4. applies the paper protocol and runs ABM episodes through the SoA
-//!    batched sampler ([`BatchScratch`]), reporting `eps_per_sec`,
+//! 4. applies the paper protocol and runs ABM episodes one at a time in
+//!    one reused [`EpisodeScratch`], reporting `eps_per_sec`,
 //!    `ns_per_select` (from a separate instrumented pass, as in
 //!    `bench_engine`), steady-state `allocs_per_episode`, and the
 //!    process peak RSS.
@@ -23,7 +22,7 @@
 //!
 //! ```text
 //! scale_sweep [--nodes 100000,1000000] [--degree 8] [--budget 50]
-//!             [--episodes 4] [--lanes 4] [--seed 11] [--workers 1]
+//!             [--episodes 4] [--seed 11] [--workers 1]
 //!             [--dir target/scale] [--out BENCH_scale.json]
 //!             [--telemetry FILE] [--metrics-addr ADDR]
 //!             [--assert-zero-alloc]
@@ -43,7 +42,7 @@ use std::time::{Instant, SystemTime, UNIX_EPOCH};
 use accu_bench::{git_revision, host_cores, peak_rss_mib, utc_date};
 use accu_core::policy::{Abm, AbmWeights};
 use accu_core::{
-    run_attack_episode, sim_metrics, AccuInstance, BatchScratch, FaultPlan, RetryPolicy,
+    run_attack_episode, sim_metrics, AccuInstance, EpisodeScratch, FaultPlan, RetryPolicy,
 };
 use accu_datasets::{apply_protocol, ProtocolConfig};
 use accu_telemetry::obs::{MetricsServer, Observer, TRAJECTORY_SCHEMA};
@@ -95,7 +94,6 @@ struct SweepConfig {
     degree: usize,
     budget: usize,
     episodes: usize,
-    lanes: usize,
     seed: u64,
     workers: usize,
     dir: PathBuf,
@@ -131,7 +129,6 @@ fn parse_flags() -> SweepConfig {
         degree: 8,
         budget: 50,
         episodes: 4,
-        lanes: 4,
         seed: 11,
         workers: 1,
         dir: PathBuf::from("target").join("scale"),
@@ -176,11 +173,6 @@ fn parse_flags() -> SweepConfig {
                     .parse()
                     .unwrap_or_else(|_| fail("bad --episodes"))
             }
-            "--lanes" => {
-                cfg.lanes = take("--lanes")
-                    .parse()
-                    .unwrap_or_else(|_| fail("bad --lanes"))
-            }
             "--seed" => {
                 cfg.seed = take("--seed")
                     .parse()
@@ -199,8 +191,8 @@ fn parse_flags() -> SweepConfig {
             other => fail(&format!("unknown flag {other:?}")),
         }
     }
-    if cfg.lanes == 0 || cfg.episodes == 0 || cfg.budget == 0 {
-        fail("--lanes, --episodes, and --budget must be positive");
+    if cfg.episodes == 0 || cfg.budget == 0 {
+        fail("--episodes and --budget must be positive");
     }
     cfg
 }
@@ -213,15 +205,15 @@ fn tier_instance(graph: Graph, seed: u64) -> AccuInstance {
         .unwrap_or_else(|e| fail(&format!("protocol failed: {e}")))
 }
 
-/// One pass over `seeds` as batched episodes: `lanes`-wide SoA
-/// sampling blocks, the outcome benefits summed as the determinism
-/// witness. Seeds are pre-drawn by the caller so the armed
-/// (allocation-counting) pass touches no heap.
-fn run_batched_pass(
+/// One pass over `seeds`, one episode per seed sampled into the shared
+/// scratch, the outcome benefits summed as the determinism witness.
+/// Seeds are pre-drawn by the caller so the armed (allocation-counting)
+/// pass touches no heap.
+fn run_pass(
     instance: &AccuInstance,
     cfg: &SweepConfig,
     seeds: &[u64],
-    batch: &mut BatchScratch,
+    scratch: &mut EpisodeScratch,
     policy: &mut Abm,
     recorder: &Recorder,
 ) -> (f64, std::time::Duration) {
@@ -229,20 +221,15 @@ fn run_batched_pass(
     let retry = RetryPolicy::give_up();
     let mut total = 0.0f64;
     let start = Instant::now();
-    for block in seeds.chunks(cfg.lanes) {
-        batch.sample_lanes(instance, block);
-        for lane in 0..block.len() {
-            total += run_attack_episode(
-                instance,
-                policy,
-                cfg.budget,
-                &plan,
-                &retry,
-                recorder,
-                batch.lane(lane),
-            )
-            .total_benefit;
-        }
+    for &seed in seeds {
+        scratch.prepare(instance);
+        scratch
+            .realization
+            .sample_into(instance, &mut StdRng::seed_from_u64(seed));
+        total += run_attack_episode(
+            instance, policy, cfg.budget, &plan, &retry, recorder, scratch,
+        )
+        .total_benefit;
     }
     (total, start.elapsed())
 }
@@ -295,9 +282,9 @@ fn run_tier(cfg: &SweepConfig, nodes: usize, store_rec: &Recorder) -> TierResult
         build.as_secs_f64() / load.as_secs_f64().max(1e-9),
     );
 
-    // Stage 4: batched episodes.
+    // Stage 4: episodes.
     let instance = tier_instance(loaded, cfg.seed);
-    let mut batch = BatchScratch::new(cfg.lanes);
+    let mut scratch = EpisodeScratch::new();
     let mut policy = Abm::new(AbmWeights::balanced());
     let disabled = Recorder::disabled();
     let seeds: Vec<u64> = {
@@ -306,15 +293,14 @@ fn run_tier(cfg: &SweepConfig, nodes: usize, store_rec: &Recorder) -> TierResult
         (0..cfg.episodes).map(|_| seed_rng.gen()).collect()
     };
 
-    // Warmup: size every lane and the policy's per-instance caches.
-    run_batched_pass(&instance, cfg, &seeds, &mut batch, &mut policy, &disabled);
+    // Warmup: size the scratch and the policy's per-instance caches.
+    run_pass(&instance, cfg, &seeds, &mut scratch, &mut policy, &disabled);
 
-    // Throughput pass, with the counting allocator armed — warmed lanes
-    // must run allocation-free.
+    // Throughput pass, with the counting allocator armed — a warmed
+    // scratch must run allocation-free.
     ALLOCS.store(0, Ordering::SeqCst);
     ARMED.store(true, Ordering::SeqCst);
-    let (benefit, elapsed) =
-        run_batched_pass(&instance, cfg, &seeds, &mut batch, &mut policy, &disabled);
+    let (benefit, elapsed) = run_pass(&instance, cfg, &seeds, &mut scratch, &mut policy, &disabled);
     ARMED.store(false, Ordering::SeqCst);
     let allocs_per_episode = ALLOCS.load(Ordering::SeqCst) as f64 / cfg.episodes as f64;
     let eps_per_sec = cfg.episodes as f64 / elapsed.as_secs_f64();
@@ -322,7 +308,7 @@ fn run_tier(cfg: &SweepConfig, nodes: usize, store_rec: &Recorder) -> TierResult
     // Instrumented pass for select latency (identical seeds; a live
     // recorder adds clock reads, so it gets its own pass).
     let enabled = Recorder::enabled();
-    let (benefit2, _) = run_batched_pass(&instance, cfg, &seeds, &mut batch, &mut policy, &enabled);
+    let (benefit2, _) = run_pass(&instance, cfg, &seeds, &mut scratch, &mut policy, &enabled);
     assert_eq!(
         benefit.to_bits(),
         benefit2.to_bits(),
@@ -336,9 +322,9 @@ fn run_tier(cfg: &SweepConfig, nodes: usize, store_rec: &Recorder) -> TierResult
 
     let rss = peak_rss_mib().unwrap_or(f64::NAN);
     println!(
-        "  {eps_per_sec:.3} eps/s ({} episodes, k = {}, {} lanes) · {ns_per_select:.1} ns/select \
+        "  {eps_per_sec:.3} eps/s ({} episodes, k = {}) · {ns_per_select:.1} ns/select \
          · {allocs_per_episode:.3} allocs/episode · peak RSS {rss:.0} MiB",
-        cfg.episodes, cfg.budget, cfg.lanes,
+        cfg.episodes, cfg.budget,
     );
 
     TierResult {
@@ -364,7 +350,6 @@ fn tier_json(cfg: &SweepConfig, t: &TierResult, indent: &str) -> String {
          {indent}  \"edges\": {},\n\
          {indent}  \"budget\": {},\n\
          {indent}  \"episodes\": {},\n\
-         {indent}  \"lanes\": {},\n\
          {indent}  \"build_ms\": {:.1},\n\
          {indent}  \"pack_ms\": {:.1},\n\
          {indent}  \"load_ms\": {:.1},\n\
@@ -381,7 +366,6 @@ fn tier_json(cfg: &SweepConfig, t: &TierResult, indent: &str) -> String {
         t.edges,
         cfg.budget,
         cfg.episodes,
-        cfg.lanes,
         t.build_ms,
         t.pack_ms,
         t.load_ms,
@@ -410,7 +394,7 @@ fn append_trajectory(cfg: &SweepConfig, t: &TierResult, status: &str) {
         "{{\"schema\":{TRAJECTORY_SCHEMA},\"git\":\"{}\",\"date\":\"{}\",\
          \"bench\":\"scale\",\"fixture\":\"ba_{}_d{}/abm_balanced\",\
          \"cores\":{},\"workers\":{},\"nodes\":{},\"edges\":{},\
-         \"budget\":{},\"episodes\":{},\"lanes\":{},\
+         \"budget\":{},\"episodes\":{},\
          \"build_ms\":{:.1},\"pack_ms\":{:.1},\"load_ms\":{:.1},\"amortization\":{:.2},\
          \"eps_per_sec\":{:.3},\"ns_per_select\":{:.1},\"allocs_per_episode\":{:.3},\
          \"total_benefit\":{:.1},\"peak_rss_mib\":{:.1},\"status\":\"{status}\"}}\n",
@@ -424,7 +408,6 @@ fn append_trajectory(cfg: &SweepConfig, t: &TierResult, status: &str) {
         t.edges,
         cfg.budget,
         cfg.episodes,
-        cfg.lanes,
         t.build_ms,
         t.pack_ms,
         t.load_ms,
@@ -449,12 +432,11 @@ fn append_trajectory(cfg: &SweepConfig, t: &TierResult, status: &str) {
 fn main() {
     let cfg = parse_flags();
     println!(
-        "scale sweep: tiers {:?}, BA m = {}, k = {}, {} episodes x {} lanes, {} cores",
+        "scale sweep: tiers {:?}, BA m = {}, k = {}, {} episodes, {} cores",
         cfg.nodes,
         cfg.degree,
         cfg.budget,
         cfg.episodes,
-        cfg.lanes,
         host_cores(),
     );
     // Store-facing telemetry is opt-in; with neither flag the recorder
