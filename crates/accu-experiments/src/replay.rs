@@ -63,11 +63,6 @@ pub struct DecideEvent {
     /// Potential margin over the runner-up (the pick's own potential
     /// when there was none).
     pub margin: f64,
-    /// Lazy-reevaluation stats: stale heap entries skipped for this
-    /// pick.
-    pub stale_skips: u64,
-    /// Already-requested nodes skipped for this pick.
-    pub requested_skips: u64,
 }
 
 /// Any event recorded between an episode's begin and end markers, in
@@ -301,8 +296,6 @@ pub fn parse_causal_log(text: &str) -> Result<CausalLog, String> {
                         w_i: field_f64(args, "w_i", &ctx)?,
                         runner_up: u64::try_from(runner_up).ok(),
                         margin: field_f64(args, "margin", &ctx)?,
-                        stale_skips: field_u64(args, "stale_skips", &ctx)?,
-                        requested_skips: field_u64(args, "requested_skips", &ctx)?,
                     }));
                 }
             }
@@ -433,9 +426,6 @@ pub fn narrate_episode(episode: &CausalEpisode) -> String {
                             }
                             None => out.push_str("; only candidate"),
                         }
-                        if d.stale_skips > 0 {
-                            let _ = write!(out, "; {} stale skips", d.stale_skips);
-                        }
                         out.push(')');
                     }
                     _ => {}
@@ -534,6 +524,12 @@ mod tests {
             EpisodeEvent::Request(r) if r.theta == Some(2) && !r.accepted
         ));
         assert_eq!(ep.end.total_benefit, 1.5);
+        // The sample's `decide` carries the `stale_skips` and
+        // `requested_skips` fields of logs written while ABM selected
+        // through a lazy heap; logs written since omit them.
+        let current = sample_log().replace(r#","stale_skips":1,"requested_skips":0"#, "");
+        assert_ne!(current, sample_log());
+        assert_eq!(parse_causal_log(&current).unwrap().episodes, log.episodes);
     }
 
     #[test]

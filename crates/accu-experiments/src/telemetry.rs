@@ -530,6 +530,8 @@ pub fn derived_metrics(snapshot: &Snapshot) -> Vec<(&'static str, f64)> {
     ) {
         out.push(("cautious_acceptance_rate", r));
     }
+    // 1 by construction: ABM's winner tree retires exactly one entry
+    // per select. Kept so existing readers of the rate still find it.
     if let Some(r) = ratio(abm_metrics::SELECTS, abm_metrics::HEAP_POP) {
         out.push(("abm_lazy_hit_rate", r));
     }

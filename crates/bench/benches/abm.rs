@@ -1,6 +1,7 @@
 //! Benchmarks of the ABM policy, including the DESIGN.md ablation of
-//! incremental (dirty-set + lazy heap) rescoring against a naive
-//! full-rescan greedy, and the `w_I` weight sweep.
+//! incremental rescoring (stamped dirty set, compacted adjacency rows,
+//! winner-tree argmax) against a naive full-rescan greedy, and the
+//! `w_I` weight sweep.
 
 use accu_bench::default_instance;
 use accu_core::policy::{Abm, AbmWeights, Policy};
@@ -94,7 +95,7 @@ fn bench_potential_evaluation(c: &mut Criterion) {
 fn bench_reset(c: &mut Criterion) {
     let instance = default_instance();
     let observation = Observation::for_instance(&instance);
-    c.bench_function("abm_reset_heap_build", |b| {
+    c.bench_function("abm_reset_tree_build", |b| {
         let view = AttackerView::new(&instance, &observation);
         b.iter(|| {
             let mut abm = Abm::new(AbmWeights::balanced());
