@@ -399,11 +399,16 @@ impl RetryPolicy {
     }
 }
 
-/// The SplitMix64 finalizer: a cheap, well-mixed 64-bit hash. The one
-/// copy behind the retry jitter draw, the chaos stream and the
-/// validator's demoted-user probabilities.
+/// SplitMix64's stream increment: `2^64 / φ`, rounded to odd.
+pub(crate) const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// One SplitMix64 step: advance `x` by [`GOLDEN_GAMMA`], then apply the
+/// finalizer — a cheap, well-mixed bijection on `u64`. The one copy
+/// behind the retry jitter draw, the chaos stream, the validator's
+/// demoted-user probabilities and the keyed realizations.
+#[inline]
 pub(crate) fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    x = x.wrapping_add(GOLDEN_GAMMA);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^ (x >> 31)

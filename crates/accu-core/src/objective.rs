@@ -44,7 +44,11 @@ impl std::ops::AddAssign for MarginalGain {
 ///
 /// Maintains the friend set `F` and friend-of-friend set `FOF` (over
 /// realized edges) and the running total
-/// `Σ_{u∈F} B_f(u) + Σ_{v∈FOF} B_fof(v)`.
+/// `Σ_{u∈F} B_f(u) + Σ_{v∈FOF} B_fof(v)`. A new friend's realized
+/// neighbors come either from the realization
+/// ([`add_friend`](Self::add_friend)) or from the list the observation
+/// just revealed ([`add_revealed_friend`](Self::add_revealed_friend),
+/// the simulator's path, which decides no edge a second time).
 ///
 /// # Examples
 ///
@@ -151,6 +155,37 @@ impl BenefitState {
         realization: &Realization,
         u: NodeId,
     ) -> MarginalGain {
+        self.add_friend_with(instance, u, realization.realized_neighbors(instance, u))
+    }
+
+    /// [`add_friend`](Self::add_friend) given `u`'s realized neighbors
+    /// instead of the realization: `revealed` must list them in
+    /// adjacency order, as
+    /// [`Observation::record_acceptance_into`](crate::Observation::record_acceptance_into)
+    /// writes them. The simulator passes that list, so each incident
+    /// edge of a new friend is decided once per episode; the gain is
+    /// bit-identical to [`add_friend`](Self::add_friend)'s, term for
+    /// term in the same order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `u` is already a friend, or `u` or a listed neighbor
+    /// is out of range.
+    pub fn add_revealed_friend(
+        &mut self,
+        instance: &AccuInstance,
+        u: NodeId,
+        revealed: &[NodeId],
+    ) -> MarginalGain {
+        self.add_friend_with(instance, u, revealed.iter().copied())
+    }
+
+    fn add_friend_with(
+        &mut self,
+        instance: &AccuInstance,
+        u: NodeId,
+        realized_neighbors: impl Iterator<Item = NodeId>,
+    ) -> MarginalGain {
         assert!(!self.friend[u.index()], "node {u} is already a friend");
         let mut gain = MarginalGain::default();
         let benefits = instance.benefits();
@@ -171,7 +206,7 @@ impl BenefitState {
         if instance.is_cautious(u) {
             self.cautious_friend_count += 1;
         }
-        for v in realization.realized_neighbors(instance, u) {
+        for v in realized_neighbors {
             if !self.friend[v.index()] && !self.fof[v.index()] {
                 self.fof[v.index()] = true;
                 let b = benefits.friend_of_friend(v);

@@ -87,7 +87,8 @@ impl Observation {
     /// Rewinds this observation to `ω = ∅` for `instance`, reusing the
     /// existing buffers: equivalent to
     /// [`for_instance`](Self::for_instance) but allocation-free once
-    /// the buffers have grown to the instance's size.
+    /// the buffers have grown to the instance's size (the request and
+    /// friend lists are sized for all `n` users up front).
     pub fn reset_for(&mut self, instance: &AccuInstance) {
         let n = instance.node_count();
         let m = instance.graph().edge_count();
@@ -96,7 +97,9 @@ impl Observation {
         self.edge_state.clear();
         self.edge_state.resize(m, EdgeState::Unknown);
         self.requests.clear();
+        self.requests.reserve(n);
         self.friends.clear();
+        self.friends.reserve(n);
         self.mutual.clear();
         self.mutual.resize(n, 0);
         self.mutual_at_request.clear();
@@ -215,9 +218,27 @@ impl Observation {
     }
 
     /// Allocation-free variant of
-    /// [`record_acceptance`](Self::record_acceptance): the revealed
-    /// friend-neighbors are appended to the caller's `realized` buffer
-    /// instead of a freshly allocated `Vec`.
+    /// [`record_acceptance`](Self::record_acceptance): the realized
+    /// neighbors of `u`, in adjacency order, are appended to the
+    /// caller's `realized` buffer instead of a freshly allocated `Vec`.
+    ///
+    /// Each incident edge is decided once, by one
+    /// [`Realization::edge_exists`] query on `instance` (the true
+    /// instance, whose `p` a keyed realization reads), and the reveal
+    /// does not branch on the outcome: the edge state is stored
+    /// unconditionally (an edge already revealed from its other end gets
+    /// the same state again, since a realization's outcomes are fixed),
+    /// the neighbor's mutual count grows by `u32::from(exists)`, and
+    /// every neighbor is written at the buffer's write position, which
+    /// then advances by `exists`. The buffer is the simulator's single
+    /// record of the reveal: [`BenefitState::add_revealed_friend`]
+    /// consumes it instead of re-walking the realization.
+    ///
+    /// [`BenefitState::add_revealed_friend`]: crate::BenefitState::add_revealed_friend
+    ///
+    /// # Panics
+    ///
+    /// Panics if `u` is out of range or was already requested.
     pub fn record_acceptance_into(
         &mut self,
         u: NodeId,
@@ -234,26 +255,22 @@ impl Observation {
         self.mutual_at_request[u.index()] = self.mutual[u.index()];
         self.requests.push(u);
         self.friends.push(u);
-        for (w, e) in instance.graph().neighbor_entries(u) {
-            let exists = match self.edge_state[e.index()] {
-                EdgeState::Present => true,
-                EdgeState::Absent => false,
-                EdgeState::Unknown => {
-                    let exists = realization.edge_exists(e);
-                    self.edge_state[e.index()] = if exists {
-                        EdgeState::Present
-                    } else {
-                        EdgeState::Absent
-                    };
-                    exists
-                }
+        let graph = instance.graph();
+        let mut end = realized.len();
+        realized.resize(end + graph.degree(u), u);
+        for (w, e) in graph.neighbor_entries(u) {
+            let exists = realization.edge_exists(instance, e);
+            self.edge_state[e.index()] = if exists {
+                EdgeState::Present
+            } else {
+                EdgeState::Absent
             };
-            if exists {
-                // w gained a friend-neighbor: the new friend u.
-                self.mutual[w.index()] += 1;
-                realized.push(w);
-            }
+            // w gained a friend-neighbor (the new friend u) iff e exists.
+            self.mutual[w.index()] += u32::from(exists);
+            realized[end] = w;
+            end += usize::from(exists);
         }
+        realized.truncate(end);
     }
 }
 

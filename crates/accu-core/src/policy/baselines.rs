@@ -5,10 +5,15 @@ use osn_graph::NodeId;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
+use super::ranking::StaticRanking;
+use crate::fault::GOLDEN_GAMMA;
 use crate::{AttackerView, Policy};
 
 /// Baseline: iteratively request the not-yet-requested user with the
 /// highest degree (ties toward the lower node id).
+///
+/// The degree order is sorted once per instance; each episode walks it
+/// from the top.
 ///
 /// # Examples
 ///
@@ -18,14 +23,13 @@ use crate::{AttackerView, Policy};
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct MaxDegree {
-    /// Candidate ids sorted by descending degree; consumed back-to-front.
-    order: Vec<NodeId>,
+    ranking: StaticRanking,
 }
 
 impl MaxDegree {
     /// Creates a MaxDegree baseline.
     pub fn new() -> Self {
-        MaxDegree { order: Vec::new() }
+        MaxDegree::default()
     }
 }
 
@@ -35,49 +39,37 @@ impl Policy for MaxDegree {
     }
 
     fn reset(&mut self, view: &AttackerView<'_>) {
-        let g = view.graph();
-        let mut order: Vec<NodeId> = g.nodes().collect();
-        // Ascending (degree, reversed id): popping from the back yields
-        // descending degree with ties toward lower ids.
-        order.sort_by_key(|&v| (g.degree(v), std::cmp::Reverse(v)));
-        self.order = order;
+        self.ranking
+            .reset(view, |g| g.nodes().map(|v| g.degree(v) as f64).collect());
     }
 
     fn select(&mut self, view: &AttackerView<'_>) -> Option<NodeId> {
-        while let Some(v) = self.order.pop() {
-            if !view.observation().was_requested(v) {
-                return Some(v);
-            }
-        }
-        None
+        self.ranking.next(view)
     }
 }
 
 /// Baseline: request users in descending PageRank order.
 ///
-/// Scores are computed once per episode on the full topology (global
-/// knowledge, matching the paper's use of it as an offline centrality
-/// baseline).
+/// Scores are computed on the full topology (global knowledge, matching
+/// the paper's use of it as an offline centrality baseline), once per
+/// instance; each episode walks the resulting order from the top.
 #[derive(Debug, Clone)]
 pub struct PageRankPolicy {
     config: PageRankConfig,
-    order: Vec<NodeId>,
+    ranking: StaticRanking,
 }
 
 impl PageRankPolicy {
     /// Creates a PageRank baseline with the conventional damping 0.85.
     pub fn new() -> Self {
-        PageRankPolicy {
-            config: PageRankConfig::new(),
-            order: Vec::new(),
-        }
+        PageRankPolicy::with_config(PageRankConfig::new())
     }
 
     /// Creates a PageRank baseline with a custom configuration.
     pub fn with_config(config: PageRankConfig) -> Self {
         PageRankPolicy {
             config,
-            order: Vec::new(),
+            ranking: StaticRanking::default(),
         }
     }
 }
@@ -94,24 +86,12 @@ impl Policy for PageRankPolicy {
     }
 
     fn reset(&mut self, view: &AttackerView<'_>) {
-        let g = view.graph();
-        let scores = pagerank(g, &self.config);
-        let mut order: Vec<NodeId> = g.nodes().collect();
-        order.sort_by(|&a, &b| {
-            scores[a.index()]
-                .total_cmp(&scores[b.index()])
-                .then_with(|| b.cmp(&a))
-        });
-        self.order = order;
+        let config = &self.config;
+        self.ranking.reset(view, |g| pagerank(g, config));
     }
 
     fn select(&mut self, view: &AttackerView<'_>) -> Option<NodeId> {
-        while let Some(v) = self.order.pop() {
-            if !view.observation().was_requested(v) {
-                return Some(v);
-            }
-        }
-        None
+        self.ranking.next(view)
     }
 }
 
@@ -119,12 +99,16 @@ impl Policy for PageRankPolicy {
 ///
 /// Deterministic given its seed; each [`reset`](Policy::reset) advances
 /// to a fresh episode stream so repeated Monte-Carlo runs are
-/// independent but reproducible.
+/// independent but reproducible. A pick is one draw: a swap-remove from
+/// the episode's pool of unpicked candidates.
 #[derive(Debug, Clone)]
 pub struct Random {
     seed: u64,
     episode: u64,
     rng: SmallRng,
+    /// Candidates not yet picked this episode; `reset` refills it in id
+    /// order, `select` swap-removes a uniform entry.
+    pool: Vec<NodeId>,
 }
 
 impl Random {
@@ -134,6 +118,7 @@ impl Random {
             seed,
             episode: 0,
             rng: SmallRng::seed_from_u64(seed),
+            pool: Vec::new(),
         }
     }
 }
@@ -143,32 +128,42 @@ impl Policy for Random {
         "Random"
     }
 
-    fn reset(&mut self, _view: &AttackerView<'_>) {
+    fn reset(&mut self, view: &AttackerView<'_>) {
         self.episode += 1;
         // Split off an independent per-episode stream.
         self.rng = SmallRng::seed_from_u64(
             self.seed
-                .wrapping_add(self.episode.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
+                .wrapping_add(self.episode.wrapping_mul(GOLDEN_GAMMA)),
         );
+        self.pool.clear();
+        self.pool.extend(view.candidates());
     }
 
     fn select(&mut self, view: &AttackerView<'_>) -> Option<NodeId> {
-        // Reservoir-sample a uniform candidate in one pass.
-        let mut chosen = None;
-        for (seen, v) in view.candidates().enumerate() {
-            if self.rng.gen_range(0..=seen) == 0 {
-                chosen = Some(v);
+        // The pool holds every unrequested candidate, plus any node a
+        // caller requested without this policy picking it; such a node
+        // is dropped when drawn, and the draw repeated, so the pick is
+        // uniform among the unrequested.
+        while !self.pool.is_empty() {
+            let v = self
+                .pool
+                .swap_remove(self.rng.gen_range(0..self.pool.len()));
+            if !view.observation().was_requested(v) {
+                return Some(v);
             }
         }
-        chosen
+        None
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{run_attack, AccuInstance, AccuInstanceBuilder, Realization, UserClass};
+    use crate::{
+        run_attack, AccuInstance, AccuInstanceBuilder, Observation, Realization, UserClass,
+    };
     use osn_graph::GraphBuilder;
+    use rand::rngs::StdRng;
 
     /// Hub 0 (degree 3), node 4 isolated, others leaves.
     fn instance() -> AccuInstance {
@@ -197,6 +192,42 @@ mod tests {
         let targets: Vec<u32> = out.trace.iter().map(|r| r.target.as_u32()).collect();
         // Degrees: 0→3, 1/2/3→1, 4→0; ties by id.
         assert_eq!(targets, vec![0, 1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn rankings_follow_the_instance_and_rewind_every_episode() {
+        // Full request orders against a brute-force sort (descending
+        // score, ties to the lower id), over repeated episodes and a
+        // switch to another instance and back.
+        let mut rng = StdRng::seed_from_u64(5);
+        let build = |n, rng: &mut StdRng| {
+            let g = osn_graph::generators::barabasi_albert(n, 2, rng).unwrap();
+            AccuInstanceBuilder::new(g).build().unwrap()
+        };
+        let (a, b) = (build(40, &mut rng), build(25, &mut rng));
+        let expected = |inst: &AccuInstance, score: &dyn Fn(NodeId) -> f64| {
+            let mut order: Vec<NodeId> = inst.graph().nodes().collect();
+            order.sort_by(|&x, &y| score(y).total_cmp(&score(x)).then(x.cmp(&y)));
+            order
+        };
+        let run_order = |inst: &AccuInstance, p: &mut dyn Policy| {
+            let out = run_attack(inst, &full(inst), p, inst.node_count());
+            out.trace.iter().map(|r| r.target).collect::<Vec<_>>()
+        };
+        let mut md = MaxDegree::new();
+        let mut pr = PageRankPolicy::new();
+        for inst in [&a, &a, &b, &a] {
+            let g = inst.graph();
+            let ranks = pagerank(g, &PageRankConfig::new());
+            assert_eq!(
+                run_order(inst, &mut md),
+                expected(inst, &|v| g.degree(v) as f64)
+            );
+            assert_eq!(
+                run_order(inst, &mut pr),
+                expected(inst, &|v| ranks[v.index()])
+            );
+        }
     }
 
     #[test]
@@ -236,9 +267,44 @@ mod tests {
         let mut p2 = Random::new(7);
         let c = run(&mut p2); // same seed, first episode: same as `a`
         assert_eq!(a, c);
-        // With 5! = 120 permutations a collision is possible but this
-        // seed pair is checked to differ.
+        assert_eq!(b, run(&mut p2)); // and second episode: same as `b`
+                                     // With 5! = 120 permutations a collision is possible but this
+                                     // seed pair is checked to differ.
         assert_ne!(a, b);
+    }
+
+    #[test]
+    fn random_picks_uniformly_among_unrequested_candidates() {
+        // Nodes 1 and 3 are requested either before the reset (so the
+        // refill skips them) or after it (so the pool still holds them
+        // and the draw must pass them over).
+        let inst = instance();
+        let mut p = Random::new(3);
+        let trials = 15_000;
+        for requested_first in [true, false] {
+            let mut counts = [0usize; 5];
+            for _ in 0..trials {
+                let mut obs = Observation::for_instance(&inst);
+                let request = |obs: &mut Observation| {
+                    obs.record_rejection(NodeId::new(1));
+                    obs.record_rejection(NodeId::new(3));
+                };
+                if requested_first {
+                    request(&mut obs);
+                }
+                p.reset(&AttackerView::new(&inst, &obs));
+                if !requested_first {
+                    request(&mut obs);
+                }
+                let v = p.select(&AttackerView::new(&inst, &obs)).unwrap();
+                counts[v.index()] += 1;
+            }
+            assert_eq!((counts[1], counts[3]), (0, 0), "{counts:?}");
+            for v in [0, 2, 4] {
+                let f = counts[v] as f64 / trials as f64;
+                assert!((f - 1.0 / 3.0).abs() < 0.02, "node {v}: {f} ({counts:?})");
+            }
+        }
     }
 
     #[test]

@@ -11,6 +11,7 @@ mod baselines;
 mod batch;
 mod centrality;
 mod multi_bot;
+mod ranking;
 mod snowball;
 
 pub use abm::{abm_metrics, Abm, AbmWeights};

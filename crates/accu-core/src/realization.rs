@@ -16,10 +16,17 @@
 //!   probabilities `q₁, q₂−q₁, 1−q₂`;
 //! * linear users (`min(1, base + slope·m)`): one outcome per mutual
 //!   count band.
+//!
+//! A sampled realization is *keyed*: it stores one 64-bit episode key
+//! and derives every outcome on demand, so an episode pays only for the
+//! outcomes the attacker touches. [`Realization`] documents the mixer,
+//! why the distribution and the coupling are unchanged, and why edges
+//! follow the true instance's probabilities under a belief mismatch.
 
 use osn_graph::{EdgeId, NodeId};
 use rand::Rng;
 
+use crate::fault::{splitmix64, GOLDEN_GAMMA};
 use crate::{AccuError, AccuInstance, UserClass};
 
 /// Sentinel draw forcing acceptance at every level (a zero-probability
@@ -28,7 +35,66 @@ const ALWAYS: f64 = -1.0;
 /// Sentinel draw forcing rejection at every level.
 const NEVER: f64 = 2.0;
 
-/// A fully resolved random state of an ACCU instance.
+/// Salt that moves the acceptance draws to their own stream: user `u`
+/// and edge `u` must not share a uniform.
+const NODE_SALT: u64 = 0x6A09_E667_F3BC_C909;
+
+/// The `id`-th output of the SplitMix64 stream seeded at `key`.
+#[inline]
+fn mix(key: u64, id: usize) -> u64 {
+    splitmix64(key.wrapping_add((id as u64).wrapping_mul(GOLDEN_GAMMA)))
+}
+
+/// The top 53 bits of `x` as a uniform in `[0, 1)`.
+#[inline]
+fn unit(x: u64) -> f64 {
+    (x >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+}
+
+/// A fully resolved random state of an ACCU instance: either *keyed*
+/// (sampled) or *explicit* (built from given outcome vectors). Both
+/// forms answer every query.
+///
+/// # Keyed outcomes
+///
+/// A sampled realization stores no outcomes. [`Realization::sample_into`]
+/// draws one 64-bit *episode key*, and every outcome is derived on
+/// demand from it by a counter-based SplitMix64 mixer: `mix(key, id)` is
+/// the `id`-th output of the SplitMix64 stream seeded at `key`, i.e. the
+/// SplitMix64 finalizer applied to `key + (id + 1)·γ`. With `unit(x)`
+/// the top 53 bits of `x` as a uniform in `[0, 1)` (the conversion of
+/// `Rng::gen::<f64>`):
+///
+/// * edge `e` exists iff `unit(mix(key, e)) < p(e)`;
+/// * user `u`'s acceptance draw is `unit(mix(key ^ NODE_SALT, u))`.
+///
+/// Sampling therefore costs one RNG draw, and an episode pays only for
+/// the outcomes the attacker actually touches (the neighborhoods it
+/// reveals and the users it requests) instead of `O(m + n)` draws up
+/// front.
+///
+/// The distribution is the one the paper defines. The finalizer is a
+/// bijection on `u64`, so for a uniform key every single output is
+/// exactly uniform: each edge exists with probability exactly `p(e)`
+/// (the same comparison `Rng::gen_bool` makes) and each acceptance draw
+/// is exactly uniform on the 53-bit grid. Distinct ids (and the salted
+/// node stream) are as independent as the outputs of one SplitMix64
+/// stream. The monotone coupling holds because a user's draw is a pure
+/// function of `(key, u)`: it is the same uniform however often, in
+/// whatever order, and at whatever mutual-friend count it is queried.
+///
+/// A keyed realization is evaluated against the instance passed to each
+/// query, so the edge probability `p` is that instance's. The simulator
+/// always passes the *true* instance, also when the policy plans with an
+/// [`AttackOptions::believed`](crate::AttackOptions::believed) instance
+/// of different probabilities: the realization is the world, the belief
+/// only the attacker's model of it, so realized edges follow the truth's
+/// `p`.
+///
+/// Explicit outcome vectors remain for realizations built from given
+/// outcomes: [`Realization::from_parts`] and
+/// [`Realization::from_parts_full`] (tests and worked examples) and the
+/// exhaustive enumeration of [`theory`](crate::theory).
 ///
 /// # Examples
 ///
@@ -44,52 +110,53 @@ const NEVER: f64 = 2.0;
 ///     .build()?;
 /// let mut rng = StdRng::seed_from_u64(1);
 /// let real = Realization::sample(&inst, &mut rng);
-/// let _exists = real.edge_exists(osn_graph::EdgeId::new(0));
+/// let _exists = real.edge_exists(&inst, osn_graph::EdgeId::new(0));
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Realization {
-    edge_exists: Vec<bool>,
-    /// Uniform acceptance draw per user; compared against the class's
-    /// acceptance curve at the request-time mutual count.
-    draw: Vec<f64>,
+    outcomes: Outcomes,
+}
+
+/// The two representations of a realization's outcomes.
+#[derive(Debug, Clone, PartialEq)]
+enum Outcomes {
+    /// The episode key every outcome is derived from.
+    Keyed(u64),
+    /// Given outcomes: existence per edge, and the uniform acceptance
+    /// draw per user (compared against the class's acceptance curve at
+    /// the request-time mutual count).
+    Explicit {
+        edge_exists: Vec<bool>,
+        draw: Vec<f64>,
+    },
 }
 
 impl Realization {
     /// Samples a realization: each edge exists with its probability,
-    /// each user receives an independent uniform acceptance draw.
-    pub fn sample<R: Rng + ?Sized>(instance: &AccuInstance, rng: &mut R) -> Self {
-        let mut out = Realization {
-            edge_exists: Vec::new(),
-            draw: Vec::new(),
-        };
-        out.sample_into(instance, rng);
-        out
+    /// each user receives an independent uniform acceptance draw. Draws
+    /// one `u64` from `rng` (the episode key); `instance` is not read,
+    /// since outcomes are evaluated against the instance each query is
+    /// given.
+    pub fn sample<R: Rng + ?Sized>(_instance: &AccuInstance, rng: &mut R) -> Self {
+        Realization {
+            outcomes: Outcomes::Keyed(rng.gen()),
+        }
     }
 
-    /// Resamples this realization in place, reusing the existing
-    /// buffers: identical draw order (all edges, then all nodes) and
-    /// therefore bit-identical results to [`sample`](Self::sample) for
-    /// the same RNG state, but allocation-free once the buffers have
-    /// grown to the instance's size.
+    /// Resamples this realization in place: the same single draw as
+    /// [`sample`](Self::sample), so the two give identical realizations
+    /// for the same RNG state. Never allocates.
     pub fn sample_into<R: Rng + ?Sized>(&mut self, instance: &AccuInstance, rng: &mut R) {
-        let g = instance.graph();
-        self.edge_exists.clear();
-        self.edge_exists.extend(
-            (0..g.edge_count()).map(|i| rng.gen_bool(instance.edge_probability(EdgeId::from(i)))),
-        );
-        self.draw.clear();
-        self.draw
-            .extend((0..g.node_count()).map(|_| rng.gen::<f64>()));
+        *self = Realization::sample(instance, rng);
     }
 
-    /// An empty realization to be filled by
-    /// [`sample_into`](Self::sample_into) — the scratch-arena starting
-    /// state.
+    /// The scratch-arena starting state, to be resampled by
+    /// [`sample_into`](Self::sample_into): the keyed realization of key
+    /// 0.
     pub fn empty() -> Self {
         Realization {
-            edge_exists: Vec::new(),
-            draw: Vec::new(),
+            outcomes: Outcomes::Keyed(0),
         }
     }
 
@@ -223,17 +290,21 @@ impl Realization {
                 }
             });
         }
-        Ok(Realization { edge_exists, draw })
+        Ok(Realization::from_raw(edge_exists, draw))
     }
 
-    /// Whether edge `e` exists under this realization.
+    /// Whether edge `e` exists under this realization on `instance`
+    /// (whose probability `p(e)` a keyed realization compares against).
     ///
     /// # Panics
     ///
     /// Panics if `e` is out of range.
     #[inline]
-    pub fn edge_exists(&self, e: EdgeId) -> bool {
-        self.edge_exists[e.index()]
+    pub fn edge_exists(&self, instance: &AccuInstance, e: EdgeId) -> bool {
+        match &self.outcomes {
+            Outcomes::Keyed(key) => unit(mix(*key, e.index())) < instance.edge_probability(e),
+            Outcomes::Explicit { edge_exists, .. } => edge_exists[e.index()],
+        }
     }
 
     /// The acceptance outcome of `u` when it currently shares `mutual`
@@ -244,20 +315,29 @@ impl Realization {
     /// Panics if `u` is out of range.
     #[inline]
     pub fn accepts_at(&self, instance: &AccuInstance, u: NodeId, mutual: u32) -> bool {
-        self.draw[u.index()] < instance.user_class(u).acceptance_probability_at(mutual)
+        self.acceptance_draw(u) < instance.user_class(u).acceptance_probability_at(mutual)
     }
 
     /// The raw uniform acceptance draw of `u` (sentinels outside `[0,1)`
     /// encode forced outcomes from [`from_parts`](Self::from_parts)).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `u` is out of range of an explicit realization.
     #[inline]
     pub fn acceptance_draw(&self, u: NodeId) -> f64 {
-        self.draw[u.index()]
+        match &self.outcomes {
+            Outcomes::Keyed(key) => unit(mix(key ^ NODE_SALT, u.index())),
+            Outcomes::Explicit { draw, .. } => draw[u.index()],
+        }
     }
 
     /// Builds a realization directly from raw outcome vectors (crate
     /// internal; used by exhaustive enumeration).
     pub(crate) fn from_raw(edge_exists: Vec<bool>, draw: Vec<f64>) -> Self {
-        Realization { edge_exists, draw }
+        Realization {
+            outcomes: Outcomes::Explicit { edge_exists, draw },
+        }
     }
 
     /// Iterates over the realized (existing) neighbors of `v`.
@@ -273,7 +353,7 @@ impl Realization {
         instance
             .graph()
             .neighbor_entries(v)
-            .filter(move |&(_, e)| self.edge_exists(e))
+            .filter(move |&(_, e)| self.edge_exists(instance, e))
             .map(|(w, _)| w)
     }
 
@@ -297,22 +377,28 @@ impl Realization {
         instance.acceptance_cuts(u).to_vec()
     }
 
-    /// Probability mass of this realization's *outcome class*: the
-    /// product of edge-outcome probabilities and, per user, the length
-    /// of the draw's behavioral band. Sentinel (forced, zero-mass)
-    /// outcomes contribute 0.
+    /// Probability mass of this realization's *outcome class* on
+    /// `instance`: the product of edge-outcome probabilities and, per
+    /// user, the length of the draw's behavioral band. Sentinel (forced,
+    /// zero-mass) outcomes contribute 0.
     pub fn probability(&self, instance: &AccuInstance) -> f64 {
         let mut p = 1.0f64;
-        for (i, &exists) in self.edge_exists.iter().enumerate() {
-            let pe = instance.edge_probability(EdgeId::from(i));
-            p *= if exists { pe } else { 1.0 - pe };
+        for i in 0..instance.graph().edge_count() {
+            let e = EdgeId::from(i);
+            let pe = instance.edge_probability(e);
+            p *= if self.edge_exists(instance, e) {
+                pe
+            } else {
+                1.0 - pe
+            };
         }
-        for i in 0..self.draw.len() {
-            let d = self.draw[i];
+        for i in 0..instance.node_count() {
+            let u = NodeId::from(i);
+            let d = self.acceptance_draw(u);
             if !(0.0..1.0).contains(&d) {
                 return 0.0; // forced outcome with no probability mass
             }
-            let cuts = instance.acceptance_cuts(NodeId::from(i));
+            let cuts = instance.acceptance_cuts(u);
             let lo = cuts.iter().rev().find(|&&c| c <= d).copied().unwrap_or(0.0);
             let hi = cuts.iter().find(|&&c| c > d).copied().unwrap_or(1.0);
             p *= hi - lo;
@@ -347,8 +433,8 @@ mod tests {
         let inst = two_path_instance(1.0, 1.0);
         let mut rng = StdRng::seed_from_u64(0);
         let real = Realization::sample(&inst, &mut rng);
-        assert!(real.edge_exists(EdgeId::new(0)));
-        assert!(real.edge_exists(EdgeId::new(1)));
+        assert!(real.edge_exists(&inst, EdgeId::new(0)));
+        assert!(real.edge_exists(&inst, EdgeId::new(1)));
         assert!(real.accepts_at(&inst, NodeId::new(0), 0));
         // Cautious users: reject below threshold, accept at it.
         assert!(!real.accepts_at(&inst, NodeId::new(2), 0));
@@ -363,8 +449,8 @@ mod tests {
         assert!(Realization::from_parts(&inst, vec![true; 2], vec![false]).is_err());
         let r =
             Realization::from_parts(&inst, vec![true, false], vec![true, false, false]).unwrap();
-        assert!(r.edge_exists(EdgeId::new(0)));
-        assert!(!r.edge_exists(EdgeId::new(1)));
+        assert!(r.edge_exists(&inst, EdgeId::new(0)));
+        assert!(!r.edge_exists(&inst, EdgeId::new(1)));
         assert!(r.accepts_at(&inst, NodeId::new(0), 0));
         assert!(!r.accepts_at(&inst, NodeId::new(1), 0));
     }
@@ -473,7 +559,9 @@ mod tests {
             .unwrap();
         // Pick a draw in [0.5, 0.8): rejects at m ≤ 1, accepts at m ≥ 2.
         let mut real = Realization::from_parts(&inst, vec![true; 3], vec![true; 4]).unwrap();
-        real.draw[0] = 0.6;
+        if let Outcomes::Explicit { draw, .. } = &mut real.outcomes {
+            draw[0] = 0.6;
+        }
         assert!(!real.accepts_at(&inst, NodeId::new(0), 0)); // q = 0.2
         assert!(!real.accepts_at(&inst, NodeId::new(0), 1)); // q = 0.5
         assert!(real.accepts_at(&inst, NodeId::new(0), 2)); // q = 0.8
@@ -496,12 +584,163 @@ mod tests {
         let mut accept0 = 0usize;
         for _ in 0..trials {
             let r = Realization::sample(&inst, &mut rng);
-            edge0 += r.edge_exists(EdgeId::new(0)) as usize;
+            edge0 += r.edge_exists(&inst, EdgeId::new(0)) as usize;
             accept0 += r.accepts_at(&inst, NodeId::new(0), 0) as usize;
         }
         let fe = edge0 as f64 / trials as f64;
         let fa = accept0 as f64 / trials as f64;
         assert!((fe - 0.3).abs() < 0.02, "edge frequency {fe}");
         assert!((fa - 0.7).abs() < 0.02, "acceptance frequency {fa}");
+    }
+
+    /// The explicit realization with the same outcomes as `real` on
+    /// `inst`.
+    fn materialize(real: &Realization, inst: &AccuInstance) -> Realization {
+        let g = inst.graph();
+        Realization::from_raw(
+            (0..g.edge_count())
+                .map(|i| real.edge_exists(inst, EdgeId::from(i)))
+                .collect(),
+            (0..g.node_count())
+                .map(|i| real.acceptance_draw(NodeId::from(i)))
+                .collect(),
+        )
+    }
+
+    /// Hesitant, linear, cautious and reckless users on a 6-node graph
+    /// whose edges have probabilities 0, 0.3, 0.5 and 1.
+    fn mixed_instance() -> AccuInstance {
+        let g = GraphBuilder::from_edges(
+            6,
+            [(0u32, 1u32), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5), (1, 5)],
+        )
+        .unwrap();
+        AccuInstanceBuilder::new(g)
+            .edge_probabilities(vec![0.3, 0.5, 1.0, 0.0, 0.3, 0.5, 0.5])
+            .user_classes(vec![
+                UserClass::reckless(0.4),
+                UserClass::hesitant(0.2, 0.7, 1),
+                UserClass::mutual_linear(0.1, 0.3),
+                UserClass::cautious(1),
+                UserClass::reckless(1.0),
+                UserClass::reckless(0.6),
+            ])
+            .build()
+            .unwrap()
+    }
+
+    #[test]
+    fn keyed_outcomes_are_a_pure_function_of_key_and_id() {
+        let inst = mixed_instance();
+        let (m, n) = (inst.graph().edge_count(), inst.node_count());
+        for key in [0u64, 1, 42, u64::MAX, 0x1234_5678_9ABC_DEF0] {
+            let real = Realization {
+                outcomes: Outcomes::Keyed(key),
+            };
+            let edges: Vec<bool> = (0..m)
+                .map(|i| real.edge_exists(&inst, EdgeId::from(i)))
+                .collect();
+            let draws: Vec<f64> = (0..n)
+                .map(|i| real.acceptance_draw(NodeId::from(i)))
+                .collect();
+            // A clone queried in reverse, nodes before edges, answers
+            // the same.
+            let clone = real.clone();
+            for i in (0..n).rev() {
+                let d = clone.acceptance_draw(NodeId::from(i));
+                assert_eq!(d.to_bits(), draws[i].to_bits());
+                assert!((0.0..1.0).contains(&d));
+            }
+            for i in (0..m).rev() {
+                assert_eq!(clone.edge_exists(&inst, EdgeId::from(i)), edges[i]);
+            }
+            // Certain edges keep their certain outcomes.
+            assert!(edges[2] && !edges[3]);
+        }
+        // The key is the whole state: one RNG draw, reproduced by
+        // `sample` and `sample_into` from equal RNG states.
+        let a = Realization::sample(&inst, &mut StdRng::seed_from_u64(5));
+        let mut b = Realization::from_parts(&inst, vec![true; 7], vec![true; 6]).unwrap();
+        b.sample_into(&inst, &mut StdRng::seed_from_u64(5));
+        assert_eq!(a, b);
+        assert_ne!(a, Realization::sample(&inst, &mut StdRng::seed_from_u64(6)));
+    }
+
+    #[test]
+    fn keyed_probability_equals_that_of_its_materialization() {
+        let inst = mixed_instance();
+        let mut rng = StdRng::seed_from_u64(3);
+        for _ in 0..200 {
+            let real = Realization::sample(&inst, &mut rng);
+            let explicit = materialize(&real, &inst);
+            let p = real.probability(&inst);
+            assert_eq!(p.to_bits(), explicit.probability(&inst).to_bits());
+            // A sampled outcome class always has positive mass.
+            assert!(p > 0.0 && p <= 1.0);
+            for u in inst.graph().nodes() {
+                for mutual in 0..4 {
+                    assert_eq!(
+                        real.accepts_at(&inst, u, mutual),
+                        explicit.accepts_at(&inst, u, mutual)
+                    );
+                }
+                assert!(real
+                    .realized_neighbors(&inst, u)
+                    .eq(explicit.realized_neighbors(&inst, u)));
+            }
+        }
+    }
+
+    #[test]
+    fn keyed_edges_follow_the_queried_instance() {
+        // One key, two instances on the same graph: p = 0 and p = 1
+        // decide every edge, whatever the key.
+        let never = two_path_instance(0.0, 0.5);
+        let always = two_path_instance(1.0, 0.5);
+        let mut rng = StdRng::seed_from_u64(11);
+        for _ in 0..100 {
+            let real = Realization::sample(&never, &mut rng);
+            for e in [EdgeId::new(0), EdgeId::new(1)] {
+                assert!(!real.edge_exists(&never, e));
+                assert!(real.edge_exists(&always, e));
+            }
+        }
+    }
+
+    #[test]
+    fn outcomes_are_pairwise_independent() {
+        // Adjacent edge ids, and edge e against user e, must not share
+        // a uniform: each joint frequency matches the product of the
+        // marginals.
+        let inst = two_path_instance(0.5, 0.3);
+        let mut rng = StdRng::seed_from_u64(17);
+        let trials = 40_000;
+        let (mut both_edges, mut edge_and_accept, mut accept_pair) = (0usize, 0usize, 0usize);
+        for _ in 0..trials {
+            let r = Realization::sample(&inst, &mut rng);
+            let e0 = r.edge_exists(&inst, EdgeId::new(0));
+            let e1 = r.edge_exists(&inst, EdgeId::new(1));
+            let a0 = r.accepts_at(&inst, NodeId::new(0), 0);
+            let a1 = r.accepts_at(&inst, NodeId::new(1), 0);
+            both_edges += usize::from(e0 && e1);
+            edge_and_accept += usize::from(e0 && a0);
+            accept_pair += usize::from(a0 && a1);
+        }
+        let f = |c: usize| c as f64 / trials as f64;
+        assert!(
+            (f(both_edges) - 0.25).abs() < 0.012,
+            "P(e0, e1) = {}",
+            f(both_edges)
+        );
+        assert!(
+            (f(edge_and_accept) - 0.15).abs() < 0.012,
+            "P(e0, a0) = {}",
+            f(edge_and_accept)
+        );
+        assert!(
+            (f(accept_pair) - 0.09).abs() < 0.012,
+            "P(a0, a1) = {}",
+            f(accept_pair)
+        );
     }
 }

@@ -1,12 +1,14 @@
 //! Reusable per-episode arenas for the Monte-Carlo episode engine.
 //!
 //! A Monte-Carlo experiment runs thousands of episodes against the
-//! same instance; allocating a fresh [`Realization`], [`Observation`],
-//! [`BenefitState`] and outcome buffers for each one dominates small
-//! episodes. An [`EpisodeScratch`] owns all of those buffers and hands
-//! them back to the simulator ([`run_attack_with`](crate::run_attack_with))
-//! so that once the buffers have grown to an instance's size, further
-//! episodes allocate nothing at all.
+//! same instance; allocating a fresh [`Observation`], [`BenefitState`]
+//! and outcome buffers for each one dominates small episodes. An
+//! [`EpisodeScratch`] owns all of those buffers, plus the episode's
+//! [`Realization`] slot (one episode key: sampling is a single RNG
+//! draw), and hands them back to the simulator
+//! ([`run_attack_with`](crate::run_attack_with)), which sizes them for
+//! the instance on its first episode, so further episodes allocate
+//! nothing at all.
 
 use crate::fault::FaultSummary;
 use crate::{AccuInstance, AttackOutcome, BenefitState, Observation, Realization};
@@ -56,7 +58,7 @@ impl SimScratch {
 }
 
 /// All per-episode state for the zero-allocation episode engine: the
-/// realization buffers plus the simulator scratch.
+/// realization slot plus the simulator scratch.
 ///
 /// # Examples
 ///

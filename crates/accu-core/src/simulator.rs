@@ -211,9 +211,10 @@ pub fn resolve_acceptance(
 pub struct AttackOptions<'a> {
     /// What the policy believes the instance to be (*model mismatch*):
     /// the policy sees this instance — possibly wrong probabilities,
-    /// thresholds or benefits — while requests resolve and benefit
-    /// accrues on the true instance. `None` means exact knowledge, the
-    /// paper's assumption. Must share the true instance's graph.
+    /// thresholds or benefits — while requests resolve, realized edges
+    /// follow the true edge probabilities, and benefit accrues on the
+    /// true instance. `None` means exact knowledge, the paper's
+    /// assumption. Must share the true instance's graph.
     pub believed: Option<&'a AccuInstance>,
     /// The fault realization: transient failures retried per `retry`,
     /// dropped responses, rate-limit waits and suspension truncation,
@@ -384,11 +385,12 @@ enum AttemptFate {
 }
 
 /// The attack loop behind every entry point: the policy sees
-/// `opts.believed` (or `truth`), requests resolve and benefit accrues on
-/// `truth`. Budget is consumed per *slot*: fault-free, one slot per
-/// request; under faults, failed attempts, backoff waits and rate-limit
-/// pauses burn slots too. Writes every episode artifact into `scratch`
-/// in place.
+/// `opts.believed` (or `truth`), requests resolve, edges are revealed
+/// (at the truth's probabilities, for a keyed realization) and benefit
+/// accrues on `truth`. Budget is consumed per *slot*: fault-free, one
+/// slot per request; under faults, failed attempts, backoff waits and
+/// rate-limit pauses burn slots too. Writes every episode artifact into
+/// `scratch` in place.
 fn attack_core(
     truth: &AccuInstance,
     realization: &Realization,
@@ -423,6 +425,14 @@ fn attack_core(
     observation.reset_for(truth);
     benefit.reset_for(truth);
     policy.reset(&AttackerView::new(believed, observation));
+    // Size the per-request buffers for any episode on this instance (a
+    // reveal lists at most n − 1 neighbors, an episode befriends at most
+    // n users), so only the first episode on an instance allocates.
+    let n = truth.node_count();
+    revealed.clear();
+    revealed.reserve(n);
+    outcome.friends.clear();
+    outcome.friends.reserve(n);
     let trace = &mut outcome.trace;
     trace.clear();
     trace.reserve(k);
@@ -492,7 +502,7 @@ fn attack_core(
                 let accepted = resolve_acceptance(truth, observation, realization, target);
                 let gain = if accepted {
                     observation.record_acceptance_into(target, truth, realization, revealed);
-                    benefit.add_friend(truth, realization, target)
+                    benefit.add_revealed_friend(truth, target, revealed)
                 } else {
                     observation.record_rejection(target);
                     MarginalGain::default()

@@ -132,12 +132,12 @@ pub fn is_consistent(
         match observation.edge_state(e) {
             EdgeState::Unknown => {}
             EdgeState::Present => {
-                if !realization.edge_exists(e) {
+                if !realization.edge_exists(instance, e) {
                     return false;
                 }
             }
             EdgeState::Absent => {
-                if realization.edge_exists(e) {
+                if realization.edge_exists(instance, e) {
                     return false;
                 }
             }
@@ -209,7 +209,7 @@ pub fn exact_marginal_gain(
                 instance
                     .graph()
                     .edge_id(f, u)
-                    .is_some_and(|e| real.edge_exists(e))
+                    .is_some_and(|e| real.edge_exists(instance, e))
             })
             .count() as u32;
         let accepts = real.accepts_at(instance, u, mutual);
@@ -262,7 +262,7 @@ mod tests {
         assert!((total - 1.0).abs() < 1e-12);
         // Every realization respects the certain variables.
         for (r, _) in &ens {
-            assert!(r.edge_exists(EdgeId::new(1)));
+            assert!(r.edge_exists(&inst, EdgeId::new(1)));
             assert!(r.accepts_at(&inst, NodeId::new(1), 0));
         }
     }

@@ -199,7 +199,7 @@ pub fn optimal_adaptive_benefit(instance: &AccuInstance, k: usize) -> Result<f64
         .into_iter()
         .map(|(r, p)| {
             let edge_exists: Vec<bool> = (0..g.edge_count())
-                .map(|i| r.edge_exists(EdgeId::from(i)))
+                .map(|i| r.edge_exists(instance, EdgeId::from(i)))
                 .collect();
             let draw: Vec<f64> = (0..n).map(|i| r.acceptance_draw(NodeId::from(i))).collect();
             EnsembleEntry {

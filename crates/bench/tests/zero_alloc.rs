@@ -6,13 +6,12 @@
 //! test binary.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::cell::Cell;
 
-use accu_core::policy::{Abm, AbmWeights};
+use accu_core::policy::{Abm, AbmWeights, MaxDegree, PageRankPolicy, Policy, Random};
 use accu_core::{
-    run_attack_episode, run_attack_with, AccuInstanceBuilder, AttackOptions, EpisodeScratch,
-    FaultPlan, RetryPolicy, UserClass,
+    run_attack_episode, run_attack_with, AccuInstance, AccuInstanceBuilder, AttackOptions,
+    EpisodeScratch, FaultPlan, RetryPolicy, UserClass,
 };
 use accu_telemetry::{Recorder, Tracer};
 use osn_graph::NodeId;
@@ -21,28 +20,46 @@ use rand::{Rng, SeedableRng};
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static ARMED: AtomicBool = AtomicBool::new(false);
+thread_local! {
+    /// Whether this thread's allocations are being counted. Per thread,
+    /// so the test harness's own threads (reporting a finished test,
+    /// say) never count against the test being measured.
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+    /// Allocations this thread made while armed.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Counts one allocation if this thread is armed.
+fn note_alloc() {
+    let armed = ARMED.try_with(Cell::get).unwrap_or(false);
+    if armed {
+        let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+    }
+}
+
+/// Runs `f` with this thread's allocations counted; returns its result
+/// and the count.
+fn count_allocs<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    ALLOCS.with(|c| c.set(0));
+    ARMED.with(|a| a.set(true));
+    let out = f();
+    ARMED.with(|a| a.set(false));
+    (out, ALLOCS.with(Cell::get))
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        note_alloc();
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        note_alloc();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        note_alloc();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -54,14 +71,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
-/// The armed window is process-global, so tests that arm it must not
-/// overlap — a parallel test's allocations would be counted too.
-static ARM_LOCK: Mutex<()> = Mutex::new(());
-
-#[test]
-fn steady_state_episodes_allocate_nothing() {
-    let _guard = ARM_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let mut rng = StdRng::seed_from_u64(13);
+/// A 120-node Barabási–Albert instance with every ninth user cautious.
+fn instance(seed: u64) -> AccuInstance {
+    let mut rng = StdRng::seed_from_u64(seed);
     let g = osn_graph::generators::barabasi_albert(120, 4, &mut rng).unwrap();
     let mut b = AccuInstanceBuilder::new(g);
     for i in 0..120u32 {
@@ -69,7 +81,12 @@ fn steady_state_episodes_allocate_nothing() {
             b = b.user_class(NodeId::new(i), UserClass::cautious(2));
         }
     }
-    let instance = b.build().unwrap();
+    b.build().unwrap()
+}
+
+#[test]
+fn steady_state_episodes_allocate_nothing() {
+    let instance = instance(13);
 
     let mut scratch = EpisodeScratch::new();
     let mut policy = Abm::new(AbmWeights::balanced());
@@ -95,14 +112,12 @@ fn steady_state_episodes_allocate_nothing() {
 
     // Measured pass: identical seeds, so buffer high-water marks cannot
     // move — any allocation here is an engine regression.
-    ALLOCS.store(0, Ordering::SeqCst);
-    ARMED.store(true, Ordering::SeqCst);
-    let mut measured_total = 0.0;
-    for &s in &warm_seeds {
-        measured_total += episode(&mut scratch, &mut policy, s);
-    }
-    ARMED.store(false, Ordering::SeqCst);
-    let allocs = ALLOCS.load(Ordering::SeqCst);
+    let (measured_total, allocs) = count_allocs(|| {
+        warm_seeds
+            .iter()
+            .map(|&s| episode(&mut scratch, &mut policy, s))
+            .sum::<f64>()
+    });
 
     assert_eq!(
         warm_total.to_bits(),
@@ -122,16 +137,7 @@ fn steady_state_episodes_allocate_nothing() {
 /// The hot-path cost of tracing-off is one relaxed atomic load.
 #[test]
 fn gated_off_traced_episodes_allocate_nothing() {
-    let _guard = ARM_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let mut rng = StdRng::seed_from_u64(29);
-    let g = osn_graph::generators::barabasi_albert(120, 4, &mut rng).unwrap();
-    let mut b = AccuInstanceBuilder::new(g);
-    for i in 0..120u32 {
-        if i % 9 == 2 {
-            b = b.user_class(NodeId::new(i), UserClass::cautious(2));
-        }
-    }
-    let instance = b.build().unwrap();
+    let instance = instance(29);
 
     let mut scratch = EpisodeScratch::new();
     let mut policy = Abm::new(AbmWeights::balanced());
@@ -164,14 +170,12 @@ fn gated_off_traced_episodes_allocate_nothing() {
         warm_total += episode(&mut scratch, &mut policy, s);
     }
 
-    ALLOCS.store(0, Ordering::SeqCst);
-    ARMED.store(true, Ordering::SeqCst);
-    let mut measured_total = 0.0;
-    for &s in &warm_seeds {
-        measured_total += episode(&mut scratch, &mut policy, s);
-    }
-    ARMED.store(false, Ordering::SeqCst);
-    let allocs = ALLOCS.load(Ordering::SeqCst);
+    let (measured_total, allocs) = count_allocs(|| {
+        warm_seeds
+            .iter()
+            .map(|&s| episode(&mut scratch, &mut policy, s))
+            .sum::<f64>()
+    });
 
     assert_eq!(
         warm_total.to_bits(),
@@ -187,4 +191,45 @@ fn gated_off_traced_episodes_allocate_nothing() {
         0,
         "a closed gate must suppress every event"
     );
+}
+
+/// The baselines rank (MaxDegree, PageRank) or pool (Random) once per
+/// instance, and the engine sizes its per-request buffers on the first
+/// episode: every later episode on the instance — fresh seeds, fresh
+/// trajectories — allocates nothing.
+#[test]
+fn baselines_allocate_nothing_after_their_first_episode() {
+    let instance = instance(31);
+    let plan = FaultPlan::none();
+    let retry = RetryPolicy::give_up();
+    let recorder = Recorder::disabled();
+    let k = 40;
+    let policies: Vec<Box<dyn Policy>> = vec![
+        Box::new(MaxDegree::new()),
+        Box::new(PageRankPolicy::new()),
+        Box::new(Random::new(5)),
+    ];
+    for mut policy in policies {
+        let mut scratch = EpisodeScratch::new();
+        let mut seeds = StdRng::seed_from_u64(47);
+        let mut episode = |policy: &mut dyn Policy| {
+            let mut rng = StdRng::seed_from_u64(seeds.gen());
+            scratch.prepare(&instance);
+            scratch.realization.sample_into(&instance, &mut rng);
+            run_attack_episode(&instance, policy, k, &plan, &retry, &recorder, &mut scratch)
+                .requests_sent()
+        };
+        episode(policy.as_mut());
+
+        let (requests, allocs) =
+            count_allocs(|| (0..30).map(|_| episode(policy.as_mut())).sum::<usize>());
+
+        assert_eq!(requests, 30 * k, "{}", policy.name());
+        assert_eq!(
+            allocs,
+            0,
+            "{} episodes after the first on an instance must not touch the heap",
+            policy.name()
+        );
+    }
 }

@@ -102,7 +102,7 @@ proptest! {
                 .friends()
                 .iter()
                 .filter(|&&f| {
-                    f != v && inst.graph().edge_id(f, v).is_some_and(|e| real.edge_exists(e))
+                    f != v && inst.graph().edge_id(f, v).is_some_and(|e| real.edge_exists(&inst, e))
                 })
                 .count() as u32;
             prop_assert_eq!(obs.mutual_friends(v), truth);

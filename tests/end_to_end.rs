@@ -160,7 +160,7 @@ fn cautious_users_never_accept_below_threshold() {
                     instance
                         .graph()
                         .edge_id(f, r.target)
-                        .is_some_and(|e| realization.edge_exists(e))
+                        .is_some_and(|e| realization.edge_exists(&instance, e))
                 })
                 .count() as u32;
             assert_eq!(
