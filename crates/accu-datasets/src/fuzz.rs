@@ -1,23 +1,17 @@
 //! Deterministic, dependency-free structure-aware fuzzing of the
 //! ingestion pipeline.
 //!
-//! Every iteration mutates a valid corpus document (an edge list, an
-//! instance file, or a packed `.accg` graph store) with a seeded
-//! [splitmix64] generator and feeds the result through the full
-//! ingestion stack: `read_edge_list`, the capped
-//! [`read_edge_list_with`], the [`load_snap_reader`] pipeline,
-//! `read_instance` / `read_instance_with`, and both `.accg` loaders
-//! ([`osn_graph::store::load_graph_bytes`] and the trusted variant).
-//! The invariants checked are:
+//! Every iteration mutates a valid corpus document (an edge list or an
+//! instance file) with a seeded [splitmix64] generator and feeds the
+//! result through the full ingestion stack: `read_edge_list`, the
+//! capped [`read_edge_list_with`], the [`load_snap_reader`] pipeline,
+//! and `read_instance` / `read_instance_with`. The invariants checked
+//! are:
 //!
 //! 1. **No panic, ever.** Malformed input must surface as a typed error.
 //! 2. **Accepted instances validate.** Anything `read_instance` accepts
 //!    must pass [`validate_instance`] or be repairable by the Lenient
 //!    pass to a state that re-validates clean (the fixpoint property).
-//! 3. **Accepted stores round-trip.** Any bytes either `.accg` loader
-//!    accepts must yield a graph that re-packs to a loadable, equal
-//!    store (the pack→load fixpoint) — and mutated bytes (truncations,
-//!    bit flips, splices) must be rejected with a typed error.
 //!
 //! The generator is self-contained (no `rand` dependency) so that a
 //! given `(seed, iterations)` pair replays byte-identically anywhere —
@@ -30,7 +24,6 @@ use std::fmt;
 use accu_core::io::{read_instance, read_instance_with, InstanceReadOptions};
 use accu_core::{repair_instance, validate_instance, RepairMode};
 use osn_graph::io::{read_edge_list, read_edge_list_with, EdgeListOptions};
-use osn_graph::{store, GraphBuilder};
 
 use crate::snap::load_snap_reader;
 
@@ -138,11 +131,6 @@ pub struct FuzzReport {
     /// Accepted instances rejected by validation (fatal violations the
     /// repair pass cannot fix).
     pub unrepairable_instances: u64,
-    /// Mutated `.accg` documents accepted by a store loader (each
-    /// checked against the pack→load fixpoint).
-    pub accepted_stores: u64,
-    /// Mutated `.accg` documents rejected with a typed [`store::StoreError`].
-    pub rejected_stores: u64,
 }
 
 impl fmt::Display for FuzzReport {
@@ -154,9 +142,7 @@ impl fmt::Display for FuzzReport {
         writeln!(f, "instances rejected    {}", self.rejected_instances)?;
         writeln!(f, "instances valid       {}", self.valid_instances)?;
         writeln!(f, "instances repaired    {}", self.repaired_instances)?;
-        writeln!(f, "instances unrepairable {}", self.unrepairable_instances)?;
-        writeln!(f, "stores    accepted    {}", self.accepted_stores)?;
-        write!(f, "stores    rejected    {}", self.rejected_stores)
+        write!(f, "instances unrepairable {}", self.unrepairable_instances)
     }
 }
 
@@ -350,55 +336,6 @@ fn drive_edge_list(doc: &[u8], report: &mut FuzzReport) {
     let _ = load_snap_reader(doc, &tight_edge_options());
 }
 
-/// The packed-store corpus: a small two-community graph serialized
-/// with [`store::pack_graph`]. Deterministic, so every fuzz run mutates
-/// identical bytes.
-fn store_corpus() -> Vec<u8> {
-    let g = GraphBuilder::from_edges(
-        8,
-        [
-            (0u32, 1u32),
-            (0, 2),
-            (1, 2),
-            (2, 3),
-            (3, 4),
-            (4, 5),
-            (4, 6),
-            (5, 6),
-            (6, 7),
-        ],
-    )
-    .expect("store corpus graph");
-    store::pack_graph(&g)
-}
-
-/// Feeds one mutated `.accg` document through both store loaders.
-///
-/// Neither may panic; whatever either accepts must satisfy the
-/// pack→load fixpoint (re-packing the loaded graph yields bytes the
-/// fully-verified loader accepts as an equal graph). In practice every
-/// byte-changing mutation trips the header checksum, so this drives
-/// the truncation / bit-flip / splice **rejection** paths of both the
-/// verified and the trusted loader.
-fn drive_store(doc: &[u8], report: &mut FuzzReport) {
-    for load in [store::load_graph_bytes, store::load_graph_bytes_trusted] {
-        match load(doc) {
-            Ok(g) => {
-                report.accepted_stores += 1;
-                let repacked = store::pack_graph(&g);
-                let back =
-                    store::load_graph_bytes(&repacked).expect("re-packed accepted store must load");
-                assert_eq!(back, g, "store pack->load fixpoint violated");
-            }
-            Err(e) => {
-                report.rejected_stores += 1;
-                // Typed errors must render (no Display panic).
-                let _ = e.to_string();
-            }
-        }
-    }
-}
-
 /// Feeds one mutated instance document through the instance reader and,
 /// when accepted, through validation and Lenient repair — asserting the
 /// repair fixpoint.
@@ -438,28 +375,18 @@ pub fn run_fuzz(config: &FuzzConfig) -> FuzzReport {
         iterations: config.iterations,
         ..FuzzReport::default()
     };
-    enum Corpus {
-        EdgeList,
-        Instance,
-        Store,
-    }
-    let packed = store_corpus();
     for _ in 0..config.iterations {
-        let (bytes, corpus) = match rng.below(3) {
-            0 => (EDGE_LIST_CORPUS.as_bytes(), Corpus::EdgeList),
-            1 => (INSTANCE_CORPUS.as_bytes(), Corpus::Instance),
-            _ => (packed.as_slice(), Corpus::Store),
+        let (corpus, drive): (&str, fn(&[u8], &mut FuzzReport)) = if rng.below(2) == 0 {
+            (EDGE_LIST_CORPUS, drive_edge_list)
+        } else {
+            (INSTANCE_CORPUS, drive_instance)
         };
-        let mut doc = bytes.to_vec();
+        let mut doc = corpus.as_bytes().to_vec();
         let mutations = 1 + rng.below(4);
         for _ in 0..mutations {
             mutate_once(&mut doc, &mut rng);
         }
-        match corpus {
-            Corpus::EdgeList => drive_edge_list(&doc, &mut report),
-            Corpus::Instance => drive_instance(&doc, &mut report),
-            Corpus::Store => drive_store(&doc, &mut report),
-        }
+        drive(&doc, &mut report);
     }
     report
 }
@@ -473,38 +400,9 @@ mod tests {
         let mut report = FuzzReport::default();
         drive_edge_list(EDGE_LIST_CORPUS.as_bytes(), &mut report);
         drive_instance(INSTANCE_CORPUS.as_bytes(), &mut report);
-        drive_store(&store_corpus(), &mut report);
         assert_eq!(report.accepted_graphs, 1);
         assert_eq!(report.accepted_instances, 1);
         assert_eq!(report.valid_instances, 1);
-        // Both the verified and the trusted loader accept the clean store.
-        assert_eq!(report.accepted_stores, 2);
-        assert_eq!(report.rejected_stores, 0);
-    }
-
-    #[test]
-    fn mutated_stores_are_rejected_not_panicked() {
-        // Every single-bit flip and every truncation of the packed
-        // corpus must be rejected by both loaders (the checksum or a
-        // structural check catches it) — driven through the same
-        // mutators the fuzzer uses, plus exhaustive sweeps.
-        let corpus = store_corpus();
-        let mut report = FuzzReport::default();
-        for i in 0..corpus.len() {
-            for bit in 0..8 {
-                let mut doc = corpus.clone();
-                doc[i] ^= 1 << bit;
-                drive_store(&doc, &mut report);
-            }
-        }
-        for len in 0..corpus.len() {
-            drive_store(&corpus[..len], &mut report);
-        }
-        assert_eq!(
-            report.accepted_stores, 0,
-            "a corrupted store was accepted: {report}"
-        );
-        assert!(report.rejected_stores > 0);
     }
 
     #[test]
@@ -527,6 +425,5 @@ mod tests {
         assert!(report.rejected_graphs > 0, "{report}");
         assert!(report.accepted_instances > 0, "{report}");
         assert!(report.rejected_instances > 0, "{report}");
-        assert!(report.rejected_stores > 0, "{report}");
     }
 }

@@ -468,8 +468,10 @@ pub fn load_trajectory(path: &Path) -> io::Result<(Vec<TrajectoryEntry>, usize)>
     Ok((entries, skipped))
 }
 
-/// Renders the trajectory as a markdown table with a trend summary —
-/// the `bench_report` output.
+/// Renders the trajectory as a markdown table with a trend summary per
+/// bench — the `bench_report` output. Benches time different workloads
+/// (`engine` a figure-sized fixture, `scale` 10⁵+-node tiers), so each
+/// gets its own last-healthy and best-healthy throughput.
 pub fn trajectory_markdown(entries: &[TrajectoryEntry], skipped: usize) -> String {
     let mut out = String::new();
     out.push_str("# Bench trajectory\n\n");
@@ -485,30 +487,39 @@ pub fn trajectory_markdown(entries: &[TrajectoryEntry], skipped: usize) -> Strin
             e.date, e.bench, e.fixture, e.budget, e.eps_per_sec, e.status, e.git, e.schema
         ));
     }
-    let healthy: Vec<&TrajectoryEntry> = entries.iter().filter(|e| e.status == "ok").collect();
-    let regressions = entries.len() - healthy.len();
     out.push('\n');
-    if let Some(last) = healthy.last() {
-        let best = healthy
-            .iter()
-            .map(|e| e.eps_per_sec)
-            .fold(f64::NEG_INFINITY, f64::max);
-        out.push_str(&format!(
-            "Last healthy: **{:.2} eps/s** ({}); best healthy: {:.2} eps/s; \
-             {} regression entr{} of {} total",
-            last.eps_per_sec,
-            last.date,
-            best,
-            regressions,
-            if regressions == 1 { "y" } else { "ies" },
-            entries.len()
-        ));
-    } else {
-        out.push_str(&format!(
-            "No healthy entries ({} regression entries)",
-            regressions
-        ));
+    let mut benches: Vec<&str> = Vec::new();
+    for e in entries {
+        if !benches.contains(&e.bench.as_str()) {
+            benches.push(&e.bench);
+        }
     }
+    for bench in benches {
+        let healthy: Vec<&TrajectoryEntry> = entries
+            .iter()
+            .filter(|e| e.bench == bench && e.status == "ok")
+            .collect();
+        match healthy.last() {
+            Some(last) => {
+                let best = healthy
+                    .iter()
+                    .map(|e| e.eps_per_sec)
+                    .fold(f64::NEG_INFINITY, f64::max);
+                out.push_str(&format!(
+                    "- `{bench}` — Last healthy: **{:.2} eps/s** ({}); \
+                     best healthy: {best:.2} eps/s\n",
+                    last.eps_per_sec, last.date
+                ));
+            }
+            None => out.push_str(&format!("- `{bench}` — no healthy entries\n")),
+        }
+    }
+    let regressions = entries.iter().filter(|e| e.status != "ok").count();
+    out.push_str(&format!(
+        "\n{regressions} regression entr{} of {} total",
+        if regressions == 1 { "y" } else { "ies" },
+        entries.len()
+    ));
     if skipped > 0 {
         out.push_str(&format!("; {skipped} line(s) skipped"));
     }
@@ -671,21 +682,29 @@ mod tests {
                 "{\"date\":\"2026-08-06\",\"bench\":\"engine\",\"fixture\":\"f\",\"budget\":120,\"eps_per_sec\":61.0,\"status\":\"ok\"}\n",
                 "{\"schema\":2,\"git\":\"abc123\",\"date\":\"2026-08-07\",\"bench\":\"engine\",\"fixture\":\"f\",\"budget\":120,\"eps_per_sec\":40.0,\"status\":\"regression\"}\n",
                 "{\"schema\":2,\"git\":\"abc124\",\"date\":\"2026-08-08\",\"bench\":\"engine\",\"fixture\":\"f\",\"budget\":120,\"eps_per_sec\":66.0,\"status\":\"ok\"}\n",
+                // A healthy scale tier after the engine entries: summarized
+                // on its own, never as the engine's last or best.
+                "{\"schema\":2,\"git\":\"abc124\",\"date\":\"2026-08-09\",\"bench\":\"scale\",\"fixture\":\"g\",\"budget\":50,\"eps_per_sec\":6.0,\"status\":\"ok\"}\n",
                 "{\"schema\":99,\"eps_per_sec\":1.0}\n",
                 "not json\n",
             ),
         )
         .unwrap();
         let (entries, skipped) = load_trajectory(&path).unwrap();
-        assert_eq!(entries.len(), 3);
+        assert_eq!(entries.len(), 4);
         assert_eq!(skipped, 2);
         assert_eq!(entries[0].schema, 1, "absent schema field reads as v1");
         assert_eq!(entries[0].git, "-");
         assert_eq!(entries[1].git, "abc123");
         let md = trajectory_markdown(&entries, skipped);
         assert!(md.contains("| 2026-08-08 | engine | f | 120 | 66.00 | ok | abc124 | 2 |"));
-        assert!(md.contains("Last healthy: **66.00 eps/s**"));
-        assert!(md.contains("1 regression entry of 3 total"));
+        assert!(md.contains(
+            "- `engine` — Last healthy: **66.00 eps/s** (2026-08-08); best healthy: 66.00 eps/s"
+        ));
+        assert!(md.contains(
+            "- `scale` — Last healthy: **6.00 eps/s** (2026-08-09); best healthy: 6.00 eps/s"
+        ));
+        assert!(md.contains("1 regression entry of 4 total"));
         assert!(md.contains("2 line(s) skipped"));
         std::fs::remove_dir_all(&dir).ok();
     }

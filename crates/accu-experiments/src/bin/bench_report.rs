@@ -1,6 +1,6 @@
 //! Renders `BENCH_trajectory.jsonl` as a markdown report: one row per
-//! comparable entry plus a trend summary (last healthy throughput,
-//! best healthy, regression count).
+//! comparable entry plus a trend summary (last healthy and best healthy
+//! throughput per bench, regression count).
 //!
 //! ```text
 //! bench_report [trajectory.jsonl] [-o report.md]

@@ -43,7 +43,8 @@
 //!   comma-separated list of `stall=SECS`, `floor=EPS`, `faults=RATE`,
 //!   `warmup=SECS`, and `strict` (exit nonzero if any alarm fired);
 //!   an absent spec uses the defaults. When no `floor` is given the
-//!   throughput floor is seeded from `BENCH_trajectory.jsonl`;
+//!   throughput floor is seeded from the last healthy `engine` entry
+//!   of `BENCH_trajectory.jsonl`;
 //! * `--workers <n>` — cap the number of runner worker threads
 //!   (default: available parallelism).
 

@@ -426,10 +426,10 @@ pub struct RunOptions<'a> {
     pub observer: Observer,
     /// Checkpoint to append completed networks to (and resume from).
     pub checkpoint: Option<&'a mut Checkpoint>,
-    /// Cap on worker threads (`None` = available parallelism).
+    /// Cap on worker threads (`None` = available parallelism). A
+    /// chunkable policy splits each network's episodes into this many
+    /// chunks, or into one once the network outgrows the cache.
     pub max_workers: Option<usize>,
-    /// Episode-chunk granularity override (`None` = worker count).
-    pub chunks_per_network: Option<usize>,
     /// Infrastructure chaos schedule (worker panics / stalls injected at
     /// chunk claim). The trivial default injects nothing at zero cost.
     pub chaos: ChaosPlan,
@@ -457,7 +457,6 @@ impl Default for RunOptions<'_> {
             observer: Observer::disabled(),
             checkpoint: None,
             max_workers: None,
-            chunks_per_network: None,
             chaos: ChaosPlan::none(),
             supervisor: SupervisorConfig::default(),
             deadline: None,
@@ -606,10 +605,10 @@ impl RunReport {
 /// identical networks, realizations, and fault plans (paired
 /// comparison, variance reduction — and the paper's setup of evaluating
 /// all algorithms on the same sample networks). Results are
-/// bit-identical across every `max_workers` / `chunks_per_network`
-/// setting, and for every tracer configuration: tracing only observes,
-/// never steers. Non-chunkable policies (see [`PolicyKind::chunkable`])
-/// always run whole networks as a single chunk.
+/// bit-identical across every `max_workers` setting, and for every
+/// tracer configuration: tracing only observes, never steers.
+/// Non-chunkable policies (see [`PolicyKind::chunkable`]) always run
+/// whole networks as a single chunk.
 ///
 /// With an enabled tracer every worker gets its own [`TraceTrack`] (one
 /// Perfetto thread track per worker), stage spans cover network
@@ -646,7 +645,6 @@ pub fn run_policy_with(
         observer,
         checkpoint,
         max_workers,
-        chunks_per_network,
         chaos,
         supervisor,
         deadline,
@@ -688,8 +686,7 @@ pub fn run_policy_with(
         })
         .max(1);
     let chunks = if policy.chunkable() {
-        chunks_per_network
-            .unwrap_or_else(|| footprint_chunks(base_threads, figure.dataset.node_count()))
+        footprint_chunks(base_threads, figure.dataset.node_count())
             .clamp(1, figure.runs_per_network.max(1))
     } else {
         1
@@ -1414,10 +1411,9 @@ impl NetworkSlot {
 /// pulls the whole footprint from DRAM per episode). Above the LLC
 /// budget the default collapses to whole-network affinity — one chunk,
 /// one worker, one resident instance — and workers parallelize across
-/// networks instead. `chunks_per_network` overrides this, and the
-/// choice never affects results: episode seeds are pre-drawn in episode
-/// order and outcomes fold in episode order, so CSV output is
-/// byte-identical under any chunking.
+/// networks instead. The choice never affects results: episode seeds
+/// are pre-drawn in episode order and outcomes fold in episode order,
+/// so CSV output is byte-identical under any chunking.
 fn footprint_chunks(base_threads: usize, nodes: usize) -> usize {
     /// Rough per-node instance footprint: CSR offsets + two adjacency
     /// mirrors + per-node parameter rows (≈ 96 bytes at the scale
@@ -1916,19 +1912,18 @@ mod tests {
         run_policy_with(figure, policy, opts)
     }
 
-    /// A run on at most `workers` threads with `chunks` episode chunks
-    /// per network.
+    /// A run on at most `workers` threads; a chunkable policy splits
+    /// each (cache-sized) network into `workers` episode chunks,
+    /// clamped to its episode count.
     fn tuned(
         figure: &FigureRun,
         policy: PolicyKind,
         recorder: &Recorder,
         workers: usize,
-        chunks: usize,
     ) -> RunReport {
         let opts = RunOptions {
             recorder: recorder.clone(),
             max_workers: Some(workers),
-            chunks_per_network: Some(chunks),
             ..RunOptions::default()
         };
         run_policy_with(figure, policy, opts).expect("tuned run")
@@ -2401,12 +2396,13 @@ mod tests {
             PolicyKind::MaxDegree,
             PolicyKind::PageRank,
             PolicyKind::Centrality(CentralityKind::Closeness),
-            // Non-chunkable: the override must be ignored, not obeyed.
+            // Non-chunkable: must run as one chunk at any worker count
+            // (chunking would change their per-network policy stream).
             PolicyKind::Random,
             PolicyKind::Snowball,
         ] {
-            let sequential = tuned(&fig, policy, &Recorder::disabled(), 1, 1);
-            let chunked = tuned(&fig, policy, &Recorder::disabled(), 2, 3);
+            let sequential = tuned(&fig, policy, &Recorder::disabled(), 1);
+            let chunked = tuned(&fig, policy, &Recorder::disabled(), 3);
             assert_eq!(
                 sequential.accumulator,
                 chunked.accumulator,
@@ -2424,13 +2420,7 @@ mod tests {
             ..tiny_figure()
         };
         let reference = run(&fig, PolicyKind::abm_balanced());
-        let chunked = tuned(
-            &fig,
-            PolicyKind::abm_balanced(),
-            &Recorder::disabled(),
-            4,
-            4,
-        );
+        let chunked = tuned(&fig, PolicyKind::abm_balanced(), &Recorder::disabled(), 4);
         assert_eq!(reference, chunked.accumulator);
     }
 
@@ -2442,7 +2432,7 @@ mod tests {
         };
         let chunks = 2usize;
         let recorder = Recorder::enabled();
-        let report = tuned(&fig, PolicyKind::abm_balanced(), &recorder, 2, chunks);
+        let report = tuned(&fig, PolicyKind::abm_balanced(), &recorder, chunks);
         assert!(report.quarantined.is_empty());
         let snap = recorder.snapshot("engine").unwrap();
         let episodes = fig.episodes() as u64;
@@ -2466,10 +2456,14 @@ mod tests {
 
     #[test]
     fn workers_counter_reports_post_clamp_spawned_count() {
-        let fig = tiny_figure(); // 3 networks
+        // 3 networks of one episode each: one chunk per network.
+        let fig = FigureRun {
+            runs_per_network: 1,
+            ..tiny_figure()
+        };
         let recorder = Recorder::enabled();
         // 8 requested workers, 3 single-chunk work items → 3 spawned.
-        tuned(&fig, PolicyKind::MaxDegree, &recorder, 8, 1);
+        tuned(&fig, PolicyKind::MaxDegree, &recorder, 8);
         let snap = recorder.snapshot("workers").unwrap();
         assert_eq!(snap.counter(runner_metrics::WORKERS), Some(3));
     }

@@ -29,8 +29,8 @@ use crate::output::{experiments_dir, fnum, Table};
 use crate::runner::{degrade_report, runner_metrics, Deadline, RunOptions, SupervisorConfig};
 
 /// Where the bench trajectory lives relative to the working directory;
-/// `--watchdog` seeds its throughput floor from the last healthy entry
-/// here when the spec gives no explicit `floor=`.
+/// `--watchdog` seeds its throughput floor from the last healthy
+/// `engine` entry here when the spec gives no explicit `floor=`.
 const TRAJECTORY_PATH: &str = "BENCH_trajectory.jsonl";
 
 /// Exit code used by `--watchdog=strict` when any alarm fired.
@@ -296,7 +296,6 @@ impl Telemetry {
             observer: self.observer.clone(),
             checkpoint: None,
             max_workers: self.workers,
-            chunks_per_network: None,
             chaos: self.chaos,
             supervisor: SupervisorConfig::default(),
             deadline: self.deadline_at.map(Deadline::until),

@@ -137,14 +137,21 @@ proptest! {
         };
         let fig = small_figure(seed, intensity, validation);
         for policy_kind in PolicyKind::extended_lineup() {
-            let sequential = run_policy_with(&fig, policy_kind, RunOptions::default())
-                .expect("sequential run");
+            let sequential = run_policy_with(
+                &fig,
+                policy_kind,
+                RunOptions {
+                    max_workers: Some(1),
+                    ..RunOptions::default()
+                },
+            )
+            .expect("sequential run");
+            // 4 workers split each network's 4 episodes into 4 chunks.
             let chunked = run_policy_with(
                 &fig,
                 policy_kind,
                 RunOptions {
-                    max_workers: Some(3),
-                    chunks_per_network: Some(4),
+                    max_workers: Some(4),
                     ..RunOptions::default()
                 },
             )

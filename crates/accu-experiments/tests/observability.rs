@@ -41,15 +41,15 @@ fn scratch_dir(name: &str) -> PathBuf {
 }
 
 /// Runs `policy` over `figure` streaming quiet progress JSONL to
-/// `path` with the given scheduling knobs.
-fn run_streaming(figure: &FigureRun, path: &Path, workers: usize, chunks: usize) {
+/// `path` on at most `workers` threads (and as many episode chunks per
+/// network, clamped to its episode count).
+fn run_streaming(figure: &FigureRun, path: &Path, workers: usize) {
     let report = run_policy_with(
         figure,
         PolicyKind::abm_balanced(),
         RunOptions {
             observer: Observer::to_path_quiet(path).unwrap(),
             max_workers: Some(workers),
-            chunks_per_network: Some(chunks),
             ..RunOptions::default()
         },
     )
@@ -63,8 +63,9 @@ fn progress_stream_is_byte_identical_across_worker_counts() {
     let figure = small_figure(2024);
     let serial = dir.join("serial.jsonl");
     let parallel = dir.join("parallel.jsonl");
-    run_streaming(&figure, &serial, 1, 1);
-    run_streaming(&figure, &parallel, 4, 3);
+    run_streaming(&figure, &serial, 1);
+    // 4 workers over 3 chunks per network (3 episodes each).
+    run_streaming(&figure, &parallel, 4);
     let serial_bytes = std::fs::read(&serial).unwrap();
     let parallel_bytes = std::fs::read(&parallel).unwrap();
     assert!(!serial_bytes.is_empty());

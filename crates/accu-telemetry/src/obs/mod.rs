@@ -33,6 +33,6 @@ pub use progress::{NetworkStatus, Observer};
 pub use prometheus::{encode_prometheus, validate_prometheus, PromStats};
 pub use server::{BindError, MetricsServer};
 pub use watchdog::{
-    throughput_floor, throughput_floor_from_trajectory, Alarm, AlarmKind, FloorUnavailable,
-    Watchdog, WatchdogConfig, TRAJECTORY_SCHEMA,
+    throughput_floor, Alarm, AlarmKind, FloorUnavailable, Watchdog, WatchdogConfig,
+    TRAJECTORY_SCHEMA,
 };

@@ -4,8 +4,8 @@
 //!
 //! * **stall** — no episode completed within the stall window;
 //! * **throughput_floor** — sustained eps/s below a floor, typically
-//!   seeded from the last healthy `BENCH_trajectory.jsonl` entry via
-//!   [`throughput_floor_from_trajectory`];
+//!   seeded from the last healthy `engine` entry of
+//!   `BENCH_trajectory.jsonl` via [`throughput_floor`];
 //! * **fault_rate** — mean faults per episode above a ceiling.
 //!
 //! Alarms are emitted as structured one-line JSON events
@@ -28,7 +28,7 @@ use crate::{parse_json, Json};
 /// Version history: entries without a `schema` field are version 1 (the
 /// original `date`/`bench`/`fixture`/`budget`/`eps_per_sec`/`status`
 /// shape); version 2 added the `schema` and `git` fields themselves.
-/// Readers ([`throughput_floor_from_trajectory`], `bench_report`) skip
+/// Readers ([`throughput_floor`], `bench_report`) skip
 /// entries from schemas *newer* than they understand, so an old binary
 /// never misreads a future format.
 pub const TRAJECTORY_SCHEMA: u64 = 2;
@@ -279,7 +279,7 @@ pub enum FloorUnavailable {
     /// The trajectory file does not exist or cannot be read.
     Missing,
     /// The file was read but holds no healthy (`status == "ok"`)
-    /// schema-v2 entry this reader can compare against.
+    /// schema-v2 `engine` entry this reader can compare against.
     NoHealthyEntries,
 }
 
@@ -288,7 +288,7 @@ impl std::fmt::Display for FloorUnavailable {
         match self {
             FloorUnavailable::Missing => write!(f, "trajectory file missing or unreadable"),
             FloorUnavailable::NoHealthyEntries => {
-                write!(f, "no healthy v2 trajectory entries")
+                write!(f, "no healthy v2 engine trajectory entries")
             }
         }
     }
@@ -296,7 +296,11 @@ impl std::fmt::Display for FloorUnavailable {
 
 /// Derives a throughput floor (eps/s) from a `BENCH_trajectory.jsonl`
 /// file: one tenth of the most recent healthy (`status == "ok"`)
-/// schema-v2 entry. Legacy v1 entries (no `schema` field) are ignored:
+/// schema-v2 entry of the `engine` bench, the episode engine on the
+/// figure-sized fixture. Other benches share the file (`scale_sweep`
+/// appends `scale` tiers at 10⁵+ nodes) but measure a different
+/// workload, so their eps/s never sets the floor. Legacy v1 entries (no
+/// `schema` field) are ignored:
 /// they predate the fixture/git provenance stamps, so a floor derived
 /// from one is not comparable to the current benchmark. Schemas newer
 /// than this reader are skipped as incomparable.
@@ -317,7 +321,9 @@ pub fn throughput_floor(path: &Path) -> Result<f64, FloorUnavailable> {
         if !(2..=TRAJECTORY_SCHEMA).contains(&schema) {
             continue;
         }
-        if obj.get("status").and_then(Json::as_str) != Some("ok") {
+        if obj.get("bench").and_then(Json::as_str) != Some("engine")
+            || obj.get("status").and_then(Json::as_str) != Some("ok")
+        {
             continue;
         }
         if let Some(eps) = obj.get("eps_per_sec").and_then(Json::as_f64) {
@@ -329,12 +335,6 @@ pub fn throughput_floor(path: &Path) -> Result<f64, FloorUnavailable> {
     last_ok
         .map(|eps| eps * 0.1)
         .ok_or(FloorUnavailable::NoHealthyEntries)
-}
-
-/// [`throughput_floor`] with the reason discarded, for callers that
-/// only care whether a floor exists.
-pub fn throughput_floor_from_trajectory(path: &Path) -> Option<f64> {
-    throughput_floor(path).ok()
 }
 
 #[cfg(test)]
@@ -449,11 +449,14 @@ mod tests {
                 // skipped even though healthy.
                 "{\"date\":\"2026-08-01\",\"bench\":\"engine\",\"eps_per_sec\":40.0,\"status\":\"ok\"}\n",
                 // Regression entry: skipped by status.
-                "{\"schema\":2,\"eps_per_sec\":90.0,\"status\":\"regression\"}\n",
-                // Healthy v2 entry: wins as the most recent.
-                "{\"schema\":2,\"git\":\"abc\",\"eps_per_sec\":60.0,\"status\":\"ok\"}\n",
+                "{\"schema\":2,\"bench\":\"engine\",\"eps_per_sec\":90.0,\"status\":\"regression\"}\n",
+                // Healthy v2 engine entry: wins as the most recent.
+                "{\"schema\":2,\"git\":\"abc\",\"bench\":\"engine\",\"eps_per_sec\":60.0,\"status\":\"ok\"}\n",
+                // Healthy 1e5-node tier that `scale_sweep` appends to the
+                // same file: another workload, skipped by bench.
+                "{\"schema\":2,\"bench\":\"scale\",\"eps_per_sec\":6.0,\"status\":\"ok\"}\n",
                 // Future schema: incomparable, skipped.
-                "{\"schema\":99,\"eps_per_sec\":500.0,\"status\":\"ok\"}\n",
+                "{\"schema\":99,\"bench\":\"engine\",\"eps_per_sec\":500.0,\"status\":\"ok\"}\n",
                 "not json at all\n",
             ),
         )
@@ -465,7 +468,6 @@ mod tests {
             throughput_floor(&dir.join("absent.jsonl")),
             Err(FloorUnavailable::Missing)
         );
-        assert!(throughput_floor_from_trajectory(&dir.join("absent.jsonl")).is_none());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -474,13 +476,14 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("accu-obs-traj-v1-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("trajectory.jsonl");
-        // Only legacy v1 and unhealthy v2 entries: the rule must
-        // disable rather than arm a floor from incomparable data.
+        // Only legacy v1, unhealthy v2 and non-engine entries: the rule
+        // must disable rather than arm a floor from incomparable data.
         std::fs::write(
             &path,
             concat!(
                 "{\"date\":\"2026-08-01\",\"bench\":\"engine\",\"eps_per_sec\":40.0,\"status\":\"ok\"}\n",
-                "{\"schema\":2,\"eps_per_sec\":90.0,\"status\":\"regression\"}\n",
+                "{\"schema\":2,\"bench\":\"engine\",\"eps_per_sec\":90.0,\"status\":\"regression\"}\n",
+                "{\"schema\":2,\"bench\":\"scale\",\"eps_per_sec\":6.0,\"status\":\"ok\"}\n",
             ),
         )
         .unwrap();
@@ -488,7 +491,6 @@ mod tests {
             throughput_floor(&path),
             Err(FloorUnavailable::NoHealthyEntries)
         );
-        assert_eq!(throughput_floor_from_trajectory(&path), None);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -1,18 +1,14 @@
-//! Scale-tier benchmark: pack → reload → episodes at 10⁵–10⁷ nodes.
+//! Scale-tier benchmark: generate → protocol → episodes at 10⁵–10⁷
+//! nodes.
 //!
 //! For each requested node count the sweep:
 //!
-//! 1. **builds** a BA graph from scratch (timed — the cost the `.accg`
-//!    store amortizes away),
-//! 2. **packs** it to a versioned, checksummed `.accg` file
-//!    ([`osn_graph::store`]),
-//! 3. **reloads** it through the steady-state trusted loader (timed;
-//!    `amortization` = build time over load time),
-//! 4. applies the paper protocol and runs ABM episodes one at a time in
-//!    one reused [`EpisodeScratch`], reporting `eps_per_sec`,
-//!    `ns_per_select` (from a separate instrumented pass, as in
-//!    `bench_engine`), steady-state `allocs_per_episode`, and the
-//!    process peak RSS.
+//! 1. **generates** a BA graph (timed as `build_ms`),
+//! 2. applies the paper protocol and runs ABM episodes one at a time in
+//!    one reused [`EpisodeScratch`] on one thread, reporting
+//!    `eps_per_sec`, `ns_per_select` (from a separate instrumented
+//!    pass, as in `bench_engine`), steady-state `allocs_per_episode`,
+//!    and the process peak RSS.
 //!
 //! Each tier appends one schema-stamped line to `BENCH_trajectory.jsonl`
 //! (next to `--out`), carrying the host context (`cores`, `workers`) so
@@ -22,21 +18,16 @@
 //!
 //! ```text
 //! scale_sweep [--nodes 100000,1000000] [--degree 8] [--budget 50]
-//!             [--episodes 4] [--seed 11] [--workers 1]
-//!             [--dir target/scale] [--out BENCH_scale.json]
-//!             [--telemetry FILE] [--metrics-addr ADDR]
+//!             [--episodes 4] [--seed 11] [--out BENCH_scale.json]
 //!             [--assert-zero-alloc]
 //! ```
 //!
 //! `--assert-zero-alloc` (the CI gate) exits non-zero if any
-//! steady-state episode touches the heap. `--telemetry FILE` appends a
-//! `store.*` metric snapshot (per-tier pack/load timing histograms,
-//! node/edge counters) as JSONL; `--metrics-addr ADDR` exposes the same
-//! metrics for a Prometheus scrape while the sweep runs.
+//! steady-state episode touches the heap.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::io::Write;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
 use accu_bench::{git_revision, host_cores, peak_rss_mib, utc_date};
@@ -45,9 +36,9 @@ use accu_core::{
     run_attack_episode, sim_metrics, AccuInstance, EpisodeScratch, FaultPlan, RetryPolicy,
 };
 use accu_datasets::{apply_protocol, ProtocolConfig};
-use accu_telemetry::obs::{MetricsServer, Observer, TRAJECTORY_SCHEMA};
-use accu_telemetry::{JsonlSink, Recorder};
-use osn_graph::{generators, store, Graph};
+use accu_telemetry::obs::TRAJECTORY_SCHEMA;
+use accu_telemetry::Recorder;
+use osn_graph::{generators, Graph};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -95,11 +86,7 @@ struct SweepConfig {
     budget: usize,
     episodes: usize,
     seed: u64,
-    workers: usize,
-    dir: PathBuf,
     out: String,
-    telemetry: Option<String>,
-    metrics_addr: Option<String>,
     assert_zero_alloc: bool,
 }
 
@@ -107,9 +94,6 @@ struct TierResult {
     nodes: usize,
     edges: usize,
     build_ms: f64,
-    pack_ms: f64,
-    load_ms: f64,
-    amortization: f64,
     eps_per_sec: f64,
     ns_per_select: f64,
     allocs_per_episode: f64,
@@ -130,11 +114,7 @@ fn parse_flags() -> SweepConfig {
         budget: 50,
         episodes: 4,
         seed: 11,
-        workers: 1,
-        dir: PathBuf::from("target").join("scale"),
         out: "BENCH_scale.json".to_string(),
-        telemetry: None,
-        metrics_addr: None,
         assert_zero_alloc: false,
     };
     let mut it = args.iter();
@@ -178,15 +158,7 @@ fn parse_flags() -> SweepConfig {
                     .parse()
                     .unwrap_or_else(|_| fail("bad --seed"))
             }
-            "--workers" => {
-                cfg.workers = take("--workers")
-                    .parse()
-                    .unwrap_or_else(|_| fail("bad --workers"))
-            }
-            "--dir" => cfg.dir = PathBuf::from(take("--dir")),
             "--out" => cfg.out = take("--out"),
-            "--telemetry" => cfg.telemetry = Some(take("--telemetry")),
-            "--metrics-addr" => cfg.metrics_addr = Some(take("--metrics-addr")),
             "--assert-zero-alloc" => cfg.assert_zero_alloc = true,
             other => fail(&format!("unknown flag {other:?}")),
         }
@@ -197,7 +169,7 @@ fn parse_flags() -> SweepConfig {
     cfg
 }
 
-/// Builds the tier's instance from a loaded graph: paper protocol,
+/// Builds the tier's instance from its graph: paper protocol,
 /// deterministic per-tier stream.
 fn tier_instance(graph: Graph, seed: u64) -> AccuInstance {
     let mut rng = StdRng::seed_from_u64(seed ^ 0xA5A5_5A5A_1234_8765);
@@ -234,56 +206,19 @@ fn run_pass(
     (total, start.elapsed())
 }
 
-fn run_tier(cfg: &SweepConfig, nodes: usize, store_rec: &Recorder) -> TierResult {
+fn run_tier(cfg: &SweepConfig, nodes: usize) -> TierResult {
     println!("--- tier: {nodes} nodes (BA, m = {}) ---", cfg.degree);
 
-    // Stage 1: build from scratch — the cost the store amortizes.
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let t0 = Instant::now();
     let graph = generators::barabasi_albert(nodes, cfg.degree, &mut rng)
         .unwrap_or_else(|e| fail(&format!("generation failed: {e}")));
     let build = t0.elapsed();
+    let edges = graph.edge_count();
+    println!("  build {:.1} ms", build.as_secs_f64() * 1e3);
 
-    // Stage 2: pack.
-    std::fs::create_dir_all(&cfg.dir)
-        .unwrap_or_else(|e| fail(&format!("cannot create {}: {e}", cfg.dir.display())));
-    let accg = cfg.dir.join(format!("ba_{nodes}_d{}.accg", cfg.degree));
-    let t1 = Instant::now();
-    store::write_graph_file(&accg, &graph)
-        .unwrap_or_else(|e| fail(&format!("cannot pack {}: {e}", accg.display())));
-    let pack = t1.elapsed();
+    let instance = tier_instance(graph, cfg.seed);
 
-    // Stage 3: steady-state reload (checksummed trusted path — what the
-    // runner and repeated sweeps pay after the first pack).
-    drop(graph);
-    let t2 = Instant::now();
-    let loaded = store::read_graph_file_trusted(&accg)
-        .unwrap_or_else(|e| fail(&format!("reload failed: {e}")));
-    let load = t2.elapsed();
-    let edges = loaded.edge_count();
-    store_rec.counter("store.packs").incr();
-    store_rec.counter("store.loads").incr();
-    store_rec.counter("store.nodes").add(nodes as u64);
-    store_rec.counter("store.edges").add(edges as u64);
-    store_rec
-        .histogram("store.build_ns")
-        .record(build.as_nanos() as u64);
-    store_rec
-        .histogram("store.pack_ns")
-        .record(pack.as_nanos() as u64);
-    store_rec
-        .histogram("store.load_ns")
-        .record(load.as_nanos() as u64);
-    println!(
-        "  build {:.1} ms · pack {:.1} ms · reload {:.1} ms · {:.1}x amortization",
-        build.as_secs_f64() * 1e3,
-        pack.as_secs_f64() * 1e3,
-        load.as_secs_f64() * 1e3,
-        build.as_secs_f64() / load.as_secs_f64().max(1e-9),
-    );
-
-    // Stage 4: episodes.
-    let instance = tier_instance(loaded, cfg.seed);
     let mut scratch = EpisodeScratch::new();
     let mut policy = Abm::new(AbmWeights::balanced());
     let disabled = Recorder::disabled();
@@ -331,9 +266,6 @@ fn run_tier(cfg: &SweepConfig, nodes: usize, store_rec: &Recorder) -> TierResult
         nodes,
         edges,
         build_ms: build.as_secs_f64() * 1e3,
-        pack_ms: pack.as_secs_f64() * 1e3,
-        load_ms: load.as_secs_f64() * 1e3,
-        amortization: build.as_secs_f64() / load.as_secs_f64().max(1e-9),
         eps_per_sec,
         ns_per_select,
         allocs_per_episode,
@@ -351,9 +283,6 @@ fn tier_json(cfg: &SweepConfig, t: &TierResult, indent: &str) -> String {
          {indent}  \"budget\": {},\n\
          {indent}  \"episodes\": {},\n\
          {indent}  \"build_ms\": {:.1},\n\
-         {indent}  \"pack_ms\": {:.1},\n\
-         {indent}  \"load_ms\": {:.1},\n\
-         {indent}  \"amortization\": {:.2},\n\
          {indent}  \"eps_per_sec\": {:.3},\n\
          {indent}  \"ns_per_select\": {:.1},\n\
          {indent}  \"allocs_per_episode\": {:.3},\n\
@@ -367,9 +296,6 @@ fn tier_json(cfg: &SweepConfig, t: &TierResult, indent: &str) -> String {
         cfg.budget,
         cfg.episodes,
         t.build_ms,
-        t.pack_ms,
-        t.load_ms,
-        t.amortization,
         t.eps_per_sec,
         t.ns_per_select,
         t.allocs_per_episode,
@@ -393,9 +319,8 @@ fn append_trajectory(cfg: &SweepConfig, t: &TierResult, status: &str) {
     let line = format!(
         "{{\"schema\":{TRAJECTORY_SCHEMA},\"git\":\"{}\",\"date\":\"{}\",\
          \"bench\":\"scale\",\"fixture\":\"ba_{}_d{}/abm_balanced\",\
-         \"cores\":{},\"workers\":{},\"nodes\":{},\"edges\":{},\
-         \"budget\":{},\"episodes\":{},\
-         \"build_ms\":{:.1},\"pack_ms\":{:.1},\"load_ms\":{:.1},\"amortization\":{:.2},\
+         \"cores\":{},\"workers\":1,\"nodes\":{},\"edges\":{},\
+         \"budget\":{},\"episodes\":{},\"build_ms\":{:.1},\
          \"eps_per_sec\":{:.3},\"ns_per_select\":{:.1},\"allocs_per_episode\":{:.3},\
          \"total_benefit\":{:.1},\"peak_rss_mib\":{:.1},\"status\":\"{status}\"}}\n",
         git_revision(),
@@ -403,15 +328,11 @@ fn append_trajectory(cfg: &SweepConfig, t: &TierResult, status: &str) {
         t.nodes,
         cfg.degree,
         host_cores(),
-        cfg.workers,
         t.nodes,
         t.edges,
         cfg.budget,
         cfg.episodes,
         t.build_ms,
-        t.pack_ms,
-        t.load_ms,
-        t.amortization,
         t.eps_per_sec,
         t.ns_per_select,
         t.allocs_per_episode,
@@ -439,26 +360,10 @@ fn main() {
         cfg.episodes,
         host_cores(),
     );
-    // Store-facing telemetry is opt-in; with neither flag the recorder
-    // is a no-op and the sweep's hot paths are untouched.
-    let store_rec = if cfg.telemetry.is_some() || cfg.metrics_addr.is_some() {
-        Recorder::enabled()
-    } else {
-        Recorder::disabled()
-    };
-    let _metrics = cfg.metrics_addr.as_ref().map(|addr| {
-        match MetricsServer::bind(addr, store_rec.clone(), "scale_sweep", Observer::disabled()) {
-            Ok(server) => {
-                eprintln!("scale_sweep metrics on http://{}/metrics", server.addr());
-                server
-            }
-            Err(e) => fail(&format!("metrics server: {e}")),
-        }
-    });
     let mut tiers = Vec::new();
     let mut alloc_violation = false;
     for &nodes in &cfg.nodes {
-        let tier = run_tier(&cfg, nodes, &store_rec);
+        let tier = run_tier(&cfg, nodes);
         let leaked = tier.allocs_per_episode > 0.0;
         alloc_violation |= leaked;
         append_trajectory(
@@ -475,28 +380,14 @@ fn main() {
 
     let body: Vec<String> = tiers.iter().map(|t| tier_json(&cfg, t, "    ")).collect();
     let snapshot = format!(
-        "{{\n  \"bench\": \"scale\",\n  \"cores\": {},\n  \"workers\": {},\n  \
+        "{{\n  \"bench\": \"scale\",\n  \"cores\": {},\n  \"workers\": 1,\n  \
          \"tiers\": [\n{}\n  ]\n}}\n",
         host_cores(),
-        cfg.workers,
         body.join(",\n"),
     );
     match std::fs::write(&cfg.out, &snapshot) {
         Ok(()) => println!("wrote {}", cfg.out),
         Err(e) => eprintln!("scale_sweep: cannot write {}: {e}", cfg.out),
-    }
-
-    if let Some(path) = &cfg.telemetry {
-        let result = JsonlSink::create(path).and_then(|mut sink| {
-            if let Some(snap) = store_rec.snapshot("scale_sweep/store") {
-                sink.write_snapshot(&snap)?;
-            }
-            sink.flush()
-        });
-        match result {
-            Ok(()) => println!("wrote telemetry {path}"),
-            Err(e) => fail(&format!("cannot write telemetry {path}: {e}")),
-        }
     }
 
     if cfg.assert_zero_alloc && alloc_violation {

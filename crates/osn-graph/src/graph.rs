@@ -156,40 +156,6 @@ impl Graph {
         }
     }
 
-    /// The raw CSR arrays `(offsets, targets, target_edges, edges)` —
-    /// what the `.accg` store serializes.
-    pub(crate) fn csr_parts(&self) -> (&[usize], &[NodeId], &[EdgeId], &[Edge]) {
-        (
-            &self.offsets,
-            &self.targets,
-            &self.target_edges,
-            &self.edges,
-        )
-    }
-
-    /// Assembles a graph directly from CSR arrays.
-    ///
-    /// The caller must have fully validated the invariants
-    /// (`store::load_graph_bytes` does); only cheap shape checks are
-    /// asserted here.
-    pub(crate) fn from_raw_csr(
-        offsets: Vec<usize>,
-        targets: Vec<NodeId>,
-        target_edges: Vec<EdgeId>,
-        edges: Vec<Edge>,
-    ) -> Self {
-        debug_assert!(!offsets.is_empty());
-        debug_assert_eq!(*offsets.last().expect("non-empty"), targets.len());
-        debug_assert_eq!(targets.len(), target_edges.len());
-        debug_assert_eq!(targets.len(), 2 * edges.len());
-        Graph {
-            offsets,
-            targets,
-            target_edges,
-            edges,
-        }
-    }
-
     /// Number of nodes.
     #[inline]
     pub fn node_count(&self) -> usize {

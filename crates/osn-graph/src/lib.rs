@@ -41,10 +41,8 @@ mod graph;
 pub mod io;
 mod node;
 pub mod sampling;
-pub mod store;
 
 pub use builder::GraphBuilder;
 pub use error::{GraphError, IoError};
 pub use graph::{EdgeId, Graph};
 pub use node::{Edge, NodeId};
-pub use store::StoreError;

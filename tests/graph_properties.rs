@@ -7,7 +7,8 @@ use osn_graph::algo::{
     global_clustering_coefficient, mutual_friend_count, pagerank, triangle_count, PageRankConfig,
 };
 use osn_graph::generators::{
-    barabasi_albert, erdos_renyi_gnm, erdos_renyi_gnp, powerlaw_configuration, watts_strogatz,
+    barabasi_albert, community_affiliation, erdos_renyi_gnm, erdos_renyi_gnp, planted_partition,
+    powerlaw_configuration, rmat, watts_strogatz, AgmParams, PlantedPartition, RmatParams,
 };
 use osn_graph::{Edge, Graph, GraphBuilder, NodeId};
 use proptest::prelude::*;
@@ -29,6 +30,42 @@ fn arb_graph() -> impl Strategy<Value = Graph> {
     })
 }
 
+/// Every CSR row is strictly sorted and adjacency is symmetric.
+fn assert_adjacency_symmetric_and_sorted(g: &Graph) {
+    for v in g.nodes() {
+        let neigh = g.neighbors(v);
+        assert!(
+            neigh.windows(2).all(|w| w[0] < w[1]),
+            "row must be strictly sorted"
+        );
+        for &w in neigh {
+            assert!(g.neighbors(w).contains(&v), "symmetry violated");
+            assert!(g.has_edge(v, w) && g.has_edge(w, v));
+        }
+    }
+}
+
+/// Edge ids are a bijection onto the canonical edge list, and every
+/// adjacency entry's id names the edge that entry stands for.
+fn assert_edge_ids_are_a_bijection(g: &Graph) {
+    let mut seen = HashSet::new();
+    for e in g.edges() {
+        let id = g.edge_id(e.lo(), e.hi()).unwrap();
+        assert!(seen.insert(id), "duplicate edge id");
+        assert_eq!(g.edge(id), *e);
+    }
+    assert_eq!(seen.len(), g.edge_count());
+    for v in g.nodes() {
+        for (w, id) in g.neighbor_entries(v) {
+            assert_eq!(
+                g.edge(id),
+                Edge::new(v, w),
+                "entry {v:?}→{w:?} has id {id:?}"
+            );
+        }
+    }
+}
+
 proptest! {
     #[test]
     fn handshake_lemma(g in arb_graph()) {
@@ -38,25 +75,12 @@ proptest! {
 
     #[test]
     fn adjacency_is_symmetric_and_sorted(g in arb_graph()) {
-        for v in g.nodes() {
-            let neigh = g.neighbors(v);
-            prop_assert!(neigh.windows(2).all(|w| w[0] < w[1]), "row must be strictly sorted");
-            for &w in neigh {
-                prop_assert!(g.neighbors(w).contains(&v), "symmetry violated");
-                prop_assert!(g.has_edge(v, w) && g.has_edge(w, v));
-            }
-        }
+        assert_adjacency_symmetric_and_sorted(&g);
     }
 
     #[test]
     fn edge_ids_are_a_bijection(g in arb_graph()) {
-        let mut seen = HashSet::new();
-        for e in g.edges() {
-            let id = g.edge_id(e.lo(), e.hi()).unwrap();
-            prop_assert!(seen.insert(id), "duplicate edge id");
-            prop_assert_eq!(g.edge(id), *e);
-        }
-        prop_assert_eq!(seen.len(), g.edge_count());
+        assert_edge_ids_are_a_bijection(&g);
     }
 
     #[test]
@@ -117,23 +141,32 @@ proptest! {
         let _ = triangle_count(&g);
     }
 
+    /// Every generator family yields a simple graph whose CSR arrays
+    /// hold the invariants the rest of the workspace relies on.
     #[test]
     fn generators_produce_simple_graphs(seed in 0u64..50) {
         let mut rng = StdRng::seed_from_u64(seed);
+        let blocks = PlantedPartition::new(vec![10, 15, 15], 0.5, 0.05).unwrap();
         let graphs = vec![
             erdos_renyi_gnp(40, 0.1, &mut rng).unwrap(),
             erdos_renyi_gnm(40, 60, &mut rng).unwrap(),
             barabasi_albert(40, 3, &mut rng).unwrap(),
             watts_strogatz(40, 4, 0.3, &mut rng).unwrap(),
             powerlaw_configuration(40, 2.5, 1, 10, &mut rng).unwrap(),
+            rmat(6, 4, RmatParams::classic(), &mut rng).unwrap(),
+            planted_partition(&blocks, &mut rng).unwrap(),
+            community_affiliation(40, &AgmParams::dblp_like(), &mut rng).unwrap(),
         ];
         for g in graphs {
+            prop_assert!(g.edge_count() > 0);
             // Simple: no self-loops, no duplicate edges.
             let mut seen = HashSet::new();
             for e in g.edges() {
                 prop_assert!(!e.is_loop());
                 prop_assert!(seen.insert(Edge::new(e.lo(), e.hi())));
             }
+            assert_adjacency_symmetric_and_sorted(&g);
+            assert_edge_ids_are_a_bijection(&g);
         }
     }
 
