@@ -1082,7 +1082,7 @@ mod tests {
         // `decide` reads its runner-up from the tree root once the pick
         // is retired; it must equal a scan of every other candidate's
         // cached potential under the same order, margin included.
-        use accu_telemetry::{parse_json, Tracer};
+        use accu_telemetry::{read_events, Tracer};
         use rand::{rngs::StdRng, SeedableRng};
 
         /// Records the scan's (pick, runner-up, margin) before each
@@ -1141,13 +1141,12 @@ mod tests {
         let outcome = run_attack(&inst, &real, &mut policy, 70);
         assert_eq!(outcome.trace.len(), 60);
         let log = tracer.export_causal().unwrap();
-        let emitted: Vec<(u64, i64, f64)> = log
-            .lines()
-            .map(|line| parse_json(line).unwrap())
-            .filter(|ev| ev.get("name").and_then(|n| n.as_str()) == Some("decide"))
+        let emitted: Vec<(u64, i64, f64)> = read_events(&log)
+            .events
+            .iter()
+            .filter(|ev| ev.kind == "decide")
             .map(|ev| {
-                let args = ev.get("args").unwrap();
-                let field = |k: &str| args.get(k).unwrap();
+                let field = |k: &str| ev.get(k).unwrap();
                 (
                     field("picked").as_u64().unwrap(),
                     field("runner_up").as_i64().unwrap(),

@@ -341,18 +341,21 @@ fn soak_client(addr: &str, chaos_seed: u64) -> ServiceClient {
 /// incarnations.
 fn journal_chain_ok(registry: &Path, expect_kill: bool) -> bool {
     let path = registry.join("journal.jsonl");
-    let read = match accu_telemetry::read_journal(&path) {
-        Ok(read) => read,
+    let text = match std::fs::read_to_string(&path) {
+        Ok(text) => text,
         Err(e) => {
             eprintln!("  journal read failed ({}): {e}", path.display());
             return false;
         }
     };
-    if let Err(violation) = read.check_seq_monotonic() {
-        eprintln!("  journal sequence violation: {violation}");
-        return false;
-    }
-    let events: Vec<&accu_telemetry::JournalEvent> = read.for_job("soak").collect();
+    let read = match accu_telemetry::check_events(&text) {
+        Ok(read) => read,
+        Err(violation) => {
+            eprintln!("  invalid journal: {violation}");
+            return false;
+        }
+    };
+    let events: Vec<&accu_telemetry::Event> = read.for_job("soak").collect();
     let pos = |kind: &str| events.iter().position(|e| e.kind == kind);
     let Some(submit) = pos("job.submit") else {
         eprintln!("  journal records no job.submit for the soak job");
@@ -385,7 +388,7 @@ fn journal_chain_ok(registry: &Path, expect_kill: bool) -> bool {
     let mut last_epoch = 0u64;
     for event in &events {
         if event.kind == "lease.acquire" || event.kind == "lease.takeover" {
-            let Some(epoch) = event.corr.epoch else {
+            let Some(epoch) = event.ids().epoch else {
                 continue;
             };
             if epoch <= last_epoch {

@@ -4,7 +4,7 @@
 //! ```text
 //! telemetry_diff [--threshold F] <baseline.jsonl>... <candidate.jsonl>
 //! telemetry_diff --check-prometheus <scrape.txt>
-//! telemetry_diff --check-journal <journal.jsonl>
+//! telemetry_diff --check-events <events.jsonl>
 //! ```
 //!
 //! All files but the last are baseline runs (repeated runs of the same
@@ -15,25 +15,28 @@
 //!
 //! `--check-prometheus` validates a saved metrics scrape against the
 //! text-format rules instead of diffing — the CI smoke job's helper.
-//! `--check-journal` validates a daemon event journal: every line must
-//! parse and each writer's sequence numbers must be strictly
-//! increasing; it prints a per-job event summary on success.
+//! `--check-events` validates any event file — a daemon journal, a
+//! flight dump, a causal log, a progress stream — with
+//! [`check_events`]: every line of a known shape must be well formed
+//! (torn and foreign lines are counted, not fatal) and each source's
+//! sequence numbers must strictly increase; it prints a per-job event
+//! summary on success.
 //!
-//! Exit codes: 0 = ok, 1 = regression (or invalid scrape/journal),
+//! Exit codes: 0 = ok, 1 = regression (or invalid scrape/event file),
 //! 2 = usage or I/O error.
 
 use std::path::Path;
 use std::process::ExitCode;
 
 use accu_experiments::analysis::{diff_runs, load_run, RunMetrics};
+use accu_telemetry::check_events;
 use accu_telemetry::obs::validate_prometheus;
-use accu_telemetry::read_journal;
 
 fn usage() -> ExitCode {
     eprintln!(
         "usage: telemetry_diff [--threshold F] <baseline.jsonl>... <candidate.jsonl>\n\
          \x20      telemetry_diff --check-prometheus <scrape.txt>\n\
-         \x20      telemetry_diff --check-journal <journal.jsonl>"
+         \x20      telemetry_diff --check-events <events.jsonl>"
     );
     ExitCode::from(2)
 }
@@ -65,12 +68,12 @@ fn main() -> ExitCode {
                 };
                 return check_prometheus(Path::new(&path));
             }
-            "--check-journal" => {
+            "--check-events" => {
                 let Some(path) = iter.next() else {
-                    eprintln!("error: --check-journal needs a file");
+                    eprintln!("error: --check-events needs a file");
                     return usage();
                 };
-                return check_journal(Path::new(&path));
+                return check_event_file(Path::new(&path));
             }
             other if other.starts_with("--") => {
                 eprintln!("error: unknown flag {other:?}");
@@ -115,29 +118,27 @@ fn main() -> ExitCode {
     }
 }
 
-/// Validates an event journal: all lines parse (a torn tail is
-/// tolerated and reported), per-writer sequence numbers strictly
-/// increase, and prints a per-job event summary.
-fn check_journal(path: &Path) -> ExitCode {
-    if !path.exists() {
-        eprintln!("error: {}: no such file", path.display());
-        return ExitCode::from(2);
-    }
-    let read = match read_journal(path) {
-        Ok(read) => read,
+/// Validates an event file with [`check_events`] and prints a per-job
+/// event summary.
+fn check_event_file(path: &Path) -> ExitCode {
+    let text = match std::fs::read_to_string(path) {
+        Ok(text) => text,
         Err(e) => {
             eprintln!("error: {}: {e}", path.display());
             return ExitCode::from(2);
         }
     };
-    if let Err(violation) = read.check_seq_monotonic() {
-        eprintln!("{}: invalid journal: {violation}", path.display());
-        return ExitCode::from(1);
-    }
-    let mut jobs: std::collections::BTreeMap<&str, usize> = std::collections::BTreeMap::new();
+    let read = match check_events(&text) {
+        Ok(read) => read,
+        Err(violation) => {
+            eprintln!("{}: invalid journal: {violation}", path.display());
+            return ExitCode::from(1);
+        }
+    };
+    let mut jobs: std::collections::BTreeMap<&str, Vec<&str>> = Default::default();
     for event in &read.events {
-        if let Some(job) = event.corr.job_id.as_deref() {
-            *jobs.entry(job).or_insert(0) += 1;
+        if let Some(job) = event.ids().job_id.as_deref() {
+            jobs.entry(job).or_default().push(&event.kind);
         }
     }
     println!(
@@ -147,8 +148,7 @@ fn check_journal(path: &Path) -> ExitCode {
         read.skipped_lines,
         jobs.len()
     );
-    for (job, count) in &jobs {
-        let kinds: Vec<&str> = read.for_job(job).map(|e| e.kind.as_str()).collect();
+    for (job, kinds) in &jobs {
         let chain = if kinds.len() > 8 {
             format!(
                 "{} ... {}",
@@ -158,7 +158,7 @@ fn check_journal(path: &Path) -> ExitCode {
         } else {
             kinds.join(" -> ")
         };
-        println!("  {job}: {count} event(s): {chain}");
+        println!("  {job}: {} event(s): {chain}", kinds.len());
     }
     ExitCode::SUCCESS
 }

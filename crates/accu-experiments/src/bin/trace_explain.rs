@@ -7,8 +7,9 @@
 //! trace_explain [--quiet] [--check-chrome FILE.json]... [LOG.causal.jsonl]...
 //! ```
 //!
-//! * positional arguments are JSONL causal logs: each is parsed,
-//!   every complete episode is verified (see
+//! * positional arguments are JSONL causal logs: each is validated
+//!   with [`check_events`] (the validator `telemetry_diff
+//!   --check-events` runs), every complete episode is verified (see
 //!   [`accu_experiments::replay::verify_episode`]), and — unless
 //!   `--quiet` — narrated step by step;
 //! * `--check-chrome FILE` structurally validates a Chrome trace-event
@@ -19,8 +20,8 @@
 
 use std::process::ExitCode;
 
-use accu_experiments::replay::{narrate_episode, parse_causal_log, verify_episode};
-use accu_telemetry::validate_chrome_trace;
+use accu_experiments::replay::{narrate_episode, verify_episode, CausalLog};
+use accu_telemetry::{check_events, validate_chrome_trace};
 
 fn usage() -> ! {
     eprintln!("usage: trace_explain [--quiet] [--check-chrome FILE.json]... [LOG.causal.jsonl]...");
@@ -78,10 +79,10 @@ fn main() -> ExitCode {
                 continue;
             }
         };
-        let log = match parse_causal_log(&text) {
+        let log = match check_events(&text).and_then(|read| CausalLog::from_events(&read.events)) {
             Ok(log) => log,
             Err(e) => {
-                eprintln!("{path}: parse error: {e}");
+                eprintln!("{path}: invalid causal log: {e}");
                 failed = true;
                 continue;
             }

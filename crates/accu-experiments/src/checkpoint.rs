@@ -36,7 +36,7 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use accu_core::{ChaosPlan, TraceAccumulator};
-use accu_telemetry::{json_escape, Corr, FlightRecorder, Journal, Severity};
+use accu_telemetry::{json_escape, Corr, Event, Journal};
 
 use crate::chaosfs::{atomic_write, ChaosFile, ChaosSite};
 use crate::runner::RunnerError;
@@ -61,10 +61,10 @@ pub struct Checkpoint {
     appends: u64,
     /// Abort the process after this many durable appends (chaos).
     kill_after: Option<u64>,
-    /// Journal + flight recorder + correlation IDs for crash forensics:
-    /// when the `kill_after` abort fires, the killed operation is
-    /// journaled and the flight ring is dumped beside the checkpoint.
-    obs: Option<(Journal, FlightRecorder, Corr)>,
+    /// Journal + correlation IDs for crash forensics: when the
+    /// `kill_after` abort fires, the killed operation is journaled and
+    /// the journal's crash ring is dumped beside the checkpoint.
+    obs: Option<(Journal, Corr)>,
 }
 
 impl Checkpoint {
@@ -191,11 +191,11 @@ impl Checkpoint {
     /// Attaches crash forensics: when the deterministic `kill-after`
     /// abort fires, the killed append is journaled (kind `chaos.kill`,
     /// with `corr` so the event joins the job's lifecycle chain) and
-    /// the flight ring is dumped to `flight.jsonl` beside the
+    /// the journal's crash ring is dumped to `flight.jsonl` beside the
     /// checkpoint file — the dump's last event names the operation that
     /// died.
-    pub fn attach_obs(&mut self, journal: Journal, flight: FlightRecorder, corr: Corr) {
-        self.obs = Some((journal, flight, corr));
+    pub fn attach_obs(&mut self, journal: Journal, corr: Corr) {
+        self.obs = Some((journal, corr));
     }
 
     /// Number of unparseable lines dropped at load time.
@@ -264,22 +264,18 @@ impl Checkpoint {
                 eprintln!(
                     "chaos: aborting after {kill_after} durable checkpoint append(s) (kill-after)"
                 );
-                if let Some((journal, flight, corr)) = &self.obs {
-                    journal.log(
-                        Severity::Error,
-                        "chaos.kill",
-                        &format!(
+                if let Some((journal, corr)) = &self.obs {
+                    journal.emit_and_dump(
+                        Event::error("chaos.kill").corr(corr.clone()).msg(format!(
                             "kill-after abort on checkpoint append {kill_after} ({})",
                             self.path.display()
-                        ),
-                        corr,
+                        )),
+                        &self
+                            .path
+                            .parent()
+                            .unwrap_or_else(|| Path::new("."))
+                            .join("flight.jsonl"),
                     );
-                    let dump = self
-                        .path
-                        .parent()
-                        .unwrap_or_else(|| Path::new("."))
-                        .join("flight.jsonl");
-                    let _ = flight.dump(dump);
                 }
                 std::process::abort();
             }

@@ -1,19 +1,22 @@
 //! Causal-log replay: reconstructing episodes from a JSONL trace.
 //!
 //! The runner's `--trace` flag exports two files: a Chrome trace for
-//! Perfetto and a JSONL *causal log* holding the same events one JSON
-//! object per line. This module parses the causal log back into typed
-//! [`CausalEpisode`]s, renders a human-readable narrative of each
-//! sampled episode, and — the correctness check the `trace_explain`
-//! binary is built on — verifies that the traced per-request benefit
-//! stream reconstructs every episode's recorded `total_benefit`
-//! **bit-exactly** (floats travel through the log via shortest
-//! round-trip formatting, so equality is `to_bits()` equality, not an
-//! epsilon).
+//! Perfetto and a JSONL *causal log* holding the same events as event
+//! lines. This module walks the events [`read_events`] or
+//! [`check_events`] returns into typed [`CausalEpisode`]s, renders a
+//! human-readable narrative of each sampled episode, and — the
+//! correctness check the `trace_explain` binary is built on — verifies
+//! that the traced per-request benefit stream reconstructs every
+//! episode's recorded `total_benefit` **bit-exactly** (floats travel
+//! through the log via shortest round-trip formatting, so equality is
+//! `to_bits()` equality, not an epsilon).
+//!
+//! [`read_events`]: accu_telemetry::read_events
+//! [`check_events`]: accu_telemetry::check_events
 
 use std::fmt::Write as _;
 
-use accu_telemetry::{parse_json, Json};
+use accu_telemetry::{Event, Source, TraceValue};
 
 /// One `request` event: a resolved friend request inside an episode.
 #[derive(Debug, Clone, PartialEq)]
@@ -147,95 +150,68 @@ pub struct CausalLog {
     pub incomplete_episodes: usize,
 }
 
-fn field_u64(args: &Json, key: &str, ctx: &str) -> Result<u64, String> {
-    args.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("{ctx}: missing or non-integer field {key:?}"))
+/// The argument `key` of `event`, read with `get`.
+fn field<'a, T>(
+    event: &'a Event,
+    key: &str,
+    get: fn(&'a TraceValue) -> Option<T>,
+) -> Result<T, String> {
+    event.get(key).and_then(get).ok_or_else(|| {
+        let seq = event.stamp.as_ref().map_or(0, |s| s.seq);
+        format!(
+            "{} event (seq {seq}): missing or mistyped field {key:?}",
+            event.kind
+        )
+    })
 }
 
-fn field_f64(args: &Json, key: &str, ctx: &str) -> Result<f64, String> {
-    args.get(key)
-        .and_then(Json::as_f64)
-        .ok_or_else(|| format!("{ctx}: missing or non-numeric field {key:?}"))
-}
-
-fn field_bool(args: &Json, key: &str, ctx: &str) -> Result<bool, String> {
-    args.get(key)
-        .and_then(Json::as_bool)
-        .ok_or_else(|| format!("{ctx}: missing or non-bool field {key:?}"))
-}
-
-fn field_str(args: &Json, key: &str, ctx: &str) -> Result<String, String> {
-    args.get(key)
-        .and_then(Json::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| format!("{ctx}: missing or non-string field {key:?}"))
-}
-
-/// Parses a JSONL causal log (the `.causal.jsonl` file written next to
-/// a `--trace` export) into typed episodes.
-///
-/// Only complete episodes — an `episode_begin` followed by its
-/// `episode_end` on the same track — are returned; fragments truncated
-/// by ring-buffer overwrite are counted in
-/// [`incomplete_episodes`](CausalLog::incomplete_episodes) instead of
-/// failing the parse.
-///
-/// # Errors
-///
-/// Returns a message naming the offending line for malformed JSON or
-/// an event whose payload is missing a required field.
-pub fn parse_causal_log(text: &str) -> Result<CausalLog, String> {
-    let mut log = CausalLog::default();
-    // Per-track open episode: (track, partial episode).
-    let mut open: Vec<(String, CausalEpisode)> = Vec::new();
-    for (lineno, line) in text.lines().enumerate() {
-        let ctx = format!("line {}", lineno + 1);
-        if line.trim().is_empty() {
-            continue;
-        }
-        let value = parse_json(line).map_err(|e| format!("{ctx}: {e}"))?;
-        let ty = value
-            .get("type")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("{ctx}: missing \"type\""))?;
-        match ty {
-            "trace_drops" => {
-                log.dropped_events += field_u64(&value, "dropped", &ctx)?;
+impl CausalLog {
+    /// Walks a causal log's events (as [`read_events`] or
+    /// [`check_events`] return them) into typed episodes.
+    ///
+    /// Only complete episodes — an `episode_begin` followed by its
+    /// `episode_end` on the same track — are kept; fragments truncated
+    /// by ring-buffer overwrite are counted in
+    /// [`incomplete_episodes`](CausalLog::incomplete_episodes) instead.
+    /// Events without a track stamp (journal or progress events in a
+    /// concatenated file) are skipped, as are span markers.
+    ///
+    /// [`read_events`]: accu_telemetry::read_events
+    /// [`check_events`]: accu_telemetry::check_events
+    ///
+    /// # Errors
+    ///
+    /// Names the event whose payload is missing a required field.
+    pub fn from_events(events: &[Event]) -> Result<CausalLog, String> {
+        use TraceValue as V;
+        let mut log = CausalLog::default();
+        // Per-track open episode.
+        let mut open: Vec<CausalEpisode> = Vec::new();
+        for e in events {
+            if e.kind == "trace.dropped" {
+                log.dropped_events += field(e, "dropped", V::as_u64)?;
                 continue;
             }
-            "trace" => {}
-            // Foreign lines (snapshots, events from other sinks) are
-            // tolerated so logs can be concatenated.
-            _ => continue,
-        }
-        let kind = field_str(&value, "kind", &ctx)?;
-        if kind != "instant" {
-            continue; // stage spans carry no per-episode state
-        }
-        let track = field_str(&value, "track", &ctx)?;
-        let name = field_str(&value, "name", &ctx)?;
-        let empty = Json::Obj(Vec::new());
-        let args = value.get("args").unwrap_or(&empty);
-        let slot = open.iter().position(|(t, _)| *t == track);
-        match name.as_str() {
-            "episode_begin" => {
-                if let Some(at) = slot {
-                    // The previous episode's end marker was lost.
-                    open.remove(at);
-                    log.incomplete_episodes += 1;
-                }
-                open.push((
-                    track.clone(),
-                    CausalEpisode {
-                        track,
-                        net: field_u64(args, "net", &ctx)?,
-                        ep: field_u64(args, "ep", &ctx)?,
-                        global_ep: field_u64(args, "global_ep", &ctx)?,
-                        policy: field_str(args, "policy", &ctx)?,
-                        dataset: field_str(args, "dataset", &ctx)?,
-                        budget: field_u64(args, "budget", &ctx)?,
-                        seed: field_str(args, "seed", &ctx)?,
+            let Some(Source::Track(track)) = e.stamp.as_ref().map(|s| &s.source) else {
+                continue;
+            };
+            let slot = open.iter().position(|ep| *ep.track == **track);
+            let event = match e.kind.as_ref() {
+                "episode_begin" => {
+                    if let Some(at) = slot {
+                        // The previous episode's end marker was lost.
+                        open.remove(at);
+                        log.incomplete_episodes += 1;
+                    }
+                    open.push(CausalEpisode {
+                        track: track.to_string(),
+                        net: field(e, "net", V::as_u64)?,
+                        ep: field(e, "ep", V::as_u64)?,
+                        global_ep: field(e, "global_ep", V::as_u64)?,
+                        policy: field(e, "policy", V::as_str)?.to_string(),
+                        dataset: field(e, "dataset", V::as_str)?.to_string(),
+                        budget: field(e, "budget", V::as_u64)?,
+                        seed: field(e, "seed", V::as_str)?.to_string(),
                         events: Vec::new(),
                         end: EpisodeEnd {
                             total_benefit: 0.0,
@@ -244,85 +220,69 @@ pub fn parse_causal_log(text: &str) -> Result<CausalLog, String> {
                             cautious_friends: 0,
                             faults: 0,
                         },
-                    },
-                ));
-            }
-            "episode_end" => match slot {
-                Some(at) => {
-                    let (_, mut episode) = open.remove(at);
-                    episode.end = EpisodeEnd {
-                        total_benefit: field_f64(args, "total_benefit", &ctx)?,
-                        requests: field_u64(args, "requests", &ctx)?,
-                        friends: field_u64(args, "friends", &ctx)?,
-                        cautious_friends: field_u64(args, "cautious_friends", &ctx)?,
-                        faults: field_u64(args, "faults", &ctx)?,
-                    };
-                    log.episodes.push(episode);
-                }
-                None => log.incomplete_episodes += 1,
-            },
-            "request" => {
-                if let Some(at) = slot {
-                    let theta = args
-                        .get("theta")
-                        .and_then(Json::as_i64)
-                        .ok_or_else(|| format!("{ctx}: missing request field \"theta\""))?;
-                    open[at].1.events.push(EpisodeEvent::Request(RequestEvent {
-                        step: field_u64(args, "step", &ctx)?,
-                        target: field_u64(args, "target", &ctx)?,
-                        cautious: field_bool(args, "cautious", &ctx)?,
-                        theta: u64::try_from(theta).ok(),
-                        mutual: field_u64(args, "mutual", &ctx)?,
-                        accepted: field_bool(args, "accepted", &ctx)?,
-                        faulted: field_bool(args, "faulted", &ctx)?,
-                        gain: field_f64(args, "gain", &ctx)?,
-                        cum_benefit: field_f64(args, "cum_benefit", &ctx)?,
-                    }));
-                }
-            }
-            "decide" => {
-                if let Some(at) = slot {
-                    let runner_up = args
-                        .get("runner_up")
-                        .and_then(Json::as_i64)
-                        .ok_or_else(|| format!("{ctx}: missing decide field \"runner_up\""))?;
-                    open[at].1.events.push(EpisodeEvent::Decide(DecideEvent {
-                        picked: field_u64(args, "picked", &ctx)?,
-                        potential: field_f64(args, "potential", &ctx)?,
-                        q: field_f64(args, "q", &ctx)?,
-                        p_d: field_f64(args, "p_d", &ctx)?,
-                        p_i: field_f64(args, "p_i", &ctx)?,
-                        w_d: field_f64(args, "w_d", &ctx)?,
-                        w_i: field_f64(args, "w_i", &ctx)?,
-                        runner_up: u64::try_from(runner_up).ok(),
-                        margin: field_f64(args, "margin", &ctx)?,
-                    }));
-                }
-            }
-            "cautious_progress" => {
-                if let Some(at) = slot {
-                    open[at].1.events.push(EpisodeEvent::CautiousProgress {
-                        node: field_u64(args, "node", &ctx)?,
-                        mutual: field_u64(args, "mutual", &ctx)?,
-                        theta: field_u64(args, "theta", &ctx)?,
                     });
+                    continue;
                 }
-            }
-            "abm_observe" => {
-                if let Some(at) = slot {
-                    open[at].1.events.push(EpisodeEvent::Observe {
-                        target: field_u64(args, "target", &ctx)?,
-                        accepted: field_bool(args, "accepted", &ctx)?,
-                        dirty: field_u64(args, "dirty", &ctx)?,
-                    });
+                "episode_end" => {
+                    match slot {
+                        Some(at) => {
+                            let mut episode = open.remove(at);
+                            episode.end = EpisodeEnd {
+                                total_benefit: field(e, "total_benefit", V::as_f64)?,
+                                requests: field(e, "requests", V::as_u64)?,
+                                friends: field(e, "friends", V::as_u64)?,
+                                cautious_friends: field(e, "cautious_friends", V::as_u64)?,
+                                faults: field(e, "faults", V::as_u64)?,
+                            };
+                            log.episodes.push(episode);
+                        }
+                        None => log.incomplete_episodes += 1,
+                    }
+                    continue;
                 }
+                "request" => EpisodeEvent::Request(RequestEvent {
+                    step: field(e, "step", V::as_u64)?,
+                    target: field(e, "target", V::as_u64)?,
+                    cautious: field(e, "cautious", V::as_bool)?,
+                    theta: u64::try_from(field(e, "theta", V::as_i64)?).ok(),
+                    mutual: field(e, "mutual", V::as_u64)?,
+                    accepted: field(e, "accepted", V::as_bool)?,
+                    faulted: field(e, "faulted", V::as_bool)?,
+                    gain: field(e, "gain", V::as_f64)?,
+                    cum_benefit: field(e, "cum_benefit", V::as_f64)?,
+                }),
+                "decide" => EpisodeEvent::Decide(DecideEvent {
+                    picked: field(e, "picked", V::as_u64)?,
+                    potential: field(e, "potential", V::as_f64)?,
+                    q: field(e, "q", V::as_f64)?,
+                    p_d: field(e, "p_d", V::as_f64)?,
+                    p_i: field(e, "p_i", V::as_f64)?,
+                    w_d: field(e, "w_d", V::as_f64)?,
+                    w_i: field(e, "w_i", V::as_f64)?,
+                    runner_up: u64::try_from(field(e, "runner_up", V::as_i64)?).ok(),
+                    margin: field(e, "margin", V::as_f64)?,
+                }),
+                "cautious_progress" => EpisodeEvent::CautiousProgress {
+                    node: field(e, "node", V::as_u64)?,
+                    mutual: field(e, "mutual", V::as_u64)?,
+                    theta: field(e, "theta", V::as_u64)?,
+                },
+                "abm_observe" => EpisodeEvent::Observe {
+                    target: field(e, "target", V::as_u64)?,
+                    accepted: field(e, "accepted", V::as_bool)?,
+                    dirty: field(e, "dirty", V::as_u64)?,
+                },
+                // Spans and unknown instants (future layers) pass
+                // through untyped.
+                _ => continue,
+            };
+            if let Some(at) = slot {
+                open[at].events.push(event);
             }
-            // Unknown instants (future layers) pass through untyped.
-            _ => {}
         }
+        log.incomplete_episodes += open.len();
+        Ok(log)
     }
-    log.incomplete_episodes += open.len();
-    Ok(log)
 }
 
 /// Verifies that an episode's traced request stream reconstructs its
@@ -487,6 +447,11 @@ fn short(x: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use accu_telemetry::read_events;
+
+    fn parse_causal_log(text: &str) -> Result<CausalLog, String> {
+        CausalLog::from_events(&read_events(text).events)
+    }
 
     fn sample_log() -> String {
         [
@@ -578,10 +543,11 @@ mod tests {
     }
 
     #[test]
-    fn malformed_lines_name_their_line_number() {
-        let err = parse_causal_log("{\"type\":\"trace\"}\nnot json").unwrap_err();
-        // The first line is missing fields, so it errors before line 2.
-        assert!(err.starts_with("line 1"), "{err}");
+    fn missing_fields_name_the_event() {
+        let text = r#"{"type":"event","track":"worker-0","seq":3,"ts_ns":1,"sev":"debug","kind":"episode_begin","args":{"net":0}}"#;
+        let err = parse_causal_log(text).unwrap_err();
+        assert!(err.contains("episode_begin event (seq 3)"), "{err}");
+        assert!(err.contains("\"ep\""), "{err}");
     }
 
     #[test]

@@ -25,8 +25,9 @@
 //! A soft [`Deadline`] turns overruns into *graceful degradation*:
 //! networks not yet started when the deadline passes are shed in
 //! ascending index order (the surviving set is a prefix, independent of
-//! worker count), reported as [`NetworkStatus::Shed`], and counted on
-//! the [`RunReport`] so binaries can tag their output as degraded.
+//! worker count), reported as `run.network` events with status `shed`,
+//! and counted on the [`RunReport`] so binaries can tag their output as
+//! degraded.
 
 use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::fmt;
@@ -43,9 +44,9 @@ use accu_core::{
     AttackOptions, AttackOutcome, EpisodeScratch, FaultConfig, FaultPlan, Policy, RetryPolicy,
     TraceAccumulator, ValidationMode, Violation,
 };
-use accu_telemetry::obs::{NetworkStatus, Observer};
+use accu_telemetry::obs::RunEvents;
 use accu_telemetry::{
-    Corr, CounterHandle, GaugeHandle, HistogramHandle, Journal, Recorder, Severity, TraceTrack,
+    Corr, CounterHandle, Event, GaugeHandle, HistogramHandle, Recorder, Severity, TraceTrack,
     TraceValue, Tracer,
 };
 use rand::rngs::StdRng;
@@ -393,8 +394,8 @@ impl std::error::Error for RunnerError {
 }
 
 /// Everything a run can carry besides the figure and the policy: the
-/// instrumentation handles (recorder, tracer, progress observer,
-/// journal), the checkpoint, and the scheduling knobs. All handles are
+/// instrumentation handles (recorder, tracer, lifecycle events), the
+/// checkpoint, and the scheduling knobs. All handles are
 /// cheap clones of `Arc` state; the disabled defaults make every piece a
 /// no-op, so `RunOptions::default()` is the plain, uninstrumented run.
 /// Set only what differs with struct-update syntax. No option changes
@@ -421,9 +422,12 @@ pub struct RunOptions<'a> {
     pub recorder: Recorder,
     /// Causal-trace sink.
     pub tracer: Tracer,
-    /// Streaming-progress observer; fed scheduling-independent
-    /// episode/network events as the run advances.
-    pub observer: Observer,
+    /// Lifecycle events (`run.begin`, `run.network`, `run.chunk`,
+    /// `run.end`, `run.fail`), fanned out to the journal and the
+    /// progress stream. Disabled by default: batch runs stay silent and
+    /// pay nothing. The daemon's correlation IDs ride on the handle;
+    /// run stages add `network` and `chunk` as they descend.
+    pub events: RunEvents,
     /// Checkpoint to append completed networks to (and resume from).
     pub checkpoint: Option<&'a mut Checkpoint>,
     /// Cap on worker threads (`None` = available parallelism). A
@@ -439,14 +443,6 @@ pub struct RunOptions<'a> {
     /// Soft deadline; when it passes, not-yet-started networks are shed
     /// instead of run (graceful degradation). `None` never sheds.
     pub deadline: Option<Deadline>,
-    /// Correlated event journal for run-stage lifecycle events (run
-    /// start, network folds, quarantines, sheds, worker deaths).
-    /// Disabled by default: batch runs stay silent and pay nothing.
-    pub journal: Journal,
-    /// Correlation IDs stamped on every journal event this run emits.
-    /// The daemon supplies `job_id`/`epoch`/`attempt`; run stages add
-    /// `network` and `chunk` as they descend.
-    pub corr: Corr,
 }
 
 impl Default for RunOptions<'_> {
@@ -454,14 +450,12 @@ impl Default for RunOptions<'_> {
         RunOptions {
             recorder: Recorder::disabled(),
             tracer: Tracer::disabled(),
-            observer: Observer::disabled(),
+            events: RunEvents::default(),
             checkpoint: None,
             max_workers: None,
             chaos: ChaosPlan::none(),
             supervisor: SupervisorConfig::default(),
             deadline: None,
-            journal: Journal::disabled(),
-            corr: Corr::default(),
         }
     }
 }
@@ -615,8 +609,8 @@ impl RunReport {
 /// load/validate, episode chunks, the fold, and checkpoint appends, and
 /// — on episodes selected by the tracer's sampling period — the
 /// simulator and policy emit per-request and per-decision events
-/// bracketed by `episode_begin`/`episode_end`. The observer's JSONL
-/// progress stream is byte-identical across worker counts: every
+/// bracketed by `episode_begin`/`episode_end`. The progress stream of
+/// [`RunOptions::events`] is byte-identical across worker counts: every
 /// streamed field derives from the deterministic episode-order fold and
 /// lines are reordered to network-index order before they are written.
 ///
@@ -642,14 +636,12 @@ pub fn run_policy_with(
     let RunOptions {
         recorder,
         tracer,
-        observer,
+        events,
         checkpoint,
         max_workers,
         chaos,
         supervisor,
         deadline,
-        journal,
-        corr,
     } = opts;
     let cell = figure.cell_label(policy);
     let checkpoint_skipped_lines = checkpoint.as_ref().map_or(0, |c| c.skipped_lines());
@@ -666,17 +658,20 @@ pub fn run_policy_with(
             .counter(runner_metrics::RESUMED)
             .add(resumed.len() as u64);
     }
-    observer.begin_run(&cell, figure.network_samples, figure.episodes() as u64);
-    // Resumed networks stream up front; the observer's reorder buffer
+    events.emit(|| {
+        Event::info("run.begin")
+            .arg("cell", cell.clone())
+            .arg("networks", figure.network_samples)
+            .arg("episodes", figure.episodes() as u64)
+    });
+    // Resumed networks stream up front; the progress reorder buffer
     // interleaves them with freshly computed ones in index order.
     for (net, acc) in &resumed {
-        observer.network_done(
-            *net,
-            NetworkStatus::Resumed {
-                episodes: acc.runs() as u64,
-                mean_benefit: acc.mean_total_benefit(),
-            },
-        );
+        events.emit(|| {
+            network_event(Severity::Info, *net, "resumed")
+                .arg("episodes", acc.runs() as u64)
+                .arg("mean_benefit", acc.mean_total_benefit())
+        });
     }
     let base_threads = max_workers
         .unwrap_or_else(|| {
@@ -707,18 +702,6 @@ pub fn run_policy_with(
     recorder
         .counter(runner_metrics::WORKERS)
         .add(threads as u64);
-    journal.info(
-        "run.start",
-        &format!(
-            "run start: cell {cell}, {} network(s) × {} episode(s), \
-             {chunks} chunk(s)/network, {threads} worker(s), \
-             {} resumed",
-            figure.network_samples,
-            figure.runs_per_network,
-            resumed.len()
-        ),
-        &corr,
-    );
     let slots: Vec<NetworkSlot> = (0..figure.network_samples)
         .map(|_| NetworkSlot::new(chunks))
         .collect();
@@ -744,7 +727,7 @@ pub fn run_policy_with(
         cell: &cell,
         recorder: &recorder,
         tracer: &tracer,
-        observer: &observer,
+        events: &events,
         chaos,
         deadline,
         slots: &slots,
@@ -753,8 +736,6 @@ pub fn run_policy_with(
         ckpt_shared: &ckpt_shared,
         ckpt_error: &ckpt_error,
         run_started: Instant::now(),
-        journal: &journal,
-        corr: &corr,
     };
     let mut panicked: Option<(usize, String)> = None;
     let mut restarts = 0u32;
@@ -914,16 +895,20 @@ pub fn run_policy_with(
         total.merge(acc);
     }
     quarantined.sort_by_key(|f| f.network);
+    // An aborted run still closes its section: `run.fail` flushes the
+    // networks that did complete, in index order.
+    let fail = |why: String| {
+        events.emit(|| {
+            Event::error("run.fail")
+                .arg("cell", cell.clone())
+                .arg("completed", per_net.len())
+                .msg(why)
+        });
+    };
     if let Some((worker, message)) = panicked {
-        journal.error(
-            "run.fail",
-            &format!(
-                "run aborted: worker {worker} panicked with the restart budget \
-                 exhausted ({message}); {} network(s) completed",
-                per_net.len()
-            ),
-            &corr,
-        );
+        fail(format!(
+            "worker {worker} panicked with the restart budget exhausted: {message}"
+        ));
         return Err(RunnerError::WorkerPanicked {
             worker,
             message,
@@ -932,24 +917,18 @@ pub fn run_policy_with(
         });
     }
     if let Some(e) = ckpt_error.lock().expect("error mutex poisoned").take() {
-        journal.error("run.fail", &format!("checkpoint write failed: {e}"), &corr);
+        fail(format!("checkpoint write failed: {e}"));
         return Err(RunnerError::Checkpoint(e));
     }
-    // A panicked or checkpoint-failed run deliberately leaves the
-    // stream without its run_end line: a truncated stream is the
-    // diagnosable signature of an abnormal exit.
-    observer.end_run(per_net.len(), quarantined.len());
-    journal.info(
-        "run.done",
-        &format!(
-            "run done: {} network(s) completed ({} resumed), {} quarantined, {} shed",
-            per_net.len(),
-            resumed_networks,
-            quarantined.len(),
-            shed.len()
-        ),
-        &corr,
-    );
+    events.emit(|| {
+        Event::info("run.end")
+            .arg("cell", cell.clone())
+            .arg("completed", per_net.len())
+            .arg("resumed", resumed_networks)
+            .arg("quarantined", quarantined.len())
+            .arg("shed", shed.len())
+            .arg("episodes", total.runs())
+    });
     Ok(RunReport {
         accumulator: total,
         quarantined,
@@ -1171,7 +1150,8 @@ struct RunCtx<'env, 'ck> {
     cell: &'env str,
     recorder: &'env Recorder,
     tracer: &'env Tracer,
-    observer: &'env Observer,
+    /// Lifecycle events; stages add `network`/`chunk` correlation IDs.
+    events: &'env RunEvents,
     chaos: ChaosPlan,
     deadline: Option<Deadline>,
     slots: &'env [NetworkSlot],
@@ -1180,9 +1160,20 @@ struct RunCtx<'env, 'ck> {
     ckpt_shared: &'env Mutex<Option<&'ck mut Checkpoint>>,
     ckpt_error: &'env Mutex<Option<std::io::Error>>,
     run_started: Instant,
-    journal: &'env Journal,
-    /// Base correlation IDs; stages clone and extend with network/chunk.
-    corr: &'env Corr,
+}
+
+/// A `run.network` event for network `net` with the given status.
+fn network_event(sev: Severity, net: usize, status: &'static str) -> Event {
+    Event::new(sev, "run.network")
+        .corr(Corr::none().network(net as u64))
+        .arg("status", status)
+}
+
+/// The `run.network` event of a quarantined network.
+fn quarantine_event(net: usize, stage: &'static str, message: &str) -> Event {
+    network_event(Severity::Warn, net, "quarantined")
+        .arg("stage", stage)
+        .arg("message", message.to_string())
 }
 
 /// One supervised worker: drains the chunk queue, marking each claim in
@@ -1198,7 +1189,7 @@ fn worker_loop(ctx: &RunCtx<'_, '_>, worker: usize, wstate: &WorkerState) {
     while let Some(item) = ctx.queue.pop() {
         *wstate.in_flight.lock().expect("in-flight mutex poisoned") = Some(item);
         wstate.beat(ctx.run_started);
-        ctx.observer.heartbeat();
+        ctx.events.heartbeat();
         if item.attempt == 0 {
             match ctx.chaos.worker_fault(item.net, item.chunk) {
                 Some(WorkerFault::Panic) => {
@@ -1221,7 +1212,7 @@ fn worker_loop(ctx: &RunCtx<'_, '_>, worker: usize, wstate: &WorkerState) {
 }
 
 /// Retires a never-started network under an expired deadline: accounts
-/// every outstanding chunk, streams [`NetworkStatus::Shed`], and
+/// every outstanding chunk, emits its `shed` network event, and
 /// records the shed on the report. The caller has already moved the
 /// lifecycle to `Retired`, so racing claimers of sibling chunks no-op.
 fn shed_network(ctx: &RunCtx<'_, '_>, net: usize) {
@@ -1233,12 +1224,8 @@ fn shed_network(ctx: &RunCtx<'_, '_>, net: usize) {
         .expect("results mutex poisoned")
         .push(net);
     ctx.recorder.counter(runner_metrics::SUPERVISOR_SHED).incr();
-    ctx.journal.warn(
-        "run.shed",
-        &format!("network {net} shed: soft deadline expired before it started"),
-        &ctx.corr.clone().network(net as u64),
-    );
-    ctx.observer.network_done(net, NetworkStatus::Shed);
+    ctx.events
+        .emit(|| network_event(Severity::Warn, net, "shed"));
 }
 
 /// Supervisor-side quarantine: a chunk exhausted its attempt budget, so
@@ -1286,18 +1273,8 @@ fn abandon_network(ctx: &RunCtx<'_, '_>, net: usize, message: String) {
             .histogram(runner_metrics::NETWORK_NS)
             .record(started.elapsed().as_nanos() as u64);
     }
-    ctx.journal.warn(
-        "run.quarantine",
-        &format!("network {net} quarantined at stage supervisor: {message}"),
-        &ctx.corr.clone().network(net as u64),
-    );
-    ctx.observer.network_done(
-        net,
-        NetworkStatus::Quarantined {
-            stage: "supervisor".to_string(),
-            message: message.clone(),
-        },
-    );
+    ctx.events
+        .emit(|| quarantine_event(net, "supervisor", &message));
     ctx.results
         .failures
         .lock()
@@ -1603,21 +1580,8 @@ fn process_chunk(
                             ctx.recorder.counter(runner_metrics::QUARANTINED).incr();
                             tel.networks_inflight.sub(1);
                             tel.network_ns.record(started.elapsed().as_nanos() as u64);
-                            ctx.journal.warn(
-                                "run.quarantine",
-                                &format!(
-                                    "network {net} quarantined at stage {}: {}",
-                                    failure.stage, failure.message
-                                ),
-                                &ctx.corr.clone().network(net as u64),
-                            );
-                            ctx.observer.network_done(
-                                net,
-                                NetworkStatus::Quarantined {
-                                    stage: failure.stage.to_string(),
-                                    message: failure.message.clone(),
-                                },
-                            );
+                            ctx.events
+                                .emit(|| quarantine_event(net, failure.stage, &failure.message));
                             ctx.results
                                 .failures
                                 .lock()
@@ -1740,8 +1704,7 @@ fn process_chunk(
             // Heartbeats: both the worker's supervisor-facing stamp and
             // the run-level stall watchdog advance per episode.
             wstate.beat(ctx.run_started);
-            ctx.observer
-                .episode_done(outcome.faults.faults_seen() as u64);
+            ctx.events.episode_done(outcome.faults.faults_seen() as u64);
         }
         drop(episodes_trace);
         outcomes
@@ -1754,21 +1717,14 @@ fn process_chunk(
     if track.is_enabled() {
         track.set_active(true);
     }
-    if ctx.journal.is_enabled() {
-        let message = match &episodes {
-            Ok(outcomes) => format!(
-                "chunk {chunk} of network {net} sampled ({} episode(s))",
-                outcomes.len()
-            ),
-            Err(_) => format!("chunk {chunk} of network {net} panicked in the episode loop"),
-        };
-        ctx.journal.log(
-            Severity::Debug,
-            "run.chunk",
-            &message,
-            &ctx.corr.clone().network(net as u64).chunk(chunk as u64),
-        );
-    }
+    ctx.events.emit(|| {
+        let event =
+            Event::debug("run.chunk").corr(Corr::none().network(net as u64).chunk(chunk as u64));
+        match &episodes {
+            Ok(outcomes) => event.arg("episodes", outcomes.len()),
+            Err(_) => event.arg("panicked", true),
+        }
+    });
     let mut progress = slot.progress.lock().expect("progress mutex poisoned");
     if progress.chunk_filled[chunk] {
         // A duplicate completion (stall speculation, or a requeue that
@@ -1812,18 +1768,8 @@ fn process_chunk(
     match failure {
         Some(message) => {
             ctx.recorder.counter(runner_metrics::QUARANTINED).incr();
-            ctx.journal.warn(
-                "run.quarantine",
-                &format!("network {net} quarantined at stage episodes: {message}"),
-                &ctx.corr.clone().network(net as u64),
-            );
-            ctx.observer.network_done(
-                net,
-                NetworkStatus::Quarantined {
-                    stage: "episodes".to_string(),
-                    message: message.clone(),
-                },
-            );
+            ctx.events
+                .emit(|| quarantine_event(net, "episodes", &message));
             ctx.results
                 .failures
                 .lock()
@@ -1855,24 +1801,13 @@ fn process_chunk(
             }
             drop(guard);
             drop(ckpt_span);
-            ctx.journal.info(
-                "run.network",
-                &format!(
-                    "network {net} folded: {} episode(s), mean benefit {:.4}",
-                    acc.runs(),
-                    acc.mean_total_benefit()
-                ),
-                &ctx.corr.clone().network(net as u64),
-            );
-            ctx.observer.network_done(
-                net,
-                NetworkStatus::Ok {
-                    episodes: acc.runs() as u64,
-                    mean_benefit: acc.mean_total_benefit(),
-                    faults_mean: acc.mean_faults_seen(),
-                    repaired: state.was_repaired,
-                },
-            );
+            ctx.events.emit(|| {
+                network_event(Severity::Info, net, "ok")
+                    .arg("episodes", acc.runs() as u64)
+                    .arg("mean_benefit", acc.mean_total_benefit())
+                    .arg("faults_mean", acc.mean_faults_seen())
+                    .arg("repaired", state.was_repaired)
+            });
             ctx.results
                 .repaired
                 .fetch_add(usize::from(state.was_repaired), Ordering::Relaxed);

@@ -40,8 +40,8 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use accu_core::ChaosPlan;
-use accu_telemetry::obs::{BindError, Observer};
-use accu_telemetry::{install_panic_dump, Corr, FlightRecorder, Journal, Recorder, Severity};
+use accu_telemetry::obs::{BindError, Observer, RunEvents};
+use accu_telemetry::{install_panic_dump, Corr, Event, Journal, JsonlSink, Recorder};
 
 use crate::chaosfs::{ChaosFile, ChaosSite};
 use crate::checkpoint::Checkpoint;
@@ -57,10 +57,6 @@ const CONN_IDLE_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Poll interval for watch streams and queue waits.
 const POLL: Duration = Duration::from_millis(20);
-
-/// Capacity of the always-on flight-recorder ring: enough journal tail
-/// to reconstruct several job lifecycles, small enough to be free.
-const FLIGHT_CAPACITY: usize = 256;
 
 /// Metric names emitted by the service daemon.
 ///
@@ -175,10 +171,9 @@ struct Shared {
     /// *next* faults from the stream, not replay the first ones.
     ckpt_site: Option<ChaosSite>,
     /// Correlated event journal at `<root>/journal.jsonl`, shared by
-    /// every daemon incarnation serving this registry.
+    /// every daemon incarnation serving this registry; its crash ring
+    /// is dumped on crash paths.
     journal: Journal,
-    /// Always-on ring of recent journal events, dumped on crash paths.
-    flight: FlightRecorder,
     /// Daemon start time (drives the `health` verb's uptime).
     started: Instant,
     /// Execution attempts per job id within this daemon (the `attempt`
@@ -218,7 +213,7 @@ impl Shared {
     fn request_stop(&self, why: &str) {
         if !self.stop.swap(true, Ordering::Relaxed) {
             self.journal
-                .info("daemon.stop", &format!("stopping: {why}"), &Corr::none());
+                .emit(Event::info("daemon.stop").msg(format!("stopping: {why}")));
         }
         self.queue_cv.notify_all();
     }
@@ -259,32 +254,26 @@ impl Daemon {
         registry.set_kill_after_writes(config.kill_after_registry);
         // Service-grade forensics: the journal appends durably to
         // <root>/journal.jsonl (one file per registry, shared across
-        // incarnations), mirrored into the flight ring; the registry's
-        // kill channel and a process panic both dump the ring.
-        let flight = FlightRecorder::new(FLIGHT_CAPACITY);
+        // incarnations) and keeps a crash ring; the registry's kill
+        // channel and a process panic both dump the ring.
         let journal = Journal::append_to(registry.journal_path())
-            .map_err(|e| BindError::new(config.listen.clone(), e))?
-            .with_flight(flight.clone());
-        registry.attach_obs(journal.clone(), flight.clone());
-        install_panic_dump(&flight, config.registry.join("flight.jsonl"));
+            .map_err(|e| BindError::new(config.listen.clone(), e))?;
+        registry.attach_obs(journal.clone());
+        install_panic_dump(&journal, config.registry.join("flight.jsonl"));
         let listener = TcpListener::bind(&config.listen)
             .map_err(|e| BindError::new(config.listen.clone(), e))?;
         let addr = listener
             .local_addr()
             .map_err(|e| BindError::new(config.listen.clone(), e))?;
-        journal.info(
-            "daemon.start",
-            &format!(
-                "daemon up: pid {}, listening on {addr}, registry {}, \
-                 {} worker(s), queue cap {}, lease TTL {}ms",
-                std::process::id(),
-                config.registry.display(),
-                config.max_jobs,
-                config.queue_cap,
-                ttl_ms
-            ),
-            &Corr::none(),
-        );
+        journal.emit(Event::info("daemon.start").msg(format!(
+            "daemon up: pid {}, listening on {addr}, registry {}, \
+             {} worker(s), queue cap {}, lease TTL {}ms",
+            std::process::id(),
+            config.registry.display(),
+            config.max_jobs,
+            config.queue_cap,
+            ttl_ms
+        )));
         let socket_site =
             (!config.chaos.is_trivial()).then(|| ChaosSite::new(config.chaos, "socket"));
         let ckpt_site =
@@ -303,7 +292,6 @@ impl Daemon {
             socket_site,
             ckpt_site,
             journal,
-            flight,
             started: Instant::now(),
             attempts: Mutex::new(HashMap::new()),
             alarmed: Mutex::new(HashSet::new()),
@@ -590,15 +578,13 @@ fn submit(shared: &Shared, job: &str, spec: &crate::service::spec::JobSpec) -> R
             .recorder
             .counter(service_metrics::ADMISSION_REJECTIONS)
             .incr();
-        shared.journal.warn(
-            "job.reject",
-            &format!(
+        shared
+            .journal
+            .emit(Event::warn("job.reject").corr(Corr::job(job)).msg(format!(
                 "admission control rejected submission: queue {} at cap {}",
                 queue.len(),
                 shared.queue_cap
-            ),
-            &Corr::job(job),
-        );
+            )));
         return Response::Overloaded {
             running: shared.running.lock().expect("running lock").len(),
             queued: queue.len(),
@@ -615,10 +601,10 @@ fn submit(shared: &Shared, job: &str, spec: &crate::service::spec::JobSpec) -> R
                 SubmitOutcome::Attached => "attached",
                 SubmitOutcome::Requeued => "requeued",
             };
-            shared.journal.info(
-                "job.submit",
-                &format!("submission accepted ({outcome_name})"),
-                &Corr::job(job),
+            shared.journal.emit(
+                Event::info("job.submit")
+                    .corr(Corr::job(job))
+                    .msg(format!("submission accepted ({outcome_name})")),
             );
             if matches!(outcome, SubmitOutcome::Created | SubmitOutcome::Requeued) {
                 shared.enqueue(job);
@@ -666,9 +652,11 @@ fn cancel(shared: &Shared, job: &str) -> Response {
             };
             match shared.registry.write_status(job, &cancelled) {
                 Ok(()) => {
-                    shared
-                        .journal
-                        .info("job.cancel", "cancelled while queued", &Corr::job(job));
+                    shared.journal.emit(
+                        Event::info("job.cancel")
+                            .corr(Corr::job(job))
+                            .msg("cancelled while queued"),
+                    );
                     Response::Status {
                         job: job.to_string(),
                         status: cancelled,
@@ -798,10 +786,10 @@ fn run_one_job(shared: &Arc<Shared>, job: &str) {
         Ok(None) => {
             let acquired = lease_file.acquire(status.epoch + 1).unwrap_or(None);
             if let Some(lease) = &acquired {
-                shared.journal.info(
-                    "lease.acquire",
-                    &format!("lease acquired at epoch {}", lease.epoch),
-                    &Corr::job(job).epoch(lease.epoch).attempt(attempt),
+                shared.journal.emit(
+                    Event::info("lease.acquire")
+                        .corr(Corr::job(job).epoch(lease.epoch).attempt(attempt))
+                        .msg(format!("lease acquired at epoch {}", lease.epoch)),
                 );
             }
             acquired
@@ -811,17 +799,17 @@ fn run_one_job(shared: &Arc<Shared>, job: &str) {
             if let Some(lease) = &adopted {
                 shared.recorder.counter(service_metrics::ADOPTED).incr();
                 shared.recorder.counter(service_metrics::TAKEOVERS).incr();
-                shared.journal.warn(
-                    "lease.takeover",
-                    &format!(
-                        "took over stale lease: previous holder pid {} epoch {} \
-                         (heartbeat age {}ms), fenced to epoch {}",
-                        current.pid,
-                        current.epoch,
-                        now_ms().saturating_sub(current.beat_ms),
-                        lease.epoch
-                    ),
-                    &Corr::job(job).epoch(lease.epoch).attempt(attempt),
+                shared.journal.emit(
+                    Event::warn("lease.takeover")
+                        .corr(Corr::job(job).epoch(lease.epoch).attempt(attempt))
+                        .msg(format!(
+                            "took over stale lease: previous holder pid {} epoch {} \
+                             (heartbeat age {}ms), fenced to epoch {}",
+                            current.pid,
+                            current.epoch,
+                            now_ms().saturating_sub(current.beat_ms),
+                            lease.epoch
+                        )),
                 );
             }
             adopted
@@ -842,11 +830,10 @@ fn run_one_job(shared: &Arc<Shared>, job: &str) {
     let outcome = execute(shared, job, &lease, &corr);
 
     let _ = lease_file.release(&lease);
-    shared.journal.log(
-        Severity::Debug,
-        "lease.release",
-        &format!("lease released at epoch {}", lease.epoch),
-        &corr,
+    shared.journal.emit(
+        Event::debug("lease.release")
+            .corr(corr.clone())
+            .msg(format!("lease released at epoch {}", lease.epoch)),
     );
     shared.running.lock().expect("running lock").remove(job);
     shared.recorder.gauge(service_metrics::JOBS_RUNNING).sub(1);
@@ -905,10 +892,10 @@ fn execute(
     if shared.registry.write_status(job, &running).is_err() {
         return ExecOutcome::Retry;
     }
-    shared.journal.info(
-        "job.run",
-        &format!("attempt started under epoch {}", lease.epoch),
-        corr,
+    shared.journal.emit(
+        Event::info("job.run")
+            .corr(corr.clone())
+            .msg(format!("attempt started under epoch {}", lease.epoch)),
     );
 
     // Heartbeat: renew at TTL/4; a failed renewal (epoch moved) means
@@ -952,14 +939,12 @@ fn execute(
         && matches!(lease_file.read(), Ok(Some(current)) if current.epoch == lease.epoch);
     if !still_owner {
         shared.recorder.counter(service_metrics::FENCES).incr();
-        shared.journal.warn(
-            "lease.fenced",
-            &format!(
+        shared
+            .journal
+            .emit(Event::warn("lease.fenced").corr(corr.clone()).msg(format!(
                 "fenced off at epoch {}: a successor holds the lease, discarding work",
                 lease.epoch
-            ),
-            corr,
-        );
+            )));
         return ExecOutcome::Fenced;
     }
 
@@ -973,27 +958,29 @@ fn execute(
                 // before publication — the next owner republishes.
                 return ExecOutcome::Retry;
             }
-            shared.journal.info(
-                "job.publish",
-                &format!("result published at epoch {}", lease.epoch),
-                corr,
+            shared.journal.emit(
+                Event::info("job.publish")
+                    .corr(corr.clone())
+                    .msg(format!("result published at epoch {}", lease.epoch)),
             );
             ExecOutcome::Published
         }
         Err(JobError::Transient(message)) => {
             eprintln!("accu-serve: job {job} hit transient trouble, will retry: {message}");
-            shared.journal.warn(
-                "job.retry",
-                &format!("transient trouble, will retry: {message}"),
-                corr,
+            shared.journal.emit(
+                Event::warn("job.retry")
+                    .corr(corr.clone())
+                    .msg(format!("transient trouble, will retry: {message}")),
             );
             ExecOutcome::Retry
         }
         Err(JobError::Fatal(message)) => {
-            shared
-                .journal
-                .error("job.fail", &format!("fatal failure: {message}"), corr);
-            let _ = shared.flight.dump(shared.registry.flight_path(job));
+            shared.journal.emit_and_dump(
+                Event::error("job.fail")
+                    .corr(corr.clone())
+                    .msg(format!("fatal failure: {message}")),
+                &shared.registry.flight_path(job),
+            );
             let _ = shared.registry.write_status(
                 job,
                 &JobStatus {
@@ -1030,24 +1017,26 @@ fn run_job_body(
         Some(site) => checkpoint.attach_chaos_site(site),
         None => checkpoint.attach_chaos(&shared.chaos),
     }
-    checkpoint.attach_obs(shared.journal.clone(), shared.flight.clone(), corr.clone());
+    checkpoint.attach_obs(shared.journal.clone(), corr.clone());
     // Progress restarts from sequence 0 on every (re)execution: the
     // stream documents *this* attempt, and watch clients treat a seq
     // reset after reconnect as a new attempt.
-    let observer = Observer::to_path_quiet(shared.registry.progress_path(job))
+    let progress = JsonlSink::create(shared.registry.progress_path(job))
         .map_err(|e| JobError::Transient(format!("progress sink failed: {e}")))?;
     let report = run_policy_with(
         &figure,
         policy,
         RunOptions {
             recorder: shared.recorder.clone(),
-            observer,
+            events: RunEvents::new(
+                shared.journal.clone(),
+                Observer::new(Some(progress), false),
+                corr.clone(),
+            ),
             checkpoint: Some(&mut checkpoint),
             max_workers: Some(2),
             chaos: shared.chaos,
             supervisor: shared.supervisor,
-            journal: shared.journal.clone(),
-            corr: corr.clone(),
             ..RunOptions::default()
         },
     )
@@ -1100,10 +1089,10 @@ fn sweeper_loop(shared: &Arc<Shared>) {
             for id in orphans {
                 if shared.enqueue(&id) {
                     shared.recorder.counter(service_metrics::ADOPTIONS).incr();
-                    shared.journal.info(
-                        "job.adopt",
-                        "adoption sweep requeued leaseless non-terminal job",
-                        &Corr::job(&id),
+                    shared.journal.emit(
+                        Event::info("job.adopt")
+                            .corr(Corr::job(&id))
+                            .msg("adoption sweep requeued leaseless non-terminal job"),
                     );
                 }
             }
@@ -1122,7 +1111,7 @@ fn sweeper_loop(shared: &Arc<Shared>) {
 /// Stale-lease watchdog: a job whose on-disk status says `Running` but
 /// whose lease heartbeat is older than the TTL has lost its worker (or
 /// the worker is wedged). Publishes the worst heartbeat age as a gauge
-/// and raises a once-per-job `obs.alarm` journal event with a flight
+/// and raises a once-per-job `obs.alarm` journal event with a crash
 /// dump so the wedge is diagnosable after the fact.
 fn watch_lease_heartbeats(shared: &Arc<Shared>) {
     use crate::service::lease::now_ms;
@@ -1151,16 +1140,19 @@ fn watch_lease_heartbeats(shared: &Arc<Shared>) {
                 .expect("alarmed lock")
                 .insert(job.clone());
             if first {
-                shared.journal.error(
-                    "obs.alarm",
-                    &format!(
-                        "stale lease heartbeat: job still running but last beat {age}ms ago \
-                         (TTL {ttl_ms}ms) at epoch {}",
-                        lease.epoch
-                    ),
-                    &Corr::job(&job).epoch(lease.epoch),
+                shared.journal.emit_and_dump(
+                    Event::error("obs.alarm")
+                        .corr(Corr::job(&job).epoch(lease.epoch))
+                        .arg("alarm", "lease_heartbeat")
+                        .msg(format!(
+                            "stale lease heartbeat: job still running but last beat {age}ms ago \
+                             (TTL {ttl_ms}ms) at epoch {}",
+                            lease.epoch
+                        ))
+                        .arg("value", age)
+                        .arg("threshold", ttl_ms),
+                    &shared.registry.flight_path(&job),
                 );
-                let _ = shared.flight.dump(shared.registry.flight_path(&job));
                 eprintln!(
                     "accu-serve: WATCHDOG job {job} lease heartbeat is {age}ms old (TTL {ttl_ms}ms)"
                 );

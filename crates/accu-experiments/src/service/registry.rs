@@ -28,7 +28,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use accu_core::ChaosPlan;
-use accu_telemetry::{json_escape, parse_json, Corr, FlightRecorder, Journal, Severity};
+use accu_telemetry::{json_escape, parse_json, Corr, Event, Journal};
 
 use crate::chaosfs::{atomic_write, atomic_write_chaos, ChaosSite};
 use crate::service::lease::{now_ms, LeaseFile};
@@ -244,10 +244,10 @@ pub struct Registry {
     writes: AtomicU64,
     /// Abort the process after this many durable registry writes.
     kill_after_writes: Option<u64>,
-    /// Journal + flight recorder for crash forensics: the kill-channel
-    /// abort journals the killed write and dumps the flight ring into
-    /// the job dir the write was targeting.
-    obs: Option<(Journal, FlightRecorder)>,
+    /// Journal for crash forensics: the kill-channel abort journals the
+    /// killed write and dumps the journal's crash ring into the job dir
+    /// the write was targeting.
+    obs: Option<Journal>,
 }
 
 impl Registry {
@@ -287,10 +287,11 @@ impl Registry {
 
     /// Attaches crash forensics: when the kill channel aborts the
     /// process, the killed write is journaled (kind `chaos.kill`, with
-    /// the job id recovered from the target path) and the flight ring
-    /// is dumped to `flight.jsonl` inside the job dir being written.
-    pub fn attach_obs(&mut self, journal: Journal, flight: FlightRecorder) {
-        self.obs = Some((journal, flight));
+    /// the job id recovered from the target path) and the journal's
+    /// crash ring is dumped to `flight.jsonl` inside the job dir being
+    /// written.
+    pub fn attach_obs(&mut self, journal: Journal) {
+        self.obs = Some(journal);
     }
 
     /// The daemon-wide event journal, shared by every daemon
@@ -367,7 +368,7 @@ impl Registry {
                 eprintln!(
                     "chaos: aborting after {kill_after} durable registry write(s) (kill-after-registry)"
                 );
-                if let Some((journal, flight)) = &self.obs {
+                if let Some(journal) = &self.obs {
                     // `path` is `<root>/jobs/<id>/<file>`: recover the
                     // job id so the kill event joins the job's chain,
                     // and leave the dump inside that job's directory.
@@ -381,13 +382,12 @@ impl Registry {
                         .file_name()
                         .and_then(|n| n.to_str())
                         .unwrap_or("<registry file>");
-                    journal.log(
-                        Severity::Error,
-                        "chaos.kill",
-                        &format!("kill-after-registry abort on durable write {done} ({file})"),
-                        &corr,
+                    journal.emit_and_dump(
+                        Event::error("chaos.kill").corr(corr).msg(format!(
+                            "kill-after-registry abort on durable write {done} ({file})"
+                        )),
+                        &job_dir.join("flight.jsonl"),
                     );
-                    let _ = flight.dump(job_dir.join("flight.jsonl"));
                 }
                 std::process::abort();
             }

@@ -21,7 +21,7 @@ use accu_core::chaos::chaos_metrics;
 use accu_core::policy::abm_metrics;
 use accu_core::{fault_metrics, sim_metrics, validate_metrics, ChaosPlan};
 use accu_telemetry::obs::{throughput_floor, MetricsServer, Observer, Watchdog, WatchdogConfig};
-use accu_telemetry::{FieldValue, JsonlSink, Recorder, Snapshot, Tracer, DEFAULT_TRACK_CAPACITY};
+use accu_telemetry::{Event, JsonlSink, Recorder, Snapshot, Tracer, DEFAULT_TRACK_CAPACITY};
 
 use crate::chaosfs::{atomic_write, atomic_write_chaos, ChaosFile, ChaosSite};
 use crate::cli::Cli;
@@ -149,15 +149,19 @@ impl Telemetry {
                 let file = std::fs::File::create(path)
                     .unwrap_or_else(|e| fail(&format!("--progress={path}"), &e));
                 let writer: Box<dyn Write + Send> = Box::new(ChaosFile::new(file, site));
-                Observer::with_sink(JsonlSink::from_writer(writer, path), true)
+                Observer::new(Some(JsonlSink::from_writer(writer, path)), true)
             }
             Some(Some(path)) => {
-                Observer::to_path(path).unwrap_or_else(|e| fail(&format!("--progress={path}"), &e))
+                let sink = JsonlSink::create(path)
+                    .unwrap_or_else(|e| fail(&format!("--progress={path}"), &e));
+                Observer::new(Some(sink), true)
             }
-            Some(None) => Observer::console(),
+            Some(None) => Observer::new(None, true),
             // Watchdogs and the metrics endpoint read run state through
             // the observer, so give them a counters-only one.
-            None if cli.watchdog.is_some() || cli.metrics_addr.is_some() => Observer::quiet(),
+            None if cli.watchdog.is_some() || cli.metrics_addr.is_some() => {
+                Observer::new(None, false)
+            }
             None => Observer::disabled(),
         };
         let recorder = Recorder::new(cli.telemetry || cli.metrics_addr.is_some());
@@ -271,7 +275,7 @@ impl Telemetry {
     }
 
     /// A [`RunOptions`] bundle carrying this handle's recorder, tracer,
-    /// observer, and `--workers` cap — ready for
+    /// progress observer, and `--workers` cap — ready for
     /// [`run_policy_with`](crate::run_policy_with). Attach a checkpoint
     /// with struct-update syntax:
     ///
@@ -293,14 +297,12 @@ impl Telemetry {
         RunOptions {
             recorder: self.recorder.clone(),
             tracer: self.tracer.clone(),
-            observer: self.observer.clone(),
+            events: self.observer.clone().into(),
             checkpoint: None,
             max_workers: self.workers,
             chaos: self.chaos,
             supervisor: SupervisorConfig::default(),
             deadline: self.deadline_at.map(Deadline::until),
-            journal: accu_telemetry::Journal::disabled(),
-            corr: accu_telemetry::Corr::default(),
         }
     }
 
@@ -343,12 +345,14 @@ impl Telemetry {
                 let path = telemetry_dir()?.join(format!("{}.jsonl", sanitize(&self.label)));
                 let mut sink = JsonlSink::create(&path)?;
                 sink.write_snapshot(&snapshot)?;
-                let derived: Vec<(&str, FieldValue)> = derived_metrics(&snapshot)
-                    .iter()
-                    .map(|(name, value)| (*name, FieldValue::F64(*value)))
-                    .collect();
+                let derived = derived_metrics(&snapshot);
                 if !derived.is_empty() {
-                    sink.write_event("derived", &derived)?;
+                    let event = derived
+                        .into_iter()
+                        .fold(Event::info("derived"), |event, (name, value)| {
+                            event.arg(name, value)
+                        });
+                    sink.write_event(&event)?;
                 }
                 sink.flush()?;
                 println!("telemetry snapshot written to {}", path.display());
@@ -670,7 +674,7 @@ mod tests {
         let opts = tel.run_options();
         assert_eq!(opts.max_workers, Some(3));
         assert!(opts.recorder.is_enabled());
-        assert!(!opts.observer.is_enabled());
+        assert!(!opts.events.is_enabled());
         assert!(opts.checkpoint.is_none());
     }
 

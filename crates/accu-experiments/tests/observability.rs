@@ -7,11 +7,15 @@
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-use accu_core::{FaultConfig, RetryPolicy, ValidationMode};
+use accu_core::{ChaosConfig, ChaosPlan, FaultConfig, RetryPolicy, ValidationMode, WorkerFault};
 use accu_datasets::{DatasetSpec, ProtocolConfig};
-use accu_experiments::{run_policy_with, FigureRun, PolicyKind, RunOptions, Telemetry};
+use accu_experiments::{
+    run_policy_with, FigureRun, PolicyKind, RunOptions, RunnerError, SupervisorConfig, Telemetry,
+};
 use accu_telemetry::obs::{validate_prometheus, MetricsServer, Observer};
-use accu_telemetry::{Recorder, Tracer, DEFAULT_TRACK_CAPACITY};
+use accu_telemetry::{
+    read_events, Corr, Event, JsonlSink, Recorder, Source, Stamp, Tracer, DEFAULT_TRACK_CAPACITY,
+};
 
 /// A small but non-trivial figure configuration shared by the tests.
 fn small_figure(seed: u64) -> FigureRun {
@@ -48,7 +52,7 @@ fn run_streaming(figure: &FigureRun, path: &Path, workers: usize) {
         figure,
         PolicyKind::abm_balanced(),
         RunOptions {
-            observer: Observer::to_path_quiet(path).unwrap(),
+            events: Observer::new(Some(JsonlSink::create(path).unwrap()), false).into(),
             max_workers: Some(workers),
             ..RunOptions::default()
         },
@@ -75,8 +79,8 @@ fn progress_stream_is_byte_identical_across_worker_counts() {
     );
     let text = String::from_utf8(serial_bytes).unwrap();
     let lines: Vec<&str> = text.lines().collect();
-    assert!(lines[0].contains("\"type\":\"run_begin\""));
-    assert!(lines.last().unwrap().contains("\"type\":\"run_end\""));
+    assert!(lines[0].contains("\"kind\":\"run.begin\""));
+    assert!(lines.last().unwrap().contains("\"kind\":\"run.end\""));
     assert_eq!(
         lines.len(),
         2 + figure.network_samples,
@@ -86,10 +90,96 @@ fn progress_stream_is_byte_identical_across_worker_counts() {
     // finished first.
     for (i, line) in lines[1..lines.len() - 1].iter().enumerate() {
         assert!(
-            line.contains(&format!("\"net\":{i},")),
+            line.contains(&format!("\"network\":{i},")),
             "line {i} out of order: {line}"
         );
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The kinds of a progress stream's events, with their network index.
+fn stream_kinds(path: &Path) -> Vec<String> {
+    read_events(&std::fs::read_to_string(path).unwrap())
+        .events
+        .iter()
+        .map(|e| match e.ids().network {
+            Some(net) => format!("{}#{net}", e.kind),
+            None => e.kind.to_string(),
+        })
+        .collect()
+}
+
+/// A run that aborts still streams the networks it salvaged, in index
+/// order, then `run.fail`; the next run on the same observer starts
+/// with an empty buffer.
+///
+/// Two workers, no restarts, and a chaos seed whose first-attempt
+/// panics hit networks 0 and 2: whichever worker claims network 0 dies,
+/// the other completes network 1 and dies on network 2 (the requeued
+/// network 0 sits behind it). Network 1 is salvaged behind the
+/// never-reported network 0.
+#[test]
+fn aborted_run_flushes_salvaged_networks_and_the_next_run_starts_clean() {
+    let dir = scratch_dir("abort");
+    let figure = FigureRun {
+        runs_per_network: 1, // one chunk per network
+        ..small_figure(31)
+    };
+    let chaos = (0u64..)
+        .map(|seed| {
+            ChaosPlan::sample(&ChaosConfig {
+                worker_panic: 0.5,
+                seed,
+                ..ChaosConfig::none()
+            })
+        })
+        .find(|plan| {
+            (0..figure.network_samples).all(|net| {
+                matches!(plan.worker_fault(net, 0), Some(WorkerFault::Panic)) == (net % 2 == 0)
+            })
+        })
+        .unwrap();
+    let path = dir.join("progress.jsonl");
+    let progress = Observer::new(Some(JsonlSink::create(&path).unwrap()), false);
+    let aborted = run_policy_with(
+        &figure,
+        PolicyKind::abm_balanced(),
+        RunOptions {
+            events: progress.clone().into(),
+            max_workers: Some(2),
+            chaos,
+            supervisor: SupervisorConfig {
+                max_restarts: 0,
+                ..SupervisorConfig::default()
+            },
+            ..RunOptions::default()
+        },
+    );
+    let Err(RunnerError::WorkerPanicked {
+        completed_networks, ..
+    }) = aborted
+    else {
+        panic!("the injected panics must abort the run: {aborted:?}");
+    };
+    assert_eq!(completed_networks, 1);
+    run_policy_with(
+        &figure,
+        PolicyKind::abm_balanced(),
+        RunOptions {
+            events: progress.into(),
+            ..RunOptions::default()
+        },
+    )
+    .unwrap();
+    let mut want = vec!["run.begin", "run.network#1", "run.fail", "run.begin"];
+    want.extend([
+        "run.network#0",
+        "run.network#1",
+        "run.network#2",
+        "run.network#3",
+        "run.end",
+    ]);
+    assert_eq!(stream_kinds(&path), want);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -99,7 +189,7 @@ fn live_scrape_of_a_real_run_is_valid_prometheus() {
 
     let figure = small_figure(7);
     let recorder = Recorder::enabled();
-    let observer = Observer::quiet();
+    let observer = Observer::new(None, false);
     let server =
         MetricsServer::bind("127.0.0.1:0", recorder.clone(), "obs-it", observer.clone()).unwrap();
     run_policy_with(
@@ -107,7 +197,7 @@ fn live_scrape_of_a_real_run_is_valid_prometheus() {
         PolicyKind::abm_balanced(),
         RunOptions {
             recorder,
-            observer,
+            events: observer.into(),
             ..RunOptions::default()
         },
     )
@@ -209,6 +299,49 @@ fn telemetry_diff_validates_prometheus_expositions() {
         .output()
         .unwrap();
     assert_eq!(fail.status.code(), Some(1));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `--check-events` accepts a well-formed journal and exits 1 when one
+/// writer's sequence restarts — the signature of two daemon
+/// incarnations sharing a writer id.
+#[test]
+fn telemetry_diff_check_events_rejects_a_restarted_writer_seq() {
+    let dir = scratch_dir("eventcheck");
+    let line = |writer: u64, seq: u64| {
+        let mut event = Event::info("job.submit")
+            .corr(Corr::job("j"))
+            .msg("created");
+        event.stamp = Some(Stamp {
+            source: Source::Writer(writer),
+            seq,
+            ts: 1,
+        });
+        event.to_json() + "\n"
+    };
+    let good = dir.join("good.jsonl");
+    let bad = dir.join("bad.jsonl");
+    std::fs::write(&good, line(65536, 0) + &line(65537, 0) + &line(65536, 1)).unwrap();
+    std::fs::write(&bad, line(65536, 0) + &line(65536, 1) + &line(65536, 0)).unwrap();
+
+    let diff = env!("CARGO_BIN_EXE_telemetry_diff");
+    let ok = Command::new(diff)
+        .arg("--check-events")
+        .arg(&good)
+        .output()
+        .unwrap();
+    let stdout = String::from_utf8_lossy(&ok.stdout);
+    assert!(ok.status.success(), "{stdout}");
+    assert!(stdout.contains("valid journal (3 events"), "{stdout}");
+    assert!(stdout.contains("j: 3 event(s)"), "{stdout}");
+    let fail = Command::new(diff)
+        .arg("--check-events")
+        .arg(&bad)
+        .output()
+        .unwrap();
+    assert_eq!(fail.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&fail.stderr);
+    assert!(stderr.contains("writer 65536 seq went 1 -> 0"), "{stderr}");
     std::fs::remove_dir_all(&dir).ok();
 }
 

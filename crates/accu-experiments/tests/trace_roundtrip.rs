@@ -11,10 +11,15 @@
 
 use accu_core::{FaultConfig, RetryPolicy, ValidationMode};
 use accu_datasets::{DatasetSpec, ProtocolConfig};
-use accu_experiments::replay::{parse_causal_log, verify_episode, EpisodeEvent};
+use accu_experiments::replay::{verify_episode, CausalLog, EpisodeEvent};
 use accu_experiments::{run_policy_with, FigureRun, PolicyKind, RunOptions};
-use accu_telemetry::{validate_chrome_trace, Tracer, DEFAULT_TRACK_CAPACITY};
+use accu_telemetry::{check_events, validate_chrome_trace, Tracer, DEFAULT_TRACK_CAPACITY};
 use proptest::prelude::*;
+
+/// Validates a causal log and walks it into episodes.
+fn parse_causal_log(text: &str) -> Result<CausalLog, String> {
+    CausalLog::from_events(&check_events(text)?.events)
+}
 
 fn small_figure(seed: u64, intensity: f64) -> FigureRun {
     FigureRun {

@@ -1,327 +1,70 @@
-//! Correlated structured event journal and crash flight recorder.
+//! The durable, correlation-stamped event journal and its crash dump.
 //!
-//! The journal is the service-grade forensic log: dependency-free
-//! JSONL, one self-describing event per line, appended with the same
+//! The journal is the service-grade forensic log: each [`Event`] is
+//! stamped with the handle's writer id, a per-writer sequence number
+//! and the wall-clock time, then appended as one line with the same
 //! durability discipline as the runner's checkpoints (`write_all` +
-//! `sync_all`, torn tails tolerated on read). Every event carries a
-//! severity, a wall-clock timestamp, a per-writer monotonic sequence
-//! number, and the correlation IDs ([`Corr`]) that let one
-//! `grep job_id journal.jsonl` reconstruct a job's whole life across
-//! daemon restarts and adoptions:
+//! `sync_all`; torn tails are dropped and counted by
+//! [`read_events`](crate::read_events)). Several writers (daemon
+//! incarnations, workers) may append to one file concurrently; each
+//! holds its own `(writer, seq)` stream, so a reader checks per-writer
+//! monotonicity without any cross-process coordination.
 //!
-//! ```text
-//! {"type":"journal","writer":81253,"seq":4,"ts_ms":1754650000123,
-//!  "sev":"info","kind":"lease.takeover","msg":"adopted stale lease",
-//!  "job_id":"fig2-night","epoch":3,"attempt":2}
-//! ```
-//!
-//! Several writers (daemon incarnations, workers) may append to one
-//! file concurrently; each holds its own `(writer, seq)` stream, so a
-//! reader can check per-writer monotonicity without any cross-process
-//! coordination. A torn final line — the signature of `kill -9` mid
-//! append — is dropped and counted by [`read_journal`], exactly like
-//! checkpoint resume.
-//!
-//! The [`FlightRecorder`] is the always-on post-mortem companion: a
-//! fixed-capacity ring of the most recent rendered journal lines
-//! (mirroring the bounded-ring discipline of
-//! [`TrackBuffer`](crate::TraceTrack)), dumped atomically (write a
-//! temp sibling, rename, sync the dir) when something dies — a panic,
-//! a fatal job failure, a watchdog alarm, or a chaos `kill-after`
-//! abort — so every crash path leaves a readable tail of what the
+//! Every journal keeps its most recent events in a bounded ring, the
+//! crash flight recorder: [`Journal::emit_and_dump`] journals a
+//! failure and writes the ring — ending with that failure — atomically
+//! beside it, so every crash path leaves a readable tail of what the
 //! process was doing.
 
-use std::collections::VecDeque;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
-use crate::snapshot::json_escape;
-use crate::trace::parse_json;
+use crate::event::{Event, Ring, Source, Stamp};
 
-/// Event severity, ordered from chattiest to most alarming.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Severity {
-    /// Developer-level detail.
-    Debug,
-    /// Normal lifecycle transitions.
-    Info,
-    /// Something unusual that the system absorbed.
-    Warn,
-    /// A failure (job-fatal, crash, alarm).
-    Error,
-}
+/// Events the crash ring keeps: enough tail to reconstruct several job
+/// lifecycles, small enough to be free.
+const FLIGHT_CAPACITY: usize = 256;
 
-impl Severity {
-    /// Wire encoding.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Severity::Debug => "debug",
-            Severity::Info => "info",
-            Severity::Warn => "warn",
-            Severity::Error => "error",
-        }
-    }
+/// Version of the dump format (`flight.dump` header, then events).
+const FLIGHT_VERSION: u64 = 2;
 
-    /// Parses the wire encoding.
-    pub fn parse(s: &str) -> Option<Severity> {
-        match s {
-            "debug" => Some(Severity::Debug),
-            "info" => Some(Severity::Info),
-            "warn" => Some(Severity::Warn),
-            "error" => Some(Severity::Error),
-            _ => None,
-        }
-    }
-}
-
-impl std::fmt::Display for Severity {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-/// Correlation IDs threaded from the daemon through registry and lease
-/// transitions into the runner's stages and the episode engine. All
-/// fields are optional — an event carries exactly the coordinates that
-/// exist at its layer — and every present field is emitted as a
-/// top-level JSON key so `grep`-level reconstruction needs no parser.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Corr {
-    /// The service job this event belongs to.
-    pub job_id: Option<String>,
-    /// The lease fencing epoch under which the writer held the job.
-    pub epoch: Option<u64>,
-    /// The execution attempt (1-based) within this daemon.
-    pub attempt: Option<u64>,
-    /// The sampled-network index inside the run.
-    pub network: Option<u64>,
-    /// The episode-chunk index inside the network.
-    pub chunk: Option<u64>,
-}
-
-impl Corr {
-    /// An empty correlation set (daemon-global events).
-    pub fn none() -> Self {
-        Corr::default()
-    }
-
-    /// Starts a correlation chain at a job.
-    pub fn job(id: impl Into<String>) -> Self {
-        Corr {
-            job_id: Some(id.into()),
-            ..Corr::default()
-        }
-    }
-
-    /// Sets the lease epoch.
-    #[must_use]
-    pub fn epoch(mut self, epoch: u64) -> Self {
-        self.epoch = Some(epoch);
-        self
-    }
-
-    /// Sets the attempt number.
-    #[must_use]
-    pub fn attempt(mut self, attempt: u64) -> Self {
-        self.attempt = Some(attempt);
-        self
-    }
-
-    /// Sets the network index.
-    #[must_use]
-    pub fn network(mut self, network: u64) -> Self {
-        self.network = Some(network);
-        self
-    }
-
-    /// Sets the chunk index.
-    #[must_use]
-    pub fn chunk(mut self, chunk: u64) -> Self {
-        self.chunk = Some(chunk);
-        self
-    }
-
-    fn render_into(&self, out: &mut String) {
-        use std::fmt::Write as _;
-        if let Some(job) = &self.job_id {
-            let _ = write!(out, ",\"job_id\":\"{}\"", json_escape(job));
-        }
-        if let Some(epoch) = self.epoch {
-            let _ = write!(out, ",\"epoch\":{epoch}");
-        }
-        if let Some(attempt) = self.attempt {
-            let _ = write!(out, ",\"attempt\":{attempt}");
-        }
-        if let Some(network) = self.network {
-            let _ = write!(out, ",\"network\":{network}");
-        }
-        if let Some(chunk) = self.chunk {
-            let _ = write!(out, ",\"chunk\":{chunk}");
-        }
-    }
-}
-
-/// One parsed journal event.
-#[derive(Debug, Clone, PartialEq)]
-pub struct JournalEvent {
-    /// The writer stream this event belongs to (pid + open-instance).
-    pub writer: u64,
-    /// Monotonic per-writer sequence number (0-based).
-    pub seq: u64,
-    /// Wall-clock milliseconds since the Unix epoch.
-    pub ts_ms: u64,
-    /// Severity.
-    pub severity: Severity,
-    /// Dotted event kind (`job.submit`, `lease.takeover`, `obs.alarm`,
-    /// `chaos.kill`, `run.network`, ...).
-    pub kind: String,
-    /// Human-readable message.
-    pub message: String,
-    /// Correlation IDs present on the event.
-    pub corr: Corr,
-}
-
-impl JournalEvent {
-    /// Renders the single-line JSON form (no trailing newline).
-    pub fn to_json(&self) -> String {
-        let mut out = format!(
-            "{{\"type\":\"journal\",\"writer\":{},\"seq\":{},\"ts_ms\":{},\
-             \"sev\":\"{}\",\"kind\":\"{}\",\"msg\":\"{}\"",
-            self.writer,
-            self.seq,
-            self.ts_ms,
-            self.severity.as_str(),
-            json_escape(&self.kind),
-            json_escape(&self.message),
-        );
-        self.corr.render_into(&mut out);
-        out.push('}');
-        out
-    }
-
-    /// Parses one journal line; `None` for anything malformed (torn
-    /// tails, foreign lines).
-    pub fn from_json(line: &str) -> Option<JournalEvent> {
-        let doc = parse_json(line.trim()).ok()?;
-        if doc.get("type")?.as_str()? != "journal" {
-            return None;
-        }
-        Some(JournalEvent {
-            writer: doc.get("writer")?.as_u64()?,
-            seq: doc.get("seq")?.as_u64()?,
-            ts_ms: doc.get("ts_ms")?.as_u64()?,
-            severity: Severity::parse(doc.get("sev")?.as_str()?)?,
-            kind: doc.get("kind")?.as_str()?.to_string(),
-            message: doc.get("msg")?.as_str()?.to_string(),
-            corr: Corr {
-                job_id: doc
-                    .get("job_id")
-                    .and_then(|v| v.as_str())
-                    .map(str::to_string),
-                epoch: doc.get("epoch").and_then(|v| v.as_u64()),
-                attempt: doc.get("attempt").and_then(|v| v.as_u64()),
-                network: doc.get("network").and_then(|v| v.as_u64()),
-                chunk: doc.get("chunk").and_then(|v| v.as_u64()),
-            },
-        })
-    }
-}
-
-/// What [`read_journal`] found in a journal file.
-#[derive(Debug, Default)]
-pub struct JournalRead {
-    /// Every parseable event, in file order.
-    pub events: Vec<JournalEvent>,
-    /// Lines dropped because they did not parse — a crash mid-append
-    /// legitimately leaves at most one per dead writer.
-    pub skipped_lines: usize,
-}
-
-impl JournalRead {
-    /// The events correlated to `job_id`, in file order.
-    pub fn for_job<'a>(&'a self, job_id: &'a str) -> impl Iterator<Item = &'a JournalEvent> {
-        self.events
-            .iter()
-            .filter(move |e| e.corr.job_id.as_deref() == Some(job_id))
-    }
-
-    /// Checks that every writer's sequence numbers strictly increase in
-    /// file order — the multi-writer append invariant.
-    ///
-    /// # Errors
-    ///
-    /// Names the writer and offending sequence pair.
-    pub fn check_seq_monotonic(&self) -> Result<(), String> {
-        let mut last: std::collections::BTreeMap<u64, u64> = Default::default();
-        for event in &self.events {
-            if let Some(prev) = last.insert(event.writer, event.seq) {
-                if event.seq <= prev {
-                    return Err(format!(
-                        "writer {} seq went {} -> {} (must strictly increase)",
-                        event.writer, prev, event.seq
-                    ));
-                }
-            }
-        }
-        Ok(())
-    }
-}
-
-/// Reads a journal file, dropping (and counting) unparseable lines.
-///
-/// # Errors
-///
-/// Any I/O error reading the file. A missing file is an empty journal,
-/// not an error — a daemon that never logged is a valid post-mortem.
-pub fn read_journal(path: impl AsRef<Path>) -> io::Result<JournalRead> {
-    let text = match std::fs::read_to_string(path.as_ref()) {
-        Ok(text) => text,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(JournalRead::default()),
-        Err(e) => return Err(e),
-    };
-    let mut read = JournalRead::default();
-    for line in text.lines() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        match JournalEvent::from_json(line) {
-            Some(event) => read.events.push(event),
-            None => read.skipped_lines += 1,
-        }
-    }
-    Ok(read)
-}
-
-/// Distinguishes journal handles opened within one process, so two
-/// handles in the same pid never share a `(writer, seq)` stream.
+/// Distinguishes journal handles opened within one process.
 static WRITER_INSTANCE: AtomicU64 = AtomicU64::new(0);
 
-/// Milliseconds since the Unix epoch (0 if the clock is before 1970).
-fn wall_ms() -> u64 {
+/// One SplitMix64 step.
+fn splitmix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// A writer id from the pid, the per-process open instance and the
+/// wall-clock nanoseconds at open: two daemon incarnations that reuse a
+/// pid (PID 1 in a container) still get distinct streams. Kept below
+/// 2^53 so the id survives a round-trip through JSON numbers.
+fn writer_id(pid: u32, instance: u64, open_ns: u64) -> u64 {
+    splitmix64((u64::from(pid) << 16 | (instance & 0xFFFF)) ^ open_ns) >> 11
+}
+
+/// Time since the Unix epoch (zero if the clock is before 1970).
+fn since_epoch() -> std::time::Duration {
     std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_millis() as u64)
-        .unwrap_or(0)
+        .unwrap_or_default()
 }
 
+#[derive(Debug)]
 struct JournalInner {
-    path: PathBuf,
-    file: Mutex<File>,
     writer: u64,
-    seq: AtomicU64,
-    flight: Option<FlightRecorder>,
-}
-
-impl std::fmt::Debug for JournalInner {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("JournalInner")
-            .field("path", &self.path)
-            .field("writer", &self.writer)
-            .finish_non_exhaustive()
-    }
+    /// The file and the next sequence number, under one lock so file
+    /// order always matches seq order across cloned handles.
+    file: Mutex<(File, u64)>,
+    /// Shared with the panic hook, which must not keep the file open.
+    ring: Arc<Ring>,
 }
 
 /// A cheaply cloneable journal handle: either **enabled**, appending
@@ -338,10 +81,9 @@ impl Journal {
         Journal { inner: None }
     }
 
-    /// Opens (creating if needed) a journal appending to `path`. The
-    /// writer id combines the pid with a per-process instance counter,
-    /// so restarts — and re-opens within one process — always start a
-    /// fresh `(writer, seq)` stream.
+    /// Opens (creating if needed) a journal appending to `path`, with a
+    /// fresh writer id: restarts — and re-opens within one process —
+    /// always start a new `(writer, seq)` stream.
     ///
     /// # Errors
     ///
@@ -355,42 +97,14 @@ impl Journal {
         }
         let file = OpenOptions::new().create(true).append(true).open(&path)?;
         let instance = WRITER_INSTANCE.fetch_add(1, Ordering::Relaxed);
-        let writer = (u64::from(std::process::id()) << 16) | (instance & 0xFFFF);
+        let open_ns = since_epoch().as_nanos() as u64;
         Ok(Journal {
             inner: Some(Arc::new(JournalInner {
-                path,
-                file: Mutex::new(file),
-                writer,
-                seq: AtomicU64::new(0),
-                flight: None,
+                writer: writer_id(std::process::id(), instance, open_ns),
+                file: Mutex::new((file, 0)),
+                ring: Arc::new(Ring::new(FLIGHT_CAPACITY)),
             })),
         })
-    }
-
-    /// Returns this journal with every event mirrored into `flight`'s
-    /// ring, so the crash dump always holds the latest journal tail.
-    #[must_use]
-    pub fn with_flight(self, flight: FlightRecorder) -> Journal {
-        match self.inner {
-            None => Journal { inner: None },
-            Some(inner) => {
-                // The handle is fresh from `append_to` (seq 0) in every
-                // caller; rebuilding inner keeps the type Arc-shared.
-                Journal {
-                    inner: Some(Arc::new(JournalInner {
-                        path: inner.path.clone(),
-                        file: Mutex::new(
-                            inner.file.lock().expect("journal lock").try_clone().expect(
-                                "journal file handles must be cloneable on every supported platform",
-                            ),
-                        ),
-                        writer: inner.writer,
-                        seq: AtomicU64::new(inner.seq.load(Ordering::Relaxed)),
-                        flight: Some(flight),
-                    })),
-                }
-            }
-        }
     }
 
     /// Whether events actually land anywhere.
@@ -398,194 +112,69 @@ impl Journal {
         self.inner.is_some()
     }
 
-    /// The journal file path, when enabled.
-    pub fn path(&self) -> Option<&Path> {
-        self.inner.as_deref().map(|i| i.path.as_path())
-    }
-
-    /// Appends one event durably (`write_all` + `sync_all`) and mirrors
-    /// it into the attached flight ring. Returns the rendered line so
-    /// callers can surface it (e.g. on stderr alongside an alarm).
+    /// Stamps `event`, appends it durably (`write_all` + `sync_all`)
+    /// and keeps it in the crash ring.
     ///
     /// I/O failures are swallowed: the journal is an observer, and an
     /// un-journaled transition must never fail the transition itself.
-    pub fn log(
-        &self,
-        severity: Severity,
-        kind: &str,
-        message: &str,
-        corr: &Corr,
-    ) -> Option<String> {
-        let inner = self.inner.as_deref()?;
-        // Sequence assignment happens under the file lock: cloned
-        // handles share one `(writer, seq)` stream across threads, and
-        // holding the lock across assign + append keeps the file order
-        // identical to the seq order — the invariant readers verify.
-        let guard = inner.file.lock();
-        let event = JournalEvent {
-            writer: inner.writer,
-            seq: inner.seq.fetch_add(1, Ordering::Relaxed),
-            ts_ms: wall_ms(),
-            severity,
-            kind: kind.to_string(),
-            message: message.to_string(),
-            corr: corr.clone(),
-        };
-        let line = event.to_json();
-        if let Some(flight) = &inner.flight {
-            flight.record(&line);
-        }
-        if let Ok(mut file) = guard {
-            let mut bytes = line.clone().into_bytes();
-            bytes.push(b'\n');
-            let _ = file.write_all(&bytes).and_then(|()| file.sync_all());
-        }
-        Some(line)
-    }
-
-    /// [`Journal::log`] at [`Severity::Info`].
-    pub fn info(&self, kind: &str, message: &str, corr: &Corr) {
-        self.log(Severity::Info, kind, message, corr);
-    }
-
-    /// [`Journal::log`] at [`Severity::Warn`].
-    pub fn warn(&self, kind: &str, message: &str, corr: &Corr) {
-        self.log(Severity::Warn, kind, message, corr);
-    }
-
-    /// [`Journal::log`] at [`Severity::Error`].
-    pub fn error(&self, kind: &str, message: &str, corr: &Corr) {
-        self.log(Severity::Error, kind, message, corr);
-    }
-}
-
-/// Header line of a flight-recorder dump.
-const FLIGHT_HEADER_KEY: &str = "accu_flight";
-/// Dump format version.
-const FLIGHT_VERSION: u64 = 1;
-
-struct FlightInner {
-    capacity: usize,
-    events: Mutex<VecDeque<String>>,
-    dropped: AtomicU64,
-}
-
-/// An always-on, fixed-capacity ring of recent journal lines — the
-/// crash flight recorder. Mirrors the bounded-`VecDeque` + dropped
-/// counter discipline of the trace module's ring tracks, but holds
-/// rendered journal lines so a dump is directly greppable.
-///
-/// Cloning shares the ring. [`FlightRecorder::dump`] writes the ring
-/// atomically (temp sibling + rename + parent-dir sync), so a dump
-/// racing a crash is either absent or complete, never torn.
-#[derive(Clone)]
-pub struct FlightRecorder {
-    inner: Arc<FlightInner>,
-}
-
-impl std::fmt::Debug for FlightRecorder {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FlightRecorder")
-            .field("capacity", &self.inner.capacity)
-            .field("dropped", &self.inner.dropped.load(Ordering::Relaxed))
-            .finish_non_exhaustive()
-    }
-}
-
-impl FlightRecorder {
-    /// A ring holding the most recent `capacity` lines (clamped ≥ 1).
-    pub fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
-        FlightRecorder {
-            inner: Arc::new(FlightInner {
-                capacity,
-                events: Mutex::new(VecDeque::with_capacity(capacity)),
-                dropped: AtomicU64::new(0),
-            }),
+    pub fn emit(&self, event: Event) {
+        if let Some(inner) = self.inner.as_deref() {
+            drop(inner.append(event));
         }
     }
 
-    /// The ring capacity.
-    pub fn capacity(&self) -> usize {
-        self.inner.capacity
-    }
-
-    /// Lines evicted so far to make room for newer ones.
-    pub fn dropped(&self) -> u64 {
-        self.inner.dropped.load(Ordering::Relaxed)
-    }
-
-    /// Records one rendered line, evicting the oldest when full.
-    pub fn record(&self, line: &str) {
-        let mut ring = self.inner.events.lock().expect("flight ring lock");
-        if ring.len() >= self.inner.capacity {
-            ring.pop_front();
-            self.inner.dropped.fetch_add(1, Ordering::Relaxed);
+    /// Journals `event` and dumps the crash ring — whose last event is
+    /// that one — atomically to `dump`. The one call every crash path
+    /// (kill-channel aborts, fatal job failures, watchdog alarms) makes.
+    pub fn emit_and_dump(&self, event: Event, dump: &Path) {
+        if let Some(inner) = self.inner.as_deref() {
+            // Render before releasing the file lock, so no other
+            // handle's event lands after this one in the dump.
+            let guard = inner.append(event);
+            let body = inner.ring.with(render_dump);
+            drop(guard);
+            let _ = atomic_replace(dump, body.as_bytes());
         }
-        ring.push_back(line.to_string());
-    }
-
-    /// The current ring contents, oldest first.
-    pub fn snapshot(&self) -> Vec<String> {
-        self.inner
-            .events
-            .lock()
-            .expect("flight ring lock")
-            .iter()
-            .cloned()
-            .collect()
-    }
-
-    /// Dumps the ring to `path` atomically: a header line naming the
-    /// format, the eviction count, and the event count, followed by the
-    /// ring lines oldest → newest (the last line is always the newest
-    /// event — what the process was doing when it died).
-    ///
-    /// # Errors
-    ///
-    /// Any underlying filesystem error; the destination is never torn.
-    pub fn dump(&self, path: impl AsRef<Path>) -> io::Result<()> {
-        let path = path.as_ref();
-        let events = self.snapshot();
-        let mut body = format!(
-            "{{\"{FLIGHT_HEADER_KEY}\":{FLIGHT_VERSION},\"dropped\":{},\"events\":{}}}\n",
-            self.dropped(),
-            events.len()
-        );
-        for line in &events {
-            body.push_str(line);
-            body.push('\n');
-        }
-        atomic_replace(path, body.as_bytes())
     }
 }
 
-/// A parsed flight-recorder dump.
-#[derive(Debug)]
-pub struct FlightDump {
-    /// Lines evicted from the ring before the dump.
-    pub dropped: u64,
-    /// The dumped events, oldest first (parseable lines only).
-    pub events: Vec<JournalEvent>,
+impl JournalInner {
+    /// Stamps, appends and rings `event`, returning the file lock so a
+    /// caller can act before any other handle emits.
+    fn append(&self, mut event: Event) -> MutexGuard<'_, (File, u64)> {
+        let mut guard = self.file.lock().unwrap_or_else(|e| e.into_inner());
+        let (file, seq) = &mut *guard;
+        event.stamp = Some(Stamp {
+            source: Source::Writer(self.writer),
+            seq: *seq,
+            ts: since_epoch().as_millis() as u64,
+        });
+        *seq += 1;
+        let mut line = event.to_json();
+        line.push('\n');
+        let _ = file
+            .write_all(line.as_bytes())
+            .and_then(|()| file.sync_all());
+        self.ring.push(event);
+        guard
+    }
 }
 
-/// Reads a dump written by [`FlightRecorder::dump`].
-///
-/// # Errors
-///
-/// I/O errors, or a message when the header is missing/malformed.
-pub fn read_flight_dump(path: impl AsRef<Path>) -> Result<FlightDump, String> {
-    let text = std::fs::read_to_string(path.as_ref())
-        .map_err(|e| format!("{}: {e}", path.as_ref().display()))?;
-    let mut lines = text.lines();
-    let header = lines.next().ok_or("empty flight dump")?;
-    let doc = parse_json(header).map_err(|e| format!("bad flight header: {e}"))?;
-    doc.get(FLIGHT_HEADER_KEY)
-        .and_then(|v| v.as_u64())
-        .ok_or("flight header missing accu_flight version")?;
-    let dropped = doc.get("dropped").and_then(|v| v.as_u64()).unwrap_or(0);
-    let events = lines.filter_map(JournalEvent::from_json).collect();
-    Ok(FlightDump { dropped, events })
+/// A crash ring's dump: a `flight.dump` header counting evicted and
+/// retained events, then the retained events oldest first (the last
+/// line is what the process did last).
+fn render_dump(dropped: u64, events: &[Event]) -> String {
+    let mut body = Event::info("flight.dump")
+        .arg("accu_flight", FLIGHT_VERSION)
+        .arg("dropped", dropped)
+        .arg("events", events.len())
+        .to_json();
+    for event in events {
+        body.push('\n');
+        event.render_into(&mut body);
+    }
+    body.push('\n');
+    body
 }
 
 /// Durably replaces `path` with `bytes` (temp sibling + rename +
@@ -617,29 +206,29 @@ fn atomic_replace(path: &Path, bytes: &[u8]) -> io::Result<()> {
     Ok(())
 }
 
-/// Rings registered for dump-on-panic, with their destinations.
-static PANIC_DUMPS: OnceLock<Mutex<Vec<(FlightRecorder, PathBuf)>>> = OnceLock::new();
+/// Crash rings registered for dump-on-panic, with their destinations.
+static PANIC_DUMPS: Mutex<Vec<(Arc<Ring>, PathBuf)>> = Mutex::new(Vec::new());
 /// Ensures the chaining panic hook is installed at most once.
 static PANIC_HOOK: OnceLock<()> = OnceLock::new();
 
-/// Registers `flight` to be dumped to `path` if the process panics.
-/// The hook chains to whatever hook was installed before it (so test
-/// harness reporting survives), and dumping is best-effort — a failing
-/// dump never masks the original panic.
-pub fn install_panic_dump(flight: &FlightRecorder, path: impl Into<PathBuf>) {
-    let dumps = PANIC_DUMPS.get_or_init(|| Mutex::new(Vec::new()));
-    dumps
+/// Registers `journal`'s crash ring to be dumped to `path` if the
+/// process panics. The hook chains to whatever hook was installed
+/// before it (so test harness reporting survives), and dumping is
+/// best-effort — a failing dump never masks the original panic.
+pub fn install_panic_dump(journal: &Journal, path: impl Into<PathBuf>) {
+    let Some(inner) = journal.inner.as_deref() else {
+        return;
+    };
+    PANIC_DUMPS
         .lock()
         .expect("panic-dump registry lock")
-        .push((flight.clone(), path.into()));
+        .push((Arc::clone(&inner.ring), path.into()));
     PANIC_HOOK.get_or_init(|| {
         let previous = std::panic::take_hook();
         std::panic::set_hook(Box::new(move |info| {
-            if let Some(dumps) = PANIC_DUMPS.get() {
-                if let Ok(dumps) = dumps.lock() {
-                    for (flight, path) in dumps.iter() {
-                        let _ = flight.dump(path);
-                    }
+            if let Ok(dumps) = PANIC_DUMPS.lock() {
+                for (ring, path) in dumps.iter() {
+                    let _ = atomic_replace(path, ring.with(render_dump).as_bytes());
                 }
             }
             previous(info);
@@ -650,6 +239,11 @@ pub fn install_panic_dump(flight: &FlightRecorder, path: impl Into<PathBuf>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::{check_events, read_events, Corr, Severity};
+
+    fn log(journal: &Journal, sev: Severity, kind: &'static str, msg: &str, corr: Corr) {
+        journal.emit(Event::new(sev, kind).corr(corr).msg(msg));
+    }
 
     fn temp_path(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!(
@@ -659,44 +253,23 @@ mod tests {
         ))
     }
 
-    #[test]
-    fn events_round_trip_through_json() {
-        let event = JournalEvent {
-            writer: 42,
-            seq: 7,
-            ts_ms: 123_456,
-            severity: Severity::Warn,
-            kind: "lease.takeover".to_string(),
-            message: "adopted \"stale\" lease".to_string(),
-            corr: Corr::job("fig2-night")
-                .epoch(3)
-                .attempt(2)
-                .network(5)
-                .chunk(1),
-        };
-        let parsed = JournalEvent::from_json(&event.to_json()).expect("parses");
-        assert_eq!(parsed, event);
-        // Correlation fields are top-level keys: grep-level access.
-        let line = event.to_json();
-        assert!(line.contains("\"job_id\":\"fig2-night\""), "{line}");
-        assert!(line.contains("\"epoch\":3"), "{line}");
+    fn read(path: &Path) -> String {
+        std::fs::read_to_string(path).unwrap()
     }
 
     #[test]
-    fn absent_corr_fields_are_omitted() {
-        let event = JournalEvent {
-            writer: 1,
-            seq: 0,
-            ts_ms: 1,
-            severity: Severity::Info,
-            kind: "daemon.start".to_string(),
-            message: "up".to_string(),
-            corr: Corr::none(),
-        };
-        let line = event.to_json();
-        assert!(!line.contains("job_id"), "{line}");
-        assert!(!line.contains("network"), "{line}");
-        assert_eq!(JournalEvent::from_json(&line).unwrap().corr, Corr::none());
+    fn writer_ids_differ_across_open_times_for_one_pid() {
+        // Two container incarnations both running as PID 1, each the
+        // first journal handle of its process.
+        let first = writer_id(1, 0, 1_792_218_436_580_000_000);
+        let second = writer_id(1, 0, 1_792_218_437_591_000_000);
+        assert_ne!(first, second);
+        assert_eq!(first, writer_id(1, 0, 1_792_218_436_580_000_000));
+        for id in [first, second] {
+            assert!(id < 1 << 53, "{id} does not survive a JSON number");
+        }
+        assert_ne!(writer_id(1, 0, 7), writer_id(1, 1, 7));
+        assert_ne!(writer_id(1, 0, 7), writer_id(2, 0, 7));
     }
 
     #[test]
@@ -705,26 +278,37 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         {
             let journal = Journal::append_to(&path).unwrap();
-            journal.info("job.submit", "created", &Corr::job("j1"));
-            journal.warn("job.retry", "transient", &Corr::job("j1").epoch(1));
+            log(
+                &journal,
+                Severity::Info,
+                "job.submit",
+                "created",
+                Corr::job("j1"),
+            );
+            let corr = Corr::job("j1").epoch(1);
+            log(&journal, Severity::Warn, "job.retry", "transient", corr);
         }
         // A second writer (restart) appends more, then a torn tail.
         {
             let journal = Journal::append_to(&path).unwrap();
-            journal.info("job.publish", "done", &Corr::job("j1").epoch(2));
+            let corr = Corr::job("j1").epoch(2);
+            log(&journal, Severity::Info, "job.publish", "done", corr);
         }
         let mut file = OpenOptions::new().append(true).open(&path).unwrap();
-        file.write_all(b"{\"type\":\"journal\",\"writer\":9,\"seq")
+        file.write_all(b"{\"type\":\"event\",\"writer\":9,\"seq")
             .unwrap();
         drop(file);
-        let read = read_journal(&path).unwrap();
+        let read = check_events(&read(&path)).unwrap();
         assert_eq!(read.events.len(), 3);
         assert_eq!(read.skipped_lines, 1, "torn tail dropped, not fatal");
-        read.check_seq_monotonic().unwrap();
         assert_eq!(read.for_job("j1").count(), 3);
+        assert_eq!(read.events[1].message(), "transient");
         // The two incarnations hold distinct writer streams.
-        let writers: std::collections::BTreeSet<u64> =
-            read.events.iter().map(|e| e.writer).collect();
+        let writers: std::collections::BTreeSet<_> = read
+            .events
+            .iter()
+            .map(|e| e.stamp.as_ref().unwrap().source.clone())
+            .collect();
         assert_eq!(writers.len(), 2);
         let _ = std::fs::remove_file(&path);
     }
@@ -733,81 +317,68 @@ mod tests {
     fn disabled_journal_is_a_no_op() {
         let journal = Journal::disabled();
         assert!(!journal.is_enabled());
-        assert!(journal
-            .log(Severity::Info, "k", "m", &Corr::none())
-            .is_none());
-        assert!(journal.path().is_none());
+        journal.emit(Event::info("k"));
+        journal.emit_and_dump(Event::error("k"), &temp_path("never"));
+        assert!(!temp_path("never").exists());
     }
 
     #[test]
-    fn missing_journal_reads_as_empty() {
-        let read = read_journal(temp_path("missing-nonexistent")).unwrap();
-        assert!(read.events.is_empty());
-        assert_eq!(read.skipped_lines, 0);
-    }
-
-    #[test]
-    fn seq_monotonicity_violations_are_reported() {
-        let mut read = JournalRead::default();
-        let mut event = JournalEvent {
-            writer: 5,
-            seq: 3,
-            ts_ms: 0,
-            severity: Severity::Info,
-            kind: "k".to_string(),
-            message: String::new(),
-            corr: Corr::none(),
-        };
-        read.events.push(event.clone());
-        event.seq = 3; // duplicate
-        read.events.push(event);
-        let err = read.check_seq_monotonic().unwrap_err();
-        assert!(err.contains("writer 5"), "{err}");
-    }
-
-    #[test]
-    fn flight_ring_keeps_exactly_the_latest_k_events() {
-        let flight = FlightRecorder::new(4);
-        for i in 0..11 {
-            flight.record(&format!("event-{i}"));
-        }
-        assert_eq!(flight.dropped(), 7);
-        assert_eq!(
-            flight.snapshot(),
-            vec!["event-7", "event-8", "event-9", "event-10"]
-        );
-    }
-
-    #[test]
-    fn flight_dump_holds_the_latest_events_newest_last() {
+    fn emit_and_dump_holds_the_latest_events_ending_with_the_failure() {
         let path = temp_path("dump");
-        let flight = FlightRecorder::new(3);
-        let journal = Journal::append_to(temp_path("dump-journal"))
-            .unwrap()
-            .with_flight(flight.clone());
-        for i in 0..7 {
-            journal.info("tick", &format!("tick {i}"), &Corr::job("j").attempt(i));
+        let journal_path = temp_path("dump-journal");
+        let _ = std::fs::remove_file(&journal_path);
+        let journal = Journal::append_to(&journal_path).unwrap();
+        let ticks = FLIGHT_CAPACITY as u64 + 3;
+        for i in 0..ticks {
+            let corr = Corr::job("j").attempt(i);
+            log(&journal, Severity::Info, "tick", &format!("tick {i}"), corr);
         }
-        flight.dump(&path).unwrap();
-        let dump = read_flight_dump(&path).unwrap();
-        assert_eq!(dump.dropped, 4);
-        assert_eq!(dump.events.len(), 3);
-        assert_eq!(dump.events.last().unwrap().message, "tick 6");
+        let kill = Event::error("chaos.kill").corr(Corr::job("j")).msg("abort");
+        journal.emit_and_dump(kill, &path);
+        let text = read(&path);
+        let dump = check_events(&text).unwrap();
+        let (header, events) = dump.events.split_first().unwrap();
+        assert_eq!(header.kind, "flight.dump");
+        assert_eq!(header.get("accu_flight"), Some(&FLIGHT_VERSION.into()));
+        // ticks + 1 events went in; the ring kept the latest 256.
+        assert_eq!(header.get("dropped"), Some(&4u64.into()));
+        assert_eq!(header.get("events"), Some(&FLIGHT_CAPACITY.into()));
+        assert_eq!(events.len(), FLIGHT_CAPACITY);
+        let (last, retained) = events.split_last().unwrap();
         assert_eq!(
-            dump.events
-                .iter()
-                .map(|e| e.corr.attempt.unwrap())
-                .collect::<Vec<_>>(),
-            vec![4, 5, 6],
-            "dump must hold the latest K events in order"
+            (last.kind.as_ref(), last.sev, last.message()),
+            ("chaos.kill", Severity::Error, "abort")
         );
+        let attempts: Vec<u64> = retained.iter().filter_map(|e| e.ids().attempt).collect();
+        assert_eq!(attempts, (4..ticks).collect::<Vec<_>>());
+        // The journal file holds every event, the error included.
+        let journaled = read_events(&read(&journal_path)).events;
+        assert_eq!(journaled.len() as u64, ticks + 1);
+        assert_eq!(journaled.last().unwrap().kind, "chaos.kill");
         // A re-dump atomically replaces rather than appending.
-        journal.info("tick", "tick 7", &Corr::none());
-        flight.dump(&path).unwrap();
-        let dump = read_flight_dump(&path).unwrap();
-        assert_eq!(dump.events.last().unwrap().message, "tick 7");
+        journal.emit_and_dump(Event::error("job.fail"), &path);
+        let dump = read_events(&read(&path));
+        assert_eq!(dump.events.len(), FLIGHT_CAPACITY + 1);
+        assert_eq!(dump.events[0].get("dropped"), Some(&5u64.into()));
+        assert_eq!(dump.events.last().unwrap().kind, "job.fail");
         let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(temp_path("dump-journal"));
+        let _ = std::fs::remove_file(&journal_path);
+    }
+
+    #[test]
+    fn a_panic_dumps_the_registered_ring() {
+        let path = temp_path("panic-dump");
+        let journal_path = temp_path("panic-journal");
+        let _ = std::fs::remove_file(&path);
+        let journal = Journal::append_to(&journal_path).unwrap();
+        install_panic_dump(&journal, &path);
+        journal.emit(Event::info("job.run").corr(Corr::job("p")));
+        let _ = std::panic::catch_unwind(|| panic!("simulated crash"));
+        let dump = check_events(&read(&path)).unwrap();
+        assert_eq!(dump.events[0].kind, "flight.dump");
+        assert_eq!(dump.for_job("p").count(), 1);
+        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(&journal_path);
     }
 
     #[test]
@@ -820,15 +391,14 @@ mod tests {
                 scope.spawn(move || {
                     let journal = Journal::append_to(&path).unwrap();
                     for i in 0..8 {
-                        journal.info("tick", &format!("w{t} i{i}"), &Corr::none());
+                        journal.emit(Event::info("tick").msg(format!("w{t} i{i}")));
                     }
                 });
             }
         });
-        let read = read_journal(&path).unwrap();
+        let read = check_events(&read(&path)).unwrap();
         assert_eq!(read.events.len(), 32);
         assert_eq!(read.skipped_lines, 0);
-        read.check_seq_monotonic().unwrap();
         let _ = std::fs::remove_file(&path);
     }
 }

@@ -38,8 +38,9 @@
 //! * the simulator (`accu_core::run_attack_with` with a recorder in its
 //!   `AttackOptions`): per-request
 //!   select/resolve/notify timing, acceptance and cautious-hit counters;
-//! * the ABM policy (`accu_core::policy::Abm`): heap pushes/pops,
-//!   lazy-reevaluation stale-skip rate, rescore counts;
+//! * the ABM policy (`accu_core::policy::Abm`): winner-tree key sets
+//!   and retirements (`abm.heap_push` / `abm.heap_pop`), selects and
+//!   rescore counts;
 //! * the experiment runner (`accu_experiments::run_policy_with` with a
 //!   recorder in its `RunOptions`):
 //!   per-worker episode throughput, per-network wall clock, queue
@@ -49,21 +50,19 @@
 //! [`Snapshot::to_json`] and [`JsonlSink`], so bench and experiment
 //! runs can be diffed at counter granularity across commits.
 //!
-//! Aggregate metrics answer "how much"; the [`trace`] module answers
-//! "why": ring-buffered per-thread span/event collection ([`Tracer`] /
-//! [`TraceTrack`]) with Chrome trace-event JSON export (Perfetto,
-//! `chrome://tracing`) and a compact JSONL causal log replayable by the
-//! `trace_explain` binary.
-//!
-//! The [`journal`] module carries both disciplines into the service
-//! layer: a durable, correlation-ID-stamped event journal ([`Journal`])
-//! plus an always-on crash [`FlightRecorder`] ring that dumps the most
-//! recent events atomically on panic or deliberate abort.
+//! Aggregate metrics answer "how much"; events answer "why". Every
+//! event stream — the [`trace`] module's ring-buffered per-thread
+//! tracks ([`Tracer`] / [`TraceTrack`], also exported as Chrome
+//! trace-event JSON), the service [`journal`] with its crash-dump ring,
+//! the runner's progress stream and the watchdog's alarms — writes one
+//! line shape, the [`Event`], read back by [`read_events`] and
+//! validated by [`check_events`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 
 mod counter;
+pub mod event;
 mod gauge;
 mod histogram;
 pub mod journal;
@@ -73,17 +72,17 @@ mod snapshot;
 pub mod trace;
 
 pub use counter::{Counter, CounterHandle};
+pub use event::{
+    check_events, read_events, Corr, Event, EventRead, Severity, Source, Stamp, TraceValue,
+};
 pub use gauge::{Gauge, GaugeHandle};
 pub use histogram::{Histogram, HistogramHandle, SpanGuard};
-pub use journal::{
-    install_panic_dump, read_flight_dump, read_journal, Corr, FlightDump, FlightRecorder, Journal,
-    JournalEvent, JournalRead, Severity,
-};
+pub use journal::{install_panic_dump, Journal};
 pub use recorder::Recorder;
 pub use snapshot::{
-    json_escape, CounterSnapshot, FieldValue, GaugeSnapshot, HistogramSnapshot, JsonlSink, Snapshot,
+    json_escape, CounterSnapshot, GaugeSnapshot, HistogramSnapshot, JsonlSink, Snapshot,
 };
 pub use trace::{
-    parse_json, validate_chrome_trace, ChromeTraceStats, Json, TraceSpan, TraceTrack, TraceValue,
-    Tracer, DEFAULT_TRACK_CAPACITY,
+    parse_json, validate_chrome_trace, ChromeTraceStats, Json, TraceSpan, TraceTrack, Tracer,
+    DEFAULT_TRACK_CAPACITY,
 };

@@ -9,15 +9,16 @@
 //!   [`Snapshot`](crate::Snapshot), plus a validator for tests and CI;
 //! * [`server`] — a background-thread TCP/HTTP listener serving live
 //!   scrapes of a [`Recorder`](crate::Recorder) (the `--metrics-addr`
-//!   flag, and the listener skeleton a future ACCU daemon reuses);
-//! * [`progress`] — a streaming progress [`Observer`] the experiment
-//!   runner feeds per episode and per network: console status line plus
-//!   a deterministic JSONL stream that is byte-identical across worker
-//!   counts (the `--progress` flag);
+//!   flag of the experiment binaries and of `accu-serve`);
+//! * [`progress`] — the runner's lifecycle handle [`RunEvents`], which
+//!   fans each transition out to the journal and to the progress
+//!   [`Observer`]: console status line plus a deterministic event stream
+//!   that is byte-identical across worker counts (the `--progress`
+//!   flag);
 //! * [`watchdog`] — rule-based monitors over the live observer state:
 //!   stall detection, a throughput floor seeded from
 //!   `BENCH_trajectory.jsonl`, and fault-rate spike alarms, emitting
-//!   structured `obs.alarm` events (the `--watchdog` flag).
+//!   `obs.alarm` events (the `--watchdog` flag).
 //!
 //! Cross-run analytics (`telemetry_diff`, `bench_report`) live in the
 //! experiments crate, which owns the JSONL artifacts they compare; the
@@ -29,10 +30,9 @@ pub mod prometheus;
 pub mod server;
 pub mod watchdog;
 
-pub use progress::{NetworkStatus, Observer};
+pub use progress::{Observer, RunEvents};
 pub use prometheus::{encode_prometheus, validate_prometheus, PromStats};
 pub use server::{BindError, MetricsServer};
 pub use watchdog::{
-    throughput_floor, Alarm, AlarmKind, FloorUnavailable, Watchdog, WatchdogConfig,
-    TRAJECTORY_SCHEMA,
+    throughput_floor, FloorUnavailable, Watchdog, WatchdogConfig, TRAJECTORY_SCHEMA,
 };

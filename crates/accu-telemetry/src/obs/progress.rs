@@ -1,72 +1,45 @@
-//! Streaming run progress: a thread-safe [`Observer`] the experiment
-//! runner feeds per episode and per network.
+//! Streaming run progress and the runner's lifecycle handle.
 //!
-//! Two outputs, with different determinism contracts:
+//! [`RunEvents`] is what the experiment runner emits through: each
+//! lifecycle transition is built once as an [`Event`] and fans out to
+//! the [`Journal`] (stamped, durable, every kind) and to the progress
+//! [`Observer`]. The observer keeps live counters for the console
+//! status line, the watchdog and the metrics endpoint, and streams the
+//! scheduling-independent kinds unstamped:
 //!
-//! * **Console status line** (stderr): wall-clock rates, ETA — live,
-//!   throttled, and explicitly *not* deterministic.
-//! * **JSONL stream**: only scheduling-independent fields (episode
-//!   counts, per-network fold statistics, quarantine reasons), emitted
-//!   through a per-run reorder buffer keyed by network index — so the
-//!   file is **byte-identical across worker counts** for a fixed seed.
-//!   Watchdog alarms are the one exception (they are wall-clock events
-//!   by nature); a run that raises no alarms keeps the guarantee.
+//! * `run.begin` — `args`: `cell`, `networks`, `episodes`;
+//! * `run.network` — one per network, `network` correlation ID plus
+//!   `args.status` (`ok`, `resumed`, `quarantined` or `shed`) and the
+//!   status's statistics;
+//! * `run.end` / `run.fail` — the section's last line;
+//! * `obs.alarm` — watchdog alarms (wall-clock events by nature; a run
+//!   that raises none keeps the determinism guarantee below).
+//!
+//! Network lines pass through a per-run reorder buffer keyed by
+//! network index, so the stream is **byte-identical across worker
+//! counts** for a fixed seed. `run.end` and `run.fail` flush whatever
+//! the buffer still holds in index order, so every run's section is
+//! complete and the next run starts with an empty buffer.
 
 use std::collections::BTreeMap;
 use std::io::{self, IsTerminal as _};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::snapshot::{json_escape, json_number, GaugeSnapshot, JsonlSink};
-
-/// How one network finished, as reported to [`Observer::network_done`].
-///
-/// Every numeric field must be derived from the deterministic
-/// episode-order fold (never from wall clocks or scheduling), because
-/// these values go verbatim into the byte-stable JSONL stream.
-#[derive(Debug, Clone, PartialEq)]
-pub enum NetworkStatus {
-    /// Freshly computed to completion.
-    Ok {
-        /// Episodes folded into the network's accumulator.
-        episodes: u64,
-        /// Mean total benefit over those episodes.
-        mean_benefit: f64,
-        /// Mean faults observed per episode.
-        faults_mean: f64,
-        /// Whether the Lenient validation pass repaired the instance.
-        repaired: bool,
-    },
-    /// Loaded from a checkpoint instead of recomputed.
-    Resumed {
-        /// Episodes covered by the checkpoint entry.
-        episodes: u64,
-        /// Mean total benefit recorded in the checkpoint.
-        mean_benefit: f64,
-    },
-    /// Dropped by the quarantine.
-    Quarantined {
-        /// Failing stage (`"dataset"`, `"protocol"`, `"validate"`,
-        /// `"episodes"`, `"supervisor"`).
-        stage: String,
-        /// The error or panic message.
-        message: String,
-    },
-    /// Shed by a soft deadline before any episode ran (graceful
-    /// degradation). Carries no statistics by construction.
-    Shed,
-}
+use crate::event::{Corr, Event, TraceValue};
+use crate::journal::Journal;
+use crate::snapshot::{GaugeSnapshot, JsonlSink};
 
 /// JSONL sink plus the reorder buffer, under one lock so lines can
 /// never interleave out of order.
 struct StreamState {
     sink: Option<JsonlSink>,
     /// Next network index the stream is waiting for.
-    next: usize,
+    next: u64,
     /// Lines for networks that finished ahead of `next`.
-    pending: BTreeMap<usize, String>,
+    pending: BTreeMap<u64, String>,
 }
 
 impl StreamState {
@@ -81,12 +54,21 @@ impl StreamState {
 
     /// Queues `line` for network `net` and drains every line that is
     /// now in order.
-    fn push_network(&mut self, net: usize, line: String) {
+    fn push_network(&mut self, net: u64, line: String) {
         self.pending.insert(net, line);
         while let Some(line) = self.pending.remove(&self.next) {
             self.write_line(&line);
             self.next += 1;
         }
+    }
+
+    /// Writes every buffered line in index order, gaps and all, and
+    /// resets the buffer for the next run.
+    fn drain(&mut self) {
+        for line in std::mem::take(&mut self.pending).into_values() {
+            self.write_line(&line);
+        }
+        self.next = 0;
     }
 }
 
@@ -107,7 +89,7 @@ struct ObserverInner {
     repaired: AtomicU64,
     resumed: AtomicU64,
     alarms: AtomicU64,
-    /// Whether a run is between `begin_run` and `end_run`.
+    /// Whether a run is between `run.begin` and `run.end` / `run.fail`.
     active: AtomicBool,
     /// Nanoseconds since `started` of the most recent episode (or run
     /// begin), for the stall watchdog.
@@ -123,7 +105,7 @@ struct ObserverInner {
 /// Point-in-time observer readings consumed by the watchdog.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ObsStats {
-    /// A run is currently active (`begin_run` seen, `end_run` not).
+    /// A run is currently active (`run.begin` seen, its end not).
     pub active: bool,
     /// Wall-clock time since the observer was created.
     pub elapsed: Duration,
@@ -131,7 +113,7 @@ pub struct ObsStats {
     pub since_last_progress: Duration,
     /// Episodes completed so far (fresh + resumed).
     pub episodes_done: u64,
-    /// Episodes announced via `begin_run` so far.
+    /// Episodes announced by `run.begin` events so far.
     pub episodes_total: u64,
     /// Faults observed across all completed episodes.
     pub faults_seen: u64,
@@ -158,13 +140,14 @@ impl ObsStats {
     }
 }
 
-/// A streaming progress observer threaded through the experiment
-/// runner.
+/// The progress sink: live run counters plus the deterministic event
+/// stream described in the [module docs](self). The runner reaches it
+/// through [`RunEvents`]; the watchdog and the metrics endpoint read
+/// its counters.
 ///
 /// Like [`Recorder`](crate::Recorder), the observer is an `Option<Arc>`
 /// handle: [`Observer::disabled`] (the [`Default`]) makes every method
-/// a branch on `None`, so the runner can call the hooks unconditionally
-/// at no cost when `--progress` is off. Clones share state.
+/// a branch on `None`. Clones share state.
 #[derive(Clone, Default)]
 pub struct Observer(Option<Arc<ObserverInner>>);
 
@@ -187,42 +170,11 @@ impl Observer {
         Observer(None)
     }
 
-    /// A console-only observer (status line on stderr, no JSONL).
-    pub fn console() -> Self {
-        Self::build(None, true)
-    }
-
-    /// An observer streaming deterministic JSONL to `path` in addition
-    /// to the console status line.
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O error creating the sink file.
-    pub fn to_path(path: impl AsRef<Path>) -> io::Result<Self> {
-        Ok(Self::build(Some(JsonlSink::create(path)?), true))
-    }
-
-    /// Like [`Observer::to_path`] but without the console line —
-    /// deterministic JSONL only, for tests comparing streams.
-    pub fn to_path_quiet(path: impl AsRef<Path>) -> io::Result<Self> {
-        Ok(Self::build(Some(JsonlSink::create(path)?), false))
-    }
-
-    /// A counters-only observer: no console line, no JSONL. This is
-    /// what watchdogs and the metrics endpoint run against when the
-    /// user did not ask for `--progress` — the hooks still track run
-    /// state, but nothing is rendered or written.
-    pub fn quiet() -> Self {
-        Self::build(None, false)
-    }
-
-    /// An observer over a caller-built sink (e.g. a chaos-wrapped
-    /// writer), with or without the console status line.
-    pub fn with_sink(sink: JsonlSink, console: bool) -> Self {
-        Self::build(Some(sink), console)
-    }
-
-    fn build(sink: Option<JsonlSink>, console: bool) -> Self {
+    /// An observer streaming to `sink` (none: counters only — what
+    /// the watchdog and the metrics endpoint run against without
+    /// `--progress`), with or without the console status line on
+    /// stderr.
+    pub fn new(sink: Option<JsonlSink>, console: bool) -> Self {
         Observer(Some(Arc::new(ObserverInner {
             episodes_done: AtomicU64::new(0),
             episodes_total: AtomicU64::new(0),
@@ -278,28 +230,6 @@ impl Observer {
         }
     }
 
-    /// Announces one experiment cell: `networks` sampled networks for a
-    /// total of `episodes` episodes. Resets the reorder buffer; every
-    /// network index of this cell must then be reported exactly once.
-    pub fn begin_run(&self, cell: &str, networks: usize, episodes: u64) {
-        let Some(inner) = &self.0 else { return };
-        inner
-            .networks_total
-            .fetch_add(networks as u64, Ordering::Relaxed);
-        inner.episodes_total.fetch_add(episodes, Ordering::Relaxed);
-        inner.active.store(true, Ordering::Relaxed);
-        Self::touch(inner);
-        *inner.cell.lock().expect("obs cell poisoned") = cell.to_string();
-        let mut stream = inner.stream.lock().expect("obs stream poisoned");
-        debug_assert!(stream.pending.is_empty(), "previous run left pending lines");
-        stream.next = 0;
-        let line = format!(
-            "{{\"type\":\"run_begin\",\"cell\":\"{}\",\"networks\":{networks},\"episodes\":{episodes}}}",
-            json_escape(cell)
-        );
-        stream.write_line(&line);
-    }
-
     /// Records one completed episode with the faults it observed.
     /// Called from worker threads; cheap (atomics plus an occasional
     /// throttled console render).
@@ -313,101 +243,70 @@ impl Observer {
         }
     }
 
-    /// Reports the final status of network `net`. Statuses buffer until
-    /// every lower-indexed network has reported, so the JSONL stream is
-    /// ordered by network index regardless of scheduling.
-    pub fn network_done(&self, net: usize, status: NetworkStatus) {
+    /// Records one event: counts it and streams it when its kind is a
+    /// progress kind (see the [module docs](self)); other kinds are
+    /// ignored.
+    pub fn record(&self, event: &Event) {
         let Some(inner) = &self.0 else { return };
-        inner.networks_done.fetch_add(1, Ordering::Relaxed);
-        let line = match &status {
-            NetworkStatus::Ok {
-                episodes,
-                mean_benefit,
-                faults_mean,
-                repaired,
-            } => {
-                if *repaired {
-                    inner.repaired.fetch_add(1, Ordering::Relaxed);
-                }
-                format!(
-                    "{{\"type\":\"network\",\"net\":{net},\"status\":\"ok\",\"episodes\":{episodes},\
-                     \"mean_benefit\":{},\"faults_mean\":{},\"repaired\":{repaired}}}",
-                    json_number(*mean_benefit),
-                    json_number(*faults_mean),
-                )
-            }
-            NetworkStatus::Resumed {
-                episodes,
-                mean_benefit,
-            } => {
-                inner.resumed.fetch_add(1, Ordering::Relaxed);
-                inner.episodes_done.fetch_add(*episodes, Ordering::Relaxed);
-                format!(
-                    "{{\"type\":\"network\",\"net\":{net},\"status\":\"resumed\",\
-                     \"episodes\":{episodes},\"mean_benefit\":{}}}",
-                    json_number(*mean_benefit),
-                )
-            }
-            NetworkStatus::Quarantined { stage, message } => {
-                inner.quarantined.fetch_add(1, Ordering::Relaxed);
-                format!(
-                    "{{\"type\":\"network\",\"net\":{net},\"status\":\"quarantined\",\
-                     \"stage\":\"{}\",\"message\":\"{}\"}}",
-                    json_escape(stage),
-                    json_escape(message),
-                )
-            }
-            NetworkStatus::Shed => {
-                format!("{{\"type\":\"network\",\"net\":{net},\"status\":\"shed\"}}")
-            }
-        };
-        Self::touch(inner);
-        inner
-            .stream
-            .lock()
-            .expect("obs stream poisoned")
-            .push_network(net, line);
-    }
-
-    /// Closes the current cell's stream section and flushes the sink.
-    pub fn end_run(&self, completed: usize, quarantined: usize) {
-        let Some(inner) = &self.0 else { return };
-        inner.active.store(false, Ordering::Relaxed);
-        let cell = inner.cell.lock().expect("obs cell poisoned").clone();
-        let episodes_done = inner.episodes_done.load(Ordering::Relaxed);
+        let num = |key: &str| event.get(key).and_then(TraceValue::as_u64).unwrap_or(0);
         let mut stream = inner.stream.lock().expect("obs stream poisoned");
-        debug_assert!(
-            stream.pending.is_empty(),
-            "end_run with unordered networks still pending"
-        );
-        let line = format!(
-            "{{\"type\":\"run_end\",\"cell\":\"{}\",\"completed\":{completed},\
-             \"quarantined\":{quarantined},\"episodes_done\":{episodes_done}}}",
-            json_escape(&cell)
-        );
-        stream.write_line(&line);
-        if let Some(sink) = &mut stream.sink {
-            if let Err(err) = sink.flush() {
-                eprintln!("accu-obs: progress sink flush failed: {err}");
+        match event.kind.as_ref() {
+            "run.begin" => {
+                inner
+                    .networks_total
+                    .fetch_add(num("networks"), Ordering::Relaxed);
+                inner
+                    .episodes_total
+                    .fetch_add(num("episodes"), Ordering::Relaxed);
+                inner.active.store(true, Ordering::Relaxed);
+                Self::touch(inner);
+                let cell = event.get("cell").and_then(TraceValue::as_str);
+                *inner.cell.lock().expect("obs cell poisoned") = cell.unwrap_or("").to_string();
+                stream.drain();
+                stream.write_line(&event.to_json());
             }
+            "run.network" => {
+                inner.networks_done.fetch_add(1, Ordering::Relaxed);
+                let counter = match event.get("status").and_then(TraceValue::as_str) {
+                    Some("ok") if event.get("repaired") == Some(&TraceValue::Bool(true)) => {
+                        Some(&inner.repaired)
+                    }
+                    Some("resumed") => {
+                        inner
+                            .episodes_done
+                            .fetch_add(num("episodes"), Ordering::Relaxed);
+                        Some(&inner.resumed)
+                    }
+                    Some("quarantined") => Some(&inner.quarantined),
+                    _ => None,
+                };
+                if let Some(counter) = counter {
+                    counter.fetch_add(1, Ordering::Relaxed);
+                }
+                Self::touch(inner);
+                let net = event.ids().network.unwrap_or(stream.next);
+                stream.push_network(net, event.to_json());
+            }
+            "run.end" | "run.fail" => {
+                inner.active.store(false, Ordering::Relaxed);
+                stream.drain();
+                stream.write_line(&event.to_json());
+                if let Some(sink) = &mut stream.sink {
+                    if let Err(err) = sink.flush() {
+                        eprintln!("accu-obs: progress sink flush failed: {err}");
+                    }
+                }
+                drop(stream);
+                if inner.console {
+                    self.finish_console_line(inner);
+                }
+            }
+            "obs.alarm" => {
+                inner.alarms.fetch_add(1, Ordering::Relaxed);
+                stream.write_line(&event.to_json());
+            }
+            _ => {}
         }
-        drop(stream);
-        if inner.console {
-            self.finish_console_line(inner);
-        }
-    }
-
-    /// Counts a watchdog alarm and appends its structured event to the
-    /// JSONL stream (alarms are wall-clock events; see the module docs
-    /// for the determinism caveat).
-    pub fn record_alarm(&self, json_line: &str) {
-        let Some(inner) = &self.0 else { return };
-        inner.alarms.fetch_add(1, Ordering::Relaxed);
-        inner
-            .stream
-            .lock()
-            .expect("obs stream poisoned")
-            .write_line(json_line);
     }
 
     /// Number of watchdog alarms recorded (drives `--watchdog=strict`).
@@ -534,6 +433,72 @@ impl Observer {
     }
 }
 
+/// The runner's lifecycle handle: each transition is built once and
+/// fans out to the [`Journal`] (stamped, durable, every kind) and the
+/// progress [`Observer`] (unstamped, reordered, progress kinds only),
+/// with the base correlation IDs filled in. The default is disabled,
+/// and a disabled handle costs one branch on `None` per call.
+#[derive(Debug, Clone, Default)]
+pub struct RunEvents(Option<Arc<RunSinks>>);
+
+#[derive(Debug)]
+struct RunSinks {
+    journal: Journal,
+    progress: Observer,
+    corr: Corr,
+}
+
+impl RunEvents {
+    /// A handle over both sinks; `corr` (the daemon's job, epoch and
+    /// attempt) is stamped on every event that lacks those fields.
+    /// Disabled when both sinks are.
+    pub fn new(journal: Journal, progress: Observer, corr: Corr) -> Self {
+        if !journal.is_enabled() && !progress.is_enabled() {
+            return RunEvents(None);
+        }
+        RunEvents(Some(Arc::new(RunSinks {
+            journal,
+            progress,
+            corr,
+        })))
+    }
+
+    /// Whether any sink is attached.
+    pub fn is_enabled(&self) -> bool {
+        self.0.is_some()
+    }
+
+    /// Emits the event `build` returns; `build` runs only when a sink
+    /// is attached.
+    pub fn emit(&self, build: impl FnOnce() -> Event) {
+        let Some(sinks) = &self.0 else { return };
+        let mut event = build();
+        event.fill_corr(&sinks.corr);
+        sinks.progress.record(&event);
+        sinks.journal.emit(event);
+    }
+
+    /// [`Observer::episode_done`] on the progress sink.
+    pub fn episode_done(&self, faults: u64) {
+        if let Some(sinks) = &self.0 {
+            sinks.progress.episode_done(faults);
+        }
+    }
+
+    /// [`Observer::heartbeat`] on the progress sink.
+    pub fn heartbeat(&self) {
+        if let Some(sinks) = &self.0 {
+            sinks.progress.heartbeat();
+        }
+    }
+}
+
+impl From<Observer> for RunEvents {
+    fn from(progress: Observer) -> Self {
+        RunEvents::new(Journal::disabled(), progress, Corr::none())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -542,79 +507,131 @@ mod tests {
         std::env::temp_dir().join(format!("accu-obs-progress-{}-{name}", std::process::id()))
     }
 
+    fn to_path(path: &std::path::Path) -> Observer {
+        Observer::new(Some(JsonlSink::create(path).unwrap()), false)
+    }
+
+    fn begin(cell: &'static str, networks: u64, episodes: u64) -> Event {
+        Event::info("run.begin")
+            .arg("cell", cell)
+            .arg("networks", networks)
+            .arg("episodes", episodes)
+    }
+
+    fn network(net: u64, status: &'static str) -> Event {
+        Event::info("run.network")
+            .corr(Corr::none().network(net))
+            .arg("status", status)
+    }
+
+    fn ok(net: u64, episodes: u64, repaired: bool) -> Event {
+        network(net, "ok")
+            .arg("episodes", episodes)
+            .arg("mean_benefit", 1.0)
+            .arg("faults_mean", 0.0)
+            .arg("repaired", repaired)
+    }
+
     #[test]
     fn disabled_observer_is_inert() {
         let obs = Observer::disabled();
-        obs.begin_run("cell", 3, 6);
+        obs.record(&begin("cell", 3, 6));
         obs.episode_done(1);
-        obs.network_done(
-            0,
-            NetworkStatus::Ok {
-                episodes: 2,
-                mean_benefit: 1.0,
-                faults_mean: 0.0,
-                repaired: false,
-            },
-        );
-        obs.end_run(3, 0);
+        obs.record(&ok(0, 2, false));
+        obs.record(&Event::info("run.end"));
         assert!(!obs.is_enabled());
         assert_eq!(obs.stats().episodes_done, 0);
         assert_eq!(obs.alarm_count(), 0);
         assert!(obs.gauge_snapshots().is_empty());
         assert!(obs.stream_path().is_none());
+        assert!(!RunEvents::from(obs).is_enabled());
     }
 
     #[test]
     fn out_of_order_networks_stream_in_index_order() {
         let path = tmp("reorder.jsonl");
-        let obs = Observer::to_path_quiet(&path).unwrap();
-        obs.begin_run("cell-a", 3, 6);
+        let obs = to_path(&path);
+        obs.record(&begin("cell-a", 3, 6));
         // Workers finish 2, 0, 1 — the stream must still read 0, 1, 2.
-        obs.network_done(
-            2,
-            NetworkStatus::Quarantined {
-                stage: "protocol".into(),
-                message: "boom \"quoted\"".into(),
-            },
+        obs.record(
+            &network(2, "quarantined")
+                .arg("stage", "protocol")
+                .arg("message", "boom \"quoted\""),
         );
-        obs.network_done(
-            0,
-            NetworkStatus::Ok {
-                episodes: 2,
-                mean_benefit: 54.5,
-                faults_mean: 0.5,
-                repaired: true,
-            },
-        );
-        obs.network_done(
-            1,
-            NetworkStatus::Resumed {
-                episodes: 2,
-                mean_benefit: 50.0,
-            },
-        );
-        obs.end_run(2, 1);
+        obs.record(&ok(0, 2, true));
+        obs.record(&network(1, "resumed").arg("episodes", 2u64));
+        obs.record(&Event::debug("run.chunk").corr(Corr::none().network(1)));
+        obs.record(&Event::info("run.end").arg("completed", 2u64));
         let text = std::fs::read_to_string(&path).unwrap();
         let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 5);
-        assert!(lines[0].contains("\"type\":\"run_begin\""));
+        assert_eq!(lines.len(), 5, "run.chunk is not a progress kind");
+        assert!(lines[0].contains("\"kind\":\"run.begin\""));
         assert!(lines[0].contains("\"cell\":\"cell-a\""));
-        assert!(lines[1].contains("\"net\":0"));
+        assert!(lines[1].contains("\"network\":0,"));
         assert!(lines[1].contains("\"repaired\":true"));
-        assert!(lines[2].contains("\"net\":1"));
+        assert!(lines[2].contains("\"network\":1,"));
         assert!(lines[2].contains("\"status\":\"resumed\""));
-        assert!(lines[3].contains("\"net\":2"));
+        assert!(lines[3].contains("\"network\":2,"));
         assert!(lines[3].contains("\"message\":\"boom \\\"quoted\\\"\""));
-        assert!(lines[4].contains("\"type\":\"run_end\""));
-        assert!(lines[4].contains("\"quarantined\":1"));
+        assert!(lines[4].contains("\"kind\":\"run.end\""));
+        let gauges = obs.gauge_snapshots();
+        for (name, value) in [
+            ("obs.quarantined", 1),
+            ("obs.resumed", 1),
+            ("obs.repaired", 1),
+            ("obs.episodes_done", 2),
+            ("obs.networks_done", 3),
+        ] {
+            assert!(
+                gauges.iter().any(|g| g.name == name && g.value == value),
+                "{name} != {value}: {gauges:?}"
+            );
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_failed_run_flushes_its_buffer_and_the_next_starts_clean() {
+        let path = tmp("fail.jsonl");
+        let obs = to_path(&path);
+        obs.record(&begin("a", 4, 4));
+        // Network 0 never reports: 3 then 1 wait in the buffer.
+        obs.record(&ok(3, 1, false));
+        obs.record(&ok(1, 1, false));
+        obs.record(&Event::error("run.fail"));
+        obs.record(&begin("b", 1, 1));
+        obs.record(&ok(0, 1, false));
+        obs.record(&Event::info("run.end"));
+        let text = std::fs::read_to_string(&path).unwrap();
+        let order: Vec<String> = crate::read_events(&text)
+            .events
+            .iter()
+            .map(|e| match e.ids().network {
+                Some(net) => format!("{}#{net}", e.kind),
+                None => e.kind.to_string(),
+            })
+            .collect();
+        assert_eq!(
+            order,
+            [
+                "run.begin",
+                "run.network#1",
+                "run.network#3",
+                "run.fail",
+                "run.begin",
+                "run.network#0",
+                "run.end"
+            ]
+        );
+        assert!(!obs.stats().active);
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn counters_track_episodes_and_alarms() {
         let path = tmp("counters.jsonl");
-        let obs = Observer::to_path_quiet(&path).unwrap();
-        obs.begin_run("c", 1, 4);
+        let obs = to_path(&path);
+        obs.record(&begin("c", 1, 4));
         obs.episode_done(0);
         obs.episode_done(3);
         let stats = obs.stats();
@@ -623,7 +640,7 @@ mod tests {
         assert_eq!(stats.episodes_total, 4);
         assert_eq!(stats.faults_seen, 3);
         assert!(stats.fault_rate() > 1.4 && stats.fault_rate() < 1.6);
-        obs.record_alarm("{\"type\":\"obs.alarm\",\"kind\":\"stall\"}");
+        obs.record(&Event::error("obs.alarm").arg("alarm", "stall"));
         assert_eq!(obs.alarm_count(), 1);
         let gauges = obs.gauge_snapshots();
         assert!(gauges
@@ -632,47 +649,33 @@ mod tests {
         assert!(gauges
             .iter()
             .any(|g| g.name == "obs.alarms" && g.value == 1));
-        obs.network_done(
-            0,
-            NetworkStatus::Ok {
-                episodes: 4,
-                mean_benefit: 1.0,
-                faults_mean: 0.75,
-                repaired: false,
-            },
-        );
-        obs.end_run(1, 0);
+        obs.record(&ok(0, 4, false));
+        obs.record(&Event::info("run.end"));
         assert!(!obs.stats().active);
         let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.contains("\"type\":\"obs.alarm\""));
+        assert!(text.contains("\"kind\":\"obs.alarm\""));
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn shed_networks_stream_without_statistics() {
         let path = tmp("shed.jsonl");
-        let obs = Observer::to_path_quiet(&path).unwrap();
-        obs.begin_run("c", 2, 4);
-        obs.network_done(
-            0,
-            NetworkStatus::Ok {
-                episodes: 2,
-                mean_benefit: 1.0,
-                faults_mean: 0.0,
-                repaired: false,
-            },
-        );
-        obs.network_done(1, NetworkStatus::Shed);
-        obs.end_run(1, 0);
+        let obs = to_path(&path);
+        obs.record(&begin("c", 2, 4));
+        obs.record(&ok(0, 2, false));
+        obs.record(&network(1, "shed"));
+        obs.record(&Event::info("run.end"));
         let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.contains("{\"type\":\"network\",\"net\":1,\"status\":\"shed\"}"));
+        assert!(text.contains(
+            r#"{"type":"event","sev":"info","kind":"run.network","network":1,"args":{"status":"shed"}}"#
+        ));
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn heartbeat_updates_liveness_without_progress() {
-        let obs = Observer::quiet();
-        obs.begin_run("c", 1, 100);
+        let obs = Observer::new(None, false);
+        obs.record(&begin("c", 1, 100));
         std::thread::sleep(Duration::from_millis(20));
         assert!(obs.stats().since_last_progress >= Duration::from_millis(10));
         obs.heartbeat();
@@ -684,10 +687,41 @@ mod tests {
 
     #[test]
     fn clones_share_state() {
-        let obs = Observer::console();
+        let obs = Observer::new(None, true);
         let clone = obs.clone();
-        obs.begin_run("c", 1, 2);
+        obs.record(&begin("c", 1, 2));
         clone.episode_done(0);
         assert_eq!(obs.stats().episodes_done, 1);
+    }
+
+    #[test]
+    fn run_events_fan_out_with_base_correlation() {
+        let journal_path = tmp("fan-journal.jsonl");
+        let progress_path = tmp("fan-progress.jsonl");
+        let _ = std::fs::remove_file(&journal_path);
+        let events = RunEvents::new(
+            Journal::append_to(&journal_path).unwrap(),
+            to_path(&progress_path),
+            Corr::job("j").epoch(2),
+        );
+        events.emit(|| begin("c", 1, 1));
+        events.emit(|| Event::debug("run.chunk").corr(Corr::none().network(0)));
+        events.emit(|| ok(0, 1, false));
+        events.emit(|| Event::info("run.end"));
+        let journal =
+            crate::check_events(&std::fs::read_to_string(&journal_path).unwrap()).unwrap();
+        let progress =
+            crate::check_events(&std::fs::read_to_string(&progress_path).unwrap()).unwrap();
+        assert_eq!(journal.events.len(), 4, "the journal takes every kind");
+        assert_eq!(progress.events.len(), 3, "progress takes progress kinds");
+        assert!(journal.events.iter().all(|e| e.stamp.is_some()));
+        assert!(progress.events.iter().all(|e| e.stamp.is_none()));
+        for event in journal.events.iter().chain(&progress.events) {
+            assert_eq!(event.ids().job_id.as_deref(), Some("j"));
+            assert_eq!(event.ids().epoch, Some(2));
+        }
+        assert_eq!(progress.events[1].ids().network, Some(0));
+        std::fs::remove_file(&journal_path).ok();
+        std::fs::remove_file(&progress_path).ok();
     }
 }

@@ -265,8 +265,12 @@ mod tests {
     fn merges_observer_gauges_into_the_scrape() {
         let rec = Recorder::enabled();
         rec.counter("n").incr();
-        let obs = Observer::console();
-        obs.begin_run("cell", 2, 4);
+        let obs = Observer::new(None, true);
+        obs.record(
+            &crate::Event::info("run.begin")
+                .arg("networks", 2u64)
+                .arg("episodes", 4u64),
+        );
         obs.episode_done(1);
         let server = MetricsServer::bind("127.0.0.1:0", rec, "merge", obs.clone()).unwrap();
         let (_, body) = scrape(server.addr());
@@ -316,7 +320,7 @@ mod tests {
             "127.0.0.1:0",
             Recorder::disabled(),
             "empty",
-            Observer::console(),
+            Observer::new(None, true),
         )
         .unwrap();
         let (status, body) = scrape(server.addr());

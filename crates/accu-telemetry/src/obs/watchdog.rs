@@ -8,10 +8,9 @@
 //!   `BENCH_trajectory.jsonl` via [`throughput_floor`];
 //! * **fault_rate** — mean faults per episode above a ceiling.
 //!
-//! Alarms are emitted as structured one-line JSON events
-//! (`{"type":"obs.alarm",…}`) on stderr and into the progress stream,
-//! and counted on the observer so `--watchdog=strict` can turn them
-//! into a nonzero exit after the run.
+//! Each alarm is an `obs.alarm` [`Event`] printed on stderr and recorded
+//! on the observer (into the progress stream, and counted so
+//! `--watchdog=strict` can turn it into a nonzero exit after the run).
 
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -19,8 +18,8 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use crate::event::Event;
 use crate::obs::progress::{ObsStats, Observer};
-use crate::snapshot::{json_escape, json_number};
 use crate::{parse_json, Json};
 
 /// Schema version stamped onto `BENCH_trajectory.jsonl` entries.
@@ -33,67 +32,29 @@ use crate::{parse_json, Json};
 /// never misreads a future format.
 pub const TRAJECTORY_SCHEMA: u64 = 2;
 
-/// Which watchdog rule fired.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum AlarmKind {
-    /// No episode completed within the stall window.
-    Stall,
-    /// Sustained throughput below the configured floor.
-    ThroughputFloor,
-    /// Mean faults per episode above the configured ceiling.
-    FaultRate,
-}
-
-impl AlarmKind {
-    /// Stable identifier used in the JSON event.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            AlarmKind::Stall => "stall",
-            AlarmKind::ThroughputFloor => "throughput_floor",
-            AlarmKind::FaultRate => "fault_rate",
-        }
-    }
-}
-
-/// One fired watchdog alarm.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Alarm {
-    /// Which rule fired.
-    pub kind: AlarmKind,
-    /// Human-readable description.
-    pub message: String,
-    /// The observed value that tripped the rule.
-    pub value: f64,
-    /// The configured threshold it crossed.
-    pub threshold: f64,
-}
-
-impl Alarm {
-    /// The structured `obs.alarm` event as one JSON line.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"type\":\"obs.alarm\",\"kind\":\"{}\",\"message\":\"{}\",\
-             \"value\":{},\"threshold\":{}}}",
-            self.kind.as_str(),
-            json_escape(&self.message),
-            json_number(self.value),
-            json_number(self.threshold),
-        )
-    }
+/// One fired rule as an `obs.alarm` event: the rule (`stall`,
+/// `throughput_floor`, `fault_rate`) as the `alarm` argument, a
+/// human-readable `msg`, the observed `value` and the `threshold` it
+/// crossed.
+fn alarm(rule: &'static str, message: String, value: f64, threshold: f64) -> Event {
+    Event::error("obs.alarm")
+        .arg("alarm", rule)
+        .msg(message)
+        .arg("value", value)
+        .arg("threshold", threshold)
 }
 
 /// Watchdog rule thresholds. Parsed from the `--watchdog` flag value by
 /// [`WatchdogConfig::parse`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct WatchdogConfig {
-    /// Fire [`AlarmKind::Stall`] when no episode completes for this
-    /// long.
+    /// Fire the `stall` alarm when no episode completes for this long.
     pub stall_window: Duration,
-    /// Fire [`AlarmKind::ThroughputFloor`] when eps/s drops below this
+    /// Fire the `throughput_floor` alarm when eps/s drops below this
     /// (disabled when `None`).
     pub min_eps: Option<f64>,
-    /// Fire [`AlarmKind::FaultRate`] when faults per episode exceed
-    /// this (disabled when `None`).
+    /// Fire the `fault_rate` alarm when faults per episode exceed this
+    /// (disabled when `None`).
     pub fault_rate_max: Option<f64>,
     /// Grace period after start before the stall and throughput rules
     /// arm (network generation produces no episodes).
@@ -171,55 +132,45 @@ struct Latches {
 
 /// Evaluates the rules against one reading; pure so tests can drive it
 /// with synthetic stats.
-fn evaluate(config: &WatchdogConfig, stats: &ObsStats, latches: &mut Latches) -> Vec<Alarm> {
+fn evaluate(config: &WatchdogConfig, stats: &ObsStats, latches: &mut Latches) -> Vec<Event> {
     let mut fired = Vec::new();
     let armed = stats.active && stats.elapsed >= config.warmup;
     if armed && !latches.stall && stats.since_last_progress >= config.stall_window {
         latches.stall = true;
         let stalled = stats.since_last_progress.as_secs_f64();
-        fired.push(Alarm {
-            kind: AlarmKind::Stall,
-            message: format!(
-                "no episode completed for {stalled:.1}s (window {:.1}s)",
-                config.stall_window.as_secs_f64()
-            ),
-            value: stalled,
-            threshold: config.stall_window.as_secs_f64(),
-        });
+        let window = config.stall_window.as_secs_f64();
+        fired.push(alarm(
+            "stall",
+            format!("no episode completed for {stalled:.1}s (window {window:.1}s)"),
+            stalled,
+            window,
+        ));
     }
     if let Some(floor) = config.min_eps {
         let eps = stats.eps_per_sec();
         if armed && !latches.floor && eps < floor {
             latches.floor = true;
-            fired.push(Alarm {
-                kind: AlarmKind::ThroughputFloor,
-                message: format!("throughput {eps:.2} eps/s below floor {floor:.2}"),
-                value: eps,
-                threshold: floor,
-            });
+            fired.push(alarm(
+                "throughput_floor",
+                format!("throughput {eps:.2} eps/s below floor {floor:.2}"),
+                eps,
+                floor,
+            ));
         }
     }
     if let Some(ceiling) = config.fault_rate_max {
         let rate = stats.fault_rate();
         if !latches.faults && stats.episodes_done > 0 && rate > ceiling {
             latches.faults = true;
-            fired.push(Alarm {
-                kind: AlarmKind::FaultRate,
-                message: format!("fault rate {rate:.3} per episode above {ceiling:.3}"),
-                value: rate,
-                threshold: ceiling,
-            });
+            fired.push(alarm(
+                "fault_rate",
+                format!("fault rate {rate:.3} per episode above {ceiling:.3}"),
+                rate,
+                ceiling,
+            ));
         }
     }
     fired
-}
-
-/// Reports a fired alarm: structured JSON on stderr plus the observer
-/// (alarm count + progress stream).
-fn report(alarm: &Alarm, observer: &Observer) {
-    let line = alarm.to_json();
-    eprintln!("{line}");
-    observer.record_alarm(&line);
 }
 
 /// A background monitor thread evaluating [`WatchdogConfig`] rules
@@ -247,8 +198,11 @@ impl Watchdog {
                 let mut latches = Latches::default();
                 while !thread_stop.load(Ordering::Relaxed) {
                     let stats = observer.stats();
+                    // Each alarm goes to stderr and to the observer (alarm
+                    // count + progress stream).
                     for alarm in evaluate(&config, &stats, &mut latches) {
-                        report(&alarm, &observer);
+                        eprintln!("{}", alarm.to_json());
+                        observer.record(&alarm);
                     }
                     std::thread::park_timeout(TICK);
                 }
@@ -340,6 +294,7 @@ pub fn throughput_floor(path: &Path) -> Result<f64, FloorUnavailable> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TraceValue;
 
     fn stats(active: bool, elapsed: f64, since_last: f64, done: u64, faults: u64) -> ObsStats {
         ObsStats {
@@ -380,8 +335,8 @@ mod tests {
         // Armed and stalled: fires.
         let fired = evaluate(&config, &stats(true, 40.0, 35.0, 2, 0), &mut latches);
         assert_eq!(fired.len(), 1);
-        assert_eq!(fired[0].kind, AlarmKind::Stall);
-        assert!(fired[0].to_json().contains("\"kind\":\"stall\""));
+        assert_eq!(fired[0].kind, "obs.alarm");
+        assert!(fired[0].to_json().contains("\"alarm\":\"stall\""));
         // Latched: never again.
         assert!(evaluate(&config, &stats(true, 80.0, 75.0, 2, 0), &mut latches).is_empty());
         // Inactive runs never stall.
@@ -401,13 +356,14 @@ mod tests {
         // 20 episodes in 10 s = 2 eps/s < 10; 15 faults / 20 eps = 0.75
         // > 0.5 → both rules fire in one tick.
         let fired = evaluate(&config, &stats(true, 10.0, 0.1, 20, 15), &mut latches);
-        let kinds: Vec<AlarmKind> = fired.iter().map(|a| a.kind).collect();
-        assert_eq!(
-            kinds,
-            vec![AlarmKind::ThroughputFloor, AlarmKind::FaultRate]
-        );
-        assert!((fired[0].value - 2.0).abs() < 1e-9);
-        assert_eq!(fired[0].threshold, 10.0);
+        let rules: Vec<&str> = fired
+            .iter()
+            .map(|a| a.get("alarm").and_then(TraceValue::as_str).unwrap())
+            .collect();
+        assert_eq!(rules, vec!["throughput_floor", "fault_rate"]);
+        let num = |key: &str| fired[0].get(key).and_then(TraceValue::as_f64).unwrap();
+        assert!((num("value") - 2.0).abs() < 1e-9);
+        assert_eq!(num("threshold"), 10.0);
         // Healthy stats fire nothing.
         let mut fresh = Latches::default();
         assert!(evaluate(&config, &stats(true, 10.0, 0.1, 200, 10), &mut fresh).is_empty());
@@ -417,8 +373,12 @@ mod tests {
     fn spawned_watchdog_reports_through_the_observer() {
         let path =
             std::env::temp_dir().join(format!("accu-obs-watchdog-{}.jsonl", std::process::id()));
-        let obs = Observer::to_path_quiet(&path).unwrap();
-        obs.begin_run("cell", 1, 10);
+        let obs = Observer::new(Some(crate::JsonlSink::create(&path).unwrap()), false);
+        obs.record(
+            &Event::info("run.begin")
+                .arg("networks", 1u64)
+                .arg("episodes", 10u64),
+        );
         obs.episode_done(5); // fault rate 5.0
         let config = WatchdogConfig {
             fault_rate_max: Some(1.0),
@@ -431,9 +391,9 @@ mod tests {
         }
         drop(dog);
         assert_eq!(obs.alarm_count(), 1);
-        obs.end_run(1, 0);
+        obs.record(&Event::info("run.end"));
         let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.contains("\"kind\":\"fault_rate\""));
+        assert!(text.contains("\"alarm\":\"fault_rate\""));
         std::fs::remove_file(&path).ok();
     }
 

@@ -1,20 +1,23 @@
 //! Point-in-time metric snapshots and the JSONL sink.
 //!
 //! The workspace has no serde; snapshots serialize through a small
-//! hand-rolled JSON writer. The schema is one object per line:
+//! hand-rolled JSON writer, one object per line, beside
+//! [`Event`](crate::Event) lines:
 //!
 //! ```json
 //! {"type":"snapshot","label":"fig2/ABM","counters":{"sim.requests":900},
 //!  "gauges":{"runner.inflight":4},
 //!  "histograms":{"sim.select_ns":{"count":900,"sum":12345,"mean":13.7,
 //!  "min":4,"p50":15,"p90":31,"p99":63,"max":214,"buckets":[[2,450],[4,449],[7,1]]}}}
-//! {"type":"event","name":"episode_done","fields":{"worker":0,"benefit":54.0}}
+//! {"type":"event","sev":"info","kind":"derived","args":{"acceptance_rate":0.4}}
 //! ```
 
 use std::fmt::{self, Write as _};
 use std::fs;
 use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
+
+use crate::event::Event;
 
 /// One counter's value at snapshot time.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -157,47 +160,6 @@ impl Snapshot {
     }
 }
 
-/// A value in a JSONL event's field map.
-#[derive(Debug, Clone, PartialEq)]
-pub enum FieldValue {
-    /// An unsigned integer.
-    U64(u64),
-    /// A float (serialized as `null` if non-finite).
-    F64(f64),
-    /// A string (escaped).
-    Str(String),
-}
-
-impl From<u64> for FieldValue {
-    fn from(v: u64) -> Self {
-        FieldValue::U64(v)
-    }
-}
-
-impl From<usize> for FieldValue {
-    fn from(v: usize) -> Self {
-        FieldValue::U64(v as u64)
-    }
-}
-
-impl From<f64> for FieldValue {
-    fn from(v: f64) -> Self {
-        FieldValue::F64(v)
-    }
-}
-
-impl From<&str> for FieldValue {
-    fn from(v: &str) -> Self {
-        FieldValue::Str(v.to_string())
-    }
-}
-
-impl From<String> for FieldValue {
-    fn from(v: String) -> Self {
-        FieldValue::Str(v)
-    }
-}
-
 /// Escapes a string for inclusion inside JSON quotes.
 pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
@@ -318,33 +280,13 @@ impl JsonlSink {
         self.writer.write_all(b"\n")
     }
 
-    /// Appends one event line with the given fields.
+    /// Appends one event line.
     ///
     /// # Errors
     ///
     /// Returns any underlying I/O error.
-    pub fn write_event(&mut self, name: &str, fields: &[(&str, FieldValue)]) -> io::Result<()> {
-        let mut line = String::with_capacity(64);
-        line.push_str("{\"type\":\"event\",\"name\":\"");
-        line.push_str(&json_escape(name));
-        line.push_str("\",\"fields\":{");
-        for (i, (key, value)) in fields.iter().enumerate() {
-            if i > 0 {
-                line.push(',');
-            }
-            let _ = write!(line, "\"{}\":", json_escape(key));
-            match value {
-                FieldValue::U64(v) => {
-                    let _ = write!(line, "{v}");
-                }
-                FieldValue::F64(v) => line.push_str(&json_number(*v)),
-                FieldValue::Str(v) => {
-                    let _ = write!(line, "\"{}\"", json_escape(v));
-                }
-            }
-        }
-        line.push_str("}}\n");
-        self.writer.write_all(line.as_bytes())
+    pub fn write_event(&mut self, event: &Event) -> io::Result<()> {
+        self.write_line(&event.to_json())
     }
 
     /// Flushes buffered lines to disk.
@@ -399,12 +341,10 @@ mod tests {
         rec.counter("n").incr();
         sink.write_snapshot(&rec.snapshot("s").unwrap()).unwrap();
         sink.write_event(
-            "done",
-            &[
-                ("worker", 3usize.into()),
-                ("benefit", 54.5.into()),
-                ("policy", "ABM".into()),
-            ],
+            &Event::info("done")
+                .arg("worker", 3usize)
+                .arg("benefit", 54.5)
+                .arg("policy", "ABM"),
         )
         .unwrap();
         sink.flush().unwrap();
@@ -427,7 +367,7 @@ mod tests {
         let path_clone = path.clone();
         let joined = std::thread::spawn(move || {
             let mut sink = JsonlSink::create(&path_clone).unwrap();
-            sink.write_event("before_panic", &[("worker", 0usize.into())])
+            sink.write_event(&Event::info("before_panic").arg("worker", 0usize))
                 .unwrap();
             panic!("simulated quarantined worker");
         })

@@ -8,18 +8,43 @@
 
 use std::fmt::Write as _;
 
-use super::{EventKind, TraceEvent, TraceValue, TrackSnapshot};
+use super::Tracer;
+use crate::event::Event;
 use crate::snapshot::{json_escape, json_number};
 
 /// The single process id used for all tracks.
 const PID: u64 = 1;
 
-pub(super) fn export(tracks: &[TrackSnapshot]) -> String {
-    let total: usize = tracks.iter().map(|t| t.events.len()).sum();
-    let mut out = String::with_capacity(128 + total * 96);
+/// A Chrome phase: span begin, span end, or instant.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Phase {
+    Begin,
+    End,
+    Instant,
+}
+
+/// The Chrome phase and display name of an event: kinds ending in
+/// `.begin` / `.end` delimit the span named by the rest.
+fn phase(event: &Event) -> (Phase, &str) {
+    let kind = event.kind.as_ref();
+    if let Some(name) = kind.strip_suffix(".begin") {
+        (Phase::Begin, name)
+    } else if let Some(name) = kind.strip_suffix(".end") {
+        (Phase::End, name)
+    } else {
+        (Phase::Instant, kind)
+    }
+}
+
+fn ts_ns(event: &Event) -> u64 {
+    event.stamp.as_ref().map_or(0, |s| s.ts)
+}
+
+pub(super) fn export(tracer: &Tracer) -> String {
+    let mut out = String::with_capacity(128 + tracer.event_count() * 96);
     out.push_str("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[");
     let mut first = true;
-    for track in tracks {
+    tracer.each_track(|track, _, events| {
         let mut emit = |line: &str| {
             if !first {
                 out.push(',');
@@ -33,104 +58,76 @@ pub(super) fn export(tracks: &[TrackSnapshot]) -> String {
             track.id,
             json_escape(&track.name)
         ));
-        for event in balanced(&track.events) {
-            emit(&render_event(&event, track.id));
+        for (ph, name, ts, event) in balanced(events) {
+            emit(&render_event(ph, name, ts, event, track.id));
         }
-    }
+    });
     out.push_str("]}");
     out
 }
 
-/// Rebalances one track's begin/end sequence.
+/// Rebalances one track's begin/end sequence into `(phase, name, ts,
+/// payload)` rows.
 ///
-/// The ring buffer overwrites oldest-first, so the only unbalanced
-/// shapes are end events whose begin was overwritten (dropped here) and
-/// spans still open at export (closed here at the last timestamp).
+/// The ring overwrites oldest-first, so the only unbalanced shapes are
+/// end events whose begin was overwritten (dropped here) and spans
+/// still open at export (closed here at the last timestamp).
 /// Defensively, an end whose name does not match the innermost open
 /// begin is also dropped, so the output nests properly no matter what
 /// was collected.
-fn balanced(events: &[TraceEvent]) -> Vec<TraceEvent> {
-    let mut out: Vec<TraceEvent> = Vec::with_capacity(events.len());
-    let mut open: Vec<usize> = Vec::new(); // indices into `out`
+fn balanced(events: &[Event]) -> Vec<(Phase, &str, u64, Option<&Event>)> {
+    let mut out = Vec::with_capacity(events.len());
+    let mut open: Vec<&str> = Vec::new();
     for event in events {
-        match event.kind {
-            EventKind::Begin => {
-                open.push(out.len());
-                out.push(event.clone());
+        let (ph, name) = phase(event);
+        match ph {
+            Phase::Begin => open.push(name),
+            Phase::End if open.last() == Some(&name) => {
+                open.pop();
             }
-            EventKind::End => {
-                let matches = open.last().is_some_and(|&i| out[i].name == event.name);
-                if matches {
-                    open.pop();
-                    out.push(event.clone());
-                }
-            }
-            EventKind::Instant => out.push(event.clone()),
+            Phase::End => continue,
+            Phase::Instant => {}
         }
+        out.push((ph, name, ts_ns(event), Some(event)));
     }
-    let last_ts = events.last().map_or(0, |e| e.ts_ns);
-    let last_seq = events.last().map_or(0, |e| e.seq);
-    while let Some(i) = open.pop() {
-        let name = out[i].name.clone();
-        out.push(TraceEvent {
-            seq: last_seq,
-            ts_ns: last_ts,
-            kind: EventKind::End,
-            name,
-            args: Vec::new(),
-        });
+    let last_ts = events.last().map_or(0, ts_ns);
+    while let Some(name) = open.pop() {
+        out.push((Phase::End, name, last_ts, None));
     }
     out
 }
 
-fn render_event(event: &TraceEvent, tid: u64) -> String {
-    let ph = match event.kind {
-        EventKind::Begin => "B",
-        EventKind::End => "E",
-        EventKind::Instant => "i",
+fn render_event(ph: Phase, name: &str, ts_ns: u64, event: Option<&Event>, tid: u64) -> String {
+    let ph_code = match ph {
+        Phase::Begin => "B",
+        Phase::End => "E",
+        Phase::Instant => "i",
     };
-    let ts_us = event.ts_ns as f64 / 1000.0;
+    let ts_us = ts_ns as f64 / 1000.0;
     let mut line = String::with_capacity(96);
     let _ = write!(
         line,
-        "{{\"name\":\"{}\",\"ph\":\"{ph}\",\"ts\":{},\"pid\":{PID},\"tid\":{tid}",
-        json_escape(&event.name),
+        "{{\"name\":\"{}\",\"ph\":\"{ph_code}\",\"ts\":{},\"pid\":{PID},\"tid\":{tid}",
+        json_escape(name),
         json_number(ts_us),
     );
-    if event.kind == EventKind::Instant {
+    if ph == Phase::Instant {
         line.push_str(",\"s\":\"t\"");
     }
-    if !event.args.is_empty() {
+    let args = event.map_or(&[][..], |e| &e.args[..]);
+    if !args.is_empty() {
         line.push_str(",\"args\":{");
-        for (i, (key, value)) in event.args.iter().enumerate() {
+        for (i, (key, value)) in args.iter().enumerate() {
             if i > 0 {
                 line.push(',');
             }
             let _ = write!(line, "\"{}\":", json_escape(key));
-            render_value(&mut line, value);
+            value.render_into(&mut line);
         }
         line.push('}');
     }
     line.push('}');
     line
-}
-
-pub(super) fn render_value(out: &mut String, value: &TraceValue) {
-    match value {
-        TraceValue::U64(v) => {
-            let _ = write!(out, "{v}");
-        }
-        TraceValue::I64(v) => {
-            let _ = write!(out, "{v}");
-        }
-        TraceValue::F64(v) => out.push_str(&json_number(*v)),
-        TraceValue::Bool(v) => {
-            let _ = write!(out, "{v}");
-        }
-        TraceValue::Str(v) => {
-            let _ = write!(out, "\"{}\"", json_escape(v));
-        }
-    }
 }
 
 #[cfg(test)]

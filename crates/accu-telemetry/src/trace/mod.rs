@@ -2,10 +2,11 @@
 //!
 //! A [`Tracer`] owns a set of ring-buffered per-thread tracks. Each
 //! worker thread opens a [`TraceTrack`] and emits begin/end spans and
-//! instant events with typed payloads ([`TraceValue`]). Events carry a
+//! instant events with typed payloads ([`TraceValue`]). Every emission
+//! is an [`crate::Event`] stamped with its track, a
 //! process-global atomic sequence number and a nanosecond timestamp
 //! relative to the tracer's epoch, so interleavings reconstruct exactly
-//! even across threads.
+//! even across threads. A span is a `<name>.begin` / `<name>.end` pair.
 //!
 //! Like the [`Recorder`](crate::Recorder), a tracer is threaded
 //! *explicitly* (no global state) and is either enabled or disabled. A
@@ -22,8 +23,8 @@
 //!   pairs are re-balanced per track at export time, so ring-buffer
 //!   overwrites and spans still open at export never produce an
 //!   unbalanced file.
-//! * [`Tracer::export_causal`] — a compact JSONL causal log, one event
-//!   per line in per-track sequence order, replayable by the
+//! * [`Tracer::export_causal`] — the JSONL causal log: the events as
+//!   event lines in per-track sequence order, replayable by the
 //!   `trace_explain` binary.
 //!
 //! ```
@@ -45,12 +46,12 @@
 //! ```
 
 use std::borrow::Cow;
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-mod causal;
+use crate::event::{Event, Ring, Source, Stamp, TraceValue};
+
 mod chrome;
 mod json;
 
@@ -61,101 +62,15 @@ pub use json::{parse_json, validate_chrome_trace, ChromeTraceStats, Json};
 /// overwritten first and counted in [`Tracer::total_dropped`].
 pub const DEFAULT_TRACK_CAPACITY: usize = 1 << 16;
 
-/// A typed event payload value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TraceValue {
-    /// An unsigned integer.
-    U64(u64),
-    /// A signed integer.
-    I64(i64),
-    /// A float, serialized with shortest round-trip formatting so the
-    /// causal log replays bit-exactly (`null` if non-finite).
-    F64(f64),
-    /// A boolean.
-    Bool(bool),
-    /// A string (escaped on export).
-    Str(Cow<'static, str>),
-}
-
-impl From<u64> for TraceValue {
-    fn from(v: u64) -> Self {
-        TraceValue::U64(v)
-    }
-}
-
-impl From<usize> for TraceValue {
-    fn from(v: usize) -> Self {
-        TraceValue::U64(v as u64)
-    }
-}
-
-impl From<i64> for TraceValue {
-    fn from(v: i64) -> Self {
-        TraceValue::I64(v)
-    }
-}
-
-impl From<f64> for TraceValue {
-    fn from(v: f64) -> Self {
-        TraceValue::F64(v)
-    }
-}
-
-impl From<bool> for TraceValue {
-    fn from(v: bool) -> Self {
-        TraceValue::Bool(v)
-    }
-}
-
-impl From<&'static str> for TraceValue {
-    fn from(v: &'static str) -> Self {
-        TraceValue::Str(Cow::Borrowed(v))
-    }
-}
-
-impl From<String> for TraceValue {
-    fn from(v: String) -> Self {
-        TraceValue::Str(Cow::Owned(v))
-    }
-}
-
-/// The phase of a trace event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EventKind {
-    /// Span start (Chrome phase `B`).
-    Begin,
-    /// Span end (Chrome phase `E`).
-    End,
-    /// A point-in-time event (Chrome phase `i`).
-    Instant,
-}
-
-/// One collected trace event.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TraceEvent {
-    /// Process-global sequence number (total order across tracks).
-    pub seq: u64,
-    /// Nanoseconds since the tracer's epoch.
-    pub ts_ns: u64,
-    /// Begin / end / instant.
-    pub kind: EventKind,
-    /// Event name.
-    pub name: Cow<'static, str>,
-    /// Typed payload, in emission order.
-    pub args: Vec<(Cow<'static, str>, TraceValue)>,
-}
-
-/// One track's ring buffer plus its sampling gate.
+/// One track's ring plus its sampling gate.
 #[derive(Debug)]
 struct TrackBuffer {
     /// Stable track id, used as the Chrome `tid`.
     id: u64,
-    name: String,
+    name: Arc<str>,
     /// Per-track sampling gate; one relaxed load per emission.
     active: AtomicBool,
-    /// Events overwritten by the ring.
-    dropped: AtomicU64,
-    events: Mutex<VecDeque<TraceEvent>>,
+    ring: Ring,
 }
 
 /// State shared by a tracer and all its track handles.
@@ -166,15 +81,6 @@ struct TraceShared {
     capacity: usize,
     seq: AtomicU64,
     tracks: Mutex<Vec<Arc<TrackBuffer>>>,
-}
-
-/// A per-track snapshot taken at export time.
-#[derive(Debug)]
-pub(crate) struct TrackSnapshot {
-    pub(crate) id: u64,
-    pub(crate) name: String,
-    pub(crate) dropped: u64,
-    pub(crate) events: Vec<TraceEvent>,
 }
 
 /// A cheaply cloneable handle to a trace collection, or a no-op.
@@ -242,10 +148,9 @@ impl Tracer {
         let mut tracks = shared.tracks.lock().unwrap_or_else(|e| e.into_inner());
         let buffer = Arc::new(TrackBuffer {
             id: tracks.len() as u64 + 1,
-            name: name.to_string(),
+            name: Arc::from(name),
             active: AtomicBool::new(true),
-            dropped: AtomicU64::new(0),
-            events: Mutex::new(VecDeque::new()),
+            ring: Ring::new(shared.capacity),
         });
         tracks.push(Arc::clone(&buffer));
         drop(tracks);
@@ -260,16 +165,17 @@ impl Tracer {
     /// Total events overwritten by ring-buffer wraparound, across all
     /// tracks (0 when disabled).
     pub fn total_dropped(&self) -> u64 {
-        self.snapshot_tracks()
-            .iter()
-            .map(|t| t.dropped)
-            .sum::<u64>()
+        let mut total = 0;
+        self.each_track(|_, dropped, _| total += dropped);
+        total
     }
 
     /// Total events currently retained across all tracks (0 when
     /// disabled).
     pub fn event_count(&self) -> usize {
-        self.snapshot_tracks().iter().map(|t| t.events.len()).sum()
+        let mut total = 0;
+        self.each_track(|_, _, events| total += events.len());
+        total
     }
 
     /// Exports all retained events as Chrome trace-event JSON
@@ -279,41 +185,43 @@ impl Tracer {
     /// timestamp, so the output always satisfies the span-balance
     /// invariant checked by [`validate_chrome_trace`].
     pub fn export_chrome(&self) -> Option<String> {
-        self.inner.is_some().then(|| {
-            let tracks = self.snapshot_tracks();
-            chrome::export(&tracks)
-        })
+        self.inner.is_some().then(|| chrome::export(self))
     }
 
-    /// Exports all retained events as a JSONL causal log (one event per
-    /// line, per-track sequence order), or `None` when disabled.
+    /// Exports all retained events as a JSONL causal log, or `None`
+    /// when disabled: per track, a `trace.dropped` event when the ring
+    /// overwrote anything, then its events in sequence order.
     pub fn export_causal(&self) -> Option<String> {
         self.inner.is_some().then(|| {
-            let tracks = self.snapshot_tracks();
-            causal::export(&tracks)
+            let mut out = String::with_capacity(self.event_count() * 112);
+            self.each_track(|track, dropped, events| {
+                if dropped > 0 {
+                    Event::warn("trace.dropped")
+                        .arg("track", track.name.to_string())
+                        .arg("dropped", dropped)
+                        .render_into(&mut out);
+                    out.push('\n');
+                }
+                for event in events {
+                    event.render_into(&mut out);
+                    out.push('\n');
+                }
+            });
+            out
         })
     }
 
-    fn snapshot_tracks(&self) -> Vec<TrackSnapshot> {
+    /// Runs `f` over every track in creation order with its evicted
+    /// count and retained events, oldest first — in place, so an export
+    /// never holds a second copy of the rings.
+    fn each_track(&self, mut f: impl FnMut(&TrackBuffer, u64, &[Event])) {
         let Some(shared) = &self.inner else {
-            return Vec::new();
+            return;
         };
         let tracks = shared.tracks.lock().unwrap_or_else(|e| e.into_inner());
-        tracks
-            .iter()
-            .map(|buf| TrackSnapshot {
-                id: buf.id,
-                name: buf.name.clone(),
-                dropped: buf.dropped.load(Ordering::Relaxed),
-                events: buf
-                    .events
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .iter()
-                    .cloned()
-                    .collect(),
-            })
-            .collect()
+        for buf in tracks.iter() {
+            buf.ring.with(|dropped, events| f(buf, dropped, events));
+        }
     }
 }
 
@@ -325,25 +233,20 @@ struct TrackHandle {
 }
 
 impl TrackHandle {
-    fn push(&self, kind: EventKind, name: Cow<'static, str>, args: &[(&'static str, TraceValue)]) {
+    fn push(&self, kind: Cow<'static, str>, args: &[(&'static str, TraceValue)]) {
         let seq = self.shared.seq.fetch_add(1, Ordering::Relaxed);
-        let ts_ns = u64::try_from(self.shared.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        let event = TraceEvent {
+        let ts = u64::try_from(self.shared.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        let mut event = Event::debug(kind);
+        event.args = args
+            .iter()
+            .map(|(k, v)| (Cow::Borrowed(*k), v.clone()))
+            .collect();
+        event.stamp = Some(Stamp {
+            source: Source::Track(Arc::clone(&self.buffer.name)),
             seq,
-            ts_ns,
-            kind,
-            name,
-            args: args
-                .iter()
-                .map(|(k, v)| (Cow::Borrowed(*k), v.clone()))
-                .collect(),
-        };
-        let mut ring = self.buffer.events.lock().unwrap_or_else(|e| e.into_inner());
-        if ring.len() >= self.shared.capacity {
-            ring.pop_front();
-            self.buffer.dropped.fetch_add(1, Ordering::Relaxed);
-        }
-        ring.push_back(event);
+            ts,
+        });
+        self.buffer.ring.push(event);
     }
 }
 
@@ -395,18 +298,18 @@ impl TraceTrack {
         }
     }
 
-    /// Emits an instant event with the given payload. No-op when the
-    /// track is disabled or its gate is closed.
+    /// Emits an instant event of kind `name` with the given payload.
+    /// No-op when the track is disabled or its gate is closed.
     pub fn instant(&self, name: &'static str, args: &[(&'static str, TraceValue)]) {
         if let Some(handle) = self.live() {
-            handle.push(EventKind::Instant, Cow::Borrowed(name), args);
+            handle.push(Cow::Borrowed(name), args);
         }
     }
 
-    /// Opens a span; the returned guard emits the matching end event
-    /// when dropped (including during panic unwind) or on
-    /// [`TraceSpan::finish`]. If the gate is closed no begin is emitted
-    /// and the guard is inert.
+    /// Opens a span: emits `<name>.begin` now, and the returned guard
+    /// emits `<name>.end` when dropped (including during panic unwind)
+    /// or on [`TraceSpan::finish`]. If the gate is closed no begin is
+    /// emitted and the guard is inert.
     pub fn span(&self, name: &'static str) -> TraceSpan {
         self.span_with(name, &[])
     }
@@ -415,7 +318,7 @@ impl TraceTrack {
     pub fn span_with(&self, name: &'static str, args: &[(&'static str, TraceValue)]) -> TraceSpan {
         let armed = match self.live() {
             Some(handle) => {
-                handle.push(EventKind::Begin, Cow::Borrowed(name), args);
+                handle.push(Cow::Owned(format!("{name}.begin")), args);
                 true
             }
             None => false,
@@ -450,7 +353,7 @@ impl TraceSpan {
         if self.armed {
             self.armed = false;
             if let Some(handle) = &self.track.inner {
-                handle.push(EventKind::End, Cow::Borrowed(self.name), &[]);
+                handle.push(Cow::Owned(format!("{}.end", self.name)), &[]);
             }
         }
     }
@@ -466,12 +369,16 @@ impl Drop for TraceSpan {
 mod tests {
     use super::*;
 
-    fn names(tracer: &Tracer) -> Vec<(EventKind, String)> {
-        tracer
-            .snapshot_tracks()
+    fn events(tracer: &Tracer) -> Vec<Event> {
+        let mut all = Vec::new();
+        tracer.each_track(|_, _, events| all.extend_from_slice(events));
+        all
+    }
+
+    fn kinds(tracer: &Tracer) -> Vec<String> {
+        events(tracer)
             .into_iter()
-            .flat_map(|t| t.events)
-            .map(|e| (e.kind, e.name.into_owned()))
+            .map(|e| e.kind.into_owned())
             .collect()
     }
 
@@ -498,15 +405,8 @@ mod tests {
             let _chunk = track.span("chunk");
             track.instant("request", &[("target", 3u64.into())]);
         }
-        let got = names(&tracer);
-        assert_eq!(
-            got,
-            vec![
-                (EventKind::Begin, "chunk".to_string()),
-                (EventKind::Instant, "request".to_string()),
-                (EventKind::End, "chunk".to_string()),
-            ]
-        );
+        let got = kinds(&tracer);
+        assert_eq!(got, vec!["chunk.begin", "request", "chunk.end",]);
         assert_eq!(tracer.event_count(), 3);
         assert_eq!(tracer.total_dropped(), 0);
     }
@@ -519,11 +419,9 @@ mod tests {
         a.instant("x", &[]);
         b.instant("y", &[]);
         a.instant("z", &[]);
-        let mut seqs: Vec<u64> = tracer
-            .snapshot_tracks()
-            .into_iter()
-            .flat_map(|t| t.events)
-            .map(|e| e.seq)
+        let mut seqs: Vec<u64> = events(&tracer)
+            .iter()
+            .map(|e| e.stamp.as_ref().unwrap().seq)
             .collect();
         seqs.sort_unstable();
         assert_eq!(seqs, vec![0, 1, 2]);
@@ -542,15 +440,8 @@ mod tests {
         span.finish(); // begin was emitted; end must follow despite the gate
         track.set_active(true);
         track.instant("kept", &[]);
-        let got = names(&tracer);
-        assert_eq!(
-            got,
-            vec![
-                (EventKind::Begin, "chunk".to_string()),
-                (EventKind::End, "chunk".to_string()),
-                (EventKind::Instant, "kept".to_string()),
-            ]
-        );
+        let got = kinds(&tracer);
+        assert_eq!(got, vec!["chunk.begin", "chunk.end", "kept",]);
     }
 
     #[test]
@@ -562,8 +453,10 @@ mod tests {
         }
         assert_eq!(tracer.event_count(), 4);
         assert_eq!(tracer.total_dropped(), 6);
-        let first = tracer.snapshot_tracks().remove(0);
-        let kept: Vec<u64> = first.events.iter().map(|e| e.seq).collect();
+        let kept: Vec<u64> = events(&tracer)
+            .iter()
+            .map(|e| e.stamp.as_ref().unwrap().seq)
+            .collect();
         assert_eq!(kept, vec![6, 7, 8, 9]);
     }
 
@@ -594,6 +487,35 @@ mod tests {
     }
 
     #[test]
+    fn causal_lines_are_events_and_floats_round_trip() {
+        let tracer = Tracer::enabled();
+        let track = tracer.track("w");
+        let exact = 0.1f64 + 0.2f64; // not representable as a short decimal
+        track.instant("request", &[("gain", exact.into()), ("ok", true.into())]);
+        let log = tracer.export_causal().unwrap();
+        let read = crate::check_events(&log).unwrap();
+        assert_eq!(read.events.len(), 1);
+        let event = &read.events[0];
+        assert_eq!(event.kind, "request");
+        let gain = event.get("gain").and_then(TraceValue::as_f64).unwrap();
+        assert_eq!(gain.to_bits(), exact.to_bits());
+        assert_eq!(event.get("ok"), Some(&TraceValue::Bool(true)));
+    }
+
+    #[test]
+    fn drop_marker_reports_ring_overwrites() {
+        let tracer = Tracer::with_config(1, 2);
+        let track = tracer.track("w");
+        for _ in 0..5 {
+            track.instant("e", &[]);
+        }
+        let log = tracer.export_causal().unwrap();
+        let first = crate::read_events(&log).events.remove(0);
+        assert_eq!(first.kind, "trace.dropped");
+        assert_eq!(first.get("dropped"), Some(&TraceValue::U64(3)));
+    }
+
+    #[test]
     fn span_end_emitted_on_panic_unwind() {
         let tracer = Tracer::enabled();
         let track = tracer.track("w");
@@ -602,13 +524,7 @@ mod tests {
             panic!("boom");
         }));
         assert!(result.is_err());
-        let got = names(&tracer);
-        assert_eq!(
-            got,
-            vec![
-                (EventKind::Begin, "doomed".to_string()),
-                (EventKind::End, "doomed".to_string()),
-            ]
-        );
+        let got = kinds(&tracer);
+        assert_eq!(got, vec!["doomed.begin", "doomed.end",]);
     }
 }

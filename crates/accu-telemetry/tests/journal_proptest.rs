@@ -9,7 +9,7 @@ use std::fs::OpenOptions;
 use std::io::Write;
 use std::path::PathBuf;
 
-use accu_telemetry::{read_journal, Corr, Journal, Severity};
+use accu_telemetry::{check_events, Corr, Event, Journal, Severity, Source};
 use proptest::prelude::*;
 
 fn scratch(tag: &str) -> PathBuf {
@@ -61,11 +61,10 @@ proptest! {
                         } else {
                             Corr::job(format!("job-{w}")).epoch(i as u64 + 1)
                         };
-                        journal.log(
-                            SEVERITIES[pick % SEVERITIES.len()],
-                            KINDS[pick % KINDS.len()],
-                            &format!("writer {w} event {i}"),
-                            &corr,
+                        journal.emit(
+                            Event::new(SEVERITIES[pick % SEVERITIES.len()], KINDS[pick % KINDS.len()])
+                                .corr(corr)
+                                .msg(format!("writer {w} event {i}")),
                         );
                     }
                 });
@@ -78,24 +77,25 @@ proptest! {
                 .append(true)
                 .open(&path)
                 .expect("reopen for tear");
-            file.write_all(b"{\"type\":\"journal\",\"writer\":9,\"se")
+            file.write_all(b"{\"type\":\"event\",\"writer\":9,\"se")
                 .expect("torn tail");
         }
 
-        let read = read_journal(&path).expect("read back");
+        // The validator checks every line shape and per-writer seq order.
+        let read = check_events(&std::fs::read_to_string(&path).expect("read back"))
+            .expect("valid journal");
         prop_assert_eq!(
             read.events.len(),
             expected,
             "every completed append must read back"
         );
         prop_assert_eq!(read.skipped_lines, usize::from(torn_tail));
-        prop_assert!(read.check_seq_monotonic().is_ok());
         // Per-writer event counts survive the interleaving intact.
         for (w, &count) in counts.iter().take(writers).enumerate() {
             let seen = read
                 .events
                 .iter()
-                .filter(|e| e.message.starts_with(&format!("writer {w} ")))
+                .filter(|e| e.message().starts_with(&format!("writer {w} ")))
                 .count();
             prop_assert_eq!(seen, count, "writer {} lost events", w);
         }
@@ -121,22 +121,24 @@ proptest! {
                 scope.spawn(move || {
                     for i in 0..per_thread {
                         let pick = (sev_seed as usize).wrapping_add(t * 13 + i);
-                        journal.log(
-                            SEVERITIES[pick % SEVERITIES.len()],
-                            KINDS[pick % KINDS.len()],
-                            &format!("thread {t} event {i}"),
-                            &Corr::job("shared").attempt(t as u64),
+                        journal.emit(
+                            Event::new(SEVERITIES[pick % SEVERITIES.len()], KINDS[pick % KINDS.len()])
+                                .corr(Corr::job("shared").attempt(t as u64))
+                                .msg(format!("thread {t} event {i}")),
                         );
                     }
                 });
             }
         });
-        let read = read_journal(&path).expect("read back");
+        let read = check_events(&std::fs::read_to_string(&path).expect("read back"))
+            .expect("valid journal");
         prop_assert_eq!(read.events.len(), threads * per_thread);
         prop_assert_eq!(read.skipped_lines, 0);
-        prop_assert!(read.check_seq_monotonic().is_ok());
-        let writers: std::collections::BTreeSet<u64> =
-            read.events.iter().map(|e| e.writer).collect();
+        let writers: std::collections::BTreeSet<&Source> = read
+            .events
+            .iter()
+            .map(|e| &e.stamp.as_ref().expect("journal lines are stamped").source)
+            .collect();
         prop_assert_eq!(writers.len(), 1, "clones share one writer id");
         let _ = std::fs::remove_file(&path);
     }

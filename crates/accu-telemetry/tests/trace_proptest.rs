@@ -2,9 +2,9 @@
 //! nested spans, instants, sampling-gate flips mid-span, multiple
 //! tracks, ring capacities small enough to force overwrite — must
 //! export as structurally valid Chrome trace JSON (balanced begin/end
-//! per track) and as a causal log whose every line is valid JSON.
+//! per track) and as a causal log whose every line is a valid event.
 
-use accu_telemetry::{parse_json, validate_chrome_trace, Json, TraceSpan, TraceValue, Tracer};
+use accu_telemetry::{check_events, validate_chrome_trace, Source, TraceSpan, TraceValue, Tracer};
 use proptest::prelude::*;
 
 /// One scripted action against a random track.
@@ -86,34 +86,31 @@ proptest! {
         prop_assert_eq!(stats.metadata, 3);
     }
 
-    /// Every line of the causal export is standalone valid JSON with
-    /// the documented envelope, and the drop markers account for
-    /// exactly the events the ring overwrote.
+    /// Every line of the causal export passes the event validator —
+    /// stamped with its track, seq strictly increasing per track — and
+    /// the drop markers account for exactly the events the ring
+    /// overwrote.
     #[test]
-    fn causal_export_lines_are_valid_json(
+    fn causal_export_lines_are_valid_events(
         ops in proptest::collection::vec(op_strategy(2), 0..100),
         capacity in 1usize..32,
     ) {
         let tracer = run_script(&ops, 2, capacity, 1);
         let causal = tracer.export_causal().expect("enabled tracer exports");
+        let read = check_events(&causal)
+            .unwrap_or_else(|e| panic!("invalid causal log: {e}\n{causal}"));
+        prop_assert_eq!(read.skipped_lines, 0);
         let mut dropped = 0u64;
-        for line in causal.lines() {
-            let value = parse_json(line)
-                .unwrap_or_else(|e| panic!("invalid causal line: {e}\n{line}"));
-            let ty = value.get("type").and_then(Json::as_str).expect("type field");
-            match ty {
-                "trace" => {
-                    for key in ["track", "seq", "ts_ns", "kind", "name"] {
-                        prop_assert!(value.get(key).is_some(), "missing {} in {}", key, line);
-                    }
-                }
-                "trace_drops" => {
-                    dropped += value
+        for event in &read.events {
+            match &event.stamp {
+                Some(stamp) => prop_assert!(matches!(stamp.source, Source::Track(_))),
+                None => {
+                    prop_assert_eq!(event.kind.as_ref(), "trace.dropped");
+                    dropped += event
                         .get("dropped")
-                        .and_then(Json::as_u64)
+                        .and_then(TraceValue::as_u64)
                         .expect("dropped count");
                 }
-                other => prop_assert!(false, "unexpected line type {:?}", other),
             }
         }
         prop_assert_eq!(dropped, tracer.total_dropped());
@@ -127,20 +124,11 @@ proptest! {
     ) {
         let tracer = run_script(&ops, 2, 1 << 12, 1);
         let causal = tracer.export_causal().expect("enabled tracer exports");
-        let mut last_seq: std::collections::HashMap<String, u64> = Default::default();
-        for line in causal.lines() {
-            let value = parse_json(line).expect("valid line");
-            if value.get("type").and_then(Json::as_str) != Some("trace") {
-                continue;
-            }
-            let track = value
-                .get("track")
-                .and_then(Json::as_str)
-                .expect("track")
-                .to_string();
-            let seq = value.get("seq").and_then(Json::as_u64).expect("seq");
-            if let Some(prev) = last_seq.insert(track.clone(), seq) {
-                prop_assert!(prev < seq, "track {} seq {} after {}", track, seq, prev);
+        let read = check_events(&causal).expect("valid causal log");
+        let mut last_seq: std::collections::HashMap<Source, u64> = Default::default();
+        for stamp in read.events.iter().filter_map(|e| e.stamp.as_ref()) {
+            if let Some(prev) = last_seq.insert(stamp.source.clone(), stamp.seq) {
+                prop_assert!(prev < stamp.seq, "{} seq {} after {}", stamp.source, stamp.seq, prev);
             }
         }
     }
