@@ -344,7 +344,7 @@ impl RetryPolicy {
     }
 
     /// The default attacker: 3 retries, backoff 1, 2, 4 budget units.
-    pub fn standard() -> Self {
+    pub const fn standard() -> Self {
         RetryPolicy {
             max_retries: 3,
             backoff_base: 1,

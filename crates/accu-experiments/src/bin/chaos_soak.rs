@@ -37,8 +37,8 @@ use accu_datasets::{DatasetSpec, ProtocolConfig};
 use accu_experiments::output::series_table;
 use accu_experiments::service::{Daemon, DaemonConfig, JobSpec, JobState, ServiceClient};
 use accu_experiments::{
-    degrade_report, run_policy_with, Checkpoint, Deadline, FigureRun, PolicyKind, RunOptions,
-    SupervisorConfig, DEADLINE_MIN_NETWORKS,
+    run_policy_with, Checkpoint, Deadline, FigureRun, PolicyKind, RunOptions, SupervisorConfig,
+    DEADLINE_MIN_NETWORKS,
 };
 
 /// The profile rotation; a schedule bank of `N` covers each profile at
@@ -112,11 +112,9 @@ fn matches_baseline(figure: &FigureRun, got: &TraceAccumulator, want: &TraceAccu
 
 /// The chaos-free aggregate of `figure` every schedule must reproduce.
 fn baseline(figure: &FigureRun) -> TraceAccumulator {
-    degrade_report(run_policy_with(
-        figure,
-        PolicyKind::abm_balanced(),
-        RunOptions::default(),
-    ))
+    run_policy_with(figure, PolicyKind::abm_balanced(), RunOptions::default())
+        .expect("the chaos-free baseline run succeeds")
+        .accumulator
 }
 
 /// In-process healing profiles (`panic`, `stall`): the supervisor must

@@ -16,7 +16,7 @@ use accu_experiments::{Cli, ExperimentScale, PolicyKind, Telemetry};
 fn main() {
     let cli = Cli::parse();
     let scale = ExperimentScale::from_cli(&cli);
-    let tel = Telemetry::from_cli(&cli, "extra_baselines");
+    let mut tel = Telemetry::from_cli(&cli, "extra_baselines");
     println!("Extension: extended baseline lineup ({})", scale.describe());
     println!();
 
@@ -43,10 +43,8 @@ fn main() {
     }
     println!();
     table.print();
-    match table.write_csv("extra_baselines") {
-        Ok(path) => println!("\nwrote {}", path.display()),
-        Err(e) => eprintln!("csv write failed: {e}"),
-    }
+    println!();
+    tel.write_csv(&table, "extra_baselines");
 
     if let Err(e) = tel.report() {
         eprintln!("telemetry write failed: {e}");

@@ -14,9 +14,7 @@ use accu_core::FaultConfig;
 use accu_datasets::{DatasetSpec, ProtocolConfig};
 use accu_experiments::chart::Chart;
 use accu_experiments::output::series_table;
-use accu_experiments::{
-    run_policy_with, Cli, ExperimentScale, FigureRun, PolicyKind, RunOptions, Telemetry,
-};
+use accu_experiments::{Cli, ExperimentScale, FigureRun, PolicyKind, Telemetry};
 
 /// The swept fault intensities.
 const INTENSITIES: [f64; 6] = [0.0, 0.1, 0.2, 0.4, 0.7, 1.0];
@@ -24,19 +22,13 @@ const INTENSITIES: [f64; 6] = [0.0, 0.1, 0.2, 0.4, 0.7, 1.0];
 fn main() {
     let cli = Cli::parse();
     let scale = ExperimentScale::from_cli(&cli);
-    let tel = Telemetry::from_cli(&cli, "fault_ablation");
+    let mut tel = Telemetry::from_cli(&cli, "fault_ablation");
     println!("Fault ablation: final benefit vs fault intensity ({})", {
         scale.describe()
     });
     if cli.faults.is_some() {
         println!("note: --faults is ignored here; this binary sweeps its own intensities");
     }
-    let mut checkpoint = cli.checkpoint.as_ref().map(|path| {
-        tel.open_checkpoint(path, cli.resume).unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        })
-    });
 
     let dataset = DatasetSpec::facebook();
     let base = scale.figure_run(dataset, ProtocolConfig::default());
@@ -53,22 +45,7 @@ fn main() {
             ..base.clone()
         };
         for (i, &policy) in lineup.iter().enumerate() {
-            let report = run_policy_with(
-                &figure,
-                policy,
-                RunOptions {
-                    checkpoint: checkpoint.as_mut(),
-                    ..tel.run_options()
-                },
-            )
-            .unwrap_or_else(|e| {
-                eprintln!("error: {e}");
-                std::process::exit(1);
-            });
-            for failure in &report.quarantined {
-                eprintln!("runner: {failure}");
-            }
-            let acc = &report.accumulator;
+            let acc = tel.run(&figure, policy);
             let last = acc.mean_cumulative_benefit().last().copied().unwrap_or(0.0);
             benefit[i].1.push(last);
             detail_rows.push([
@@ -90,11 +67,9 @@ fn main() {
     }
     chart.print();
     println!();
-    series_table("intensity", &xs, &benefit).print();
-    match series_table("intensity", &xs, &benefit).write_csv("fault_ablation") {
-        Ok(path) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("csv write failed: {e}"),
-    }
+    let table = series_table("intensity", &xs, &benefit);
+    table.print();
+    tel.write_csv(&table, "fault_ablation");
 
     println!();
     let mut table = accu_experiments::output::Table::new([

@@ -7,125 +7,28 @@
 
 use accu_datasets::{DatasetSpec, ProtocolConfig};
 use accu_experiments::chart::Chart;
-use accu_experiments::output::{downsample_indices, fnum, series_table, Table};
-use accu_experiments::{run_policy_with, Cli, ExperimentScale, PolicyKind, RunOptions, Telemetry};
+use accu_experiments::output::{downsample_indices, series_table};
+use accu_experiments::{Cli, ExperimentScale, PolicyKind, Telemetry};
 
 fn main() {
     let cli = Cli::parse();
     let scale = ExperimentScale::from_cli(&cli);
-    let tel = Telemetry::from_cli(&cli, "fig2");
+    let mut tel = Telemetry::from_cli(&cli, "fig2");
     println!(
         "Fig. 2: benefit vs number of requests ({})",
         scale.describe()
     );
-    let mut checkpoint = cli.checkpoint.as_ref().map(|path| {
-        let ckpt = tel.open_checkpoint(path, cli.resume).unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        });
-        if cli.resume && ckpt.loaded_entries() > 0 {
-            println!(
-                "resuming from {}: {} completed networks on file",
-                ckpt.path().display(),
-                ckpt.loaded_entries()
-            );
-        }
-        ckpt
-    });
 
     for dataset in DatasetSpec::all_paper_datasets() {
         let figure = scale.figure_run(dataset.clone(), ProtocolConfig::default());
         println!("\n=== {} ===", figure.dataset);
-        let mut series = Vec::new();
-        let mut degraded = false;
-        // Per-policy partial-aggregate annotations, written alongside a
-        // degraded CSV so its episode counts and confidence intervals
-        // travel with the data.
-        let mut stats = Table::new([
-            "policy",
-            "episodes",
-            "networks",
-            "shed_networks",
-            "mean_benefit",
-            "ci_half_width",
-        ]);
-        for policy in PolicyKind::paper_lineup() {
-            let report = run_policy_with(
-                &figure,
-                policy,
-                RunOptions {
-                    checkpoint: checkpoint.as_mut(),
-                    ..tel.run_options()
-                },
-            )
-            .unwrap_or_else(|e| {
-                eprintln!("error: {e}");
-                std::process::exit(1);
-            });
-            for failure in &report.quarantined {
-                eprintln!("runner: {failure}");
-            }
-            if report.repaired_networks > 0 {
-                println!(
-                    "{}: {} of {} networks violated a paper precondition and were \
-                     repaired (1 - e^-lambda guarantee void for their contribution)",
-                    policy.name(),
-                    report.repaired_networks,
-                    figure.network_samples
-                );
-            }
-            let rejected = report
-                .quarantined
-                .iter()
-                .filter(|f| f.stage == "validate")
-                .count();
-            if rejected > 0 {
-                println!(
-                    "{}: {} of {} networks rejected by --validate {}",
-                    policy.name(),
-                    rejected,
-                    figure.network_samples,
-                    figure.validation
-                );
-            }
-            if report.resumed_networks > 0 {
-                println!(
-                    "{}: resumed {} of {} networks from checkpoint",
-                    policy.name(),
-                    report.resumed_networks,
-                    figure.network_samples
-                );
-            }
-            if report.checkpoint_skipped_lines > 0 {
-                println!(
-                    "{}: recovered from torn checkpoint ({} unparseable line(s) \
-                     dropped; their networks recomputed)",
-                    policy.name(),
-                    report.checkpoint_skipped_lines
-                );
-            }
-            if report.degraded() {
-                degraded = true;
-                println!(
-                    "{}: deadline expired — shed {} of {} networks; partial aggregate \
-                     over {} episodes (95% CI half-width {:.3})",
-                    policy.name(),
-                    report.shed_networks,
-                    figure.network_samples,
-                    report.accumulator.runs(),
-                    report.ci_half_width()
-                );
-            }
-            stats.row([
-                policy.name().to_string(),
-                report.accumulator.runs().to_string(),
-                report.completed_networks.to_string(),
-                report.shed_networks.to_string(),
-                fnum(report.accumulator.mean_total_benefit()),
-                fnum(report.ci_half_width()),
-            ]);
-            series.push((policy.name(), report.accumulator.mean_cumulative_benefit()));
-        }
+        let series: Vec<(&str, Vec<f64>)> = PolicyKind::paper_lineup()
+            .into_iter()
+            .map(|policy| {
+                let acc = tel.run(&figure, policy);
+                (policy.name(), acc.mean_cumulative_benefit())
+            })
+            .collect();
         let idx = downsample_indices(figure.budget, 64);
         let xs: Vec<f64> = idx.iter().map(|&i| (i + 1) as f64).collect();
         let sampled: Vec<(&str, Vec<f64>)> = series
@@ -146,28 +49,10 @@ fn main() {
             .collect();
         series_table("k", &txs, &tsampled).print();
 
-        // Full-resolution CSV for plotting. A deadline-degraded run
-        // lands under a `_degraded` name (with a stats sidecar) so a
-        // partial aggregate can never be mistaken for the full figure.
-        let full_idx: Vec<usize> = (0..figure.budget).collect();
-        let full_xs: Vec<f64> = full_idx.iter().map(|&i| (i + 1) as f64).collect();
-        let full: Vec<(&str, Vec<f64>)> = series.iter().map(|(n, ys)| (*n, ys.clone())).collect();
+        // Full-resolution CSV for plotting.
+        let full_xs: Vec<f64> = (0..figure.budget).map(|i| (i + 1) as f64).collect();
         let ds = dataset.name().to_lowercase();
-        let csv_name = if degraded {
-            format!("fig2_{ds}_degraded")
-        } else {
-            format!("fig2_{ds}")
-        };
-        match series_table("k", &full_xs, &full).write_csv(&csv_name) {
-            Ok(path) => println!("wrote {}", path.display()),
-            Err(e) => eprintln!("csv write failed: {e}"),
-        }
-        if degraded {
-            match stats.write_csv(&format!("fig2_{ds}_degraded_stats")) {
-                Ok(path) => println!("wrote {}", path.display()),
-                Err(e) => eprintln!("csv write failed: {e}"),
-            }
-        }
+        tel.write_csv(&series_table("k", &full_xs, &series), &format!("fig2_{ds}"));
 
         // Headline check: final benefit ordering.
         let finals: Vec<(&str, f64)> = series

@@ -9,7 +9,7 @@
 
 use accu_datasets::{DatasetSpec, ProtocolConfig};
 use accu_experiments::output::{downsample_indices, series_table};
-use accu_experiments::{run_policy_with, Cli, ExperimentScale, PolicyKind, Telemetry};
+use accu_experiments::{Cli, ExperimentScale, PolicyKind, Telemetry};
 
 /// Centered moving average for readability (the paper plots noisy
 /// per-request bars; a light smoothing keeps the shape visible in text).
@@ -27,7 +27,7 @@ fn smooth(ys: &[f64], window: usize) -> Vec<f64> {
 fn main() {
     let cli = Cli::parse();
     let scale = ExperimentScale::from_cli(&cli);
-    let tel = Telemetry::from_cli(&cli, "fig3");
+    let mut tel = Telemetry::from_cli(&cli, "fig3");
     println!(
         "Fig. 3: average marginal benefit per request, cautious vs reckless ({})",
         scale.describe()
@@ -36,26 +36,7 @@ fn main() {
     for dataset in DatasetSpec::all_paper_datasets() {
         let figure = scale.figure_run(dataset.clone(), ProtocolConfig::default());
         println!("\n=== {} ===", figure.dataset);
-        let report = run_policy_with(&figure, PolicyKind::abm_balanced(), tel.run_options())
-            .unwrap_or_else(|e| {
-                eprintln!("error: {e}");
-                std::process::exit(1);
-            });
-        for failure in &report.quarantined {
-            eprintln!("runner: {failure}");
-        }
-        let degraded = report.degraded();
-        if degraded {
-            println!(
-                "deadline expired — shed {} of {} networks; partial aggregate over {} \
-                 episodes (95% CI half-width {:.3})",
-                report.shed_networks,
-                figure.network_samples,
-                report.accumulator.runs(),
-                report.ci_half_width()
-            );
-        }
-        let acc = report.accumulator;
+        let acc = tel.run(&figure, PolicyKind::abm_balanced());
         let cautious = acc.mean_marginal_from_cautious();
         let reckless = acc.mean_marginal_from_reckless();
         let total: Vec<f64> = cautious.iter().zip(&reckless).map(|(a, b)| a + b).collect();
@@ -90,15 +71,10 @@ fn main() {
             ("from_reckless", reckless.clone()),
         ];
         let ds = dataset.name().to_lowercase();
-        let csv_name = if degraded {
-            format!("fig3_{ds}_degraded")
-        } else {
-            format!("fig3_{ds}")
-        };
-        match series_table("request", &full_xs, &full).write_csv(&csv_name) {
-            Ok(path) => println!("wrote {}", path.display()),
-            Err(e) => eprintln!("csv write failed: {e}"),
-        }
+        tel.write_csv(
+            &series_table("request", &full_xs, &full),
+            &format!("fig3_{ds}"),
+        );
 
         // Where is the cautious benefit concentrated?
         let peak = cautious

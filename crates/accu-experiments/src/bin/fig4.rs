@@ -15,7 +15,7 @@ use accu_experiments::{Cli, ExperimentScale, PolicyKind, Telemetry};
 fn main() {
     let cli = Cli::parse();
     let scale = ExperimentScale::from_cli(&cli);
-    let tel = Telemetry::from_cli(&cli, "fig4");
+    let mut tel = Telemetry::from_cli(&cli, "fig4");
     println!(
         "Fig. 4: benefit and #cautious friends vs w_I (Twitter, {})",
         scale.describe()
@@ -52,10 +52,7 @@ fn main() {
         ],
     );
     table.print();
-    match table.write_csv("fig4_twitter") {
-        Ok(path) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("csv write failed: {e}"),
-    }
+    tel.write_csv(&table, "fig4_twitter");
 
     let best = wis
         .iter()

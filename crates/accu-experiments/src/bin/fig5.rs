@@ -12,7 +12,7 @@ use accu_experiments::{Cli, ExperimentScale, PolicyKind, Telemetry};
 fn main() {
     let cli = Cli::parse();
     let scale = ExperimentScale::from_cli(&cli);
-    let tel = Telemetry::from_cli(&cli, "fig5");
+    let mut tel = Telemetry::from_cli(&cli, "fig5");
     println!(
         "Fig. 5: fraction of requests sent to cautious users (Twitter, {})",
         scale.describe()
@@ -56,10 +56,7 @@ fn main() {
         .iter()
         .map(|(n, ys)| (n.as_str(), ys.clone()))
         .collect();
-    match series_table("request", &full_xs, &full).write_csv("fig5_twitter") {
-        Ok(path) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("csv write failed: {e}"),
-    }
+    tel.write_csv(&series_table("request", &full_xs, &full), "fig5_twitter");
 
     println!();
     for (wi, total, center) in mass_centers {

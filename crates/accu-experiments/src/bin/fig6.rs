@@ -7,26 +7,24 @@
 //! thresholds can help — ABM stops over-investing in cautious users that
 //! are not worth the detour.
 
-use accu_experiments::heatmap::{paper_axes, run_heatmap_recorded};
+use accu_experiments::heatmap::{paper_axes, run_heatmap};
 use accu_experiments::{Cli, ExperimentScale, Telemetry};
 
 fn main() {
     let cli = Cli::parse();
     let scale = ExperimentScale::from_cli(&cli);
-    let tel = Telemetry::from_cli(&cli, "fig6");
+    let mut tel = Telemetry::from_cli(&cli, "fig6");
     println!(
         "Fig. 6: benefit heat map (Twitter, ABM w_D=w_I=0.5, {})",
         scale.describe()
     );
     let (benefits, thresholds) = paper_axes();
-    let hm = run_heatmap_recorded(&scale, &benefits, &thresholds, tel.recorder());
+    let hm = run_heatmap(&scale, &benefits, &thresholds, &mut tel);
     println!();
     let table = hm.benefit_table();
     table.print();
-    match table.write_csv("fig6_twitter") {
-        Ok(path) => println!("\nwrote {}", path.display()),
-        Err(e) => eprintln!("csv write failed: {e}"),
-    }
+    println!();
+    tel.write_csv(&table, "fig6_twitter");
 
     // Shape checks the paper calls out.
     let rows = hm.benefit.len();

@@ -5,26 +5,24 @@
 //! The paper's finding: more cautious friends with higher `B_f`
 //! (stronger incentive) and lower thresholds (easier to unlock).
 
-use accu_experiments::heatmap::{paper_axes, run_heatmap_recorded};
+use accu_experiments::heatmap::{paper_axes, run_heatmap};
 use accu_experiments::{Cli, ExperimentScale, Telemetry};
 
 fn main() {
     let cli = Cli::parse();
     let scale = ExperimentScale::from_cli(&cli);
-    let tel = Telemetry::from_cli(&cli, "fig7");
+    let mut tel = Telemetry::from_cli(&cli, "fig7");
     println!(
         "Fig. 7: #cautious-friends heat map (Twitter, ABM w_D=w_I=0.5, {})",
         scale.describe()
     );
     let (benefits, thresholds) = paper_axes();
-    let hm = run_heatmap_recorded(&scale, &benefits, &thresholds, tel.recorder());
+    let hm = run_heatmap(&scale, &benefits, &thresholds, &mut tel);
     println!();
     let table = hm.cautious_table();
     table.print();
-    match table.write_csv("fig7_twitter") {
-        Ok(path) => println!("\nwrote {}", path.display()),
-        Err(e) => eprintln!("csv write failed: {e}"),
-    }
+    println!();
+    tel.write_csv(&table, "fig7_twitter");
 
     let rows = hm.cautious.len();
     let cols = hm.cautious[0].len();

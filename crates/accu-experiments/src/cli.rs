@@ -1,6 +1,14 @@
 //! Minimal command-line parsing shared by the experiment binaries.
 //!
-//! Every figure/table binary accepts:
+//! Every figure/table binary parses the flags below. The runner flags
+//! (`--faults`, `--chaos`, `--deadline`, `--validate`, `--checkpoint`,
+//! `--resume`, `--trace`, `--progress`, `--watchdog`, `--workers`)
+//! reach every cell of the runner-driven binaries — fig2–fig7,
+//! `extra_baselines` and `fault_ablation` — through
+//! [`Telemetry::run`](crate::Telemetry::run). `acceptance_models`,
+//! `hesitant`, `noise_ablation` and `selection_ablation` run their own
+//! episode loops and use only the recorder (`--telemetry`,
+//! `--metrics-addr`); the remaining binaries run no episodes at all.
 //!
 //! * `--paper` — run at the paper's full scale (Table I network sizes,
 //!   100 sample networks × 30 runs, k = 500); the default is a
@@ -20,14 +28,15 @@
 //! * `--deadline <secs>` — soft deadline: once it expires, remaining
 //!   networks are shed in a deterministic, worker-count-independent
 //!   order and the partial aggregate is reported as degraded (the
-//!   binary still exits 0);
+//!   binary still exits 0; any runner error, such as a worker dying
+//!   with the restart budget spent, exits 1 instead);
 //! * `--validate <mode>` — how sampled instances are checked against
 //!   the paper preconditions: `strict` rejects violating networks,
 //!   `lenient` (default) repairs them and flags the λ-guarantee void,
 //!   `off` skips validation entirely (pre-validation behavior);
 //! * `--checkpoint <path>` / `--resume` — append per-network progress
 //!   to a JSONL checkpoint and, with `--resume`, skip work the file
-//!   already covers;
+//!   already covers (`--resume` without `--checkpoint` is rejected);
 //! * `--trace <path>[:sample=N]` — export a Perfetto-compatible trace
 //!   (and a JSONL causal log next to it), recording every `N`-th
 //!   episode in full detail (default every episode). An empty path
@@ -336,6 +345,9 @@ impl Cli {
                 }
             }
         }
+        if cli.resume && cli.checkpoint.is_none() {
+            return Err(CliError("--resume needs --checkpoint PATH".into()));
+        }
         Ok(cli)
     }
 }
@@ -393,6 +405,13 @@ mod tests {
         assert!(Cli::parse_from(["--faults"]).is_err());
         assert!(Cli::parse_from(["--faults", "nope"]).is_err());
         assert!(Cli::parse_from(["--checkpoint"]).is_err());
+    }
+
+    #[test]
+    fn resume_needs_a_checkpoint() {
+        let err = Cli::parse_from(["--resume"]).unwrap_err();
+        assert!(err.to_string().contains("--checkpoint"), "{err}");
+        assert!(Cli::parse_from(["--resume", "--checkpoint", "run.jsonl"]).is_ok());
     }
 
     #[test]

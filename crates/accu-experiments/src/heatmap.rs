@@ -6,10 +6,9 @@
 //! the number of cautious friends obtained (Fig. 7).
 
 use accu_datasets::{DatasetSpec, ProtocolConfig};
-use accu_telemetry::Recorder;
 
 use crate::output::{fnum, Table};
-use crate::{degrade_report, run_policy_with, ExperimentScale, PolicyKind, RunOptions};
+use crate::{ExperimentScale, PolicyKind, Telemetry};
 
 /// Result of the two-parameter sensitivity sweep.
 #[derive(Debug, Clone)]
@@ -59,20 +58,16 @@ pub fn paper_axes() -> (Vec<f64>, Vec<f64>) {
     )
 }
 
-/// Runs the sweep on the Twitter stand-in with ABM (`w_D = w_I = 0.5`).
-pub fn run_heatmap(scale: &ExperimentScale, benefits: &[f64], thresholds: &[f64]) -> HeatMap {
-    run_heatmap_recorded(scale, benefits, thresholds, &Recorder::disabled())
-}
-
-/// [`run_heatmap`] with telemetry reported to `recorder`; one extra
+/// Runs the sweep on the Twitter stand-in with ABM (`w_D = w_I = 0.5`),
+/// one [`Telemetry::run`] cell per `(B_f, θ)` pair; one extra
 /// `heatmap.cells` counter tracks sweep progress.
-pub fn run_heatmap_recorded(
+pub fn run_heatmap(
     scale: &ExperimentScale,
     benefits: &[f64],
     thresholds: &[f64],
-    recorder: &Recorder,
+    tel: &mut Telemetry,
 ) -> HeatMap {
-    let cells = recorder.counter("heatmap.cells");
+    let cells = tel.recorder().counter("heatmap.cells");
     let mut benefit = Vec::with_capacity(benefits.len());
     let mut cautious = Vec::with_capacity(benefits.len());
     for &bf in benefits {
@@ -85,11 +80,7 @@ pub fn run_heatmap_recorded(
                 ..ProtocolConfig::default()
             };
             let figure = scale.figure_run(DatasetSpec::twitter(), protocol);
-            let opts = RunOptions {
-                recorder: recorder.clone(),
-                ..RunOptions::default()
-            };
-            let acc = degrade_report(run_policy_with(&figure, PolicyKind::abm_balanced(), opts));
+            let acc = tel.run(&figure, PolicyKind::abm_balanced());
             brow.push(acc.mean_total_benefit());
             crow.push(acc.mean_cautious_friends());
             cells.incr();
@@ -127,7 +118,8 @@ mod tests {
             ..Cli::default()
         };
         let scale = ExperimentScale::from_cli(&cli);
-        let hm = run_heatmap(&scale, &[20.0, 60.0], &[0.1, 0.5]);
+        let mut tel = Telemetry::from_cli(&cli, "heatmap-test");
+        let hm = run_heatmap(&scale, &[20.0, 60.0], &[0.1, 0.5], &mut tel);
         assert_eq!(hm.benefit.len(), 2);
         assert_eq!(hm.benefit[0].len(), 2);
         assert!(hm.benefit.iter().flatten().all(|&v| v >= 0.0));

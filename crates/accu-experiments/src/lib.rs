@@ -5,8 +5,9 @@
 //! scaling, the parallel runner, table/CSV output); one binary per
 //! experiment id lives under `src/bin/`. The runner has one entry point,
 //! [`run_policy_with`], configured by a [`RunOptions`] bundle whose
-//! default is the plain uninstrumented run; figure binaries reach it
-//! through [`Telemetry::run`] or [`Telemetry::run_options`].
+//! default is the plain uninstrumented run. The runner-driven binaries
+//! (fig2–fig7, `extra_baselines`, `fault_ablation`) run every cell
+//! through [`Telemetry::run`], which passes every runner flag.
 //!
 //!
 //! | Binary                | Paper artifact |
@@ -56,8 +57,8 @@ pub mod telemetry;
 pub use checkpoint::Checkpoint;
 pub use cli::{Cli, CliError, TraceSpec};
 pub use runner::{
-    degrade_report, run_policy_with, runner_metrics, Deadline, FigureRun, NetworkFailure,
-    PolicyKind, RunOptions, RunReport, RunnerError, SupervisorConfig, DEADLINE_MIN_NETWORKS,
+    run_policy_with, runner_metrics, Deadline, FigureRun, NetworkFailure, PolicyKind, RunOptions,
+    RunReport, RunnerError, SupervisorConfig, DEADLINE_MIN_NETWORKS,
 };
 pub use scale::ExperimentScale;
 pub use telemetry::Telemetry;

@@ -18,9 +18,8 @@
 //! completions fold **at most once** — duplicate completions from
 //! speculation are discarded — so the aggregate (and therefore every
 //! figure CSV) is byte-identical under any restart or stall schedule.
-//! Only when the restart budget itself is exhausted does the run return
-//! a typed [`RunnerError::WorkerPanicked`] carrying the partial
-//! aggregate.
+//! Only when the restart budget itself is exhausted does the run fail,
+//! with a typed [`RunnerError::WorkerPanicked`].
 //!
 //! A soft [`Deadline`] turns overruns into *graceful degradation*:
 //! networks not yet started when the deadline passes are shed in
@@ -300,9 +299,11 @@ impl FigureRun {
     /// The checkpoint cell label for this run with `policy`: every
     /// parameter that influences the result is encoded, so entries
     /// recorded under a different configuration can never be resumed
-    /// into this one.
+    /// into this one. The protocol is appended only when it differs
+    /// from [`ProtocolConfig::default`], so default-protocol labels
+    /// (and the checkpoints written under them) stay as they were.
     pub fn cell_label(&self, policy: PolicyKind) -> String {
-        format!(
+        let mut label = format!(
             "{}@{}|{}|n{}r{}k{}s{}|{:?}|{:?}|v={}",
             self.dataset.name(),
             self.dataset.node_count(),
@@ -314,7 +315,11 @@ impl FigureRun {
             self.faults,
             self.retry,
             self.validation,
-        )
+        );
+        if self.protocol != ProtocolConfig::default() {
+            label.push_str(&format!("|{:?}", self.protocol));
+        }
+        label
     }
 }
 
@@ -345,8 +350,8 @@ impl fmt::Display for NetworkFailure {
 #[derive(Debug)]
 #[non_exhaustive]
 pub enum RunnerError {
-    /// A worker thread died outside the per-network quarantine. The
-    /// aggregate over every network that *did* finish is preserved.
+    /// A worker thread died with the supervisor's restart budget
+    /// exhausted.
     WorkerPanicked {
         /// Index of the dead worker.
         worker: usize,
@@ -354,9 +359,6 @@ pub enum RunnerError {
         message: String,
         /// Networks that completed before the failure surfaced.
         completed_networks: usize,
-        /// The partial aggregate over those networks (boxed to keep
-        /// the `Err` variant small).
-        partial: Box<TraceAccumulator>,
     },
     /// The checkpoint file could not be created, read, or appended to.
     Checkpoint(std::io::Error),
@@ -371,7 +373,6 @@ impl fmt::Display for RunnerError {
                 worker,
                 message,
                 completed_networks,
-                ..
             } => write!(
                 f,
                 "experiment worker {worker} panicked: {message} \
@@ -460,15 +461,19 @@ impl Default for RunOptions<'_> {
     }
 }
 
+/// Backoff shape for the supervisor's restart pauses: the attacker's
+/// standard [`RetryPolicy`] schedule, `min(2^(n−1), 8)` units.
+const RESTART_BACKOFF: RetryPolicy = RetryPolicy::standard();
+
 /// How the supervisor reacts to worker panics and stalls.
 ///
 /// A panicked worker's in-flight chunk is requeued and a replacement
 /// thread spawned after a capped exponential pause
-/// (`backoff_unit × restart_backoff.backoff(n)` for the `n`-th
-/// restart). A chunk that loses its worker `max_chunk_attempts` times
-/// quarantines its whole network (stage `"supervisor"`); once
-/// `max_restarts` replacements have been spent, the next panic ends the
-/// run with [`RunnerError::WorkerPanicked`]. A worker whose heartbeat
+/// (`backoff_unit × min(2^(n−1), 8)` for the `n`-th restart). A chunk
+/// that loses its worker `max_chunk_attempts` times quarantines its
+/// whole network (stage `"supervisor"`); once `max_restarts`
+/// replacements have been spent, the next panic ends the run with
+/// [`RunnerError::WorkerPanicked`]. A worker whose heartbeat
 /// goes silent for `stall_timeout` has its chunk speculatively requeued
 /// — at-most-once folding discards whichever copy finishes second, so
 /// speculation never changes results.
@@ -479,9 +484,6 @@ pub struct SupervisorConfig {
     pub max_chunk_attempts: u32,
     /// Total replacement workers the supervisor may spawn in one run.
     pub max_restarts: u32,
-    /// Backoff shape for restart pauses (reuses the attacker
-    /// [`RetryPolicy`] schedule: `min(base·2^(n−1), cap)` units).
-    pub restart_backoff: RetryPolicy,
     /// Wall-clock length of one backoff unit.
     pub backoff_unit: Duration,
     /// Heartbeat silence after which a worker's chunk is speculatively
@@ -494,7 +496,6 @@ impl Default for SupervisorConfig {
         SupervisorConfig {
             max_chunk_attempts: 3,
             max_restarts: 32,
-            restart_backoff: RetryPolicy::standard(),
             backoff_unit: Duration::from_millis(25),
             stall_timeout: Duration::from_secs(30),
         }
@@ -614,16 +615,16 @@ impl RunReport {
 /// streamed field derives from the deterministic episode-order fold and
 /// lines are reordered to network-index order before they are written.
 ///
-/// Pass the result through [`degrade_report`] for the
-/// degrade-don't-abort behaviour of the figure binaries.
+/// The figure binaries reach this through
+/// [`Telemetry::run`](crate::Telemetry::run), which passes every runner
+/// flag and exits on any error.
 ///
 /// # Errors
 ///
 /// * [`RunnerError::InvalidFaults`] if `figure.faults` is out of range;
 /// * [`RunnerError::Checkpoint`] if appending to the checkpoint fails;
 /// * [`RunnerError::WorkerPanicked`] if a worker dies with the
-///   supervisor's restart budget exhausted (the partial aggregate rides
-///   along).
+///   supervisor's restart budget exhausted.
 pub fn run_policy_with(
     figure: &FigureRun,
     policy: PolicyKind,
@@ -828,7 +829,7 @@ pub fn run_policy_with(
                         "runner: worker {wid} panicked ({message}); restart {restarts}/{}",
                         supervisor.max_restarts
                     );
-                    let units = supervisor.restart_backoff.backoff(restarts) as u32;
+                    let units = RESTART_BACKOFF.backoff(restarts) as u32;
                     let pause = supervisor.backoff_unit * units;
                     if !pause.is_zero() {
                         std::thread::sleep(pause);
@@ -913,7 +914,6 @@ pub fn run_policy_with(
             worker,
             message,
             completed_networks: per_net.len(),
-            partial: Box::new(total),
         });
     }
     if let Some(e) = ckpt_error.lock().expect("error mutex poisoned").take() {
@@ -939,36 +939,6 @@ pub fn run_policy_with(
         supervisor_restarts: restarts as usize,
         checkpoint_skipped_lines,
     })
-}
-
-/// The degrade-don't-abort reading of a [`run_policy_with`] result that
-/// the figure binaries use (through
-/// [`Telemetry::run`](crate::Telemetry::run)): quarantined networks are
-/// reported on stderr and dropped from the aggregate, a worker death
-/// salvages the partial aggregate (also with a stderr report), and any
-/// other error — invalid faults, a failed checkpoint append — panics.
-pub fn degrade_report(result: Result<RunReport, RunnerError>) -> TraceAccumulator {
-    match result {
-        Ok(report) => {
-            for failure in &report.quarantined {
-                eprintln!("runner: {failure}");
-            }
-            report.accumulator
-        }
-        Err(RunnerError::WorkerPanicked {
-            worker,
-            message,
-            completed_networks,
-            partial,
-        }) => {
-            eprintln!(
-                "runner: worker {worker} panicked ({message}); \
-                 returning partial aggregate of {completed_networks} networks"
-            );
-            *partial
-        }
-        Err(e) => panic!("runner failed: {e}"),
-    }
 }
 
 /// Formats a violation list for a quarantine report: the count plus the
@@ -2301,6 +2271,67 @@ mod tests {
             ..fig.clone()
         };
         assert_ne!(a, faulty.cell_label(PolicyKind::abm_balanced()));
+        let protocol = FigureRun {
+            protocol: ProtocolConfig {
+                cautious_friend_benefit: 20.0,
+                ..fig.protocol.clone()
+            },
+            ..fig.clone()
+        };
+        assert_ne!(a, protocol.cell_label(PolicyKind::abm_balanced()));
+        // The default protocol adds nothing, so labels written before
+        // the protocol was encoded still resume.
+        let default = FigureRun {
+            protocol: ProtocolConfig::default(),
+            ..fig.clone()
+        };
+        assert!(!default
+            .cell_label(PolicyKind::abm_balanced())
+            .contains("ProtocolConfig"));
+    }
+
+    #[test]
+    fn checkpoint_never_resumes_a_cell_that_differs_only_in_protocol() {
+        let figure = |bf: f64| FigureRun {
+            dataset: DatasetSpec::twitter().scaled(0.01),
+            protocol: ProtocolConfig {
+                cautious_friend_benefit: bf,
+                ..ProtocolConfig::default()
+            },
+            budget: 20,
+            network_samples: 3,
+            runs_per_network: 2,
+            seed: 5,
+            faults: FaultConfig::none(),
+            retry: RetryPolicy::standard(),
+            validation: ValidationMode::default(),
+        };
+        let path = std::env::temp_dir().join(format!(
+            "accu-runner-protocol-cell-test-{}.jsonl",
+            std::process::id()
+        ));
+        let policy = PolicyKind::abm_balanced();
+        let mut ckpt = Checkpoint::create(&path).unwrap();
+        checked(
+            &figure(20.0),
+            policy,
+            &Recorder::disabled(),
+            Some(&mut ckpt),
+        )
+        .unwrap();
+        drop(ckpt);
+        let mut ckpt = Checkpoint::resume(&path).unwrap();
+        assert_eq!(ckpt.loaded_entries(), 3);
+        let report = checked(
+            &figure(60.0),
+            policy,
+            &Recorder::disabled(),
+            Some(&mut ckpt),
+        )
+        .unwrap();
+        assert_eq!(report.resumed_networks, 0);
+        assert_eq!(report.accumulator, run(&figure(60.0), policy));
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! `--telemetry` / observability plumbing shared by the experiment
-//! binaries.
+//! The cell runner and the `--telemetry` / observability plumbing
+//! shared by the experiment binaries.
 //!
 //! Each binary builds a [`Telemetry`] handle from its parsed [`Cli`];
 //! the handle carries an [`accu_telemetry::Recorder`] (enabled by
@@ -7,26 +7,31 @@
 //! and policies, plus the live-observability pieces of `accu-obs`: a
 //! streaming-progress [`Observer`] (`--progress`), a Prometheus
 //! [`MetricsServer`] (`--metrics-addr`), and a [`Watchdog`]
-//! (`--watchdog`). At the end of the run, [`Telemetry::report`] prints
-//! a per-stage summary table and writes a machine-readable JSONL
-//! snapshot under `target/experiments/telemetry/<label>.jsonl`.
+//! (`--watchdog`). Every runner-driven binary runs its cells through
+//! [`Telemetry::run`], which passes every runner flag, and writes its
+//! CSVs through [`Telemetry::write_csv`], which tags a deadline-degraded
+//! figure. At the end of the run, [`Telemetry::report`] prints a
+//! per-stage summary table and writes a machine-readable JSONL snapshot
+//! under `target/experiments/telemetry/<label>.jsonl`.
 
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use accu_core::chaos::chaos_metrics;
 use accu_core::policy::abm_metrics;
-use accu_core::{fault_metrics, sim_metrics, validate_metrics, ChaosPlan};
+use accu_core::{fault_metrics, sim_metrics, validate_metrics, ChaosPlan, TraceAccumulator};
 use accu_telemetry::obs::{throughput_floor, MetricsServer, Observer, Watchdog, WatchdogConfig};
 use accu_telemetry::{Event, JsonlSink, Recorder, Snapshot, Tracer, DEFAULT_TRACK_CAPACITY};
 
 use crate::chaosfs::{atomic_write, atomic_write_chaos, ChaosFile, ChaosSite};
+use crate::checkpoint::Checkpoint;
 use crate::cli::Cli;
 use crate::output::{experiments_dir, fnum, Table};
-use crate::runner::{degrade_report, runner_metrics, Deadline, RunOptions, SupervisorConfig};
+use crate::runner::{
+    run_policy_with, runner_metrics, Deadline, FigureRun, PolicyKind, RunOptions, SupervisorConfig,
+};
 
 /// Where the bench trajectory lives relative to the working directory;
 /// `--watchdog` seeds its throughput floor from the last healthy
@@ -77,7 +82,7 @@ pub fn trace_dir() -> io::Result<PathBuf> {
 /// let off = Telemetry::from_cli(&Cli::default(), "doc-example");
 /// assert!(off.snapshot().is_none());
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Telemetry {
     recorder: Recorder,
     tracer: Tracer,
@@ -88,27 +93,37 @@ pub struct Telemetry {
     /// wanted (`--telemetry`; `--metrics-addr` enables the recorder
     /// without them).
     summary: bool,
-    /// `--workers` cap, forwarded into [`Telemetry::run_options`].
+    /// `--workers` cap, forwarded into every [`Telemetry::run`].
     workers: Option<usize>,
     /// `--watchdog=strict`: [`Telemetry::report`] exits nonzero when
     /// any alarm fired.
     strict_watchdog: bool,
     /// The run's chaos plan (trivial without `--chaos`), forwarded
-    /// into [`Telemetry::run_options`] and every file sink the handle
-    /// owns so one seeded schedule covers the whole process.
+    /// into every [`Telemetry::run`], the checkpoint and every file
+    /// sink the handle owns so one seeded schedule covers the whole
+    /// process.
     chaos: ChaosPlan,
     /// Absolute soft deadline, derived once from `--deadline` so every
     /// cell of a multi-cell binary shares the same wall-clock budget.
     deadline_at: Option<Instant>,
+    /// `--checkpoint` path and `--resume`; the file is opened by the
+    /// first [`Telemetry::run`], so a binary that runs no cell creates
+    /// none.
+    checkpoint: Option<(String, bool)>,
+    /// The `--checkpoint` file, once the first cell has opened it.
+    checkpoint_file: Option<Checkpoint>,
+    /// One stats row per cell that shed networks since the last
+    /// [`Telemetry::write_csv`].
+    shed: Vec<[String; 6]>,
     /// Chaos failpoint on the streaming-progress sink, kept for its
     /// injected-fault counters.
     progress_site: Option<ChaosSite>,
     /// Chaos failpoint on trace export.
     trace_site: Option<ChaosSite>,
     /// Held for their lifetime: the metrics listener thread and the
-    /// watchdog tick thread stop when the last handle drops.
-    server: Option<Arc<MetricsServer>>,
-    watchdog: Option<Arc<Watchdog>>,
+    /// watchdog tick thread stop when the handle drops.
+    server: Option<MetricsServer>,
+    watchdog: Option<Watchdog>,
 }
 
 impl Telemetry {
@@ -171,7 +186,7 @@ impl Telemetry {
             let server = MetricsServer::bind(addr, recorder.clone(), label, observer.clone())
                 .unwrap_or_else(|e| fail("--metrics-addr", &e));
             eprintln!("serving metrics on http://{}/metrics", server.addr());
-            Arc::new(server)
+            server
         });
         let mut strict_watchdog = false;
         let watchdog = cli.watchdog.as_ref().map(|spec| {
@@ -194,7 +209,7 @@ impl Telemetry {
                 }
             }
             strict_watchdog = config.strict;
-            Arc::new(Watchdog::spawn(config, observer.clone()))
+            Watchdog::spawn(config, observer.clone())
         });
         let trace_site =
             (tracer.is_enabled() && !chaos.is_trivial()).then(|| ChaosSite::new(chaos, "trace"));
@@ -210,6 +225,9 @@ impl Telemetry {
             deadline_at: cli
                 .deadline
                 .map(|secs| Instant::now() + Duration::from_secs_f64(secs)),
+            checkpoint: cli.checkpoint.clone().map(|path| (path, cli.resume)),
+            checkpoint_file: None,
+            shed: Vec::new(),
             progress_site,
             trace_site,
             strict_watchdog,
@@ -257,69 +275,128 @@ impl Telemetry {
         &self.chaos
     }
 
-    /// Opens (or, with `resume`, reopens) a checkpoint at `path` with
-    /// this handle's chaos schedule attached, so injected I/O faults
-    /// and `kill-after` schedules hit the checkpoint's append stream.
+    /// Runs one cell — `policy` over `figure` — with every runner flag:
+    /// recorder, tracer, progress events, `--workers`, `--chaos`,
+    /// `--deadline`, and the `--checkpoint` file (opened, or with
+    /// `--resume` reopened, by the first cell). Prints the cell's
+    /// notices: quarantined, repaired, rejected, resumed and shed
+    /// networks. A cell that shed networks past the deadline tags the
+    /// next [`Telemetry::write_csv`] as degraded.
     ///
-    /// # Errors
-    ///
-    /// Propagates [`crate::RunnerError`] from [`crate::Checkpoint::open`].
-    pub fn open_checkpoint(
-        &self,
-        path: impl AsRef<Path>,
-        resume: bool,
-    ) -> Result<crate::Checkpoint, crate::RunnerError> {
-        let mut ckpt = crate::Checkpoint::open(path, resume)?;
-        ckpt.attach_chaos(&self.chaos);
-        Ok(ckpt)
-    }
-
-    /// A [`RunOptions`] bundle carrying this handle's recorder, tracer,
-    /// progress observer, and `--workers` cap — ready for
-    /// [`run_policy_with`](crate::run_policy_with). Attach a checkpoint
-    /// with struct-update syntax:
-    ///
-    /// ```no_run
-    /// # use accu_experiments::{run_policy_with, PolicyKind, RunOptions, Telemetry, Cli};
-    /// # let tel = Telemetry::from_cli(&Cli::default(), "doc");
-    /// # let figure: accu_experiments::FigureRun = unimplemented!();
-    /// # let mut ckpt: Option<accu_experiments::Checkpoint> = None;
-    /// let report = run_policy_with(
-    ///     &figure,
-    ///     PolicyKind::abm_balanced(),
-    ///     RunOptions {
-    ///         checkpoint: ckpt.as_mut(),
-    ///         ..tel.run_options()
-    ///     },
-    /// );
-    /// ```
-    pub fn run_options(&self) -> RunOptions<'static> {
-        RunOptions {
+    /// Exits the process with code 1 on any
+    /// [`RunnerError`](crate::RunnerError): only a deadline yields a
+    /// sanctioned partial figure.
+    pub fn run(&mut self, figure: &FigureRun, policy: PolicyKind) -> TraceAccumulator {
+        let fail = |e: &dyn std::fmt::Display| -> ! {
+            eprintln!("error: {e}");
+            std::process::exit(1);
+        };
+        if let (None, Some((path, resume))) = (&self.checkpoint_file, &self.checkpoint) {
+            let mut ckpt = Checkpoint::open(path, *resume).unwrap_or_else(|e| fail(&e));
+            ckpt.attach_chaos(&self.chaos);
+            if *resume && ckpt.loaded_entries() > 0 {
+                println!(
+                    "resuming from {}: {} completed networks on file",
+                    ckpt.path().display(),
+                    ckpt.loaded_entries()
+                );
+            }
+            if ckpt.skipped_lines() > 0 {
+                println!(
+                    "recovered from torn checkpoint ({} unparseable line(s) dropped; \
+                     their networks recomputed)",
+                    ckpt.skipped_lines()
+                );
+            }
+            self.checkpoint_file = Some(ckpt);
+        }
+        let opts = RunOptions {
             recorder: self.recorder.clone(),
             tracer: self.tracer.clone(),
             events: self.observer.clone().into(),
-            checkpoint: None,
+            checkpoint: self.checkpoint_file.as_mut(),
             max_workers: self.workers,
             chaos: self.chaos,
             supervisor: SupervisorConfig::default(),
             deadline: self.deadline_at.map(Deadline::until),
+        };
+        let report = run_policy_with(figure, policy, opts).unwrap_or_else(|e| fail(&e));
+        let (name, networks) = (policy.name(), figure.network_samples);
+        for failure in &report.quarantined {
+            eprintln!("runner: {failure}");
         }
+        if report.repaired_networks > 0 {
+            println!(
+                "{name}: {} of {networks} networks violated a paper precondition and were \
+                 repaired (1 - e^-lambda guarantee void for their contribution)",
+                report.repaired_networks
+            );
+        }
+        let rejected = report
+            .quarantined
+            .iter()
+            .filter(|f| f.stage == "validate")
+            .count();
+        if rejected > 0 {
+            println!(
+                "{name}: {rejected} of {networks} networks rejected by --validate {}",
+                figure.validation
+            );
+        }
+        if report.resumed_networks > 0 {
+            println!(
+                "{name}: resumed {} of {networks} networks from checkpoint",
+                report.resumed_networks
+            );
+        }
+        if report.degraded() {
+            println!(
+                "{name}: deadline expired — shed {} of {networks} networks; partial aggregate \
+                 over {} episodes (95% CI half-width {:.3})",
+                report.shed_networks,
+                report.accumulator.runs(),
+                report.ci_half_width()
+            );
+            self.shed.push([
+                figure.cell_label(policy),
+                report.accumulator.runs().to_string(),
+                report.completed_networks.to_string(),
+                report.shed_networks.to_string(),
+                fnum(report.accumulator.mean_total_benefit()),
+                fnum(report.ci_half_width()),
+            ]);
+        }
+        report.accumulator
     }
 
-    /// Runs `policy` over `figure` with this handle's full
-    /// instrumentation — recorder, tracer, progress observer, and the
-    /// `--workers` cap — degrading through [`degrade_report`]:
-    /// quarantines land on stderr and a worker death salvages the
-    /// partial aggregate. The one-call path for figure binaries
-    /// without a checkpoint; checkpointed binaries use
-    /// [`run_policy_with`](crate::run_policy_with) with
-    /// [`Telemetry::run_options`] directly.
-    pub fn run(
-        &self,
-        figure: &crate::FigureRun,
-        policy: crate::PolicyKind,
-    ) -> accu_core::TraceAccumulator {
-        degrade_report(crate::run_policy_with(figure, policy, self.run_options()))
+    /// Writes `table` as the figure CSV `name`. When a cell run since
+    /// the previous write shed networks past the deadline, the figure is
+    /// a partial aggregate: it lands as `name_degraded.csv` beside a
+    /// `name_degraded_stats.csv` sidecar with one row per such cell, so
+    /// it can never be mistaken for the full figure. Reports the written
+    /// paths (or the failure) on the console.
+    pub fn write_csv(&mut self, table: &Table, name: &str) {
+        let shed = std::mem::take(&mut self.shed);
+        let write = |table: &Table, name: &str| match table.write_csv(name) {
+            Ok(path) => println!("wrote {}", path.display()),
+            Err(e) => eprintln!("csv write failed: {e}"),
+        };
+        if shed.is_empty() {
+            return write(table, name);
+        }
+        write(table, &format!("{name}_degraded"));
+        let mut stats = Table::new([
+            "cell",
+            "episodes",
+            "networks",
+            "shed_networks",
+            "mean_benefit",
+            "ci_half_width",
+        ]);
+        for row in shed {
+            stats.row(row);
+        }
+        write(&stats, &format!("{name}_degraded_stats"));
     }
 
     /// Prints the summary tables and writes the JSONL snapshot, returning
@@ -635,6 +712,8 @@ fn fmt_ns(ns: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ExperimentScale;
+    use accu_datasets::{DatasetSpec, ProtocolConfig};
 
     #[test]
     fn disabled_handle_reports_nothing() {
@@ -670,12 +749,25 @@ mod tests {
     #[test]
     fn run_options_carry_the_workers_cap() {
         let cli = Cli::parse_from(["--workers", "3", "--telemetry"]).unwrap();
-        let tel = Telemetry::from_cli(&cli, "opts-test");
-        let opts = tel.run_options();
-        assert_eq!(opts.max_workers, Some(3));
-        assert!(opts.recorder.is_enabled());
-        assert!(!opts.events.is_enabled());
-        assert!(opts.checkpoint.is_none());
+        let mut tel = Telemetry::from_cli(&cli, "opts-test");
+        assert!(tel.is_enabled());
+        assert!(
+            !tel.observer().is_enabled(),
+            "--telemetry alone builds no progress events"
+        );
+        let figure = ExperimentScale::from_cli(&Cli {
+            samples: Some(4),
+            runs: Some(1),
+            budget: Some(5),
+            scale: Some(0.002),
+            ..Cli::default()
+        })
+        .figure_run(DatasetSpec::facebook(), ProtocolConfig::default());
+        let acc = tel.run(&figure, PolicyKind::MaxDegree);
+        assert_eq!(acc.runs(), 4);
+        let snap = tel.snapshot().expect("--telemetry records");
+        assert_eq!(snap.counter(runner_metrics::WORKERS), Some(3));
+        assert!(tel.checkpoint_file.is_none());
     }
 
     #[test]

@@ -9,7 +9,9 @@ use accu_core::TraceAccumulator;
 use accu_core::{AccuInstanceBuilder, Observation, Realization, UserClass};
 use accu_datasets::{DatasetSpec, ProtocolConfig};
 use accu_experiments::heatmap::run_heatmap;
-use accu_experiments::{run_policy_with, Cli, ExperimentScale, FigureRun, PolicyKind, RunOptions};
+use accu_experiments::{
+    run_policy_with, Cli, ExperimentScale, FigureRun, PolicyKind, RunOptions, Telemetry,
+};
 use accu_telemetry::{JsonlSink, Recorder};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use osn_graph::algo::DegreeStats;
@@ -127,11 +129,12 @@ fn bench_fig4_fig5(c: &mut Criterion) {
 
 fn bench_fig6_fig7(c: &mut Criterion) {
     let scale = micro_scale();
+    let mut tel = Telemetry::from_cli(&Cli::default(), "bench-heatmap");
     let mut group = c.benchmark_group("fig6_fig7_heatmap");
     group.sample_size(10);
     group.bench_function("2x2_grid", |b| {
         b.iter(|| {
-            let hm = run_heatmap(&scale, &[20.0, 60.0], &[0.1, 0.5]);
+            let hm = run_heatmap(&scale, &[20.0, 60.0], &[0.1, 0.5], &mut tel);
             black_box((hm.benefit, hm.cautious))
         })
     });
