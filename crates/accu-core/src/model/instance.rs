@@ -15,7 +15,7 @@ static NEXT_INSTANCE_ID: AtomicU64 = AtomicU64::new(1);
 /// One threshold-gated neighbor in the [`CautiousIndex`]: the neighbor,
 /// the connecting edge, and its cached threshold `θ` and benefit gap
 /// `B_f − B_fof` — everything ABM's indirect-potential term needs,
-/// laid out flat so the per-rescore scan touches no graph or class
+/// laid out flat so the indirect-term scan touches no graph or class
 /// storage.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct CautiousNeighbor {
@@ -29,14 +29,44 @@ pub(crate) struct CautiousNeighbor {
     pub(crate) gap: f64,
 }
 
+/// The fixed-point scale of one node's ABM sums: a power of two and its
+/// exact reciprocal (see [`AccuInstance::row_scale`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RowScale {
+    /// `2^k`: a term `x` is stored as `(x · scale) as i64`.
+    pub(crate) scale: f64,
+    /// `2^−k`: a fixed-point sum `s` reads back as `s as f64 · inv`.
+    pub(crate) inv: f64,
+}
+
+impl RowScale {
+    /// The largest power of two `2^k` with `bound · 2^k < 2^61`, its
+    /// exponent clamped to `±1022` so both it and its reciprocal are
+    /// finite normal numbers. An infinite bound (benefits summing past
+    /// `f64::MAX`) takes the smallest scale.
+    fn for_bound(bound: f64) -> Self {
+        // bound = m·2^e with m ∈ [0.5, 1), so bound·2^(61−e) < 2^61.
+        let e = ((bound.to_bits() >> 52) & 0x7ff) as i32 - 1022;
+        let k = if bound.is_finite() { 61 - e } else { -1022 };
+        let k = k.clamp(-1022, 1022);
+        let pow2 = |k: i32| f64::from_bits(((k + 1023) as u64) << 52);
+        RowScale {
+            scale: pow2(k),
+            inv: pow2(-k),
+        }
+    }
+}
+
 /// CSR rows of threshold-gated neighbors, one row per node, entries in
-/// sorted adjacency order. Precomputed once per instance so the ABM
-/// potential's indirect term is a flat slice scan instead of a full
-/// neighbor walk that re-derives class and benefit data per entry.
+/// sorted adjacency order, plus each node's [`RowScale`]. Precomputed
+/// once per instance so the ABM potential's indirect term is a flat
+/// slice scan instead of a full neighbor walk that re-derives class and
+/// benefit data per entry.
 #[derive(Debug, Clone)]
 pub(crate) struct CautiousIndex {
     row_start: Vec<usize>,
     entries: Vec<CautiousNeighbor>,
+    scales: Vec<RowScale>,
 }
 
 impl CautiousIndex {
@@ -45,8 +75,11 @@ impl CautiousIndex {
         let mut row_start = Vec::with_capacity(n + 1);
         row_start.push(0);
         let mut entries = Vec::new();
+        let mut scales = Vec::with_capacity(n);
         for i in 0..n {
+            let mut bound = 0.0;
             for (v, e) in graph.neighbor_entries(NodeId::from(i)) {
+                bound += benefits.friend(v);
                 if let Some(theta) = classes[v.index()].threshold() {
                     entries.push(CautiousNeighbor {
                         node: v,
@@ -57,8 +90,13 @@ impl CautiousIndex {
                 }
             }
             row_start.push(entries.len());
+            scales.push(RowScale::for_bound(bound));
         }
-        CautiousIndex { row_start, entries }
+        CautiousIndex {
+            row_start,
+            entries,
+            scales,
+        }
     }
 
     #[inline]
@@ -192,6 +230,17 @@ impl AccuInstance {
     #[inline]
     pub(crate) fn cautious_row(&self, u: NodeId) -> &[CautiousNeighbor] {
         self.cautious_index.row(u)
+    }
+
+    /// The fixed-point scale of `u`'s ABM sums: the largest power of two
+    /// that keeps `Σ_{v ∈ N(u)} B_f(v)` below `2^61`. That sum bounds
+    /// both of `u`'s potential sums (`p ≤ 1`, `θ − m ≥ 1` and
+    /// `B_fof, B_f − B_fof ≤ B_f`), so neither can overflow an `i64`,
+    /// and a row of tiny benefits keeps its precision however large
+    /// the benefits elsewhere in the instance.
+    #[inline]
+    pub(crate) fn row_scale(&self, u: NodeId) -> RowScale {
+        self.cautious_index.scales[u.index()]
     }
 
     /// The distinct interior cut points of `u`'s acceptance curve over

@@ -3,7 +3,7 @@
 use std::cmp::Ordering;
 
 use accu_telemetry::{CounterHandle, Recorder, TraceTrack, TraceValue};
-use osn_graph::{EdgeId, NodeId};
+use osn_graph::NodeId;
 
 use crate::{AccuInstance, AttackerView, Policy};
 
@@ -11,7 +11,7 @@ use crate::{AccuInstance, AttackerView, Policy};
 /// names date from the lazy max-heap the winner tree replaced.
 pub mod abm_metrics {
     /// Winner-tree keys set: one per candidate at reset plus one per
-    /// rescore whose potential changed.
+    /// re-key whose potential changed.
     pub const HEAP_PUSH: &str = "abm.heap_push";
     /// Winner-tree retirements: exactly one per `select` that returned
     /// a target.
@@ -22,9 +22,11 @@ pub mod abm_metrics {
     /// `select` calls that returned a target (so the derived
     /// `selects / heap_pop` hit rate is 1 by construction).
     pub const SELECTS: &str = "abm.selects";
-    /// Candidate potential re-evaluations triggered by observations.
+    /// Re-keys of touched candidates: once per observation, every
+    /// candidate whose potential inputs the observation changed (a
+    /// neighbor of a node whose term moved, or a newly revealed node).
     pub const RESCORES: &str = "abm.rescores";
-    /// Rescores whose potential actually changed (and were re-keyed).
+    /// Re-keys whose potential actually changed (and moved the tree).
     pub const RESCORES_CHANGED: &str = "abm.rescores_changed";
 }
 
@@ -206,35 +208,47 @@ impl WinnerTree {
 ///
 /// # Implementation notes
 ///
-/// Potentials are cached and maintained *incrementally*, and every
-/// cached value is bit-identical to a from-scratch
-/// [`potential_of`](Abm::potential_of):
+/// An observation costs what it changed, and every cached potential is
+/// bit-identical to a from-scratch [`potential_of`](Abm::potential_of)
+/// by construction:
 ///
+/// * **Sums kept by deltas.** Each node keeps a record
+///   `(S_D, S_I, q, base)`: the two neighbor sums of `P_D` and `P_I`,
+///   its acceptance belief and `B_f(u) − [fof]·B_fof(u)`. An acceptance
+///   walks only the rows whose term changed — the target's (its direct
+///   term if it was not a friend-of-friend, its indirect term if it was
+///   still live) and that of each revealed node that just became a
+///   friend-of-friend or, if threshold-gated and live, whose
+///   denominator moved — and subtracts or replaces that one term in
+///   each neighbor's sum. A rejection walks the target's row only if
+///   its indirect term was live.
+/// * **Fixed point, so order does not matter.** Each term is truncated
+///   to an `i64` at its row's scale
+///   ([`AccuInstance::row_scale`](crate::AccuInstance)) before it is
+///   added, so a sum is the same integer whatever order its terms were
+///   added and removed in. The from-scratch evaluation sums the same
+///   integers and combines them with the same function, so the cache
+///   needs no argument to match it. The scale keeps every sum below
+///   `2^61`; plain `+=`/`-=` make debug builds trap any overflow.
 /// * **Winner tree.** The potentials key an in-place tournament tree
 ///   over node ids (strict order: `total_cmp`, then the lower id).
-///   `select` reads the root and retires it to `-inf`; a rescore that
+///   `select` reads the root and retires it to `-inf`; a re-key that
 ///   changes a potential repairs one leaf-to-root path with early exit.
 ///   Potentials may *rise* as well as fall (a cautious user's `q`
 ///   flips 0 → 1), which the tree handles like any other key change —
-///   the reason classical lazy greedy would be incorrect here. A fresh
-///   episode copies the tree built by the first reset on the instance.
-/// * **Stamped dirty set.** Accepting `u` only changes the potentials
-///   of nodes within two hops of `u` (through realized edges). Each
-///   such node is rescored once per observation: a per-node epoch stamp
-///   marks it visited, so no dirty list is sorted or deduplicated.
+///   the reason classical lazy greedy would be incorrect here.
+/// * **Stamped touched set.** Every node whose record an observation
+///   changed is listed once (a per-node epoch stamp marks it listed)
+///   and, if still a candidate, re-keyed once from its record after all
+///   deltas are in, so nothing is sorted or deduplicated.
 /// * **Priors stand in for beliefs.** A candidate's terms depend on an
-///   edge's belief only when neither endpoint is a friend: a friend
-///   neighbor `v` contributes `fof_gain(v) = 0` to `P_D` and is skipped
-///   by `P_I`. Such an edge is unresolved, so its belief is the prior
-///   `p(e)`, and the cached evaluation reads the instance's
-///   probabilities instead of mirroring per-edge beliefs.
-/// * **Compacted rows.** The direct term `Σ p(e)·fof_gain(v)` walks a
-///   per-episode copy of the candidate's adjacency row that keeps, in
-///   adjacency order, only the neighbors whose term was nonzero at the
-///   last walk. Dropping a term is exact: it is `+0.0`, and adding
-///   `+0.0` to the non-negative running sum changes no bit. A dropped
-///   term never becomes nonzero again within the episode: `p(e)` is
-///   fixed and `fof_gain(v)` only ever falls to 0.
+///   edge's belief only when neither endpoint is a friend. Such an edge
+///   is unresolved, so its belief is the prior `p(e)`, and both
+///   evaluations read the instance's probabilities instead of per-edge
+///   beliefs.
+/// * **Reset copies.** Within one instance every episode starts from
+///   the same empty observation, so a fresh episode copies the records
+///   and the tree built by the first reset on the instance.
 ///
 /// # Examples
 ///
@@ -254,41 +268,152 @@ pub struct Abm {
     tel: AbmTelemetry,
     /// Decision-trace emission handle; a no-op until [`Abm::attach_tracer`].
     trace: TraceTrack,
-    /// Per-node stamp: equal to `epoch` once the current observation
-    /// has rescored the node.
-    stamp: Vec<u32>,
-    /// Observations absorbed this episode.
-    epoch: u32,
-    /// Winner tree of the empty observation on the last instance this
-    /// policy was reset on. Within one instance every episode starts
-    /// from the same observation, so the first reset's tree is copied
-    /// instead of recomputed — keyed by the instance's process-unique
+    /// Per-node potential inputs, kept by deltas (requested nodes'
+    /// records included, though nothing reads them).
+    records: Vec<Record>,
+    /// The nodes whose records the current observation changed.
+    touched: TouchedSet,
+    /// Records and tree of the empty observation on the last instance
+    /// this policy was reset on, keyed by the instance's process-unique
     /// id, which clones share and rebuilds never reuse.
     init_cache: Option<InitCache>,
-    /// Flat per-node direct-term gain: `B_fof(v)` while `v` is neither
-    /// a friend nor a friend-of-friend, `0.0` afterwards. Folding the
-    /// friend/fof exclusions into the value makes the direct-term
-    /// accumulation branch-free — every excluded neighbor contributes
-    /// an exact `+0.0`, which leaves the running sum bit-identical
-    /// (benefits are validated finite and non-negative, so no term and
-    /// no partial sum can be `-0.0`).
-    fof_gain: Vec<f64>,
-    /// Compacted adjacency rows of this episode, each copied from the
-    /// graph the first time its node is scored.
-    rows: Vec<(NodeId, EdgeId)>,
-    /// Per node, `(start, len)` of its row in `rows`; `start` is
-    /// [`UNCOPIED`] until the row is copied.
-    row_span: Vec<(usize, usize)>,
 }
-
-/// `row_span` start of a row not yet copied this episode.
-const UNCOPIED: usize = usize::MAX;
 
 /// See [`Abm::init_cache`].
 #[derive(Debug, Clone)]
 struct InitCache {
     instance_id: u64,
     tree: WinnerTree,
+    records: Vec<Record>,
+}
+
+/// The inputs of one node's potential (see the [`Abm`] notes).
+#[derive(Debug, Clone, Copy)]
+struct Record {
+    /// `S_D`: `Σ p(u,v)·B_fof(v)` over neighbors `v` that are neither a
+    /// friend nor a friend-of-friend, in fixed point.
+    direct: i64,
+    /// `S_I`: `Σ p(u,c)·gap_c/(θ_c − m_c)` over unrequested
+    /// threshold-gated neighbors `c` still below threshold, in fixed
+    /// point; 0 while `w_I = 0`.
+    indirect: i64,
+    /// The acceptance belief `q(u)`.
+    q: f64,
+    /// `B_f(u)`, less `B_fof(u)` once `u` is a friend-of-friend.
+    base: f64,
+}
+
+impl Record {
+    /// Evaluates `u`'s record from scratch, `q = q(u)` already looked
+    /// up.
+    fn scratch(view: &AttackerView<'_>, u: NodeId, q: f64, w: AbmWeights) -> Self {
+        let obs = view.observation();
+        let inst = view.instance();
+        let benefits = inst.benefits();
+        let scale = inst.row_scale(u).scale;
+        let mut direct = 0;
+        for (v, e) in inst.graph().neighbor_entries(u) {
+            if !obs.is_friend(v) && obs.mutual_friends(v) == 0 {
+                direct += fixed(
+                    inst.edge_prob[e.index()] * benefits.friend_of_friend(v),
+                    scale,
+                );
+            }
+        }
+        let mut indirect = 0;
+        if w.indirect() > 0.0 {
+            for c in inst.cautious_row(u) {
+                // A cautious user that already rejected a request is
+                // skipped: without re-requests its friend benefit is
+                // forfeited, so pushing it toward the threshold has no
+                // value.
+                let mutual = obs.mutual_friends(c.node);
+                if !obs.was_requested(c.node) && c.theta > mutual {
+                    let p = inst.edge_prob[c.edge.index()];
+                    indirect += fixed(indirect_term(p, c.gap, c.theta - mutual), scale);
+                }
+            }
+        }
+        let base = benefits.friend(u)
+            - if obs.is_friend_of_friend(u) {
+                benefits.friend_of_friend(u)
+            } else {
+                0.0
+            };
+        Record {
+            direct,
+            indirect,
+            q,
+            base,
+        }
+    }
+
+    /// The factors `(q, P_D, P_I)` at the row's reciprocal scale;
+    /// `(0, 0, 0)` when `q = 0`.
+    fn parts(&self, inv_scale: f64) -> (f64, f64, f64) {
+        if self.q == 0.0 {
+            return (0.0, 0.0, 0.0);
+        }
+        (
+            self.q,
+            self.base + self.direct as f64 * inv_scale,
+            self.indirect as f64 * inv_scale,
+        )
+    }
+}
+
+/// `x` in fixed point at `scale`, truncated toward zero.
+#[inline]
+fn fixed(x: f64, scale: f64) -> i64 {
+    (x * scale) as i64
+}
+
+/// The indirect term `p·gap/(θ − m)` of a live threshold-gated neighbor,
+/// `remaining = θ − m ≥ 1`.
+#[inline]
+fn indirect_term(p: f64, gap: f64, remaining: u32) -> f64 {
+    p * gap / f64::from(remaining)
+}
+
+/// Combines the factors: `q·(w_D·P_D + w_I·P_I)`.
+#[inline]
+fn weigh((q, direct, indirect): (f64, f64, f64), w: AbmWeights) -> f64 {
+    q * (w.direct() * direct + w.indirect() * indirect)
+}
+
+/// The nodes one observation touched, each listed once: a per-node
+/// epoch stamp marks a node listed.
+#[derive(Debug, Clone, Default)]
+struct TouchedSet {
+    stamp: Vec<u32>,
+    /// Observations absorbed this episode.
+    epoch: u32,
+    nodes: Vec<NodeId>,
+}
+
+impl TouchedSet {
+    /// Sizes the set for `n` nodes, so no later insert allocates.
+    fn reset(&mut self, n: usize) {
+        self.stamp.clear();
+        self.stamp.resize(n, 0);
+        self.epoch = 0;
+        self.nodes.clear();
+        self.nodes.reserve(n);
+    }
+
+    /// Empties the set for the next observation.
+    fn begin(&mut self) {
+        self.epoch += 1;
+        self.nodes.clear();
+    }
+
+    fn insert(&mut self, u: NodeId) {
+        let stamp = &mut self.stamp[u.index()];
+        if *stamp != self.epoch {
+            *stamp = self.epoch;
+            self.nodes.push(u);
+        }
+    }
 }
 
 impl Abm {
@@ -305,16 +430,13 @@ impl Abm {
             tree: WinnerTree::default(),
             tel: AbmTelemetry::default(),
             trace: TraceTrack::disabled(),
-            stamp: Vec::new(),
-            epoch: 0,
+            records: Vec::new(),
+            touched: TouchedSet::default(),
             init_cache: None,
-            fof_gain: Vec::new(),
-            rows: Vec::new(),
-            row_span: Vec::new(),
         }
     }
 
-    /// Creates an ABM policy reporting selection and rescore telemetry
+    /// Creates an ABM policy reporting selection and re-key telemetry
     /// into `recorder` under the [`abm_metrics`] names.
     pub fn with_recorder(weights: AbmWeights, recorder: &Recorder) -> Self {
         let mut abm = Abm::new(weights);
@@ -323,7 +445,7 @@ impl Abm {
     }
 
     /// Attaches a recorder: subsequent tree updates, selections and
-    /// rescores are counted under the [`abm_metrics`] names. Attaching
+    /// re-keys are counted under the [`abm_metrics`] names. Attaching
     /// a disabled recorder restores the zero-cost no-op handles.
     pub fn attach_recorder(&mut self, recorder: &Recorder) {
         self.tel = AbmTelemetry::new(recorder);
@@ -333,8 +455,8 @@ impl Abm {
     /// every `select` emits a `decide` instant with the full potential
     /// breakdown (`q`, `P_D`, `P_I`, the weights, the runner-up and the
     /// margin) and every `observe` emits an `abm_observe` instant with
-    /// the dirty-set size. Attaching a disabled track restores the
-    /// zero-cost no-op.
+    /// the number of candidates re-keyed. Attaching a disabled track
+    /// restores the zero-cost no-op.
     pub fn attach_tracer(&mut self, track: &TraceTrack) {
         self.trace = track.clone();
     }
@@ -344,127 +466,11 @@ impl Abm {
         self.weights
     }
 
-    /// Computes the potential `P(u|ω)` from scratch.
+    /// Computes the potential `P(u|ω)` of a candidate `u` from scratch.
     ///
     /// Public so experiments and tests can inspect the scoring directly.
     pub fn potential_of(&self, view: &AttackerView<'_>, u: NodeId) -> f64 {
-        potential(view, u, self.weights)
-    }
-
-    /// Rebuilds [`fof_gain`](Self::fof_gain) from the view. A fresh
-    /// (empty) observation has no friend or friend-of-friend, so the
-    /// cache is a verbatim copy of the instance's `B_fof` array.
-    fn refill_fof_gain(&mut self, view: &AttackerView<'_>) {
-        let inst = view.instance();
-        let obs = view.observation();
-        self.fof_gain.clear();
-        if obs.requests().is_empty() {
-            self.fof_gain.extend_from_slice(&inst.benefits.fof);
-            return;
-        }
-        let benefits = inst.benefits();
-        self.fof_gain.extend((0..inst.node_count()).map(|i| {
-            let v = NodeId::from(i);
-            if obs.is_friend(v) || obs.is_friend_of_friend(v) {
-                0.0
-            } else {
-                benefits.friend_of_friend(v)
-            }
-        }));
-    }
-
-    /// Evaluates the ABM potential of `u` through the caches: the
-    /// direct-term walk over `u`'s compacted row is a branch-free
-    /// two-array dot product. Bit-identical to [`potential`] — every
-    /// neighbor the scratch evaluation *skips* (friends,
-    /// friends-of-friends, `p = 0` edges) either is no longer in the row
-    /// or reads a `0.0` factor here, so its contribution is absent or
-    /// an exact `+0.0` add, and `x + 0.0 == x` bitwise for the
-    /// non-negative partial sums this loop produces; every edge whose
-    /// term can be nonzero is unresolved, so its prior is its belief.
-    fn potential_cached(&mut self, view: &AttackerView<'_>, u: NodeId) -> f64 {
-        let obs = view.observation();
-        let inst = view.instance();
-        let benefits = inst.benefits();
-        let w = self.weights;
-        let q = view.acceptance_belief(u);
-        if q == 0.0 {
-            return 0.0;
-        }
-        let direct = benefits.friend(u)
-            - if obs.is_friend_of_friend(u) {
-                benefits.friend_of_friend(u)
-            } else {
-                0.0
-            };
-        let direct = self.add_direct_terms(inst, u, direct);
-        let mut indirect = 0.0;
-        if w.indirect() > 0.0 {
-            for entry in inst.cautious_row(u) {
-                if obs.is_friend(entry.node) {
-                    continue;
-                }
-                let p = inst.edge_prob[entry.edge.index()];
-                if p == 0.0 {
-                    continue;
-                }
-                if obs.was_requested(entry.node) {
-                    continue;
-                }
-                let mutual = obs.mutual_friends(entry.node);
-                if entry.theta > mutual {
-                    indirect += p * entry.gap / (entry.theta - mutual) as f64;
-                }
-            }
-        }
-        q * (w.direct() * direct + w.indirect() * indirect)
-    }
-
-    /// Adds `u`'s direct terms `p(e)·fof_gain(v)` to `acc` in adjacency
-    /// order, copying the row from the graph on first use this episode
-    /// and dropping the entries whose term is now `+0.0` (see the
-    /// type-level notes for why they stay `+0.0`).
-    fn add_direct_terms(&mut self, inst: &AccuInstance, u: NodeId, mut acc: f64) -> f64 {
-        let span = &mut self.row_span[u.index()];
-        if span.0 == UNCOPIED {
-            *span = (self.rows.len(), inst.graph().degree(u));
-            self.rows.extend(inst.graph().neighbor_entries(u));
-        }
-        let row = &mut self.rows[span.0..span.0 + span.1];
-        let mut kept = 0;
-        for i in 0..row.len() {
-            let (v, e) = row[i];
-            let term = inst.edge_prob[e.index()] * self.fof_gain[v.index()];
-            acc += term;
-            row[kept] = (v, e);
-            kept += usize::from(term != 0.0);
-        }
-        span.1 = kept;
-        acc
-    }
-
-    fn rescore(&mut self, view: &AttackerView<'_>, u: NodeId) {
-        if view.observation().was_requested(u) {
-            return;
-        }
-        self.tel.rescores.incr();
-        let p = self.potential_cached(view, u);
-        if p != self.tree.key(u) {
-            self.tree.set(u, p);
-            self.tel.rescores_changed.incr();
-            self.tel.heap_push.incr();
-        }
-    }
-
-    /// Rescores `u` unless the current observation already has;
-    /// returns whether this was the first visit.
-    fn rescore_once(&mut self, view: &AttackerView<'_>, u: NodeId) -> bool {
-        if self.stamp[u.index()] == self.epoch {
-            return false;
-        }
-        self.stamp[u.index()] = self.epoch;
-        self.rescore(view, u);
-        true
+        weigh(potential_parts(view, u, self.weights), self.weights)
     }
 
     /// Emits the `decide` trace instant for a pick already retired
@@ -503,8 +509,8 @@ impl Abm {
         );
     }
 
-    /// Emits the `abm_observe` trace instant: how large the incremental
-    /// dirty set was for this observation (the nodes actually rescored).
+    /// Emits the `abm_observe` trace instant: how many candidates this
+    /// observation re-keyed.
     fn emit_observe(&self, target: NodeId, accepted: bool, dirty: usize) {
         self.trace.instant(
             "abm_observe",
@@ -515,79 +521,48 @@ impl Abm {
             ],
         );
     }
-}
 
-/// Evaluates the ABM potential of candidate `u`.
-///
-/// The direct term walks the adjacency row once; the indirect term
-/// scans the instance's precomputed cautious index
-/// ([`AccuInstance::cautious_row`](crate::AccuInstance)), a flat CSR
-/// slice of threshold-gated neighbors with cached `θ` and benefit gap
-/// in the same adjacency order — so the two passes accumulate exactly
-/// the same floating-point sums, in the same order, as the historical
-/// single fused loop.
-fn potential(view: &AttackerView<'_>, u: NodeId, w: AbmWeights) -> f64 {
-    let (q, direct, indirect) = potential_parts(view, u, w);
-    if q == 0.0 {
-        return 0.0;
+    /// Moves `x`'s terms in the sums of each of its neighbors, and
+    /// touches the neighbor: drops `x`'s direct term if `drop_direct`,
+    /// and if `indirect = Some((from, to))` replaces its indirect term at
+    /// `θ − m = from` by the one at `to` (by none if `to` is `None`).
+    fn shift_terms(
+        &mut self,
+        inst: &AccuInstance,
+        x: NodeId,
+        drop_direct: bool,
+        indirect: Option<(u32, Option<u32>)>,
+    ) {
+        let benefits = inst.benefits();
+        let (fof, gap) = (benefits.friend_of_friend(x), benefits.gap(x));
+        for (u, e) in inst.graph().neighbor_entries(x) {
+            let scale = inst.row_scale(u).scale;
+            let p = inst.edge_prob[e.index()];
+            let rec = &mut self.records[u.index()];
+            if drop_direct {
+                rec.direct -= fixed(p * fof, scale);
+            }
+            if let Some((from, to)) = indirect {
+                rec.indirect -= fixed(indirect_term(p, gap, from), scale);
+                if let Some(to) = to {
+                    rec.indirect += fixed(indirect_term(p, gap, to), scale);
+                }
+            }
+            self.touched.insert(u);
+        }
     }
-    q * (w.direct() * direct + w.indirect() * indirect)
 }
 
-/// The factors of the ABM potential, `(q, P_D, P_I)`, before the
-/// weighted combination — what the `decide` trace event reports.
-/// `(0, 0, 0)` when the acceptance belief is zero (the terms are never
-/// evaluated, mirroring [`potential`]'s early exit, so the combined
-/// value is bit-identical to the historical fused computation).
+/// The factors of the ABM potential, `(q, P_D, P_I)`, evaluated from
+/// scratch before the weighted combination — what the `decide` trace
+/// event reports. `(0, 0, 0)` when the acceptance belief is zero (the
+/// sums are then never evaluated).
 fn potential_parts(view: &AttackerView<'_>, u: NodeId, w: AbmWeights) -> (f64, f64, f64) {
-    let obs = view.observation();
-    let inst = view.instance();
-    let benefits = inst.benefits();
     let q = view.acceptance_belief(u);
     if q == 0.0 {
         return (0.0, 0.0, 0.0);
     }
-    let mut direct = benefits.friend(u)
-        - if obs.is_friend_of_friend(u) {
-            benefits.friend_of_friend(u)
-        } else {
-            0.0
-        };
-    for (v, e) in inst.graph().neighbor_entries(u) {
-        if obs.is_friend(v) {
-            continue; // v ∈ N(s): already delivers its benefit
-        }
-        let p = view.edge_belief(e);
-        if p == 0.0 {
-            continue;
-        }
-        if !obs.is_friend_of_friend(v) {
-            direct += p * benefits.friend_of_friend(v);
-        }
-    }
-    let mut indirect = 0.0;
-    if w.indirect() > 0.0 {
-        for entry in inst.cautious_row(u) {
-            if obs.is_friend(entry.node) {
-                continue;
-            }
-            let p = view.edge_belief(entry.edge);
-            if p == 0.0 {
-                continue;
-            }
-            // Skip cautious users that already rejected a request —
-            // without re-requests their friend benefit is forfeited,
-            // so pushing them toward the threshold has no value.
-            if obs.was_requested(entry.node) {
-                continue;
-            }
-            let mutual = obs.mutual_friends(entry.node);
-            if entry.theta > mutual {
-                indirect += p * entry.gap / (entry.theta - mutual) as f64;
-            }
-        }
-    }
-    (q, direct, indirect)
+    Record::scratch(view, u, q, w).parts(view.instance().row_scale(u).inv)
 }
 
 impl Policy for Abm {
@@ -596,37 +571,44 @@ impl Policy for Abm {
     }
 
     fn reset(&mut self, view: &AttackerView<'_>) {
-        let graph = view.graph();
-        let n = graph.node_count();
-        self.refill_fof_gain(view);
-        self.rows.clear();
-        self.rows.reserve(2 * graph.edge_count());
-        self.row_span.clear();
-        self.row_span.resize(n, (UNCOPIED, 0));
-        self.stamp.clear();
-        self.stamp.resize(n, 0);
-        self.epoch = 0;
-        // Fresh-episode fast path: with no requests recorded yet every
-        // node is a candidate and the potentials depend only on the
-        // instance, so the first reset's tree is copied verbatim.
+        let inst = view.instance();
         let obs = view.observation();
+        let n = inst.node_count();
+        self.touched.reset(n);
+        // Fresh-episode fast path: with no requests recorded yet every
+        // node is a candidate and the records depend only on the
+        // instance, so the first reset's records and tree are copied.
         let fresh = obs.requests().is_empty();
-        let id = view.instance().instance_id();
+        let id = inst.instance_id();
         match &self.init_cache {
-            Some(cache) if fresh && cache.instance_id == id && cache.tree.key.len() == n => {
+            Some(cache) if fresh && cache.instance_id == id && cache.records.len() == n => {
+                self.records.clone_from(&cache.records);
                 self.tree.copy_from(&cache.tree);
             }
             _ => {
+                let w = self.weights;
+                self.records.clear();
+                self.records.extend((0..n).map(|i| {
+                    let u = NodeId::from(i);
+                    Record::scratch(view, u, view.acceptance_belief(u), w)
+                }));
                 self.tree.key.clear();
-                self.tree.key.resize(n, f64::NEG_INFINITY);
-                for u in view.candidates() {
-                    self.tree.key[u.index()] = self.potential_cached(view, u);
-                }
+                self.tree
+                    .key
+                    .extend(self.records.iter().enumerate().map(|(i, rec)| {
+                        let u = NodeId::from(i);
+                        if obs.was_requested(u) {
+                            f64::NEG_INFINITY
+                        } else {
+                            weigh(rec.parts(inst.row_scale(u).inv), w)
+                        }
+                    }));
                 self.tree.rebuild();
                 if fresh {
                     self.init_cache = Some(InitCache {
                         instance_id: id,
                         tree: self.tree.clone(),
+                        records: self.records.clone(),
                     });
                 }
             }
@@ -656,63 +638,65 @@ impl Policy for Abm {
         // `select` retired the target already, unless the caller
         // requested a node this policy did not pick.
         self.tree.retire(target);
-        self.epoch += 1;
-        let graph = view.graph();
-        let mut dirty = 0usize;
-        if !accepted {
-            // A rejected cautious user stops contributing indirect value;
-            // its graph neighbors must be rescored. Rejected reckless
-            // users change nothing beyond leaving the candidate set.
-            if view.instance().is_cautious(target) && self.weights.indirect() > 0.0 {
-                for &node in graph.neighbors(target) {
-                    self.rescore(view, node);
-                }
-                dirty = graph.degree(target);
-            }
-            if self.trace.is_active() {
-                self.emit_observe(target, accepted, dirty);
-            }
-            return;
-        }
-        // Dirty set: the nodes whose potential terms reference the
-        // target, i.e. its graph neighbors. They include the newly
-        // revealed (realized) neighbors, whose fof/mutual state changed,
-        // and the ends of newly revealed absent edges. A revealed
-        // node's *own* neighbors only need rescoring when its
-        // mutual-friend bump actually moved a term they read: either it
-        // just became a friend-of-friend (first mutual friend) or it is
-        // an unrequested threshold-gated user still at or below its
-        // threshold (the indirect denominator changed). Every skipped
-        // rescore is provably a no-op, so the selection sequence — and
-        // the `rescores_changed` telemetry — is unchanged. Each node is
-        // rescored once, on its first visit; the order is irrelevant
-        // because a rescore reads no other node's potential.
+        self.touched.begin();
         let obs = view.observation();
         let inst = view.instance();
-        // Patch the gains before any rescore reads them: the target is
-        // now a friend and every newly revealed node a
-        // friend-of-friend, so their direct-term gains drop to zero.
-        self.fof_gain[target.index()] = 0.0;
-        for &v in newly_revealed {
-            self.fof_gain[v.index()] = 0.0;
-        }
-        for &node in graph.neighbors(target) {
-            dirty += usize::from(self.rescore_once(view, node));
-        }
+        let benefits = inst.benefits();
         let indirect_on = self.weights.indirect() > 0.0;
+        // The target's terms in its neighbors' rows. Its direct term
+        // goes once it is a friend, unless it was a friend-of-friend
+        // (and so had none); its indirect term goes once it is
+        // requested, if it was live. Its own mutual count is unchanged.
+        let mutual = obs.mutual_friends(target);
+        let gone_direct = accepted && mutual == 0;
+        let gone_indirect = inst
+            .threshold(target)
+            .filter(|&theta| indirect_on && theta > mutual)
+            .map(|theta| (theta - mutual, None));
+        if gone_direct || gone_indirect.is_some() {
+            self.shift_terms(inst, target, gone_direct, gone_indirect);
+        }
+        // Each revealed node gained a mutual friend (empty on a
+        // rejection). Its own `q` may move; its direct term leaves its
+        // neighbors' rows if it just became a friend-of-friend; and if
+        // it is threshold-gated, unrequested and was below threshold,
+        // its indirect term's denominator shrinks (to nothing once the
+        // threshold is met).
         for &v in newly_revealed {
-            let mutual = obs.mutual_friends(v); // post-increment value
+            let mutual = obs.mutual_friends(v); // after the increment
             let fof_flip = mutual == 1 && !obs.is_friend(v);
-            let indirect_live = indirect_on
-                && inst
-                    .threshold(v)
-                    .is_some_and(|theta| !obs.was_requested(v) && theta >= mutual);
-            if fof_flip || indirect_live {
-                for &node in graph.neighbors(v) {
-                    dirty += usize::from(self.rescore_once(view, node));
-                }
+            let moved = inst
+                .threshold(v)
+                .filter(|&theta| indirect_on && !obs.was_requested(v) && theta >= mutual)
+                .map(|theta| (theta - mutual + 1, (theta > mutual).then(|| theta - mutual)));
+            if fof_flip || moved.is_some() {
+                self.shift_terms(inst, v, fof_flip, moved);
+            }
+            let rec = &mut self.records[v.index()];
+            rec.q = view.acceptance_belief(v);
+            if fof_flip {
+                rec.base = benefits.friend(v) - benefits.friend_of_friend(v);
+            }
+            self.touched.insert(v);
+        }
+        // Re-key every touched candidate once, from its record.
+        let mut dirty = 0usize;
+        for &u in &self.touched.nodes {
+            if obs.was_requested(u) {
+                continue;
+            }
+            dirty += 1;
+            let key = weigh(
+                self.records[u.index()].parts(inst.row_scale(u).inv),
+                self.weights,
+            );
+            if key != self.tree.key(u) {
+                self.tree.set(u, key);
+                self.tel.rescores_changed.incr();
+                self.tel.heap_push.incr();
             }
         }
+        self.tel.rescores.add(dirty as u64);
         if self.trace.is_active() {
             self.emit_observe(target, accepted, dirty);
         }
@@ -901,75 +885,59 @@ mod tests {
         builder.build().unwrap()
     }
 
-    #[test]
-    fn incremental_matches_naive_full_rescan() {
-        // The winner tree, the stamped dirty set and the compacted rows
-        // are optimizations only. On instances mixing every user class,
-        // with impossible edges (one forced present), `B_fof = 0` users,
-        // both indirect weights and a belief whose probabilities differ
-        // from the truth, whole episodes must pick what a from-scratch
-        // argmax picks at every step, and after every reset and
-        // observation each candidate's cached potential must equal
-        // `potential_of` bit for bit — as must a new policy's, reset on
-        // the episode's partial observation.
-        struct NaiveAbm(Abm);
-        impl Policy for NaiveAbm {
-            fn name(&self) -> &str {
-                "NaiveABM"
-            }
-            fn reset(&mut self, _: &AttackerView<'_>) {}
-            fn select(&mut self, view: &AttackerView<'_>) -> Option<NodeId> {
-                view.candidates()
-                    .map(|u| (self.0.potential_of(view, u), u))
-                    .max_by(|a, b| a.0.total_cmp(&b.0).then_with(|| b.1.cmp(&a.1)))
-                    .map(|(_, u)| u)
-            }
+    /// ABM that runs `check` on its own state after every reset and
+    /// every observation.
+    struct Checked<F: Fn(&Abm, &AttackerView<'_>)>(Abm, F);
+
+    impl<F: Fn(&Abm, &AttackerView<'_>)> Policy for Checked<F> {
+        fn name(&self) -> &str {
+            "CheckedABM"
         }
-        struct CheckedAbm(Abm);
-        impl CheckedAbm {
-            fn check(&self, view: &AttackerView<'_>) {
-                let mut rebuilt = Abm::new(self.0.weights);
-                rebuilt.reset(view);
-                for u in view.candidates() {
-                    let fresh = self.0.potential_of(view, u).to_bits();
-                    let requests = view.observation().requests().len();
-                    assert_eq!(
-                        self.0.tree.key(u).to_bits(),
-                        fresh,
-                        "cached potential of {u} diverged after {requests} requests"
-                    );
-                    assert_eq!(
-                        rebuilt.tree.key(u).to_bits(),
-                        fresh,
-                        "reset after {requests} requests misscored {u}"
-                    );
-                }
-            }
+        fn reset(&mut self, view: &AttackerView<'_>) {
+            self.0.reset(view);
+            (self.1)(&self.0, view);
         }
-        impl Policy for CheckedAbm {
-            fn name(&self) -> &str {
-                "CheckedABM"
-            }
-            fn reset(&mut self, view: &AttackerView<'_>) {
-                self.0.reset(view);
-                self.check(view);
-            }
-            fn select(&mut self, view: &AttackerView<'_>) -> Option<NodeId> {
-                self.0.select(view)
-            }
-            fn observe(
-                &mut self,
-                view: &AttackerView<'_>,
-                target: NodeId,
-                accepted: bool,
-                newly_revealed: &[NodeId],
-            ) {
-                self.0.observe(view, target, accepted, newly_revealed);
-                self.check(view);
-            }
+        fn select(&mut self, view: &AttackerView<'_>) -> Option<NodeId> {
+            self.0.select(view)
         }
+        fn observe(
+            &mut self,
+            view: &AttackerView<'_>,
+            target: NodeId,
+            accepted: bool,
+            newly_revealed: &[NodeId],
+        ) {
+            self.0.observe(view, target, accepted, newly_revealed);
+            (self.1)(&self.0, view);
+        }
+    }
+
+    /// Runs `policy` for a whole episode (every node requested, then
+    /// `select` reports exhaustion), believing `belief` if given.
+    fn whole_episode(
+        truth: &AccuInstance,
+        real: &Realization,
+        belief: Option<&AccuInstance>,
+        policy: &mut dyn Policy,
+    ) -> crate::AttackOutcome {
+        let n = truth.node_count();
+        let opts = crate::AttackOptions {
+            believed: belief,
+            ..Default::default()
+        };
+        let outcome = crate::simulator::attack_with(truth, real, policy, n + 5, &opts).unwrap();
+        assert_eq!(outcome.trace.len(), n);
+        outcome
+    }
+
+    /// Calls `episode(truth, realization, belief, weights)` for each
+    /// [`mixed_instance`] seed, both indirect weights (0 and balanced),
+    /// and both the truth and a believed instance whose probabilities
+    /// differ from it. Edge 0 (`p = 0`) is forced present.
+    fn mixed_episodes(
+        mut episode: impl FnMut(&AccuInstance, &Realization, Option<&AccuInstance>, AbmWeights),
+    ) {
         use rand::{rngs::StdRng, Rng, SeedableRng};
-        let mut revealed_impossible = 0;
         for seed in 0..6u64 {
             let truth = mixed_instance(seed);
             let mut rng = StdRng::seed_from_u64(seed + 100);
@@ -1000,32 +968,247 @@ mod tests {
             };
             for weights in [AbmWeights::new(1.0, 0.0), AbmWeights::balanced()] {
                 for belief in [None, Some(&believed)] {
-                    let opts = crate::AttackOptions {
-                        believed: belief,
-                        ..Default::default()
-                    };
-                    let run = |policy: &mut dyn Policy| {
-                        crate::simulator::attack_with(&truth, &real, policy, n + 5, &opts).unwrap()
-                    };
-                    let fast = run(&mut CheckedAbm(Abm::new(weights)));
-                    let slow = run(&mut NaiveAbm(Abm::new(weights)));
-                    let fast_targets: Vec<NodeId> = fast.trace.iter().map(|r| r.target).collect();
-                    let slow_targets: Vec<NodeId> = slow.trace.iter().map(|r| r.target).collect();
-                    assert_eq!(fast_targets, slow_targets, "seed {seed}: traces diverged");
-                    assert_eq!(fast.total_benefit, slow.total_benefit);
-                    // Whole episodes: every node requested, then `select`
-                    // reported exhaustion.
-                    assert_eq!(fast.trace.len(), n);
-                    // Was the impossible edge revealed present while
-                    // its other endpoint was still a candidate?
-                    let (lo, hi) = truth.graph().edge(osn_graph::EdgeId::new(0)).endpoints();
-                    let step = |u| fast_targets.iter().position(|&t| t == u).unwrap();
-                    let first = step(lo).min(step(hi));
-                    revealed_impossible += usize::from(fast.trace[first].accepted);
+                    episode(&truth, &real, belief, weights);
                 }
             }
         }
+    }
+
+    #[test]
+    fn incremental_matches_naive_full_rescan() {
+        // The winner tree, the delta-kept sums and the touched set are
+        // optimizations only. On instances mixing every user class,
+        // with impossible edges (one forced present), `B_fof = 0` users,
+        // both indirect weights and a belief whose probabilities differ
+        // from the truth, whole episodes must pick what a from-scratch
+        // argmax picks at every step, and after every reset and
+        // observation each candidate's cached potential must equal
+        // `potential_of` bit for bit — as must a new policy's, reset on
+        // the episode's partial observation.
+        struct NaiveAbm(Abm);
+        impl Policy for NaiveAbm {
+            fn name(&self) -> &str {
+                "NaiveABM"
+            }
+            fn reset(&mut self, _: &AttackerView<'_>) {}
+            fn select(&mut self, view: &AttackerView<'_>) -> Option<NodeId> {
+                view.candidates()
+                    .map(|u| (self.0.potential_of(view, u), u))
+                    .max_by(|a, b| a.0.total_cmp(&b.0).then_with(|| b.1.cmp(&a.1)))
+                    .map(|(_, u)| u)
+            }
+        }
+        fn bit_identical(abm: &Abm, view: &AttackerView<'_>) {
+            let mut rebuilt = Abm::new(abm.weights);
+            rebuilt.reset(view);
+            let requests = view.observation().requests().len();
+            for u in view.candidates() {
+                let fresh = abm.potential_of(view, u).to_bits();
+                assert_eq!(
+                    abm.tree.key(u).to_bits(),
+                    fresh,
+                    "cached potential of {u} diverged after {requests} requests"
+                );
+                assert_eq!(
+                    rebuilt.tree.key(u).to_bits(),
+                    fresh,
+                    "reset after {requests} requests misscored {u}"
+                );
+            }
+        }
+        let mut revealed_impossible = 0;
+        mixed_episodes(|truth, real, belief, weights| {
+            let fast = whole_episode(
+                truth,
+                real,
+                belief,
+                &mut Checked(Abm::new(weights), bit_identical),
+            );
+            let slow = whole_episode(truth, real, belief, &mut NaiveAbm(Abm::new(weights)));
+            let fast_targets: Vec<NodeId> = fast.trace.iter().map(|r| r.target).collect();
+            let slow_targets: Vec<NodeId> = slow.trace.iter().map(|r| r.target).collect();
+            assert_eq!(fast_targets, slow_targets, "traces diverged");
+            assert_eq!(fast.total_benefit, slow.total_benefit);
+            // Was the impossible edge revealed present while its other
+            // endpoint was still a candidate?
+            let (lo, hi) = truth.graph().edge(osn_graph::EdgeId::new(0)).endpoints();
+            let step = |u| fast_targets.iter().position(|&t| t == u).unwrap();
+            let first = step(lo).min(step(hi));
+            revealed_impossible += usize::from(fast.trace[first].accepted);
+        });
         assert!(revealed_impossible > 0);
+    }
+
+    /// The §III-A potential `q(u)·(w_D·P_D + w_I·P_I)` in plain `f64`,
+    /// read off the paper: the view's edge beliefs, the class's
+    /// acceptance curve and thresholds, no fixed point and no cautious
+    /// index.
+    fn oracle(view: &AttackerView<'_>, u: NodeId, w: AbmWeights) -> f64 {
+        let inst = view.instance();
+        let obs = view.observation();
+        let b = inst.benefits();
+        let fof = |v: NodeId| !obs.is_friend(v) && obs.mutual_friends(v) > 0;
+        let mut p_d = b.friend(u) - if fof(u) { b.friend_of_friend(u) } else { 0.0 };
+        let mut p_i = 0.0;
+        for (v, e) in inst.graph().neighbor_entries(u) {
+            let p = view.edge_belief(e);
+            if !obs.is_friend(v) && !fof(v) {
+                p_d += p * b.friend_of_friend(v);
+            }
+            let m = obs.mutual_friends(v);
+            if let Some(theta) = inst.user_class(v).threshold() {
+                if !obs.was_requested(v) && theta > m {
+                    p_i += p * (b.friend(v) - b.friend_of_friend(v)) / f64::from(theta - m);
+                }
+            }
+        }
+        let q = inst
+            .user_class(u)
+            .acceptance_probability_at(obs.mutual_friends(u));
+        q * (w.direct() * p_d + w.indirect() * p_i)
+    }
+
+    /// `B_f(u) + Σ_{v ∈ N(u)} B_f(v)`, which bounds `P_D(u)` and `P_I(u)`.
+    fn row_bound(inst: &AccuInstance, u: NodeId) -> f64 {
+        let b = inst.benefits();
+        b.friend(u)
+            + inst
+                .graph()
+                .neighbors(u)
+                .iter()
+                .map(|&v| b.friend(v))
+                .sum::<f64>()
+    }
+
+    /// Every candidate's cached and from-scratch potential lies within
+    /// `1e-12·max(1, row bound)` of the [`oracle`].
+    fn matches_oracle(abm: &Abm, view: &AttackerView<'_>) {
+        let requests = view.observation().requests().len();
+        for u in view.candidates() {
+            let want = oracle(view, u, abm.weights);
+            let tolerance = 1e-12 * row_bound(view.instance(), u).max(1.0);
+            for (what, got) in [
+                ("cached", abm.tree.key(u)),
+                ("from-scratch", abm.potential_of(view, u)),
+            ] {
+                assert!(
+                    (got - want).abs() <= tolerance,
+                    "{what} potential of {u} is {got}, the oracle's {want}, after {requests} requests"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn potentials_match_an_f64_oracle() {
+        // The cached and from-scratch potentials share one arithmetic,
+        // so their bit-identity does not check the formula; an f64
+        // evaluation of the paper's does.
+        mixed_episodes(|truth, real, belief, weights| {
+            whole_episode(
+                truth,
+                real,
+                belief,
+                &mut Checked(Abm::new(weights), matches_oracle),
+            );
+        });
+    }
+
+    #[test]
+    fn potentials_keep_their_precision_at_extreme_magnitudes() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let pure = AbmWeights::new(1.0, 0.0);
+
+        // Node 3's row holds B_fof = 1 while the other component holds
+        // B_fof = 1e300: a per-row scale keeps node 3's term.
+        let g = GraphBuilder::from_edges(5, [(0u32, 1u32), (1, 2), (3, 4)]).unwrap();
+        let inst = AccuInstanceBuilder::new(g)
+            .benefits(NodeId::new(1), 1e300, 1e300)
+            .build()
+            .unwrap();
+        let obs = Observation::for_instance(&inst);
+        let view = AttackerView::new(&inst, &obs);
+        let mut abm = Abm::new(pure);
+        abm.reset(&view);
+        assert_eq!(abm.potential_of(&view, NodeId::new(3)), 3.0);
+        assert_eq!(abm.tree.key(NodeId::new(3)), 3.0);
+        matches_oracle(&abm, &view);
+
+        // A cautious hub (θ = 5) of degree 1,200 over a path of leaves,
+        // every tenth leaf cautious: its sums absorb deltas while its
+        // `q` is 0, and its key is read from them once `q` flips.
+        let n = 1201u32;
+        let mut rng = StdRng::seed_from_u64(5);
+        let edges = (1..n).map(|i| (0, i)).chain((1..n - 1).map(|i| (i, i + 1)));
+        let g = GraphBuilder::from_edges(n as usize, edges).unwrap();
+        assert_eq!(g.degree(NodeId::new(0)), 1200);
+        let probs = (0..g.edge_count())
+            .map(|_| rng.gen_range(0.01..1.0))
+            .collect();
+        let mut builder = AccuInstanceBuilder::new(g)
+            .edge_probabilities(probs)
+            .user_class(NodeId::new(0), UserClass::cautious(5))
+            .benefits(NodeId::new(0), 100.0, 1.0);
+        for i in 1..n as usize {
+            let v = NodeId::from(i);
+            builder = if i % 10 == 0 {
+                builder
+                    .user_class(v, UserClass::cautious(rng.gen_range(1..3)))
+                    .benefits(v, 50.0, 1.0)
+            } else {
+                builder
+                    .user_class(v, UserClass::reckless(rng.gen_range(0.2..1.0)))
+                    .benefits(v, 2.0, rng.gen_range(0.001..1.0))
+            };
+        }
+        let hub = builder.build().unwrap();
+        let real = Realization::sample(&hub, &mut rng);
+        let outcome = whole_episode(
+            &hub,
+            &real,
+            None,
+            &mut Checked(Abm::new(AbmWeights::balanced()), matches_oracle),
+        );
+        assert!(outcome.friends.contains(&NodeId::new(0)));
+
+        // A star whose benefits sit near 1e-300 beside a component at
+        // the usual scale: the scale clamps, and the scale, its
+        // reciprocal and every potential stay finite and close.
+        let g = GraphBuilder::from_edges(6, [(0u32, 1u32), (0, 2), (0, 3), (4, 5)]).unwrap();
+        let tiny = AccuInstanceBuilder::new(g)
+            .uniform_edge_probability(0.7)
+            .benefits(NodeId::new(0), 2e-300, 1e-300)
+            .benefits(NodeId::new(1), 2e-300, 1e-300)
+            .benefits(NodeId::new(2), 3e-300, 1.5e-300)
+            .user_class(NodeId::new(3), UserClass::cautious(1))
+            .benefits(NodeId::new(3), 5e-300, 1e-300)
+            .build()
+            .unwrap();
+        let scale = tiny.row_scale(NodeId::new(0));
+        assert!(scale.scale.is_finite() && scale.inv > 0.0);
+        assert_eq!(scale.scale * scale.inv, 1.0);
+        let obs = Observation::for_instance(&tiny);
+        let view = AttackerView::new(&tiny, &obs);
+        let balanced = Abm::new(AbmWeights::balanced());
+        for u in view.candidates() {
+            let (got, want) = (
+                balanced.potential_of(&view, u),
+                oracle(&view, u, balanced.weights),
+            );
+            assert!(
+                got.is_finite() && (got - want).abs() <= 1e-6 * want,
+                "{u}: {got} vs {want}"
+            );
+        }
+        let real = full(&tiny);
+        for weights in [pure, AbmWeights::balanced()] {
+            whole_episode(
+                &tiny,
+                &real,
+                None,
+                &mut Checked(Abm::new(weights), matches_oracle),
+            );
+        }
     }
 
     #[test]

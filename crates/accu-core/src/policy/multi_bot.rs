@@ -85,6 +85,10 @@ pub fn run_multi_bot_abm(
 ) -> MultiBotOutcome {
     assert!(config.bots > 0, "need at least one bot");
     let scorer = Abm::new(config.weights);
+    // Scores a user another bot already befriended: union benefit
+    // counts `B_f(u)` once, so only the indirect (mutual-count) value
+    // remains and `w_D = 0`.
+    let indirect_only = Abm::new(AbmWeights::new(0.0, config.weights.indirect()));
     let mut observations: Vec<Observation> = (0..config.bots)
         .map(|_| Observation::for_instance(instance))
         .collect();
@@ -101,14 +105,11 @@ pub fn run_multi_bot_abm(
             }
             let view = AttackerView::new(instance, obs);
             for u in view.candidates() {
-                let mut p = scorer.potential_of(&view, u);
-                if union_benefit.is_friend(u) {
-                    // Another bot already collects B_f(u); only the
-                    // indirect (mutual-count) value remains. Penalize by
-                    // the direct component: rescore with w_D = 0.
-                    let indirect_only = Abm::new(AbmWeights::new(0.0, config.weights.indirect()));
-                    p = indirect_only.potential_of(&view, u);
-                }
+                let p = if union_benefit.is_friend(u) {
+                    indirect_only.potential_of(&view, u)
+                } else {
+                    scorer.potential_of(&view, u)
+                };
                 let better = match best {
                     None => true,
                     Some((bp, bb, bu)) => {

@@ -85,13 +85,14 @@ pub enum EpisodeEvent {
         /// Its acceptance threshold `θ_v`.
         theta: u64,
     },
-    /// The ABM absorbed an observation, rescoring `dirty` candidates.
+    /// The ABM absorbed an observation, re-keying `dirty` candidates.
     Observe {
         /// The observed request's target.
         target: u64,
         /// Whether it accepted.
         accepted: bool,
-        /// Size of the incremental dirty set rescored.
+        /// Candidates whose potential inputs the observation changed,
+        /// each re-keyed once.
         dirty: u64,
     },
 }
@@ -415,7 +416,7 @@ pub fn narrate_episode(episode: &CausalEpisode) -> String {
             } => {
                 let _ = writeln!(
                     out,
-                    "    abm observed u{target} ({}), rescored {dirty} candidates",
+                    "    abm observed u{target} ({}), re-keyed {dirty} candidates",
                     if *accepted { "accepted" } else { "declined" }
                 );
             }

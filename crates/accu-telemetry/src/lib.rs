@@ -40,7 +40,7 @@
 //!   select/resolve/notify timing, acceptance and cautious-hit counters;
 //! * the ABM policy (`accu_core::policy::Abm`): winner-tree key sets
 //!   and retirements (`abm.heap_push` / `abm.heap_pop`), selects and
-//!   rescore counts;
+//!   re-key counts;
 //! * the experiment runner (`accu_experiments::run_policy_with` with a
 //!   recorder in its `RunOptions`):
 //!   per-worker episode throughput, per-network wall clock, queue

@@ -1,5 +1,5 @@
 //! Benchmarks of the ABM policy, including the DESIGN.md ablation of
-//! incremental rescoring (stamped dirty set, compacted adjacency rows,
+//! incremental potentials (sums kept by deltas, a stamped touched set,
 //! winner-tree argmax) against a naive full-rescan greedy, and the
 //! `w_I` weight sweep.
 
