@@ -13,8 +13,8 @@
 //!
 //! The experiment crate wraps its sinks (checkpoint, progress, trace) in
 //! chaos-aware writers that consult a [`ChaosPlan`] before each physical
-//! write; the runner's supervisor consults [`ChaosPlan::worker_fault`]
-//! when a worker claims a chunk. A plan sampled from
+//! write; each runner worker consults [`ChaosPlan::worker_fault`]
+//! on its first attempt at a chunk. A plan sampled from
 //! [`ChaosConfig::none`] is trivial and adds zero overhead.
 
 use crate::error::AccuError;
@@ -52,7 +52,8 @@ pub struct ChaosConfig {
     /// written and synced, then the write errors.
     pub torn_write: f64,
     /// Probability a worker panics when claiming a chunk (first
-    /// attempt only, so supervised retries always make progress).
+    /// attempt only, so the worker's in-place retry always makes
+    /// progress).
     pub worker_panic: f64,
     /// Probability a worker stalls for [`ChaosConfig::stall_ms`] when
     /// claiming a chunk (first attempt only).
@@ -95,8 +96,8 @@ impl ChaosConfig {
 
     /// A one-knob preset: `intensity` in `[0, 1]` scales every chaos
     /// channel from "none" to "hostile infrastructure". Worker faults
-    /// stay an order of magnitude rarer than I/O faults so supervised
-    /// restart budgets survive even at full intensity.
+    /// stay an order of magnitude rarer than I/O faults so the runner's
+    /// restart budget survives even at full intensity.
     pub fn scaled(intensity: f64) -> Self {
         let f = intensity.clamp(0.0, 1.0);
         if f == 0.0 {
@@ -224,10 +225,11 @@ pub enum IoFault {
 /// An injected worker-level fault at a chunk claim.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WorkerFault {
-    /// The worker panics (the supervisor must restart it).
+    /// The worker panics; it must catch the panic and retry the chunk.
     Panic,
-    /// The worker sleeps for the given duration (the supervisor's stall
-    /// detector must requeue its work).
+    /// The worker sleeps for the given duration before running the
+    /// chunk. This only delays the chunk, which must still fold
+    /// correctly out of order.
     Stall(Duration),
 }
 

@@ -83,9 +83,7 @@ pub use error::AccuError;
 pub use expectation::{expected_benefit, sample_outcomes, MonteCarloStats};
 pub use fault::{fault_metrics, FaultConfig, FaultPlan, FaultSummary, RateLimit, RetryPolicy};
 pub use metrics::TraceAccumulator;
-pub use model::{
-    AccuInstance, AccuInstanceBuilder, AssumptionViolation, BenefitSchedule, UserClass,
-};
+pub use model::{AccuInstance, AccuInstanceBuilder, BenefitSchedule, UserClass};
 pub use objective::{
     benefit_of_friend_set, benefit_of_request_set, BenefitState, MarginalGain, RequestSetOutcome,
 };

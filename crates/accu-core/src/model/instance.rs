@@ -334,49 +334,6 @@ impl AccuInstance {
             .sum();
         uncertain_edges + user_bits
     }
-
-    /// Checks the paper's working assumptions that are *not* hard
-    /// invariants, returning a description of each violation:
-    ///
-    /// 1. cautious users are pairwise non-adjacent (`N(v) ∩ V_C = ∅`);
-    /// 2. every cautious user has at least `θ_v` reckless neighbors
-    ///    (otherwise it can never be befriended);
-    /// 3. the strict benefit gap `B_f(u) − B_fof(u) > 0` required by
-    ///    Theorem 1.
-    ///
-    /// Instances violating these still simulate fine; only the
-    /// theoretical guarantees (and Lemma 2's order-independence) rely on
-    /// them.
-    pub fn check_paper_assumptions(&self) -> Vec<AssumptionViolation> {
-        let mut out = Vec::new();
-        for &v in &self.cautious {
-            let mut reckless_neighbors = 0usize;
-            for &w in self.graph.neighbors(v) {
-                if self.is_cautious(w) {
-                    out.push(AssumptionViolation::AdjacentCautiousUsers { a: v, b: w });
-                } else {
-                    reckless_neighbors += 1;
-                }
-            }
-            let theta = self.threshold(v).unwrap_or(0) as usize;
-            if reckless_neighbors < theta {
-                out.push(AssumptionViolation::UnreachableCautiousUser {
-                    node: v,
-                    reckless_neighbors,
-                    threshold: theta,
-                });
-            }
-        }
-        // Adjacent pairs are reported from both sides; keep one per pair.
-        out.retain(|v| match v {
-            AssumptionViolation::AdjacentCautiousUsers { a, b } => a < b,
-            _ => true,
-        });
-        if !self.benefits.has_strict_gap() {
-            out.push(AssumptionViolation::NoStrictBenefitGap);
-        }
-        out
-    }
 }
 
 impl fmt::Debug for AccuInstance {
@@ -386,57 +343,6 @@ impl fmt::Debug for AccuInstance {
             .field("edges", &self.graph.edge_count())
             .field("cautious", &self.cautious.len())
             .finish()
-    }
-}
-
-/// A violated working assumption reported by
-/// [`AccuInstance::check_paper_assumptions`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum AssumptionViolation {
-    /// Two cautious users are adjacent (`a < b`).
-    AdjacentCautiousUsers {
-        /// First cautious endpoint.
-        a: NodeId,
-        /// Second cautious endpoint.
-        b: NodeId,
-    },
-    /// A cautious user has fewer reckless neighbors than its threshold.
-    UnreachableCautiousUser {
-        /// The unreachable cautious user.
-        node: NodeId,
-        /// How many reckless neighbors it has.
-        reckless_neighbors: usize,
-        /// Its threshold `θ`.
-        threshold: usize,
-    },
-    /// Some user has `B_f(u) = B_fof(u)`, voiding Theorem 1's bound.
-    NoStrictBenefitGap,
-}
-
-impl fmt::Display for AssumptionViolation {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            AssumptionViolation::AdjacentCautiousUsers { a, b } => {
-                write!(f, "cautious users {a} and {b} are adjacent")
-            }
-            AssumptionViolation::UnreachableCautiousUser {
-                node,
-                reckless_neighbors,
-                threshold,
-            } => {
-                write!(
-                    f,
-                    "cautious user {node} has {reckless_neighbors} reckless neighbors, below θ={threshold}"
-                )
-            }
-            AssumptionViolation::NoStrictBenefitGap => {
-                write!(
-                    f,
-                    "some user has B_f = B_fof; Theorem 1 requires a strict gap"
-                )
-            }
-        }
     }
 }
 
@@ -721,44 +627,6 @@ mod tests {
             .unwrap();
         // One uncertain edge (0.5) + one uncertain user (0.3).
         assert_eq!(inst.random_bits(), 2);
-    }
-
-    #[test]
-    fn assumption_checks_fire() {
-        // 0 - 1 - 2 path with 0 and 1 cautious (adjacent) and thresholds
-        // exceeding their reckless neighborhoods.
-        let g = GraphBuilder::from_edges(3, [(0u32, 1u32), (1, 2)]).unwrap();
-        let inst = AccuInstanceBuilder::new(g)
-            .user_class(NodeId::new(0), UserClass::cautious(2))
-            .user_class(NodeId::new(1), UserClass::cautious(1))
-            .uniform_benefits(1.0, 1.0)
-            .build()
-            .unwrap();
-        let violations = inst.check_paper_assumptions();
-        assert!(violations
-            .iter()
-            .any(|v| matches!(v, AssumptionViolation::AdjacentCautiousUsers { .. })));
-        assert!(violations
-            .iter()
-            .any(|v| matches!(v, AssumptionViolation::UnreachableCautiousUser { .. })));
-        assert!(violations
-            .iter()
-            .any(|v| matches!(v, AssumptionViolation::NoStrictBenefitGap)));
-        // Adjacent pair is reported exactly once.
-        let adjacent = violations
-            .iter()
-            .filter(|v| matches!(v, AssumptionViolation::AdjacentCautiousUsers { .. }))
-            .count();
-        assert_eq!(adjacent, 1);
-    }
-
-    #[test]
-    fn well_formed_instance_has_no_violations() {
-        let inst = AccuInstanceBuilder::new(triangle())
-            .user_class(NodeId::new(0), UserClass::cautious(1))
-            .build()
-            .unwrap();
-        assert!(inst.check_paper_assumptions().is_empty());
     }
 
     #[test]

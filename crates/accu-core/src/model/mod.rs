@@ -5,5 +5,5 @@ mod instance;
 mod user;
 
 pub use benefit::BenefitSchedule;
-pub use instance::{AccuInstance, AccuInstanceBuilder, AssumptionViolation};
+pub use instance::{AccuInstance, AccuInstanceBuilder};
 pub use user::UserClass;

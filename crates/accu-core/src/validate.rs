@@ -1040,39 +1040,20 @@ mod tests {
     }
 
     #[test]
-    fn scan_agrees_with_check_paper_assumptions_on_soft_violations() {
-        // The legacy assumption checker and the sentinel must agree on
-        // the structural (soft) preconditions.
+    fn soft_violations_fire_and_an_adjacent_pair_is_reported_once() {
+        // 0 - 1 - 2 path with 0 and 1 cautious (adjacent), node 0's
+        // threshold above its reckless neighborhood, and no benefit gap.
         let g = GraphBuilder::from_edges(3, [(0u32, 1u32), (1, 2)]).unwrap();
         let inst = AccuInstanceBuilder::new(g)
             .user_class(NodeId::new(0), UserClass::cautious(2))
             .user_class(NodeId::new(1), UserClass::cautious(1))
+            .uniform_benefits(1.0, 1.0)
             .build()
             .unwrap();
-        let legacy = inst.check_paper_assumptions();
-        let sentinel = validate_instance(&inst).unwrap_err();
-        assert_eq!(
-            legacy
-                .iter()
-                .filter(|v| matches!(v, crate::AssumptionViolation::AdjacentCautiousUsers { .. }))
-                .count(),
-            sentinel
-                .iter()
-                .filter(|v| matches!(v, Violation::CautiousAdjacency { .. }))
-                .count()
-        );
-        assert_eq!(
-            legacy
-                .iter()
-                .filter(|v| matches!(
-                    v,
-                    crate::AssumptionViolation::UnreachableCautiousUser { .. }
-                ))
-                .count(),
-            sentinel
-                .iter()
-                .filter(|v| matches!(v, Violation::ThresholdUnreachable { .. }))
-                .count()
-        );
+        let violations = validate_instance(&inst).unwrap_err();
+        let count = |code| violations.iter().filter(|v| v.code() == code).count();
+        assert_eq!(count("cautious_adjacency"), 1, "{violations:?}");
+        assert_eq!(count("threshold_unreachable"), 1, "{violations:?}");
+        assert_eq!(count("benefit_gap_collapsed"), 3, "{violations:?}");
     }
 }

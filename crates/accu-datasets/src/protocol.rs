@@ -251,7 +251,7 @@ pub fn select_cautious_users<R: Rng + ?Sized>(
 /// let cfg = ProtocolConfig { cautious_count: 10, ..ProtocolConfig::default() };
 /// let inst = apply_protocol(g, &cfg, &mut rng)?;
 /// assert_eq!(inst.cautious_users().len(), 10);
-/// assert!(inst.check_paper_assumptions().is_empty());
+/// assert!(accu_core::validate_instance(&inst).is_ok());
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn apply_protocol<R: Rng + ?Sized>(
@@ -359,7 +359,7 @@ mod tests {
         };
         let inst = apply_protocol(g, &cfg, &mut rng).unwrap();
         assert_eq!(inst.cautious_users().len(), 20);
-        assert!(inst.check_paper_assumptions().is_empty());
+        assert!(accu_core::validate_instance(&inst).is_ok());
         for v in inst.graph().nodes() {
             let b = inst.benefits();
             if inst.is_cautious(v) {

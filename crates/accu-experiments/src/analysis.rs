@@ -10,159 +10,32 @@
 //! drive it: `telemetry_diff` (snapshot deltas + throughput verdict)
 //! and `bench_report` (markdown trajectory table).
 
-use std::collections::BTreeMap;
 use std::io;
 use std::path::Path;
 
 use accu_telemetry::obs::TRAJECTORY_SCHEMA;
 use accu_telemetry::trace::{parse_json, Json};
+use accu_telemetry::{HistogramSnapshot, Snapshot};
 
 use crate::output::Table;
 use crate::runner::runner_metrics;
 
-/// One histogram as recorded in a snapshot line.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HistSummary {
-    /// Recorded samples.
-    pub count: u64,
-    /// Sum of all samples.
-    pub sum: u64,
-    /// Mean sample value.
-    pub mean: f64,
-    /// Derived quantiles and extrema (bucket upper edges).
-    pub p50: u64,
-    /// 90th percentile.
-    pub p90: u64,
-    /// 99th percentile.
-    pub p99: u64,
-    /// Largest recorded value.
-    pub max: u64,
-    /// Sparse log-bucket occupancy: sorted `(bucket index, count)`
-    /// pairs; bucket `i` covers values up to `2^(i+1) - 1`.
-    pub buckets: Vec<(u8, u64)>,
-}
-
-/// A parsed telemetry snapshot: the machine-readable side of one run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RunMetrics {
-    /// The run's cell label.
-    pub label: String,
-    /// Counter values by name.
-    pub counters: BTreeMap<String, u64>,
-    /// Gauge values by name (usually empty in end-of-run snapshots).
-    pub gauges: BTreeMap<String, i64>,
-    /// Histograms by name.
-    pub histograms: BTreeMap<String, HistSummary>,
-}
-
-impl RunMetrics {
-    /// Aggregate episode throughput (episodes per wall-clock second of
-    /// network processing, summed across workers) — the regression
-    /// metric. `None` when the run recorded no episodes or no network
-    /// timing.
-    pub fn throughput(&self) -> Option<f64> {
-        let episodes = *self.counters.get(runner_metrics::EPISODES)?;
-        let sum = self.histograms.get(runner_metrics::NETWORK_NS)?.sum;
-        if episodes == 0 || sum == 0 {
-            return None;
-        }
-        Some(episodes as f64 * 1e9 / sum as f64)
+/// Aggregate episode throughput (episodes per wall-clock second of
+/// network processing, summed across workers) — the regression metric.
+/// `None` when the run recorded no episodes or no network timing.
+fn throughput(run: &Snapshot) -> Option<f64> {
+    let episodes = run.counter(runner_metrics::EPISODES)?;
+    let sum = run.histogram(runner_metrics::NETWORK_NS)?.sum;
+    if episodes == 0 || sum == 0 {
+        return None;
     }
-}
-
-/// Parses the first `"type":"snapshot"` line of a telemetry JSONL
-/// document.
-///
-/// # Errors
-///
-/// Returns a description when no line parses as a snapshot.
-pub fn parse_run(text: &str) -> Result<RunMetrics, String> {
-    for line in text.lines().filter(|l| !l.trim().is_empty()) {
-        let Ok(doc) = parse_json(line) else { continue };
-        if doc.get("type").and_then(Json::as_str) != Some("snapshot") {
-            continue;
-        }
-        let label = doc
-            .get("label")
-            .and_then(Json::as_str)
-            .unwrap_or_default()
-            .to_string();
-        let mut counters = BTreeMap::new();
-        if let Some(Json::Obj(entries)) = doc.get("counters") {
-            for (name, value) in entries {
-                if let Some(v) = value.as_u64() {
-                    counters.insert(name.clone(), v);
-                }
-            }
-        }
-        let mut gauges = BTreeMap::new();
-        if let Some(Json::Obj(entries)) = doc.get("gauges") {
-            for (name, value) in entries {
-                if let Some(v) = value.as_i64() {
-                    gauges.insert(name.clone(), v);
-                }
-            }
-        }
-        let mut histograms = BTreeMap::new();
-        if let Some(Json::Obj(entries)) = doc.get("histograms") {
-            for (name, h) in entries {
-                let field = |key: &str| h.get(key).and_then(Json::as_u64).unwrap_or(0);
-                let mut buckets = Vec::new();
-                if let Some(pairs) = h.get("buckets").and_then(Json::as_arr) {
-                    for pair in pairs {
-                        if let Some([idx, n]) = pair.as_arr().and_then(|p| p.get(0..2)) {
-                            if let (Some(idx), Some(n)) = (idx.as_u64(), n.as_u64()) {
-                                buckets.push((idx.min(63) as u8, n));
-                            }
-                        }
-                    }
-                }
-                histograms.insert(
-                    name.clone(),
-                    HistSummary {
-                        count: field("count"),
-                        sum: field("sum"),
-                        mean: h.get("mean").and_then(Json::as_f64).unwrap_or(0.0),
-                        p50: field("p50"),
-                        p90: field("p90"),
-                        p99: field("p99"),
-                        max: field("max"),
-                        buckets,
-                    },
-                );
-            }
-        }
-        return Ok(RunMetrics {
-            label,
-            counters,
-            gauges,
-            histograms,
-        });
-    }
-    Err("no snapshot line found".to_string())
-}
-
-/// Loads a telemetry snapshot JSONL file (as written by
-/// `--telemetry`).
-///
-/// # Errors
-///
-/// Returns the read error, or `InvalidData` when the file holds no
-/// snapshot line.
-pub fn load_run(path: &Path) -> io::Result<RunMetrics> {
-    let text = std::fs::read_to_string(path)?;
-    parse_run(&text).map_err(|e| {
-        io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("{}: {e}", path.display()),
-        )
-    })
+    Some(episodes as f64 * 1e9 / sum as f64)
 }
 
 /// Mass-weighted mean log-bucket index of a histogram — a scalar
 /// location summary on the log2 scale, so a `+1.0` shift between runs
 /// reads as "samples got ≈2× larger".
-pub fn mean_bucket_index(hist: &HistSummary) -> Option<f64> {
+pub fn mean_bucket_index(hist: &HistogramSnapshot) -> Option<f64> {
     let total: u64 = hist.buckets.iter().map(|&(_, n)| n).sum();
     if total == 0 {
         return None;
@@ -322,12 +195,13 @@ impl DiffReport {
 /// fixture needs a proportionally larger slowdown before the verdict
 /// flips to regression. With a single baseline the band is `min_band`
 /// alone.
-pub fn diff_runs(baselines: &[RunMetrics], candidate: &RunMetrics, min_band: f64) -> DiffReport {
+pub fn diff_runs(baselines: &[Snapshot], candidate: &Snapshot, min_band: f64) -> DiffReport {
     let skip = |name: &str| name.starts_with("runner.worker.");
     let mut names: Vec<&String> = baselines
         .iter()
-        .flat_map(|b| b.counters.keys())
-        .chain(candidate.counters.keys())
+        .flat_map(|b| &b.counters)
+        .chain(&candidate.counters)
+        .map(|c| &c.name)
         .filter(|n| !skip(n))
         .collect();
     names.sort();
@@ -335,23 +209,21 @@ pub fn diff_runs(baselines: &[RunMetrics], candidate: &RunMetrics, min_band: f64
     let counters = names
         .into_iter()
         .map(|name| {
-            let present: Vec<u64> = baselines
-                .iter()
-                .filter_map(|b| b.counters.get(name).copied())
-                .collect();
+            let present: Vec<u64> = baselines.iter().filter_map(|b| b.counter(name)).collect();
             CounterDelta {
                 name: name.clone(),
                 baseline: (!present.is_empty())
                     .then(|| present.iter().sum::<u64>() as f64 / present.len() as f64),
-                candidate: candidate.counters.get(name).copied(),
+                candidate: candidate.counter(name),
             }
         })
         .collect();
     let mut shifts = Vec::new();
-    for (name, cand_hist) in &candidate.histograms {
+    for cand_hist in &candidate.histograms {
+        let name = &cand_hist.name;
         let base_indices: Vec<f64> = baselines
             .iter()
-            .filter_map(|b| b.histograms.get(name))
+            .filter_map(|b| b.histogram(name))
             .filter_map(mean_bucket_index)
             .collect();
         let (Some(cand_idx), false) = (mean_bucket_index(cand_hist), base_indices.is_empty())
@@ -366,11 +238,8 @@ pub fn diff_runs(baselines: &[RunMetrics], candidate: &RunMetrics, min_band: f64
             shift: cand_idx - base_idx,
         });
     }
-    let base_tp: Vec<f64> = baselines
-        .iter()
-        .filter_map(RunMetrics::throughput)
-        .collect();
-    let verdict = match (base_tp.is_empty(), candidate.throughput()) {
+    let base_tp: Vec<f64> = baselines.iter().filter_map(throughput).collect();
+    let verdict = match (base_tp.is_empty(), throughput(candidate)) {
         (true, _) | (_, None) => Verdict::NoData,
         (false, Some(cand)) => {
             let mean = base_tp.iter().sum::<f64>() / base_tp.len() as f64;
@@ -530,60 +399,29 @@ pub fn trajectory_markdown(entries: &[TrajectoryEntry], skipped: usize) -> Strin
 #[cfg(test)]
 mod tests {
     use super::*;
-    use accu_telemetry::Recorder;
+    use accu_telemetry::CounterSnapshot;
 
-    fn synthetic_run(episodes: u64, network_ns_sum: u64) -> RunMetrics {
-        let mut counters = BTreeMap::new();
-        counters.insert(runner_metrics::EPISODES.to_string(), episodes);
-        let mut histograms = BTreeMap::new();
-        histograms.insert(
-            runner_metrics::NETWORK_NS.to_string(),
-            HistSummary {
+    fn synthetic_run(episodes: u64, network_ns_sum: u64) -> Snapshot {
+        Snapshot {
+            label: "synthetic".to_string(),
+            counters: vec![CounterSnapshot {
+                name: runner_metrics::EPISODES.to_string(),
+                value: episodes,
+            }],
+            gauges: Vec::new(),
+            histograms: vec![HistogramSnapshot {
+                name: runner_metrics::NETWORK_NS.to_string(),
                 count: 1,
                 sum: network_ns_sum,
                 mean: network_ns_sum as f64,
+                min: network_ns_sum,
                 p50: network_ns_sum,
                 p90: network_ns_sum,
                 p99: network_ns_sum,
                 max: network_ns_sum,
                 buckets: vec![(40, 1)],
-            },
-        );
-        RunMetrics {
-            label: "synthetic".to_string(),
-            counters,
-            gauges: BTreeMap::new(),
-            histograms,
+            }],
         }
-    }
-
-    #[test]
-    fn parse_run_round_trips_a_recorder_snapshot() {
-        let rec = Recorder::enabled();
-        rec.counter("runner.episodes").add(320);
-        rec.gauge("runner.networks_inflight").set(2);
-        rec.histogram("runner.network_ns").record(1_000_000);
-        rec.histogram("runner.network_ns").record(2_000_000);
-        let snap = rec.snapshot("cell").unwrap();
-        let run = parse_run(&snap.to_json()).unwrap();
-        assert_eq!(run.label, "cell");
-        assert_eq!(run.counters.get("runner.episodes"), Some(&320));
-        assert_eq!(run.gauges.get("runner.networks_inflight"), Some(&2));
-        let h = run.histograms.get("runner.network_ns").unwrap();
-        assert_eq!(h.count, 2);
-        assert_eq!(h.sum, 3_000_000);
-        assert!(!h.buckets.is_empty());
-        assert_eq!(
-            h.buckets.iter().map(|&(_, n)| n).sum::<u64>(),
-            2,
-            "bucket mass equals the sample count"
-        );
-    }
-
-    #[test]
-    fn parse_run_rejects_snapshotless_documents() {
-        assert!(parse_run("").is_err());
-        assert!(parse_run("{\"type\":\"event\",\"name\":\"x\",\"fields\":{}}\n").is_err());
     }
 
     #[test]
@@ -636,11 +474,11 @@ mod tests {
 
     #[test]
     fn missing_throughput_yields_no_data() {
-        let empty = RunMetrics {
+        let empty = Snapshot {
             label: "empty".to_string(),
-            counters: BTreeMap::new(),
-            gauges: BTreeMap::new(),
-            histograms: BTreeMap::new(),
+            counters: Vec::new(),
+            gauges: Vec::new(),
+            histograms: Vec::new(),
         };
         let full = synthetic_run(100, 1_000_000_000);
         assert_eq!(
@@ -654,14 +492,8 @@ mod tests {
     fn bucket_shift_reads_in_log2_units() {
         let mut base = synthetic_run(1000, 10_000_000_000);
         let mut cand = synthetic_run(1000, 10_000_000_000);
-        base.histograms
-            .get_mut("runner.network_ns")
-            .unwrap()
-            .buckets = vec![(30, 4)];
-        cand.histograms
-            .get_mut("runner.network_ns")
-            .unwrap()
-            .buckets = vec![(31, 2), (33, 2)];
+        base.histograms[0].buckets = vec![(30, 4)];
+        cand.histograms[0].buckets = vec![(31, 2), (33, 2)];
         let report = diff_runs(&[base], &cand, 0.25);
         let shift = report
             .shifts

@@ -7,15 +7,15 @@
 //!
 //! | profile        | what it exercises |
 //! |----------------|-------------------|
-//! | `panic`        | supervisor worker-restart: every first chunk claim panics |
-//! | `stall`        | stall speculation: stalled chunks are requeued, duplicates discarded |
+//! | `panic`        | in-place worker healing: every chunk's first attempt panics and is retried |
+//! | `stall`        | stalled chunks: a delayed chunk still folds correctly out of order |
 //! | `torn`         | checkpoint torn-write durability + resume over a corrupt tail |
 //! | `disk-full`    | checkpoint ENOSPC + resume over the surviving prefix |
 //! | `kill`         | a real child process aborted by `kill-after`, then resumed |
 //! | `deadline`     | deadline shedding: identical survivors at 1 and 4 workers |
 //! | `daemon-kill`  | a real `accu-serve` child aborted mid-job (checkpoint or registry kill channel), adopted by a restarted daemon |
 //! | `daemon-torn`  | torn registry writes and torn response frames under a retrying client |
-//! | `daemon-panic` | worker panics inside a service job, healed by the in-job supervisor |
+//! | `daemon-panic` | worker panics inside a service job, healed in place by its workers |
 //!
 //! The pass criterion is always the same: the final aggregate — and the
 //! Fig. 2 CSV rendered from it — must equal a clean fault-free run
@@ -28,7 +28,7 @@
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use accu_core::{
     ChaosConfig, ChaosPlan, FaultConfig, RetryPolicy, TraceAccumulator, ValidationMode,
@@ -37,7 +37,7 @@ use accu_datasets::{DatasetSpec, ProtocolConfig};
 use accu_experiments::output::series_table;
 use accu_experiments::service::{Daemon, DaemonConfig, JobSpec, JobState, ServiceClient};
 use accu_experiments::{
-    run_policy_with, Checkpoint, Deadline, FigureRun, PolicyKind, RunOptions, SupervisorConfig,
+    run_policy_with, Checkpoint, FigureRun, PolicyKind, RunOptions, SupervisorConfig,
     DEADLINE_MIN_NETWORKS,
 };
 
@@ -75,12 +75,10 @@ fn soak_figure(seed: u64) -> FigureRun {
     }
 }
 
-/// A supervisor tuned for soaking: no restart pauses, fast stall
-/// speculation.
+/// Healing tuned for soaking: no restart pauses.
 fn soak_supervisor() -> SupervisorConfig {
     SupervisorConfig {
         backoff_unit: Duration::ZERO,
-        stall_timeout: Duration::from_millis(15),
         ..SupervisorConfig::default()
     }
 }
@@ -117,8 +115,8 @@ fn baseline(figure: &FigureRun) -> TraceAccumulator {
         .accumulator
 }
 
-/// In-process healing profiles (`panic`, `stall`): the supervisor must
-/// absorb every injected worker fault without touching the results.
+/// In-process worker-fault profiles (`panic`, `stall`): the workers must
+/// absorb every injected fault without touching the results.
 fn heal_profile(fig_seed: u64, config: ChaosConfig) -> bool {
     let figure = soak_figure(fig_seed);
     let baseline = baseline(&figure);
@@ -282,7 +280,7 @@ fn deadline_profile(fig_seed: u64) -> bool {
             PolicyKind::abm_balanced(),
             RunOptions {
                 max_workers: Some(workers),
-                deadline: Some(Deadline::after(Duration::ZERO)),
+                deadline: Some(Instant::now()),
                 ..RunOptions::default()
             },
         ) {
@@ -578,9 +576,10 @@ fn daemon_torn_profile(fig_seed: u64, chaos_seed: u64, dir: &Path, tag: usize) -
     daemon_job_matches(&daemon, &spec, &want, chaos_seed) && journal_chain_ok(&registry, false)
 }
 
-/// Daemon panic profile: every first chunk claim inside the service job
-/// panics; the in-job supervisor restarts workers until the job heals,
-/// and the published result must still be byte-identical to batch.
+/// Daemon panic profile: every chunk's first attempt inside the service
+/// job panics; the job's workers retry each chunk in place until the job
+/// heals, and the published result must still be byte-identical to
+/// batch.
 fn daemon_panic_profile(fig_seed: u64, chaos_seed: u64, dir: &Path, tag: usize) -> bool {
     let spec = soak_spec(fig_seed);
     let want = match spec.run_batch() {

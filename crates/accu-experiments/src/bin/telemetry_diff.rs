@@ -28,9 +28,9 @@
 use std::path::Path;
 use std::process::ExitCode;
 
-use accu_experiments::analysis::{diff_runs, load_run, RunMetrics};
-use accu_telemetry::check_events;
+use accu_experiments::analysis::diff_runs;
 use accu_telemetry::obs::validate_prometheus;
+use accu_telemetry::{check_events, Snapshot};
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -87,9 +87,9 @@ fn main() -> ExitCode {
         return usage();
     }
     let candidate_path = files.pop().expect("len checked above");
-    let mut baselines: Vec<RunMetrics> = Vec::with_capacity(files.len());
+    let mut baselines: Vec<Snapshot> = Vec::with_capacity(files.len());
     for path in &files {
-        match load_run(Path::new(path)) {
+        match load_snapshot(Path::new(path)) {
             Ok(run) => baselines.push(run),
             Err(e) => {
                 eprintln!("error: {e}");
@@ -97,7 +97,7 @@ fn main() -> ExitCode {
             }
         }
     }
-    let candidate = match load_run(Path::new(&candidate_path)) {
+    let candidate = match load_snapshot(Path::new(&candidate_path)) {
         Ok(run) => run,
         Err(e) => {
             eprintln!("error: {e}");
@@ -116,6 +116,14 @@ fn main() -> ExitCode {
     } else {
         ExitCode::SUCCESS
     }
+}
+
+/// Reads the first snapshot line of a `--telemetry` JSONL file.
+fn load_snapshot(path: &Path) -> Result<Snapshot, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
+    text.lines()
+        .find_map(|line| Snapshot::from_json(line).ok())
+        .ok_or_else(|| format!("{}: no snapshot line found", path.display()))
 }
 
 /// Validates an event file with [`check_events`] and prints a per-job

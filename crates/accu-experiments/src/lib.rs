@@ -57,8 +57,8 @@ pub mod telemetry;
 pub use checkpoint::Checkpoint;
 pub use cli::{Cli, CliError, TraceSpec};
 pub use runner::{
-    run_policy_with, runner_metrics, Deadline, FigureRun, NetworkFailure, PolicyKind, RunOptions,
-    RunReport, RunnerError, SupervisorConfig, DEADLINE_MIN_NETWORKS,
+    run_policy_with, runner_metrics, FigureRun, NetworkFailure, PolicyKind, RunOptions, RunReport,
+    RunnerError, SupervisorConfig, DEADLINE_MIN_NETWORKS,
 };
 pub use scale::ExperimentScale;
 pub use telemetry::Telemetry;

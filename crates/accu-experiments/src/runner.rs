@@ -8,30 +8,37 @@
 //! [`Checkpoint`](crate::Checkpoint)) so a killed run resumes without
 //! recomputing finished work.
 //!
-//! ## Supervision
+//! ## Scheduling and self-healing
 //!
-//! Workers are *supervised*: the scheduling thread watches per-worker
-//! heartbeats, restarts panicked workers with capped exponential
-//! backoff (reusing [`RetryPolicy`] semantics), speculatively requeues
-//! chunks held by stalled workers, and quarantines a network only after
-//! a chunk exhausts its retry budget ([`SupervisorConfig`]). Chunk
-//! completions fold **at most once** — duplicate completions from
-//! speculation are discarded — so the aggregate (and therefore every
-//! figure CSV) is byte-identical under any restart or stall schedule.
-//! Only when the restart budget itself is exhausted does the run fail,
-//! with a typed [`RunnerError::WorkerPanicked`].
+//! The unit of work is one episode chunk of one network. Only chunk 0 of
+//! each network is queued up front, in index order; its claimer builds
+//! the network and then queues the sibling chunks at the front, so no
+//! claimer ever waits for a build. The queue caps concurrent builds at
+//! ⌈workers / chunks⌉, so idle workers join the network just built.
 //!
-//! A soft [`Deadline`] turns overruns into *graceful degradation*:
-//! networks not yet started when the deadline passes are shed in
-//! ascending index order (the surviving set is a prefix, independent of
-//! worker count), reported as `run.network` events with status `shed`,
-//! and counted on the [`RunReport`] so binaries can tag their output as
-//! degraded.
+//! Each worker contains its own failures: a panic while it holds a chunk
+//! is caught, and the worker retries that chunk after a capped
+//! exponential pause (reusing [`RetryPolicy`] semantics), spending one of
+//! the run's restarts. A network is quarantined only after one of its
+//! chunks exhausts its attempt budget ([`SupervisorConfig`]). Chunk
+//! completions fold **at most once** — a retry of a chunk that had
+//! already filed its outcomes files nothing — so the aggregate (and
+//! therefore every figure CSV) is byte-identical under any panic or
+//! stall schedule. Only when the restart budget itself is exhausted does
+//! the run fail, with a typed [`RunnerError::WorkerPanicked`].
+//!
+//! A soft deadline ([`RunOptions::deadline`]) turns overruns into
+//! *graceful degradation*: networks not yet started when the deadline
+//! passes are shed in ascending index order (the surviving set is a
+//! prefix, independent of worker count), reported as `run.network`
+//! events with status `shed`, and counted on the [`RunReport`] so
+//! binaries can tag their output as degraded.
 
-use std::collections::{BTreeMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use accu_core::chaos::{chaos_metrics, ChaosPlan, WorkerFault};
@@ -75,14 +82,11 @@ pub mod runner_metrics {
     /// Gauge: networks currently in flight (initialized but not yet
     /// retired) — visible live on the `--metrics-addr` endpoint.
     pub const NETWORKS_INFLIGHT: &str = "runner.networks_inflight";
-    /// Counter: worker threads restarted by the supervisor after a
-    /// panic (registered only when a restart happens).
+    /// Counter: chunk retries after a panic, each spending one of the
+    /// run's restarts (registered only when a retry happens).
     pub const SUPERVISOR_RESTARTS: &str = "runner.supervisor.restarts";
-    /// Counter: worker panics the supervisor absorbed.
+    /// Counter: panics caught while a worker held a chunk.
     pub const SUPERVISOR_PANICS: &str = "runner.supervisor.worker_panics";
-    /// Counter: chunks speculatively requeued because their worker's
-    /// heartbeat went stale.
-    pub const SUPERVISOR_STALL_REQUEUES: &str = "runner.supervisor.stall_requeues";
     /// Counter: networks shed by the soft deadline.
     pub const SUPERVISOR_SHED: &str = "runner.supervisor.shed_networks";
     /// Per-worker episode-throughput counter. Comparing these across
@@ -350,10 +354,10 @@ impl fmt::Display for NetworkFailure {
 #[derive(Debug)]
 #[non_exhaustive]
 pub enum RunnerError {
-    /// A worker thread died with the supervisor's restart budget
-    /// exhausted.
+    /// A worker's chunk panicked with the run's restart budget
+    /// ([`SupervisorConfig::max_restarts`]) already spent.
     WorkerPanicked {
-        /// Index of the dead worker.
+        /// Index of the worker that panicked.
         worker: usize,
         /// Its panic message.
         message: String,
@@ -438,12 +442,15 @@ pub struct RunOptions<'a> {
     /// Infrastructure chaos schedule (worker panics / stalls injected at
     /// chunk claim). The trivial default injects nothing at zero cost.
     pub chaos: ChaosPlan,
-    /// Worker-supervision knobs: restart budget and backoff, per-chunk
-    /// attempt budget, stall timeout.
+    /// Self-healing knobs: per-chunk attempt budget, restart budget and
+    /// backoff.
     pub supervisor: SupervisorConfig,
-    /// Soft deadline; when it passes, not-yet-started networks are shed
-    /// instead of run (graceful degradation). `None` never sheds.
-    pub deadline: Option<Deadline>,
+    /// Soft deadline; once it passes, networks not yet started are shed
+    /// instead of run (graceful degradation), except the first
+    /// [`DEADLINE_MIN_NETWORKS`]. Networks start in ascending index
+    /// order, so the survivors are a prefix of the sample list whatever
+    /// the worker count. `None` never sheds.
+    pub deadline: Option<Instant>,
 }
 
 impl Default for RunOptions<'_> {
@@ -461,34 +468,26 @@ impl Default for RunOptions<'_> {
     }
 }
 
-/// Backoff shape for the supervisor's restart pauses: the attacker's
+/// Backoff shape for the pause before a chunk retry: the attacker's
 /// standard [`RetryPolicy`] schedule, `min(2^(n−1), 8)` units.
 const RESTART_BACKOFF: RetryPolicy = RetryPolicy::standard();
 
-/// How the supervisor reacts to worker panics and stalls.
+/// How workers heal from panics.
 ///
-/// A panicked worker's in-flight chunk is requeued and a replacement
-/// thread spawned after a capped exponential pause
-/// (`backoff_unit × min(2^(n−1), 8)` for the `n`-th restart). A chunk
-/// that loses its worker `max_chunk_attempts` times quarantines its
-/// whole network (stage `"supervisor"`); once `max_restarts`
-/// replacements have been spent, the next panic ends the run with
-/// [`RunnerError::WorkerPanicked`]. A worker whose heartbeat
-/// goes silent for `stall_timeout` has its chunk speculatively requeued
-/// — at-most-once folding discards whichever copy finishes second, so
-/// speculation never changes results.
+/// A worker whose chunk panics retries that chunk in place after a
+/// capped exponential pause (`backoff_unit × min(2^(n−1), 8)` for the
+/// run's `n`-th restart). A chunk that panics `max_chunk_attempts`
+/// times quarantines its whole network (stage `"supervisor"`); once
+/// `max_restarts` retries have been spent, the next panic ends the run
+/// with [`RunnerError::WorkerPanicked`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SupervisorConfig {
-    /// Times one chunk may lose its worker before its network is
-    /// quarantined.
+    /// Times one chunk may panic before its network is quarantined.
     pub max_chunk_attempts: u32,
-    /// Total replacement workers the supervisor may spawn in one run.
+    /// Total chunk retries the workers may spend in one run.
     pub max_restarts: u32,
     /// Wall-clock length of one backoff unit.
     pub backoff_unit: Duration,
-    /// Heartbeat silence after which a worker's chunk is speculatively
-    /// requeued.
-    pub stall_timeout: Duration,
 }
 
 impl Default for SupervisorConfig {
@@ -497,7 +496,6 @@ impl Default for SupervisorConfig {
             max_chunk_attempts: 3,
             max_restarts: 32,
             backoff_unit: Duration::from_millis(25),
-            stall_timeout: Duration::from_secs(30),
         }
     }
 }
@@ -506,37 +504,6 @@ impl Default for SupervisorConfig {
 /// aggregates at least this many samples (clamped to the figure's
 /// `network_samples`), so confidence intervals stay computable.
 pub const DEADLINE_MIN_NETWORKS: usize = 2;
-
-/// A soft deadline for graceful degradation.
-///
-/// Networks are claimed in ascending index order, so once the deadline
-/// passes the surviving set is a *prefix* of the sample list — its
-/// statistics are identical to a fresh run over that many samples,
-/// independent of worker count or chunk granularity.
-#[derive(Debug, Clone, Copy)]
-pub struct Deadline {
-    /// The instant after which not-yet-started networks are shed.
-    pub at: Instant,
-    /// Floor on surviving networks (see [`DEADLINE_MIN_NETWORKS`]).
-    pub min_networks: usize,
-}
-
-impl Deadline {
-    /// A deadline `timeout` from now with the default survivor floor.
-    pub fn after(timeout: Duration) -> Self {
-        Self::until(Instant::now() + timeout)
-    }
-
-    /// A deadline at the absolute instant `at` with the default
-    /// survivor floor — what a multi-cell binary wants, so every cell
-    /// shares one wall-clock budget.
-    pub fn until(at: Instant) -> Self {
-        Deadline {
-            at,
-            min_networks: DEADLINE_MIN_NETWORKS,
-        }
-    }
-}
 
 /// The full result of a hardened run: the aggregate plus everything
 /// that went wrong or was skipped along the way.
@@ -556,10 +523,11 @@ pub struct RunReport {
     /// count means the `1 − e^{−λ}` guarantee does not cover those
     /// networks' contributions.
     pub repaired_networks: usize,
-    /// Networks shed by the soft [`Deadline`] before any episode ran
-    /// (scheduling, not failure — they are not quarantined).
+    /// Networks shed by the soft [`RunOptions::deadline`] before any
+    /// episode ran (scheduling, not failure — they are not quarantined).
     pub shed_networks: usize,
-    /// Replacement worker threads the supervisor spawned.
+    /// Chunk retries the workers spent healing panics, out of
+    /// [`SupervisorConfig::max_restarts`].
     pub supervisor_restarts: usize,
     /// Unparseable lines the attached checkpoint dropped when it was
     /// opened — the signature of a torn tail left by a crash
@@ -623,8 +591,8 @@ impl RunReport {
 ///
 /// * [`RunnerError::InvalidFaults`] if `figure.faults` is out of range;
 /// * [`RunnerError::Checkpoint`] if appending to the checkpoint fails;
-/// * [`RunnerError::WorkerPanicked`] if a worker dies with the
-///   supervisor's restart budget exhausted.
+/// * [`RunnerError::WorkerPanicked`] if a chunk panics with the run's
+///   restart budget already spent.
 pub fn run_policy_with(
     figure: &FigureRun,
     policy: PolicyKind,
@@ -687,19 +655,16 @@ pub fn run_policy_with(
     } else {
         1
     };
-    // The (network, episode-chunk) work queue over non-resumed
-    // networks. Chunks of one network are adjacent, so chunk 0 is
-    // always claimed first and its claimer initializes the shared
-    // per-network state; any later chunk claimed by a different worker
-    // is a steal.
-    let work: Vec<(usize, usize)> = (0..figure.network_samples)
+    // Only chunk 0 of each non-resumed network is queued, in index
+    // order; its claimer builds the network and queues the siblings.
+    let first_chunks: VecDeque<WorkItem> = (0..figure.network_samples)
         .filter(|net| !resumed.contains_key(net))
-        .flat_map(|net| (0..chunks).map(move |c| (net, c)))
+        .map(|net| WorkItem { net, chunk: 0 })
         .collect();
-    // Spawn only as many workers as there are work items, and report
-    // the post-clamp count actually spawned (replacement workers are
-    // counted on SUPERVISOR_RESTARTS, not here).
-    let threads = base_threads.min(work.len());
+    let total_chunks = first_chunks.len() * chunks;
+    // Spawn only as many workers as there are chunks, and report the
+    // post-clamp count actually spawned.
+    let threads = base_threads.min(total_chunks);
     recorder
         .counter(runner_metrics::WORKERS)
         .add(threads as u64);
@@ -711,16 +676,8 @@ pub fn run_policy_with(
     // the rest of the run.
     let ckpt_shared: Mutex<Option<&mut Checkpoint>> = Mutex::new(checkpoint);
     let ckpt_error: Mutex<Option<std::io::Error>> = Mutex::new(None);
-    let queue = WorkQueue::new(
-        work.iter()
-            .map(|&(net, chunk)| WorkItem {
-                net,
-                chunk,
-                attempt: 0,
-            })
-            .collect(),
-    );
-    let results = SharedResults::new(work.len());
+    let queue = WorkQueue::new(first_chunks, threads.div_ceil(chunks));
+    let results = SharedResults::new(total_chunks);
     let ctx = RunCtx {
         figure,
         policy,
@@ -730,161 +687,30 @@ pub fn run_policy_with(
         tracer: &tracer,
         events: &events,
         chaos,
+        supervisor,
         deadline,
         slots: &slots,
         queue: &queue,
         results: &results,
         ckpt_shared: &ckpt_shared,
         ckpt_error: &ckpt_error,
-        run_started: Instant::now(),
     };
-    let mut panicked: Option<(usize, String)> = None;
-    let mut restarts = 0u32;
-    if threads > 0 {
-        // Slots for every worker this run could ever spawn, allocated up
-        // front so scoped threads can borrow them.
-        let worker_states: Vec<WorkerState> = (0..threads + supervisor.max_restarts as usize)
-            .map(|_| WorkerState::new())
-            .collect();
-        let ctx = &ctx;
-        let worker_states = &worker_states;
-        std::thread::scope(|scope| {
-            let mut active: Vec<(usize, std::thread::ScopedJoinHandle<'_, ()>)> = (0..threads)
-                .map(|worker| {
-                    let wstate = &worker_states[worker];
-                    (
-                        worker,
-                        scope.spawn(move || worker_loop(ctx, worker, wstate)),
-                    )
-                })
-                .collect();
-            // Chunks already requeued once for a stalled holder, so a
-            // still-stalled worker is not speculated against twice.
-            let mut speculated: HashSet<(usize, usize, u32)> = HashSet::new();
-            // Supervise until every chunk is accounted or the restart
-            // budget is exhausted.
-            'supervise: while ctx.results.outstanding.load(Ordering::Acquire) > 0 {
-                let mut idx = 0;
-                while idx < active.len() {
-                    if !active[idx].1.is_finished() {
-                        idx += 1;
-                        continue;
-                    }
-                    let (wid, handle) = active.swap_remove(idx);
-                    let payload = match handle.join() {
-                        // Clean exits only happen once the queue closes;
-                        // tolerate (and drop) an early one.
-                        Ok(()) => continue,
-                        Err(payload) => payload,
-                    };
-                    let message = panic_message(payload.as_ref());
-                    recorder.counter(runner_metrics::SUPERVISOR_PANICS).incr();
-                    let item = worker_states[wid]
-                        .in_flight
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .take();
-                    if let Some(item) = item {
-                        // A death mid-initialization leaves siblings
-                        // parked on the condvar; reset the slot so the
-                        // retried chunk (or a waiting sibling) re-runs
-                        // init_network.
-                        let slot = &ctx.slots[item.net];
-                        {
-                            let mut lc = slot.lifecycle.lock().unwrap_or_else(|e| e.into_inner());
-                            if matches!(*lc, SlotLifecycle::Initializing) {
-                                *lc = SlotLifecycle::Uninit;
-                                slot.ready.notify_all();
-                            }
-                        }
-                        if item.attempt + 1 >= supervisor.max_chunk_attempts {
-                            abandon_network(
-                                ctx,
-                                item.net,
-                                format!(
-                                    "chunk {} lost its worker {} time(s); last panic: {}",
-                                    item.chunk,
-                                    item.attempt + 1,
-                                    message
-                                ),
-                            );
-                        } else {
-                            ctx.queue.push(WorkItem {
-                                attempt: item.attempt + 1,
-                                ..item
-                            });
-                        }
-                    }
-                    if restarts >= supervisor.max_restarts {
-                        eprintln!(
-                            "runner: worker {wid} panicked ({message}) with the \
-                             restart budget exhausted; aborting the run"
-                        );
-                        panicked = Some((wid, message));
-                        break 'supervise;
-                    }
-                    restarts += 1;
-                    recorder.counter(runner_metrics::SUPERVISOR_RESTARTS).incr();
-                    eprintln!(
-                        "runner: worker {wid} panicked ({message}); restart {restarts}/{}",
-                        supervisor.max_restarts
-                    );
-                    let units = RESTART_BACKOFF.backoff(restarts) as u32;
-                    let pause = supervisor.backoff_unit * units;
-                    if !pause.is_zero() {
-                        std::thread::sleep(pause);
-                    }
-                    let worker = threads + restarts as usize - 1;
-                    let wstate = &worker_states[worker];
-                    active.push((
-                        worker,
-                        scope.spawn(move || worker_loop(ctx, worker, wstate)),
-                    ));
-                }
-                if active.is_empty() {
-                    // Defensive: nobody left to make progress (should be
-                    // unreachable — exhausting restarts breaks above).
-                    break;
-                }
-                // Stall speculation: requeue chunks whose holder shows
-                // no heartbeat for stall_timeout; at-most-once folding
-                // discards whichever copy finishes second.
-                let now_ns = elapsed_ns(ctx.run_started);
-                for (wid, _) in &active {
-                    let ws = &worker_states[*wid];
-                    let held = *ws.in_flight.lock().unwrap_or_else(|e| e.into_inner());
-                    let Some(item) = held else { continue };
-                    let age_ns = now_ns.saturating_sub(ws.heartbeat.load(Ordering::Relaxed));
-                    if Duration::from_nanos(age_ns) >= supervisor.stall_timeout
-                        && speculated.insert((item.net, item.chunk, item.attempt))
-                    {
-                        recorder
-                            .counter(runner_metrics::SUPERVISOR_STALL_REQUEUES)
-                            .incr();
-                        ctx.queue.push(WorkItem {
-                            attempt: item.attempt + 1,
-                            ..item
-                        });
-                    }
-                }
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            ctx.queue.close();
-            for (wid, handle) in active {
-                if let Err(payload) = handle.join() {
-                    // A panic that raced the shutdown: keep the first.
-                    recorder.counter(runner_metrics::SUPERVISOR_PANICS).incr();
-                    if panicked.is_none() {
-                        panicked = Some((wid, panic_message(payload.as_ref())));
-                    }
-                }
-            }
-        });
-    }
+    std::thread::scope(|scope| {
+        for worker in 0..threads {
+            let ctx = &ctx;
+            scope.spawn(move || worker_loop(ctx, worker));
+        }
+    });
     let fresh = std::mem::take(&mut *results.done.lock().expect("results mutex poisoned"));
     let mut quarantined =
         std::mem::take(&mut *results.failures.lock().expect("results mutex poisoned"));
     let shed = std::mem::take(&mut *results.shed.lock().expect("results mutex poisoned"));
+    let panicked = results
+        .panicked
+        .lock()
+        .expect("results mutex poisoned")
+        .take();
+    let restarts = results.restarts.load(Ordering::Relaxed);
     let repaired_networks = results.repaired.load(Ordering::Relaxed);
     // Merge in network order: independent of thread scheduling, and
     // identical whether a network was computed fresh or resumed.
@@ -991,65 +817,78 @@ impl EngineTelemetry {
     }
 }
 
-/// One claimable unit: an episode chunk of one network, with its retry
-/// generation (bumped every time the chunk is requeued after a worker
-/// death or stall).
+/// One claimable unit: an episode chunk of one network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct WorkItem {
     net: usize,
     chunk: usize,
-    attempt: u32,
 }
 
-/// The supervised chunk queue: workers block on `pop`, the supervisor
-/// requeues lost chunks with `push` and shuts the pool down with
-/// `close`.
+/// The chunk queue: workers block on `pop`, a network's builder queues
+/// its sibling chunks with `built`, and whoever accounts the last chunk
+/// (or aborts the run) shuts the pool down with `close`.
+///
+/// Siblings go to the front, so the queue always reads "siblings, then
+/// chunk 0s in index order". A chunk 0 is handed out only while fewer
+/// than `max_builds` networks are building; an idle worker waits for
+/// the running build's siblings instead of building a network of its
+/// own (see [`footprint_chunks`]).
 struct WorkQueue {
     state: Mutex<QueueState>,
     available: Condvar,
+    max_builds: usize,
 }
 
 struct QueueState {
     items: VecDeque<WorkItem>,
+    /// Chunk 0s handed out whose network is not yet built, shed, or
+    /// given up.
+    building: usize,
     closed: bool,
 }
 
 impl WorkQueue {
-    fn new(items: VecDeque<WorkItem>) -> Self {
+    fn new(items: VecDeque<WorkItem>, max_builds: usize) -> Self {
         WorkQueue {
             state: Mutex::new(QueueState {
                 items,
+                building: 0,
                 closed: false,
             }),
             available: Condvar::new(),
+            max_builds: max_builds.max(1),
         }
     }
 
-    /// Blocks until an item is available or the queue is closed.
+    /// Blocks until an item may be handed out or the queue is closed; a
+    /// closed queue hands out nothing more.
     fn pop(&self) -> Option<WorkItem> {
         let mut st = self.state.lock().expect("work queue poisoned");
         loop {
-            if let Some(item) = st.items.pop_front() {
-                return Some(item);
-            }
             if st.closed {
                 return None;
             }
-            let (guard, _) = self
-                .available
-                .wait_timeout(st, Duration::from_millis(50))
-                .expect("work queue poisoned");
-            st = guard;
+            match st.items.front().copied() {
+                Some(item) if item.chunk > 0 || st.building < self.max_builds => {
+                    st.items.pop_front();
+                    st.building += usize::from(item.chunk == 0);
+                    return Some(item);
+                }
+                _ => st = self.available.wait(st).expect("work queue poisoned"),
+            }
         }
     }
 
-    fn push(&self, item: WorkItem) {
-        self.state
-            .lock()
-            .expect("work queue poisoned")
-            .items
-            .push_back(item);
-        self.available.notify_one();
+    /// Ends one network's build (built, failed, shed, or given up) and
+    /// queues its `siblings`, in order, ahead of everything waiting.
+    fn built(&self, siblings: impl DoubleEndedIterator<Item = WorkItem>) {
+        let mut st = self.state.lock().expect("work queue poisoned");
+        st.building -= 1;
+        for item in siblings.rev() {
+            st.items.push_front(item);
+        }
+        drop(st);
+        self.available.notify_all();
     }
 
     fn close(&self) {
@@ -1058,43 +897,20 @@ impl WorkQueue {
     }
 }
 
-/// Per-worker liveness state the supervisor reads: the last heartbeat
-/// (nanoseconds since run start) and the currently claimed item, so a
-/// dead or stalled worker's chunk can be requeued.
-struct WorkerState {
-    heartbeat: AtomicU64,
-    in_flight: Mutex<Option<WorkItem>>,
-}
-
-impl WorkerState {
-    fn new() -> Self {
-        WorkerState {
-            heartbeat: AtomicU64::new(0),
-            in_flight: Mutex::new(None),
-        }
-    }
-
-    fn beat(&self, run_started: Instant) {
-        self.heartbeat
-            .store(elapsed_ns(run_started), Ordering::Relaxed);
-    }
-}
-
-/// Nanoseconds since `start`, saturated into a `u64` heartbeat stamp.
-fn elapsed_ns(start: Instant) -> u64 {
-    u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
-}
-
-/// Completion sinks shared by every worker, so a worker death never
-/// loses finished networks — only its in-flight chunk, which the
-/// supervisor requeues.
+/// Completion sinks shared by every worker.
 struct SharedResults {
     done: Mutex<Vec<(usize, TraceAccumulator)>>,
     failures: Mutex<Vec<NetworkFailure>>,
     shed: Mutex<Vec<usize>>,
     repaired: AtomicUsize,
+    /// Chunk retries spent so far, out of `max_restarts`.
+    restarts: AtomicU32,
+    /// The panic that found the restart budget spent: `(worker,
+    /// message)`; the first one wins.
+    panicked: Mutex<Option<(usize, String)>>,
     /// Chunks not yet accounted (completed, failed, shed, or
-    /// abandoned); the supervisor shuts the pool down when it hits 0.
+    /// abandoned); the worker that accounts the last one closes the
+    /// queue.
     outstanding: AtomicUsize,
 }
 
@@ -1105,14 +921,16 @@ impl SharedResults {
             failures: Mutex::new(Vec::new()),
             shed: Mutex::new(Vec::new()),
             repaired: AtomicUsize::new(0),
+            restarts: AtomicU32::new(0),
+            panicked: Mutex::new(None),
             outstanding: AtomicUsize::new(outstanding),
         }
     }
 }
 
-/// Everything workers and the supervisor share for one run, bundled so
-/// it crosses the `thread::scope` boundary as a single reference. `'ck`
-/// is the checkpoint borrow threaded through the shared append handle.
+/// Everything the workers share for one run, bundled so it crosses the
+/// `thread::scope` boundary as a single reference. `'ck` is the
+/// checkpoint borrow threaded through the shared append handle.
 struct RunCtx<'env, 'ck> {
     figure: &'env FigureRun,
     policy: PolicyKind,
@@ -1123,13 +941,23 @@ struct RunCtx<'env, 'ck> {
     /// Lifecycle events; stages add `network`/`chunk` correlation IDs.
     events: &'env RunEvents,
     chaos: ChaosPlan,
-    deadline: Option<Deadline>,
+    supervisor: SupervisorConfig,
+    deadline: Option<Instant>,
     slots: &'env [NetworkSlot],
     queue: &'env WorkQueue,
     results: &'env SharedResults,
     ckpt_shared: &'env Mutex<Option<&'ck mut Checkpoint>>,
     ckpt_error: &'env Mutex<Option<std::io::Error>>,
-    run_started: Instant,
+}
+
+impl RunCtx<'_, '_> {
+    /// Accounts `n` more chunks; the call that accounts the last one
+    /// closes the queue, so idle workers exit.
+    fn account(&self, n: usize) {
+        if n > 0 && self.results.outstanding.fetch_sub(n, Ordering::AcqRel) == n {
+            self.queue.close();
+        }
+    }
 }
 
 /// A `run.network` event for network `net` with the given status.
@@ -1146,48 +974,101 @@ fn quarantine_event(net: usize, stage: &'static str, message: &str) -> Event {
         .arg("message", message.to_string())
 }
 
-/// One supervised worker: drains the chunk queue, marking each claim in
-/// `wstate` so the supervisor can requeue the in-flight item if this
-/// thread dies or stalls. Injected chaos worker faults fire on a
-/// chunk's first attempt only, so the supervised retry always makes
-/// progress.
-fn worker_loop(ctx: &RunCtx<'_, '_>, worker: usize, wstate: &WorkerState) {
+/// One self-healing worker: drains the chunk queue, catching any panic
+/// while it holds a chunk. A panicked chunk is retried in place, each
+/// retry spending one of the run's restarts, until it exhausts its
+/// attempt budget (its network is then quarantined) or finds the
+/// restart budget spent (the run then fails and the queue closes).
+/// Injected chaos worker faults fire on a chunk's first attempt only, so
+/// a retry always makes progress.
+fn worker_loop(ctx: &RunCtx<'_, '_>, worker: usize) {
     let tel = WorkerTelemetry::new(ctx.recorder, worker);
     let etel = EngineTelemetry::new(ctx.recorder);
     let track = ctx.tracer.track(&format!("worker-{worker}"));
     let mut scratch = EpisodeScratch::new();
+    let budget = ctx.supervisor;
     while let Some(item) = ctx.queue.pop() {
-        *wstate.in_flight.lock().expect("in-flight mutex poisoned") = Some(item);
-        wstate.beat(ctx.run_started);
         ctx.events.heartbeat();
-        if item.attempt == 0 {
-            match ctx.chaos.worker_fault(item.net, item.chunk) {
-                Some(WorkerFault::Panic) => {
-                    ctx.recorder.counter(chaos_metrics::WORKER_PANICS).incr();
-                    panic!(
-                        "chaos: injected worker panic (net {}, chunk {})",
-                        item.net, item.chunk
-                    );
+        let mut attempts = 0u32;
+        loop {
+            let ran = catch_unwind(AssertUnwindSafe(|| {
+                if attempts == 0 {
+                    match ctx.chaos.worker_fault(item.net, item.chunk) {
+                        Some(WorkerFault::Panic) => {
+                            ctx.recorder.counter(chaos_metrics::WORKER_PANICS).incr();
+                            panic!(
+                                "chaos: injected worker panic (net {}, chunk {})",
+                                item.net, item.chunk
+                            );
+                        }
+                        Some(WorkerFault::Stall(pause)) => {
+                            ctx.recorder.counter(chaos_metrics::WORKER_STALLS).incr();
+                            std::thread::sleep(pause);
+                        }
+                        None => {}
+                    }
                 }
-                Some(WorkerFault::Stall(pause)) => {
-                    ctx.recorder.counter(chaos_metrics::WORKER_STALLS).incr();
-                    std::thread::sleep(pause);
-                }
-                None => {}
+                process_chunk(ctx, item, worker, &tel, &etel, &track, &mut scratch);
+            }));
+            let Err(payload) = ran else { break };
+            let message = panic_message(payload.as_ref());
+            ctx.recorder
+                .counter(runner_metrics::SUPERVISOR_PANICS)
+                .incr();
+            attempts += 1;
+            if attempts >= budget.max_chunk_attempts {
+                abandon_network(
+                    ctx,
+                    item.net,
+                    format!(
+                        "chunk {} panicked {attempts} time(s); last panic: {message}",
+                        item.chunk
+                    ),
+                );
+                break;
+            }
+            let spent =
+                ctx.results
+                    .restarts
+                    .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
+                        (n < budget.max_restarts).then_some(n + 1)
+                    });
+            let Ok(before) = spent else {
+                eprintln!(
+                    "runner: worker {worker} panicked ({message}) with the \
+                     restart budget exhausted; aborting the run"
+                );
+                ctx.results
+                    .panicked
+                    .lock()
+                    .expect("results mutex poisoned")
+                    .get_or_insert((worker, message));
+                ctx.queue.close();
+                return;
+            };
+            let restart = before + 1;
+            ctx.recorder
+                .counter(runner_metrics::SUPERVISOR_RESTARTS)
+                .incr();
+            eprintln!(
+                "runner: worker {worker} panicked ({message}); restart {restart}/{}",
+                budget.max_restarts
+            );
+            let pause = budget.backoff_unit * RESTART_BACKOFF.backoff(restart) as u32;
+            if !pause.is_zero() {
+                std::thread::sleep(pause);
             }
         }
-        process_chunk(ctx, item, worker, &tel, &etel, &track, &mut scratch, wstate);
-        *wstate.in_flight.lock().expect("in-flight mutex poisoned") = None;
     }
 }
 
-/// Retires a never-started network under an expired deadline: accounts
-/// every outstanding chunk, emits its `shed` network event, and
+/// Retires a never-started network under an expired deadline: ends its
+/// build, accounts every chunk, emits its `shed` network event, and
 /// records the shed on the report. The caller has already moved the
-/// lifecycle to `Retired`, so racing claimers of sibling chunks no-op.
+/// lifecycle to `Retired`.
 fn shed_network(ctx: &RunCtx<'_, '_>, net: usize) {
-    let newly = ctx.slots[net].fill_all_chunks(ctx.chunks);
-    ctx.results.outstanding.fetch_sub(newly, Ordering::AcqRel);
+    ctx.queue.built(std::iter::empty());
+    ctx.account(ctx.slots[net].seal().map_or(0, |(newly, _)| newly));
     ctx.results
         .shed
         .lock()
@@ -1198,42 +1079,28 @@ fn shed_network(ctx: &RunCtx<'_, '_>, net: usize) {
         .emit(|| network_event(Severity::Warn, net, "shed"));
 }
 
-/// Supervisor-side quarantine: a chunk exhausted its attempt budget, so
-/// the whole network is dropped from the aggregate exactly as an
-/// episode panic would drop it. Accounts every outstanding chunk, wakes
-/// parked siblings, and reports the quarantine once — unless the
-/// network managed to finalize in the meantime, in which case nothing
-/// changes.
+/// Quarantine after a chunk exhausted its attempt budget: the whole
+/// network is dropped from the aggregate exactly as an episode panic
+/// would drop it. Accounts every outstanding chunk and reports the
+/// quarantine once — unless the network already finalized, in which
+/// case nothing changes.
 fn abandon_network(ctx: &RunCtx<'_, '_>, net: usize, message: String) {
     let slot = &ctx.slots[net];
-    {
-        let mut lc = slot.lifecycle.lock().unwrap_or_else(|e| e.into_inner());
-        *lc = SlotLifecycle::Retired;
-        slot.ready.notify_all();
+    let was = std::mem::replace(
+        &mut *slot
+            .lifecycle
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner),
+        SlotLifecycle::Retired,
+    );
+    if matches!(was, SlotLifecycle::Uninit) {
+        // Chunk 0 gave up before its network was built.
+        ctx.queue.built(std::iter::empty());
     }
-    let (newly, sealed_started) = {
-        let mut progress = slot.progress.lock().unwrap_or_else(|e| e.into_inner());
-        if progress.finalized {
-            (0, None)
-        } else {
-            let mut newly = 0;
-            for c in 0..ctx.chunks {
-                if !progress.chunk_filled[c] {
-                    progress.chunk_filled[c] = true;
-                    progress.filled += 1;
-                    newly += 1;
-                }
-            }
-            progress.finalized = true;
-            (newly, Some(progress.started.take()))
-        }
-    };
-    if newly > 0 {
-        ctx.results.outstanding.fetch_sub(newly, Ordering::AcqRel);
-    }
-    let Some(started) = sealed_started else {
+    let Some((newly, started)) = slot.seal() else {
         return;
     };
+    ctx.account(newly);
     ctx.recorder.counter(runner_metrics::QUARANTINED).incr();
     if let Some(started) = started {
         // The network had been claimed: balance the in-flight gauge its
@@ -1267,25 +1134,19 @@ struct NetworkState {
     was_repaired: bool,
 }
 
-/// Where a network is in its generate → run-chunks → fold lifecycle.
+/// Where a network is in its build → run-chunks → fold lifecycle.
 enum SlotLifecycle {
-    /// No chunk of this network claimed yet.
+    /// Chunk 0 not yet claimed (or its build panicked and awaits a
+    /// retry); no sibling chunk is queued.
     Uninit,
-    /// A worker is generating the network; siblings wait on the
-    /// condvar.
-    Initializing,
     /// Shared state ready for chunk execution.
     Ready {
         state: Arc<NetworkState>,
         init_worker: usize,
     },
-    /// Dataset / protocol / validation failed; the initializing chunk
-    /// already reported the quarantine and accounted every chunk, so
-    /// siblings skip silently.
-    Failed,
-    /// All chunks accounted (folded, quarantined, shed, or abandoned)
-    /// and the instance memory released. Late claimers — speculation
-    /// duplicates, requeues that raced the original — no-op here.
+    /// Every chunk accounted (folded, quarantined, shed, or abandoned)
+    /// and the instance memory released. Sibling chunks of an abandoned
+    /// network no-op here.
     Retired,
 }
 
@@ -1295,9 +1156,9 @@ struct SlotProgress {
     started: Option<Instant>,
     /// Chunks accounted so far (completed, failed, shed, or abandoned).
     filled: usize,
-    /// Per-chunk accounting bits backing the at-most-once fold:
-    /// duplicate completions from stall speculation find their bit
-    /// already set and discard their outcomes.
+    /// Per-chunk accounting bits backing the at-most-once fold: a retry
+    /// of a chunk that panicked after filing its outcomes finds its bit
+    /// already set and files nothing.
     chunk_filled: Vec<bool>,
     /// Set once the network's fate is sealed (folded, quarantined,
     /// shed, or abandoned); later accounting passes become no-ops.
@@ -1312,7 +1173,6 @@ struct SlotProgress {
 /// One entry of the per-network slot table.
 struct NetworkSlot {
     lifecycle: Mutex<SlotLifecycle>,
-    ready: Condvar,
     progress: Mutex<SlotProgress>,
 }
 
@@ -1320,7 +1180,6 @@ impl NetworkSlot {
     fn new(chunks: usize) -> Self {
         NetworkSlot {
             lifecycle: Mutex::new(SlotLifecycle::Uninit),
-            ready: Condvar::new(),
             progress: Mutex::new(SlotProgress {
                 started: None,
                 filled: 0,
@@ -1332,35 +1191,38 @@ impl NetworkSlot {
         }
     }
 
-    /// Marks every not-yet-filled chunk as accounted and seals the
-    /// slot; returns how many chunks this newly accounted (the caller
-    /// owes that many `outstanding` decrements).
-    fn fill_all_chunks(&self, chunks: usize) -> usize {
-        let mut progress = self.progress.lock().unwrap_or_else(|e| e.into_inner());
-        let mut newly = 0;
-        for c in 0..chunks {
-            if !progress.chunk_filled[c] {
-                progress.chunk_filled[c] = true;
-                progress.filled += 1;
-                newly += 1;
-            }
+    /// Marks every chunk not yet filed as accounted and seals the slot,
+    /// unless it is already sealed. Returns how many chunks this newly
+    /// accounted (the caller passes them to [`RunCtx::account`]) and
+    /// when the network's build started, if it was claimed.
+    fn seal(&self) -> Option<(usize, Option<Instant>)> {
+        let mut progress = self.progress.lock().unwrap_or_else(PoisonError::into_inner);
+        if progress.finalized {
+            return None;
         }
         progress.finalized = true;
-        newly
+        let newly = progress
+            .chunk_filled
+            .iter()
+            .filter(|filled| !**filled)
+            .count();
+        progress.chunk_filled.fill(true);
+        progress.filled += newly;
+        Some((newly, progress.started.take()))
     }
 }
 
 /// Cache-aware default chunk granularity for one network's episodes.
 ///
-/// Splitting a network across many workers makes every one of them
-/// stream the same instance; that is free while the instance fits in
-/// the last-level cache and ruinous once it does not (each worker then
-/// pulls the whole footprint from DRAM per episode). Above the LLC
-/// budget the default collapses to whole-network affinity — one chunk,
-/// one worker, one resident instance — and workers parallelize across
-/// networks instead. The choice never affects results: episode seeds
-/// are pre-drawn in episode order and outcomes fold in episode order,
-/// so CSV output is byte-identical under any chunking.
+/// Below the LLC budget a network splits into one chunk per worker and
+/// the work queue builds one network at a time, so idle workers wait
+/// for its siblings and share one instance held in cache. That is
+/// ruinous once the instance no longer fits (each worker then pulls the
+/// whole footprint from DRAM per episode), so above the budget the
+/// default collapses to whole-network affinity — one chunk, one worker,
+/// one resident instance — and workers build and run networks in
+/// parallel. Results never depend on it: episode seeds are pre-drawn
+/// and outcomes fold in episode order, so CSVs are byte-identical.
 fn footprint_chunks(base_threads: usize, nodes: usize) -> usize {
     /// Rough per-node instance footprint: CSR offsets + two adjacency
     /// mirrors + per-node parameter rows (≈ 96 bytes at the scale
@@ -1473,20 +1335,20 @@ fn init_network(
     })
 }
 
-/// Claims one `(network, chunk)` work item: initializes (or waits for)
-/// the network's shared state, runs the chunk's episodes one at a time
-/// in the worker's [`EpisodeScratch`], and — when this was the
-/// network's last outstanding chunk — folds the outcomes in episode
-/// order, checkpoints, and retires the slot. Dataset/protocol/validation
-/// failures quarantine via the initializing chunk; an episode-loop
-/// panic quarantines the network at finalize.
+/// Claims one `(network, chunk)` work item: builds the network's shared
+/// state (chunk 0, which then queues its siblings) or reuses it, runs
+/// the chunk's episodes one at a time in the worker's
+/// [`EpisodeScratch`], and — when this was the network's last
+/// outstanding chunk — folds the outcomes in episode order,
+/// checkpoints, and retires the slot. Dataset/protocol/validation
+/// failures quarantine via chunk 0; an episode-loop panic quarantines
+/// the network at finalize.
 ///
 /// Tracing: the chunk and episode loop run under `chunk`/`episodes`
 /// spans on the worker's `track`; each episode toggles the track's
 /// sampling gate by its run-global index (`net × runs_per_network +
 /// ep`), so sampled episodes carry `episode_begin`/`episode_end`
 /// markers plus the simulator's and policy's per-step events.
-#[allow(clippy::too_many_arguments)]
 fn process_chunk(
     ctx: &RunCtx<'_, '_>,
     item: WorkItem,
@@ -1495,85 +1357,74 @@ fn process_chunk(
     etel: &EngineTelemetry,
     track: &TraceTrack,
     scratch: &mut EpisodeScratch,
-    wstate: &WorkerState,
 ) {
-    let WorkItem { net, chunk, .. } = item;
+    let WorkItem { net, chunk } = item;
     let figure = ctx.figure;
     let slot = &ctx.slots[net];
     let state: Arc<NetworkState> = {
         let mut lc = slot.lifecycle.lock().expect("slot mutex poisoned");
-        loop {
-            match &*lc {
-                SlotLifecycle::Uninit => {
-                    // Soft deadline: shed a network nobody has started
-                    // yet. Claims pop in ascending network order, so
-                    // the survivors form a prefix of the sample list.
-                    if let Some(dl) = ctx.deadline {
-                        if net >= dl.min_networks && Instant::now() >= dl.at {
-                            *lc = SlotLifecycle::Retired;
-                            slot.ready.notify_all();
-                            drop(lc);
-                            shed_network(ctx, net);
-                            return;
-                        }
-                    }
-                    *lc = SlotLifecycle::Initializing;
+        match &*lc {
+            SlotLifecycle::Ready { state, init_worker } => {
+                if *init_worker != worker {
+                    etel.steals.incr();
+                }
+                Arc::clone(state)
+            }
+            // Shed, quarantined or abandoned: nothing left to do.
+            SlotLifecycle::Retired => return,
+            // Only chunk 0 is ever claimed before its network is built.
+            SlotLifecycle::Uninit => {
+                // Soft deadline: shed a network nobody has started yet.
+                // Chunk 0s pop in ascending network order, so the
+                // survivors form a prefix of the sample list.
+                if ctx
+                    .deadline
+                    .is_some_and(|at| net >= DEADLINE_MIN_NETWORKS && Instant::now() >= at)
+                {
+                    *lc = SlotLifecycle::Retired;
                     drop(lc);
-                    tel.networks_inflight.add(1);
-                    let started = Instant::now();
-                    slot.progress
-                        .lock()
-                        .expect("progress mutex poisoned")
-                        .started = Some(started);
-                    let built = init_network(figure, net, ctx.recorder, track);
-                    lc = slot.lifecycle.lock().expect("slot mutex poisoned");
-                    match built {
-                        Ok(state) => {
-                            let state = Arc::new(state);
-                            *lc = SlotLifecycle::Ready {
+                    shed_network(ctx, net);
+                    return;
+                }
+                drop(lc);
+                tel.networks_inflight.add(1);
+                let started = Instant::now();
+                slot.progress
+                    .lock()
+                    .expect("progress mutex poisoned")
+                    .started = Some(started);
+                match init_network(figure, net, ctx.recorder, track) {
+                    Ok(state) => {
+                        let state = Arc::new(state);
+                        *slot.lifecycle.lock().expect("slot mutex poisoned") =
+                            SlotLifecycle::Ready {
                                 state: Arc::clone(&state),
                                 init_worker: worker,
                             };
-                            slot.ready.notify_all();
-                            break state;
-                        }
-                        Err(failure) => {
-                            *lc = SlotLifecycle::Failed;
-                            slot.ready.notify_all();
-                            drop(lc);
-                            // Exactly-once reporting: only the
-                            // initializing chunk lands here. Account
-                            // every chunk of the failed network so the
-                            // supervisor sees them all resolved.
-                            let newly = slot.fill_all_chunks(ctx.chunks);
-                            ctx.results.outstanding.fetch_sub(newly, Ordering::AcqRel);
-                            ctx.recorder.counter(runner_metrics::QUARANTINED).incr();
-                            tel.networks_inflight.sub(1);
-                            tel.network_ns.record(started.elapsed().as_nanos() as u64);
-                            ctx.events
-                                .emit(|| quarantine_event(net, failure.stage, &failure.message));
-                            ctx.results
-                                .failures
-                                .lock()
-                                .expect("results mutex poisoned")
-                                .push(failure);
-                            return;
-                        }
+                        ctx.queue
+                            .built((1..ctx.chunks).map(|chunk| WorkItem { net, chunk }));
+                        state
+                    }
+                    Err(failure) => {
+                        // No sibling was queued, so the quarantine is
+                        // reported exactly once, here.
+                        *slot.lifecycle.lock().expect("slot mutex poisoned") =
+                            SlotLifecycle::Retired;
+                        ctx.queue.built(std::iter::empty());
+                        ctx.account(slot.seal().map_or(0, |(newly, _)| newly));
+                        ctx.recorder.counter(runner_metrics::QUARANTINED).incr();
+                        tel.networks_inflight.sub(1);
+                        tel.network_ns.record(started.elapsed().as_nanos() as u64);
+                        ctx.events
+                            .emit(|| quarantine_event(net, failure.stage, &failure.message));
+                        ctx.results
+                            .failures
+                            .lock()
+                            .expect("results mutex poisoned")
+                            .push(failure);
+                        return;
                     }
                 }
-                SlotLifecycle::Initializing => {
-                    lc = slot.ready.wait(lc).expect("slot mutex poisoned");
-                }
-                SlotLifecycle::Ready { state, init_worker } => {
-                    if *init_worker != worker {
-                        etel.steals.incr();
-                    }
-                    break Arc::clone(state);
-                }
-                // Both arms mean the network is already fully accounted
-                // (failed init, shed, abandoned, or retired before this
-                // duplicate arrived) — nothing left to do.
-                SlotLifecycle::Failed | SlotLifecycle::Retired => return,
             }
         }
     };
@@ -1586,7 +1437,7 @@ fn process_chunk(
             ("chunk", TraceValue::U64(chunk as u64)),
         ],
     );
-    let episodes = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+    let episodes = catch_unwind(AssertUnwindSafe(|| {
         let mut policy_impl =
             ctx.policy
                 .instantiate_instrumented(state.policy_seed, ctx.recorder, track);
@@ -1671,9 +1522,6 @@ fn process_chunk(
             outcomes.push(outcome.clone());
             tel.episodes.incr();
             tel.worker_episodes.incr();
-            // Heartbeats: both the worker's supervisor-facing stamp and
-            // the run-level stall watchdog advance per episode.
-            wstate.beat(ctx.run_started);
             ctx.events.episode_done(outcome.faults.faults_seen() as u64);
         }
         drop(episodes_trace);
@@ -1697,13 +1545,13 @@ fn process_chunk(
     });
     let mut progress = slot.progress.lock().expect("progress mutex poisoned");
     if progress.chunk_filled[chunk] {
-        // A duplicate completion (stall speculation, or a requeue that
-        // raced the original): at-most-once folding keeps the first
-        // copy and discards this one without touching `outstanding`.
+        // A retry of a chunk that panicked after filing its outcomes, or
+        // a chunk of a network abandoned meanwhile: fold at most once.
         return;
     }
     progress.chunk_filled[chunk] = true;
     progress.filled += 1;
+    ctx.account(1);
     match episodes {
         Ok(outcomes) => {
             if progress.outcomes.is_empty() {
@@ -1719,9 +1567,7 @@ fn process_chunk(
             }
         }
     }
-    if progress.filled < ctx.chunks || progress.finalized {
-        drop(progress);
-        ctx.results.outstanding.fetch_sub(1, Ordering::AcqRel);
+    if progress.filled < ctx.chunks {
         return;
     }
     progress.finalized = true;
@@ -1788,7 +1634,6 @@ fn process_chunk(
                 .push((net, acc));
         }
     }
-    ctx.results.outstanding.fetch_sub(1, Ordering::AcqRel);
 }
 
 #[cfg(test)]
@@ -2351,6 +2196,27 @@ mod tests {
     }
 
     #[test]
+    fn work_queue_hands_out_a_chunk_zero_only_while_a_build_slot_is_free() {
+        let item = |net, chunk| WorkItem { net, chunk };
+        let queue = WorkQueue::new((0..3).map(|net| item(net, 0)).collect(), 2);
+        assert_eq!(queue.pop(), Some(item(0, 0)));
+        assert_eq!(queue.pop(), Some(item(1, 0)));
+        std::thread::scope(|s| {
+            // Two networks are building: network 2 waits for a slot, and
+            // network 1's siblings go ahead of it once it is built.
+            let waiter = s.spawn(|| queue.pop());
+            std::thread::sleep(Duration::from_millis(20));
+            assert!(!waiter.is_finished());
+            queue.built((1..3).map(|chunk| item(1, chunk)));
+            assert_eq!(waiter.join().unwrap(), Some(item(1, 1)));
+        });
+        assert_eq!(queue.pop(), Some(item(1, 2)));
+        assert_eq!(queue.pop(), Some(item(2, 0)));
+        queue.close();
+        assert_eq!(queue.pop(), None);
+    }
+
+    #[test]
     fn chunked_scheduling_is_bit_identical_to_sequential() {
         let fig = FigureRun {
             runs_per_network: 4,
@@ -2434,8 +2300,8 @@ mod tests {
         assert_eq!(snap.counter(runner_metrics::WORKERS), Some(3));
     }
 
-    /// A supervisor tuned for tests: no restart pauses, so healing
-    /// storms of injected panics stays fast.
+    /// Healing tuned for tests: no restart pauses, so healing storms of
+    /// injected panics stays fast.
     fn eager_supervisor() -> SupervisorConfig {
         SupervisorConfig {
             backoff_unit: Duration::ZERO,
@@ -2445,9 +2311,9 @@ mod tests {
 
     #[test]
     fn chaos_worker_panics_are_healed_by_supervisor() {
-        // panic=1.0 kills the worker on every first claim of every
-        // chunk; the requeued attempt-1 claim is fault-free, so the
-        // healed run must match the clean run bit-for-bit.
+        // panic=1.0 panics on the first attempt of every chunk; the
+        // in-place retry is fault-free, so the healed run must match the
+        // clean run bit-for-bit.
         let fig = tiny_figure();
         let reference = run(&fig, PolicyKind::abm_balanced());
         let chaos = ChaosPlan::sample(&accu_core::ChaosConfig {
@@ -2487,47 +2353,6 @@ mod tests {
     }
 
     #[test]
-    fn stalled_workers_are_speculatively_requeued() {
-        // Every first claim stalls far past the supervisor's stall
-        // timeout; speculation hands the chunk to a healthy worker and
-        // the duplicate completion is discarded, so results still match
-        // the clean run.
-        let fig = tiny_figure();
-        let reference = run(&fig, PolicyKind::abm_balanced());
-        let chaos = ChaosPlan::sample(&accu_core::ChaosConfig {
-            worker_stall: 1.0,
-            stall_ms: 150,
-            ..accu_core::ChaosConfig::none()
-        });
-        let recorder = Recorder::enabled();
-        let report = run_policy_with(
-            &fig,
-            PolicyKind::abm_balanced(),
-            RunOptions {
-                recorder: recorder.clone(),
-                chaos,
-                max_workers: Some(2),
-                supervisor: SupervisorConfig {
-                    stall_timeout: Duration::from_millis(20),
-                    ..eager_supervisor()
-                },
-                ..RunOptions::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(report.accumulator, reference);
-        assert!(report.quarantined.is_empty());
-        let snap = recorder.snapshot("stall-heal").unwrap();
-        assert!(snap.counter(chaos_metrics::WORKER_STALLS).unwrap() > 0);
-        assert!(
-            snap.counter(runner_metrics::SUPERVISOR_STALL_REQUEUES)
-                .unwrap_or(0)
-                > 0,
-            "the supervisor must have speculated at least one stalled chunk"
-        );
-    }
-
-    #[test]
     fn deadline_zero_sheds_everything_beyond_the_minimum() {
         // An already-expired deadline sheds every network past the
         // survivor floor. Networks are claimed in index order, so the
@@ -2549,7 +2374,7 @@ mod tests {
                 PolicyKind::abm_balanced(),
                 RunOptions {
                     max_workers: Some(workers),
-                    deadline: Some(Deadline::after(Duration::ZERO)),
+                    deadline: Some(Instant::now()),
                     ..RunOptions::default()
                 },
             )
@@ -2574,7 +2399,7 @@ mod tests {
     fn exhausted_chunk_attempts_quarantine_with_supervisor_stage() {
         // max_chunk_attempts=1 means the first injected panic abandons
         // the whole network; with panic=1.0 every network dies, exactly
-        // once each despite the repeated panics on sibling chunks.
+        // once each, and no retry is spent.
         let fig = tiny_figure();
         let chaos = ChaosPlan::sample(&accu_core::ChaosConfig {
             worker_panic: 1.0,
@@ -2599,6 +2424,7 @@ mod tests {
         assert_eq!(report.completed_networks, 0);
         assert_eq!(report.accumulator.runs(), 0);
         assert_eq!(report.shed_networks, 0);
+        assert_eq!(report.supervisor_restarts, 0);
     }
 
     #[test]

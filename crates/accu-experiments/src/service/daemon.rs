@@ -60,25 +60,16 @@ const POLL: Duration = Duration::from_millis(20);
 
 /// Metric names emitted by the service daemon.
 ///
-/// The `service.*` families are the original job-lifecycle counters;
-/// the `serve.*` families are the daemon-operational set added for the
-/// metrics endpoint (rendered as `accu_serve_*` by the Prometheus
-/// encoder).
+/// The `service.*` names count submissions and job outcomes; the
+/// `serve.*` names are the daemon-operational set (rendered as
+/// `accu_serve_*` by the Prometheus encoder).
 pub mod service_metrics {
     /// Counter: submissions accepted (all outcomes).
     pub const SUBMISSIONS: &str = "service.submissions";
-    /// Counter: submissions rejected by admission control.
-    pub const OVERLOADED: &str = "service.overloaded";
-    /// Counter: orphaned jobs adopted by the sweep.
-    pub const ADOPTED: &str = "service.adopted";
     /// Counter: jobs finished successfully.
     pub const JOBS_DONE: &str = "service.jobs_done";
     /// Counter: jobs that ended in failure.
     pub const JOBS_FAILED: &str = "service.jobs_failed";
-    /// Gauge: jobs waiting in the in-process queue.
-    pub const JOBS_QUEUED: &str = "service.jobs_queued";
-    /// Gauge: jobs currently executing in this daemon.
-    pub const JOBS_RUNNING: &str = "service.jobs_running";
     /// Gauge: queue depth (`accu_serve_queue_depth`).
     pub const QUEUE_DEPTH: &str = "serve.queue_depth";
     /// Gauge: jobs executing in this daemon (`accu_serve_inflight`).
@@ -197,12 +188,8 @@ impl Shared {
         true
     }
 
-    /// Updates both queue-depth gauges (legacy `service.*` and the
-    /// scrape-facing `serve.*` family).
+    /// Updates the queue-depth gauge.
     fn set_queue_depth(&self, depth: usize) {
-        self.recorder
-            .gauge(service_metrics::JOBS_QUEUED)
-            .set(depth as i64);
         self.recorder
             .gauge(service_metrics::QUEUE_DEPTH)
             .set(depth as i64);
@@ -573,7 +560,6 @@ fn submit(shared: &Shared, job: &str, spec: &crate::service::spec::JobSpec) -> R
         }
     };
     if will_enqueue && queue.len() >= shared.queue_cap {
-        shared.recorder.counter(service_metrics::OVERLOADED).incr();
         shared
             .recorder
             .counter(service_metrics::ADMISSION_REJECTIONS)
@@ -797,7 +783,6 @@ fn run_one_job(shared: &Arc<Shared>, job: &str) {
         Ok(Some(current)) if current.is_stale(ttl_ms, now_ms()) => {
             let adopted = lease_file.takeover(&current).unwrap_or(None);
             if let Some(lease) = &adopted {
-                shared.recorder.counter(service_metrics::ADOPTED).incr();
                 shared.recorder.counter(service_metrics::TAKEOVERS).incr();
                 shared.journal.emit(
                     Event::warn("lease.takeover")
@@ -824,7 +809,6 @@ fn run_one_job(shared: &Arc<Shared>, job: &str) {
         .lock()
         .expect("running lock")
         .insert(job.to_string());
-    shared.recorder.gauge(service_metrics::JOBS_RUNNING).add(1);
     shared.recorder.gauge(service_metrics::INFLIGHT).add(1);
 
     let outcome = execute(shared, job, &lease, &corr);
@@ -836,7 +820,6 @@ fn run_one_job(shared: &Arc<Shared>, job: &str) {
             .msg(format!("lease released at epoch {}", lease.epoch)),
     );
     shared.running.lock().expect("running lock").remove(job);
-    shared.recorder.gauge(service_metrics::JOBS_RUNNING).sub(1);
     shared.recorder.gauge(service_metrics::INFLIGHT).sub(1);
     match outcome {
         ExecOutcome::Published => shared.recorder.counter(service_metrics::JOBS_DONE).incr(),

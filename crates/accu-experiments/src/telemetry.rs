@@ -30,7 +30,7 @@ use crate::checkpoint::Checkpoint;
 use crate::cli::Cli;
 use crate::output::{experiments_dir, fnum, Table};
 use crate::runner::{
-    run_policy_with, runner_metrics, Deadline, FigureRun, PolicyKind, RunOptions, SupervisorConfig,
+    run_policy_with, runner_metrics, FigureRun, PolicyKind, RunOptions, SupervisorConfig,
 };
 
 /// Where the bench trajectory lives relative to the working directory;
@@ -318,7 +318,7 @@ impl Telemetry {
             max_workers: self.workers,
             chaos: self.chaos,
             supervisor: SupervisorConfig::default(),
-            deadline: self.deadline_at.map(Deadline::until),
+            deadline: self.deadline_at,
         };
         let report = run_policy_with(figure, policy, opts).unwrap_or_else(|e| fail(&e));
         let (name, networks) = (policy.name(), figure.network_samples);

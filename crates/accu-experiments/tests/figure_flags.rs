@@ -127,7 +127,7 @@ fn fig6_streams_progress_for_every_cell() {
 fn exhausted_restart_budget_exits_nonzero_without_a_figure() {
     let dir = scratch("restarts");
     // 9 in 10 first chunk claims panic: more panics than the 32
-    // restarts the supervisor may spend.
+    // restarts the workers may spend.
     let out = run(
         env!("CARGO_BIN_EXE_fig4"),
         &dir,

@@ -109,15 +109,13 @@ fn stream_kinds(path: &Path) -> Vec<String> {
         .collect()
 }
 
-/// A run that aborts still streams the networks it salvaged, in index
+/// A run that aborts still streams the networks it completed, in index
 /// order, then `run.fail`; the next run on the same observer starts
 /// with an empty buffer.
 ///
-/// Two workers, no restarts, and a chaos seed whose first-attempt
-/// panics hit networks 0 and 2: whichever worker claims network 0 dies,
-/// the other completes network 1 and dies on network 2 (the requeued
-/// network 0 sits behind it). Network 1 is salvaged behind the
-/// never-reported network 0.
+/// One worker, no restarts, and a chaos seed whose first-attempt panic
+/// hits network 1 only: the worker completes network 0, and the panic
+/// on network 1 finds the restart budget spent and aborts the run.
 #[test]
 fn aborted_run_flushes_salvaged_networks_and_the_next_run_starts_clean() {
     let dir = scratch_dir("abort");
@@ -135,7 +133,7 @@ fn aborted_run_flushes_salvaged_networks_and_the_next_run_starts_clean() {
         })
         .find(|plan| {
             (0..figure.network_samples).all(|net| {
-                matches!(plan.worker_fault(net, 0), Some(WorkerFault::Panic)) == (net % 2 == 0)
+                matches!(plan.worker_fault(net, 0), Some(WorkerFault::Panic)) == (net == 1)
             })
         })
         .unwrap();
@@ -146,7 +144,7 @@ fn aborted_run_flushes_salvaged_networks_and_the_next_run_starts_clean() {
         PolicyKind::abm_balanced(),
         RunOptions {
             events: progress.clone().into(),
-            max_workers: Some(2),
+            max_workers: Some(1),
             chaos,
             supervisor: SupervisorConfig {
                 max_restarts: 0,
@@ -159,7 +157,7 @@ fn aborted_run_flushes_salvaged_networks_and_the_next_run_starts_clean() {
         completed_networks, ..
     }) = aborted
     else {
-        panic!("the injected panics must abort the run: {aborted:?}");
+        panic!("the injected panic must abort the run: {aborted:?}");
     };
     assert_eq!(completed_networks, 1);
     run_policy_with(
@@ -171,7 +169,7 @@ fn aborted_run_flushes_salvaged_networks_and_the_next_run_starts_clean() {
         },
     )
     .unwrap();
-    let mut want = vec!["run.begin", "run.network#1", "run.fail", "run.begin"];
+    let mut want = vec!["run.begin", "run.network#0", "run.fail", "run.begin"];
     want.extend([
         "run.network#0",
         "run.network#1",

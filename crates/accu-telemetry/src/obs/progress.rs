@@ -220,7 +220,7 @@ impl Observer {
         inner.last_progress_ns.store(ns, Ordering::Relaxed);
     }
 
-    /// Signals liveness without counting progress: the supervisor calls
+    /// Signals liveness without counting progress: the runner calls
     /// this when a worker claims work, so the stall watchdog measures
     /// from the last *sign of life* rather than the last completed
     /// episode (which can legitimately be long on large networks).

@@ -2,7 +2,8 @@
 //!
 //! The workspace has no serde; snapshots serialize through a small
 //! hand-rolled JSON writer, one object per line, beside
-//! [`Event`](crate::Event) lines:
+//! [`Event`](crate::Event) lines, and [`Snapshot::from_json`] reads a
+//! line back:
 //!
 //! ```json
 //! {"type":"snapshot","label":"fig2/ABM","counters":{"sim.requests":900},
@@ -18,6 +19,7 @@ use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
 
 use crate::event::Event;
+use crate::trace::{parse_json, Json};
 
 /// One counter's value at snapshot time.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -157,6 +159,84 @@ impl Snapshot {
         }
         out.push_str("}}");
         out
+    }
+
+    /// Parses one line written by [`Snapshot::to_json`]. Older lines
+    /// without a `gauges` object, or with histograms lacking `buckets`
+    /// or `min`, read those as empty or 0.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description when the line is not JSON or not a
+    /// snapshot.
+    pub fn from_json(line: &str) -> Result<Snapshot, String> {
+        let doc = parse_json(line)?;
+        if doc.get("type").and_then(Json::as_str) != Some("snapshot") {
+            return Err("not a snapshot line".to_string());
+        }
+        let entries = |key: &str| match doc.get(key) {
+            Some(Json::Obj(entries)) => entries.as_slice(),
+            _ => &[],
+        };
+        let mut counters: Vec<CounterSnapshot> = entries("counters")
+            .iter()
+            .filter_map(|(name, value)| {
+                Some(CounterSnapshot {
+                    name: name.clone(),
+                    value: value.as_u64()?,
+                })
+            })
+            .collect();
+        let mut gauges: Vec<GaugeSnapshot> = entries("gauges")
+            .iter()
+            .filter_map(|(name, value)| {
+                Some(GaugeSnapshot {
+                    name: name.clone(),
+                    value: value.as_i64()?,
+                })
+            })
+            .collect();
+        let mut histograms: Vec<HistogramSnapshot> = entries("histograms")
+            .iter()
+            .map(|(name, h)| {
+                let field = |key: &str| h.get(key).and_then(Json::as_u64).unwrap_or(0);
+                let buckets = h
+                    .get("buckets")
+                    .and_then(Json::as_arr)
+                    .unwrap_or_default()
+                    .iter()
+                    .filter_map(|pair| match pair.as_arr()? {
+                        [idx, n, ..] => Some((idx.as_u64()?.min(63) as u8, n.as_u64()?)),
+                        _ => None,
+                    })
+                    .collect();
+                HistogramSnapshot {
+                    name: name.clone(),
+                    count: field("count"),
+                    sum: field("sum"),
+                    mean: h.get("mean").and_then(Json::as_f64).unwrap_or(0.0),
+                    min: field("min"),
+                    p50: field("p50"),
+                    p90: field("p90"),
+                    p99: field("p99"),
+                    max: field("max"),
+                    buckets,
+                }
+            })
+            .collect();
+        counters.sort_by(|a, b| a.name.cmp(&b.name));
+        gauges.sort_by(|a, b| a.name.cmp(&b.name));
+        histograms.sort_by(|a, b| a.name.cmp(&b.name));
+        Ok(Snapshot {
+            label: doc
+                .get("label")
+                .and_then(Json::as_str)
+                .unwrap_or_default()
+                .to_string(),
+            counters,
+            gauges,
+            histograms,
+        })
     }
 }
 
@@ -320,6 +400,36 @@ mod tests {
         assert!(json.ends_with("}}"));
         // Exactly one line.
         assert!(!json.contains('\n'));
+    }
+
+    #[test]
+    fn from_json_round_trips_to_json_and_reads_older_lines() {
+        let rec = Recorder::enabled();
+        rec.counter("runner.episodes").add(320);
+        rec.gauge("runner.networks_inflight").set(2);
+        rec.histogram("runner.network_ns").record(1_000_000);
+        rec.histogram("runner.network_ns").record(2_000_000);
+        let snap = rec.snapshot("cell").unwrap();
+        assert_eq!(Snapshot::from_json(&snap.to_json()), Ok(snap));
+        // A line from before gauges, buckets and min were written.
+        let old = Snapshot::from_json(
+            "{\"type\":\"snapshot\",\"label\":\"old\",\"counters\":{\"n\":1},\
+             \"histograms\":{\"h\":{\"count\":2,\"sum\":6,\"mean\":3.0,\"p50\":3,\
+             \"p90\":3,\"p99\":3,\"max\":4}}}",
+        )
+        .unwrap();
+        assert_eq!(old.counter("n"), Some(1));
+        assert!(old.gauges.is_empty());
+        let h = old.histogram("h").unwrap();
+        assert_eq!((h.count, h.sum, h.min, h.max), (2, 6, 0, 4));
+        assert!(h.buckets.is_empty());
+    }
+
+    #[test]
+    fn from_json_rejects_lines_that_are_not_snapshots() {
+        assert!(Snapshot::from_json("").is_err());
+        assert!(Snapshot::from_json("not json").is_err());
+        assert!(Snapshot::from_json("{\"type\":\"event\",\"name\":\"x\",\"fields\":{}}").is_err());
     }
 
     #[test]

@@ -57,7 +57,7 @@ proptest! {
             prop_assert!((0.0..1.0).contains(&p));
         }
         // The paper's working assumptions hold by construction.
-        prop_assert!(inst.check_paper_assumptions().is_empty());
+        prop_assert!(accu::core::validate_instance(&inst).is_ok());
     }
 
     #[test]
