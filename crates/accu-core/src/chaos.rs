@@ -271,9 +271,7 @@ impl ChaosPlan {
 
     /// The fault (if any) injected into operation number `op` at the
     /// named sink `site`. Sites are open-ended strings; the harness
-    /// currently draws from `"checkpoint"`, `"progress"`, `"trace"`,
-    /// and — for the service daemon — `"registry"` (job-registry
-    /// writes) and `"socket"` (response frames on the wire).
+    /// draws from `"checkpoint"`, `"progress"` and `"trace"`.
     /// Deterministic in `(config, site, op)`.
     pub fn io_fault(&self, site: &str, op: u64) -> Option<IoFault> {
         let c = &self.config;

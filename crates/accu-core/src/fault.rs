@@ -292,15 +292,6 @@ impl FaultPlan {
 /// `max_retries` re-sends per target, each preceded by capped
 /// exponential backoff *paid in budget* (waiting burns request slots).
 ///
-/// The same policy doubles as the service client's reconnect schedule,
-/// where [`jitter_pct`](RetryPolicy::jitter_pct) decorrelates
-/// concurrent clients: with jitter enabled,
-/// [`backoff_jittered`](RetryPolicy::backoff_jittered) shaves a seeded,
-/// deterministic fraction off each wait so a fleet retrying against one
-/// recovering daemon does not arrive in lockstep. The attacker
-/// simulation always runs with `jitter_pct == 0`, for which the
-/// jittered path is bit-identical to [`backoff`](RetryPolicy::backoff).
-///
 /// # Examples
 ///
 /// ```
@@ -311,11 +302,6 @@ impl FaultPlan {
 /// assert_eq!(r.backoff(2), 2);
 /// assert_eq!(r.backoff(5), r.backoff_cap); // capped
 /// assert_eq!(RetryPolicy::give_up().max_retries, 0);
-/// // No jitter (the default): identical to `backoff` for every seed.
-/// assert_eq!(r.backoff_jittered(2, 7), r.backoff(2));
-/// // With jitter: never longer than the deterministic wait.
-/// let j = r.with_jitter(50);
-/// assert!(j.backoff_jittered(2, 7) <= r.backoff(2));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
@@ -325,10 +311,6 @@ pub struct RetryPolicy {
     pub backoff_base: usize,
     /// Cap on the per-retry backoff.
     pub backoff_cap: usize,
-    /// Maximum fraction of each backoff removed by seeded jitter, in
-    /// percent (`0` = no jitter; every constructor defaults to `0`, the
-    /// attacker semantics).
-    pub jitter_pct: u8,
 }
 
 impl RetryPolicy {
@@ -339,7 +321,6 @@ impl RetryPolicy {
             max_retries: 0,
             backoff_base: 0,
             backoff_cap: 0,
-            jitter_pct: 0,
         }
     }
 
@@ -349,7 +330,6 @@ impl RetryPolicy {
             max_retries: 3,
             backoff_base: 1,
             backoff_cap: 8,
-            jitter_pct: 0,
         }
     }
 
@@ -359,15 +339,7 @@ impl RetryPolicy {
             max_retries: 6,
             backoff_base: 1,
             backoff_cap: 4,
-            jitter_pct: 0,
         }
-    }
-
-    /// Returns a copy with up to `pct`% of each backoff removed by
-    /// seeded jitter (clamped to 100). `with_jitter(0)` is the identity.
-    pub fn with_jitter(mut self, pct: u8) -> Self {
-        self.jitter_pct = pct.min(100);
-        self
     }
 
     /// Backoff (in budget units) before retry number `attempt`
@@ -381,22 +353,6 @@ impl RetryPolicy {
             .saturating_mul(1usize.checked_shl(attempt - 1).unwrap_or(usize::MAX));
         shifted.min(self.backoff_cap)
     }
-
-    /// [`backoff`](RetryPolicy::backoff) with seeded jitter applied: a
-    /// deterministic draw from `(seed, attempt)` removes up to
-    /// [`jitter_pct`](RetryPolicy::jitter_pct)% of the wait, so two
-    /// clients with different seeds spread out while any single client
-    /// remains exactly reproducible. With `jitter_pct == 0` this is
-    /// bit-identical to the unjittered backoff.
-    pub fn backoff_jittered(&self, attempt: u32, seed: u64) -> usize {
-        let base = self.backoff(attempt);
-        if self.jitter_pct == 0 || base == 0 {
-            return base;
-        }
-        let key = seed ^ u64::from(attempt).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let draw = splitmix64(key) % (u64::from(self.jitter_pct.min(100)) + 1);
-        base - (base * draw as usize) / 100
-    }
 }
 
 /// SplitMix64's stream increment: `2^64 / φ`, rounded to odd.
@@ -404,8 +360,8 @@ pub(crate) const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// One SplitMix64 step: advance `x` by [`GOLDEN_GAMMA`], then apply the
 /// finalizer — a cheap, well-mixed bijection on `u64`. The one copy
-/// behind the retry jitter draw, the chaos stream, the validator's
-/// demoted-user probabilities and the keyed realizations.
+/// behind the chaos stream, the validator's demoted-user probabilities
+/// and the keyed realizations.
 #[inline]
 pub(crate) fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(GOLDEN_GAMMA);
@@ -523,7 +479,6 @@ mod tests {
             max_retries: 10,
             backoff_base: 2,
             backoff_cap: 9,
-            jitter_pct: 0,
         };
         assert_eq!(r.backoff(1), 2);
         assert_eq!(r.backoff(2), 4);
@@ -531,65 +486,6 @@ mod tests {
         assert_eq!(r.backoff(4), 9);
         assert_eq!(r.backoff(60), 9, "huge attempt counts must not overflow");
         assert_eq!(RetryPolicy::give_up().backoff(1), 0);
-    }
-
-    #[test]
-    fn no_jitter_path_is_bit_identical() {
-        // jitter_pct == 0 (every constructor's default) must reproduce
-        // the plain backoff exactly, whatever the seed — the existing
-        // attacker semantics are untouched.
-        for policy in [
-            RetryPolicy::standard(),
-            RetryPolicy::aggressive(),
-            RetryPolicy::give_up(),
-            RetryPolicy::standard().with_jitter(0),
-        ] {
-            assert_eq!(policy.jitter_pct, 0);
-            for attempt in 0..12 {
-                for seed in [0u64, 1, 42, u64::MAX] {
-                    assert_eq!(
-                        policy.backoff_jittered(attempt, seed),
-                        policy.backoff(attempt),
-                        "attempt {attempt} seed {seed}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn jitter_is_seeded_bounded_and_spreads_clients() {
-        let policy = RetryPolicy::standard().with_jitter(50);
-        for attempt in 1..=6 {
-            let full = policy.backoff(attempt);
-            for seed in 0..64u64 {
-                let jittered = policy.backoff_jittered(attempt, seed);
-                // Deterministic per (seed, attempt)...
-                assert_eq!(jittered, policy.backoff_jittered(attempt, seed));
-                // ...and bounded to [half, full] at 50% jitter.
-                assert!(jittered <= full, "jitter must never extend the wait");
-                assert!(
-                    jittered >= full - full / 2,
-                    "50% jitter removes at most half the wait"
-                );
-            }
-        }
-        // Different seeds actually decorrelate: across a fleet of
-        // clients the capped attempt-4 backoff (8 units) takes more
-        // than one distinct value.
-        let spread: std::collections::BTreeSet<usize> = (0..64u64)
-            .map(|seed| policy.backoff_jittered(4, seed))
-            .collect();
-        assert!(spread.len() > 1, "seeded jitter must spread clients");
-    }
-
-    #[test]
-    fn with_jitter_clamps_to_100_percent() {
-        let policy = RetryPolicy::standard().with_jitter(200);
-        assert_eq!(policy.jitter_pct, 100);
-        for seed in 0..32u64 {
-            assert!(policy.backoff_jittered(4, seed) <= policy.backoff(4));
-        }
     }
 
     #[test]

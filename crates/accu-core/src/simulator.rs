@@ -943,7 +943,6 @@ mod tests {
             max_retries: 2,
             backoff_base: 1,
             backoff_cap: 4,
-            jitter_pct: 0,
         };
         let out = faulted(&inst, &real, &mut MaxDegree::new(), 4, &plan, retry);
         // MaxDegree targets node 1 first; the retry succeeds, then one

@@ -15,12 +15,12 @@
 //!
 //! `--check-prometheus` validates a saved metrics scrape against the
 //! text-format rules instead of diffing — the CI smoke job's helper.
-//! `--check-events` validates any event file — a daemon journal, a
-//! flight dump, a causal log, a progress stream — with
-//! [`check_events`]: every line of a known shape must be well formed
-//! (torn and foreign lines are counted, not fatal) and each source's
-//! sequence numbers must strictly increase; it prints a per-job event
-//! summary on success.
+//! `--check-events` validates any event file — a causal log, a
+//! progress stream, or a service journal or flight dump from an older
+//! version — with [`check_events`]: every line of a known shape must be
+//! well formed (torn and foreign lines are counted, not fatal) and each
+//! source's sequence numbers must strictly increase; it prints a
+//! per-job event summary on success.
 //!
 //! Exit codes: 0 = ok, 1 = regression (or invalid scrape/event file),
 //! 2 = usage or I/O error.

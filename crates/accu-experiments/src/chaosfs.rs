@@ -68,11 +68,6 @@ impl ChaosSite {
         self.name
     }
 
-    /// The chaos plan this site draws from.
-    pub fn plan(&self) -> &ChaosPlan {
-        &self.plan
-    }
-
     /// The injected-fault counters for this site.
     pub fn counters(&self) -> &Arc<ChaosCounters> {
         &self.counters

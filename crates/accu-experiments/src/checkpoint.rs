@@ -36,7 +36,7 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use accu_core::{ChaosPlan, TraceAccumulator};
-use accu_telemetry::{json_escape, Corr, Event, Journal};
+use accu_telemetry::json_escape;
 
 use crate::chaosfs::{atomic_write, ChaosFile, ChaosSite};
 use crate::runner::RunnerError;
@@ -61,10 +61,6 @@ pub struct Checkpoint {
     appends: u64,
     /// Abort the process after this many durable appends (chaos).
     kill_after: Option<u64>,
-    /// Journal + correlation IDs for crash forensics: when the
-    /// `kill_after` abort fires, the killed operation is journaled and
-    /// the journal's crash ring is dumped beside the checkpoint.
-    obs: Option<(Journal, Corr)>,
 }
 
 impl Checkpoint {
@@ -90,7 +86,6 @@ impl Checkpoint {
             chaos: None,
             appends: 0,
             kill_after: None,
-            obs: None,
         })
     }
 
@@ -143,7 +138,6 @@ impl Checkpoint {
             chaos: None,
             appends: 0,
             kill_after: None,
-            obs: None,
         })
     }
 
@@ -175,27 +169,6 @@ impl Checkpoint {
             self.chaos = Some(ChaosSite::new(*plan, "checkpoint"));
         }
         self.kill_after = plan.kill_after_appends();
-    }
-
-    /// Like [`Checkpoint::attach_chaos`], but shares an existing site
-    /// (and its operation counter) instead of starting a fresh stream.
-    /// A long-lived caller that re-opens checkpoints — the service
-    /// daemon retrying a job — needs this: with a fresh site every
-    /// open, a seed whose stream faults at operation 0 would replay
-    /// that same fault on every retry and the job could never converge.
-    pub fn attach_chaos_site(&mut self, site: &ChaosSite) {
-        self.chaos = Some(site.clone());
-        self.kill_after = site.plan().kill_after_appends();
-    }
-
-    /// Attaches crash forensics: when the deterministic `kill-after`
-    /// abort fires, the killed append is journaled (kind `chaos.kill`,
-    /// with `corr` so the event joins the job's lifecycle chain) and
-    /// the journal's crash ring is dumped to `flight.jsonl` beside the
-    /// checkpoint file — the dump's last event names the operation that
-    /// died.
-    pub fn attach_obs(&mut self, journal: Journal, corr: Corr) {
-        self.obs = Some((journal, corr));
     }
 
     /// Number of unparseable lines dropped at load time.
@@ -264,19 +237,6 @@ impl Checkpoint {
                 eprintln!(
                     "chaos: aborting after {kill_after} durable checkpoint append(s) (kill-after)"
                 );
-                if let Some((journal, corr)) = &self.obs {
-                    journal.emit_and_dump(
-                        Event::error("chaos.kill").corr(corr.clone()).msg(format!(
-                            "kill-after abort on checkpoint append {kill_after} ({})",
-                            self.path.display()
-                        )),
-                        &self
-                            .path
-                            .parent()
-                            .unwrap_or_else(|| Path::new("."))
-                            .join("flight.jsonl"),
-                    );
-                }
                 std::process::abort();
             }
         }

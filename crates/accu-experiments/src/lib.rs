@@ -51,7 +51,6 @@ pub mod output;
 pub mod replay;
 mod runner;
 mod scale;
-pub mod service;
 pub mod telemetry;
 
 pub use checkpoint::Checkpoint;

@@ -50,7 +50,7 @@ use accu_core::{
     AttackOptions, AttackOutcome, EpisodeScratch, FaultConfig, FaultPlan, Policy, RetryPolicy,
     TraceAccumulator, ValidationMode, Violation,
 };
-use accu_telemetry::obs::RunEvents;
+use accu_telemetry::obs::Observer;
 use accu_telemetry::{
     Corr, CounterHandle, Event, GaugeHandle, HistogramHandle, Recorder, Severity, TraceTrack,
     TraceValue, Tracer,
@@ -307,8 +307,12 @@ impl FigureRun {
     /// from [`ProtocolConfig::default`], so default-protocol labels
     /// (and the checkpoints written under them) stay as they were.
     pub fn cell_label(&self, policy: PolicyKind) -> String {
+        let retry = &self.retry;
+        // The retry part spells out the `{:?}` text of the former
+        // four-field `RetryPolicy`, so existing checkpoints still resume.
         let mut label = format!(
-            "{}@{}|{}|n{}r{}k{}s{}|{:?}|{:?}|v={}",
+            "{}@{}|{}|n{}r{}k{}s{}|{:?}|RetryPolicy {{ max_retries: {}, backoff_base: {}, \
+             backoff_cap: {}, jitter_pct: 0 }}|v={}",
             self.dataset.name(),
             self.dataset.node_count(),
             policy.id(),
@@ -317,7 +321,9 @@ impl FigureRun {
             self.budget,
             self.seed,
             self.faults,
-            self.retry,
+            retry.max_retries,
+            retry.backoff_base,
+            retry.backoff_cap,
             self.validation,
         );
         if self.protocol != ProtocolConfig::default() {
@@ -427,12 +433,10 @@ pub struct RunOptions<'a> {
     pub recorder: Recorder,
     /// Causal-trace sink.
     pub tracer: Tracer,
-    /// Lifecycle events (`run.begin`, `run.network`, `run.chunk`,
-    /// `run.end`, `run.fail`), fanned out to the journal and the
-    /// progress stream. Disabled by default: batch runs stay silent and
-    /// pay nothing. The daemon's correlation IDs ride on the handle;
-    /// run stages add `network` and `chunk` as they descend.
-    pub events: RunEvents,
+    /// Progress observer for the lifecycle events (`run.begin`,
+    /// `run.network`, `run.end`, `run.fail`). Disabled by default:
+    /// batch runs stay silent and build no event.
+    pub events: Observer,
     /// Checkpoint to append completed networks to (and resume from).
     pub checkpoint: Option<&'a mut Checkpoint>,
     /// Cap on worker threads (`None` = available parallelism). A
@@ -458,7 +462,7 @@ impl Default for RunOptions<'_> {
         RunOptions {
             recorder: Recorder::disabled(),
             tracer: Tracer::disabled(),
-            events: RunEvents::default(),
+            events: Observer::disabled(),
             checkpoint: None,
             max_workers: None,
             chaos: ChaosPlan::none(),
@@ -529,13 +533,6 @@ pub struct RunReport {
     /// Chunk retries the workers spent healing panics, out of
     /// [`SupervisorConfig::max_restarts`].
     pub supervisor_restarts: usize,
-    /// Unparseable lines the attached checkpoint dropped when it was
-    /// opened — the signature of a torn tail left by a crash
-    /// mid-append. Non-zero means this run recovered from a torn
-    /// checkpoint (the dropped networks were recomputed); a service
-    /// surfaces it as "recovered from torn checkpoint (N lines
-    /// dropped)" in job status. Zero when no checkpoint was attached.
-    pub checkpoint_skipped_lines: usize,
 }
 
 impl RunReport {
@@ -613,7 +610,6 @@ pub fn run_policy_with(
         deadline,
     } = opts;
     let cell = figure.cell_label(policy);
-    let checkpoint_skipped_lines = checkpoint.as_ref().map_or(0, |c| c.skipped_lines());
     let resumed: BTreeMap<usize, TraceAccumulator> = match &checkpoint {
         Some(ckpt) => ckpt
             .completed(&cell)
@@ -763,7 +759,6 @@ pub fn run_policy_with(
         repaired_networks,
         shed_networks: shed.len(),
         supervisor_restarts: restarts as usize,
-        checkpoint_skipped_lines,
     })
 }
 
@@ -938,8 +933,8 @@ struct RunCtx<'env, 'ck> {
     cell: &'env str,
     recorder: &'env Recorder,
     tracer: &'env Tracer,
-    /// Lifecycle events; stages add `network`/`chunk` correlation IDs.
-    events: &'env RunEvents,
+    /// Progress observer for the lifecycle events.
+    events: &'env Observer,
     chaos: ChaosPlan,
     supervisor: SupervisorConfig,
     deadline: Option<Instant>,
@@ -1535,14 +1530,6 @@ fn process_chunk(
     if track.is_enabled() {
         track.set_active(true);
     }
-    ctx.events.emit(|| {
-        let event =
-            Event::debug("run.chunk").corr(Corr::none().network(net as u64).chunk(chunk as u64));
-        match &episodes {
-            Ok(outcomes) => event.arg("episodes", outcomes.len()),
-            Err(_) => event.arg("panicked", true),
-        }
-    });
     let mut progress = slot.progress.lock().expect("progress mutex poisoned");
     if progress.chunk_filled[chunk] {
         // A retry of a chunk that panicked after filing its outcomes, or
@@ -2028,7 +2015,8 @@ mod tests {
         assert_eq!(report.resumed_networks, 1);
         assert_eq!(report.completed_networks, fig.network_samples);
         assert_eq!(
-            report.checkpoint_skipped_lines, 0,
+            ckpt.skipped_lines(),
+            0,
             "a clean checkpoint reports no dropped lines"
         );
         assert_eq!(
@@ -2090,8 +2078,9 @@ mod tests {
         )
         .unwrap();
         assert_eq!(
-            report.checkpoint_skipped_lines, 1,
-            "the torn tail must surface in the report, not just telemetry"
+            ckpt.skipped_lines(),
+            1,
+            "the torn tail is dropped and counted, not fatal"
         );
         assert_eq!(report.resumed_networks, 1, "the torn network is recomputed");
         assert_eq!(report.accumulator, reference);
@@ -2133,6 +2122,25 @@ mod tests {
         assert!(!default
             .cell_label(PolicyKind::abm_balanced())
             .contains("ProtocolConfig"));
+    }
+
+    #[test]
+    fn default_abm_cell_label_keeps_its_exact_text() {
+        // Every checkpoint line is keyed by this label, so any change to
+        // its text orphans the checkpoints already written. This is the
+        // label `fig2 --samples 2 --runs 1 --budget 5 --scale 0.01` keys
+        // its Facebook ABM cell by.
+        let cli = crate::Cli::parse_from("--samples 2 --runs 1 --budget 5 --scale 0.01".split(' '))
+            .unwrap();
+        let figure = crate::ExperimentScale::from_cli(&cli)
+            .figure_run(DatasetSpec::facebook(), ProtocolConfig::default());
+        assert_eq!(
+            figure.cell_label(PolicyKind::abm_balanced()),
+            "Facebook@40|ABM[0.5,0.5]|n2r1k5s42|FaultConfig { transient_failure: 0.0, \
+             response_drop: 0.0, rate_limit: None, suspension_hazard: 0.0, seed: 0 }|\
+             RetryPolicy { max_retries: 3, backoff_base: 1, backoff_cap: 8, jitter_pct: 0 }|\
+             v=lenient"
+        );
     }
 
     #[test]

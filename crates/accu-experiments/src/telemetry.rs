@@ -313,7 +313,7 @@ impl Telemetry {
         let opts = RunOptions {
             recorder: self.recorder.clone(),
             tracer: self.tracer.clone(),
-            events: self.observer.clone().into(),
+            events: self.observer.clone(),
             checkpoint: self.checkpoint_file.as_mut(),
             max_workers: self.workers,
             chaos: self.chaos,

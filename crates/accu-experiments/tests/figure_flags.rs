@@ -138,3 +138,39 @@ fn exhausted_restart_budget_exits_nonzero_without_a_figure() {
     assert!(csvs(&dir).is_empty(), "{:?}", csvs(&dir));
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn fig2_killed_mid_run_resumes_to_the_clean_csvs() {
+    let fig2 = env!("CARGO_BIN_EXE_fig2");
+    let clean = scratch("resume-clean");
+    assert_success(&run(fig2, &clean, 3, &[]));
+    let dir = scratch("resume-killed");
+    // The process aborts itself right after its second durable append.
+    let killed = run(
+        fig2,
+        &dir,
+        3,
+        &["--checkpoint", "C", "--chaos", "kill-after=2"],
+    );
+    assert!(
+        !killed.status.success(),
+        "kill-after must abort: {killed:?}"
+    );
+    let text = std::fs::read_to_string(dir.join("C")).unwrap();
+    let networks = text.lines().filter(|l| l.contains("\"net\":")).count();
+    assert_eq!(networks, 2, "two networks on file when the kill lands");
+    assert!(csvs(&dir).is_empty(), "{:?}", csvs(&dir));
+    let resumed = run(fig2, &dir, 3, &["--checkpoint", "C", "--resume"]);
+    assert_success(&resumed);
+    let stdout = String::from_utf8_lossy(&resumed.stdout);
+    assert!(stdout.contains("resumed 2 of 3 networks"), "{stdout}");
+    let names = csvs(&clean);
+    assert_eq!(csvs(&dir), names);
+    assert!(!names.is_empty());
+    for name in &names {
+        let read = |root: &Path| std::fs::read(root.join("target/experiments").join(name)).unwrap();
+        assert!(read(&dir) == read(&clean), "{name} differs after resume");
+    }
+    std::fs::remove_dir_all(&clean).ok();
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -1,14 +1,18 @@
 //! Event files written in the line formats that preceded the one event
 //! schema (`"type":"journal"`, `"type":"trace"` and the
 //! `{"accu_flight":1,…}` dump header) still read, validate and replay.
+//! No writer in the workspace produces these lines any more: the
+//! service daemon that wrote journals and flight dumps is gone, and
+//! causal traces are written in the one event schema.
 //!
 //! The fixtures in `tests/fixtures/legacy/` were written by commit
 //! 0f26f8b:
 //!
-//! * `journal.jsonl` and `flight.jsonl` — an `accu-serve
-//!   --kill-after-registry 3` daemon aborted mid-job (`legacy-job`,
-//!   `--budget 8 --samples 4 --runs 2 --spec-seed 7`), and a second
-//!   daemon on the same registry adopted and published it;
+//! * `journal.jsonl` and `flight.jsonl` — the service daemon's journal
+//!   and crash dump after a daemon armed with `--kill-after-registry 3`
+//!   aborted mid-job (`legacy-job`, `--budget 8 --samples 4 --runs 2
+//!   --spec-seed 7`), and a second daemon on the same registry adopted
+//!   and published it;
 //! * `fig2.causal.jsonl` — `fig2 --samples 1 --runs 2 --budget 2
 //!   --scale 0.01 --seed 3 --trace fig2.json:sample=2`.
 
@@ -16,7 +20,7 @@ use std::path::PathBuf;
 use std::process::Command;
 
 use accu_experiments::replay::{verify_episode, CausalLog};
-use accu_telemetry::{check_events, read_events, EventRead, Severity, Source};
+use accu_telemetry::{check_events, read_events, Event, EventRead, Severity, Source};
 
 fn fixture(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -35,6 +39,13 @@ fn read_fixture(name: &str) -> EventRead {
     checked
 }
 
+/// The events correlated to `job`, in file order.
+fn for_job<'a>(read: &'a EventRead, job: &'a str) -> impl Iterator<Item = &'a Event> {
+    read.events
+        .iter()
+        .filter(move |e| e.ids().job_id.as_deref() == Some(job))
+}
+
 #[test]
 fn legacy_journal_tells_the_submit_kill_adopt_publish_chain() {
     let read = read_fixture("journal.jsonl");
@@ -44,8 +55,7 @@ fn legacy_journal_tells_the_submit_kill_adopt_publish_chain() {
         .map(|e| &e.stamp.as_ref().expect("journal lines are stamped").source)
         .collect();
     assert_eq!(writers.len(), 2, "two daemon incarnations");
-    let kinds: Vec<&str> = read
-        .for_job("legacy-job")
+    let kinds: Vec<&str> = for_job(&read, "legacy-job")
         .map(|e| e.kind.as_ref())
         .collect();
     let at = |kind: &str| {
@@ -57,7 +67,7 @@ fn legacy_journal_tells_the_submit_kill_adopt_publish_chain() {
     assert!(at("job.submit") < at("chaos.kill"));
     assert!(at("chaos.kill") < at("job.adopt"));
     assert!(at("job.adopt") < at("job.publish"));
-    let kill = read.for_job("legacy-job").nth(at("chaos.kill")).unwrap();
+    let kill = for_job(&read, "legacy-job").nth(at("chaos.kill")).unwrap();
     assert_eq!(kill.sev, Severity::Error);
     assert!(kill.message().contains("kill-after-registry"), "{kill:?}");
 }

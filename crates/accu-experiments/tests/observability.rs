@@ -52,7 +52,7 @@ fn run_streaming(figure: &FigureRun, path: &Path, workers: usize) {
         figure,
         PolicyKind::abm_balanced(),
         RunOptions {
-            events: Observer::new(Some(JsonlSink::create(path).unwrap()), false).into(),
+            events: Observer::new(Some(JsonlSink::create(path).unwrap()), false),
             max_workers: Some(workers),
             ..RunOptions::default()
         },
@@ -143,7 +143,7 @@ fn aborted_run_flushes_salvaged_networks_and_the_next_run_starts_clean() {
         &figure,
         PolicyKind::abm_balanced(),
         RunOptions {
-            events: progress.clone().into(),
+            events: progress.clone(),
             max_workers: Some(1),
             chaos,
             supervisor: SupervisorConfig {
@@ -164,7 +164,7 @@ fn aborted_run_flushes_salvaged_networks_and_the_next_run_starts_clean() {
         &figure,
         PolicyKind::abm_balanced(),
         RunOptions {
-            events: progress.into(),
+            events: progress,
             ..RunOptions::default()
         },
     )
@@ -195,7 +195,7 @@ fn live_scrape_of_a_real_run_is_valid_prometheus() {
         PolicyKind::abm_balanced(),
         RunOptions {
             recorder,
-            events: observer.into(),
+            events: observer,
             ..RunOptions::default()
         },
     )
@@ -300,15 +300,19 @@ fn telemetry_diff_validates_prometheus_expositions() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// `--check-events` accepts a well-formed journal and exits 1 when one
-/// writer's sequence restarts — the signature of two daemon
-/// incarnations sharing a writer id.
+/// `--check-events` accepts a well-formed service journal (the shape
+/// older versions wrote) and exits 1 when one writer's sequence
+/// restarts — the signature of two daemon incarnations sharing a
+/// writer id.
 #[test]
 fn telemetry_diff_check_events_rejects_a_restarted_writer_seq() {
     let dir = scratch_dir("eventcheck");
     let line = |writer: u64, seq: u64| {
         let mut event = Event::info("job.submit")
-            .corr(Corr::job("j"))
+            .corr(Corr {
+                job_id: Some("j".to_string()),
+                ..Corr::none()
+            })
             .msg("created");
         event.stamp = Some(Stamp {
             source: Source::Writer(writer),

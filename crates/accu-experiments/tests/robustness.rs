@@ -90,7 +90,6 @@ proptest! {
                 max_retries,
                 backoff_base: 1,
                 backoff_cap: 8,
-                jitter_pct: 0,
             },
             ..AttackOptions::default()
         };

@@ -1,28 +1,36 @@
 //! The one event line every stream in the workspace writes.
 //!
-//! Journal entries, causal-trace events, progress lines, watchdog
-//! alarms and ad-hoc sink events are all an [`Event`]: a dotted `kind`,
-//! a [`Severity`], correlation IDs ([`Corr`]), typed arguments
-//! ([`TraceValue`]) and an optional [`Stamp`]. One renderer writes
-//! them, one reader ([`read_events`]) parses them, one validator
-//! ([`check_events`]) checks them, and one bounded ring type
-//! buffers them — for trace tracks and the journal's crash dump alike.
+//! Causal-trace events, progress lines, watchdog alarms and ad-hoc
+//! sink events are all an [`Event`]: a dotted `kind`, a [`Severity`],
+//! correlation IDs ([`Corr`]), typed arguments ([`TraceValue`]) and an
+//! optional [`Stamp`]. One renderer writes them, one reader
+//! ([`read_events`]) parses them, one validator ([`check_events`])
+//! checks them, and one bounded ring type buffers them on trace tracks.
 //!
 //! ```text
-//! {"type":"event","writer":81253,"seq":4,"ts_ms":1754650000123,"sev":"warn",
-//!  "kind":"lease.takeover","job_id":"fig2-night","epoch":3,"args":{"msg":"adopted"}}
 //! {"type":"event","track":"worker-0","seq":41,"ts_ns":10250,"sev":"debug",
 //!  "kind":"request","args":{"target":12,"accepted":true}}
 //! {"type":"event","sev":"info","kind":"run.network","network":0,"args":{"status":"ok"}}
 //! ```
 //!
-//! The stamp names its source — a journal `writer` (wall-clock
-//! `ts_ms`) or a trace `track` (`ts_ns` since the tracer started) —
-//! and a `seq` that strictly increases per source. Deterministic sinks
-//! (the progress stream) leave it out. Kinds ending in `.begin` /
-//! `.end` delimit spans. The reader also accepts the lines written
-//! before this schema (`"type":"journal"`, `"type":"trace"`,
-//! `"type":"trace_drops"` and the `{"accu_flight":1,…}` dump header).
+//! The stamp names its source — a trace `track`, with `ts_ns` since
+//! the tracer started — and a `seq` that strictly increases per source.
+//! Deterministic sinks (the progress stream) leave it out. Kinds ending
+//! in `.begin` / `.end` delimit spans.
+//!
+//! The reader also accepts lines that no writer in the workspace
+//! produces any more. Older versions ran a service daemon whose journal
+//! and crash dumps stamped events with a journal `writer` (wall-clock
+//! `ts_ms`) and correlated them by job:
+//!
+//! ```text
+//! {"type":"event","writer":81253,"seq":4,"ts_ms":1754650000123,"sev":"warn",
+//!  "kind":"lease.takeover","job_id":"fig2-night","epoch":3,"args":{"msg":"adopted"}}
+//! ```
+//!
+//! It also reads the lines written before this schema
+//! (`"type":"journal"`, `"type":"trace"`, `"type":"trace_drops"` and
+//! the `{"accu_flight":1,…}` dump header).
 
 use std::borrow::Cow;
 use std::collections::{BTreeMap, VecDeque};
@@ -35,13 +43,13 @@ use crate::trace::{parse_json, Json};
 /// Event severity, ordered from chattiest to most alarming.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Severity {
-    /// Developer-level detail (trace events, chunk bookkeeping).
+    /// Developer-level detail (trace events).
     Debug,
     /// Normal lifecycle transitions.
     Info,
     /// Something unusual that the system absorbed.
     Warn,
-    /// A failure (job-fatal, crash, alarm).
+    /// A failure (a failed run, an alarm).
     Error,
 }
 
@@ -70,18 +78,18 @@ impl std::fmt::Display for Severity {
     }
 }
 
-/// Correlation IDs threaded from the daemon through registry and lease
-/// transitions into the runner's stages. All fields are optional — an
-/// event carries exactly the coordinates that exist at its layer — and
-/// every present field is a top-level JSON key, so
-/// `grep '"job_id":"x"'` reconstructs a job without a parser.
+/// Correlation IDs. All fields are optional — an event carries exactly
+/// the coordinates that exist at its layer — and every present field is
+/// a top-level JSON key, so `grep '"network":3'` finds a network's
+/// lines without a parser. The runner sets `network`; the other fields
+/// are read from the service journals older versions wrote.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Corr {
     /// The service job this event belongs to.
     pub job_id: Option<String>,
     /// The lease fencing epoch under which the writer held the job.
     pub epoch: Option<u64>,
-    /// The execution attempt (1-based) within this daemon.
+    /// The execution attempt (1-based) within one daemon.
     pub attempt: Option<u64>,
     /// The sampled-network index inside the run.
     pub network: Option<u64>,
@@ -99,7 +107,7 @@ static NO_CORR: Corr = Corr {
 };
 
 impl Corr {
-    /// An empty correlation set (daemon-global events).
+    /// An empty correlation set.
     pub fn none() -> Self {
         Corr::default()
     }
@@ -109,51 +117,11 @@ impl Corr {
         *self == NO_CORR
     }
 
-    /// Starts a correlation chain at a job.
-    pub fn job(id: impl Into<String>) -> Self {
-        Corr {
-            job_id: Some(id.into()),
-            ..Corr::default()
-        }
-    }
-
-    /// Sets the lease epoch.
-    #[must_use]
-    pub fn epoch(mut self, epoch: u64) -> Self {
-        self.epoch = Some(epoch);
-        self
-    }
-
-    /// Sets the attempt number.
-    #[must_use]
-    pub fn attempt(mut self, attempt: u64) -> Self {
-        self.attempt = Some(attempt);
-        self
-    }
-
     /// Sets the network index.
     #[must_use]
     pub fn network(mut self, network: u64) -> Self {
         self.network = Some(network);
         self
-    }
-
-    /// Sets the chunk index.
-    #[must_use]
-    pub fn chunk(mut self, chunk: u64) -> Self {
-        self.chunk = Some(chunk);
-        self
-    }
-
-    /// Fills every field this set lacks from `base`.
-    fn fill_from(&mut self, base: &Corr) {
-        if self.job_id.is_none() {
-            self.job_id.clone_from(&base.job_id);
-        }
-        self.epoch = self.epoch.or(base.epoch);
-        self.attempt = self.attempt.or(base.attempt);
-        self.network = self.network.or(base.network);
-        self.chunk = self.chunk.or(base.chunk);
     }
 
     fn render_into(&self, out: &mut String) {
@@ -326,7 +294,8 @@ impl From<String> for TraceValue {
 /// Who stamped an event.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Source {
-    /// A journal handle (one per open, unique across processes).
+    /// A service-journal handle (one per open, unique across
+    /// processes), as older versions stamped their journals.
     Writer(u64),
     /// A trace track, by name.
     Track(Arc<str>),
@@ -358,8 +327,8 @@ pub struct Stamp {
 /// One event: see the [module docs](self) for the line format.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Event {
-    /// Dotted event kind (`job.submit`, `run.network`, `obs.alarm`,
-    /// `request`, `chunk.begin`, ...).
+    /// Dotted event kind (`run.network`, `obs.alarm`, `request`,
+    /// `chunk.begin`, ...).
     pub kind: Cow<'static, str>,
     /// Severity.
     pub sev: Severity,
@@ -414,13 +383,6 @@ impl Event {
     /// The correlation IDs present on the event.
     pub fn ids(&self) -> &Corr {
         self.corr.as_deref().unwrap_or(&NO_CORR)
-    }
-
-    /// Fills every correlation ID the event lacks from `base`.
-    pub fn fill_corr(&mut self, base: &Corr) {
-        if !base.is_empty() {
-            self.corr.get_or_insert_default().fill_from(base);
-        }
     }
 
     /// Appends one argument.
@@ -589,15 +551,6 @@ pub struct EventRead {
     pub skipped_lines: usize,
 }
 
-impl EventRead {
-    /// The events correlated to `job_id`, in file order.
-    pub fn for_job<'a>(&'a self, job_id: &'a str) -> impl Iterator<Item = &'a Event> {
-        self.events
-            .iter()
-            .filter(move |e| e.ids().job_id.as_deref() == Some(job_id))
-    }
-}
-
 /// Reads event lines leniently: lines that do not parse as an event are
 /// dropped and counted, never fatal.
 pub fn read_events(text: &str) -> EventRead {
@@ -645,8 +598,8 @@ fn scan(text: &str, strict: bool) -> Result<EventRead, String> {
 }
 
 /// A bounded ring of the most recent events: the oldest is evicted
-/// (and counted) when a push finds it full. Trace tracks and the
-/// journal's crash dump both keep their events in one.
+/// (and counted) when a push finds it full. Every trace track keeps its
+/// events in one.
 #[derive(Debug)]
 pub(crate) struct Ring {
     capacity: usize,
@@ -694,13 +647,13 @@ mod tests {
     #[test]
     fn events_round_trip_through_json() {
         let mut event = Event::warn("lease.takeover")
-            .corr(
-                Corr::job("fig2-night")
-                    .epoch(3)
-                    .attempt(2)
-                    .network(5)
-                    .chunk(1),
-            )
+            .corr(Corr {
+                job_id: Some("fig2-night".to_string()),
+                epoch: Some(3),
+                attempt: Some(2),
+                network: Some(5),
+                chunk: Some(1),
+            })
             .msg("adopted \"stale\" lease")
             .arg("gain", 0.1 + 0.2)
             .arg("theta", -1i64)
@@ -845,16 +798,5 @@ mod tests {
         });
         assert_eq!(dropped, 7);
         assert_eq!(kept, vec![7, 8, 9, 10]);
-    }
-
-    #[test]
-    fn corr_fill_keeps_own_fields() {
-        let mut event = Event::info("k").corr(Corr::none().network(3));
-        event.fill_corr(&Corr::job("j").epoch(2).network(9));
-        assert_eq!(event.ids(), &Corr::job("j").epoch(2).network(3));
-        // Filling from an empty base allocates nothing.
-        let mut bare = Event::info("k").corr(Corr::none());
-        bare.fill_corr(&Corr::none());
-        assert!(bare.corr.is_none());
     }
 }

@@ -53,10 +53,9 @@
 //! Aggregate metrics answer "how much"; events answer "why". Every
 //! event stream — the [`trace`] module's ring-buffered per-thread
 //! tracks ([`Tracer`] / [`TraceTrack`], also exported as Chrome
-//! trace-event JSON), the service [`journal`] with its crash-dump ring,
-//! the runner's progress stream and the watchdog's alarms — writes one
-//! line shape, the [`Event`], read back by [`read_events`] and
-//! validated by [`check_events`].
+//! trace-event JSON), the runner's progress stream and the watchdog's
+//! alarms — writes one line shape, the [`Event`], read back by
+//! [`read_events`] and validated by [`check_events`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
@@ -65,7 +64,6 @@ mod counter;
 pub mod event;
 mod gauge;
 mod histogram;
-pub mod journal;
 pub mod obs;
 mod recorder;
 mod snapshot;
@@ -77,7 +75,6 @@ pub use event::{
 };
 pub use gauge::{Gauge, GaugeHandle};
 pub use histogram::{Histogram, HistogramHandle, SpanGuard};
-pub use journal::{install_panic_dump, Journal};
 pub use recorder::Recorder;
 pub use snapshot::{
     json_escape, CounterSnapshot, GaugeSnapshot, HistogramSnapshot, JsonlSink, Snapshot,

@@ -9,10 +9,9 @@
 //!   [`Snapshot`](crate::Snapshot), plus a validator for tests and CI;
 //! * [`server`] — a background-thread TCP/HTTP listener serving live
 //!   scrapes of a [`Recorder`](crate::Recorder) (the `--metrics-addr`
-//!   flag of the experiment binaries and of `accu-serve`);
-//! * [`progress`] — the runner's lifecycle handle [`RunEvents`], which
-//!   fans each transition out to the journal and to the progress
-//!   [`Observer`]: console status line plus a deterministic event stream
+//!   flag of the experiment binaries);
+//! * [`progress`] — the [`Observer`] the runner emits its lifecycle
+//!   events into: console status line plus a deterministic event stream
 //!   that is byte-identical across worker counts (the `--progress`
 //!   flag);
 //! * [`watchdog`] — rule-based monitors over the live observer state:
@@ -30,7 +29,7 @@ pub mod prometheus;
 pub mod server;
 pub mod watchdog;
 
-pub use progress::{Observer, RunEvents};
+pub use progress::Observer;
 pub use prometheus::{encode_prometheus, validate_prometheus, PromStats};
 pub use server::{BindError, MetricsServer};
 pub use watchdog::{

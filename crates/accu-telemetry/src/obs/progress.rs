@@ -1,11 +1,9 @@
-//! Streaming run progress and the runner's lifecycle handle.
-//!
-//! [`RunEvents`] is what the experiment runner emits through: each
-//! lifecycle transition is built once as an [`Event`] and fans out to
-//! the [`Journal`] (stamped, durable, every kind) and to the progress
-//! [`Observer`]. The observer keeps live counters for the console
-//! status line, the watchdog and the metrics endpoint, and streams the
-//! scheduling-independent kinds unstamped:
+//! Streaming run progress: the [`Observer`] the experiment runner
+//! emits its lifecycle events through. Each transition is built only
+//! when the observer is enabled ([`Observer::emit`]). The observer
+//! keeps live counters for the console status line, the watchdog and
+//! the metrics endpoint, and streams the scheduling-independent kinds
+//! unstamped:
 //!
 //! * `run.begin` — `args`: `cell`, `networks`, `episodes`;
 //! * `run.network` — one per network, `network` correlation ID plus
@@ -28,8 +26,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::event::{Corr, Event, TraceValue};
-use crate::journal::Journal;
+use crate::event::{Event, TraceValue};
 use crate::snapshot::{GaugeSnapshot, JsonlSink};
 
 /// JSONL sink plus the reorder buffer, under one lock so lines can
@@ -141,9 +138,8 @@ impl ObsStats {
 }
 
 /// The progress sink: live run counters plus the deterministic event
-/// stream described in the [module docs](self). The runner reaches it
-/// through [`RunEvents`]; the watchdog and the metrics endpoint read
-/// its counters.
+/// stream described in the [module docs](self). The runner emits into
+/// it; the watchdog and the metrics endpoint read its counters.
 ///
 /// Like [`Recorder`](crate::Recorder), the observer is an `Option<Arc>`
 /// handle: [`Observer::disabled`] (the [`Default`]) makes every method
@@ -240,6 +236,14 @@ impl Observer {
         Self::touch(inner);
         if inner.console {
             self.maybe_render(inner);
+        }
+    }
+
+    /// Records the event `build` returns; `build` runs only when the
+    /// observer is enabled, so a disabled run builds no event.
+    pub fn emit(&self, build: impl FnOnce() -> Event) {
+        if self.is_enabled() {
+            self.record(&build());
         }
     }
 
@@ -433,75 +437,10 @@ impl Observer {
     }
 }
 
-/// The runner's lifecycle handle: each transition is built once and
-/// fans out to the [`Journal`] (stamped, durable, every kind) and the
-/// progress [`Observer`] (unstamped, reordered, progress kinds only),
-/// with the base correlation IDs filled in. The default is disabled,
-/// and a disabled handle costs one branch on `None` per call.
-#[derive(Debug, Clone, Default)]
-pub struct RunEvents(Option<Arc<RunSinks>>);
-
-#[derive(Debug)]
-struct RunSinks {
-    journal: Journal,
-    progress: Observer,
-    corr: Corr,
-}
-
-impl RunEvents {
-    /// A handle over both sinks; `corr` (the daemon's job, epoch and
-    /// attempt) is stamped on every event that lacks those fields.
-    /// Disabled when both sinks are.
-    pub fn new(journal: Journal, progress: Observer, corr: Corr) -> Self {
-        if !journal.is_enabled() && !progress.is_enabled() {
-            return RunEvents(None);
-        }
-        RunEvents(Some(Arc::new(RunSinks {
-            journal,
-            progress,
-            corr,
-        })))
-    }
-
-    /// Whether any sink is attached.
-    pub fn is_enabled(&self) -> bool {
-        self.0.is_some()
-    }
-
-    /// Emits the event `build` returns; `build` runs only when a sink
-    /// is attached.
-    pub fn emit(&self, build: impl FnOnce() -> Event) {
-        let Some(sinks) = &self.0 else { return };
-        let mut event = build();
-        event.fill_corr(&sinks.corr);
-        sinks.progress.record(&event);
-        sinks.journal.emit(event);
-    }
-
-    /// [`Observer::episode_done`] on the progress sink.
-    pub fn episode_done(&self, faults: u64) {
-        if let Some(sinks) = &self.0 {
-            sinks.progress.episode_done(faults);
-        }
-    }
-
-    /// [`Observer::heartbeat`] on the progress sink.
-    pub fn heartbeat(&self) {
-        if let Some(sinks) = &self.0 {
-            sinks.progress.heartbeat();
-        }
-    }
-}
-
-impl From<Observer> for RunEvents {
-    fn from(progress: Observer) -> Self {
-        RunEvents::new(Journal::disabled(), progress, Corr::none())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Corr;
 
     fn tmp(name: &str) -> PathBuf {
         std::env::temp_dir().join(format!("accu-obs-progress-{}-{name}", std::process::id()))
@@ -544,7 +483,7 @@ mod tests {
         assert_eq!(obs.alarm_count(), 0);
         assert!(obs.gauge_snapshots().is_empty());
         assert!(obs.stream_path().is_none());
-        assert!(!RunEvents::from(obs).is_enabled());
+        obs.emit(|| unreachable!("a disabled observer builds no event"));
     }
 
     #[test]
@@ -692,36 +631,5 @@ mod tests {
         obs.record(&begin("c", 1, 2));
         clone.episode_done(0);
         assert_eq!(obs.stats().episodes_done, 1);
-    }
-
-    #[test]
-    fn run_events_fan_out_with_base_correlation() {
-        let journal_path = tmp("fan-journal.jsonl");
-        let progress_path = tmp("fan-progress.jsonl");
-        let _ = std::fs::remove_file(&journal_path);
-        let events = RunEvents::new(
-            Journal::append_to(&journal_path).unwrap(),
-            to_path(&progress_path),
-            Corr::job("j").epoch(2),
-        );
-        events.emit(|| begin("c", 1, 1));
-        events.emit(|| Event::debug("run.chunk").corr(Corr::none().network(0)));
-        events.emit(|| ok(0, 1, false));
-        events.emit(|| Event::info("run.end"));
-        let journal =
-            crate::check_events(&std::fs::read_to_string(&journal_path).unwrap()).unwrap();
-        let progress =
-            crate::check_events(&std::fs::read_to_string(&progress_path).unwrap()).unwrap();
-        assert_eq!(journal.events.len(), 4, "the journal takes every kind");
-        assert_eq!(progress.events.len(), 3, "progress takes progress kinds");
-        assert!(journal.events.iter().all(|e| e.stamp.is_some()));
-        assert!(progress.events.iter().all(|e| e.stamp.is_none()));
-        for event in journal.events.iter().chain(&progress.events) {
-            assert_eq!(event.ids().job_id.as_deref(), Some("j"));
-            assert_eq!(event.ids().epoch, Some(2));
-        }
-        assert_eq!(progress.events[1].ids().network, Some(0));
-        std::fs::remove_file(&journal_path).ok();
-        std::fs::remove_file(&progress_path).ok();
     }
 }

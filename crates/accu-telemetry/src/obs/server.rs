@@ -2,11 +2,8 @@
 //! scrapes.
 //!
 //! Deliberately minimal — `std::net` only, one request per connection,
-//! any `GET` answered with the full exposition — but structured the way
-//! a real daemon listener is (bound address reporting, read timeouts,
-//! clean shutdown via a self-connect), because the ROADMAP's
-//! ACCU-as-a-service item will grow this skeleton rather than replace
-//! it.
+//! any `GET` answered with the full exposition — with bound-address
+//! reporting, read timeouts and clean shutdown via a self-connect.
 
 use std::io::{self, Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -25,12 +22,11 @@ const IO_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// A listener failed to bind, with the requested address attached.
 ///
-/// A bare `io::Error` from a daemon start-up reads as "Address already
-/// in use (os error 98)" with no hint *which* address collided — fatal
-/// in CI logs where several listeners (metrics, service) start
-/// together. This error names the address; use
-/// [`is_addr_in_use`](BindError::is_addr_in_use) to branch on the
-/// collision case (e.g. retry on an ephemeral port).
+/// A bare `io::Error` from a bind reads as "Address already in use (os
+/// error 98)" with no hint *which* address collided — fatal in CI logs
+/// where several processes start listeners together. This error names
+/// the address; use [`is_addr_in_use`](BindError::is_addr_in_use) to
+/// branch on the collision case (e.g. retry on an ephemeral port).
 #[derive(Debug)]
 pub struct BindError {
     addr: String,
@@ -39,7 +35,7 @@ pub struct BindError {
 
 impl BindError {
     /// Wraps `source` with the address the bind was attempted on.
-    pub fn new(addr: impl Into<String>, source: io::Error) -> Self {
+    fn new(addr: impl Into<String>, source: io::Error) -> Self {
         BindError {
             addr: addr.into(),
             source,
