@@ -10,23 +10,27 @@ use crate::{AccuInstance, AttackerView, Policy};
 /// Well-known ABM metric names (see [`Abm::attach_recorder`]). The
 /// names date from the lazy max-heap the winner tree replaced.
 pub mod abm_metrics {
-    /// Winner-tree keys set: one per candidate at reset plus one per
-    /// re-key whose potential changed.
+    /// Winner-tree keys set: one per candidate at reset, one per re-key
+    /// that raised a touched candidate's key, and one per stale root
+    /// settled.
     pub const HEAP_PUSH: &str = "abm.heap_push";
     /// Winner-tree retirements: exactly one per `select` that returned
     /// a target.
     pub const HEAP_POP: &str = "abm.heap_pop";
-    /// Stale entries skipped by `select`. The winner tree holds none,
-    /// so this counter is never registered and reads 0.
+    /// Stale roots settled by `select`: roots whose tree key, an upper
+    /// bound, was above their exact potential, so `select` re-keyed
+    /// them and read the root again.
     pub const STALE_SKIP: &str = "abm.stale_skip";
     /// `select` calls that returned a target (so the derived
-    /// `selects / heap_pop` hit rate is 1 by construction).
+    /// `selects / (selects + stale_skip)` hit rate is the share of root
+    /// reads that were already exact).
     pub const SELECTS: &str = "abm.selects";
-    /// Re-keys of touched candidates: once per observation, every
-    /// candidate whose potential inputs the observation changed (a
-    /// neighbor of a node whose term moved, or a newly revealed node).
+    /// Touched live candidates: once per observation, every candidate
+    /// whose potential may have risen (a newly revealed node, or a
+    /// neighbor of a node whose indirect term grew).
     pub const RESCORES: &str = "abm.rescores";
-    /// Re-keys whose potential actually changed (and moved the tree).
+    /// Touched candidates whose potential rose above their tree key,
+    /// and so were re-keyed.
     pub const RESCORES_CHANGED: &str = "abm.rescores_changed";
 }
 
@@ -36,6 +40,7 @@ pub mod abm_metrics {
 struct AbmTelemetry {
     heap_push: CounterHandle,
     heap_pop: CounterHandle,
+    stale_skip: CounterHandle,
     selects: CounterHandle,
     rescores: CounterHandle,
     rescores_changed: CounterHandle,
@@ -46,6 +51,7 @@ impl AbmTelemetry {
         AbmTelemetry {
             heap_push: recorder.counter(abm_metrics::HEAP_PUSH),
             heap_pop: recorder.counter(abm_metrics::HEAP_POP),
+            stale_skip: recorder.counter(abm_metrics::STALE_SKIP),
             selects: recorder.counter(abm_metrics::SELECTS),
             rescores: recorder.counter(abm_metrics::RESCORES),
             rescores_changed: recorder.counter(abm_metrics::RESCORES_CHANGED),
@@ -208,9 +214,9 @@ impl WinnerTree {
 ///
 /// # Implementation notes
 ///
-/// An observation costs what it changed, and every cached potential is
-/// bit-identical to a from-scratch [`potential_of`](Abm::potential_of)
-/// by construction:
+/// An observation costs what it changed, and every record combines to a
+/// potential bit-identical to a from-scratch
+/// [`potential_of`](Abm::potential_of) by construction:
 ///
 /// * **Sums kept by deltas.** Each node keeps a record
 ///   `(S_D, S_I, q, base)`: the two neighbor sums of `P_D` and `P_I`,
@@ -227,20 +233,36 @@ impl WinnerTree {
 ///   ([`AccuInstance::row_scale`](crate::AccuInstance)) before it is
 ///   added, so a sum is the same integer whatever order its terms were
 ///   added and removed in. The from-scratch evaluation sums the same
-///   integers and combines them with the same function, so the cache
-///   needs no argument to match it. The scale keeps every sum below
+///   integers and combines them with the same function, so the records
+///   need no argument to match it. The scale keeps every sum below
 ///   `2^61`; plain `+=`/`-=` make debug builds trap any overflow.
-/// * **Winner tree.** The potentials key an in-place tournament tree
-///   over node ids (strict order: `total_cmp`, then the lower id).
-///   `select` reads the root and retires it to `-inf`; a re-key that
-///   changes a potential repairs one leaf-to-root path with early exit.
-///   Potentials may *rise* as well as fall (a cautious user's `q`
-///   flips 0 → 1), which the tree handles like any other key change —
-///   the reason classical lazy greedy would be incorrect here.
-/// * **Stamped touched set.** Every node whose record an observation
-///   changed is listed once (a per-node epoch stamp marks it listed)
-///   and, if still a candidate, re-keyed once from its record after all
-///   deltas are in, so nothing is sorted or deduplicated.
+/// * **Winner tree of upper bounds: rises eager, falls deferred.** The
+///   candidates key an in-place tournament tree over node ids (strict
+///   order: `total_cmp`, then the lower id). A tree key is an upper
+///   bound on the candidate's exact potential, its record combined.
+///   Every term is non-negative — `p ∈ [0, 1]` and `q ∈ [0, 1]`
+///   (checked by [`AccuInstanceBuilder::build`](crate::AccuInstanceBuilder::build)),
+///   `0 ≤ B_fof ≤ B_f` (checked by
+///   [`BenefitSchedule::new`](crate::BenefitSchedule::new)) and the
+///   weights are clamped to `≥ 0` ([`AbmWeights::new`]) — so dropping a
+///   term can only lower a potential, and a fall leaves the tree key
+///   as it is. Potentials also *rise*: a revealed node's `q` may grow
+///   (a cautious user's flips 0 → 1) and an indirect term grows when
+///   its `θ − m` shrinks. Those candidates are touched, and one whose
+///   exact potential is above its tree key is re-keyed at once.
+///   `select` reads the root and compares its tree key with its exact
+///   potential, O(1) from its record; a stale root is re-keyed to the
+///   exact value and the root read again. The pick is then exact, ties
+///   included: every other candidate's exact potential is at most its
+///   tree key, which is at most the root's, so an exact tie is also a
+///   tree tie, which the tree breaks toward the lower id. This is lazy
+///   greedy (CELF) applied to the falls only. A traced `select`
+///   settles its runner-up the same way before reporting it.
+/// * **Stamped touched set.** Every node whose potential an
+///   observation may have raised is listed once (a per-node epoch
+///   stamp marks it listed) and, if still a candidate, compared with
+///   its tree key after all deltas are in, so nothing is sorted or
+///   deduplicated.
 /// * **Priors stand in for beliefs.** A candidate's terms depend on an
 ///   edge's belief only when neither endpoint is a friend. Such an edge
 ///   is unresolved, so its belief is the prior `p(e)`, and both
@@ -262,8 +284,9 @@ impl WinnerTree {
 pub struct Abm {
     weights: AbmWeights,
     name: String,
-    /// Cached potentials keying the selection tree; `-inf` once a node
-    /// has been requested.
+    /// Upper bounds on the candidates' potentials keying the selection
+    /// tree (exact at the root once `select` settled it); `-inf` once a
+    /// node has been requested.
     tree: WinnerTree,
     tel: AbmTelemetry,
     /// Decision-trace emission handle; a no-op until [`Abm::attach_tracer`].
@@ -455,7 +478,7 @@ impl Abm {
     /// every `select` emits a `decide` instant with the full potential
     /// breakdown (`q`, `P_D`, `P_I`, the weights, the runner-up and the
     /// margin) and every `observe` emits an `abm_observe` instant with
-    /// the number of candidates re-keyed. Attaching a disabled track
+    /// the number of candidates touched. Attaching a disabled track
     /// restores the zero-cost no-op.
     pub fn attach_tracer(&mut self, track: &TraceTrack) {
         self.trace = track.clone();
@@ -473,14 +496,45 @@ impl Abm {
         weigh(potential_parts(view, u, self.weights), self.weights)
     }
 
+    /// `u`'s exact potential: its record, combined by [`weigh`]. For a
+    /// candidate it is bit-identical to
+    /// [`potential_of`](Abm::potential_of) and at most its tree key.
+    fn exact_key(&self, inst: &AccuInstance, u: NodeId) -> f64 {
+        weigh(
+            self.records[u.index()].parts(inst.row_scale(u).inv),
+            self.weights,
+        )
+    }
+
+    /// The tree's root with its key made exact, or `None` once every
+    /// node is retired: while the root's tree key is above its exact
+    /// potential, the root is re-keyed to it and read again.
+    fn settled_best(&mut self, inst: &AccuInstance) -> Option<NodeId> {
+        loop {
+            let u = self.tree.best()?;
+            let exact = self.exact_key(inst, u);
+            if exact.total_cmp(&self.tree.key(u)).is_eq() {
+                return Some(u);
+            }
+            self.tree.set(u, exact);
+            self.tel.stale_skip.incr();
+            self.tel.heap_push.incr();
+        }
+    }
+
     /// Emits the `decide` trace instant for a pick already retired
     /// from the tree: the potential breakdown of the picked node, the
-    /// runner-up (now the tree's root), and the margin between them.
+    /// runner-up (the settled root), and the margin between them.
     /// Only called while the track's gate is open, so the untraced
     /// select path pays one relaxed load and nothing else.
-    fn emit_decide(&self, view: &AttackerView<'_>, picked: NodeId, potential: f64) {
+    fn emit_decide(
+        &self,
+        view: &AttackerView<'_>,
+        picked: NodeId,
+        potential: f64,
+        runner_up: Option<NodeId>,
+    ) {
         let (q, p_d, p_i) = potential_parts(view, picked, self.weights);
-        let runner_up = self.tree.best();
         self.trace.instant(
             "decide",
             &[
@@ -510,7 +564,7 @@ impl Abm {
     }
 
     /// Emits the `abm_observe` trace instant: how many candidates this
-    /// observation re-keyed.
+    /// observation touched.
     fn emit_observe(&self, target: NodeId, accepted: bool, dirty: usize) {
         self.trace.instant(
             "abm_observe",
@@ -522,10 +576,13 @@ impl Abm {
         );
     }
 
-    /// Moves `x`'s terms in the sums of each of its neighbors, and
-    /// touches the neighbor: drops `x`'s direct term if `drop_direct`,
-    /// and if `indirect = Some((from, to))` replaces its indirect term at
+    /// Moves `x`'s terms in the sums of each of its neighbors: drops
+    /// `x`'s direct term if `drop_direct`, and if
+    /// `indirect = Some((from, to))` replaces its indirect term at
     /// `θ − m = from` by the one at `to` (by none if `to` is `None`).
+    /// Neighbors are touched only when the indirect term grows
+    /// (`to < from`); every other move lowers their potentials, which
+    /// leaves their tree keys upper bounds.
     fn shift_terms(
         &mut self,
         inst: &AccuInstance,
@@ -535,6 +592,7 @@ impl Abm {
     ) {
         let benefits = inst.benefits();
         let (fof, gap) = (benefits.friend_of_friend(x), benefits.gap(x));
+        let rises = matches!(indirect, Some((_, Some(_))));
         for (u, e) in inst.graph().neighbor_entries(x) {
             let scale = inst.row_scale(u).scale;
             let p = inst.edge_prob[e.index()];
@@ -548,7 +606,9 @@ impl Abm {
                     rec.indirect += fixed(indirect_term(p, gap, to), scale);
                 }
             }
-            self.touched.insert(u);
+            if rises {
+                self.touched.insert(u);
+            }
         }
     }
 }
@@ -617,13 +677,15 @@ impl Policy for Abm {
     }
 
     fn select(&mut self, view: &AttackerView<'_>) -> Option<NodeId> {
-        let picked = self.tree.best()?;
+        let inst = view.instance();
+        let picked = self.settled_best(inst)?;
         let potential = self.tree.key(picked);
         self.tree.retire(picked);
         self.tel.heap_pop.incr();
         self.tel.selects.incr();
         if self.trace.is_active() {
-            self.emit_decide(view, picked, potential);
+            let runner_up = self.settled_best(inst);
+            self.emit_decide(view, picked, potential, runner_up);
         }
         Some(picked)
     }
@@ -657,11 +719,11 @@ impl Policy for Abm {
             self.shift_terms(inst, target, gone_direct, gone_indirect);
         }
         // Each revealed node gained a mutual friend (empty on a
-        // rejection). Its own `q` may move; its direct term leaves its
-        // neighbors' rows if it just became a friend-of-friend; and if
-        // it is threshold-gated, unrequested and was below threshold,
-        // its indirect term's denominator shrinks (to nothing once the
-        // threshold is met).
+        // rejection). Its own `q` may move, so it is touched; its direct
+        // term leaves its neighbors' rows if it just became a
+        // friend-of-friend; and if it is threshold-gated, unrequested
+        // and was below threshold, its indirect term's denominator
+        // shrinks (to nothing once the threshold is met).
         for &v in newly_revealed {
             let mutual = obs.mutual_friends(v); // after the increment
             let fof_flip = mutual == 1 && !obs.is_friend(v);
@@ -679,18 +741,16 @@ impl Policy for Abm {
             }
             self.touched.insert(v);
         }
-        // Re-key every touched candidate once, from its record.
+        // Re-key every touched candidate whose potential rose above its
+        // tree key; a fall stays in the tree as an upper bound.
         let mut dirty = 0usize;
         for &u in &self.touched.nodes {
             if obs.was_requested(u) {
                 continue;
             }
             dirty += 1;
-            let key = weigh(
-                self.records[u.index()].parts(inst.row_scale(u).inv),
-                self.weights,
-            );
-            if key != self.tree.key(u) {
+            let key = self.exact_key(inst, u);
+            if key.total_cmp(&self.tree.key(u)).is_gt() {
                 self.tree.set(u, key);
                 self.tel.rescores_changed.incr();
                 self.tel.heap_push.incr();
@@ -812,8 +872,8 @@ mod tests {
 
     #[test]
     fn incremental_rescoring_matches_fresh_policy() {
-        // After an acceptance, every cached potential must equal a
-        // from-scratch evaluation.
+        // After an acceptance, every exact key must equal a from-scratch
+        // evaluation.
         let inst = star();
         let real = full(&inst);
         let mut abm = Abm::new(AbmWeights::balanced());
@@ -825,9 +885,10 @@ mod tests {
         let revealed = obs.record_acceptance(NodeId::new(0), &inst, &real);
         let view = AttackerView::new(&inst, &obs);
         abm.observe(&view, NodeId::new(0), true, &revealed);
+        let key = |u| abm.exact_key(&inst, u);
         for u in view.candidates() {
             assert_eq!(
-                abm.tree.key(u),
+                key(u),
                 abm.potential_of(&view, u),
                 "cached potential of {u} diverged"
             );
@@ -836,7 +897,7 @@ mod tests {
         // it retires it all the same.
         let best = view
             .candidates()
-            .max_by(|&a, &b| abm.tree.key(a).total_cmp(&abm.tree.key(b)).then(b.cmp(&a)));
+            .max_by(|&a, &b| key(a).total_cmp(&key(b)).then(b.cmp(&a)));
         assert_eq!(best, Some(NodeId::new(3)));
         assert_eq!(abm.select(&view), best);
     }
@@ -982,9 +1043,10 @@ mod tests {
         // both indirect weights and a belief whose probabilities differ
         // from the truth, whole episodes must pick what a from-scratch
         // argmax picks at every step, and after every reset and
-        // observation each candidate's cached potential must equal
+        // observation each candidate's exact key must equal
         // `potential_of` bit for bit — as must a new policy's, reset on
-        // the episode's partial observation.
+        // the episode's partial observation — and its tree key must be
+        // at least its exact key.
         struct NaiveAbm(Abm);
         impl Policy for NaiveAbm {
             fn name(&self) -> &str {
@@ -1002,18 +1064,25 @@ mod tests {
             let mut rebuilt = Abm::new(abm.weights);
             rebuilt.reset(view);
             let requests = view.observation().requests().len();
+            let inst = view.instance();
             for u in view.candidates() {
-                let fresh = abm.potential_of(view, u).to_bits();
+                let fresh = abm.potential_of(view, u);
                 assert_eq!(
-                    abm.tree.key(u).to_bits(),
-                    fresh,
+                    abm.exact_key(inst, u).to_bits(),
+                    fresh.to_bits(),
                     "cached potential of {u} diverged after {requests} requests"
                 );
                 assert_eq!(
-                    rebuilt.tree.key(u).to_bits(),
-                    fresh,
+                    rebuilt.exact_key(inst, u).to_bits(),
+                    fresh.to_bits(),
                     "reset after {requests} requests misscored {u}"
                 );
+                for (what, policy) in [("cached", abm), ("reset", &rebuilt)] {
+                    assert!(
+                        policy.tree.key(u).total_cmp(&fresh).is_ge(),
+                        "{what} tree key of {u} is below its potential after {requests} requests"
+                    );
+                }
             }
         }
         let mut revealed_impossible = 0;
@@ -1080,7 +1149,7 @@ mod tests {
                 .sum::<f64>()
     }
 
-    /// Every candidate's cached and from-scratch potential lies within
+    /// Every candidate's exact key and from-scratch potential lie within
     /// `1e-12·max(1, row bound)` of the [`oracle`].
     fn matches_oracle(abm: &Abm, view: &AttackerView<'_>) {
         let requests = view.observation().requests().len();
@@ -1088,7 +1157,7 @@ mod tests {
             let want = oracle(view, u, abm.weights);
             let tolerance = 1e-12 * row_bound(view.instance(), u).max(1.0);
             for (what, got) in [
-                ("cached", abm.tree.key(u)),
+                ("cached", abm.exact_key(view.instance(), u)),
                 ("from-scratch", abm.potential_of(view, u)),
             ] {
                 assert!(
@@ -1101,7 +1170,7 @@ mod tests {
 
     #[test]
     fn potentials_match_an_f64_oracle() {
-        // The cached and from-scratch potentials share one arithmetic,
+        // The exact keys and from-scratch potentials share one arithmetic,
         // so their bit-identity does not check the formula; an f64
         // evaluation of the paper's does.
         mixed_episodes(|truth, real, belief, weights| {
@@ -1131,7 +1200,7 @@ mod tests {
         let mut abm = Abm::new(pure);
         abm.reset(&view);
         assert_eq!(abm.potential_of(&view, NodeId::new(3)), 3.0);
-        assert_eq!(abm.tree.key(NodeId::new(3)), 3.0);
+        assert_eq!(abm.exact_key(&inst, NodeId::new(3)), 3.0);
         matches_oracle(&abm, &view);
 
         // A cautious hub (θ = 5) of degree 1,200 over a path of leaves,
@@ -1224,47 +1293,56 @@ mod tests {
     #[test]
     fn telemetry_counters_are_consistent_with_heap_discipline() {
         use crate::simulator::sim_metrics;
+        use abm_metrics::*;
         use accu_telemetry::Recorder;
+        use rand::{rngs::StdRng, SeedableRng};
 
-        let inst = star();
-        let real = full(&inst);
-        let recorder = Recorder::enabled();
-        let mut abm = Abm::with_recorder(AbmWeights::balanced(), &recorder);
-        let opts = crate::AttackOptions {
-            recorder: &recorder,
-            ..Default::default()
-        };
-        let outcome = crate::simulator::attack_with(&inst, &real, &mut abm, 2, &opts).unwrap();
-        assert_eq!(outcome.requests_sent(), 2);
+        let star = star();
+        let mixed = mixed_instance(3);
+        let mixed_real = Realization::sample(&mixed, &mut StdRng::seed_from_u64(7));
+        let mut stale_skips = Vec::new();
+        for (inst, real, budget) in [(&star, &full(&star), 2), (&mixed, &mixed_real, 40)] {
+            let recorder = Recorder::enabled();
+            let mut abm = Abm::with_recorder(AbmWeights::balanced(), &recorder);
+            let opts = crate::AttackOptions {
+                recorder: &recorder,
+                ..Default::default()
+            };
+            let outcome =
+                crate::simulator::attack_with(inst, real, &mut abm, budget, &opts).unwrap();
+            assert_eq!(outcome.requests_sent(), budget);
 
-        let snap = recorder.snapshot("abm-test").unwrap();
-        let count = |name: &str| {
-            snap.counter(name)
-                .unwrap_or_else(|| panic!("missing counter {name}"))
-        };
-
-        // The winner tree holds no stale entries: every select retires
-        // exactly the node it returns, and nothing is ever skipped.
-        assert_eq!(count(abm_metrics::HEAP_POP), count(abm_metrics::SELECTS));
-        assert_eq!(snap.counter(abm_metrics::STALE_SKIP).unwrap_or(0), 0);
-        // One select per request actually sent by the simulator.
-        assert_eq!(count(abm_metrics::SELECTS), count(sim_metrics::REQUESTS));
-        assert_eq!(count(abm_metrics::SELECTS), 2);
-        // reset() keyed all four candidates; rescoring only re-keys
-        // nodes whose potential actually changed.
-        assert!(count(abm_metrics::HEAP_PUSH) >= 4);
-        assert_eq!(
-            count(abm_metrics::HEAP_PUSH),
-            4 + count(abm_metrics::RESCORES_CHANGED)
-        );
-        assert!(count(abm_metrics::RESCORES) >= count(abm_metrics::RESCORES_CHANGED));
+            let snap = recorder.snapshot("abm-test").unwrap();
+            let count = |name: &str| {
+                snap.counter(name)
+                    .unwrap_or_else(|| panic!("missing counter {name}"))
+            };
+            // Every select retires exactly the node it returns, one per
+            // request actually sent by the simulator.
+            assert_eq!(count(HEAP_POP), count(SELECTS));
+            assert_eq!(count(SELECTS), count(sim_metrics::REQUESTS));
+            assert_eq!(count(SELECTS), budget as u64);
+            // Keys set: every candidate at reset, each touched candidate
+            // whose potential rose, and each stale root `select` settled.
+            assert_eq!(
+                count(HEAP_PUSH),
+                inst.node_count() as u64 + count(RESCORES_CHANGED) + count(STALE_SKIP)
+            );
+            assert!(count(RESCORES) >= count(RESCORES_CHANGED));
+            stale_skips.push(count(STALE_SKIP));
+        }
+        // The star's second pick is the cautious leaf, whose key rose,
+        // so no root is stale; on the mixed instance `select` settles
+        // stale roots.
+        assert_eq!(stale_skips[0], 0);
+        assert!(stale_skips[1] > 0, "no stale root settled");
     }
 
     #[test]
     fn decide_runner_up_matches_a_scan_of_the_candidates() {
-        // `decide` reads its runner-up from the tree root once the pick
-        // is retired; it must equal a scan of every other candidate's
-        // cached potential under the same order, margin included.
+        // `decide` reads its runner-up from the settled tree root once
+        // the pick is retired; it must equal a scan of every other
+        // candidate's exact key under the same order, margin included.
         use accu_telemetry::{read_events, Tracer};
         use rand::{rngs::StdRng, SeedableRng};
 
@@ -1282,7 +1360,7 @@ mod tests {
                 self.abm.reset(view);
             }
             fn select(&mut self, view: &AttackerView<'_>) -> Option<NodeId> {
-                let key = |u: NodeId| self.abm.tree.key(u);
+                let key = |u: NodeId| self.abm.exact_key(view.instance(), u);
                 let better = |a: NodeId, b: NodeId| {
                     key(a).total_cmp(&key(b)).then_with(|| b.cmp(&a)) == Ordering::Greater
                 };

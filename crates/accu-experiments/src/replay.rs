@@ -85,14 +85,14 @@ pub enum EpisodeEvent {
         /// Its acceptance threshold `θ_v`.
         theta: u64,
     },
-    /// The ABM absorbed an observation, re-keying `dirty` candidates.
+    /// The ABM absorbed an observation, touching `dirty` candidates.
     Observe {
         /// The observed request's target.
         target: u64,
         /// Whether it accepted.
         accepted: bool,
-        /// Candidates whose potential inputs the observation changed,
-        /// each re-keyed once.
+        /// Candidates whose potential the observation may have raised,
+        /// each compared with its tree key once.
         dirty: u64,
     },
 }
@@ -416,7 +416,7 @@ pub fn narrate_episode(episode: &CausalEpisode) -> String {
             } => {
                 let _ = writeln!(
                     out,
-                    "    abm observed u{target} ({}), re-keyed {dirty} candidates",
+                    "    abm observed u{target} ({}), touched {dirty} candidates",
                     if *accepted { "accepted" } else { "declined" }
                 );
             }

@@ -610,10 +610,14 @@ pub fn derived_metrics(snapshot: &Snapshot) -> Vec<(&'static str, f64)> {
     ) {
         out.push(("cautious_acceptance_rate", r));
     }
-    // 1 by construction: ABM's winner tree retires exactly one entry
-    // per select. Kept so existing readers of the rate still find it.
-    if let Some(r) = ratio(abm_metrics::SELECTS, abm_metrics::HEAP_POP) {
-        out.push(("abm_lazy_hit_rate", r));
+    // The share of ABM's root reads that were already exact: each
+    // stale root a select settled cost it one more read.
+    if let Some(selects) = snapshot.counter(abm_metrics::SELECTS).filter(|&s| s > 0) {
+        let stale = snapshot.counter(abm_metrics::STALE_SKIP).unwrap_or(0);
+        out.push((
+            "abm_lazy_hit_rate",
+            selects as f64 / (selects + stale) as f64,
+        ));
     }
     // Degraded-mode rates. These only appear when the fault layer or
     // the quarantine actually fired — a clean run adds no noise here.
@@ -816,8 +820,8 @@ mod tests {
         let rec = Recorder::enabled();
         rec.counter(sim_metrics::REQUESTS).add(10);
         rec.counter(sim_metrics::ACCEPTED).add(4);
-        rec.counter(abm_metrics::HEAP_POP).add(8);
         rec.counter(abm_metrics::SELECTS).add(6);
+        rec.counter(abm_metrics::STALE_SKIP).add(2);
         rec.counter(runner_metrics::worker_episodes(0)).add(10);
         rec.counter(runner_metrics::worker_episodes(1)).add(5);
         let snap = rec.snapshot("t").unwrap();
