@@ -24,7 +24,7 @@
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use accu_core::{
     ChaosConfig, ChaosPlan, FaultConfig, RetryPolicy, TraceAccumulator, ValidationMode,
@@ -32,8 +32,7 @@ use accu_core::{
 use accu_datasets::{DatasetSpec, ProtocolConfig};
 use accu_experiments::output::series_table;
 use accu_experiments::{
-    run_policy_with, Checkpoint, FigureRun, PolicyKind, RunOptions, SupervisorConfig,
-    DEADLINE_MIN_NETWORKS,
+    run_policy_with, Checkpoint, FigureRun, PolicyKind, RunOptions, DEADLINE_MIN_NETWORKS,
 };
 
 /// The profile rotation; a schedule bank of `N` covers each profile at
@@ -57,14 +56,6 @@ fn soak_figure(seed: u64) -> FigureRun {
         faults: FaultConfig::none(),
         retry: RetryPolicy::standard(),
         validation: ValidationMode::default(),
-    }
-}
-
-/// Healing tuned for soaking: no restart pauses.
-fn soak_supervisor() -> SupervisorConfig {
-    SupervisorConfig {
-        backoff_unit: Duration::ZERO,
-        ..SupervisorConfig::default()
     }
 }
 
@@ -111,7 +102,6 @@ fn heal_profile(fig_seed: u64, config: ChaosConfig) -> bool {
         RunOptions {
             chaos: ChaosPlan::sample(&config),
             max_workers: Some(2),
-            supervisor: soak_supervisor(),
             ..RunOptions::default()
         },
     );

@@ -3,7 +3,7 @@
 //! Every figure/table binary parses the flags below. The runner flags
 //! (`--faults`, `--chaos`, `--deadline`, `--validate`, `--checkpoint`,
 //! `--resume`, `--trace`, `--progress`, `--watchdog`, `--workers`)
-//! reach every cell of the runner-driven binaries — fig2–fig7,
+//! reach every cell of the runner-driven binaries — fig2–fig6,
 //! `extra_baselines` and `fault_ablation` — through
 //! [`Telemetry::run`](crate::Telemetry::run). `acceptance_models`,
 //! `hesitant`, `noise_ablation` and `selection_ablation` run their own
@@ -51,9 +51,8 @@
 //! * `--watchdog[=spec]` — arm run watchdogs. `spec` is a
 //!   comma-separated list of `stall=SECS`, `floor=EPS`, `faults=RATE`,
 //!   `warmup=SECS`, and `strict` (exit nonzero if any alarm fired);
-//!   an absent spec uses the defaults. When no `floor` is given the
-//!   throughput floor is seeded from the last healthy `engine` entry
-//!   of `BENCH_trajectory.jsonl`;
+//!   an absent spec uses the defaults. The throughput-floor rule is off
+//!   unless `floor` is given;
 //! * `--workers <n>` — cap the number of runner worker threads
 //!   (default: available parallelism).
 

@@ -6,9 +6,8 @@
 //! experiment id lives under `src/bin/`. The runner has one entry point,
 //! [`run_policy_with`], configured by a [`RunOptions`] bundle whose
 //! default is the plain uninstrumented run. The runner-driven binaries
-//! (fig2–fig7, `extra_baselines`, `fault_ablation`) run every cell
+//! (fig2–fig6, `extra_baselines`, `fault_ablation`) run every cell
 //! through [`Telemetry::run`], which passes every runner flag.
-//!
 //!
 //! | Binary                | Paper artifact |
 //! |-----------------------|----------------|
@@ -18,8 +17,7 @@
 //! | `fig3`                | Fig. 3 — marginal benefit split by user class |
 //! | `fig4`                | Fig. 4 — benefit and #cautious friends vs `w_I` |
 //! | `fig5`                | Fig. 5 — fraction of requests sent to cautious users |
-//! | `fig6`                | Fig. 6 — benefit heat map (benefit × threshold) |
-//! | `fig7`                | Fig. 7 — #cautious-friends heat map |
+//! | `fig6`                | Figs. 6 and 7 — benefit and #cautious-friends heat maps (benefit × threshold), from one sweep |
 //!
 //! Extension experiments beyond the paper:
 //!
@@ -57,7 +55,7 @@ pub use checkpoint::Checkpoint;
 pub use cli::{Cli, CliError, TraceSpec};
 pub use runner::{
     run_policy_with, runner_metrics, FigureRun, NetworkFailure, PolicyKind, RunOptions, RunReport,
-    RunnerError, SupervisorConfig, DEADLINE_MIN_NETWORKS,
+    RunnerError, DEADLINE_MIN_NETWORKS,
 };
 pub use scale::ExperimentScale;
 pub use telemetry::Telemetry;

@@ -14,18 +14,21 @@
 //! each network is queued up front, in index order; its claimer builds
 //! the network and then queues the sibling chunks at the front, so no
 //! claimer ever waits for a build. The queue caps concurrent builds at
-//! ⌈workers / chunks⌉, so idle workers join the network just built.
+//! ⌈workers / chunks⌉, so idle workers join the network just built, and
+//! it runs dry once nothing is queued or building. Each network has one
+//! slot (waiting, building, running or retired) behind one lock, and
+//! leaves the run through one exit, whether it is folded, quarantined or
+//! shed.
 //!
 //! Each worker contains its own failures: a panic while it holds a chunk
-//! is caught, and the worker retries that chunk after a capped
-//! exponential pause (reusing [`RetryPolicy`] semantics), spending one of
-//! the run's restarts. A network is quarantined only after one of its
-//! chunks exhausts its attempt budget ([`SupervisorConfig`]). Chunk
-//! completions fold **at most once** — a retry of a chunk that had
-//! already filed its outcomes files nothing — so the aggregate (and
-//! therefore every figure CSV) is byte-identical under any panic or
-//! stall schedule. Only when the restart budget itself is exhausted does
-//! the run fail, with a typed [`RunnerError::WorkerPanicked`].
+//! is caught, and the worker retries that chunk once, in place, spending
+//! one of the run's 32 restarts. Injected chaos fires on a chunk's first
+//! attempt only, so a second panic is a bug in the chunk: its network is
+//! quarantined at stage `"supervisor"`. Chunk outcomes file **at most
+//! once** — a retry of a chunk that had already filed files nothing — so
+//! the aggregate (and therefore every figure CSV) is byte-identical under
+//! any panic or stall schedule. Only when the restart budget itself is
+//! spent does the run fail, with a typed [`RunnerError::WorkerPanicked`].
 //!
 //! A soft deadline ([`RunOptions::deadline`]) turns overruns into
 //! *graceful degradation*: networks not yet started when the deadline
@@ -37,9 +40,9 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use accu_core::chaos::{chaos_metrics, ChaosPlan, WorkerFault};
 use accu_core::policy::{
@@ -96,26 +99,9 @@ pub mod runner_metrics {
     }
 }
 
-/// Telemetry handles for one runner worker, fetched once per thread.
-struct WorkerTelemetry {
-    networks: CounterHandle,
-    episodes: CounterHandle,
-    worker_episodes: CounterHandle,
-    network_ns: HistogramHandle,
-    networks_inflight: GaugeHandle,
-}
-
-impl WorkerTelemetry {
-    fn new(recorder: &Recorder, worker: usize) -> Self {
-        WorkerTelemetry {
-            networks: recorder.counter(runner_metrics::NETWORKS),
-            episodes: recorder.counter(runner_metrics::EPISODES),
-            worker_episodes: recorder.counter(runner_metrics::worker_episodes(worker)),
-            network_ns: recorder.histogram(runner_metrics::NETWORK_NS),
-            networks_inflight: recorder.gauge(runner_metrics::NETWORKS_INFLIGHT),
-        }
-    }
-}
+/// Chunk retries the workers may spend in one run; a panic that finds
+/// them spent fails the run with [`RunnerError::WorkerPanicked`].
+const MAX_RESTARTS: u32 = 32;
 
 /// Which policy to run — a cloneable, thread-shippable policy recipe.
 ///
@@ -360,8 +346,8 @@ impl fmt::Display for NetworkFailure {
 #[derive(Debug)]
 #[non_exhaustive]
 pub enum RunnerError {
-    /// A worker's chunk panicked with the run's restart budget
-    /// ([`SupervisorConfig::max_restarts`]) already spent.
+    /// A worker's chunk panicked with the run's 32 restarts already
+    /// spent.
     WorkerPanicked {
         /// Index of the worker that panicked.
         worker: usize,
@@ -446,9 +432,6 @@ pub struct RunOptions<'a> {
     /// Infrastructure chaos schedule (worker panics / stalls injected at
     /// chunk claim). The trivial default injects nothing at zero cost.
     pub chaos: ChaosPlan,
-    /// Self-healing knobs: per-chunk attempt budget, restart budget and
-    /// backoff.
-    pub supervisor: SupervisorConfig,
     /// Soft deadline; once it passes, networks not yet started are shed
     /// instead of run (graceful degradation), except the first
     /// [`DEADLINE_MIN_NETWORKS`]. Networks start in ascending index
@@ -466,40 +449,7 @@ impl Default for RunOptions<'_> {
             checkpoint: None,
             max_workers: None,
             chaos: ChaosPlan::none(),
-            supervisor: SupervisorConfig::default(),
             deadline: None,
-        }
-    }
-}
-
-/// Backoff shape for the pause before a chunk retry: the attacker's
-/// standard [`RetryPolicy`] schedule, `min(2^(n−1), 8)` units.
-const RESTART_BACKOFF: RetryPolicy = RetryPolicy::standard();
-
-/// How workers heal from panics.
-///
-/// A worker whose chunk panics retries that chunk in place after a
-/// capped exponential pause (`backoff_unit × min(2^(n−1), 8)` for the
-/// run's `n`-th restart). A chunk that panics `max_chunk_attempts`
-/// times quarantines its whole network (stage `"supervisor"`); once
-/// `max_restarts` retries have been spent, the next panic ends the run
-/// with [`RunnerError::WorkerPanicked`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SupervisorConfig {
-    /// Times one chunk may panic before its network is quarantined.
-    pub max_chunk_attempts: u32,
-    /// Total chunk retries the workers may spend in one run.
-    pub max_restarts: u32,
-    /// Wall-clock length of one backoff unit.
-    pub backoff_unit: Duration,
-}
-
-impl Default for SupervisorConfig {
-    fn default() -> Self {
-        SupervisorConfig {
-            max_chunk_attempts: 3,
-            max_restarts: 32,
-            backoff_unit: Duration::from_millis(25),
         }
     }
 }
@@ -530,8 +480,8 @@ pub struct RunReport {
     /// Networks shed by the soft [`RunOptions::deadline`] before any
     /// episode ran (scheduling, not failure — they are not quarantined).
     pub shed_networks: usize,
-    /// Chunk retries the workers spent healing panics, out of
-    /// [`SupervisorConfig::max_restarts`].
+    /// Chunk retries the workers spent healing panics (at most 32 per
+    /// run).
     pub supervisor_restarts: usize,
 }
 
@@ -606,7 +556,6 @@ pub fn run_policy_with(
         checkpoint,
         max_workers,
         chaos,
-        supervisor,
         deadline,
     } = opts;
     let cell = figure.cell_label(policy);
@@ -657,23 +606,12 @@ pub fn run_policy_with(
         .filter(|net| !resumed.contains_key(net))
         .map(|net| WorkItem { net, chunk: 0 })
         .collect();
-    let total_chunks = first_chunks.len() * chunks;
     // Spawn only as many workers as there are chunks, and report the
     // post-clamp count actually spawned.
-    let threads = base_threads.min(total_chunks);
+    let threads = base_threads.min(first_chunks.len() * chunks);
     recorder
         .counter(runner_metrics::WORKERS)
         .add(threads as u64);
-    let slots: Vec<NetworkSlot> = (0..figure.network_samples)
-        .map(|_| NetworkSlot::new(chunks))
-        .collect();
-    // Workers append completed networks through this shared handle; a
-    // failed append parks the error here and disables checkpointing for
-    // the rest of the run.
-    let ckpt_shared: Mutex<Option<&mut Checkpoint>> = Mutex::new(checkpoint);
-    let ckpt_error: Mutex<Option<std::io::Error>> = Mutex::new(None);
-    let queue = WorkQueue::new(first_chunks, threads.div_ceil(chunks));
-    let results = SharedResults::new(total_chunks);
     let ctx = RunCtx {
         figure,
         policy,
@@ -683,13 +621,17 @@ pub fn run_policy_with(
         tracer: &tracer,
         events: &events,
         chaos,
-        supervisor,
         deadline,
-        slots: &slots,
-        queue: &queue,
-        results: &results,
-        ckpt_shared: &ckpt_shared,
-        ckpt_error: &ckpt_error,
+        slots: (0..figure.network_samples)
+            .map(|_| Mutex::new(Slot::Waiting))
+            .collect(),
+        queue: WorkQueue::new(first_chunks, threads.div_ceil(chunks)),
+        retired: Mutex::new(Vec::new()),
+        restarts: AtomicU32::new(0),
+        panicked: Mutex::new(None),
+        checkpoint: Mutex::new(Ok(checkpoint)),
+        #[cfg(test)]
+        repeat_chaos: tests::REPEAT_CHAOS.get(),
     };
     std::thread::scope(|scope| {
         for worker in 0..threads {
@@ -697,22 +639,28 @@ pub fn run_policy_with(
             scope.spawn(move || worker_loop(ctx, worker));
         }
     });
-    let fresh = std::mem::take(&mut *results.done.lock().expect("results mutex poisoned"));
-    let mut quarantined =
-        std::mem::take(&mut *results.failures.lock().expect("results mutex poisoned"));
-    let shed = std::mem::take(&mut *results.shed.lock().expect("results mutex poisoned"));
-    let panicked = results
-        .panicked
-        .lock()
-        .expect("results mutex poisoned")
-        .take();
-    let restarts = results.restarts.load(Ordering::Relaxed);
-    let repaired_networks = results.repaired.load(Ordering::Relaxed);
+    let RunCtx {
+        retired,
+        restarts,
+        panicked,
+        checkpoint,
+        ..
+    } = ctx;
     // Merge in network order: independent of thread scheduling, and
     // identical whether a network was computed fresh or resumed.
     let mut per_net: BTreeMap<usize, TraceAccumulator> = resumed;
     let resumed_networks = per_net.len();
-    per_net.extend(fresh);
+    let (mut quarantined, mut shed_networks, mut repaired_networks) = (Vec::new(), 0, 0);
+    for (net, fate) in retired.into_inner().expect("results mutex poisoned") {
+        match fate {
+            Fate::Folded { acc, repaired } => {
+                repaired_networks += usize::from(repaired);
+                per_net.insert(net, acc);
+            }
+            Fate::Quarantined(failure) => quarantined.push(failure),
+            Fate::Shed => shed_networks += 1,
+        }
+    }
     let mut total = TraceAccumulator::new(figure.budget);
     for acc in per_net.values() {
         total.merge(acc);
@@ -728,7 +676,7 @@ pub fn run_policy_with(
                 .msg(why)
         });
     };
-    if let Some((worker, message)) = panicked {
+    if let Some((worker, message)) = panicked.into_inner().expect("results mutex poisoned") {
         fail(format!(
             "worker {worker} panicked with the restart budget exhausted: {message}"
         ));
@@ -738,7 +686,7 @@ pub fn run_policy_with(
             completed_networks: per_net.len(),
         });
     }
-    if let Some(e) = ckpt_error.lock().expect("error mutex poisoned").take() {
+    if let Err(e) = checkpoint.into_inner().expect("checkpoint mutex poisoned") {
         fail(format!("checkpoint write failed: {e}"));
         return Err(RunnerError::Checkpoint(e));
     }
@@ -748,7 +696,7 @@ pub fn run_policy_with(
             .arg("completed", per_net.len())
             .arg("resumed", resumed_networks)
             .arg("quarantined", quarantined.len())
-            .arg("shed", shed.len())
+            .arg("shed", shed_networks)
             .arg("episodes", total.runs())
     });
     Ok(RunReport {
@@ -757,8 +705,8 @@ pub fn run_policy_with(
         resumed_networks,
         completed_networks: per_net.len(),
         repaired_networks,
-        shed_networks: shed.len(),
-        supervisor_restarts: restarts as usize,
+        shed_networks,
+        supervisor_restarts: restarts.into_inner() as usize,
     })
 }
 
@@ -793,25 +741,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Per-worker handles for the episode-engine counters.
-struct EngineTelemetry {
-    scratch_reuses: CounterHandle,
-    scratch_allocs: CounterHandle,
-    steals: CounterHandle,
-    chunk_ns: HistogramHandle,
-}
-
-impl EngineTelemetry {
-    fn new(recorder: &Recorder) -> Self {
-        EngineTelemetry {
-            scratch_reuses: recorder.counter(engine_metrics::SCRATCH_REUSES),
-            scratch_allocs: recorder.counter(engine_metrics::SCRATCH_ALLOCS),
-            steals: recorder.counter(engine_metrics::STEALS),
-            chunk_ns: recorder.histogram(engine_metrics::CHUNK_NS),
-        }
-    }
-}
-
 /// One claimable unit: an episode chunk of one network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct WorkItem {
@@ -819,9 +748,11 @@ struct WorkItem {
     chunk: usize,
 }
 
-/// The chunk queue: workers block on `pop`, a network's builder queues
-/// its sibling chunks with `built`, and whoever accounts the last chunk
-/// (or aborts the run) shuts the pool down with `close`.
+/// The chunk queue: workers block on `pop`, and a network's builder
+/// queues its sibling chunks with `built`. Only a builder queues work,
+/// so once nothing is queued and no network is building, nothing more
+/// can arrive: `pop` then returns `None` and the workers exit. `close`
+/// ends the pool early, for a run that fails.
 ///
 /// Siblings go to the front, so the queue always reads "siblings, then
 /// chunk 0s in index order". A chunk 0 is handed out only while fewer
@@ -836,8 +767,7 @@ struct WorkQueue {
 
 struct QueueState {
     items: VecDeque<WorkItem>,
-    /// Chunk 0s handed out whose network is not yet built, shed, or
-    /// given up.
+    /// Chunk 0s handed out whose network is neither built nor retired.
     building: usize,
     closed: bool,
 }
@@ -855,12 +785,12 @@ impl WorkQueue {
         }
     }
 
-    /// Blocks until an item may be handed out or the queue is closed; a
-    /// closed queue hands out nothing more.
+    /// Blocks until an item may be handed out; `None` once the queue is
+    /// closed or has run dry.
     fn pop(&self) -> Option<WorkItem> {
         let mut st = self.state.lock().expect("work queue poisoned");
         loop {
-            if st.closed {
+            if st.closed || (st.items.is_empty() && st.building == 0) {
                 return None;
             }
             match st.items.front().copied() {
@@ -874,8 +804,8 @@ impl WorkQueue {
         }
     }
 
-    /// Ends one network's build (built, failed, shed, or given up) and
-    /// queues its `siblings`, in order, ahead of everything waiting.
+    /// Ends one network's build (built, or retired unbuilt) and queues
+    /// its `siblings`, in order, ahead of everything waiting.
     fn built(&self, siblings: impl DoubleEndedIterator<Item = WorkItem>) {
         let mut st = self.state.lock().expect("work queue poisoned");
         st.building -= 1;
@@ -892,40 +822,9 @@ impl WorkQueue {
     }
 }
 
-/// Completion sinks shared by every worker.
-struct SharedResults {
-    done: Mutex<Vec<(usize, TraceAccumulator)>>,
-    failures: Mutex<Vec<NetworkFailure>>,
-    shed: Mutex<Vec<usize>>,
-    repaired: AtomicUsize,
-    /// Chunk retries spent so far, out of `max_restarts`.
-    restarts: AtomicU32,
-    /// The panic that found the restart budget spent: `(worker,
-    /// message)`; the first one wins.
-    panicked: Mutex<Option<(usize, String)>>,
-    /// Chunks not yet accounted (completed, failed, shed, or
-    /// abandoned); the worker that accounts the last one closes the
-    /// queue.
-    outstanding: AtomicUsize,
-}
-
-impl SharedResults {
-    fn new(outstanding: usize) -> Self {
-        SharedResults {
-            done: Mutex::new(Vec::new()),
-            failures: Mutex::new(Vec::new()),
-            shed: Mutex::new(Vec::new()),
-            repaired: AtomicUsize::new(0),
-            restarts: AtomicU32::new(0),
-            panicked: Mutex::new(None),
-            outstanding: AtomicUsize::new(outstanding),
-        }
-    }
-}
-
 /// Everything the workers share for one run, bundled so it crosses the
 /// `thread::scope` boundary as a single reference. `'ck` is the
-/// checkpoint borrow threaded through the shared append handle.
+/// checkpoint borrow.
 struct RunCtx<'env, 'ck> {
     figure: &'env FigureRun,
     policy: PolicyKind,
@@ -936,23 +835,68 @@ struct RunCtx<'env, 'ck> {
     /// Progress observer for the lifecycle events.
     events: &'env Observer,
     chaos: ChaosPlan,
-    supervisor: SupervisorConfig,
     deadline: Option<Instant>,
-    slots: &'env [NetworkSlot],
-    queue: &'env WorkQueue,
-    results: &'env SharedResults,
-    ckpt_shared: &'env Mutex<Option<&'ck mut Checkpoint>>,
-    ckpt_error: &'env Mutex<Option<std::io::Error>>,
+    /// One slot per sampled network, in index order.
+    slots: Vec<Mutex<Slot>>,
+    queue: WorkQueue,
+    /// Every network [`retire`] has ended, with its fate.
+    retired: Mutex<Vec<(usize, Fate)>>,
+    /// Chunk retries spent so far, out of [`MAX_RESTARTS`].
+    restarts: AtomicU32,
+    /// The panic that found the restart budget spent: `(worker,
+    /// message)`; the first one wins.
+    panicked: Mutex<Option<(usize, String)>>,
+    /// Where folded networks are appended. The first failed append
+    /// replaces the handle with its error, which ends checkpointing for
+    /// the rest of the run and fails it at the end.
+    checkpoint: Mutex<Result<Option<&'ck mut Checkpoint>, std::io::Error>>,
+    /// Test hook: injected chaos fires on every attempt of a chunk, so
+    /// a chunk can panic twice.
+    #[cfg(test)]
+    repeat_chaos: bool,
 }
 
-impl RunCtx<'_, '_> {
-    /// Accounts `n` more chunks; the call that accounts the last one
-    /// closes the queue, so idle workers exit.
-    fn account(&self, n: usize) {
-        if n > 0 && self.results.outstanding.fetch_sub(n, Ordering::AcqRel) == n {
-            self.queue.close();
-        }
-    }
+/// Where one network is in its life. Its chunks and its one exit,
+/// [`retire`], move it forward under the network's one lock.
+enum Slot {
+    /// Chunk 0 not yet claimed, or claimed and about to be built or
+    /// shed; no sibling chunk is queued.
+    Waiting,
+    /// Chunk 0's claimer is building the shared state, again if a
+    /// build panicked.
+    Building { started: Instant },
+    /// Built: the chunks run and file their outcomes.
+    Running(Running),
+    /// Folded, quarantined or shed, with the instance memory released.
+    /// A late chunk of the network no-ops here.
+    Retired,
+}
+
+/// A built network whose chunks are running.
+struct Running {
+    state: Arc<NetworkState>,
+    /// The worker that built it; a chunk run by another worker counts
+    /// as a steal.
+    builder: usize,
+    started: Instant,
+    /// Per chunk, in chunk order: `None` until the chunk files, then
+    /// its outcomes in episode order or its episode loop's panic
+    /// message. A retry of a chunk that already filed files nothing.
+    filed: Vec<Option<Result<Vec<AttackOutcome>, String>>>,
+}
+
+/// How a network leaves the run.
+enum Fate {
+    /// Every episode ran: the network's accumulator, and whether its
+    /// instance was repaired.
+    Folded {
+        acc: TraceAccumulator,
+        repaired: bool,
+    },
+    /// Dropped from the aggregate.
+    Quarantined(NetworkFailure),
+    /// Shed by the soft deadline before it started.
+    Shed,
 }
 
 /// A `run.network` event for network `net` with the given status.
@@ -962,32 +906,59 @@ fn network_event(sev: Severity, net: usize, status: &'static str) -> Event {
         .arg("status", status)
 }
 
-/// The `run.network` event of a quarantined network.
-fn quarantine_event(net: usize, stage: &'static str, message: &str) -> Event {
-    network_event(Severity::Warn, net, "quarantined")
-        .arg("stage", stage)
-        .arg("message", message.to_string())
+/// One worker's own state, made once per thread: its id, trace track,
+/// episode scratch and telemetry handles.
+struct Worker {
+    id: usize,
+    track: TraceTrack,
+    scratch: EpisodeScratch,
+    networks: CounterHandle,
+    episodes: CounterHandle,
+    worker_episodes: CounterHandle,
+    network_ns: HistogramHandle,
+    networks_inflight: GaugeHandle,
+    scratch_reuses: CounterHandle,
+    scratch_allocs: CounterHandle,
+    steals: CounterHandle,
+    chunk_ns: HistogramHandle,
+}
+
+impl Worker {
+    fn new(ctx: &RunCtx<'_, '_>, id: usize) -> Self {
+        let recorder = ctx.recorder;
+        Worker {
+            id,
+            track: ctx.tracer.track(&format!("worker-{id}")),
+            scratch: EpisodeScratch::new(),
+            networks: recorder.counter(runner_metrics::NETWORKS),
+            episodes: recorder.counter(runner_metrics::EPISODES),
+            worker_episodes: recorder.counter(runner_metrics::worker_episodes(id)),
+            network_ns: recorder.histogram(runner_metrics::NETWORK_NS),
+            networks_inflight: recorder.gauge(runner_metrics::NETWORKS_INFLIGHT),
+            scratch_reuses: recorder.counter(engine_metrics::SCRATCH_REUSES),
+            scratch_allocs: recorder.counter(engine_metrics::SCRATCH_ALLOCS),
+            steals: recorder.counter(engine_metrics::STEALS),
+            chunk_ns: recorder.histogram(engine_metrics::CHUNK_NS),
+        }
+    }
 }
 
 /// One self-healing worker: drains the chunk queue, catching any panic
-/// while it holds a chunk. A panicked chunk is retried in place, each
-/// retry spending one of the run's restarts, until it exhausts its
-/// attempt budget (its network is then quarantined) or finds the
-/// restart budget spent (the run then fails and the queue closes).
-/// Injected chaos worker faults fire on a chunk's first attempt only, so
-/// a retry always makes progress.
-fn worker_loop(ctx: &RunCtx<'_, '_>, worker: usize) {
-    let tel = WorkerTelemetry::new(ctx.recorder, worker);
-    let etel = EngineTelemetry::new(ctx.recorder);
-    let track = ctx.tracer.track(&format!("worker-{worker}"));
-    let mut scratch = EpisodeScratch::new();
-    let budget = ctx.supervisor;
+/// while it holds a chunk. A panicked chunk is retried once, in place,
+/// spending one of the run's restarts; a second panic quarantines its
+/// network, and a panic that finds the restart budget spent fails the
+/// run and closes the queue. Injected chaos fires on a chunk's first
+/// attempt only, so a retry always makes progress.
+fn worker_loop(ctx: &RunCtx<'_, '_>, id: usize) {
+    let mut w = Worker::new(ctx, id);
     while let Some(item) = ctx.queue.pop() {
         ctx.events.heartbeat();
-        let mut attempts = 0u32;
-        loop {
+        for attempt in 0..2 {
+            let chaos = attempt == 0;
+            #[cfg(test)]
+            let chaos = chaos || ctx.repeat_chaos;
             let ran = catch_unwind(AssertUnwindSafe(|| {
-                if attempts == 0 {
+                if chaos {
                     match ctx.chaos.worker_fault(item.net, item.chunk) {
                         Some(WorkerFault::Panic) => {
                             ctx.recorder.counter(chaos_metrics::WORKER_PANICS).incr();
@@ -1003,119 +974,111 @@ fn worker_loop(ctx: &RunCtx<'_, '_>, worker: usize) {
                         None => {}
                     }
                 }
-                process_chunk(ctx, item, worker, &tel, &etel, &track, &mut scratch);
+                process_chunk(ctx, &mut w, item);
             }));
             let Err(payload) = ran else { break };
             let message = panic_message(payload.as_ref());
             ctx.recorder
                 .counter(runner_metrics::SUPERVISOR_PANICS)
                 .incr();
-            attempts += 1;
-            if attempts >= budget.max_chunk_attempts {
-                abandon_network(
-                    ctx,
-                    item.net,
-                    format!(
-                        "chunk {} panicked {attempts} time(s); last panic: {message}",
-                        item.chunk
-                    ),
-                );
+            if attempt > 0 {
+                let message = format!("chunk {} panicked twice; last panic: {message}", item.chunk);
+                let failure = NetworkFailure {
+                    network: item.net,
+                    stage: "supervisor",
+                    message,
+                };
+                retire(ctx, &w, item.net, Fate::Quarantined(failure));
                 break;
             }
-            let spent =
-                ctx.results
-                    .restarts
-                    .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
-                        (n < budget.max_restarts).then_some(n + 1)
-                    });
+            let spent = ctx
+                .restarts
+                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
+                    (n < MAX_RESTARTS).then_some(n + 1)
+                });
             let Ok(before) = spent else {
                 eprintln!(
-                    "runner: worker {worker} panicked ({message}) with the \
+                    "runner: worker {id} panicked ({message}) with the \
                      restart budget exhausted; aborting the run"
                 );
-                ctx.results
-                    .panicked
+                ctx.panicked
                     .lock()
                     .expect("results mutex poisoned")
-                    .get_or_insert((worker, message));
+                    .get_or_insert((id, message));
                 ctx.queue.close();
                 return;
             };
-            let restart = before + 1;
             ctx.recorder
                 .counter(runner_metrics::SUPERVISOR_RESTARTS)
                 .incr();
             eprintln!(
-                "runner: worker {worker} panicked ({message}); restart {restart}/{}",
-                budget.max_restarts
+                "runner: worker {id} panicked ({message}); restart {}/{MAX_RESTARTS}",
+                before + 1
             );
-            let pause = budget.backoff_unit * RESTART_BACKOFF.backoff(restart) as u32;
-            if !pause.is_zero() {
-                std::thread::sleep(pause);
-            }
         }
     }
 }
 
-/// Retires a never-started network under an expired deadline: ends its
-/// build, accounts every chunk, emits its `shed` network event, and
-/// records the shed on the report. The caller has already moved the
-/// lifecycle to `Retired`.
-fn shed_network(ctx: &RunCtx<'_, '_>, net: usize) {
-    ctx.queue.built(std::iter::empty());
-    ctx.account(ctx.slots[net].seal().map_or(0, |(newly, _)| newly));
-    ctx.results
-        .shed
-        .lock()
-        .expect("results mutex poisoned")
-        .push(net);
-    ctx.recorder.counter(runner_metrics::SUPERVISOR_SHED).incr();
-    ctx.events
-        .emit(|| network_event(Severity::Warn, net, "shed"));
-}
-
-/// Quarantine after a chunk exhausted its attempt budget: the whole
-/// network is dropped from the aggregate exactly as an episode panic
-/// would drop it. Accounts every outstanding chunk and reports the
-/// quarantine once — unless the network already finalized, in which
-/// case nothing changes.
-fn abandon_network(ctx: &RunCtx<'_, '_>, net: usize, message: String) {
-    let slot = &ctx.slots[net];
+/// Ends network `net` with `fate`: the one exit of every network,
+/// whether it is folded, quarantined at any stage or shed. Retires the
+/// slot (a network already retired stays as it was, so a late second
+/// exit does nothing), ends the build of a network retired unbuilt,
+/// settles the in-flight gauge and `runner.network_ns` of a started
+/// one, checkpoints a folded one, then counts the fate, emits its
+/// `run.network` event and files it on the report.
+fn retire(ctx: &RunCtx<'_, '_>, w: &Worker, net: usize, fate: Fate) {
     let was = std::mem::replace(
-        &mut *slot
-            .lifecycle
+        &mut *ctx.slots[net]
             .lock()
             .unwrap_or_else(PoisonError::into_inner),
-        SlotLifecycle::Retired,
+        Slot::Retired,
     );
-    if matches!(was, SlotLifecycle::Uninit) {
-        // Chunk 0 gave up before its network was built.
+    let started = match &was {
+        Slot::Retired => return,
+        Slot::Waiting => None,
+        Slot::Building { started } => Some(*started),
+        Slot::Running(run) => Some(run.started),
+    };
+    if !matches!(was, Slot::Running(_)) {
+        // No sibling chunk was queued, so its build ends here.
         ctx.queue.built(std::iter::empty());
     }
-    let Some((newly, started)) = slot.seal() else {
-        return;
-    };
-    ctx.account(newly);
-    ctx.recorder.counter(runner_metrics::QUARANTINED).incr();
+    drop(was);
     if let Some(started) = started {
-        // The network had been claimed: balance the in-flight gauge its
-        // initializer bumped and record its wall clock.
-        ctx.recorder.gauge(runner_metrics::NETWORKS_INFLIGHT).sub(1);
-        ctx.recorder
-            .histogram(runner_metrics::NETWORK_NS)
-            .record(started.elapsed().as_nanos() as u64);
+        w.networks_inflight.sub(1);
+        w.network_ns.record(started.elapsed().as_nanos() as u64);
     }
-    ctx.events
-        .emit(|| quarantine_event(net, "supervisor", &message));
-    ctx.results
-        .failures
+    match &fate {
+        Fate::Folded { acc, .. } => {
+            w.networks.incr();
+            let _span = w
+                .track
+                .span_with("checkpoint", &[("net", TraceValue::U64(net as u64))]);
+            let mut checkpoint = ctx.checkpoint.lock().expect("checkpoint mutex poisoned");
+            if let Ok(Some(file)) = &mut *checkpoint {
+                if let Err(e) = file.record(ctx.cell, net, acc) {
+                    *checkpoint = Err(e);
+                }
+            }
+        }
+        Fate::Quarantined(_) => ctx.recorder.counter(runner_metrics::QUARANTINED).incr(),
+        Fate::Shed => ctx.recorder.counter(runner_metrics::SUPERVISOR_SHED).incr(),
+    }
+    ctx.events.emit(|| match &fate {
+        Fate::Folded { acc, repaired } => network_event(Severity::Info, net, "ok")
+            .arg("episodes", acc.runs() as u64)
+            .arg("mean_benefit", acc.mean_total_benefit())
+            .arg("faults_mean", acc.mean_faults_seen())
+            .arg("repaired", *repaired),
+        Fate::Quarantined(failure) => network_event(Severity::Warn, net, "quarantined")
+            .arg("stage", failure.stage)
+            .arg("message", failure.message.clone()),
+        Fate::Shed => network_event(Severity::Warn, net, "shed"),
+    });
+    ctx.retired
         .lock()
         .expect("results mutex poisoned")
-        .push(NetworkFailure {
-            network: net,
-            stage: "supervisor",
-            message,
-        });
+        .push((net, fate));
 }
 
 /// Immutable per-network state shared by that network's episode chunks.
@@ -1127,84 +1090,6 @@ struct NetworkState {
     run_seeds: Vec<u64>,
     policy_seed: u64,
     was_repaired: bool,
-}
-
-/// Where a network is in its build → run-chunks → fold lifecycle.
-enum SlotLifecycle {
-    /// Chunk 0 not yet claimed (or its build panicked and awaits a
-    /// retry); no sibling chunk is queued.
-    Uninit,
-    /// Shared state ready for chunk execution.
-    Ready {
-        state: Arc<NetworkState>,
-        init_worker: usize,
-    },
-    /// Every chunk accounted (folded, quarantined, shed, or abandoned)
-    /// and the instance memory released. Sibling chunks of an abandoned
-    /// network no-op here.
-    Retired,
-}
-
-/// Chunk bookkeeping for one network, folded by whichever worker
-/// completes the last chunk.
-struct SlotProgress {
-    started: Option<Instant>,
-    /// Chunks accounted so far (completed, failed, shed, or abandoned).
-    filled: usize,
-    /// Per-chunk accounting bits backing the at-most-once fold: a retry
-    /// of a chunk that panicked after filing its outcomes finds its bit
-    /// already set and files nothing.
-    chunk_filled: Vec<bool>,
-    /// Set once the network's fate is sealed (folded, quarantined,
-    /// shed, or abandoned); later accounting passes become no-ops.
-    finalized: bool,
-    /// Episode outcomes in episode order; folded into the network's
-    /// accumulator sequentially at finalize so chunked and sequential
-    /// scheduling sum floats in the identical order.
-    outcomes: Vec<Option<AttackOutcome>>,
-    failure: Option<String>,
-}
-
-/// One entry of the per-network slot table.
-struct NetworkSlot {
-    lifecycle: Mutex<SlotLifecycle>,
-    progress: Mutex<SlotProgress>,
-}
-
-impl NetworkSlot {
-    fn new(chunks: usize) -> Self {
-        NetworkSlot {
-            lifecycle: Mutex::new(SlotLifecycle::Uninit),
-            progress: Mutex::new(SlotProgress {
-                started: None,
-                filled: 0,
-                chunk_filled: vec![false; chunks],
-                finalized: false,
-                outcomes: Vec::new(),
-                failure: None,
-            }),
-        }
-    }
-
-    /// Marks every chunk not yet filed as accounted and seals the slot,
-    /// unless it is already sealed. Returns how many chunks this newly
-    /// accounted (the caller passes them to [`RunCtx::account`]) and
-    /// when the network's build started, if it was claimed.
-    fn seal(&self) -> Option<(usize, Option<Instant>)> {
-        let mut progress = self.progress.lock().unwrap_or_else(PoisonError::into_inner);
-        if progress.finalized {
-            return None;
-        }
-        progress.finalized = true;
-        let newly = progress
-            .chunk_filled
-            .iter()
-            .filter(|filled| !**filled)
-            .count();
-        progress.chunk_filled.fill(true);
-        progress.filled += newly;
-        Some((newly, progress.started.take()))
-    }
 }
 
 /// Cache-aware default chunk granularity for one network's episodes.
@@ -1330,101 +1215,87 @@ fn init_network(
     })
 }
 
+/// Builds network `net` for the worker holding its chunk 0 and queues
+/// the sibling chunks. Returns the shared state, or `None` once the
+/// network is retired instead: shed by an expired deadline before it
+/// started, or quarantined by a dataset, protocol or validation failure.
+fn build(ctx: &RunCtx<'_, '_>, w: &Worker, net: usize) -> Option<Arc<NetworkState>> {
+    let mut slot = ctx.slots[net].lock().expect("slot mutex poisoned");
+    let started = match *slot {
+        // The retry of a build that panicked keeps its start.
+        Slot::Building { started } => started,
+        _ => {
+            // Soft deadline: shed a network nobody has started yet.
+            // Chunk 0s pop in ascending network order, so the survivors
+            // form a prefix of the sample list.
+            if ctx
+                .deadline
+                .is_some_and(|at| net >= DEADLINE_MIN_NETWORKS && Instant::now() >= at)
+            {
+                drop(slot);
+                retire(ctx, w, net, Fate::Shed);
+                return None;
+            }
+            w.networks_inflight.add(1);
+            Instant::now()
+        }
+    };
+    *slot = Slot::Building { started };
+    drop(slot);
+    match init_network(ctx.figure, net, ctx.recorder, &w.track) {
+        Ok(state) => {
+            let state = Arc::new(state);
+            *ctx.slots[net].lock().expect("slot mutex poisoned") = Slot::Running(Running {
+                state: Arc::clone(&state),
+                builder: w.id,
+                started,
+                filed: vec![None; ctx.chunks],
+            });
+            ctx.queue
+                .built((1..ctx.chunks).map(|chunk| WorkItem { net, chunk }));
+            Some(state)
+        }
+        Err(failure) => {
+            retire(ctx, w, net, Fate::Quarantined(failure));
+            None
+        }
+    }
+}
+
 /// Claims one `(network, chunk)` work item: builds the network's shared
-/// state (chunk 0, which then queues its siblings) or reuses it, runs
-/// the chunk's episodes one at a time in the worker's
-/// [`EpisodeScratch`], and — when this was the network's last
-/// outstanding chunk — folds the outcomes in episode order,
-/// checkpoints, and retires the slot. Dataset/protocol/validation
-/// failures quarantine via chunk 0; an episode-loop panic quarantines
-/// the network at finalize.
+/// state (chunk 0) or reuses it, runs the chunk's episodes one at a time
+/// in the worker's [`EpisodeScratch`], and files their outcomes. The
+/// chunk that files last folds the network's outcomes in episode order,
+/// so chunked and sequential scheduling sum floats in the identical
+/// order, and retires it; if the episode loop of any chunk panicked, it
+/// quarantines the network at stage `episodes` instead.
 ///
 /// Tracing: the chunk and episode loop run under `chunk`/`episodes`
 /// spans on the worker's `track`; each episode toggles the track's
 /// sampling gate by its run-global index (`net × runs_per_network +
 /// ep`), so sampled episodes carry `episode_begin`/`episode_end`
 /// markers plus the simulator's and policy's per-step events.
-fn process_chunk(
-    ctx: &RunCtx<'_, '_>,
-    item: WorkItem,
-    worker: usize,
-    tel: &WorkerTelemetry,
-    etel: &EngineTelemetry,
-    track: &TraceTrack,
-    scratch: &mut EpisodeScratch,
-) {
+fn process_chunk(ctx: &RunCtx<'_, '_>, w: &mut Worker, item: WorkItem) {
     let WorkItem { net, chunk } = item;
     let figure = ctx.figure;
-    let slot = &ctx.slots[net];
-    let state: Arc<NetworkState> = {
-        let mut lc = slot.lifecycle.lock().expect("slot mutex poisoned");
-        match &*lc {
-            SlotLifecycle::Ready { state, init_worker } => {
-                if *init_worker != worker {
-                    etel.steals.incr();
-                }
-                Arc::clone(state)
+    let running = match &*ctx.slots[net].lock().expect("slot mutex poisoned") {
+        Slot::Running(run) => {
+            if run.builder != w.id {
+                w.steals.incr();
             }
-            // Shed, quarantined or abandoned: nothing left to do.
-            SlotLifecycle::Retired => return,
-            // Only chunk 0 is ever claimed before its network is built.
-            SlotLifecycle::Uninit => {
-                // Soft deadline: shed a network nobody has started yet.
-                // Chunk 0s pop in ascending network order, so the
-                // survivors form a prefix of the sample list.
-                if ctx
-                    .deadline
-                    .is_some_and(|at| net >= DEADLINE_MIN_NETWORKS && Instant::now() >= at)
-                {
-                    *lc = SlotLifecycle::Retired;
-                    drop(lc);
-                    shed_network(ctx, net);
-                    return;
-                }
-                drop(lc);
-                tel.networks_inflight.add(1);
-                let started = Instant::now();
-                slot.progress
-                    .lock()
-                    .expect("progress mutex poisoned")
-                    .started = Some(started);
-                match init_network(figure, net, ctx.recorder, track) {
-                    Ok(state) => {
-                        let state = Arc::new(state);
-                        *slot.lifecycle.lock().expect("slot mutex poisoned") =
-                            SlotLifecycle::Ready {
-                                state: Arc::clone(&state),
-                                init_worker: worker,
-                            };
-                        ctx.queue
-                            .built((1..ctx.chunks).map(|chunk| WorkItem { net, chunk }));
-                        state
-                    }
-                    Err(failure) => {
-                        // No sibling was queued, so the quarantine is
-                        // reported exactly once, here.
-                        *slot.lifecycle.lock().expect("slot mutex poisoned") =
-                            SlotLifecycle::Retired;
-                        ctx.queue.built(std::iter::empty());
-                        ctx.account(slot.seal().map_or(0, |(newly, _)| newly));
-                        ctx.recorder.counter(runner_metrics::QUARANTINED).incr();
-                        tel.networks_inflight.sub(1);
-                        tel.network_ns.record(started.elapsed().as_nanos() as u64);
-                        ctx.events
-                            .emit(|| quarantine_event(net, failure.stage, &failure.message));
-                        ctx.results
-                            .failures
-                            .lock()
-                            .expect("results mutex poisoned")
-                            .push(failure);
-                        return;
-                    }
-                }
-            }
+            Some(Arc::clone(&run.state))
         }
+        // Quarantined or shed: nothing left to do.
+        Slot::Retired => return,
+        // Only chunk 0 is ever claimed before its network is built.
+        Slot::Waiting | Slot::Building { .. } => None,
     };
+    let Some(state) = running.or_else(|| build(ctx, w, net)) else {
+        return;
+    };
+    let track = &w.track;
     let (lo, hi) = chunk_range(figure.runs_per_network, ctx.chunks, chunk);
-    let chunk_span = etel.chunk_ns.span();
+    let chunk_span = w.chunk_ns.span();
     let chunk_trace = track.span_with(
         "chunk",
         &[
@@ -1440,12 +1311,12 @@ fn process_chunk(
         let episodes_trace = track.span("episodes");
         for ep in lo..hi {
             let run_seed = state.run_seeds[ep];
-            if scratch.prepare(&state.instance) {
-                etel.scratch_reuses.incr();
+            if w.scratch.prepare(&state.instance) {
+                w.scratch_reuses.incr();
             } else {
-                etel.scratch_allocs.incr();
+                w.scratch_allocs.incr();
             }
-            scratch
+            w.scratch
                 .realization
                 .sample_into(&state.instance, &mut StdRng::seed_from_u64(run_seed));
             // Episode indices are global across the run, so which
@@ -1490,7 +1361,7 @@ fn process_chunk(
                 policy_impl.as_mut(),
                 figure.budget,
                 &opts,
-                scratch,
+                &mut w.scratch,
             )
             .expect("exact knowledge cannot mismatch");
             if track.is_active() {
@@ -1515,8 +1386,8 @@ fn process_chunk(
                 );
             }
             outcomes.push(outcome.clone());
-            tel.episodes.incr();
-            tel.worker_episodes.incr();
+            w.episodes.incr();
+            w.worker_episodes.incr();
             ctx.events.episode_done(outcome.faults.faults_seen() as u64);
         }
         drop(episodes_trace);
@@ -1530,102 +1401,55 @@ fn process_chunk(
     if track.is_enabled() {
         track.set_active(true);
     }
-    let mut progress = slot.progress.lock().expect("progress mutex poisoned");
-    if progress.chunk_filled[chunk] {
-        // A retry of a chunk that panicked after filing its outcomes, or
-        // a chunk of a network abandoned meanwhile: fold at most once.
+    let mut slot = ctx.slots[net].lock().expect("slot mutex poisoned");
+    // Retired meanwhile, or the retry of a chunk that already filed:
+    // a chunk files at most once.
+    let Slot::Running(run) = &mut *slot else {
+        return;
+    };
+    if run.filed[chunk].is_some() {
         return;
     }
-    progress.chunk_filled[chunk] = true;
-    progress.filled += 1;
-    ctx.account(1);
-    match episodes {
-        Ok(outcomes) => {
-            if progress.outcomes.is_empty() {
-                progress.outcomes = vec![None; figure.runs_per_network];
-            }
-            for (offset, outcome) in outcomes.into_iter().enumerate() {
-                progress.outcomes[lo + offset] = Some(outcome);
-            }
-        }
-        Err(payload) => {
-            if progress.failure.is_none() {
-                progress.failure = Some(panic_message(payload.as_ref()));
-            }
-        }
-    }
-    if progress.filled < ctx.chunks {
+    run.filed[chunk] = Some(episodes.map_err(|payload| panic_message(payload.as_ref())));
+    if run.filed.iter().any(Option::is_none) {
         return;
     }
-    progress.finalized = true;
-    let outcomes = std::mem::take(&mut progress.outcomes);
-    let failure = progress.failure.take();
-    let started = progress.started.take();
-    drop(progress);
-    // Last chunk: release the instance memory and account the network.
-    *slot.lifecycle.lock().expect("slot mutex poisoned") = SlotLifecycle::Retired;
-    tel.networks_inflight.sub(1);
-    if let Some(started) = started {
-        tel.network_ns.record(started.elapsed().as_nanos() as u64);
-    }
-    match failure {
-        Some(message) => {
-            ctx.recorder.counter(runner_metrics::QUARANTINED).incr();
-            ctx.events
-                .emit(|| quarantine_event(net, "episodes", &message));
-            ctx.results
-                .failures
-                .lock()
-                .expect("results mutex poisoned")
-                .push(NetworkFailure {
-                    network: net,
-                    stage: "episodes",
-                    message,
-                });
-        }
+    let fate = match run.filed.iter().flatten().find_map(|f| f.as_ref().err()) {
+        Some(message) => Fate::Quarantined(NetworkFailure {
+            network: net,
+            stage: "episodes",
+            message: message.clone(),
+        }),
         None => {
-            let fold_span = track.span_with("fold", &[("net", TraceValue::U64(net as u64))]);
+            let _span = track.span_with("fold", &[("net", TraceValue::U64(net as u64))]);
             let mut acc = TraceAccumulator::new(figure.budget);
-            for outcome in &outcomes {
-                let outcome = outcome
-                    .as_ref()
-                    .expect("every episode of a clean network is accounted");
-                acc.add(outcome);
-            }
-            drop(fold_span);
-            tel.networks.incr();
-            let ckpt_span = track.span_with("checkpoint", &[("net", TraceValue::U64(net as u64))]);
-            let mut guard = ctx.ckpt_shared.lock().expect("checkpoint mutex poisoned");
-            if let Some(ckpt) = guard.as_mut() {
-                if let Err(e) = ckpt.record(ctx.cell, net, &acc) {
-                    *ctx.ckpt_error.lock().expect("error mutex poisoned") = Some(e);
-                    *guard = None;
+            for outcomes in run.filed.iter().flatten().flatten() {
+                for outcome in outcomes {
+                    acc.add(outcome);
                 }
             }
-            drop(guard);
-            drop(ckpt_span);
-            ctx.events.emit(|| {
-                network_event(Severity::Info, net, "ok")
-                    .arg("episodes", acc.runs() as u64)
-                    .arg("mean_benefit", acc.mean_total_benefit())
-                    .arg("faults_mean", acc.mean_faults_seen())
-                    .arg("repaired", state.was_repaired)
-            });
-            ctx.results
-                .repaired
-                .fetch_add(usize::from(state.was_repaired), Ordering::Relaxed);
-            ctx.results
-                .done
-                .lock()
-                .expect("results mutex poisoned")
-                .push((net, acc));
+            Fate::Folded {
+                acc,
+                repaired: run.state.was_repaired,
+            }
         }
-    }
+    };
+    drop(slot);
+    retire(ctx, w, net, fate);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
+    use std::time::Duration;
+
+    thread_local! {
+        /// Runs started on this thread inject their chaos on every
+        /// attempt of a chunk, not only the first, so a chunk can panic
+        /// twice.
+        pub(super) static REPEAT_CHAOS: Cell<bool> = const { Cell::new(false) };
+    }
 
     /// A default-options run's aggregate.
     fn run(figure: &FigureRun, policy: PolicyKind) -> TraceAccumulator {
@@ -2220,8 +2044,20 @@ mod tests {
         });
         assert_eq!(queue.pop(), Some(item(1, 2)));
         assert_eq!(queue.pop(), Some(item(2, 0)));
-        queue.close();
+        // Nothing is queued, but networks 0 and 2 are building and may
+        // queue siblings: a worker waits until the last build ends.
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| queue.pop());
+            queue.built(std::iter::empty());
+            std::thread::sleep(Duration::from_millis(20));
+            assert!(!waiter.is_finished());
+            queue.built(std::iter::empty());
+            assert_eq!(waiter.join().unwrap(), None);
+        });
         assert_eq!(queue.pop(), None);
+        let closed = WorkQueue::new((0..2).map(|net| item(net, 0)).collect(), 1);
+        closed.close();
+        assert_eq!(closed.pop(), None);
     }
 
     #[test]
@@ -2308,15 +2144,6 @@ mod tests {
         assert_eq!(snap.counter(runner_metrics::WORKERS), Some(3));
     }
 
-    /// Healing tuned for tests: no restart pauses, so healing storms of
-    /// injected panics stays fast.
-    fn eager_supervisor() -> SupervisorConfig {
-        SupervisorConfig {
-            backoff_unit: Duration::ZERO,
-            ..SupervisorConfig::default()
-        }
-    }
-
     #[test]
     fn chaos_worker_panics_are_healed_by_supervisor() {
         // panic=1.0 panics on the first attempt of every chunk; the
@@ -2336,7 +2163,6 @@ mod tests {
                 recorder: recorder.clone(),
                 chaos,
                 max_workers: Some(2),
-                supervisor: eager_supervisor(),
                 ..RunOptions::default()
             },
         )
@@ -2405,34 +2231,44 @@ mod tests {
 
     #[test]
     fn exhausted_chunk_attempts_quarantine_with_supervisor_stage() {
-        // max_chunk_attempts=1 means the first injected panic abandons
-        // the whole network; with panic=1.0 every network dies, exactly
-        // once each, and no retry is spent.
+        // With the chaos repeated on the retry, every chunk panics
+        // twice: each network spends one restart on its retry, then dies
+        // at stage "supervisor", exactly once.
         let fig = tiny_figure();
         let chaos = ChaosPlan::sample(&accu_core::ChaosConfig {
             worker_panic: 1.0,
             ..accu_core::ChaosConfig::none()
         });
+        let recorder = Recorder::enabled();
+        REPEAT_CHAOS.set(true);
         let report = run_policy_with(
             &fig,
             PolicyKind::abm_balanced(),
             RunOptions {
+                recorder: recorder.clone(),
                 chaos,
                 max_workers: Some(1),
-                supervisor: SupervisorConfig {
-                    max_chunk_attempts: 1,
-                    ..eager_supervisor()
-                },
                 ..RunOptions::default()
             },
-        )
-        .unwrap();
+        );
+        REPEAT_CHAOS.set(false);
+        let report = report.unwrap();
         assert_eq!(report.quarantined.len(), fig.network_samples);
         assert!(report.quarantined.iter().all(|f| f.stage == "supervisor"));
+        assert!(report.quarantined[0].message.contains("panicked twice"));
         assert_eq!(report.completed_networks, 0);
         assert_eq!(report.accumulator.runs(), 0);
         assert_eq!(report.shed_networks, 0);
-        assert_eq!(report.supervisor_restarts, 0);
+        assert_eq!(report.supervisor_restarts, fig.network_samples);
+        let snap = recorder.snapshot("twice").unwrap();
+        assert_eq!(
+            snap.counter(runner_metrics::SUPERVISOR_PANICS),
+            Some(2 * fig.network_samples as u64)
+        );
+        assert_eq!(
+            snap.counter(runner_metrics::QUARANTINED),
+            Some(fig.network_samples as u64)
+        );
     }
 
     #[test]

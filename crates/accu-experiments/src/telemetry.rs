@@ -15,28 +15,21 @@
 //! under `target/experiments/telemetry/<label>.jsonl`.
 
 use std::io::{self, Write};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
 use accu_core::chaos::chaos_metrics;
 use accu_core::policy::abm_metrics;
 use accu_core::{fault_metrics, sim_metrics, validate_metrics, ChaosPlan, TraceAccumulator};
-use accu_telemetry::obs::{throughput_floor, MetricsServer, Observer, Watchdog, WatchdogConfig};
+use accu_telemetry::obs::{MetricsServer, Observer, Watchdog, WatchdogConfig};
 use accu_telemetry::{Event, JsonlSink, Recorder, Snapshot, Tracer, DEFAULT_TRACK_CAPACITY};
 
 use crate::chaosfs::{atomic_write, atomic_write_chaos, ChaosFile, ChaosSite};
 use crate::checkpoint::Checkpoint;
 use crate::cli::Cli;
 use crate::output::{experiments_dir, fnum, Table};
-use crate::runner::{
-    run_policy_with, runner_metrics, FigureRun, PolicyKind, RunOptions, SupervisorConfig,
-};
-
-/// Where the bench trajectory lives relative to the working directory;
-/// `--watchdog` seeds its throughput floor from the last healthy
-/// `engine` entry here when the spec gives no explicit `floor=`.
-const TRAJECTORY_PATH: &str = "BENCH_trajectory.jsonl";
+use crate::runner::{run_policy_with, runner_metrics, FigureRun, PolicyKind, RunOptions};
 
 /// Exit code used by `--watchdog=strict` when any alarm fired.
 pub const WATCHDOG_EXIT_CODE: i32 = 3;
@@ -112,9 +105,12 @@ pub struct Telemetry {
     checkpoint: Option<(String, bool)>,
     /// The `--checkpoint` file, once the first cell has opened it.
     checkpoint_file: Option<Checkpoint>,
-    /// One stats row per cell that shed networks since the last
-    /// [`Telemetry::write_csv`].
+    /// One stats row per cell that shed networks, for the CSVs written
+    /// after those cells ran.
     shed: Vec<[String; 6]>,
+    /// Set by [`Telemetry::write_csv`]: the next cell starts a new set
+    /// of stats rows.
+    wrote_csv: bool,
     /// Chaos failpoint on the streaming-progress sink, kept for its
     /// injected-fault counters.
     progress_site: Option<ChaosSite>,
@@ -190,24 +186,8 @@ impl Telemetry {
         });
         let mut strict_watchdog = false;
         let watchdog = cli.watchdog.as_ref().map(|spec| {
-            let mut config = WatchdogConfig::parse(spec)
+            let config = WatchdogConfig::parse(spec)
                 .unwrap_or_else(|e| fail(&format!("--watchdog={spec}"), &e));
-            if config.min_eps.is_none() {
-                // No explicit floor and no usable trajectory: warn once
-                // and run with the floor rule disabled rather than
-                // refusing to arm the other rules.
-                match throughput_floor(Path::new(TRAJECTORY_PATH)) {
-                    Ok(floor) => {
-                        config.min_eps = Some(floor);
-                        eprintln!(
-                            "watchdog: throughput floor {floor:.1} eps/s (from {TRAJECTORY_PATH})"
-                        );
-                    }
-                    Err(why) => {
-                        eprintln!("watchdog: throughput-floor rule disabled ({why})");
-                    }
-                }
-            }
             strict_watchdog = config.strict;
             Watchdog::spawn(config, observer.clone())
         });
@@ -228,6 +208,7 @@ impl Telemetry {
             checkpoint: cli.checkpoint.clone().map(|path| (path, cli.resume)),
             checkpoint_file: None,
             shed: Vec::new(),
+            wrote_csv: false,
             progress_site,
             trace_site,
             strict_watchdog,
@@ -281,7 +262,7 @@ impl Telemetry {
     /// `--resume` reopened, by the first cell). Prints the cell's
     /// notices: quarantined, repaired, rejected, resumed and shed
     /// networks. A cell that shed networks past the deadline tags the
-    /// next [`Telemetry::write_csv`] as degraded.
+    /// CSVs written after it, up to the next cell, as degraded.
     ///
     /// Exits the process with code 1 on any
     /// [`RunnerError`](crate::RunnerError): only a deadline yields a
@@ -310,6 +291,9 @@ impl Telemetry {
             }
             self.checkpoint_file = Some(ckpt);
         }
+        if std::mem::take(&mut self.wrote_csv) {
+            self.shed.clear();
+        }
         let opts = RunOptions {
             recorder: self.recorder.clone(),
             tracer: self.tracer.clone(),
@@ -317,7 +301,6 @@ impl Telemetry {
             checkpoint: self.checkpoint_file.as_mut(),
             max_workers: self.workers,
             chaos: self.chaos,
-            supervisor: SupervisorConfig::default(),
             deadline: self.deadline_at,
         };
         let report = run_policy_with(figure, policy, opts).unwrap_or_else(|e| fail(&e));
@@ -369,19 +352,21 @@ impl Telemetry {
         report.accumulator
     }
 
-    /// Writes `table` as the figure CSV `name`. When a cell run since
-    /// the previous write shed networks past the deadline, the figure is
-    /// a partial aggregate: it lands as `name_degraded.csv` beside a
+    /// Writes `table` as the figure CSV `name`. When a cell it was
+    /// computed from shed networks past the deadline, the figure is a
+    /// partial aggregate: it lands as `name_degraded.csv` beside a
     /// `name_degraded_stats.csv` sidecar with one row per such cell, so
-    /// it can never be mistaken for the full figure. Reports the written
-    /// paths (or the failure) on the console.
+    /// it can never be mistaken for the full figure. Every CSV written
+    /// between one group of cells and the next carries that group's
+    /// rows, so two figures drawn from one sweep are both tagged.
+    /// Reports the written paths (or the failure) on the console.
     pub fn write_csv(&mut self, table: &Table, name: &str) {
-        let shed = std::mem::take(&mut self.shed);
+        self.wrote_csv = true;
         let write = |table: &Table, name: &str| match table.write_csv(name) {
             Ok(path) => println!("wrote {}", path.display()),
             Err(e) => eprintln!("csv write failed: {e}"),
         };
-        if shed.is_empty() {
+        if self.shed.is_empty() {
             return write(table, name);
         }
         write(table, &format!("{name}_degraded"));
@@ -393,7 +378,7 @@ impl Telemetry {
             "mean_benefit",
             "ci_half_width",
         ]);
-        for row in shed {
+        for row in &self.shed {
             stats.row(row);
         }
         write(&stats, &format!("{name}_degraded_stats"));

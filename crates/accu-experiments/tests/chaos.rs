@@ -3,13 +3,12 @@
 //! invisible in the results, and checkpoint-level fault injection plus
 //! a clean resume must reconstruct the fault-free aggregate exactly.
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use accu_core::{ChaosConfig, ChaosPlan, FaultConfig, RetryPolicy, ValidationMode};
 use accu_datasets::{DatasetSpec, ProtocolConfig};
 use accu_experiments::{
-    run_policy_with, Checkpoint, FigureRun, PolicyKind, RunOptions, SupervisorConfig,
-    DEADLINE_MIN_NETWORKS,
+    run_policy_with, Checkpoint, FigureRun, PolicyKind, RunOptions, DEADLINE_MIN_NETWORKS,
 };
 use proptest::prelude::*;
 
@@ -36,15 +35,6 @@ fn small_figure(seed: u64, network_samples: usize) -> FigureRun {
         faults: FaultConfig::none(),
         retry: RetryPolicy::standard(),
         validation: ValidationMode::default(),
-    }
-}
-
-/// Healing with no restart pauses, so heal-equivalence cases stay
-/// quick.
-fn eager_supervisor() -> SupervisorConfig {
-    SupervisorConfig {
-        backoff_unit: Duration::ZERO,
-        ..SupervisorConfig::default()
     }
 }
 
@@ -129,7 +119,6 @@ proptest! {
             RunOptions {
                 chaos: ChaosPlan::sample(&config),
                 max_workers: Some(2),
-                supervisor: eager_supervisor(),
                 ..RunOptions::default()
             },
         ).unwrap();

@@ -140,6 +140,30 @@ fn exhausted_restart_budget_exits_nonzero_without_a_figure() {
 }
 
 #[test]
+fn watchdog_without_a_floor_arms_no_throughput_floor() {
+    let dir = scratch("watchdog");
+    // A trajectory line no figure run can reach: a floor implied from
+    // it would trip the strict watchdog on the first tick of a cell.
+    std::fs::write(
+        dir.join("BENCH_trajectory.jsonl"),
+        "{\"schema\":2,\"git\":\"0\",\"bench\":\"engine\",\"eps_per_sec\":1e12,\"status\":\"ok\"}\n",
+    )
+    .unwrap();
+    // 16 cells of 8 networks: the run outlasts the watchdog's 250 ms
+    // tick, so the rules are evaluated mid-cell.
+    let out = run(
+        env!("CARGO_BIN_EXE_fig2"),
+        &dir,
+        8,
+        &["--watchdog=strict,warmup=0"],
+    );
+    assert_success(&out);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("obs.alarm"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn fig2_killed_mid_run_resumes_to_the_clean_csvs() {
     let fig2 = env!("CARGO_BIN_EXE_fig2");
     let clean = scratch("resume-clean");

@@ -7,10 +7,10 @@
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-use accu_core::{ChaosConfig, ChaosPlan, FaultConfig, RetryPolicy, ValidationMode, WorkerFault};
+use accu_core::{ChaosConfig, ChaosPlan, FaultConfig, RetryPolicy, ValidationMode};
 use accu_datasets::{DatasetSpec, ProtocolConfig};
 use accu_experiments::{
-    run_policy_with, FigureRun, PolicyKind, RunOptions, RunnerError, SupervisorConfig, Telemetry,
+    run_policy_with, FigureRun, PolicyKind, RunOptions, RunnerError, Telemetry,
 };
 use accu_telemetry::obs::{validate_prometheus, MetricsServer, Observer};
 use accu_telemetry::{
@@ -113,43 +113,33 @@ fn stream_kinds(path: &Path) -> Vec<String> {
 /// order, then `run.fail`; the next run on the same observer starts
 /// with an empty buffer.
 ///
-/// One worker, no restarts, and a chaos seed whose first-attempt panic
-/// hits network 1 only: the worker completes network 0, and the panic
-/// on network 1 finds the restart budget spent and aborts the run.
+/// One worker, one chunk per network, and a first-attempt panic on
+/// every chunk: networks 0–31 each heal by spending one of the run's 32
+/// restarts, and the panic on network 32 finds the budget spent and
+/// aborts the run.
 #[test]
 fn aborted_run_flushes_salvaged_networks_and_the_next_run_starts_clean() {
     let dir = scratch_dir("abort");
     let figure = FigureRun {
+        network_samples: 34,
         runs_per_network: 1, // one chunk per network
         ..small_figure(31)
     };
-    let chaos = (0u64..)
-        .map(|seed| {
-            ChaosPlan::sample(&ChaosConfig {
-                worker_panic: 0.5,
-                seed,
-                ..ChaosConfig::none()
-            })
-        })
-        .find(|plan| {
-            (0..figure.network_samples).all(|net| {
-                matches!(plan.worker_fault(net, 0), Some(WorkerFault::Panic)) == (net == 1)
-            })
-        })
-        .unwrap();
+    let chaos = ChaosPlan::sample(&ChaosConfig {
+        worker_panic: 1.0,
+        ..ChaosConfig::none()
+    });
     let path = dir.join("progress.jsonl");
     let progress = Observer::new(Some(JsonlSink::create(&path).unwrap()), false);
+    let recorder = Recorder::enabled();
     let aborted = run_policy_with(
         &figure,
         PolicyKind::abm_balanced(),
         RunOptions {
+            recorder: recorder.clone(),
             events: progress.clone(),
             max_workers: Some(1),
             chaos,
-            supervisor: SupervisorConfig {
-                max_restarts: 0,
-                ..SupervisorConfig::default()
-            },
             ..RunOptions::default()
         },
     );
@@ -157,9 +147,12 @@ fn aborted_run_flushes_salvaged_networks_and_the_next_run_starts_clean() {
         completed_networks, ..
     }) = aborted
     else {
-        panic!("the injected panic must abort the run: {aborted:?}");
+        panic!("the 33rd panic must abort the run: {aborted:?}");
     };
-    assert_eq!(completed_networks, 1);
+    assert_eq!(completed_networks, 32);
+    let snap = recorder.snapshot("abort").unwrap();
+    assert_eq!(snap.counter("runner.supervisor.restarts"), Some(32));
+    assert_eq!(snap.counter("runner.supervisor.worker_panics"), Some(33));
     run_policy_with(
         &figure,
         PolicyKind::abm_balanced(),
@@ -169,14 +162,12 @@ fn aborted_run_flushes_salvaged_networks_and_the_next_run_starts_clean() {
         },
     )
     .unwrap();
-    let mut want = vec!["run.begin", "run.network#0", "run.fail", "run.begin"];
-    want.extend([
-        "run.network#0",
-        "run.network#1",
-        "run.network#2",
-        "run.network#3",
-        "run.end",
-    ]);
+    let network = |net: usize| format!("run.network#{net}");
+    let mut want = vec!["run.begin".to_string()];
+    want.extend((0..32).map(network));
+    want.extend(["run.fail", "run.begin"].map(String::from));
+    want.extend((0..34).map(network));
+    want.push("run.end".to_string());
     assert_eq!(stream_kinds(&path), want);
     std::fs::remove_dir_all(&dir).ok();
 }

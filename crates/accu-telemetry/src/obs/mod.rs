@@ -15,9 +15,8 @@
 //!   that is byte-identical across worker counts (the `--progress`
 //!   flag);
 //! * [`watchdog`] — rule-based monitors over the live observer state:
-//!   stall detection, a throughput floor seeded from
-//!   `BENCH_trajectory.jsonl`, and fault-rate spike alarms, emitting
-//!   `obs.alarm` events (the `--watchdog` flag).
+//!   stall detection, an explicit throughput floor, and fault-rate
+//!   spike alarms, emitting `obs.alarm` events (the `--watchdog` flag).
 //!
 //! Cross-run analytics (`telemetry_diff`, `bench_report`) live in the
 //! experiments crate, which owns the JSONL artifacts they compare; the
@@ -32,6 +31,4 @@ pub mod watchdog;
 pub use progress::Observer;
 pub use prometheus::{encode_prometheus, validate_prometheus, PromStats};
 pub use server::{BindError, MetricsServer};
-pub use watchdog::{
-    throughput_floor, FloorUnavailable, Watchdog, WatchdogConfig, TRAJECTORY_SCHEMA,
-};
+pub use watchdog::{Watchdog, WatchdogConfig, TRAJECTORY_SCHEMA};

@@ -3,16 +3,14 @@
 //! Three monitors, each firing at most once per run (latched):
 //!
 //! * **stall** — no episode completed within the stall window;
-//! * **throughput_floor** — sustained eps/s below a floor, typically
-//!   seeded from the last healthy `engine` entry of
-//!   `BENCH_trajectory.jsonl` via [`throughput_floor`];
+//! * **throughput_floor** — sustained eps/s below an explicit floor
+//!   (`floor=EPS`; off unless given);
 //! * **fault_rate** — mean faults per episode above a ceiling.
 //!
 //! Each alarm is an `obs.alarm` [`Event`] printed on stderr and recorded
 //! on the observer (into the progress stream, and counted so
 //! `--watchdog=strict` can turn it into a nonzero exit after the run).
 
-use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -20,16 +18,14 @@ use std::time::Duration;
 
 use crate::event::Event;
 use crate::obs::progress::{ObsStats, Observer};
-use crate::{parse_json, Json};
 
 /// Schema version stamped onto `BENCH_trajectory.jsonl` entries.
 ///
 /// Version history: entries without a `schema` field are version 1 (the
 /// original `date`/`bench`/`fixture`/`budget`/`eps_per_sec`/`status`
 /// shape); version 2 added the `schema` and `git` fields themselves.
-/// Readers ([`throughput_floor`], `bench_report`) skip
-/// entries from schemas *newer* than they understand, so an old binary
-/// never misreads a future format.
+/// Readers (`bench_report`) skip entries from schemas *newer* than
+/// they understand, so an old binary never misreads a future format.
 pub const TRAJECTORY_SCHEMA: u64 = 2;
 
 /// One fired rule as an `obs.alarm` event: the rule (`stall`,
@@ -225,72 +221,6 @@ impl Drop for Watchdog {
     }
 }
 
-/// Why [`throughput_floor`] could not derive a floor. Callers must
-/// *disable* the floor rule (warning once) rather than arm it with a
-/// guessed threshold.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FloorUnavailable {
-    /// The trajectory file does not exist or cannot be read.
-    Missing,
-    /// The file was read but holds no healthy (`status == "ok"`)
-    /// schema-v2 `engine` entry this reader can compare against.
-    NoHealthyEntries,
-}
-
-impl std::fmt::Display for FloorUnavailable {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FloorUnavailable::Missing => write!(f, "trajectory file missing or unreadable"),
-            FloorUnavailable::NoHealthyEntries => {
-                write!(f, "no healthy v2 engine trajectory entries")
-            }
-        }
-    }
-}
-
-/// Derives a throughput floor (eps/s) from a `BENCH_trajectory.jsonl`
-/// file: one tenth of the most recent healthy (`status == "ok"`)
-/// schema-v2 entry of the `engine` bench, the episode engine on the
-/// figure-sized fixture. Other benches share the file (`scale_sweep`
-/// appends `scale` tiers at 10⁵+ nodes) but measure a different
-/// workload, so their eps/s never sets the floor. Legacy v1 entries (no
-/// `schema` field) are ignored:
-/// they predate the fixture/git provenance stamps, so a floor derived
-/// from one is not comparable to the current benchmark. Schemas newer
-/// than this reader are skipped as incomparable.
-///
-/// # Errors
-///
-/// Returns [`FloorUnavailable`] naming why no floor exists, so callers
-/// can warn once and disable the rule instead of arming a meaningless
-/// threshold.
-pub fn throughput_floor(path: &Path) -> Result<f64, FloorUnavailable> {
-    let text = std::fs::read_to_string(path).map_err(|_| FloorUnavailable::Missing)?;
-    let mut last_ok: Option<f64> = None;
-    for line in text.lines().filter(|l| !l.trim().is_empty()) {
-        let Ok(obj) = parse_json(line) else {
-            continue;
-        };
-        let schema = obj.get("schema").and_then(Json::as_u64).unwrap_or(1);
-        if !(2..=TRAJECTORY_SCHEMA).contains(&schema) {
-            continue;
-        }
-        if obj.get("bench").and_then(Json::as_str) != Some("engine")
-            || obj.get("status").and_then(Json::as_str) != Some("ok")
-        {
-            continue;
-        }
-        if let Some(eps) = obj.get("eps_per_sec").and_then(Json::as_f64) {
-            if eps.is_finite() && eps > 0.0 {
-                last_ok = Some(eps);
-            }
-        }
-    }
-    last_ok
-        .map(|eps| eps * 0.1)
-        .ok_or(FloorUnavailable::NoHealthyEntries)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -395,62 +325,5 @@ mod tests {
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(text.contains("\"alarm\":\"fault_rate\""));
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn trajectory_floor_uses_last_healthy_comparable_entry() {
-        let dir = std::env::temp_dir().join(format!("accu-obs-traj-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("trajectory.jsonl");
-        std::fs::write(
-            &path,
-            concat!(
-                // Legacy v1 entry (no schema field): not comparable,
-                // skipped even though healthy.
-                "{\"date\":\"2026-08-01\",\"bench\":\"engine\",\"eps_per_sec\":40.0,\"status\":\"ok\"}\n",
-                // Regression entry: skipped by status.
-                "{\"schema\":2,\"bench\":\"engine\",\"eps_per_sec\":90.0,\"status\":\"regression\"}\n",
-                // Healthy v2 engine entry: wins as the most recent.
-                "{\"schema\":2,\"git\":\"abc\",\"bench\":\"engine\",\"eps_per_sec\":60.0,\"status\":\"ok\"}\n",
-                // Healthy 1e5-node tier that `scale_sweep` appends to the
-                // same file: another workload, skipped by bench.
-                "{\"schema\":2,\"bench\":\"scale\",\"eps_per_sec\":6.0,\"status\":\"ok\"}\n",
-                // Future schema: incomparable, skipped.
-                "{\"schema\":99,\"bench\":\"engine\",\"eps_per_sec\":500.0,\"status\":\"ok\"}\n",
-                "not json at all\n",
-            ),
-        )
-        .unwrap();
-        let floor = throughput_floor(&path).unwrap();
-        assert!((floor - 6.0).abs() < 1e-9, "floor = {floor}");
-        // Missing file → a typed reason, never a guess.
-        assert_eq!(
-            throughput_floor(&dir.join("absent.jsonl")),
-            Err(FloorUnavailable::Missing)
-        );
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn trajectory_floor_requires_healthy_v2_entries() {
-        let dir = std::env::temp_dir().join(format!("accu-obs-traj-v1-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("trajectory.jsonl");
-        // Only legacy v1, unhealthy v2 and non-engine entries: the rule
-        // must disable rather than arm a floor from incomparable data.
-        std::fs::write(
-            &path,
-            concat!(
-                "{\"date\":\"2026-08-01\",\"bench\":\"engine\",\"eps_per_sec\":40.0,\"status\":\"ok\"}\n",
-                "{\"schema\":2,\"bench\":\"engine\",\"eps_per_sec\":90.0,\"status\":\"regression\"}\n",
-                "{\"schema\":2,\"bench\":\"scale\",\"eps_per_sec\":6.0,\"status\":\"ok\"}\n",
-            ),
-        )
-        .unwrap();
-        assert_eq!(
-            throughput_floor(&path),
-            Err(FloorUnavailable::NoHealthyEntries)
-        );
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -44,12 +44,21 @@ pub fn utc_date(secs: u64) -> String {
     format!("{year:04}-{month:02}-{day:02}")
 }
 
-/// The git revision of the working tree, for trajectory provenance.
-/// Best-effort: builds from a tarball (no repo, no git binary) stamp
-/// `"unknown"`.
+/// The git revision of the working tree, for trajectory provenance: the
+/// 12-digit commit, suffixed `-dirty` when the tree has uncommitted
+/// changes, so a number measured on work in progress is never filed
+/// under its parent commit. Tags are excluded, so a future tag cannot
+/// change the stamp's shape. Best-effort: builds from a tarball (no
+/// repo, no git binary) stamp `"unknown"`.
 pub fn git_revision() -> String {
     std::process::Command::new("git")
-        .args(["rev-parse", "--short=12", "HEAD"])
+        .args([
+            "describe",
+            "--always",
+            "--dirty",
+            "--abbrev=12",
+            "--exclude=*",
+        ])
         .output()
         .ok()
         .filter(|out| out.status.success())
