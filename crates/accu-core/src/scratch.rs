@@ -14,7 +14,7 @@ use crate::fault::FaultSummary;
 use crate::{AccuInstance, AttackOutcome, BenefitState, Observation, Realization};
 
 /// Well-known episode-engine metric names (recorded by the experiment
-/// runner's work-stealing scheduler).
+/// runner's workers).
 pub mod engine_metrics {
     /// Episodes that ran entirely inside an already-sized scratch
     /// (zero allocations expected).
@@ -22,10 +22,8 @@ pub mod engine_metrics {
     /// Episodes that had to grow the scratch buffers (first episode on
     /// a worker, or a larger instance than any seen before).
     pub const SCRATCH_ALLOCS: &str = "engine.scratch_allocs";
-    /// Episode chunks a worker claimed from a network it did not
-    /// initialize (work stealing events).
-    pub const STEALS: &str = "engine.steal_count";
-    /// Wall-clock nanoseconds per claimed episode chunk.
+    /// Wall-clock nanoseconds per network's episode loop: policy
+    /// set-up plus every episode (one sample per network).
     pub const CHUNK_NS: &str = "engine.chunk_ns";
 }
 
@@ -200,7 +198,7 @@ mod tests {
 
     #[test]
     fn reused_policy_in_scratch_matches_fresh_policies() {
-        // The engine reuses ONE policy across a chunk of episodes via
+        // The engine reuses ONE policy across a network's episodes via
         // reset(); that must equal constructing it fresh per episode.
         let inst = instance();
         let mut scratch = EpisodeScratch::new();

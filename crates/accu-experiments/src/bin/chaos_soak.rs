@@ -7,8 +7,8 @@
 //!
 //! | profile     | what it exercises |
 //! |-------------|-------------------|
-//! | `panic`     | in-place worker healing: every chunk's first attempt panics and is retried |
-//! | `stall`     | stalled chunks: a delayed chunk still folds correctly out of order |
+//! | `panic`     | in-place worker healing: every network's first attempt panics and is retried |
+//! | `stall`     | stalled networks: a delayed network still folds correctly out of order |
 //! | `torn`      | checkpoint torn-write durability + resume over a corrupt tail |
 //! | `disk-full` | checkpoint ENOSPC + resume over the surviving prefix |
 //! | `kill`      | a real child process aborted by `kill-after`, then resumed |
@@ -40,7 +40,7 @@ use accu_experiments::{
 const PROFILES: [&str; 6] = ["panic", "stall", "torn", "disk-full", "kill", "deadline"];
 
 /// The tiny Fig. 2 cell every schedule runs: small enough for dozens of
-/// repetitions, big enough to need several chunks and checkpoints.
+/// repetitions, big enough to need several networks and checkpoints.
 fn soak_figure(seed: u64) -> FigureRun {
     FigureRun {
         dataset: DatasetSpec::facebook().scaled(0.02), // 80 nodes

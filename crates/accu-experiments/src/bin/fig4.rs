@@ -1,16 +1,25 @@
 //! Regenerates **Fig. 4** — total benefit and number of cautious friends
 //! obtained by ABM on the Twitter dataset, varying `w_I` from 0 to 0.6
-//! with `w_D = 1 − w_I`.
+//! with `w_D = 1 − w_I` — and, from the same sweep, **Fig. 5** — the
+//! fraction of runs in which request `X` was sent to a cautious user,
+//! for `w_I` ∈ {0.1, 0.3, 0.5}.
 //!
 //! The paper's findings: cautious-friend count grows monotonically with
 //! `w_I`, but benefit peaks at an intermediate `w_I` (0.2 in their runs)
 //! — over-emphasizing cautious users hurts overall benefit. `w_I = 0` is
-//! the pure greedy of earlier adaptive-crawling work.
+//! the pure greedy of earlier adaptive-crawling work. Higher `w_I` makes
+//! ABM befriend cautious users both more often and *earlier* in the
+//! attack (Fig. 5).
 
+use accu_core::TraceAccumulator;
 use accu_datasets::{DatasetSpec, ProtocolConfig};
 use accu_experiments::chart::Chart;
-use accu_experiments::output::series_table;
+use accu_experiments::output::{downsample_indices, series_table};
 use accu_experiments::{Cli, ExperimentScale, PolicyKind, Telemetry};
+
+/// The sweep points Fig. 5 plots: `w_I` = 0.1, 0.3 and 0.5 (`i / 10`
+/// is bit-identical to those literals).
+const FIG5_POINTS: [usize; 3] = [1, 3, 5];
 
 fn main() {
     let cli = Cli::parse();
@@ -21,11 +30,12 @@ fn main() {
         scale.describe()
     );
 
+    let figure = scale.figure_run(DatasetSpec::twitter(), ProtocolConfig::default());
     let wis: Vec<f64> = (0..=6).map(|i| i as f64 / 10.0).collect();
+    let mut accs = Vec::with_capacity(wis.len());
     let mut benefit = Vec::with_capacity(wis.len());
     let mut cautious = Vec::with_capacity(wis.len());
     for &wi in &wis {
-        let figure = scale.figure_run(DatasetSpec::twitter(), ProtocolConfig::default());
         let acc = tel.run(&figure, PolicyKind::abm_with_indirect(wi));
         benefit.push(acc.mean_total_benefit());
         cautious.push(acc.mean_cautious_friends());
@@ -34,6 +44,7 @@ fn main() {
             acc.mean_total_benefit(),
             acc.mean_cautious_friends()
         );
+        accs.push(acc);
     }
 
     println!();
@@ -74,7 +85,61 @@ fn main() {
         }
     );
 
+    fig5(
+        &mut tel,
+        figure.budget,
+        FIG5_POINTS.map(|i| (wis[i], &accs[i])),
+    );
+
     if let Err(e) = tel.report() {
         eprintln!("telemetry write failed: {e}");
     }
+}
+
+/// Prints Fig. 5's table from the sweep's `(w_I, cell)` points and
+/// writes `fig5_twitter.csv`.
+fn fig5(tel: &mut Telemetry, budget: usize, points: [(f64, &TraceAccumulator); 3]) {
+    println!("\nFig. 5: fraction of requests sent to cautious users (Twitter)");
+    let mut fractions: Vec<(String, Vec<f64>)> = Vec::new();
+    let mut mass_centers = Vec::new();
+    for (wi, acc) in points {
+        let frac = acc.cautious_request_fraction();
+        // Center of mass of the cautious-request distribution: smaller
+        // means cautious users are targeted earlier.
+        let total: f64 = frac.iter().sum();
+        let center = if total > 0.0 {
+            frac.iter()
+                .enumerate()
+                .map(|(i, f)| (i + 1) as f64 * f)
+                .sum::<f64>()
+                / total
+        } else {
+            0.0
+        };
+        mass_centers.push((wi, total, center));
+        fractions.push((format!("w_I={wi:.1}"), frac));
+    }
+
+    let idx = downsample_indices(budget, 25);
+    let xs: Vec<f64> = idx.iter().map(|&i| (i + 1) as f64).collect();
+    let sampled: Vec<(&str, Vec<f64>)> = fractions
+        .iter()
+        .map(|(name, ys)| (name.as_str(), idx.iter().map(|&i| ys[i]).collect()))
+        .collect();
+    series_table("request", &xs, &sampled).print();
+
+    let full_xs: Vec<f64> = (0..budget).map(|i| (i + 1) as f64).collect();
+    let full: Vec<(&str, Vec<f64>)> = fractions
+        .iter()
+        .map(|(n, ys)| (n.as_str(), ys.clone()))
+        .collect();
+    tel.write_csv(&series_table("request", &full_xs, &full), "fig5_twitter");
+
+    println!();
+    for (wi, total, center) in mass_centers {
+        println!(
+            "  w_I={wi:.1}: expected cautious requests per run {total:.2}, mean position {center:.0}"
+        );
+    }
+    println!("(higher w_I → more cautious requests, sent earlier)");
 }

@@ -3,7 +3,7 @@
 //! Every figure/table binary parses the flags below. The runner flags
 //! (`--faults`, `--chaos`, `--deadline`, `--validate`, `--checkpoint`,
 //! `--resume`, `--trace`, `--progress`, `--watchdog`, `--workers`)
-//! reach every cell of the runner-driven binaries — fig2–fig6,
+//! reach every cell of the runner-driven binaries — fig2, fig4, fig6,
 //! `extra_baselines` and `fault_ablation` — through
 //! [`Telemetry::run`](crate::Telemetry::run). `acceptance_models`,
 //! `hesitant`, `noise_ablation` and `selection_ablation` run their own
@@ -54,7 +54,9 @@
 //!   an absent spec uses the defaults. The throughput-floor rule is off
 //!   unless `floor` is given;
 //! * `--workers <n>` — cap the number of runner worker threads
-//!   (default: available parallelism).
+//!   (default: available parallelism). Each worker runs whole sampled
+//!   networks, so a cell uses at most as many workers as it has
+//!   networks.
 
 use std::fmt;
 

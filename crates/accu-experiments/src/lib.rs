@@ -3,20 +3,21 @@
 //! The experiment harness that regenerates every table and figure of the
 //! ACCU paper. The library provides the shared machinery (CLI parsing,
 //! scaling, the parallel runner, table/CSV output); one binary per
-//! experiment id lives under `src/bin/`. The runner has one entry point,
-//! [`run_policy_with`], configured by a [`RunOptions`] bundle whose
-//! default is the plain uninstrumented run. The runner-driven binaries
-//! (fig2–fig6, `extra_baselines`, `fault_ablation`) run every cell
-//! through [`Telemetry::run`], which passes every runner flag.
+//! experiment sweep lives under `src/bin/`, and a figure drawn from
+//! another figure's cells is written by that figure's binary. The
+//! runner has one entry point, [`run_policy_with`], configured by a
+//! [`RunOptions`] bundle whose default is the plain uninstrumented run;
+//! each of its workers runs whole sampled networks, one at a time. The
+//! runner-driven binaries (fig2, fig4, fig6, `extra_baselines`,
+//! `fault_ablation`) run every cell through [`Telemetry::run`], which
+//! passes every runner flag.
 //!
 //! | Binary                | Paper artifact |
 //! |-----------------------|----------------|
 //! | `table1`              | Table I — dataset statistics |
 //! | `fig1_counterexample` | Fig. 1 — non-submodularity example |
-//! | `fig2`                | Fig. 2 — benefit vs number of requests |
-//! | `fig3`                | Fig. 3 — marginal benefit split by user class |
-//! | `fig4`                | Fig. 4 — benefit and #cautious friends vs `w_I` |
-//! | `fig5`                | Fig. 5 — fraction of requests sent to cautious users |
+//! | `fig2`                | Fig. 2 — benefit vs number of requests; Fig. 3 — marginal benefit split by user class, from fig2's ABM cells |
+//! | `fig4`                | Fig. 4 — benefit and #cautious friends vs `w_I`; Fig. 5 — fraction of requests sent to cautious users, from three of its cells |
 //! | `fig6`                | Figs. 6 and 7 — benefit and #cautious-friends heat maps (benefit × threshold), from one sweep |
 //!
 //! Extension experiments beyond the paper:

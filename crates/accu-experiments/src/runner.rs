@@ -10,38 +10,39 @@
 //!
 //! ## Scheduling and self-healing
 //!
-//! The unit of work is one episode chunk of one network. Only chunk 0 of
-//! each network is queued up front, in index order; its claimer builds
-//! the network and then queues the sibling chunks at the front, so no
-//! claimer ever waits for a build. The queue caps concurrent builds at
-//! ⌈workers / chunks⌉, so idle workers join the network just built, and
-//! it runs dry once nothing is queued or building. Each network has one
-//! slot (waiting, building, running or retired) behind one lock, and
-//! leaves the run through one exit, whether it is folded, quarantined or
-//! shed.
+//! The unit of work is one sampled network, as in the paper, which
+//! averages each cell over independently sampled networks. A worker
+//! claims the next pending network in index order, builds it,
+//! instantiates the policy once, runs every episode in order in its own
+//! [`EpisodeScratch`], folds the outcomes and retires the network.
+//! [`retire`] is every network's one exit, whether it is folded,
+//! quarantined or shed.
 //!
-//! Each worker contains its own failures: a panic while it holds a chunk
-//! is caught, and the worker retries that chunk once, in place, spending
-//! one of the run's 32 restarts. Injected chaos fires on a chunk's first
-//! attempt only, so a second panic is a bug in the chunk: its network is
-//! quarantined at stage `"supervisor"`. Chunk outcomes file **at most
-//! once** — a retry of a chunk that had already filed files nothing — so
-//! the aggregate (and therefore every figure CSV) is byte-identical under
-//! any panic or stall schedule. Only when the restart budget itself is
-//! spent does the run fail, with a typed [`RunnerError::WorkerPanicked`].
+//! Each worker contains its own failures: a panic while it holds a
+//! network is caught, and the worker runs that network again, once, in
+//! place, spending one of the run's 32 restarts. Injected chaos fires on
+//! a network's first attempt only, so a second panic is a bug in the
+//! network: it is quarantined at stage `"supervisor"`. A panic in the
+//! episode loop quarantines the network at stage `"episodes"`, with no
+//! retry. Networks fold in index order whichever worker ran them, so the
+//! aggregate (and therefore every figure CSV) is byte-identical under
+//! any worker count and any panic or stall schedule. Only when the
+//! restart budget itself is spent does the run fail, with a typed
+//! [`RunnerError::WorkerPanicked`].
 //!
 //! A soft deadline ([`RunOptions::deadline`]) turns overruns into
-//! *graceful degradation*: networks not yet started when the deadline
-//! passes are shed in ascending index order (the surviving set is a
-//! prefix, independent of worker count), reported as `run.network`
-//! events with status `shed`, and counted on the [`RunReport`] so
-//! binaries can tag their output as degraded.
+//! *graceful degradation*: networks claimed after the deadline passes
+//! are shed instead of run. The claim decides shed-or-run under its lock
+//! with one clock read, and claims go in ascending index order, so the
+//! surviving set is a prefix, independent of worker count. Shed networks
+//! are reported as `run.network` events with status `shed` and counted
+//! on the [`RunReport`] so binaries can tag their output as degraded.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
 use accu_core::chaos::{chaos_metrics, ChaosPlan, WorkerFault};
@@ -85,21 +86,21 @@ pub mod runner_metrics {
     /// Gauge: networks currently in flight (initialized but not yet
     /// retired) — visible live on the `--metrics-addr` endpoint.
     pub const NETWORKS_INFLIGHT: &str = "runner.networks_inflight";
-    /// Counter: chunk retries after a panic, each spending one of the
+    /// Counter: network retries after a panic, each spending one of the
     /// run's restarts (registered only when a retry happens).
     pub const SUPERVISOR_RESTARTS: &str = "runner.supervisor.restarts";
-    /// Counter: panics caught while a worker held a chunk.
+    /// Counter: panics caught while a worker held a network.
     pub const SUPERVISOR_PANICS: &str = "runner.supervisor.worker_panics";
     /// Counter: networks shed by the soft deadline.
     pub const SUPERVISOR_SHED: &str = "runner.supervisor.shed_networks";
     /// Per-worker episode-throughput counter. Comparing these across
-    /// workers exposes queue imbalance (ideally near-equal).
+    /// workers exposes load imbalance (ideally near-equal).
     pub fn worker_episodes(worker: usize) -> String {
         format!("runner.worker.{worker}.episodes")
     }
 }
 
-/// Chunk retries the workers may spend in one run; a panic that finds
+/// Network retries the workers may spend in one run; a panic that finds
 /// them spent fails the run with [`RunnerError::WorkerPanicked`].
 const MAX_RESTARTS: u32 = 32;
 
@@ -228,16 +229,6 @@ impl PolicyKind {
         lineup
     }
 
-    /// Whether one network's episodes may be split into chunks served
-    /// by different workers: `true` when `reset` fully re-derives the
-    /// policy's state from the attacker view, so a fresh instance per
-    /// chunk behaves identically to one instance reused across the
-    /// whole network. Random and Snowball advance a per-network RNG
-    /// from episode to episode, so their networks run as one chunk.
-    pub fn chunkable(&self) -> bool {
-        !matches!(self, PolicyKind::Random | PolicyKind::Snowball)
-    }
-
     /// The four algorithms compared in the paper's Fig. 2.
     pub fn paper_lineup() -> Vec<PolicyKind> {
         vec![
@@ -325,8 +316,8 @@ impl FigureRun {
 pub struct NetworkFailure {
     /// Index of the failed network.
     pub network: usize,
-    /// Which stage failed: `"dataset"`, `"protocol"`, `"validate"`, or
-    /// `"episodes"`.
+    /// Which stage failed: `"dataset"`, `"protocol"`, `"validate"`,
+    /// `"episodes"`, or `"supervisor"` (the network panicked twice).
     pub stage: &'static str,
     /// The error or panic message.
     pub message: String,
@@ -346,8 +337,8 @@ impl fmt::Display for NetworkFailure {
 #[derive(Debug)]
 #[non_exhaustive]
 pub enum RunnerError {
-    /// A worker's chunk panicked with the run's 32 restarts already
-    /// spent.
+    /// A worker panicked while holding a network, with the run's 32
+    /// restarts already spent.
     WorkerPanicked {
         /// Index of the worker that panicked.
         worker: usize,
@@ -425,18 +416,18 @@ pub struct RunOptions<'a> {
     pub events: Observer,
     /// Checkpoint to append completed networks to (and resume from).
     pub checkpoint: Option<&'a mut Checkpoint>,
-    /// Cap on worker threads (`None` = available parallelism). A
-    /// chunkable policy splits each network's episodes into this many
-    /// chunks, or into one once the network outgrows the cache.
+    /// Cap on worker threads (`None` = available parallelism). Each
+    /// worker runs whole networks, so a run never uses more workers
+    /// than it has networks to compute.
     pub max_workers: Option<usize>,
     /// Infrastructure chaos schedule (worker panics / stalls injected at
-    /// chunk claim). The trivial default injects nothing at zero cost.
+    /// network claim). The trivial default injects nothing at zero cost.
     pub chaos: ChaosPlan,
-    /// Soft deadline; once it passes, networks not yet started are shed
+    /// Soft deadline; once it passes, networks not yet claimed are shed
     /// instead of run (graceful degradation), except the first
-    /// [`DEADLINE_MIN_NETWORKS`]. Networks start in ascending index
-    /// order, so the survivors are a prefix of the sample list whatever
-    /// the worker count. `None` never sheds.
+    /// [`DEADLINE_MIN_NETWORKS`]. Networks are claimed in ascending
+    /// index order, so the survivors are a prefix of the sample list
+    /// whatever the worker count. `None` never sheds.
     pub deadline: Option<Instant>,
 }
 
@@ -480,8 +471,8 @@ pub struct RunReport {
     /// Networks shed by the soft [`RunOptions::deadline`] before any
     /// episode ran (scheduling, not failure — they are not quarantined).
     pub shed_networks: usize,
-    /// Chunk retries the workers spent healing panics (at most 32 per
-    /// run).
+    /// Network retries the workers spent healing panics (at most 32
+    /// per run).
     pub supervisor_restarts: usize,
 }
 
@@ -509,20 +500,19 @@ impl RunReport {
 /// are resumed instead of recomputed), and the scheduling knobs.
 ///
 /// Deterministic given `figure.seed`: network `i` always uses the same
-/// derived RNG stream — and, since policies are instantiated per
-/// network, the same policy stream — regardless of thread scheduling.
+/// derived RNG stream — and, since each network's worker instantiates
+/// its policy once, the same policy stream — regardless of thread
+/// scheduling.
 /// The same seed is used across policies so every policy faces
 /// identical networks, realizations, and fault plans (paired
 /// comparison, variance reduction — and the paper's setup of evaluating
 /// all algorithms on the same sample networks). Results are
 /// bit-identical across every `max_workers` setting, and for every
 /// tracer configuration: tracing only observes, never steers.
-/// Non-chunkable policies (see [`PolicyKind::chunkable`]) always run
-/// whole networks as a single chunk.
 ///
 /// With an enabled tracer every worker gets its own [`TraceTrack`] (one
 /// Perfetto thread track per worker), stage spans cover network
-/// load/validate, episode chunks, the fold, and checkpoint appends, and
+/// load/validate, the episode loop, the fold, and checkpoint appends, and
 /// — on episodes selected by the tracer's sampling period — the
 /// simulator and policy emit per-request and per-decision events
 /// bracketed by `episode_begin`/`episode_end`. The progress stream of
@@ -538,7 +528,7 @@ impl RunReport {
 ///
 /// * [`RunnerError::InvalidFaults`] if `figure.faults` is out of range;
 /// * [`RunnerError::Checkpoint`] if appending to the checkpoint fails;
-/// * [`RunnerError::WorkerPanicked`] if a chunk panics with the run's
+/// * [`RunnerError::WorkerPanicked`] if a worker panics with the run's
 ///   restart budget already spent.
 pub fn run_policy_with(
     figure: &FigureRun,
@@ -587,45 +577,33 @@ pub fn run_policy_with(
                 .arg("mean_benefit", acc.mean_total_benefit())
         });
     }
-    let base_threads = max_workers
+    // Every network the checkpoint does not cover, in index order.
+    let pending: VecDeque<usize> = (0..figure.network_samples)
+        .filter(|net| !resumed.contains_key(net))
+        .collect();
+    // Spawn at most one worker per pending network, and report the
+    // post-clamp count actually spawned.
+    let threads = max_workers
         .unwrap_or_else(|| {
             std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1)
         })
-        .max(1);
-    let chunks = if policy.chunkable() {
-        footprint_chunks(base_threads, figure.dataset.node_count())
-            .clamp(1, figure.runs_per_network.max(1))
-    } else {
-        1
-    };
-    // Only chunk 0 of each non-resumed network is queued, in index
-    // order; its claimer builds the network and queues the siblings.
-    let first_chunks: VecDeque<WorkItem> = (0..figure.network_samples)
-        .filter(|net| !resumed.contains_key(net))
-        .map(|net| WorkItem { net, chunk: 0 })
-        .collect();
-    // Spawn only as many workers as there are chunks, and report the
-    // post-clamp count actually spawned.
-    let threads = base_threads.min(first_chunks.len() * chunks);
+        .max(1)
+        .min(pending.len());
     recorder
         .counter(runner_metrics::WORKERS)
         .add(threads as u64);
     let ctx = RunCtx {
         figure,
         policy,
-        chunks,
         cell: &cell,
         recorder: &recorder,
         tracer: &tracer,
         events: &events,
         chaos,
         deadline,
-        slots: (0..figure.network_samples)
-            .map(|_| Mutex::new(Slot::Waiting))
-            .collect(),
-        queue: WorkQueue::new(first_chunks, threads.div_ceil(chunks)),
+        pending: Mutex::new(pending),
         retired: Mutex::new(Vec::new()),
         restarts: AtomicU32::new(0),
         panicked: Mutex::new(None),
@@ -741,94 +719,12 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// One claimable unit: an episode chunk of one network.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct WorkItem {
-    net: usize,
-    chunk: usize,
-}
-
-/// The chunk queue: workers block on `pop`, and a network's builder
-/// queues its sibling chunks with `built`. Only a builder queues work,
-/// so once nothing is queued and no network is building, nothing more
-/// can arrive: `pop` then returns `None` and the workers exit. `close`
-/// ends the pool early, for a run that fails.
-///
-/// Siblings go to the front, so the queue always reads "siblings, then
-/// chunk 0s in index order". A chunk 0 is handed out only while fewer
-/// than `max_builds` networks are building; an idle worker waits for
-/// the running build's siblings instead of building a network of its
-/// own (see [`footprint_chunks`]).
-struct WorkQueue {
-    state: Mutex<QueueState>,
-    available: Condvar,
-    max_builds: usize,
-}
-
-struct QueueState {
-    items: VecDeque<WorkItem>,
-    /// Chunk 0s handed out whose network is neither built nor retired.
-    building: usize,
-    closed: bool,
-}
-
-impl WorkQueue {
-    fn new(items: VecDeque<WorkItem>, max_builds: usize) -> Self {
-        WorkQueue {
-            state: Mutex::new(QueueState {
-                items,
-                building: 0,
-                closed: false,
-            }),
-            available: Condvar::new(),
-            max_builds: max_builds.max(1),
-        }
-    }
-
-    /// Blocks until an item may be handed out; `None` once the queue is
-    /// closed or has run dry.
-    fn pop(&self) -> Option<WorkItem> {
-        let mut st = self.state.lock().expect("work queue poisoned");
-        loop {
-            if st.closed || (st.items.is_empty() && st.building == 0) {
-                return None;
-            }
-            match st.items.front().copied() {
-                Some(item) if item.chunk > 0 || st.building < self.max_builds => {
-                    st.items.pop_front();
-                    st.building += usize::from(item.chunk == 0);
-                    return Some(item);
-                }
-                _ => st = self.available.wait(st).expect("work queue poisoned"),
-            }
-        }
-    }
-
-    /// Ends one network's build (built, or retired unbuilt) and queues
-    /// its `siblings`, in order, ahead of everything waiting.
-    fn built(&self, siblings: impl DoubleEndedIterator<Item = WorkItem>) {
-        let mut st = self.state.lock().expect("work queue poisoned");
-        st.building -= 1;
-        for item in siblings.rev() {
-            st.items.push_front(item);
-        }
-        drop(st);
-        self.available.notify_all();
-    }
-
-    fn close(&self) {
-        self.state.lock().expect("work queue poisoned").closed = true;
-        self.available.notify_all();
-    }
-}
-
 /// Everything the workers share for one run, bundled so it crosses the
 /// `thread::scope` boundary as a single reference. `'ck` is the
 /// checkpoint borrow.
 struct RunCtx<'env, 'ck> {
     figure: &'env FigureRun,
     policy: PolicyKind,
-    chunks: usize,
     cell: &'env str,
     recorder: &'env Recorder,
     tracer: &'env Tracer,
@@ -836,12 +732,12 @@ struct RunCtx<'env, 'ck> {
     events: &'env Observer,
     chaos: ChaosPlan,
     deadline: Option<Instant>,
-    /// One slot per sampled network, in index order.
-    slots: Vec<Mutex<Slot>>,
-    queue: WorkQueue,
+    /// Networks not yet claimed, in index order. A run that fails
+    /// clears it, so every worker stops at its next claim.
+    pending: Mutex<VecDeque<usize>>,
     /// Every network [`retire`] has ended, with its fate.
     retired: Mutex<Vec<(usize, Fate)>>,
-    /// Chunk retries spent so far, out of [`MAX_RESTARTS`].
+    /// Network retries spent so far, out of [`MAX_RESTARTS`].
     restarts: AtomicU32,
     /// The panic that found the restart budget spent: `(worker,
     /// message)`; the first one wins.
@@ -850,39 +746,27 @@ struct RunCtx<'env, 'ck> {
     /// replaces the handle with its error, which ends checkpointing for
     /// the rest of the run and fails it at the end.
     checkpoint: Mutex<Result<Option<&'ck mut Checkpoint>, std::io::Error>>,
-    /// Test hook: injected chaos fires on every attempt of a chunk, so
-    /// a chunk can panic twice.
+    /// Test hook: injected chaos fires on both attempts at a network,
+    /// so a network can panic twice.
     #[cfg(test)]
     repeat_chaos: bool,
 }
 
-/// Where one network is in its life. Its chunks and its one exit,
-/// [`retire`], move it forward under the network's one lock.
-enum Slot {
-    /// Chunk 0 not yet claimed, or claimed and about to be built or
-    /// shed; no sibling chunk is queued.
-    Waiting,
-    /// Chunk 0's claimer is building the shared state, again if a
-    /// build panicked.
-    Building { started: Instant },
-    /// Built: the chunks run and file their outcomes.
-    Running(Running),
-    /// Folded, quarantined or shed, with the instance memory released.
-    /// A late chunk of the network no-ops here.
-    Retired,
-}
-
-/// A built network whose chunks are running.
-struct Running {
-    state: Arc<NetworkState>,
-    /// The worker that built it; a chunk run by another worker counts
-    /// as a steal.
-    builder: usize,
-    started: Instant,
-    /// Per chunk, in chunk order: `None` until the chunk files, then
-    /// its outcomes in episode order or its episode loop's panic
-    /// message. A retry of a chunk that already filed files nothing.
-    filed: Vec<Option<Result<Vec<AttackOutcome>, String>>>,
+impl RunCtx<'_, '_> {
+    /// Claims the next pending network, in index order, and whether to
+    /// shed it: once the soft deadline has passed, every network from
+    /// [`DEADLINE_MIN_NETWORKS`] on is shed. Both are decided under the
+    /// one lock with one clock read, so once a claim sheds, every later
+    /// claim sheds too, and the networks that run are a prefix of the
+    /// sample list whatever the worker count. `None` once nothing is
+    /// pending.
+    fn claim(&self) -> Option<(usize, bool)> {
+        let mut pending = self.pending.lock().unwrap_or_else(PoisonError::into_inner);
+        let net = pending.pop_front()?;
+        let shed =
+            net >= DEADLINE_MIN_NETWORKS && self.deadline.is_some_and(|at| Instant::now() >= at);
+        Some((net, shed))
+    }
 }
 
 /// How a network leaves the run.
@@ -919,7 +803,6 @@ struct Worker {
     networks_inflight: GaugeHandle,
     scratch_reuses: CounterHandle,
     scratch_allocs: CounterHandle,
-    steals: CounterHandle,
     chunk_ns: HistogramHandle,
 }
 
@@ -937,117 +820,124 @@ impl Worker {
             networks_inflight: recorder.gauge(runner_metrics::NETWORKS_INFLIGHT),
             scratch_reuses: recorder.counter(engine_metrics::SCRATCH_REUSES),
             scratch_allocs: recorder.counter(engine_metrics::SCRATCH_ALLOCS),
-            steals: recorder.counter(engine_metrics::STEALS),
             chunk_ns: recorder.histogram(engine_metrics::CHUNK_NS),
         }
     }
 }
 
-/// One self-healing worker: drains the chunk queue, catching any panic
-/// while it holds a chunk. A panicked chunk is retried once, in place,
-/// spending one of the run's restarts; a second panic quarantines its
-/// network, and a panic that finds the restart budget spent fails the
-/// run and closes the queue. Injected chaos fires on a chunk's first
-/// attempt only, so a retry always makes progress.
+/// One self-healing worker: claims networks until none is pending and
+/// runs each to its fate (see [`settle`]), then out through [`retire`].
+/// A panic that finds the restart budget spent leaves its network
+/// unretired and ends the worker.
 fn worker_loop(ctx: &RunCtx<'_, '_>, id: usize) {
     let mut w = Worker::new(ctx, id);
-    while let Some(item) = ctx.queue.pop() {
+    while let Some((net, shed)) = ctx.claim() {
         ctx.events.heartbeat();
-        for attempt in 0..2 {
-            let chaos = attempt == 0;
-            #[cfg(test)]
-            let chaos = chaos || ctx.repeat_chaos;
-            let ran = catch_unwind(AssertUnwindSafe(|| {
-                if chaos {
-                    match ctx.chaos.worker_fault(item.net, item.chunk) {
-                        Some(WorkerFault::Panic) => {
-                            ctx.recorder.counter(chaos_metrics::WORKER_PANICS).incr();
-                            panic!(
-                                "chaos: injected worker panic (net {}, chunk {})",
-                                item.net, item.chunk
-                            );
-                        }
-                        Some(WorkerFault::Stall(pause)) => {
-                            ctx.recorder.counter(chaos_metrics::WORKER_STALLS).incr();
-                            std::thread::sleep(pause);
-                        }
-                        None => {}
-                    }
-                }
-                process_chunk(ctx, &mut w, item);
-            }));
-            let Err(payload) = ran else { break };
-            let message = panic_message(payload.as_ref());
+        if shed {
+            retire(ctx, &w, net, Fate::Shed);
+            continue;
+        }
+        let started = Instant::now();
+        w.networks_inflight.add(1);
+        let Some(fate) = settle(ctx, &mut w, net) else {
+            return;
+        };
+        w.networks_inflight.sub(1);
+        w.network_ns.record(started.elapsed().as_nanos() as u64);
+        retire(ctx, &w, net, fate);
+    }
+}
+
+/// Runs network `net` to its fate, catching any panic while the worker
+/// holds it. A panicked network is run again, once, in place, spending
+/// one of the run's restarts; a second panic quarantines it at stage
+/// `supervisor`. Injected chaos fires on the first attempt only, so a
+/// retry always makes progress. `None` when a panic finds the restart
+/// budget spent: the run then fails, and no further network is claimed.
+fn settle(ctx: &RunCtx<'_, '_>, w: &mut Worker, net: usize) -> Option<Fate> {
+    let id = w.id;
+    #[cfg(not(test))]
+    let retry_chaos = false;
+    #[cfg(test)]
+    let retry_chaos = ctx.repeat_chaos;
+    let mut attempt = |chaos: bool| {
+        catch_unwind(AssertUnwindSafe(|| {
+            if chaos {
+                inject_worker_fault(ctx, net);
+            }
+            run_network(ctx, w, net)
+        }))
+        .map_err(|payload| {
             ctx.recorder
                 .counter(runner_metrics::SUPERVISOR_PANICS)
                 .incr();
-            if attempt > 0 {
-                let message = format!("chunk {} panicked twice; last panic: {message}", item.chunk);
-                let failure = NetworkFailure {
-                    network: item.net,
-                    stage: "supervisor",
-                    message,
-                };
-                retire(ctx, &w, item.net, Fate::Quarantined(failure));
-                break;
-            }
-            let spent = ctx
-                .restarts
-                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
-                    (n < MAX_RESTARTS).then_some(n + 1)
-                });
-            let Ok(before) = spent else {
-                eprintln!(
-                    "runner: worker {id} panicked ({message}) with the \
-                     restart budget exhausted; aborting the run"
-                );
-                ctx.panicked
-                    .lock()
-                    .expect("results mutex poisoned")
-                    .get_or_insert((id, message));
-                ctx.queue.close();
-                return;
-            };
-            ctx.recorder
-                .counter(runner_metrics::SUPERVISOR_RESTARTS)
-                .incr();
-            eprintln!(
-                "runner: worker {id} panicked ({message}); restart {}/{MAX_RESTARTS}",
-                before + 1
-            );
+            panic_message(payload.as_ref())
+        })
+    };
+    let message = match attempt(true) {
+        Ok(fate) => return Some(fate),
+        Err(message) => message,
+    };
+    let spent = ctx
+        .restarts
+        .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
+            (n < MAX_RESTARTS).then_some(n + 1)
+        });
+    let Ok(before) = spent else {
+        eprintln!(
+            "runner: worker {id} panicked ({message}) with the \
+             restart budget exhausted; aborting the run"
+        );
+        ctx.panicked
+            .lock()
+            .expect("results mutex poisoned")
+            .get_or_insert((id, message));
+        ctx.pending
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clear();
+        return None;
+    };
+    ctx.recorder
+        .counter(runner_metrics::SUPERVISOR_RESTARTS)
+        .incr();
+    eprintln!(
+        "runner: worker {id} panicked ({message}); restart {}/{MAX_RESTARTS}",
+        before + 1
+    );
+    Some(attempt(retry_chaos).unwrap_or_else(|message| {
+        Fate::Quarantined(NetworkFailure {
+            network: net,
+            stage: "supervisor",
+            message: format!("panicked twice; last panic: {message}"),
+        })
+    }))
+}
+
+/// Injects the chaos plan's worker fault for network `net`, if any: a
+/// stall, or a panic raised with [`resume_unwind`], which skips the
+/// panic hook, so a healed injected panic prints only its restart line.
+fn inject_worker_fault(ctx: &RunCtx<'_, '_>, net: usize) {
+    match ctx.chaos.worker_fault(net) {
+        Some(WorkerFault::Panic) => {
+            ctx.recorder.counter(chaos_metrics::WORKER_PANICS).incr();
+            resume_unwind(Box::new(format!(
+                "chaos: injected worker panic (net {net})"
+            )));
         }
+        Some(WorkerFault::Stall(pause)) => {
+            ctx.recorder.counter(chaos_metrics::WORKER_STALLS).incr();
+            std::thread::sleep(pause);
+        }
+        None => {}
     }
 }
 
 /// Ends network `net` with `fate`: the one exit of every network,
-/// whether it is folded, quarantined at any stage or shed. Retires the
-/// slot (a network already retired stays as it was, so a late second
-/// exit does nothing), ends the build of a network retired unbuilt,
-/// settles the in-flight gauge and `runner.network_ns` of a started
-/// one, checkpoints a folded one, then counts the fate, emits its
-/// `run.network` event and files it on the report.
+/// whether it is folded, quarantined at any stage or shed. Checkpoints
+/// a folded network, then counts the fate, emits its `run.network`
+/// event and files it on the report.
 fn retire(ctx: &RunCtx<'_, '_>, w: &Worker, net: usize, fate: Fate) {
-    let was = std::mem::replace(
-        &mut *ctx.slots[net]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner),
-        Slot::Retired,
-    );
-    let started = match &was {
-        Slot::Retired => return,
-        Slot::Waiting => None,
-        Slot::Building { started } => Some(*started),
-        Slot::Running(run) => Some(run.started),
-    };
-    if !matches!(was, Slot::Running(_)) {
-        // No sibling chunk was queued, so its build ends here.
-        ctx.queue.built(std::iter::empty());
-    }
-    drop(was);
-    if let Some(started) = started {
-        w.networks_inflight.sub(1);
-        w.network_ns.record(started.elapsed().as_nanos() as u64);
-    }
     match &fate {
         Fate::Folded { acc, .. } => {
             w.networks.incr();
@@ -1081,51 +971,14 @@ fn retire(ctx: &RunCtx<'_, '_>, w: &Worker, net: usize, fate: Fate) {
         .push((net, fate));
 }
 
-/// Immutable per-network state shared by that network's episode chunks.
+/// One built network: its instance, and the seeds its episodes and
+/// its policy draw from.
 struct NetworkState {
     instance: AccuInstance,
-    /// Episode seeds pre-drawn from the network stream in episode
-    /// order, so chunked scheduling reproduces the exact per-episode
-    /// RNG streams of sequential execution.
+    /// Episode seeds, drawn from the network stream in episode order.
     run_seeds: Vec<u64>,
     policy_seed: u64,
     was_repaired: bool,
-}
-
-/// Cache-aware default chunk granularity for one network's episodes.
-///
-/// Below the LLC budget a network splits into one chunk per worker and
-/// the work queue builds one network at a time, so idle workers wait
-/// for its siblings and share one instance held in cache. That is
-/// ruinous once the instance no longer fits (each worker then pulls the
-/// whole footprint from DRAM per episode), so above the budget the
-/// default collapses to whole-network affinity — one chunk, one worker,
-/// one resident instance — and workers build and run networks in
-/// parallel. Results never depend on it: episode seeds are pre-drawn
-/// and outcomes fold in episode order, so CSVs are byte-identical.
-fn footprint_chunks(base_threads: usize, nodes: usize) -> usize {
-    /// Rough per-node instance footprint: CSR offsets + two adjacency
-    /// mirrors + per-node parameter rows (≈ 96 bytes at the scale
-    /// tier's average degree 8).
-    const APPROX_BYTES_PER_NODE: usize = 96;
-    /// Conservative shared-LLC budget; instances beyond it get
-    /// whole-network worker affinity.
-    const LLC_BUDGET: usize = 24 << 20;
-    if nodes.saturating_mul(APPROX_BYTES_PER_NODE) > LLC_BUDGET {
-        1
-    } else {
-        base_threads
-    }
-}
-
-/// Contiguous balanced split of `runs` episodes into `chunks` chunks:
-/// chunk `c` covers episodes `[lo, hi)`.
-fn chunk_range(runs: usize, chunks: usize, c: usize) -> (usize, usize) {
-    let per = runs / chunks;
-    let rem = runs % chunks;
-    let lo = c * per + c.min(rem);
-    let hi = lo + per + usize::from(c < rem);
-    (lo, hi)
 }
 
 /// Generates, parameterizes, and (per `figure.validation`) repairs or
@@ -1215,102 +1068,34 @@ fn init_network(
     })
 }
 
-/// Builds network `net` for the worker holding its chunk 0 and queues
-/// the sibling chunks. Returns the shared state, or `None` once the
-/// network is retired instead: shed by an expired deadline before it
-/// started, or quarantined by a dataset, protocol or validation failure.
-fn build(ctx: &RunCtx<'_, '_>, w: &Worker, net: usize) -> Option<Arc<NetworkState>> {
-    let mut slot = ctx.slots[net].lock().expect("slot mutex poisoned");
-    let started = match *slot {
-        // The retry of a build that panicked keeps its start.
-        Slot::Building { started } => started,
-        _ => {
-            // Soft deadline: shed a network nobody has started yet.
-            // Chunk 0s pop in ascending network order, so the survivors
-            // form a prefix of the sample list.
-            if ctx
-                .deadline
-                .is_some_and(|at| net >= DEADLINE_MIN_NETWORKS && Instant::now() >= at)
-            {
-                drop(slot);
-                retire(ctx, w, net, Fate::Shed);
-                return None;
-            }
-            w.networks_inflight.add(1);
-            Instant::now()
-        }
-    };
-    *slot = Slot::Building { started };
-    drop(slot);
-    match init_network(ctx.figure, net, ctx.recorder, &w.track) {
-        Ok(state) => {
-            let state = Arc::new(state);
-            *ctx.slots[net].lock().expect("slot mutex poisoned") = Slot::Running(Running {
-                state: Arc::clone(&state),
-                builder: w.id,
-                started,
-                filed: vec![None; ctx.chunks],
-            });
-            ctx.queue
-                .built((1..ctx.chunks).map(|chunk| WorkItem { net, chunk }));
-            Some(state)
-        }
-        Err(failure) => {
-            retire(ctx, w, net, Fate::Quarantined(failure));
-            None
-        }
-    }
-}
-
-/// Claims one `(network, chunk)` work item: builds the network's shared
-/// state (chunk 0) or reuses it, runs the chunk's episodes one at a time
-/// in the worker's [`EpisodeScratch`], and files their outcomes. The
-/// chunk that files last folds the network's outcomes in episode order,
-/// so chunked and sequential scheduling sum floats in the identical
-/// order, and retires it; if the episode loop of any chunk panicked, it
-/// quarantines the network at stage `episodes` instead.
+/// Builds network `net` and runs every episode on it: the policy is
+/// instantiated once, the episodes run in order in the worker's
+/// [`EpisodeScratch`], and their outcomes fold in episode order.
+/// Returns the network's fate: folded, or quarantined by a dataset,
+/// protocol or validation failure, or by a panic in the episode loop
+/// (stage `episodes`, not retried).
 ///
-/// Tracing: the chunk and episode loop run under `chunk`/`episodes`
-/// spans on the worker's `track`; each episode toggles the track's
-/// sampling gate by its run-global index (`net × runs_per_network +
-/// ep`), so sampled episodes carry `episode_begin`/`episode_end`
-/// markers plus the simulator's and policy's per-step events.
-fn process_chunk(ctx: &RunCtx<'_, '_>, w: &mut Worker, item: WorkItem) {
-    let WorkItem { net, chunk } = item;
+/// Tracing: the episode loop runs under an `episodes` span on the
+/// worker's `track`; each episode toggles the track's sampling gate by
+/// its run-global index (`net × runs_per_network + ep`), so sampled
+/// episodes carry `episode_begin`/`episode_end` markers plus the
+/// simulator's and policy's per-step events.
+fn run_network(ctx: &RunCtx<'_, '_>, w: &mut Worker, net: usize) -> Fate {
     let figure = ctx.figure;
-    let running = match &*ctx.slots[net].lock().expect("slot mutex poisoned") {
-        Slot::Running(run) => {
-            if run.builder != w.id {
-                w.steals.incr();
-            }
-            Some(Arc::clone(&run.state))
-        }
-        // Quarantined or shed: nothing left to do.
-        Slot::Retired => return,
-        // Only chunk 0 is ever claimed before its network is built.
-        Slot::Waiting | Slot::Building { .. } => None,
-    };
-    let Some(state) = running.or_else(|| build(ctx, w, net)) else {
-        return;
+    let state = match init_network(figure, net, ctx.recorder, &w.track) {
+        Ok(state) => state,
+        Err(failure) => return Fate::Quarantined(failure),
     };
     let track = &w.track;
-    let (lo, hi) = chunk_range(figure.runs_per_network, ctx.chunks, chunk);
-    let chunk_span = w.chunk_ns.span();
-    let chunk_trace = track.span_with(
-        "chunk",
-        &[
-            ("net", TraceValue::U64(net as u64)),
-            ("chunk", TraceValue::U64(chunk as u64)),
-        ],
-    );
+    // `engine.chunk_ns`: policy set-up plus the episode loop.
+    let loop_span = w.chunk_ns.span();
     let episodes = catch_unwind(AssertUnwindSafe(|| {
         let mut policy_impl =
             ctx.policy
                 .instantiate_instrumented(state.policy_seed, ctx.recorder, track);
-        let mut outcomes: Vec<AttackOutcome> = Vec::with_capacity(hi - lo);
-        let episodes_trace = track.span("episodes");
-        for ep in lo..hi {
-            let run_seed = state.run_seeds[ep];
+        let mut outcomes: Vec<AttackOutcome> = Vec::with_capacity(state.run_seeds.len());
+        let episodes_trace = track.span_with("episodes", &[("net", TraceValue::U64(net as u64))]);
+        for (ep, &run_seed) in state.run_seeds.iter().enumerate() {
             if w.scratch.prepare(&state.instance) {
                 w.scratch_reuses.incr();
             } else {
@@ -1321,7 +1106,7 @@ fn process_chunk(ctx: &RunCtx<'_, '_>, w: &mut Worker, item: WorkItem) {
                 .sample_into(&state.instance, &mut StdRng::seed_from_u64(run_seed));
             // Episode indices are global across the run, so which
             // episodes a sampling period selects is independent of
-            // chunking and thread count.
+            // thread count.
             let global_ep = (net * figure.runs_per_network + ep) as u64;
             if track.is_enabled() {
                 track.set_active(ctx.tracer.sample_hit(global_ep));
@@ -1393,49 +1178,31 @@ fn process_chunk(ctx: &RunCtx<'_, '_>, w: &mut Worker, item: WorkItem) {
         drop(episodes_trace);
         outcomes
     }));
-    chunk_span.finish();
-    drop(chunk_trace);
+    loop_span.finish();
     // Re-open the gate so the stage spans below (fold, checkpoint, the
-    // next chunk's load) emit even when the last episode was unsampled
-    // — or when the loop panicked with the gate closed.
+    // next network's load) emit even when the last episode was
+    // unsampled — or when the loop panicked with the gate closed.
     if track.is_enabled() {
         track.set_active(true);
     }
-    let mut slot = ctx.slots[net].lock().expect("slot mutex poisoned");
-    // Retired meanwhile, or the retry of a chunk that already filed:
-    // a chunk files at most once.
-    let Slot::Running(run) = &mut *slot else {
-        return;
-    };
-    if run.filed[chunk].is_some() {
-        return;
-    }
-    run.filed[chunk] = Some(episodes.map_err(|payload| panic_message(payload.as_ref())));
-    if run.filed.iter().any(Option::is_none) {
-        return;
-    }
-    let fate = match run.filed.iter().flatten().find_map(|f| f.as_ref().err()) {
-        Some(message) => Fate::Quarantined(NetworkFailure {
-            network: net,
-            stage: "episodes",
-            message: message.clone(),
-        }),
-        None => {
+    match episodes {
+        Ok(outcomes) => {
             let _span = track.span_with("fold", &[("net", TraceValue::U64(net as u64))]);
             let mut acc = TraceAccumulator::new(figure.budget);
-            for outcomes in run.filed.iter().flatten().flatten() {
-                for outcome in outcomes {
-                    acc.add(outcome);
-                }
+            for outcome in &outcomes {
+                acc.add(outcome);
             }
             Fate::Folded {
                 acc,
-                repaired: run.state.was_repaired,
+                repaired: state.was_repaired,
             }
         }
-    };
-    drop(slot);
-    retire(ctx, w, net, fate);
+        Err(payload) => Fate::Quarantined(NetworkFailure {
+            network: net,
+            stage: "episodes",
+            message: panic_message(payload.as_ref()),
+        }),
+    }
 }
 
 #[cfg(test)]
@@ -1445,9 +1212,9 @@ mod tests {
     use std::time::Duration;
 
     thread_local! {
-        /// Runs started on this thread inject their chaos on every
-        /// attempt of a chunk, not only the first, so a chunk can panic
-        /// twice.
+        /// Runs started on this thread inject their chaos on both
+        /// attempts at a network, not only the first, so a network can
+        /// panic twice.
         pub(super) static REPEAT_CHAOS: Cell<bool> = const { Cell::new(false) };
     }
 
@@ -1473,9 +1240,7 @@ mod tests {
         run_policy_with(figure, policy, opts)
     }
 
-    /// A run on at most `workers` threads; a chunkable policy splits
-    /// each (cache-sized) network into `workers` episode chunks,
-    /// clamped to its episode count.
+    /// A run on at most `workers` threads.
     fn tuned(
         figure: &FigureRun,
         policy: PolicyKind,
@@ -2012,56 +1777,7 @@ mod tests {
     }
 
     #[test]
-    fn chunk_ranges_partition_episodes() {
-        for runs in [0usize, 1, 2, 5, 7, 30] {
-            for chunks in 1..=7usize {
-                let mut expect = 0usize;
-                for c in 0..chunks {
-                    let (lo, hi) = chunk_range(runs, chunks, c);
-                    assert_eq!(lo, expect, "runs={runs} chunks={chunks} c={c}");
-                    assert!(hi >= lo);
-                    expect = hi;
-                }
-                assert_eq!(expect, runs, "runs={runs} chunks={chunks}");
-            }
-        }
-    }
-
-    #[test]
-    fn work_queue_hands_out_a_chunk_zero_only_while_a_build_slot_is_free() {
-        let item = |net, chunk| WorkItem { net, chunk };
-        let queue = WorkQueue::new((0..3).map(|net| item(net, 0)).collect(), 2);
-        assert_eq!(queue.pop(), Some(item(0, 0)));
-        assert_eq!(queue.pop(), Some(item(1, 0)));
-        std::thread::scope(|s| {
-            // Two networks are building: network 2 waits for a slot, and
-            // network 1's siblings go ahead of it once it is built.
-            let waiter = s.spawn(|| queue.pop());
-            std::thread::sleep(Duration::from_millis(20));
-            assert!(!waiter.is_finished());
-            queue.built((1..3).map(|chunk| item(1, chunk)));
-            assert_eq!(waiter.join().unwrap(), Some(item(1, 1)));
-        });
-        assert_eq!(queue.pop(), Some(item(1, 2)));
-        assert_eq!(queue.pop(), Some(item(2, 0)));
-        // Nothing is queued, but networks 0 and 2 are building and may
-        // queue siblings: a worker waits until the last build ends.
-        std::thread::scope(|s| {
-            let waiter = s.spawn(|| queue.pop());
-            queue.built(std::iter::empty());
-            std::thread::sleep(Duration::from_millis(20));
-            assert!(!waiter.is_finished());
-            queue.built(std::iter::empty());
-            assert_eq!(waiter.join().unwrap(), None);
-        });
-        assert_eq!(queue.pop(), None);
-        let closed = WorkQueue::new((0..2).map(|net| item(net, 0)).collect(), 1);
-        closed.close();
-        assert_eq!(closed.pop(), None);
-    }
-
-    #[test]
-    fn chunked_scheduling_is_bit_identical_to_sequential() {
+    fn worker_count_never_changes_the_aggregate() {
         let fig = FigureRun {
             runs_per_network: 4,
             ..tiny_figure()
@@ -2072,62 +1788,56 @@ mod tests {
             PolicyKind::MaxDegree,
             PolicyKind::PageRank,
             PolicyKind::Centrality(CentralityKind::Closeness),
-            // Non-chunkable: must run as one chunk at any worker count
-            // (chunking would change their per-network policy stream).
             PolicyKind::Random,
             PolicyKind::Snowball,
         ] {
-            let sequential = tuned(&fig, policy, &Recorder::disabled(), 1);
-            let chunked = tuned(&fig, policy, &Recorder::disabled(), 3);
+            let one = tuned(&fig, policy, &Recorder::disabled(), 1);
+            let three = tuned(&fig, policy, &Recorder::disabled(), 3);
             assert_eq!(
-                sequential.accumulator,
-                chunked.accumulator,
-                "{} must not depend on chunking",
+                one.accumulator,
+                three.accumulator,
+                "{} must not depend on the worker count",
                 policy.name()
             );
-            assert_eq!(chunked.completed_networks, fig.network_samples);
+            assert_eq!(three.completed_networks, fig.network_samples);
         }
     }
 
     #[test]
-    fn chunked_scheduling_matches_default_entry_point() {
+    fn four_workers_match_the_default_entry_point() {
         let fig = FigureRun {
             runs_per_network: 5,
             ..tiny_figure()
         };
         let reference = run(&fig, PolicyKind::abm_balanced());
-        let chunked = tuned(&fig, PolicyKind::abm_balanced(), &Recorder::disabled(), 4);
-        assert_eq!(reference, chunked.accumulator);
+        let four = tuned(&fig, PolicyKind::abm_balanced(), &Recorder::disabled(), 4);
+        assert_eq!(reference, four.accumulator);
     }
 
     #[test]
-    fn engine_counters_account_every_episode_and_chunk() {
+    fn engine_counters_account_every_episode_and_network() {
         let fig = FigureRun {
             runs_per_network: 4,
             ..tiny_figure()
         };
-        let chunks = 2usize;
         let recorder = Recorder::enabled();
-        let report = tuned(&fig, PolicyKind::abm_balanced(), &recorder, chunks);
+        let report = tuned(&fig, PolicyKind::abm_balanced(), &recorder, 2);
         assert!(report.quarantined.is_empty());
         let snap = recorder.snapshot("engine").unwrap();
         let episodes = fig.episodes() as u64;
+        let networks = fig.network_samples as u64;
         let reuses = snap.counter(engine_metrics::SCRATCH_REUSES).unwrap_or(0);
         let allocs = snap.counter(engine_metrics::SCRATCH_ALLOCS).unwrap();
         // Every episode prepares the scratch exactly once; a worker
         // only allocates when its high-water instance size grows, so at
-        // worst once per (worker, network) pair.
+        // worst once per network.
         assert_eq!(reuses + allocs, episodes);
-        let worst = (2 * fig.network_samples) as u64;
-        assert!(allocs >= 1 && allocs <= worst, "allocs = {allocs}");
-        // Steals are scheduling-dependent but the counter must exist
-        // and stay within the number of non-initializing chunks.
-        let steals = snap.counter(engine_metrics::STEALS).unwrap_or(0);
-        let total_chunks = (fig.network_samples * chunks) as u64;
-        assert!(steals <= total_chunks - fig.network_samples as u64);
-        // One timing sample per claimed chunk on a clean run.
+        assert!(allocs >= 1 && allocs <= networks, "allocs = {allocs}");
+        // One timing sample per folded network: policy set-up plus its
+        // episode loop.
         let chunk_ns = snap.histogram(engine_metrics::CHUNK_NS).unwrap();
-        assert_eq!(chunk_ns.count, total_chunks);
+        assert_eq!(chunk_ns.count, networks);
+        assert_eq!(report.completed_networks as u64, networks);
     }
 
     #[test]
@@ -2146,7 +1856,7 @@ mod tests {
 
     #[test]
     fn chaos_worker_panics_are_healed_by_supervisor() {
-        // panic=1.0 panics on the first attempt of every chunk; the
+        // panic=1.0 panics on the first attempt at every network; the
         // in-place retry is fault-free, so the healed run must match the
         // clean run bit-for-bit.
         let fig = tiny_figure();
@@ -2230,10 +1940,59 @@ mod tests {
     }
 
     #[test]
-    fn exhausted_chunk_attempts_quarantine_with_supervisor_stage() {
-        // With the chaos repeated on the retry, every chunk panics
-        // twice: each network spends one restart on its retry, then dies
-        // at stage "supervisor", exactly once.
+    fn deadline_passing_between_claims_keeps_the_survivors_a_prefix() {
+        // Every network stalls 30 ms on its first attempt, so a deadline
+        // 150 ms out passes while the 40 networks are still being
+        // claimed: the first claims run, every later one is shed.
+        // Whichever claim is the first to see the deadline, the
+        // survivors are the networks 0..j, so the aggregate equals a
+        // fresh run over j samples.
+        let fig = FigureRun {
+            network_samples: 40,
+            runs_per_network: 1,
+            ..tiny_figure()
+        };
+        let chaos = ChaosPlan::sample(&accu_core::ChaosConfig {
+            worker_stall: 1.0,
+            stall_ms: 30,
+            ..accu_core::ChaosConfig::none()
+        });
+        for workers in [1usize, 3] {
+            let report = run_policy_with(
+                &fig,
+                PolicyKind::MaxDegree,
+                RunOptions {
+                    max_workers: Some(workers),
+                    chaos,
+                    deadline: Some(Instant::now() + Duration::from_millis(150)),
+                    ..RunOptions::default()
+                },
+            )
+            .unwrap();
+            let j = report.completed_networks;
+            assert!(
+                j > DEADLINE_MIN_NETWORKS && j < fig.network_samples,
+                "the deadline must pass mid-run: {j} of {} ran (workers={workers})",
+                fig.network_samples
+            );
+            assert_eq!(report.shed_networks, fig.network_samples - j);
+            let prefix = FigureRun {
+                network_samples: j,
+                ..fig.clone()
+            };
+            assert_eq!(
+                report.accumulator,
+                run(&prefix, PolicyKind::MaxDegree),
+                "the {j} survivors must be networks 0..{j} (workers={workers})"
+            );
+        }
+    }
+
+    #[test]
+    fn exhausted_network_attempts_quarantine_with_supervisor_stage() {
+        // With the chaos repeated on the retry, every network panics
+        // twice: each spends one restart on its retry, then dies at
+        // stage "supervisor", exactly once.
         let fig = tiny_figure();
         let chaos = ChaosPlan::sample(&accu_core::ChaosConfig {
             worker_panic: 1.0,

@@ -88,7 +88,7 @@ proptest! {
 
     /// Worker-level chaos is invisible in the results: injected panics
     /// are healed by in-place retries, and injected stalls only delay
-    /// their chunk, which then folds out of order. Either way the
+    /// their network, which then finishes out of order. Either way the
     /// aggregate is bit-identical to a fault-free run and nothing is
     /// quarantined.
     #[test]
@@ -125,7 +125,7 @@ proptest! {
         prop_assert!(report.quarantined.is_empty());
         prop_assert_eq!(&report.accumulator, &reference);
         if !stall {
-            // Every chunk's first attempt panics, so at least one retry
+            // Every network's first attempt panics, so at least one retry
             // must have been spent.
             prop_assert!(report.supervisor_restarts > 0);
         }

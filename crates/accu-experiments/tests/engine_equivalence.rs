@@ -121,11 +121,11 @@ proptest! {
         }
     }
 
-    /// The chunked work-queue scheduler must aggregate to exactly the
-    /// sequential result for every policy in the extended lineup, under
-    /// faults and under both validation modes the figures ship with.
+    /// Four workers must aggregate to exactly the one-worker result for
+    /// every policy in the extended lineup, under faults and under both
+    /// validation modes the figures ship with.
     #[test]
-    fn chunked_runner_matches_sequential_runner(
+    fn four_workers_match_one_worker(
         seed in 0u64..1_000,
         intensity in 0.0f64..0.5,
         validate_off in any::<bool>(),
@@ -137,7 +137,7 @@ proptest! {
         };
         let fig = small_figure(seed, intensity, validation);
         for policy_kind in PolicyKind::extended_lineup() {
-            let sequential = run_policy_with(
+            let one = run_policy_with(
                 &fig,
                 policy_kind,
                 RunOptions {
@@ -145,9 +145,8 @@ proptest! {
                     ..RunOptions::default()
                 },
             )
-            .expect("sequential run");
-            // 4 workers split each network's 4 episodes into 4 chunks.
-            let chunked = run_policy_with(
+            .expect("one-worker run");
+            let four = run_policy_with(
                 &fig,
                 policy_kind,
                 RunOptions {
@@ -155,11 +154,11 @@ proptest! {
                     ..RunOptions::default()
                 },
             )
-            .expect("chunked run");
+            .expect("four-worker run");
             prop_assert_eq!(
-                &sequential.accumulator,
-                &chunked.accumulator,
-                "policy {} diverged under chunked scheduling",
+                &one.accumulator,
+                &four.accumulator,
+                "policy {} diverged on four workers",
                 policy_kind.name()
             );
         }
@@ -212,9 +211,9 @@ fn per_episode_reference(figure: &FigureRun, policy: PolicyKind) -> TraceAccumul
 }
 
 /// The runner's aggregate must equal the hand-written
-/// one-episode-at-a-time reference exactly, on one worker (whole
-/// networks) and on three (one chunk per worker), for a chunkable and a
-/// non-chunkable policy under faults, on a quick-mode-sized
+/// one-episode-at-a-time reference exactly, on one worker and on
+/// three, for a stateless and an RNG-driven policy under faults, on a
+/// quick-mode-sized
 /// (4235-node) Slashdot stand-in.
 #[test]
 fn runner_matches_per_episode_reference() {

@@ -140,6 +140,25 @@ fn exhausted_restart_budget_exits_nonzero_without_a_figure() {
 }
 
 #[test]
+fn healed_chaos_panics_print_only_their_restart_lines() {
+    let dir = scratch("chaos-hook");
+    // Every network's first attempt panics and its retry heals it.
+    let out = run(
+        env!("CARGO_BIN_EXE_fig2"),
+        &dir,
+        2,
+        &["--chaos", "panic=1.0"],
+    );
+    assert_success(&out);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("restart 1/32"), "{stderr}");
+    // Injected panics skip the panic hook, so a genuine panic's report
+    // is the only one that can show up here.
+    assert!(!stderr.contains("panicked at"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn watchdog_without_a_floor_arms_no_throughput_floor() {
     let dir = scratch("watchdog");
     // A trajectory line no figure run can reach: a floor implied from

@@ -45,8 +45,7 @@ fn scratch_dir(name: &str) -> PathBuf {
 }
 
 /// Runs `policy` over `figure` streaming quiet progress JSONL to
-/// `path` on at most `workers` threads (and as many episode chunks per
-/// network, clamped to its episode count).
+/// `path` on at most `workers` threads.
 fn run_streaming(figure: &FigureRun, path: &Path, workers: usize) {
     let report = run_policy_with(
         figure,
@@ -68,7 +67,7 @@ fn progress_stream_is_byte_identical_across_worker_counts() {
     let serial = dir.join("serial.jsonl");
     let parallel = dir.join("parallel.jsonl");
     run_streaming(&figure, &serial, 1);
-    // 4 workers over 3 chunks per network (3 episodes each).
+    // 4 workers, one network each.
     run_streaming(&figure, &parallel, 4);
     let serial_bytes = std::fs::read(&serial).unwrap();
     let parallel_bytes = std::fs::read(&parallel).unwrap();
@@ -113,8 +112,8 @@ fn stream_kinds(path: &Path) -> Vec<String> {
 /// order, then `run.fail`; the next run on the same observer starts
 /// with an empty buffer.
 ///
-/// One worker, one chunk per network, and a first-attempt panic on
-/// every chunk: networks 0–31 each heal by spending one of the run's 32
+/// One worker and a first-attempt panic on every network: networks
+/// 0–31 each heal by spending one of the run's 32
 /// restarts, and the panic on network 32 finds the budget spent and
 /// aborts the run.
 #[test]
@@ -122,7 +121,7 @@ fn aborted_run_flushes_salvaged_networks_and_the_next_run_starts_clean() {
     let dir = scratch_dir("abort");
     let figure = FigureRun {
         network_samples: 34,
-        runs_per_network: 1, // one chunk per network
+        runs_per_network: 1,
         ..small_figure(31)
     };
     let chaos = ChaosPlan::sample(&ChaosConfig {

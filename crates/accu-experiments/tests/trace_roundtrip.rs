@@ -161,7 +161,8 @@ fn baseline_policy_episodes_replay_without_decide_events() {
 }
 
 /// The runner's stage spans show up as named tracks in the Chrome
-/// export: one thread-name metadata row per worker, with chunk spans.
+/// export: one thread-name metadata row per worker, with the load,
+/// validate, episodes and fold spans of each network it ran.
 #[test]
 fn chrome_export_carries_worker_tracks_and_stage_spans() {
     let figure = small_figure(3, 0.0);
@@ -170,9 +171,10 @@ fn chrome_export_carries_worker_tracks_and_stage_spans() {
     let stats = validate_chrome_trace(&chrome).expect("valid");
     assert!(stats.tracks >= 1);
     assert_eq!(stats.metadata as usize, stats.tracks);
-    assert!(stats.spans > 0, "load/chunk/episodes spans expected");
+    assert!(stats.spans > 0, "load/validate/episodes spans expected");
     assert!(stats.instants > 0, "episode markers expected");
-    for name in ["\"load\"", "\"chunk\"", "\"episodes\"", "\"fold\""] {
+    for name in ["\"load\"", "\"validate\"", "\"episodes\"", "\"fold\""] {
         assert!(chrome.contains(name), "missing {name} span in export");
     }
+    assert!(!chrome.contains("\"chunk\""), "networks run whole");
 }

@@ -43,7 +43,7 @@
 //!   re-key counts;
 //! * the experiment runner (`accu_experiments::run_policy_with` with a
 //!   recorder in its `RunOptions`):
-//!   per-worker episode throughput, per-network wall clock, queue
+//!   per-worker episode throughput, per-network wall clock, load
 //!   imbalance.
 //!
 //! Snapshots serialize to a single JSON object per line (JSONL) via
