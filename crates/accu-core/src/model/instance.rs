@@ -258,6 +258,13 @@ impl AccuInstance {
         &self.graph
     }
 
+    /// Takes the instance apart and hands back its graph unchanged, so
+    /// another parameter set can be applied to the same topology
+    /// without copying it.
+    pub fn into_graph(self) -> Graph {
+        self.graph
+    }
+
     /// Number of users.
     #[inline]
     pub fn node_count(&self) -> usize {

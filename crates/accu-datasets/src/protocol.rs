@@ -487,6 +487,32 @@ mod tests {
     }
 
     #[test]
+    fn into_graph_hands_back_the_graph_apply_protocol_was_given() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let g = DatasetSpec::facebook()
+            .scaled(0.05)
+            .generate(&mut rng)
+            .unwrap();
+        let generated = rng.clone();
+        let first = apply_protocol(g.clone(), &ProtocolConfig::default(), &mut rng).unwrap();
+        let back = first.into_graph();
+        assert!(back == g, "the topology must come back unchanged");
+        // A second protocol on the handed-back graph, drawn from the
+        // stream as generation left it, builds what a fresh graph would.
+        let tight = ProtocolConfig {
+            threshold_fraction: 0.5,
+            ..ProtocolConfig::default()
+        };
+        let reused = apply_protocol(back, &tight, &mut generated.clone()).unwrap();
+        let fresh = apply_protocol(g, &tight, &mut generated.clone()).unwrap();
+        assert_eq!(reused.cautious_users(), fresh.cautious_users());
+        for u in 0..fresh.node_count() {
+            let u = NodeId::from(u);
+            assert_eq!(reused.user_class(u), fresh.user_class(u));
+        }
+    }
+
+    #[test]
     fn apply_protocol_rejects_bad_config_before_touching_the_graph() {
         let mut rng = StdRng::seed_from_u64(3);
         let g = DatasetSpec::facebook()

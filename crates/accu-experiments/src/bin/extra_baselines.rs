@@ -27,10 +27,11 @@ fn main() {
     for dataset in DatasetSpec::all_paper_datasets() {
         let figure = scale.figure_run(dataset.clone(), ProtocolConfig::default());
         eprintln!("running {} ...", figure.dataset);
+        let cells: Vec<_> = lineup.iter().map(|&p| (figure.clone(), p)).collect();
+        let accs = tel.run(&cells);
         let mut row = vec![dataset.name().to_string()];
         let mut best: Option<(String, f64)> = None;
-        for &policy in &lineup {
-            let acc = tel.run(&figure, policy);
+        for (policy, acc) in lineup.iter().zip(&accs) {
             let mean = acc.mean_total_benefit();
             row.push(fnum(mean));
             if best.as_ref().map(|b| mean > b.1).unwrap_or(true) {

@@ -39,23 +39,26 @@ fn main() {
     let mut benefit: Vec<(&str, Vec<f64>)> =
         lineup.iter().map(|p| (p.name(), Vec::new())).collect();
     let mut detail_rows: Vec<[String; 5]> = Vec::new();
+    let mut cells = Vec::new();
     for &intensity in &INTENSITIES {
         let figure = FigureRun {
             faults: FaultConfig::scaled(intensity),
             ..base.clone()
         };
-        for (i, &policy) in lineup.iter().enumerate() {
-            let acc = tel.run(&figure, policy);
-            let last = acc.mean_cumulative_benefit().last().copied().unwrap_or(0.0);
-            benefit[i].1.push(last);
-            detail_rows.push([
-                format!("{intensity}"),
-                policy.name().to_string(),
-                format!("{last:.1}"),
-                format!("{:.2}", acc.mean_faults_seen()),
-                format!("{:.3}", acc.truncated_run_fraction()),
-            ]);
-        }
+        cells.extend(lineup.iter().map(|&policy| (figure.clone(), policy)));
+    }
+    let accs = tel.run(&cells);
+    for (c, acc) in accs.iter().enumerate() {
+        let (i, intensity) = (c % lineup.len(), INTENSITIES[c / lineup.len()]);
+        let last = acc.mean_cumulative_benefit().last().copied().unwrap_or(0.0);
+        benefit[i].1.push(last);
+        detail_rows.push([
+            format!("{intensity}"),
+            lineup[i].name().to_string(),
+            format!("{last:.1}"),
+            format!("{:.2}", acc.mean_faults_seen()),
+            format!("{:.3}", acc.truncated_run_fraction()),
+        ]);
     }
 
     let xs: Vec<f64> = INTENSITIES.to_vec();

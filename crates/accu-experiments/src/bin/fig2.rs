@@ -44,12 +44,12 @@ fn main() {
     for dataset in DatasetSpec::all_paper_datasets() {
         let figure = scale.figure_run(dataset.clone(), ProtocolConfig::default());
         println!("\n=== {} ===", figure.dataset);
-        let cells: Vec<(PolicyKind, TraceAccumulator)> = PolicyKind::paper_lineup()
-            .into_iter()
-            .map(|policy| (policy, tel.run(&figure, policy)))
-            .collect();
-        let series: Vec<(&str, Vec<f64>)> = cells
+        let lineup = PolicyKind::paper_lineup();
+        let cells: Vec<_> = lineup.iter().map(|&p| (figure.clone(), p)).collect();
+        let accs = tel.run(&cells);
+        let series: Vec<(&str, Vec<f64>)> = lineup
             .iter()
+            .zip(&accs)
             .map(|(policy, acc)| (policy.name(), acc.mean_cumulative_benefit()))
             .collect();
         let idx = downsample_indices(figure.budget, 64);
@@ -97,11 +97,11 @@ fn main() {
             best.0
         );
 
-        let (_, abm) = cells
+        let abm = lineup
             .iter()
-            .find(|(policy, _)| *policy == PolicyKind::abm_balanced())
+            .position(|&policy| policy == PolicyKind::abm_balanced())
             .expect("the paper lineup runs ABM with w_D = w_I = 0.5");
-        fig3(&mut tel, &figure, abm);
+        fig3(&mut tel, &figure, &accs[abm]);
     }
 
     if let Err(e) = tel.report() {

@@ -32,19 +32,15 @@ fn main() {
 
     let figure = scale.figure_run(DatasetSpec::twitter(), ProtocolConfig::default());
     let wis: Vec<f64> = (0..=6).map(|i| i as f64 / 10.0).collect();
-    let mut accs = Vec::with_capacity(wis.len());
-    let mut benefit = Vec::with_capacity(wis.len());
-    let mut cautious = Vec::with_capacity(wis.len());
-    for &wi in &wis {
-        let acc = tel.run(&figure, PolicyKind::abm_with_indirect(wi));
-        benefit.push(acc.mean_total_benefit());
-        cautious.push(acc.mean_cautious_friends());
-        println!(
-            "  w_I={wi:.1}: benefit {:.1}, cautious friends {:.2}",
-            acc.mean_total_benefit(),
-            acc.mean_cautious_friends()
-        );
-        accs.push(acc);
+    let cells: Vec<_> = wis
+        .iter()
+        .map(|&wi| (figure.clone(), PolicyKind::abm_with_indirect(wi)))
+        .collect();
+    let accs = tel.run(&cells);
+    let benefit: Vec<f64> = accs.iter().map(|a| a.mean_total_benefit()).collect();
+    let cautious: Vec<f64> = accs.iter().map(|a| a.mean_cautious_friends()).collect();
+    for ((wi, b), c) in wis.iter().zip(&benefit).zip(&cautious) {
+        println!("  w_I={wi:.1}: benefit {b:.1}, cautious friends {c:.2}");
     }
 
     println!();

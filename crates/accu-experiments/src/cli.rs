@@ -55,7 +55,7 @@
 //!   unless `floor` is given;
 //! * `--workers <n>` — cap the number of runner worker threads
 //!   (default: available parallelism). Each worker runs whole sampled
-//!   networks, so a cell uses at most as many workers as it has
+//!   networks, so a lineup uses at most as many workers as it has
 //!   networks.
 
 use std::fmt;

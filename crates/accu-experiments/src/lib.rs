@@ -5,12 +5,13 @@
 //! scaling, the parallel runner, table/CSV output); one binary per
 //! experiment sweep lives under `src/bin/`, and a figure drawn from
 //! another figure's cells is written by that figure's binary. The
-//! runner has one entry point, [`run_policy_with`], configured by a
-//! [`RunOptions`] bundle whose default is the plain uninstrumented run;
-//! each of its workers runs whole sampled networks, one at a time. The
-//! runner-driven binaries (fig2, fig4, fig6, `extra_baselines`,
-//! `fault_ablation`) run every cell through [`Telemetry::run`], which
-//! passes every runner flag.
+//! runner runs a lineup — cells over the same sampled networks — with
+//! [`run_lineup_with`] ([`run_policy_with`] is the one-cell lineup),
+//! configured by a [`RunOptions`] bundle whose default is the plain
+//! uninstrumented run; each worker generates a network once and runs
+//! every cell on it. The runner-driven binaries (fig2, fig4, fig6,
+//! `extra_baselines`, `fault_ablation`) run each figure group's cells as
+//! one lineup through [`Telemetry::run`], which passes every runner flag.
 //!
 //! | Binary                | Paper artifact |
 //! |-----------------------|----------------|
@@ -45,7 +46,6 @@ pub mod chaosfs;
 pub mod chart;
 mod checkpoint;
 mod cli;
-pub mod heatmap;
 pub mod output;
 pub mod replay;
 mod runner;
@@ -55,8 +55,8 @@ pub mod telemetry;
 pub use checkpoint::Checkpoint;
 pub use cli::{Cli, CliError, TraceSpec};
 pub use runner::{
-    run_policy_with, runner_metrics, FigureRun, NetworkFailure, PolicyKind, RunOptions, RunReport,
-    RunnerError, DEADLINE_MIN_NETWORKS,
+    run_lineup_with, run_policy_with, runner_metrics, FigureRun, NetworkFailure, PolicyKind,
+    RunOptions, RunReport, RunnerError, DEADLINE_MIN_NETWORKS,
 };
 pub use scale::ExperimentScale;
 pub use telemetry::Telemetry;

@@ -8,35 +8,39 @@
 //! [`Checkpoint`](crate::Checkpoint)) so a killed run resumes without
 //! recomputing finished work.
 //!
-//! ## Scheduling and self-healing
+//! ## Lineups, scheduling and self-healing
 //!
-//! The unit of work is one sampled network, as in the paper, which
-//! averages each cell over independently sampled networks. A worker
-//! claims the next pending network in index order, builds it,
-//! instantiates the policy once, runs every episode in order in its own
-//! [`EpisodeScratch`], folds the outcomes and retires the network.
-//! [`retire`] is every network's one exit, whether it is folded,
-//! quarantined or shed.
+//! The runner runs a *lineup*: cells (a [`FigureRun`] and a
+//! [`PolicyKind`] each) over the same sampled networks, as the paper
+//! scores every algorithm. The unit of work is one network: a worker
+//! claims the next pending one in index order, generates it once, runs
+//! every cell on it in cell order, each with the instance, seeds and
+//! fault plans it would get alone (see [`run_network`]), each policy
+//! instantiated once and every episode run in order in the worker's
+//! [`EpisodeScratch`], and retires it. [`retire`] is every network's
+//! one exit, whether its cells are folded, quarantined or shed.
 //!
 //! Each worker contains its own failures: a panic while it holds a
 //! network is caught, and the worker runs that network again, once, in
-//! place, spending one of the run's 32 restarts. Injected chaos fires on
-//! a network's first attempt only, so a second panic is a bug in the
-//! network: it is quarantined at stage `"supervisor"`. A panic in the
-//! episode loop quarantines the network at stage `"episodes"`, with no
-//! retry. Networks fold in index order whichever worker ran them, so the
-//! aggregate (and therefore every figure CSV) is byte-identical under
-//! any worker count and any panic or stall schedule. Only when the
-//! restart budget itself is spent does the run fail, with a typed
-//! [`RunnerError::WorkerPanicked`].
+//! place, spending one of the lineup's 32 restarts. Injected chaos
+//! fires on a network's first attempt only, so a second panic is a bug
+//! in the network: every cell quarantines it at stage `"supervisor"`.
+//! A panic in a cell's episode loop quarantines that cell's network at
+//! stage `"episodes"`, with no retry. Networks fold, and stream their
+//! `run.network` lines, in index order whichever worker ran them, so
+//! every aggregate (and therefore every figure CSV) and the progress
+//! stream are byte-identical under any worker count and any panic or
+//! stall schedule. Only when the restart budget itself is spent does
+//! the lineup fail, with a typed [`RunnerError::WorkerPanicked`].
 //!
 //! A soft deadline ([`RunOptions::deadline`]) turns overruns into
 //! *graceful degradation*: networks claimed after the deadline passes
-//! are shed instead of run. The claim decides shed-or-run under its lock
-//! with one clock read, and claims go in ascending index order, so the
-//! surviving set is a prefix, independent of worker count. Shed networks
-//! are reported as `run.network` events with status `shed` and counted
-//! on the [`RunReport`] so binaries can tag their output as degraded.
+//! are shed, in every cell, instead of run. The claim decides
+//! shed-or-run under its lock with one clock read, and claims go in
+//! ascending index order, so the surviving set is a prefix, independent
+//! of worker count. Shed networks are reported as `run.network` events
+//! with status `shed` and counted on each [`RunReport`] so binaries can
+//! tag their output as degraded.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
@@ -59,6 +63,7 @@ use accu_telemetry::{
     Corr, CounterHandle, Event, GaugeHandle, HistogramHandle, Recorder, Severity, TraceTrack,
     TraceValue, Tracer,
 };
+use osn_graph::Graph;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -68,20 +73,21 @@ use crate::checkpoint::Checkpoint;
 
 /// Metric names emitted by the experiment runner.
 pub mod runner_metrics {
-    /// Counter: sampled networks processed across all workers.
+    /// Counter: (cell, network) pairs folded across all workers.
     pub const NETWORKS: &str = "runner.networks";
     /// Counter: attack episodes completed across all workers.
     pub const EPISODES: &str = "runner.episodes";
     /// Counter: worker threads spawned for the run.
     pub const WORKERS: &str = "runner.workers";
-    /// Counter: networks quarantined after a panic or a dataset /
-    /// protocol error (registered only when a failure occurs).
+    /// Counter: (cell, network) pairs quarantined after a panic or a
+    /// dataset / protocol error (registered only when a failure occurs).
     pub const QUARANTINED: &str = "runner.quarantined";
-    /// Counter: networks skipped because a resumed checkpoint already
-    /// covered them (registered only on resume).
+    /// Counter: (cell, network) pairs skipped because a resumed
+    /// checkpoint already covered them (registered only on resume).
     pub const RESUMED: &str = "runner.resumed";
-    /// Histogram: wall-clock nanoseconds per sampled network (graph
-    /// generation + protocol + all repetitions).
+    /// Histogram: wall-clock nanoseconds per sampled network, one
+    /// sample per network: graph generation plus every cell's protocol
+    /// and repetitions.
     pub const NETWORK_NS: &str = "runner.network_ns";
     /// Gauge: networks currently in flight (initialized but not yet
     /// retired) — visible live on the `--metrics-addr` endpoint.
@@ -91,7 +97,7 @@ pub mod runner_metrics {
     pub const SUPERVISOR_RESTARTS: &str = "runner.supervisor.restarts";
     /// Counter: panics caught while a worker held a network.
     pub const SUPERVISOR_PANICS: &str = "runner.supervisor.worker_panics";
-    /// Counter: networks shed by the soft deadline.
+    /// Counter: (cell, network) pairs shed by the soft deadline.
     pub const SUPERVISOR_SHED: &str = "runner.supervisor.shed_networks";
     /// Per-worker episode-throughput counter. Comparing these across
     /// workers exposes load imbalance (ideally near-equal).
@@ -100,8 +106,8 @@ pub mod runner_metrics {
     }
 }
 
-/// Network retries the workers may spend in one run; a panic that finds
-/// them spent fails the run with [`RunnerError::WorkerPanicked`].
+/// Network retries the workers may spend in one lineup; a panic that
+/// finds them spent fails it with [`RunnerError::WorkerPanicked`].
 const MAX_RESTARTS: u32 = 32;
 
 /// Which policy to run — a cloneable, thread-shippable policy recipe.
@@ -333,23 +339,24 @@ impl fmt::Display for NetworkFailure {
     }
 }
 
-/// Errors surfaced by [`run_policy_with`].
+/// Errors surfaced by [`run_lineup_with`].
 #[derive(Debug)]
 #[non_exhaustive]
 pub enum RunnerError {
-    /// A worker panicked while holding a network, with the run's 32
+    /// A worker panicked while holding a network, with the lineup's 32
     /// restarts already spent.
     WorkerPanicked {
         /// Index of the worker that panicked.
         worker: usize,
         /// Its panic message.
         message: String,
-        /// Networks that completed before the failure surfaced.
+        /// (Cell, network) pairs that completed before the failure
+        /// surfaced.
         completed_networks: usize,
     },
     /// The checkpoint file could not be created, read, or appended to.
     Checkpoint(std::io::Error),
-    /// The run's [`FaultConfig`] is invalid.
+    /// A cell's [`FaultConfig`] is invalid.
     InvalidFaults(AccuError),
 }
 
@@ -381,7 +388,7 @@ impl std::error::Error for RunnerError {
     }
 }
 
-/// Everything a run can carry besides the figure and the policy: the
+/// Everything a run can carry besides its cells: the
 /// instrumentation handles (recorder, tracer, lifecycle events), the
 /// checkpoint, and the scheduling knobs. All handles are
 /// cheap clones of `Arc` state; the disabled defaults make every piece a
@@ -452,7 +459,7 @@ pub const DEADLINE_MIN_NETWORKS: usize = 2;
 
 /// The full result of a hardened run: the aggregate plus everything
 /// that went wrong or was skipped along the way.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub struct RunReport {
     /// Aggregated trace statistics over every completed network.
     pub accumulator: TraceAccumulator,
@@ -471,8 +478,8 @@ pub struct RunReport {
     /// Networks shed by the soft [`RunOptions::deadline`] before any
     /// episode ran (scheduling, not failure — they are not quarantined).
     pub shed_networks: usize,
-    /// Network retries the workers spent healing panics (at most 32
-    /// per run).
+    /// Network retries the workers spent healing panics, over the
+    /// whole lineup (at most 32).
     pub supervisor_restarts: usize,
 }
 
@@ -492,23 +499,34 @@ impl RunReport {
     }
 }
 
-/// Runs `policy` over all sampled networks and repetitions of `figure`,
-/// in parallel across worker threads, and returns the aggregated trace
-/// statistics with everything that went wrong or was skipped along the
-/// way. `opts` carries the instrumentation, the checkpoint (each
-/// completed network is appended to it, and networks it already covers
-/// are resumed instead of recomputed), and the scheduling knobs.
+/// Runs `policy` over all sampled networks and repetitions of `figure`:
+/// the one-cell lineup of [`run_lineup_with`], with its errors.
+pub fn run_policy_with(
+    figure: &FigureRun,
+    policy: PolicyKind,
+    opts: RunOptions<'_>,
+) -> Result<RunReport, RunnerError> {
+    let mut reports = run_lineup_with(&[(figure.clone(), policy)], opts)?;
+    Ok(reports.pop().expect("one report per cell"))
+}
+
+/// Runs every cell of a lineup — a figure and a policy each — over the
+/// sampled networks and repetitions they share, in parallel across
+/// worker threads, and returns one [`RunReport`] per cell, in cell
+/// order, with everything that went wrong or was skipped along the way.
+/// Each worker generates a network once and runs every cell on it.
+/// `opts` carries the instrumentation, the checkpoint (each completed
+/// network is appended to it, one line per cell, and a network every
+/// cell has on file is resumed instead of recomputed), and the
+/// scheduling knobs.
 ///
-/// Deterministic given `figure.seed`: network `i` always uses the same
-/// derived RNG stream — and, since each network's worker instantiates
-/// its policy once, the same policy stream — regardless of thread
-/// scheduling.
-/// The same seed is used across policies so every policy faces
-/// identical networks, realizations, and fault plans (paired
-/// comparison, variance reduction — and the paper's setup of evaluating
-/// all algorithms on the same sample networks). Results are
-/// bit-identical across every `max_workers` setting, and for every
-/// tracer configuration: tracing only observes, never steers.
+/// Deterministic given the cells' seed: network `i` always uses the same
+/// derived RNG streams regardless of thread scheduling, so every cell
+/// faces identical networks, realizations, and fault plans (paired
+/// comparison — the paper's setup), and each cell's report equals the
+/// report of that cell run alone. Results are bit-identical across
+/// every `max_workers` setting, and for every tracer configuration:
+/// tracing only observes, never steers.
 ///
 /// With an enabled tracer every worker gets its own [`TraceTrack`] (one
 /// Perfetto thread track per worker), stage spans cover network
@@ -516,9 +534,10 @@ impl RunReport {
 /// — on episodes selected by the tracer's sampling period — the
 /// simulator and policy emit per-request and per-decision events
 /// bracketed by `episode_begin`/`episode_end`. The progress stream of
-/// [`RunOptions::events`] is byte-identical across worker counts: every
-/// streamed field derives from the deterministic episode-order fold and
-/// lines are reordered to network-index order before they are written.
+/// [`RunOptions::events`] is one `run.begin` … `run.end` section per
+/// lineup, byte-identical across worker counts: every streamed field
+/// derives from the deterministic episode-order fold, and each network's
+/// per-cell `run.network` lines are written in (network, cell) order.
 ///
 /// The figure binaries reach this through
 /// [`Telemetry::run`](crate::Telemetry::run), which passes every runner
@@ -526,19 +545,33 @@ impl RunReport {
 ///
 /// # Errors
 ///
-/// * [`RunnerError::InvalidFaults`] if `figure.faults` is out of range;
+/// * [`RunnerError::InvalidFaults`] if a cell's `faults` is out of range;
 /// * [`RunnerError::Checkpoint`] if appending to the checkpoint fails;
-/// * [`RunnerError::WorkerPanicked`] if a worker panics with the run's
-///   restart budget already spent.
-pub fn run_policy_with(
-    figure: &FigureRun,
-    policy: PolicyKind,
+/// * [`RunnerError::WorkerPanicked`] if a worker panics with the
+///   lineup's restart budget already spent.
+///
+/// # Panics
+///
+/// If `cells` is empty, or its cells differ in dataset, seed,
+/// `network_samples` or `runs_per_network`.
+pub fn run_lineup_with(
+    cells: &[(FigureRun, PolicyKind)],
     opts: RunOptions<'_>,
-) -> Result<RunReport, RunnerError> {
-    figure
-        .faults
-        .validate()
-        .map_err(RunnerError::InvalidFaults)?;
+) -> Result<Vec<RunReport>, RunnerError> {
+    let first = &cells.first().expect("a lineup has at least one cell").0;
+    assert!(
+        cells.iter().all(|(f, _)| f.dataset == first.dataset
+            && f.seed == first.seed
+            && f.network_samples == first.network_samples
+            && f.runs_per_network == first.runs_per_network),
+        "a lineup's cells share dataset, seed, network_samples and runs_per_network"
+    );
+    for (figure, _) in cells {
+        figure
+            .faults
+            .validate()
+            .map_err(RunnerError::InvalidFaults)?;
+    }
     let RunOptions {
         recorder,
         tracer,
@@ -548,38 +581,47 @@ pub fn run_policy_with(
         chaos,
         deadline,
     } = opts;
-    let cell = figure.cell_label(policy);
-    let resumed: BTreeMap<usize, TraceAccumulator> = match &checkpoint {
-        Some(ckpt) => ckpt
-            .completed(&cell)
-            .into_iter()
-            .filter(|(net, acc)| *net < figure.network_samples && acc.budget() == figure.budget)
-            .collect(),
-        None => BTreeMap::new(),
-    };
-    if !resumed.is_empty() {
+    let labels: Vec<String> = cells.iter().map(|(f, p)| f.cell_label(*p)).collect();
+    // A network resumes only when every cell has it on file.
+    let mut retired = BTreeMap::new();
+    if let Some(ckpt) = &checkpoint {
+        let on_file: Vec<BTreeMap<usize, TraceAccumulator>> = cells
+            .iter()
+            .zip(&labels)
+            .map(|((f, _), label)| {
+                let mut done = ckpt.completed(label);
+                done.retain(|_, acc| acc.budget() == f.budget);
+                done
+            })
+            .collect();
+        for net in 0..first.network_samples {
+            let fates: Option<Vec<Fate>> = on_file
+                .iter()
+                .map(|done| done.get(&net).cloned().map(Fate::Resumed))
+                .collect();
+            if let Some(fates) = fates {
+                retired.insert(net, fates);
+            }
+        }
+    }
+    let resumed = retired.len() * cells.len();
+    if resumed > 0 {
         recorder
             .counter(runner_metrics::RESUMED)
-            .add(resumed.len() as u64);
+            .add(resumed as u64);
     }
     events.emit(|| {
         Event::info("run.begin")
-            .arg("cell", cell.clone())
-            .arg("networks", figure.network_samples)
-            .arg("episodes", figure.episodes() as u64)
+            .arg("cells", labels.join("\n"))
+            .arg("networks", first.network_samples * cells.len())
+            .arg(
+                "episodes",
+                cells.iter().map(|(f, _)| f.episodes()).sum::<usize>(),
+            )
     });
-    // Resumed networks stream up front; the progress reorder buffer
-    // interleaves them with freshly computed ones in index order.
-    for (net, acc) in &resumed {
-        events.emit(|| {
-            network_event(Severity::Info, *net, "resumed")
-                .arg("episodes", acc.runs() as u64)
-                .arg("mean_benefit", acc.mean_total_benefit())
-        });
-    }
     // Every network the checkpoint does not cover, in index order.
-    let pending: VecDeque<usize> = (0..figure.network_samples)
-        .filter(|net| !resumed.contains_key(net))
+    let pending: VecDeque<usize> = (0..first.network_samples)
+        .filter(|net| !retired.contains_key(net))
         .collect();
     // Spawn at most one worker per pending network, and report the
     // post-clamp count actually spawned.
@@ -595,16 +637,15 @@ pub fn run_policy_with(
         .counter(runner_metrics::WORKERS)
         .add(threads as u64);
     let ctx = RunCtx {
-        figure,
-        policy,
-        cell: &cell,
+        cells,
+        labels: &labels,
         recorder: &recorder,
         tracer: &tracer,
         events: &events,
         chaos,
         deadline,
         pending: Mutex::new(pending),
-        retired: Mutex::new(Vec::new()),
+        retired: Mutex::new((retired, 0)),
         restarts: AtomicU32::new(0),
         panicked: Mutex::new(None),
         checkpoint: Mutex::new(Ok(checkpoint)),
@@ -624,33 +665,57 @@ pub fn run_policy_with(
         checkpoint,
         ..
     } = ctx;
+    let (retired, streamed) = retired.into_inner().expect("results mutex poisoned");
+    // Whatever has not streamed yet — resumed networks no worker
+    // reached, or what retired past the gap an aborted lineup left —
+    // streams now, in index order.
+    for (&net, fates) in retired.range(streamed..) {
+        stream_network(&events, net, fates);
+    }
+    let restarts = restarts.into_inner() as usize;
+    let mut reports: Vec<RunReport> = cells
+        .iter()
+        .map(|(figure, _)| RunReport {
+            accumulator: TraceAccumulator::new(figure.budget),
+            quarantined: Vec::new(),
+            resumed_networks: 0,
+            completed_networks: 0,
+            repaired_networks: 0,
+            shed_networks: 0,
+            supervisor_restarts: restarts,
+        })
+        .collect();
     // Merge in network order: independent of thread scheduling, and
     // identical whether a network was computed fresh or resumed.
-    let mut per_net: BTreeMap<usize, TraceAccumulator> = resumed;
-    let resumed_networks = per_net.len();
-    let (mut quarantined, mut shed_networks, mut repaired_networks) = (Vec::new(), 0, 0);
-    for (net, fate) in retired.into_inner().expect("results mutex poisoned") {
-        match fate {
-            Fate::Folded { acc, repaired } => {
-                repaired_networks += usize::from(repaired);
-                per_net.insert(net, acc);
-            }
-            Fate::Quarantined(failure) => quarantined.push(failure),
-            Fate::Shed => shed_networks += 1,
+    for fates in retired.into_values() {
+        for (report, fate) in reports.iter_mut().zip(fates) {
+            let (acc, repaired) = match fate {
+                Fate::Folded { acc, repaired } => (acc, repaired),
+                Fate::Resumed(acc) => {
+                    report.resumed_networks += 1;
+                    (acc, false)
+                }
+                Fate::Quarantined(failure) => {
+                    report.quarantined.push(failure);
+                    continue;
+                }
+                Fate::Shed => {
+                    report.shed_networks += 1;
+                    continue;
+                }
+            };
+            report.accumulator.merge(&acc);
+            report.completed_networks += 1;
+            report.repaired_networks += usize::from(repaired);
         }
     }
-    let mut total = TraceAccumulator::new(figure.budget);
-    for acc in per_net.values() {
-        total.merge(acc);
-    }
-    quarantined.sort_by_key(|f| f.network);
-    // An aborted run still closes its section: `run.fail` flushes the
-    // networks that did complete, in index order.
+    let total = |count: fn(&RunReport) -> usize| reports.iter().map(count).sum::<usize>();
+    let completed = total(|r| r.completed_networks);
+    // An aborted lineup still closes its section with `run.fail`.
     let fail = |why: String| {
         events.emit(|| {
             Event::error("run.fail")
-                .arg("cell", cell.clone())
-                .arg("completed", per_net.len())
+                .arg("completed", completed)
                 .msg(why)
         });
     };
@@ -661,7 +726,7 @@ pub fn run_policy_with(
         return Err(RunnerError::WorkerPanicked {
             worker,
             message,
-            completed_networks: per_net.len(),
+            completed_networks: completed,
         });
     }
     if let Err(e) = checkpoint.into_inner().expect("checkpoint mutex poisoned") {
@@ -670,22 +735,13 @@ pub fn run_policy_with(
     }
     events.emit(|| {
         Event::info("run.end")
-            .arg("cell", cell.clone())
-            .arg("completed", per_net.len())
-            .arg("resumed", resumed_networks)
-            .arg("quarantined", quarantined.len())
-            .arg("shed", shed_networks)
-            .arg("episodes", total.runs())
+            .arg("completed", completed)
+            .arg("resumed", resumed)
+            .arg("quarantined", total(|r| r.quarantined.len()))
+            .arg("shed", total(|r| r.shed_networks))
+            .arg("episodes", total(|r| r.accumulator.runs()))
     });
-    Ok(RunReport {
-        accumulator: total,
-        quarantined,
-        resumed_networks,
-        completed_networks: per_net.len(),
-        repaired_networks,
-        shed_networks,
-        supervisor_restarts: restarts.into_inner() as usize,
-    })
+    Ok(reports)
 }
 
 /// Formats a violation list for a quarantine report: the count plus the
@@ -719,24 +775,26 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Everything the workers share for one run, bundled so it crosses the
-/// `thread::scope` boundary as a single reference. `'ck` is the
+/// Everything the workers share for one lineup, bundled so it crosses
+/// the `thread::scope` boundary as a single reference. `'ck` is the
 /// checkpoint borrow.
 struct RunCtx<'env, 'ck> {
-    figure: &'env FigureRun,
-    policy: PolicyKind,
-    cell: &'env str,
+    cells: &'env [(FigureRun, PolicyKind)],
+    /// Each cell's checkpoint label.
+    labels: &'env [String],
     recorder: &'env Recorder,
     tracer: &'env Tracer,
     /// Progress observer for the lifecycle events.
     events: &'env Observer,
     chaos: ChaosPlan,
     deadline: Option<Instant>,
-    /// Networks not yet claimed, in index order. A run that fails
+    /// Networks not yet claimed, in index order. A lineup that fails
     /// clears it, so every worker stops at its next claim.
     pending: Mutex<VecDeque<usize>>,
-    /// Every network [`retire`] has ended, with its fate.
-    retired: Mutex<Vec<(usize, Fate)>>,
+    /// Every network [`retire`] has ended (or the checkpoint resumed),
+    /// with each cell's fate, and how many networks have streamed: the
+    /// lines of networks `0..streamed` are written.
+    retired: Mutex<(BTreeMap<usize, Vec<Fate>>, usize)>,
     /// Network retries spent so far, out of [`MAX_RESTARTS`].
     restarts: AtomicU32,
     /// The panic that found the restart budget spent: `(worker,
@@ -744,7 +802,7 @@ struct RunCtx<'env, 'ck> {
     panicked: Mutex<Option<(usize, String)>>,
     /// Where folded networks are appended. The first failed append
     /// replaces the handle with its error, which ends checkpointing for
-    /// the rest of the run and fails it at the end.
+    /// the rest of the lineup and fails it at the end.
     checkpoint: Mutex<Result<Option<&'ck mut Checkpoint>, std::io::Error>>,
     /// Test hook: injected chaos fires on both attempts at a network,
     /// so a network can panic twice.
@@ -769,25 +827,50 @@ impl RunCtx<'_, '_> {
     }
 }
 
-/// How a network leaves the run.
+/// How a network leaves one cell of the lineup.
+#[derive(Clone)]
 enum Fate {
-    /// Every episode ran: the network's accumulator, and whether its
+    /// Every episode ran: the cell's accumulator, and whether its
     /// instance was repaired.
     Folded {
         acc: TraceAccumulator,
         repaired: bool,
     },
+    /// Loaded from the checkpoint.
+    Resumed(TraceAccumulator),
     /// Dropped from the aggregate.
     Quarantined(NetworkFailure),
     /// Shed by the soft deadline before it started.
     Shed,
 }
 
-/// A `run.network` event for network `net` with the given status.
-fn network_event(sev: Severity, net: usize, status: &'static str) -> Event {
-    Event::new(sev, "run.network")
-        .corr(Corr::none().network(net as u64))
-        .arg("status", status)
+/// Emits network `net`'s `run.network` lines, one per cell in cell
+/// order, each with the cell's index and its status.
+fn stream_network(events: &Observer, net: usize, fates: &[Fate]) {
+    for (cell, fate) in fates.iter().enumerate() {
+        events.emit(|| {
+            let line = |sev, status: &'static str| {
+                Event::new(sev, "run.network")
+                    .corr(Corr::none().network(net as u64))
+                    .arg("cell", cell)
+                    .arg("status", status)
+            };
+            match fate {
+                Fate::Folded { acc, repaired } => line(Severity::Info, "ok")
+                    .arg("episodes", acc.runs() as u64)
+                    .arg("mean_benefit", acc.mean_total_benefit())
+                    .arg("faults_mean", acc.mean_faults_seen())
+                    .arg("repaired", *repaired),
+                Fate::Resumed(acc) => line(Severity::Info, "resumed")
+                    .arg("episodes", acc.runs() as u64)
+                    .arg("mean_benefit", acc.mean_total_benefit()),
+                Fate::Quarantined(failure) => line(Severity::Warn, "quarantined")
+                    .arg("stage", failure.stage)
+                    .arg("message", failure.message.clone()),
+                Fate::Shed => line(Severity::Warn, "shed"),
+            }
+        });
+    }
 }
 
 /// One worker's own state, made once per thread: its id, trace track,
@@ -826,7 +909,7 @@ impl Worker {
 }
 
 /// One self-healing worker: claims networks until none is pending and
-/// runs each to its fate (see [`settle`]), then out through [`retire`].
+/// runs each to its fates (see [`settle`]), then out through [`retire`].
 /// A panic that finds the restart budget spent leaves its network
 /// unretired and ends the worker.
 fn worker_loop(ctx: &RunCtx<'_, '_>, id: usize) {
@@ -834,27 +917,28 @@ fn worker_loop(ctx: &RunCtx<'_, '_>, id: usize) {
     while let Some((net, shed)) = ctx.claim() {
         ctx.events.heartbeat();
         if shed {
-            retire(ctx, &w, net, Fate::Shed);
+            retire(ctx, &w, net, vec![Fate::Shed; ctx.cells.len()]);
             continue;
         }
         let started = Instant::now();
         w.networks_inflight.add(1);
-        let Some(fate) = settle(ctx, &mut w, net) else {
+        let Some(fates) = settle(ctx, &mut w, net) else {
             return;
         };
         w.networks_inflight.sub(1);
         w.network_ns.record(started.elapsed().as_nanos() as u64);
-        retire(ctx, &w, net, fate);
+        retire(ctx, &w, net, fates);
     }
 }
 
-/// Runs network `net` to its fate, catching any panic while the worker
-/// holds it. A panicked network is run again, once, in place, spending
-/// one of the run's restarts; a second panic quarantines it at stage
-/// `supervisor`. Injected chaos fires on the first attempt only, so a
-/// retry always makes progress. `None` when a panic finds the restart
-/// budget spent: the run then fails, and no further network is claimed.
-fn settle(ctx: &RunCtx<'_, '_>, w: &mut Worker, net: usize) -> Option<Fate> {
+/// Runs network `net` to its per-cell fates, catching any panic while
+/// the worker holds it. A panicked network is run again, once, in place,
+/// spending one of the lineup's restarts; a second panic quarantines it
+/// at stage `supervisor` in every cell. Injected chaos fires on the
+/// first attempt only, so a retry always makes progress. `None` when a
+/// panic finds the restart budget spent: the lineup then fails, and no
+/// further network is claimed.
+fn settle(ctx: &RunCtx<'_, '_>, w: &mut Worker, net: usize) -> Option<Vec<Fate>> {
     let id = w.id;
     #[cfg(not(test))]
     let retry_chaos = false;
@@ -875,7 +959,7 @@ fn settle(ctx: &RunCtx<'_, '_>, w: &mut Worker, net: usize) -> Option<Fate> {
         })
     };
     let message = match attempt(true) {
-        Ok(fate) => return Some(fate),
+        Ok(fates) => return Some(fates),
         Err(message) => message,
     };
     let spent = ctx
@@ -906,11 +990,12 @@ fn settle(ctx: &RunCtx<'_, '_>, w: &mut Worker, net: usize) -> Option<Fate> {
         before + 1
     );
     Some(attempt(retry_chaos).unwrap_or_else(|message| {
-        Fate::Quarantined(NetworkFailure {
+        let failure = NetworkFailure {
             network: net,
             stage: "supervisor",
             message: format!("panicked twice; last panic: {message}"),
-        })
+        };
+        vec![Fate::Quarantined(failure); ctx.cells.len()]
     }))
 }
 
@@ -933,116 +1018,119 @@ fn inject_worker_fault(ctx: &RunCtx<'_, '_>, net: usize) {
     }
 }
 
-/// Ends network `net` with `fate`: the one exit of every network,
-/// whether it is folded, quarantined at any stage or shed. Checkpoints
-/// a folded network, then counts the fate, emits its `run.network`
-/// event and files it on the report.
-fn retire(ctx: &RunCtx<'_, '_>, w: &Worker, net: usize, fate: Fate) {
-    match &fate {
-        Fate::Folded { acc, .. } => {
-            w.networks.incr();
-            let _span = w
-                .track
-                .span_with("checkpoint", &[("net", TraceValue::U64(net as u64))]);
-            let mut checkpoint = ctx.checkpoint.lock().expect("checkpoint mutex poisoned");
-            if let Ok(Some(file)) = &mut *checkpoint {
-                if let Err(e) = file.record(ctx.cell, net, acc) {
-                    *checkpoint = Err(e);
+/// Ends network `net` with one fate per cell: the one exit of every
+/// network, whether its cells are folded, quarantined at any stage or
+/// shed. Checkpoints each folded cell and counts each fate, then files
+/// the network and streams every network the stream is no longer
+/// waiting on, in index order.
+fn retire(ctx: &RunCtx<'_, '_>, w: &Worker, net: usize, fates: Vec<Fate>) {
+    let mut checkpoint = ctx.checkpoint.lock().expect("checkpoint mutex poisoned");
+    for (label, fate) in ctx.labels.iter().zip(&fates) {
+        match fate {
+            Fate::Folded { acc, .. } => {
+                w.networks.incr();
+                let _span = w
+                    .track
+                    .span_with("checkpoint", &[("net", TraceValue::U64(net as u64))]);
+                if let Ok(Some(file)) = &mut *checkpoint {
+                    if let Err(e) = file.record(label, net, acc) {
+                        *checkpoint = Err(e);
+                    }
                 }
             }
+            Fate::Quarantined(_) => ctx.recorder.counter(runner_metrics::QUARANTINED).incr(),
+            Fate::Shed => ctx.recorder.counter(runner_metrics::SUPERVISOR_SHED).incr(),
+            Fate::Resumed(_) => {}
         }
-        Fate::Quarantined(_) => ctx.recorder.counter(runner_metrics::QUARANTINED).incr(),
-        Fate::Shed => ctx.recorder.counter(runner_metrics::SUPERVISOR_SHED).incr(),
     }
-    ctx.events.emit(|| match &fate {
-        Fate::Folded { acc, repaired } => network_event(Severity::Info, net, "ok")
-            .arg("episodes", acc.runs() as u64)
-            .arg("mean_benefit", acc.mean_total_benefit())
-            .arg("faults_mean", acc.mean_faults_seen())
-            .arg("repaired", *repaired),
-        Fate::Quarantined(failure) => network_event(Severity::Warn, net, "quarantined")
-            .arg("stage", failure.stage)
-            .arg("message", failure.message.clone()),
-        Fate::Shed => network_event(Severity::Warn, net, "shed"),
-    });
-    ctx.retired
-        .lock()
-        .expect("results mutex poisoned")
-        .push((net, fate));
+    drop(checkpoint);
+    let mut retired = ctx.retired.lock().expect("results mutex poisoned");
+    let (done, streamed) = &mut *retired;
+    done.insert(net, fates);
+    while let Some(next) = done.get(streamed) {
+        stream_network(ctx.events, *streamed, next);
+        *streamed += 1;
+    }
 }
 
-/// One built network: its instance, and the seeds its episodes and
-/// its policy draw from.
+/// One built instance of a network: the instance, the seeds its
+/// episodes and its policies draw from, and the network stream as
+/// generation left it, for the next protocol on the same graph.
 struct NetworkState {
     instance: AccuInstance,
     /// Episode seeds, drawn from the network stream in episode order.
     run_seeds: Vec<u64>,
     policy_seed: u64,
     was_repaired: bool,
+    generated: StdRng,
 }
 
-/// Generates, parameterizes, and (per `figure.validation`) repairs or
-/// rejects one sampled network, then pre-draws every episode seed from
-/// the network stream. Emits `load` and `validate` stage spans onto
-/// `track` when tracing is live.
+/// Builds network `net_index`'s instance for `cells` that share a
+/// protocol and validation, on the graph a previous instance handed back
+/// (with the stream as generation left it) or on a freshly generated
+/// one, repairs or rejects it per the validation mode, then pre-draws
+/// every episode seed from the network stream. Emits `load` and
+/// `validate` stage spans onto `track` when tracing is live.
 fn init_network(
-    figure: &FigureRun,
-    net_index: usize,
-    recorder: &Recorder,
+    ctx: &RunCtx<'_, '_>,
     track: &TraceTrack,
+    net_index: usize,
+    cells: &[(FigureRun, PolicyKind)],
+    generated: Option<(Graph, StdRng)>,
 ) -> Result<NetworkState, NetworkFailure> {
+    let figure = &cells[0].0;
     let fail = |stage: &'static str, message: String| NetworkFailure {
         network: net_index,
         stage,
         message,
     };
-    // Derive a per-network stream so results do not depend on thread
-    // scheduling.
-    let mut net_rng = StdRng::seed_from_u64(
-        figure
-            .seed
-            .wrapping_add((net_index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-    );
     let load_span = track.span_with("load", &[("net", TraceValue::U64(net_index as u64))]);
-    let graph = figure
-        .dataset
-        .generate(&mut net_rng)
-        .map_err(|e| fail("dataset", e.to_string()))?;
+    let (graph, generated) = match generated {
+        Some(handed_back) => handed_back,
+        None => {
+            // Derive a per-network stream so results do not depend on
+            // thread scheduling.
+            let mut net_rng = StdRng::seed_from_u64(
+                figure
+                    .seed
+                    .wrapping_add((net_index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
+            );
+            let graph = figure
+                .dataset
+                .generate(&mut net_rng)
+                .map_err(|e| fail("dataset", e.to_string()))?;
+            (graph, net_rng)
+        }
+    };
+    let mut net_rng = generated.clone();
     let instance = apply_protocol(graph, &figure.protocol, &mut net_rng)
         .map_err(|e| fail("protocol", e.to_string()))?;
     drop(load_span);
     let validate_span = track.span_with("validate", &[("net", TraceValue::U64(net_index as u64))]);
+    // Validation outcomes count once per cell sharing the instance.
+    let count = |name, n: usize| ctx.recorder.counter(name).add((n * cells.len()) as u64);
     let (instance, was_repaired) = match figure.validation.repair_mode() {
         None => (instance, false),
         Some(mode) => match repair_instance(instance, mode) {
             Ok((instance, report)) => {
                 if !report.is_clean() {
-                    recorder
-                        .counter(validate_metrics::VIOLATIONS)
-                        .add(report.violations.len() as u64);
-                    recorder.counter(validate_metrics::REPAIRED_NETWORKS).incr();
-                    recorder
-                        .counter(validate_metrics::CLAMPED_PROBABILITIES)
-                        .add(report.clamped_probabilities as u64);
-                    recorder
-                        .counter(validate_metrics::BENEFIT_FIXES)
-                        .add(report.benefit_fixes as u64);
-                    recorder
-                        .counter(validate_metrics::DEMOTED_USERS)
-                        .add(report.demoted_users as u64);
+                    count(validate_metrics::VIOLATIONS, report.violations.len());
+                    count(validate_metrics::REPAIRED_NETWORKS, 1);
+                    count(
+                        validate_metrics::CLAMPED_PROBABILITIES,
+                        report.clamped_probabilities,
+                    );
+                    count(validate_metrics::BENEFIT_FIXES, report.benefit_fixes);
+                    count(validate_metrics::DEMOTED_USERS, report.demoted_users);
                     if report.lambda_guarantee_void() {
-                        recorder
-                            .counter(validate_metrics::LAMBDA_GUARANTEE_VOID)
-                            .incr();
+                        count(validate_metrics::LAMBDA_GUARANTEE_VOID, 1);
                     }
                 }
                 (instance, !report.is_clean())
             }
             Err(violations) => {
-                recorder
-                    .counter(validate_metrics::VIOLATIONS)
-                    .add(violations.len() as u64);
-                recorder.counter(validate_metrics::REJECTED_NETWORKS).incr();
+                count(validate_metrics::VIOLATIONS, violations.len());
+                count(validate_metrics::REJECTED_NETWORKS, 1);
                 return Err(fail("validate", violations_message(&violations)));
             }
         },
@@ -1065,34 +1153,62 @@ fn init_network(
         run_seeds,
         policy_seed,
         was_repaired,
+        generated,
     })
 }
 
-/// Builds network `net` and runs every episode on it: the policy is
+/// Runs every cell of the lineup on network `net`, in cell order, and
+/// returns their fates. Consecutive cells with the same protocol and
+/// validation share one instance; the next protocol is applied to the
+/// graph that instance hands back, drawing from the network stream as
+/// generation left it, so each cell gets the instance and seeds it would
+/// get alone and the worker holds one graph at a time. The graph is
+/// generated again only when a failed protocol or validation consumed it.
+fn run_network(ctx: &RunCtx<'_, '_>, w: &mut Worker, net: usize) -> Vec<Fate> {
+    let mut fates = Vec::with_capacity(ctx.cells.len());
+    let mut generated = None;
+    let shared = |(a, _): &(FigureRun, PolicyKind), (b, _): &(FigureRun, PolicyKind)| {
+        a.protocol == b.protocol && a.validation == b.validation
+    };
+    for group in ctx.cells.chunk_by(shared) {
+        match init_network(ctx, &w.track, net, group, generated.take()) {
+            Ok(state) => {
+                for (figure, policy) in group {
+                    fates.push(run_episodes(ctx, w, net, figure, *policy, &state));
+                }
+                generated = Some((state.instance.into_graph(), state.generated));
+            }
+            Err(failure) => fates.extend(vec![Fate::Quarantined(failure); group.len()]),
+        }
+    }
+    fates
+}
+
+/// Runs every episode of one cell on a built network: the policy is
 /// instantiated once, the episodes run in order in the worker's
 /// [`EpisodeScratch`], and their outcomes fold in episode order.
-/// Returns the network's fate: folded, or quarantined by a dataset,
-/// protocol or validation failure, or by a panic in the episode loop
-/// (stage `episodes`, not retried).
+/// Returns the cell's fate: folded, or quarantined by a panic in the
+/// episode loop (stage `episodes`, not retried).
 ///
 /// Tracing: the episode loop runs under an `episodes` span on the
 /// worker's `track`; each episode toggles the track's sampling gate by
 /// its run-global index (`net × runs_per_network + ep`), so sampled
 /// episodes carry `episode_begin`/`episode_end` markers plus the
 /// simulator's and policy's per-step events.
-fn run_network(ctx: &RunCtx<'_, '_>, w: &mut Worker, net: usize) -> Fate {
-    let figure = ctx.figure;
-    let state = match init_network(figure, net, ctx.recorder, &w.track) {
-        Ok(state) => state,
-        Err(failure) => return Fate::Quarantined(failure),
-    };
+fn run_episodes(
+    ctx: &RunCtx<'_, '_>,
+    w: &mut Worker,
+    net: usize,
+    figure: &FigureRun,
+    policy: PolicyKind,
+    state: &NetworkState,
+) -> Fate {
     let track = &w.track;
     // `engine.chunk_ns`: policy set-up plus the episode loop.
     let loop_span = w.chunk_ns.span();
     let episodes = catch_unwind(AssertUnwindSafe(|| {
         let mut policy_impl =
-            ctx.policy
-                .instantiate_instrumented(state.policy_seed, ctx.recorder, track);
+            policy.instantiate_instrumented(state.policy_seed, ctx.recorder, track);
         let mut outcomes: Vec<AttackOutcome> = Vec::with_capacity(state.run_seeds.len());
         let episodes_trace = track.span_with("episodes", &[("net", TraceValue::U64(net as u64))]);
         for (ep, &run_seed) in state.run_seeds.iter().enumerate() {
@@ -1118,7 +1234,7 @@ fn run_network(ctx: &RunCtx<'_, '_>, w: &mut Worker, net: usize) -> Fate {
                         ("net", TraceValue::U64(net as u64)),
                         ("ep", TraceValue::U64(ep as u64)),
                         ("global_ep", TraceValue::U64(global_ep)),
-                        ("policy", TraceValue::from(ctx.policy.name())),
+                        ("policy", TraceValue::from(policy.name())),
                         (
                             "dataset",
                             TraceValue::from(figure.dataset.name().to_string()),
@@ -2028,6 +2144,213 @@ mod tests {
             snap.counter(runner_metrics::QUARANTINED),
             Some(fig.network_samples as u64)
         );
+    }
+
+    /// `figure` under each policy of the paper's lineup.
+    fn paper_cells(figure: &FigureRun) -> Vec<(FigureRun, PolicyKind)> {
+        let lineup = PolicyKind::paper_lineup().into_iter();
+        lineup.map(|policy| (figure.clone(), policy)).collect()
+    }
+
+    /// A scratch file path unique to this process.
+    fn temp(name: &str) -> std::path::PathBuf {
+        std::env::temp_dir().join(format!("accu-runner-{name}-{}", std::process::id()))
+    }
+
+    /// The `(network, cell)` keys of a progress stream's `run.network`
+    /// lines, in stream order.
+    fn network_lines(stream: &str) -> Vec<(u64, u64)> {
+        let events = accu_telemetry::read_events(stream).events;
+        let lines = events.iter().filter(|e| e.kind == "run.network");
+        let cell = |e: &Event| e.get("cell").and_then(TraceValue::as_u64).unwrap();
+        lines.map(|e| (e.ids().network.unwrap(), cell(e))).collect()
+    }
+
+    #[test]
+    #[should_panic(expected = "share dataset, seed")]
+    fn a_lineup_rejects_cells_over_different_networks() {
+        let fig = tiny_figure();
+        let other = FigureRun {
+            seed: 7,
+            ..fig.clone()
+        };
+        let cells = [(fig, PolicyKind::MaxDegree), (other, PolicyKind::MaxDegree)];
+        let _ = run_lineup_with(&cells, RunOptions::default());
+    }
+
+    #[test]
+    fn networks_finishing_out_of_order_stream_in_index_order() {
+        // A chaos seed that stalls network 0 for 200 ms and leaves
+        // networks 1 and 2 alone, so on 3 workers they retire first.
+        let chaos = (0..)
+            .map(|seed| {
+                ChaosPlan::sample(&accu_core::ChaosConfig {
+                    worker_stall: 0.5,
+                    stall_ms: 200,
+                    seed,
+                    ..accu_core::ChaosConfig::none()
+                })
+            })
+            .find(|plan| {
+                plan.worker_fault(0).is_some() && (1..3).all(|net| plan.worker_fault(net).is_none())
+            })
+            .unwrap();
+        let cells = paper_cells(&tiny_figure());
+        let run = |workers: usize| {
+            let (stream, ckpt) = (temp(&format!("order-{workers}")), temp("order.ckpt"));
+            let mut checkpoint = Checkpoint::create(&ckpt).unwrap();
+            let sink = accu_telemetry::JsonlSink::create(&stream).unwrap();
+            let opts = RunOptions {
+                events: Observer::new(Some(sink), false),
+                checkpoint: Some(&mut checkpoint),
+                max_workers: Some(workers),
+                chaos,
+                ..RunOptions::default()
+            };
+            run_lineup_with(&cells, opts).unwrap();
+            let read = |path| std::fs::read_to_string(&path).unwrap();
+            let (stream, ckpt) = (read(stream), read(ckpt));
+            (stream, ckpt)
+        };
+        let (serial, _) = run(1);
+        let (parallel, ckpt) = run(3);
+        // Appends go in retire order: network 0 retired last.
+        let first_append = ckpt.lines().nth(1).unwrap();
+        assert!(!first_append.contains("\"net\":0,"), "{first_append}");
+        assert_eq!(parallel, serial, "the stream must not depend on scheduling");
+        let want: Vec<(u64, u64)> = (0..3).flat_map(|n| (0..4).map(move |c| (n, c))).collect();
+        assert_eq!(network_lines(&serial), want);
+        std::fs::remove_file(temp("order-1")).ok();
+        std::fs::remove_file(temp("order-3")).ok();
+        std::fs::remove_file(temp("order.ckpt")).ok();
+    }
+
+    #[test]
+    fn an_aborted_lineup_streams_what_retired_in_order_then_fails() {
+        // Every network panics on its first attempt, so the 33rd panic
+        // finds the lineup's 32 restarts spent and aborts it. What
+        // retired by then streams in (network, cell) order — past the
+        // gap an unretired network leaves — before `run.fail`.
+        let fig = FigureRun {
+            network_samples: 40,
+            runs_per_network: 1,
+            ..tiny_figure()
+        };
+        let cells = [
+            (fig.clone(), PolicyKind::MaxDegree),
+            (fig, PolicyKind::Random),
+        ];
+        let chaos = ChaosPlan::sample(&accu_core::ChaosConfig {
+            worker_panic: 1.0,
+            ..accu_core::ChaosConfig::none()
+        });
+        for workers in [1, 3] {
+            let path = temp(&format!("abort-{workers}"));
+            let sink = accu_telemetry::JsonlSink::create(&path).unwrap();
+            let opts = RunOptions {
+                events: Observer::new(Some(sink), false),
+                max_workers: Some(workers),
+                chaos,
+                ..RunOptions::default()
+            };
+            let Err(RunnerError::WorkerPanicked {
+                completed_networks, ..
+            }) = run_lineup_with(&cells, opts)
+            else {
+                panic!("the 33rd panic must abort the lineup");
+            };
+            let stream = std::fs::read_to_string(&path).unwrap();
+            let kinds: Vec<String> = accu_telemetry::read_events(&stream)
+                .events
+                .iter()
+                .map(|e| e.kind.to_string())
+                .collect();
+            assert_eq!(kinds.first().map(String::as_str), Some("run.begin"));
+            assert_eq!(kinds.last().map(String::as_str), Some("run.fail"));
+            let lines = network_lines(&stream);
+            assert_eq!(lines.len(), completed_networks, "workers={workers}");
+            assert!(lines.windows(2).all(|w| w[0] < w[1]), "{lines:?}");
+            assert!(lines.chunks(2).all(|p| p[0] == (p[1].0, 0) && p[1].1 == 1));
+            if workers == 1 {
+                assert_eq!(completed_networks, 2 * MAX_RESTARTS as usize);
+            }
+            std::fs::remove_file(&path).ok();
+        }
+    }
+
+    #[test]
+    fn a_lineup_killed_inside_network_one_resumes_to_the_uninterrupted_reports() {
+        let cells = paper_cells(&tiny_figure());
+        let path = temp("kill-inside.ckpt");
+        let mut ckpt = Checkpoint::create(&path).unwrap();
+        let opts = RunOptions {
+            checkpoint: Some(&mut ckpt),
+            max_workers: Some(1),
+            ..RunOptions::default()
+        };
+        let clean = run_lineup_with(&cells, opts).unwrap();
+        drop(ckpt);
+        // One worker appends network 0's four cells, then network 1's:
+        // the header and 6 appends are what `--chaos kill-after=6`
+        // leaves on file.
+        let text = std::fs::read_to_string(&path).unwrap();
+        let kept: String = text
+            .lines()
+            .take(7)
+            .map(|line| format!("{line}\n"))
+            .collect();
+        std::fs::write(&path, kept).unwrap();
+        let mut ckpt = Checkpoint::resume(&path).unwrap();
+        assert_eq!(ckpt.loaded_entries(), 6);
+        let opts = RunOptions {
+            checkpoint: Some(&mut ckpt),
+            ..RunOptions::default()
+        };
+        let resumed = run_lineup_with(&cells, opts).unwrap();
+        for (clean, resumed) in clean.iter().zip(resumed) {
+            assert_eq!(
+                resumed.resumed_networks, 1,
+                "network 1 is on file for two cells only"
+            );
+            assert_eq!(
+                &RunReport {
+                    resumed_networks: 0,
+                    ..resumed
+                },
+                clean
+            );
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn lineup_telemetry_counts_cell_network_pairs() {
+        // Two cells share the clean instance, two the repaired one.
+        let (clean, repaired) = (tiny_figure(), unreachable_figure(ValidationMode::Lenient));
+        let cells = [
+            (clean.clone(), PolicyKind::MaxDegree),
+            (clean, PolicyKind::Random),
+            (repaired.clone(), PolicyKind::MaxDegree),
+            (repaired, PolicyKind::Random),
+        ];
+        let recorder = Recorder::enabled();
+        let opts = RunOptions {
+            recorder: recorder.clone(),
+            ..RunOptions::default()
+        };
+        let reports = run_lineup_with(&cells, opts).unwrap();
+        let networks = tiny_figure().network_samples as u64;
+        assert_eq!(reports[0].repaired_networks, 0);
+        assert_eq!(reports[3].repaired_networks as u64, networks);
+        let snap = recorder.snapshot("pairs").unwrap();
+        assert_eq!(snap.counter(runner_metrics::NETWORKS), Some(4 * networks));
+        assert_eq!(
+            snap.counter(validate_metrics::REPAIRED_NETWORKS),
+            Some(2 * networks)
+        );
+        let histogram = |name| snap.histogram(name).unwrap().count;
+        assert_eq!(histogram(runner_metrics::NETWORK_NS), networks);
+        assert_eq!(histogram(engine_metrics::CHUNK_NS), 4 * networks);
     }
 
     #[test]

@@ -7,10 +7,10 @@
 //! and policies, plus the live-observability pieces of `accu-obs`: a
 //! streaming-progress [`Observer`] (`--progress`), a Prometheus
 //! [`MetricsServer`] (`--metrics-addr`), and a [`Watchdog`]
-//! (`--watchdog`). Every runner-driven binary runs its cells through
-//! [`Telemetry::run`], which passes every runner flag, and writes its
-//! CSVs through [`Telemetry::write_csv`], which tags a deadline-degraded
-//! figure. At the end of the run, [`Telemetry::report`] prints a
+//! (`--watchdog`). Every runner-driven binary runs each figure group's
+//! cells as one lineup through [`Telemetry::run`], which passes every
+//! runner flag, and writes its CSVs through [`Telemetry::write_csv`],
+//! which tags a deadline-degraded figure. At the end of the run, [`Telemetry::report`] prints a
 //! per-stage summary table and writes a machine-readable JSONL snapshot
 //! under `target/experiments/telemetry/<label>.jsonl`.
 
@@ -29,7 +29,7 @@ use crate::chaosfs::{atomic_write, atomic_write_chaos, ChaosFile, ChaosSite};
 use crate::checkpoint::Checkpoint;
 use crate::cli::Cli;
 use crate::output::{experiments_dir, fnum, Table};
-use crate::runner::{run_policy_with, runner_metrics, FigureRun, PolicyKind, RunOptions};
+use crate::runner::{run_lineup_with, runner_metrics, FigureRun, PolicyKind, RunOptions};
 
 /// Exit code used by `--watchdog=strict` when any alarm fired.
 pub const WATCHDOG_EXIT_CODE: i32 = 3;
@@ -97,19 +97,19 @@ pub struct Telemetry {
     /// process.
     chaos: ChaosPlan,
     /// Absolute soft deadline, derived once from `--deadline` so every
-    /// cell of a multi-cell binary shares the same wall-clock budget.
+    /// lineup of a binary shares the same wall-clock budget.
     deadline_at: Option<Instant>,
     /// `--checkpoint` path and `--resume`; the file is opened by the
-    /// first [`Telemetry::run`], so a binary that runs no cell creates
-    /// none.
+    /// first [`Telemetry::run`], so a binary that runs no lineup
+    /// creates none.
     checkpoint: Option<(String, bool)>,
-    /// The `--checkpoint` file, once the first cell has opened it.
+    /// The `--checkpoint` file, once the first lineup has opened it.
     checkpoint_file: Option<Checkpoint>,
     /// One stats row per cell that shed networks, for the CSVs written
     /// after those cells ran.
     shed: Vec<[String; 6]>,
-    /// Set by [`Telemetry::write_csv`]: the next cell starts a new set
-    /// of stats rows.
+    /// Set by [`Telemetry::write_csv`]: the next lineup starts a new
+    /// set of stats rows.
     wrote_csv: bool,
     /// Chaos failpoint on the streaming-progress sink, kept for its
     /// injected-fault counters.
@@ -256,18 +256,20 @@ impl Telemetry {
         &self.chaos
     }
 
-    /// Runs one cell — `policy` over `figure` — with every runner flag:
-    /// recorder, tracer, progress events, `--workers`, `--chaos`,
-    /// `--deadline`, and the `--checkpoint` file (opened, or with
-    /// `--resume` reopened, by the first cell). Prints the cell's
-    /// notices: quarantined, repaired, rejected, resumed and shed
-    /// networks. A cell that shed networks past the deadline tags the
-    /// CSVs written after it, up to the next cell, as degraded.
+    /// Runs one lineup — cells over the same sampled networks, see
+    /// [`run_lineup_with`] — with every runner flag: recorder, tracer,
+    /// progress events, `--workers`, `--chaos`, `--deadline`, and the
+    /// `--checkpoint` file (opened, or with `--resume` reopened, by the
+    /// first lineup), and returns each cell's aggregate in cell order.
+    /// Prints each cell's quarantined, repaired and rejected networks,
+    /// and once per lineup its resumed and shed networks. A lineup that
+    /// shed networks past the deadline tags the CSVs written after it,
+    /// up to the next lineup, as degraded.
     ///
     /// Exits the process with code 1 on any
     /// [`RunnerError`](crate::RunnerError): only a deadline yields a
     /// sanctioned partial figure.
-    pub fn run(&mut self, figure: &FigureRun, policy: PolicyKind) -> TraceAccumulator {
+    pub fn run(&mut self, cells: &[(FigureRun, PolicyKind)]) -> Vec<TraceAccumulator> {
         let fail = |e: &dyn std::fmt::Display| -> ! {
             eprintln!("error: {e}");
             std::process::exit(1);
@@ -277,7 +279,7 @@ impl Telemetry {
             ckpt.attach_chaos(&self.chaos);
             if *resume && ckpt.loaded_entries() > 0 {
                 println!(
-                    "resuming from {}: {} completed networks on file",
+                    "resuming from {}: {} (cell, network) results on file",
                     ckpt.path().display(),
                     ckpt.loaded_entries()
                 );
@@ -303,53 +305,59 @@ impl Telemetry {
             chaos: self.chaos,
             deadline: self.deadline_at,
         };
-        let report = run_policy_with(figure, policy, opts).unwrap_or_else(|e| fail(&e));
-        let (name, networks) = (policy.name(), figure.network_samples);
-        for failure in &report.quarantined {
-            eprintln!("runner: {failure}");
+        let reports = run_lineup_with(cells, opts).unwrap_or_else(|e| fail(&e));
+        let networks = cells[0].0.network_samples;
+        for ((figure, policy), report) in cells.iter().zip(&reports) {
+            let name = policy.name();
+            for failure in &report.quarantined {
+                eprintln!("runner: {failure}");
+            }
+            if report.repaired_networks > 0 {
+                println!(
+                    "{name}: {} of {networks} networks violated a paper precondition and were \
+                     repaired (1 - e^-lambda guarantee void for their contribution)",
+                    report.repaired_networks
+                );
+            }
+            let rejected = report
+                .quarantined
+                .iter()
+                .filter(|f| f.stage == "validate")
+                .count();
+            if rejected > 0 {
+                println!(
+                    "{name}: {rejected} of {networks} networks rejected by --validate {}",
+                    figure.validation
+                );
+            }
+            if report.degraded() {
+                self.shed.push([
+                    figure.cell_label(*policy),
+                    report.accumulator.runs().to_string(),
+                    report.completed_networks.to_string(),
+                    report.shed_networks.to_string(),
+                    fnum(report.accumulator.mean_total_benefit()),
+                    fnum(report.ci_half_width()),
+                ]);
+            }
         }
-        if report.repaired_networks > 0 {
-            println!(
-                "{name}: {} of {networks} networks violated a paper precondition and were \
-                 repaired (1 - e^-lambda guarantee void for their contribution)",
-                report.repaired_networks
-            );
-        }
-        let rejected = report
-            .quarantined
-            .iter()
-            .filter(|f| f.stage == "validate")
-            .count();
-        if rejected > 0 {
-            println!(
-                "{name}: {rejected} of {networks} networks rejected by --validate {}",
-                figure.validation
-            );
-        }
+        // Every cell resumes and sheds the same networks.
+        let (dataset, report) = (cells[0].0.dataset.name(), &reports[0]);
         if report.resumed_networks > 0 {
             println!(
-                "{name}: resumed {} of {networks} networks from checkpoint",
+                "{dataset}: resumed {} of {networks} networks from checkpoint",
                 report.resumed_networks
             );
         }
         if report.degraded() {
             println!(
-                "{name}: deadline expired — shed {} of {networks} networks; partial aggregate \
-                 over {} episodes (95% CI half-width {:.3})",
+                "{dataset}: deadline expired — shed {} of {networks} networks in each of {} \
+                 cell(s); partial aggregates in the _degraded_stats.csv sidecar",
                 report.shed_networks,
-                report.accumulator.runs(),
-                report.ci_half_width()
+                cells.len()
             );
-            self.shed.push([
-                figure.cell_label(policy),
-                report.accumulator.runs().to_string(),
-                report.completed_networks.to_string(),
-                report.shed_networks.to_string(),
-                fnum(report.accumulator.mean_total_benefit()),
-                fnum(report.ci_half_width()),
-            ]);
         }
-        report.accumulator
+        reports.into_iter().map(|r| r.accumulator).collect()
     }
 
     /// Writes `table` as the figure CSV `name`. When a cell it was
@@ -752,8 +760,8 @@ mod tests {
             ..Cli::default()
         })
         .figure_run(DatasetSpec::facebook(), ProtocolConfig::default());
-        let acc = tel.run(&figure, PolicyKind::MaxDegree);
-        assert_eq!(acc.runs(), 4);
+        let accs = tel.run(&[(figure, PolicyKind::MaxDegree)]);
+        assert_eq!(accs[0].runs(), 4);
         let snap = tel.snapshot().expect("--telemetry records");
         assert_eq!(snap.counter(runner_metrics::WORKERS), Some(3));
         assert!(tel.checkpoint_file.is_none());

@@ -2,12 +2,15 @@
 //! reference path: same seeds, same instances, same faults —
 //! bit-identical outcomes, at the single-episode and whole-figure level.
 
+use std::time::Instant;
+
 use accu_core::{
-    repair_instance, run_attack_episode, run_attack_with, AttackOptions, EpisodeScratch,
-    FaultConfig, FaultPlan, Realization, RetryPolicy, TraceAccumulator, ValidationMode,
+    repair_instance, run_attack_episode, run_attack_with, AttackOptions, ChaosConfig, ChaosPlan,
+    EpisodeScratch, FaultConfig, FaultPlan, Realization, RetryPolicy, TraceAccumulator,
+    ValidationMode,
 };
 use accu_datasets::{apply_protocol, DatasetSpec, ProtocolConfig};
-use accu_experiments::{run_policy_with, FigureRun, PolicyKind, RunOptions};
+use accu_experiments::{run_lineup_with, run_policy_with, FigureRun, PolicyKind, RunOptions};
 use accu_telemetry::Recorder;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -248,4 +251,94 @@ fn runner_matches_per_episode_reference() {
             );
         }
     }
+}
+
+/// Each cell of a lineup must report exactly what it reports when run
+/// alone, on every [`RunReport`](accu_experiments::RunReport) field:
+/// Fig. 2's four policies, `fault_ablation`'s 6 × 4 fault lineup, and
+/// 2×2 protocols around an unreachable-threshold cell under Strict
+/// (quarantined at `validate`, so the next protocol regenerates the
+/// graph) and under Lenient (repaired) — on one and three workers, with
+/// a deadline already passed, and under first-attempt panic chaos.
+#[test]
+fn lineup_cells_match_their_solo_runs() {
+    let base = small_figure(5, 0.0, ValidationMode::default());
+    let paper = |figure: FigureRun| {
+        let lineup = PolicyKind::paper_lineup().into_iter();
+        lineup.map(move |policy| (figure.clone(), policy))
+    };
+    let faults = [0.0, 0.1, 0.2, 0.4, 0.7, 1.0]
+        .into_iter()
+        .flat_map(|intensity| {
+            paper(FigureRun {
+                faults: FaultConfig::scaled(intensity),
+                ..base.clone()
+            })
+        });
+    let protocols = |validation| {
+        let cell = |bf, tf| {
+            let protocol = ProtocolConfig {
+                cautious_friend_benefit: bf,
+                threshold_fraction: tf,
+                ..base.protocol.clone()
+            };
+            let figure = FigureRun {
+                protocol,
+                validation,
+                ..base.clone()
+            };
+            (figure, PolicyKind::abm_balanced())
+        };
+        let grid = [
+            (20.0, 0.1),
+            (20.0, 0.5),
+            (20.0, 5.0),
+            (60.0, 0.1),
+            (60.0, 0.5),
+        ];
+        grid.map(|(bf, tf)| cell(bf, tf)).to_vec()
+    };
+    let lineups: [Vec<(FigureRun, PolicyKind)>; 4] = [
+        paper(base.clone()).collect(),
+        faults.collect(),
+        protocols(ValidationMode::Strict),
+        protocols(ValidationMode::Lenient),
+    ];
+    let panics = ChaosPlan::sample(&ChaosConfig {
+        worker_panic: 1.0,
+        ..ChaosConfig::none()
+    });
+    let passed = Some(Instant::now());
+    let none = ChaosPlan::none();
+    for cells in &lineups {
+        for (workers, deadline, chaos) in [
+            (1, None, none),
+            (3, None, none),
+            (3, passed, none),
+            (3, None, panics),
+        ] {
+            let opts = || RunOptions {
+                max_workers: Some(workers),
+                deadline,
+                chaos,
+                ..RunOptions::default()
+            };
+            let reports = run_lineup_with(cells, opts()).expect("lineup");
+            for ((figure, policy), report) in cells.iter().zip(&reports) {
+                let alone = run_policy_with(figure, *policy, opts()).expect("one cell");
+                assert_eq!(
+                    report,
+                    &alone,
+                    "{} on {workers} worker(s), deadline {deadline:?}, chaos {chaos:?}",
+                    figure.cell_label(*policy)
+                );
+            }
+        }
+    }
+    // The unreachable-threshold cell is what the comment above says.
+    let strict = run_lineup_with(&lineups[2], RunOptions::default()).unwrap();
+    assert_eq!(strict[2].quarantined.len(), base.network_samples);
+    assert!(strict[2].quarantined.iter().all(|f| f.stage == "validate"));
+    let lenient = run_lineup_with(&lineups[3], RunOptions::default()).unwrap();
+    assert_eq!(lenient[2].repaired_networks, base.network_samples);
 }

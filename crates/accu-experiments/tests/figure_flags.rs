@@ -115,18 +115,19 @@ fn fig6_streams_progress_for_every_cell() {
     );
     assert_success(&out);
     let text = std::fs::read_to_string(dir.join("p6.jsonl")).unwrap();
-    let begins = text
-        .lines()
-        .filter(|line| line.contains("\"kind\":\"run.begin\""))
-        .count();
-    assert_eq!(begins, 25, "one run.begin per heat-map cell");
+    let count = |kind: &str| {
+        let kind = format!("\"kind\":\"{kind}\"");
+        text.lines().filter(|line| line.contains(&kind)).count()
+    };
+    assert_eq!(count("run.begin"), 1, "the 25 cells run as one lineup");
+    assert_eq!(count("run.network"), 25, "one line per (cell, network)");
     std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn exhausted_restart_budget_exits_nonzero_without_a_figure() {
     let dir = scratch("restarts");
-    // 9 in 10 first chunk claims panic: more panics than the 32
+    // 9 in 10 first network claims panic: more panics than the 32
     // restarts the workers may spend.
     let out = run(
         env!("CARGO_BIN_EXE_fig4"),
@@ -187,33 +188,36 @@ fn fig2_killed_mid_run_resumes_to_the_clean_csvs() {
     let fig2 = env!("CARGO_BIN_EXE_fig2");
     let clean = scratch("resume-clean");
     assert_success(&run(fig2, &clean, 3, &[]));
-    let dir = scratch("resume-killed");
-    // The process aborts itself right after its second durable append.
-    let killed = run(
-        fig2,
-        &dir,
-        3,
-        &["--checkpoint", "C", "--chaos", "kill-after=2"],
-    );
-    assert!(
-        !killed.status.success(),
-        "kill-after must abort: {killed:?}"
-    );
-    let text = std::fs::read_to_string(dir.join("C")).unwrap();
-    let networks = text.lines().filter(|l| l.contains("\"net\":")).count();
-    assert_eq!(networks, 2, "two networks on file when the kill lands");
-    assert!(csvs(&dir).is_empty(), "{:?}", csvs(&dir));
-    let resumed = run(fig2, &dir, 3, &["--checkpoint", "C", "--resume"]);
-    assert_success(&resumed);
-    let stdout = String::from_utf8_lossy(&resumed.stdout);
-    assert!(stdout.contains("resumed 2 of 3 networks"), "{stdout}");
-    let names = csvs(&clean);
-    assert_eq!(csvs(&dir), names);
-    assert!(!names.is_empty());
-    for name in &names {
-        let read = |root: &Path| std::fs::read(root.join("target/experiments").join(name)).unwrap();
-        assert!(read(&dir) == read(&clean), "{name} differs after resume");
+    // Each network of Facebook's 4-cell lineup appends 4 lines: 8
+    // appends are two whole networks, and 6 stop inside the second, so
+    // only the first of those has every cell on file.
+    for (kill_after, resumed_networks) in [(8, 2), (6, 1)] {
+        let dir = scratch(&format!("resume-killed-{kill_after}"));
+        // The process aborts itself right after that many durable appends.
+        let chaos = format!("kill-after={kill_after}");
+        let killed = run(fig2, &dir, 3, &["--checkpoint", "C", "--chaos", &chaos]);
+        assert!(
+            !killed.status.success(),
+            "kill-after must abort: {killed:?}"
+        );
+        let text = std::fs::read_to_string(dir.join("C")).unwrap();
+        let appends = text.lines().filter(|l| l.contains("\"net\":")).count();
+        assert_eq!(appends, kill_after, "lines on file when the kill lands");
+        assert!(csvs(&dir).is_empty(), "{:?}", csvs(&dir));
+        let resumed = run(fig2, &dir, 3, &["--checkpoint", "C", "--resume"]);
+        assert_success(&resumed);
+        let stdout = String::from_utf8_lossy(&resumed.stdout);
+        let notice = format!("resumed {resumed_networks} of 3 networks");
+        assert_eq!(stdout.matches(&notice).count(), 1, "{stdout}");
+        let names = csvs(&clean);
+        assert_eq!(csvs(&dir), names);
+        assert!(!names.is_empty());
+        for name in &names {
+            let read =
+                |root: &Path| std::fs::read(root.join("target/experiments").join(name)).unwrap();
+            assert!(read(&dir) == read(&clean), "{name} differs after resume");
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
     std::fs::remove_dir_all(&clean).ok();
-    std::fs::remove_dir_all(&dir).ok();
 }

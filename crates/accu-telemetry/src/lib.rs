@@ -41,7 +41,7 @@
 //! * the ABM policy (`accu_core::policy::Abm`): winner-tree key sets
 //!   and retirements (`abm.heap_push` / `abm.heap_pop`), selects and
 //!   re-key counts;
-//! * the experiment runner (`accu_experiments::run_policy_with` with a
+//! * the experiment runner (`accu_experiments::run_lineup_with` with a
 //!   recorder in its `RunOptions`):
 //!   per-worker episode throughput, per-network wall clock, load
 //!   imbalance.

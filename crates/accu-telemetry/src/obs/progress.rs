@@ -5,21 +5,20 @@
 //! the metrics endpoint, and streams the scheduling-independent kinds
 //! unstamped:
 //!
-//! * `run.begin` — `args`: `cell`, `networks`, `episodes`;
-//! * `run.network` — one per network, `network` correlation ID plus
-//!   `args.status` (`ok`, `resumed`, `quarantined` or `shed`) and the
-//!   status's statistics;
+//! * `run.begin` — `args`: `cells` (the run's cell labels, one per
+//!   line), `networks` (its `run.network` lines to come) and `episodes`;
+//! * `run.network` — one per (network, cell) pair, `network` correlation
+//!   ID plus `args.cell` (the cell's index), `args.status` (`ok`,
+//!   `resumed`, `quarantined` or `shed`) and the status's statistics;
 //! * `run.end` / `run.fail` — the section's last line;
 //! * `obs.alarm` — watchdog alarms (wall-clock events by nature; a run
 //!   that raises none keeps the determinism guarantee below).
 //!
-//! Network lines pass through a per-run reorder buffer keyed by
-//! network index, so the stream is **byte-identical across worker
-//! counts** for a fixed seed. `run.end` and `run.fail` flush whatever
-//! the buffer still holds in index order, so every run's section is
-//! complete and the next run starts with an empty buffer.
+//! The runner emits network lines in (network, cell) order whichever
+//! worker finished first, and the observer writes every line as it
+//! arrives, so the stream is **byte-identical across worker counts**
+//! for a fixed seed.
 
-use std::collections::BTreeMap;
 use std::io::{self, IsTerminal as _};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -29,43 +28,14 @@ use std::time::{Duration, Instant};
 use crate::event::{Event, TraceValue};
 use crate::snapshot::{GaugeSnapshot, JsonlSink};
 
-/// JSONL sink plus the reorder buffer, under one lock so lines can
-/// never interleave out of order.
-struct StreamState {
-    sink: Option<JsonlSink>,
-    /// Next network index the stream is waiting for.
-    next: u64,
-    /// Lines for networks that finished ahead of `next`.
-    pending: BTreeMap<u64, String>,
-}
-
-impl StreamState {
-    fn write_line(&mut self, line: &str) {
-        if let Some(sink) = &mut self.sink {
-            if let Err(err) = sink.write_line(line) {
-                eprintln!("accu-obs: progress sink write failed: {err}");
-                self.sink = None;
-            }
+/// Writes one line to the JSONL sink, if any; a failed write detaches
+/// the sink.
+fn write_line(sink: &mut Option<JsonlSink>, line: &str) {
+    if let Some(stream) = sink {
+        if let Err(err) = stream.write_line(line) {
+            eprintln!("accu-obs: progress sink write failed: {err}");
+            *sink = None;
         }
-    }
-
-    /// Queues `line` for network `net` and drains every line that is
-    /// now in order.
-    fn push_network(&mut self, net: u64, line: String) {
-        self.pending.insert(net, line);
-        while let Some(line) = self.pending.remove(&self.next) {
-            self.write_line(&line);
-            self.next += 1;
-        }
-    }
-
-    /// Writes every buffered line in index order, gaps and all, and
-    /// resets the buffer for the next run.
-    fn drain(&mut self) {
-        for line in std::mem::take(&mut self.pending).into_values() {
-            self.write_line(&line);
-        }
-        self.next = 0;
     }
 }
 
@@ -94,8 +64,7 @@ struct ObserverInner {
     started: Instant,
     console: bool,
     stderr_is_tty: bool,
-    cell: Mutex<String>,
-    stream: Mutex<StreamState>,
+    stream: Mutex<Option<JsonlSink>>,
     render: Mutex<ConsoleState>,
 }
 
@@ -186,12 +155,7 @@ impl Observer {
             started: Instant::now(),
             console,
             stderr_is_tty: io::stderr().is_terminal(),
-            cell: Mutex::new(String::new()),
-            stream: Mutex::new(StreamState {
-                sink,
-                next: 0,
-                pending: BTreeMap::new(),
-            }),
+            stream: Mutex::new(sink),
             render: Mutex::new(ConsoleState {
                 last_render: Instant::now(),
                 needs_newline: false,
@@ -208,7 +172,7 @@ impl Observer {
     pub fn stream_path(&self) -> Option<PathBuf> {
         let inner = self.0.as_ref()?;
         let stream = inner.stream.lock().expect("obs stream poisoned");
-        stream.sink.as_ref().map(|s| s.path().to_path_buf())
+        stream.as_ref().map(|s| s.path().to_path_buf())
     }
 
     fn touch(inner: &ObserverInner) {
@@ -264,10 +228,7 @@ impl Observer {
                     .fetch_add(num("episodes"), Ordering::Relaxed);
                 inner.active.store(true, Ordering::Relaxed);
                 Self::touch(inner);
-                let cell = event.get("cell").and_then(TraceValue::as_str);
-                *inner.cell.lock().expect("obs cell poisoned") = cell.unwrap_or("").to_string();
-                stream.drain();
-                stream.write_line(&event.to_json());
+                write_line(&mut stream, &event.to_json());
             }
             "run.network" => {
                 inner.networks_done.fetch_add(1, Ordering::Relaxed);
@@ -288,14 +249,12 @@ impl Observer {
                     counter.fetch_add(1, Ordering::Relaxed);
                 }
                 Self::touch(inner);
-                let net = event.ids().network.unwrap_or(stream.next);
-                stream.push_network(net, event.to_json());
+                write_line(&mut stream, &event.to_json());
             }
             "run.end" | "run.fail" => {
                 inner.active.store(false, Ordering::Relaxed);
-                stream.drain();
-                stream.write_line(&event.to_json());
-                if let Some(sink) = &mut stream.sink {
+                write_line(&mut stream, &event.to_json());
+                if let Some(sink) = &mut *stream {
                     if let Err(err) = sink.flush() {
                         eprintln!("accu-obs: progress sink flush failed: {err}");
                     }
@@ -307,7 +266,7 @@ impl Observer {
             }
             "obs.alarm" => {
                 inner.alarms.fetch_add(1, Ordering::Relaxed);
-                stream.write_line(&event.to_json());
+                write_line(&mut stream, &event.to_json());
             }
             _ => {}
         }
@@ -397,7 +356,6 @@ impl Observer {
         }
         render.last_render = Instant::now();
         let stats = self.stats();
-        let cell = inner.cell.lock().expect("obs cell poisoned").clone();
         let eps = stats.eps_per_sec();
         let eta = if eps > 0.0 && stats.episodes_total > stats.episodes_done {
             let secs = (stats.episodes_total - stats.episodes_done) as f64 / eps;
@@ -411,7 +369,7 @@ impl Observer {
             0.0
         };
         let line = format!(
-            "[{cell}] {}/{} episodes ({pct:.1}%) | {eps:.1} eps/s | ETA {eta} | nets {}/{} | faults {}",
+            "{}/{} episodes ({pct:.1}%) | {eps:.1} eps/s | ETA {eta} | nets {}/{} | faults {}",
             stats.episodes_done,
             stats.episodes_total,
             inner.networks_done.load(Ordering::Relaxed),
@@ -450,9 +408,9 @@ mod tests {
         Observer::new(Some(JsonlSink::create(path).unwrap()), false)
     }
 
-    fn begin(cell: &'static str, networks: u64, episodes: u64) -> Event {
+    fn begin(cells: &'static str, networks: u64, episodes: u64) -> Event {
         Event::info("run.begin")
-            .arg("cell", cell)
+            .arg("cells", cells)
             .arg("networks", networks)
             .arg("episodes", episodes)
     }
@@ -487,30 +445,25 @@ mod tests {
     }
 
     #[test]
-    fn out_of_order_networks_stream_in_index_order() {
-        let path = tmp("reorder.jsonl");
+    fn network_lines_stream_as_they_arrive_and_count_by_status() {
+        let path = tmp("status.jsonl");
         let obs = to_path(&path);
-        obs.record(&begin("cell-a", 3, 6));
-        // Workers finish 2, 0, 1 — the stream must still read 0, 1, 2.
+        obs.record(&begin("cell-a\ncell-b", 3, 6));
+        obs.record(&ok(0, 2, true));
+        obs.record(&network(1, "resumed").arg("episodes", 2u64));
+        obs.record(&Event::debug("run.chunk").corr(Corr::none().network(1)));
         obs.record(
             &network(2, "quarantined")
                 .arg("stage", "protocol")
                 .arg("message", "boom \"quoted\""),
         );
-        obs.record(&ok(0, 2, true));
-        obs.record(&network(1, "resumed").arg("episodes", 2u64));
-        obs.record(&Event::debug("run.chunk").corr(Corr::none().network(1)));
         obs.record(&Event::info("run.end").arg("completed", 2u64));
         let text = std::fs::read_to_string(&path).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 5, "run.chunk is not a progress kind");
-        assert!(lines[0].contains("\"kind\":\"run.begin\""));
-        assert!(lines[0].contains("\"cell\":\"cell-a\""));
-        assert!(lines[1].contains("\"network\":0,"));
-        assert!(lines[1].contains("\"repaired\":true"));
-        assert!(lines[2].contains("\"network\":1,"));
+        assert!(lines[0].contains("\"cells\":\"cell-a\\ncell-b\""));
+        assert!(lines[1].contains("\"network\":0,") && lines[1].contains("\"repaired\":true"));
         assert!(lines[2].contains("\"status\":\"resumed\""));
-        assert!(lines[3].contains("\"network\":2,"));
         assert!(lines[3].contains("\"message\":\"boom \\\"quoted\\\"\""));
         assert!(lines[4].contains("\"kind\":\"run.end\""));
         let gauges = obs.gauge_snapshots();
@@ -526,43 +479,6 @@ mod tests {
                 "{name} != {value}: {gauges:?}"
             );
         }
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn a_failed_run_flushes_its_buffer_and_the_next_starts_clean() {
-        let path = tmp("fail.jsonl");
-        let obs = to_path(&path);
-        obs.record(&begin("a", 4, 4));
-        // Network 0 never reports: 3 then 1 wait in the buffer.
-        obs.record(&ok(3, 1, false));
-        obs.record(&ok(1, 1, false));
-        obs.record(&Event::error("run.fail"));
-        obs.record(&begin("b", 1, 1));
-        obs.record(&ok(0, 1, false));
-        obs.record(&Event::info("run.end"));
-        let text = std::fs::read_to_string(&path).unwrap();
-        let order: Vec<String> = crate::read_events(&text)
-            .events
-            .iter()
-            .map(|e| match e.ids().network {
-                Some(net) => format!("{}#{net}", e.kind),
-                None => e.kind.to_string(),
-            })
-            .collect();
-        assert_eq!(
-            order,
-            [
-                "run.begin",
-                "run.network#1",
-                "run.network#3",
-                "run.fail",
-                "run.begin",
-                "run.network#0",
-                "run.end"
-            ]
-        );
-        assert!(!obs.stats().active);
         std::fs::remove_file(&path).ok();
     }
 

@@ -8,9 +8,8 @@ use accu_core::theory::{adaptive_submodular_ratio, curvature_ratio, exact_margin
 use accu_core::TraceAccumulator;
 use accu_core::{AccuInstanceBuilder, Observation, Realization, UserClass};
 use accu_datasets::{DatasetSpec, ProtocolConfig};
-use accu_experiments::heatmap::run_heatmap;
 use accu_experiments::{
-    run_policy_with, Cli, ExperimentScale, FigureRun, PolicyKind, RunOptions, Telemetry,
+    run_lineup_with, run_policy_with, Cli, ExperimentScale, FigureRun, PolicyKind, RunOptions,
 };
 use accu_telemetry::{JsonlSink, Recorder};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
@@ -129,13 +128,30 @@ fn bench_fig4_fig5(c: &mut Criterion) {
 
 fn bench_fig6_fig7(c: &mut Criterion) {
     let scale = micro_scale();
-    let mut tel = Telemetry::from_cli(&Cli::default(), "bench-heatmap");
+    // Fig. 6/7's sweep at 2 × 2: one lineup of (B_f, θ) cells.
+    let cells: Vec<(FigureRun, PolicyKind)> = [20.0, 60.0]
+        .into_iter()
+        .flat_map(|bf| [0.1, 0.5].map(|tf| (bf, tf)))
+        .map(|(bf, tf)| {
+            let protocol = ProtocolConfig {
+                cautious_friend_benefit: bf,
+                threshold_fraction: tf,
+                ..ProtocolConfig::default()
+            };
+            let figure = scale.figure_run(DatasetSpec::twitter(), protocol);
+            (figure, PolicyKind::abm_balanced())
+        })
+        .collect();
     let mut group = c.benchmark_group("fig6_fig7_heatmap");
     group.sample_size(10);
     group.bench_function("2x2_grid", |b| {
         b.iter(|| {
-            let hm = run_heatmap(&scale, &[20.0, 60.0], &[0.1, 0.5], &mut tel);
-            black_box((hm.benefit, hm.cautious))
+            let reports = run_lineup_with(&cells, RunOptions::default()).expect("micro lineup");
+            let means = reports.iter().map(|r| {
+                let acc = &r.accumulator;
+                (acc.mean_total_benefit(), acc.mean_cautious_friends())
+            });
+            black_box(means.collect::<Vec<_>>())
         })
     });
     group.finish();
