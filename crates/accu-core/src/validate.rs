@@ -370,11 +370,12 @@ pub fn validate_instance(instance: &AccuInstance) -> Result<InstanceReport, Vec<
 /// Validates and, under [`RepairMode::Lenient`], deterministically
 /// repairs `instance`.
 ///
-/// Clean instances are returned unchanged (bit-identical), so wiring the
-/// repair pass into an ingestion path cannot perturb results on valid
-/// inputs. The accompanying [`RepairReport`] records every violation
-/// found and every fix applied; [`RepairReport::lambda_guarantee_void`]
-/// tells the caller to flag downstream numbers as degraded.
+/// Clean instances are handed back untouched — the same instance, not
+/// a rebuilt copy — so wiring the repair pass into an ingestion path
+/// cannot perturb results on valid inputs. The accompanying
+/// [`RepairReport`] records every violation found and every fix
+/// applied; [`RepairReport::lambda_guarantee_void`] tells the caller to
+/// flag downstream numbers as degraded.
 ///
 /// # Errors
 ///
@@ -386,26 +387,24 @@ pub fn repair_instance(
     instance: AccuInstance,
     mode: RepairMode,
 ) -> Result<(AccuInstance, RepairReport), Vec<Violation>> {
+    let found = scan(
+        &instance.graph,
+        &instance.edge_prob,
+        &instance.classes,
+        &instance.benefits.friend,
+        &instance.benefits.fof,
+    );
+    if found.is_empty() {
+        return Ok((instance, RepairReport::default()));
+    }
     let AccuInstance {
         graph,
         edge_prob,
         classes,
-        benefits,
-        cautious,
+        benefits: BenefitSchedule { friend, fof },
         ..
     } = instance;
-    let BenefitSchedule { friend, fof } = benefits;
-    match repair_parts(graph, edge_prob, classes, friend, fof, mode) {
-        Ok((mut inst, rep)) => {
-            if rep.is_clean() {
-                // Nothing was touched; restore the precomputed cautious
-                // list rather than the freshly recomputed (identical) one.
-                inst.cautious = cautious;
-            }
-            Ok((inst, rep))
-        }
-        Err(v) => Err(v),
-    }
+    repair_parts(graph, edge_prob, classes, friend, fof, found, mode)
 }
 
 impl AccuInstanceBuilder {
@@ -437,12 +436,14 @@ impl AccuInstanceBuilder {
         self,
         mode: RepairMode,
     ) -> Result<(AccuInstance, RepairReport), Vec<Violation>> {
+        let found = self.validate();
         repair_parts(
             self.graph,
             self.edge_prob,
             self.classes,
             self.friend_benefit,
             self.fof_benefit,
+            found,
             mode,
         )
     }
@@ -633,8 +634,8 @@ fn unit(p: f64) -> bool {
     p.is_finite() && (0.0..=1.0).contains(&p)
 }
 
-/// Validates and repairs raw instance parts, then assembles the
-/// instance. Shared by [`repair_instance`] and
+/// Repairs raw instance parts, given the violations `found` by scanning
+/// them, then assembles the instance. Shared by [`repair_instance`] and
 /// [`AccuInstanceBuilder::build_repaired`].
 fn repair_parts(
     graph: Graph,
@@ -642,9 +643,9 @@ fn repair_parts(
     mut classes: Vec<UserClass>,
     mut friend: Vec<f64>,
     mut fof: Vec<f64>,
+    found: Vec<Violation>,
     mode: RepairMode,
 ) -> Result<(AccuInstance, RepairReport), Vec<Violation>> {
-    let found = scan(&graph, &edge_prob, &classes, &friend, &fof);
     let mut report = RepairReport {
         violations: found,
         ..RepairReport::default()
@@ -881,6 +882,16 @@ mod tests {
         assert!(!rep.lambda_guarantee_void());
         assert_eq!(rep.repairs(), 0);
         assert_eq!(out.edge_prob, before_probs);
+    }
+
+    #[test]
+    fn clean_instance_comes_back_without_a_rebuild() {
+        let inst = clean_builder().build().unwrap();
+        let id = inst.instance_id();
+        let (out, rep) = repair_instance(inst, RepairMode::Strict).unwrap();
+        assert!(rep.is_clean());
+        // The same instance, not a copy assembled from its parts.
+        assert_eq!(out.instance_id(), id);
     }
 
     #[test]

@@ -34,6 +34,7 @@ use accu_experiments::output::series_table;
 use accu_experiments::{
     run_policy_with, Checkpoint, FigureRun, PolicyKind, RunOptions, DEADLINE_MIN_NETWORKS,
 };
+use accu_telemetry::Recorder;
 
 /// The profile rotation; a schedule bank of `N` covers each profile at
 /// `N / 6` (rounded up or down) distinct seeds.
@@ -164,7 +165,7 @@ fn checkpoint_chaos_profile(fig_seed: u64, config: ChaosConfig, path: &Path) -> 
                 return false;
             }
         };
-        ckpt.attach_chaos(&ChaosPlan::sample(&config));
+        ckpt.attach_chaos(&ChaosPlan::sample(&config), &Recorder::disabled());
         // The faulted pass: an append error aborts checkpointing but
         // not the run, so Ok and Err(Checkpoint) are both legitimate.
         let _ = run_policy_with(
@@ -222,10 +223,11 @@ fn run_kill_child(path: &str, kill_after: u64, fig_seed: u64) {
         eprintln!("child: checkpoint create failed: {e}");
         std::process::exit(3);
     });
-    ckpt.attach_chaos(&ChaosPlan::sample(&ChaosConfig {
+    let kill = ChaosConfig {
         kill_after_appends: Some(kill_after),
         ..ChaosConfig::none()
-    }));
+    };
+    ckpt.attach_chaos(&ChaosPlan::sample(&kill), &Recorder::disabled());
     let _ = run_policy_with(
         &figure,
         PolicyKind::abm_balanced(),

@@ -15,12 +15,11 @@
 //!
 //! `--check-prometheus` validates a saved metrics scrape against the
 //! text-format rules instead of diffing — the CI smoke job's helper.
-//! `--check-events` validates any event file — a causal log, a
-//! progress stream, or a service journal or flight dump from an older
-//! version — with [`check_events`]: every line of a known shape must be
-//! well formed (torn and foreign lines are counted, not fatal) and each
-//! source's sequence numbers must strictly increase; it prints a
-//! per-job event summary on success.
+//! `--check-events` validates an event file — a `--trace` causal log or
+//! a `--progress` stream — with [`check_events`]: every event line must
+//! be well formed (torn and foreign lines are counted, not fatal) and
+//! each track's sequence numbers must strictly increase; it prints the
+//! event and skipped-line counts on success.
 //!
 //! Exit codes: 0 = ok, 1 = regression (or invalid scrape/event file),
 //! 2 = usage or I/O error.
@@ -126,8 +125,8 @@ fn load_snapshot(path: &Path) -> Result<Snapshot, String> {
         .ok_or_else(|| format!("{}: no snapshot line found", path.display()))
 }
 
-/// Validates an event file with [`check_events`] and prints a per-job
-/// event summary.
+/// Validates an event file with [`check_events`] and prints its event
+/// and skipped-line counts.
 fn check_event_file(path: &Path) -> ExitCode {
     let text = match std::fs::read_to_string(path) {
         Ok(text) => text,
@@ -136,39 +135,21 @@ fn check_event_file(path: &Path) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let read = match check_events(&text) {
-        Ok(read) => read,
+    match check_events(&text) {
+        Ok(read) => {
+            println!(
+                "{}: valid event file ({} events, {} torn/foreign line(s) skipped)",
+                path.display(),
+                read.events.len(),
+                read.skipped_lines
+            );
+            ExitCode::SUCCESS
+        }
         Err(violation) => {
-            eprintln!("{}: invalid journal: {violation}", path.display());
-            return ExitCode::from(1);
-        }
-    };
-    let mut jobs: std::collections::BTreeMap<&str, Vec<&str>> = Default::default();
-    for event in &read.events {
-        if let Some(job) = event.ids().job_id.as_deref() {
-            jobs.entry(job).or_default().push(&event.kind);
+            eprintln!("{}: invalid event file: {violation}", path.display());
+            ExitCode::from(1)
         }
     }
-    println!(
-        "{}: valid journal ({} events, {} torn/foreign line(s) skipped, {} job(s))",
-        path.display(),
-        read.events.len(),
-        read.skipped_lines,
-        jobs.len()
-    );
-    for (job, kinds) in &jobs {
-        let chain = if kinds.len() > 8 {
-            format!(
-                "{} ... {}",
-                kinds[..4].join(" -> "),
-                kinds[kinds.len() - 4..].join(" -> ")
-            )
-        } else {
-            kinds.join(" -> ")
-        };
-        println!("  {job}: {} event(s): {chain}", kinds.len());
-    }
-    ExitCode::SUCCESS
 }
 
 /// Validates a saved Prometheus exposition; prints family/sample

@@ -1,99 +1,74 @@
-//! Chaos-aware I/O: the shim between the harness's sinks and the
-//! filesystem, plus the durable-write primitives the checkpoint layer
-//! builds on.
+//! Chaos-aware I/O: the one write path between the harness's sinks and
+//! the filesystem, plus the durable-replace primitive the checkpoint
+//! and figure CSVs build on.
 //!
 //! [`ChaosSite`] names one sink (`"checkpoint"`, `"progress"`,
-//! `"trace"`) and hands out per-operation faults from the run's
-//! [`ChaosPlan`]; [`ChaosFile`] wraps any writer and realizes those
+//! `"trace"`), hands out per-operation faults from the run's
+//! [`ChaosPlan`] and counts each fault it injects under `chaos.*` on a
+//! [`Recorder`]; [`ChaosFile`] wraps any writer and realizes those
 //! faults as real `io::Error`s — `ErrorKind::Interrupted` (which
 //! `write_all` transparently retries, exercising the retry path without
 //! losing data), an `ENOSPC`-style hard failure, or a *torn write* that
 //! lands half the buffer before erroring. [`atomic_write`] is the
 //! temp-file + rename + `sync_all` (file and directory) primitive used
-//! for crash-durable file replacement.
+//! for crash-durable file replacement. Every sink writes through a
+//! site; a site with a trivial plan ([`ChaosSite::none`], or any site
+//! of a run without `--chaos`) injects nothing.
 
-use accu_core::{ChaosPlan, IoFault};
+use accu_core::{chaos_metrics, ChaosPlan, IoFault};
+use accu_telemetry::Recorder;
 use std::fs;
 use std::io::{self, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Counters for the faults a [`ChaosSite`] actually injected, shared
-/// between the site and whoever reports telemetry.
-#[derive(Debug, Default)]
-pub struct ChaosCounters {
-    /// Injected disk-full errors.
-    pub disk_full: AtomicU64,
-    /// Injected `EINTR` interruptions.
-    pub eintr: AtomicU64,
-    /// Injected torn writes.
-    pub torn_writes: AtomicU64,
-}
-
-impl ChaosCounters {
-    /// Total injected I/O faults across all kinds.
-    pub fn total(&self) -> u64 {
-        self.disk_full.load(Ordering::Relaxed)
-            + self.eintr.load(Ordering::Relaxed)
-            + self.torn_writes.load(Ordering::Relaxed)
-    }
-}
-
 /// One named failpoint site: a monotone operation counter plus the
-/// run's chaos plan. Cloning shares the counter, so a site can be
-/// consulted from several layers of a sink stack without double
-/// counting operations.
+/// run's chaos plan and the recorder its injected faults are counted
+/// on. Cloning shares the counter, so a site can be consulted from
+/// several layers of a sink stack without double counting operations.
 #[derive(Debug, Clone)]
 pub struct ChaosSite {
     plan: ChaosPlan,
     name: &'static str,
     ops: Arc<AtomicU64>,
-    counters: Arc<ChaosCounters>,
+    recorder: Recorder,
 }
 
 impl ChaosSite {
-    /// Creates a site drawing from `plan`'s stream for `name`.
-    pub fn new(plan: ChaosPlan, name: &'static str) -> Self {
+    /// Creates a site drawing from `plan`'s stream for `name` that
+    /// counts each fault it injects on `recorder`.
+    pub fn new(plan: ChaosPlan, name: &'static str, recorder: &Recorder) -> Self {
         ChaosSite {
             plan,
             name,
             ops: Arc::new(AtomicU64::new(0)),
-            counters: Arc::new(ChaosCounters::default()),
+            recorder: recorder.clone(),
         }
     }
 
-    /// The site name (also the fault-stream key).
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// The injected-fault counters for this site.
-    pub fn counters(&self) -> &Arc<ChaosCounters> {
-        &self.counters
+    /// A site that never injects a fault.
+    pub fn none() -> Self {
+        ChaosSite::new(ChaosPlan::none(), "none", &Recorder::disabled())
     }
 
     /// Draws the fault (if any) for the next operation at this site and
-    /// counts it. Returns `None` on the fault-free fast path.
+    /// counts it under `chaos.io_faults` and its kind's counter. Returns
+    /// `None` on the fault-free fast path.
     pub fn next_fault(&self) -> Option<IoFault> {
         if self.plan.is_trivial() {
             return None;
         }
         let op = self.ops.fetch_add(1, Ordering::Relaxed);
-        let fault = self.plan.io_fault(self.name, op);
-        match fault {
-            Some(IoFault::DiskFull) => {
-                self.counters.disk_full.fetch_add(1, Ordering::Relaxed);
-            }
-            Some(IoFault::Interrupted) => {
-                self.counters.eintr.fetch_add(1, Ordering::Relaxed);
-            }
-            Some(IoFault::TornWrite) => {
-                self.counters.torn_writes.fetch_add(1, Ordering::Relaxed);
-            }
-            None => {}
-        }
-        fault
+        let fault = self.plan.io_fault(self.name, op)?;
+        let kind = match fault {
+            IoFault::DiskFull => chaos_metrics::DISK_FULL,
+            IoFault::Interrupted => chaos_metrics::EINTR,
+            IoFault::TornWrite => chaos_metrics::TORN_WRITES,
+        };
+        self.recorder.counter(chaos_metrics::IO_FAULTS).incr();
+        self.recorder.counter(kind).incr();
+        Some(fault)
     }
 }
 
@@ -144,40 +119,23 @@ impl<W: Write> Write for ChaosFile<W> {
     }
 }
 
-/// Durably replaces `path` with `bytes`: writes a temp sibling, syncs
-/// it, renames it over `path`, then syncs the parent directory so the
-/// rename itself survives power failure.
+/// Durably replaces `path` with `bytes`: writes a temp sibling through
+/// `site`, syncs it, renames it over `path`, then syncs the parent
+/// directory so the rename itself survives power failure. A fault the
+/// site injects surfaces before the rename, so the destination is never
+/// left torn.
 ///
 /// # Errors
 ///
-/// Any underlying filesystem error; on error the destination is either
-/// untouched or already fully replaced (the temp sibling may linger).
-pub fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    let tmp = tmp_sibling(path);
-    {
-        let mut file = fs::File::create(&tmp)?;
-        file.write_all(bytes)?;
-        file.sync_all()?;
-    }
-    fs::rename(&tmp, path)?;
-    sync_parent_dir(path)
-}
-
-/// [`atomic_write`] with fault injection on the data write: the drawn
-/// fault (if any) surfaces as an error *before* the rename, so the
-/// destination is never left torn.
-///
-/// # Errors
-///
-/// Injected chaos faults or any underlying filesystem error.
-pub fn atomic_write_chaos(path: &Path, bytes: &[u8], site: &ChaosSite) -> io::Result<()> {
+/// Injected faults or any underlying filesystem error; on error the
+/// destination is either untouched or already fully replaced, and the
+/// temp sibling is removed.
+pub fn atomic_write(path: &Path, bytes: &[u8], site: &ChaosSite) -> io::Result<()> {
     let tmp = tmp_sibling(path);
     let result = (|| {
         let file = fs::File::create(&tmp)?;
-        let mut writer = ChaosFile::new(&file, site.clone());
-        write_all_retrying(&mut writer, bytes)?;
+        ChaosFile::new(&file, site.clone()).write_all(bytes)?;
         file.sync_all()?;
-        drop(writer);
         fs::rename(&tmp, path)?;
         sync_parent_dir(path)
     })();
@@ -187,15 +145,7 @@ pub fn atomic_write_chaos(path: &Path, bytes: &[u8], site: &ChaosSite) -> io::Re
     result
 }
 
-/// `write_all` that retries `ErrorKind::Interrupted` (as the libc
-/// convention demands) but propagates everything else.
-fn write_all_retrying<W: Write>(writer: &mut W, bytes: &[u8]) -> io::Result<()> {
-    // std's `write_all` already loops on Interrupted; this wrapper only
-    // exists to make the contract explicit at the chaos boundary.
-    writer.write_all(bytes)
-}
-
-/// Temp-file sibling used by the atomic-replace primitives.
+/// The temp sibling [`atomic_write`] writes before its rename.
 fn tmp_sibling(path: &Path) -> std::path::PathBuf {
     let mut name = path
         .file_name()
@@ -238,85 +188,104 @@ mod tests {
         dir
     }
 
-    #[test]
-    fn trivial_site_never_faults_and_counts_nothing() {
-        let site = ChaosSite::new(ChaosPlan::none(), "checkpoint");
-        for _ in 0..100 {
-            assert_eq!(site.next_fault(), None);
-        }
-        assert_eq!(site.counters().total(), 0);
+    /// A site on `config`'s plan whose faults `recorder` counts.
+    fn site(config: ChaosConfig, recorder: &Recorder) -> ChaosSite {
+        ChaosSite::new(ChaosPlan::sample(&config), "t", recorder)
+    }
+
+    /// The `chaos.*` counters `recorder` holds, by name.
+    fn counted(recorder: &Recorder) -> Vec<(String, u64)> {
+        let snapshot = recorder.snapshot("chaos").expect("enabled recorder");
+        snapshot
+            .counters
+            .iter()
+            .map(|c| (c.name.clone(), c.value))
+            .collect()
     }
 
     #[test]
-    fn chaos_file_realizes_each_fault_kind() {
+    fn trivial_site_never_faults_and_counts_nothing() {
+        let rec = Recorder::enabled();
+        let site = ChaosSite::new(ChaosPlan::none(), "checkpoint", &rec);
+        for _ in 0..100 {
+            assert_eq!(site.next_fault(), None);
+        }
+        assert!(counted(&rec).is_empty());
+    }
+
+    #[test]
+    fn chaos_file_realizes_and_counts_each_fault_kind() {
         // Force each kind with a single-channel probability-1 config.
-        let disk = ChaosSite::new(
-            ChaosPlan::sample(&ChaosConfig {
-                disk_full: 1.0,
-                ..ChaosConfig::none()
-            }),
-            "t",
-        );
-        let mut w = ChaosFile::new(Vec::new(), disk.clone());
-        let err = w.write(b"hello").unwrap_err();
+        let rec = Recorder::enabled();
+        let disk = ChaosConfig {
+            disk_full: 1.0,
+            ..ChaosConfig::none()
+        };
+        let err = ChaosFile::new(Vec::new(), site(disk, &rec))
+            .write(b"hello")
+            .unwrap_err();
         assert!(err.to_string().contains("disk-full"), "{err}");
-        assert_eq!(disk.counters().disk_full.load(Ordering::Relaxed), 1);
 
-        let eintr = ChaosSite::new(
-            ChaosPlan::sample(&ChaosConfig {
-                eintr: 1.0,
-                ..ChaosConfig::none()
-            }),
-            "t",
-        );
-        let mut w = ChaosFile::new(Vec::new(), eintr);
-        assert_eq!(
-            w.write(b"hello").unwrap_err().kind(),
-            io::ErrorKind::Interrupted
-        );
+        let eintr = ChaosConfig {
+            eintr: 1.0,
+            ..ChaosConfig::none()
+        };
+        let err = ChaosFile::new(Vec::new(), site(eintr, &rec))
+            .write(b"hello")
+            .unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::Interrupted);
 
-        let torn = ChaosSite::new(
-            ChaosPlan::sample(&ChaosConfig {
-                torn_write: 1.0,
-                ..ChaosConfig::none()
-            }),
-            "t",
-        );
-        let mut w = ChaosFile::new(Vec::new(), torn.clone());
+        let torn = ChaosConfig {
+            torn_write: 1.0,
+            ..ChaosConfig::none()
+        };
+        let mut w = ChaosFile::new(Vec::new(), site(torn, &rec));
         let err = w.write(b"abcdef").unwrap_err();
         assert!(err.to_string().contains("torn"), "{err}");
         assert_eq!(w.get_ref().as_slice(), b"abc");
-        assert_eq!(torn.counters().torn_writes.load(Ordering::Relaxed), 1);
+
+        let expected = [
+            (chaos_metrics::DISK_FULL, 1),
+            (chaos_metrics::EINTR, 1),
+            (chaos_metrics::IO_FAULTS, 3),
+            (chaos_metrics::TORN_WRITES, 1),
+        ];
+        let expected: Vec<(String, u64)> = expected
+            .iter()
+            .map(|(name, n)| (name.to_string(), *n))
+            .collect();
+        assert_eq!(counted(&rec), expected);
     }
 
     #[test]
     fn eintr_is_survivable_via_write_all() {
         // An EINTR-only chaos stream loses no data: write_all retries.
-        let site = ChaosSite::new(
-            ChaosPlan::sample(&ChaosConfig {
-                eintr: 0.5,
-                seed: 4,
-                ..ChaosConfig::none()
-            }),
-            "progress",
-        );
-        let mut w = ChaosFile::new(Vec::new(), site.clone());
+        let rec = Recorder::enabled();
+        let config = ChaosConfig {
+            eintr: 0.5,
+            seed: 4,
+            ..ChaosConfig::none()
+        };
+        let mut w = ChaosFile::new(Vec::new(), site(config, &rec));
         for i in 0..50 {
             let line = format!("line {i}\n");
             w.write_all(line.as_bytes()).expect("EINTR is retried");
         }
         let text = String::from_utf8(w.get_ref().clone()).unwrap();
         assert_eq!(text.lines().count(), 50);
-        assert!(site.counters().eintr.load(Ordering::Relaxed) > 0);
+        let snapshot = rec.snapshot("eintr").unwrap();
+        let eintr = snapshot.counter(chaos_metrics::EINTR).unwrap_or(0);
+        assert!(eintr > 0);
+        assert_eq!(snapshot.counter(chaos_metrics::IO_FAULTS), Some(eintr));
     }
 
     #[test]
     fn atomic_write_replaces_durably() {
         let dir = temp_dir("atomic");
         let path = dir.join("out.csv");
-        atomic_write(&path, b"v1\n").unwrap();
+        atomic_write(&path, b"v1\n", &ChaosSite::none()).unwrap();
         assert_eq!(fs::read(&path).unwrap(), b"v1\n");
-        atomic_write(&path, b"v2\n").unwrap();
+        atomic_write(&path, b"v2\n", &ChaosSite::none()).unwrap();
         assert_eq!(fs::read(&path).unwrap(), b"v2\n");
         // No temp sibling left behind.
         assert!(!tmp_sibling(&path).exists());
@@ -324,42 +293,60 @@ mod tests {
     }
 
     #[test]
-    fn atomic_write_chaos_never_tears_destination() {
+    fn atomic_write_never_tears_destination() {
         let dir = temp_dir("atomic_chaos");
         let path = dir.join("out.csv");
-        atomic_write(&path, b"baseline\n").unwrap();
-        let site = ChaosSite::new(
-            ChaosPlan::sample(&ChaosConfig {
-                torn_write: 1.0,
-                ..ChaosConfig::none()
-            }),
-            "trace",
-        );
-        let err = atomic_write_chaos(&path, b"replacement\n", &site).unwrap_err();
+        atomic_write(&path, b"baseline\n", &ChaosSite::none()).unwrap();
+        let rec = Recorder::enabled();
+        let torn = ChaosConfig {
+            torn_write: 1.0,
+            ..ChaosConfig::none()
+        };
+        let err = atomic_write(&path, b"replacement\n", &site(torn, &rec)).unwrap_err();
         assert!(err.to_string().contains("torn"), "{err}");
+        assert_eq!(
+            rec.snapshot("torn")
+                .unwrap()
+                .counter(chaos_metrics::TORN_WRITES),
+            Some(1)
+        );
         // Destination untouched, temp cleaned up.
         assert_eq!(fs::read(&path).unwrap(), b"baseline\n");
         assert!(!tmp_sibling(&path).exists());
-        // Fault-free site goes through.
-        let clean = ChaosSite::new(ChaosPlan::none(), "trace");
-        atomic_write_chaos(&path, b"replacement\n", &clean).unwrap();
+        // A fault-free site goes through.
+        atomic_write(&path, b"replacement\n", &ChaosSite::none()).unwrap();
         assert_eq!(fs::read(&path).unwrap(), b"replacement\n");
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn cloned_sites_share_the_operation_stream() {
-        let site = ChaosSite::new(
-            ChaosPlan::sample(&ChaosConfig {
-                disk_full: 1.0,
-                ..ChaosConfig::none()
-            }),
-            "s",
-        );
+        let config = ChaosConfig {
+            disk_full: 0.5,
+            seed: 9,
+            ..ChaosConfig::none()
+        };
+        let rec = Recorder::enabled();
+        let site = site(config, &rec);
         let clone = site.clone();
-        site.next_fault();
-        clone.next_fault();
-        assert_eq!(site.counters().disk_full.load(Ordering::Relaxed), 2);
-        assert_eq!(clone.counters().disk_full.load(Ordering::Relaxed), 2);
+        // Alternating between a site and its clone draws the same
+        // faults as one site alone: the clone continues the stream.
+        let interleaved: Vec<Option<IoFault>> = (0..32)
+            .map(|op| {
+                if op % 2 == 0 {
+                    site.next_fault()
+                } else {
+                    clone.next_fault()
+                }
+            })
+            .collect();
+        let alone = ChaosSite::new(ChaosPlan::sample(&config), "t", &Recorder::disabled());
+        let expected: Vec<Option<IoFault>> = (0..32).map(|_| alone.next_fault()).collect();
+        assert_eq!(interleaved, expected);
+        let faults = expected.iter().flatten().count() as u64;
+        assert!(faults > 0);
+        let snapshot = rec.snapshot("shared").unwrap();
+        assert_eq!(snapshot.counter(chaos_metrics::IO_FAULTS), Some(faults));
+        assert_eq!(snapshot.counter(chaos_metrics::DISK_FULL), Some(faults));
     }
 }

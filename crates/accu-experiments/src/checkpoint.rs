@@ -24,10 +24,10 @@
 //!   behind) is detected by the parser and simply dropped: that network
 //!   is recomputed on resume.
 //!
-//! For chaos testing, [`Checkpoint::attach_chaos`] routes appends
-//! through the run's seeded failpoint schedule (site `"checkpoint"`)
-//! and arms the deterministic `kill-after` abort used by CI's
-//! kill-and-resume job.
+//! Appends go through a failpoint site that injects nothing until
+//! [`Checkpoint::attach_chaos`] gives it the run's seeded schedule
+//! (site `"checkpoint"`) and arms the deterministic `kill-after` abort
+//! used by CI's kill-and-resume job.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -36,7 +36,7 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use accu_core::{ChaosPlan, TraceAccumulator};
-use accu_telemetry::json_escape;
+use accu_telemetry::{json_escape, Recorder};
 
 use crate::chaosfs::{atomic_write, ChaosFile, ChaosSite};
 use crate::runner::RunnerError;
@@ -55,8 +55,8 @@ pub struct Checkpoint {
     /// Lines dropped at load because they did not parse (a crashed
     /// append leaves at most one).
     skipped_lines: usize,
-    /// Seeded failpoint site for appends, when chaos is attached.
-    chaos: Option<ChaosSite>,
+    /// Failpoint site every append writes through.
+    site: ChaosSite,
     /// Durable appends completed so far (drives `kill_after`).
     appends: u64,
     /// Abort the process after this many durable appends (chaos).
@@ -73,7 +73,8 @@ impl Checkpoint {
     /// Returns [`RunnerError::Checkpoint`] on I/O failure.
     pub fn create(path: impl AsRef<Path>) -> Result<Checkpoint, RunnerError> {
         let path = path.as_ref().to_path_buf();
-        atomic_write(&path, format!("{HEADER}\n").as_bytes()).map_err(RunnerError::Checkpoint)?;
+        atomic_write(&path, format!("{HEADER}\n").as_bytes(), &ChaosSite::none())
+            .map_err(RunnerError::Checkpoint)?;
         let file = OpenOptions::new()
             .append(true)
             .open(&path)
@@ -83,7 +84,7 @@ impl Checkpoint {
             file,
             entries: BTreeMap::new(),
             skipped_lines: 0,
-            chaos: None,
+            site: ChaosSite::none(),
             appends: 0,
             kill_after: None,
         })
@@ -135,7 +136,7 @@ impl Checkpoint {
             file,
             entries,
             skipped_lines: skipped,
-            chaos: None,
+            site: ChaosSite::none(),
             appends: 0,
             kill_after: None,
         })
@@ -161,13 +162,11 @@ impl Checkpoint {
     }
 
     /// Routes subsequent appends through the run's seeded chaos
-    /// schedule (failpoint site `"checkpoint"`) and arms the
-    /// deterministic `kill-after` abort, if configured. A trivial plan
-    /// attaches nothing.
-    pub fn attach_chaos(&mut self, plan: &ChaosPlan) {
-        if !plan.is_trivial() {
-            self.chaos = Some(ChaosSite::new(*plan, "checkpoint"));
-        }
+    /// schedule (failpoint site `"checkpoint"`, its injected faults
+    /// counted on `recorder`) and arms the deterministic `kill-after`
+    /// abort, if configured. A trivial plan injects nothing.
+    pub fn attach_chaos(&mut self, plan: &ChaosPlan, recorder: &Recorder) {
+        self.site = ChaosSite::new(*plan, "checkpoint", recorder);
         self.kill_after = plan.kill_after_appends();
     }
 
@@ -200,11 +199,11 @@ impl Checkpoint {
     /// `sync_all`, so once this returns `Ok` the entry survives power
     /// failure, not just SIGKILL.
     ///
-    /// With chaos attached, the write is routed through the seeded
-    /// failpoint schedule (injected `EINTR` is retried transparently;
-    /// disk-full and torn writes surface as errors), and the process
-    /// aborts after the configured number of durable appends when
-    /// `kill-after` is armed.
+    /// With chaos attached, the write draws from the seeded failpoint
+    /// schedule (injected `EINTR` is retried transparently; disk-full
+    /// and torn writes surface as errors), and the process aborts after
+    /// the configured number of durable appends when `kill-after` is
+    /// armed.
     ///
     /// # Errors
     ///
@@ -223,13 +222,7 @@ impl Checkpoint {
             acc.to_json()
         );
         line.push('\n');
-        match &self.chaos {
-            Some(site) => {
-                let mut writer = ChaosFile::new(&self.file, site.clone());
-                writer.write_all(line.as_bytes())?;
-            }
-            None => self.file.write_all(line.as_bytes())?,
-        }
+        ChaosFile::new(&self.file, self.site.clone()).write_all(line.as_bytes())?;
         self.file.sync_all()?;
         self.appends += 1;
         if let Some(kill_after) = self.kill_after {
@@ -397,10 +390,13 @@ mod tests {
         {
             let mut ckpt = Checkpoint::create(&path).unwrap();
             ckpt.record("cell", 0, &acc).unwrap();
-            ckpt.attach_chaos(&ChaosPlan::sample(&ChaosConfig {
-                torn_write: 1.0,
-                ..ChaosConfig::none()
-            }));
+            ckpt.attach_chaos(
+                &ChaosPlan::sample(&ChaosConfig {
+                    torn_write: 1.0,
+                    ..ChaosConfig::none()
+                }),
+                &Recorder::disabled(),
+            );
             let err = ckpt.record("cell", 1, &acc).unwrap_err();
             assert!(err.to_string().contains("torn"), "{err}");
         }
@@ -418,16 +414,20 @@ mod tests {
 
     #[test]
     fn injected_eintr_does_not_lose_appends() {
-        use accu_core::{ChaosConfig, ChaosPlan};
+        use accu_core::{chaos_metrics, ChaosConfig, ChaosPlan};
         let path = temp_path("chaos-eintr");
         let acc = sample_acc();
+        let recorder = Recorder::enabled();
         {
             let mut ckpt = Checkpoint::create(&path).unwrap();
-            ckpt.attach_chaos(&ChaosPlan::sample(&ChaosConfig {
-                eintr: 0.5,
-                seed: 21,
-                ..ChaosConfig::none()
-            }));
+            ckpt.attach_chaos(
+                &ChaosPlan::sample(&ChaosConfig {
+                    eintr: 0.5,
+                    seed: 21,
+                    ..ChaosConfig::none()
+                }),
+                &recorder,
+            );
             for net in 0..8 {
                 ckpt.record("cell", net, &acc).unwrap();
             }
@@ -435,6 +435,10 @@ mod tests {
         let ckpt = Checkpoint::resume(&path).unwrap();
         assert_eq!(ckpt.completed("cell").len(), 8);
         assert_eq!(ckpt.skipped_lines(), 0);
+        let snapshot = recorder.snapshot("checkpoint").unwrap();
+        let eintr = snapshot.counter(chaos_metrics::EINTR).unwrap_or(0);
+        assert!(eintr > 0, "a 50% EINTR stream over 8 appends injects some");
+        assert_eq!(snapshot.counter(chaos_metrics::IO_FAULTS), Some(eintr));
         std::fs::remove_file(&path).ok();
     }
 

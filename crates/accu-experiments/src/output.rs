@@ -6,6 +6,8 @@
 use std::fs;
 use std::path::PathBuf;
 
+use crate::chaosfs::{atomic_write, ChaosSite};
+
 /// Directory experiment CSVs are written to (`target/experiments`),
 /// created on demand.
 ///
@@ -124,7 +126,7 @@ impl Table {
     /// Returns any underlying I/O error.
     pub fn write_csv(&self, name: &str) -> std::io::Result<PathBuf> {
         let path = experiments_dir()?.join(format!("{name}.csv"));
-        crate::chaosfs::atomic_write(&path, self.to_csv_string().as_bytes())?;
+        atomic_write(&path, self.to_csv_string().as_bytes(), &ChaosSite::none())?;
         Ok(path)
     }
 }

@@ -16,7 +16,7 @@
 
 use std::fmt::Write as _;
 
-use accu_telemetry::{Event, Source, TraceValue};
+use accu_telemetry::{Event, TraceValue};
 
 /// One `request` event: a resolved friend request inside an episode.
 #[derive(Debug, Clone, PartialEq)]
@@ -174,8 +174,8 @@ impl CausalLog {
     /// `episode_end` on the same track — are kept; fragments truncated
     /// by ring-buffer overwrite are counted in
     /// [`incomplete_episodes`](CausalLog::incomplete_episodes) instead.
-    /// Events without a track stamp (journal or progress events in a
-    /// concatenated file) are skipped, as are span markers.
+    /// Events without a track stamp (progress events in a concatenated
+    /// file) are skipped, as are span markers.
     ///
     /// [`read_events`]: accu_telemetry::read_events
     /// [`check_events`]: accu_telemetry::check_events
@@ -193,7 +193,7 @@ impl CausalLog {
                 log.dropped_events += field(e, "dropped", V::as_u64)?;
                 continue;
             }
-            let Some(Source::Track(track)) = e.stamp.as_ref().map(|s| &s.source) else {
+            let Some(track) = e.stamp.as_ref().map(|s| &s.track) else {
                 continue;
             };
             let slot = open.iter().position(|ep| *ep.track == **track);
@@ -456,22 +456,24 @@ mod tests {
 
     fn sample_log() -> String {
         [
-            r#"{"type":"trace_drops","track":"worker-0","dropped":2}"#,
-            r#"{"type":"trace","track":"worker-0","seq":0,"ts_ns":10,"kind":"begin","name":"chunk","args":{"net":0,"chunk":0}}"#,
-            r#"{"type":"trace","track":"worker-0","seq":1,"ts_ns":11,"kind":"instant","name":"episode_begin","args":{"net":0,"ep":0,"global_ep":0,"policy":"ABM","dataset":"BA","budget":3,"seed":"7"}}"#,
-            r#"{"type":"trace","track":"worker-0","seq":2,"ts_ns":12,"kind":"instant","name":"decide","args":{"picked":4,"potential":1.5,"q":0.5,"p_d":3.0,"p_i":0.0,"w_d":1.0,"w_i":0.0,"runner_up":9,"margin":0.25,"stale_skips":1,"requested_skips":0}}"#,
-            r#"{"type":"trace","track":"worker-0","seq":3,"ts_ns":13,"kind":"instant","name":"request","args":{"step":0,"target":4,"cautious":false,"theta":-1,"mutual":0,"accepted":true,"faulted":false,"gain":1.5,"cum_benefit":1.5}}"#,
-            r#"{"type":"trace","track":"worker-0","seq":4,"ts_ns":14,"kind":"instant","name":"cautious_progress","args":{"node":9,"mutual":1,"theta":2}}"#,
-            r#"{"type":"trace","track":"worker-0","seq":5,"ts_ns":15,"kind":"instant","name":"abm_observe","args":{"target":4,"accepted":true,"dirty":3}}"#,
-            r#"{"type":"trace","track":"worker-0","seq":6,"ts_ns":16,"kind":"instant","name":"request","args":{"step":1,"target":9,"cautious":true,"theta":2,"mutual":1,"accepted":false,"faulted":false,"gain":0.0,"cum_benefit":1.5}}"#,
-            r#"{"type":"trace","track":"worker-0","seq":7,"ts_ns":17,"kind":"instant","name":"episode_end","args":{"net":0,"ep":0,"global_ep":0,"total_benefit":1.5,"requests":2,"friends":1,"cautious_friends":0,"faults":0}}"#,
-            r#"{"type":"trace","track":"worker-0","seq":8,"ts_ns":18,"kind":"end","name":"chunk","args":{}}"#,
+            r#"{"type":"event","sev":"warn","kind":"trace.dropped","args":{"track":"worker-0","dropped":2}}"#,
+            r#"{"type":"event","track":"worker-0","seq":0,"ts_ns":10,"sev":"debug","kind":"episodes.begin","args":{"net":0}}"#,
+            r#"{"type":"event","track":"worker-0","seq":1,"ts_ns":11,"sev":"debug","kind":"episode_begin","args":{"net":0,"ep":0,"global_ep":0,"policy":"ABM","dataset":"BA","budget":3,"seed":"7"}}"#,
+            r#"{"type":"event","track":"worker-0","seq":2,"ts_ns":12,"sev":"debug","kind":"decide","args":{"picked":4,"potential":1.5,"q":0.5,"p_d":3.0,"p_i":0.0,"w_d":1.0,"w_i":0.0,"runner_up":9,"margin":0.25}}"#,
+            r#"{"type":"event","track":"worker-0","seq":3,"ts_ns":13,"sev":"debug","kind":"request","args":{"step":0,"target":4,"cautious":false,"theta":-1,"mutual":0,"accepted":true,"faulted":false,"gain":1.5,"cum_benefit":1.5}}"#,
+            r#"{"type":"event","track":"worker-0","seq":4,"ts_ns":14,"sev":"debug","kind":"cautious_progress","args":{"node":9,"mutual":1,"theta":2}}"#,
+            r#"{"type":"event","track":"worker-0","seq":5,"ts_ns":15,"sev":"debug","kind":"abm_observe","args":{"target":4,"accepted":true,"dirty":3}}"#,
+            r#"{"type":"event","track":"worker-0","seq":6,"ts_ns":16,"sev":"debug","kind":"request","args":{"step":1,"target":9,"cautious":true,"theta":2,"mutual":1,"accepted":false,"faulted":false,"gain":0.0,"cum_benefit":1.5}}"#,
+            r#"{"type":"event","track":"worker-0","seq":7,"ts_ns":17,"sev":"debug","kind":"episode_end","args":{"net":0,"ep":0,"global_ep":0,"total_benefit":1.5,"requests":2,"friends":1,"cautious_friends":0,"faults":0}}"#,
+            r#"{"type":"event","track":"worker-0","seq":8,"ts_ns":18,"sev":"debug","kind":"episodes.end"}"#,
         ]
         .join("\n")
     }
 
     #[test]
     fn parses_episodes_with_all_event_kinds() {
+        let read = accu_telemetry::check_events(&sample_log()).unwrap();
+        assert_eq!((read.events.len(), read.skipped_lines), (10, 0));
         let log = parse_causal_log(&sample_log()).unwrap();
         assert_eq!(log.dropped_events, 2);
         assert_eq!(log.incomplete_episodes, 0);
@@ -490,12 +492,6 @@ mod tests {
             EpisodeEvent::Request(r) if r.theta == Some(2) && !r.accepted
         ));
         assert_eq!(ep.end.total_benefit, 1.5);
-        // The sample's `decide` carries the `stale_skips` and
-        // `requested_skips` fields of logs written while ABM selected
-        // through a lazy heap; logs written since omit them.
-        let current = sample_log().replace(r#","stale_skips":1,"requested_skips":0"#, "");
-        assert_ne!(current, sample_log());
-        assert_eq!(parse_causal_log(&current).unwrap().episodes, log.episodes);
     }
 
     #[test]
@@ -534,8 +530,8 @@ mod tests {
         // An end without a begin (ring overwrote the begin), then a
         // begin without an end (worker died mid-episode).
         let text = [
-            r#"{"type":"trace","track":"worker-0","seq":0,"ts_ns":1,"kind":"instant","name":"episode_end","args":{"net":0,"ep":0,"global_ep":0,"total_benefit":0.0,"requests":0,"friends":0,"cautious_friends":0,"faults":0}}"#,
-            r#"{"type":"trace","track":"worker-0","seq":1,"ts_ns":2,"kind":"instant","name":"episode_begin","args":{"net":0,"ep":1,"global_ep":1,"policy":"ABM","dataset":"BA","budget":3,"seed":"8"}}"#,
+            r#"{"type":"event","track":"worker-0","seq":0,"ts_ns":1,"sev":"debug","kind":"episode_end","args":{"net":0,"ep":0,"global_ep":0,"total_benefit":0.0,"requests":0,"friends":0,"cautious_friends":0,"faults":0}}"#,
+            r#"{"type":"event","track":"worker-0","seq":1,"ts_ns":2,"sev":"debug","kind":"episode_begin","args":{"net":0,"ep":1,"global_ep":1,"policy":"ABM","dataset":"BA","budget":3,"seed":"8"}}"#,
         ]
         .join("\n");
         let log = parse_causal_log(&text).unwrap();
@@ -554,8 +550,8 @@ mod tests {
     #[test]
     fn empty_episode_replays_to_zero_benefit() {
         let text = [
-            r#"{"type":"trace","track":"worker-0","seq":0,"ts_ns":1,"kind":"instant","name":"episode_begin","args":{"net":0,"ep":0,"global_ep":0,"policy":"Random","dataset":"ER","budget":0,"seed":"1"}}"#,
-            r#"{"type":"trace","track":"worker-0","seq":1,"ts_ns":2,"kind":"instant","name":"episode_end","args":{"net":0,"ep":0,"global_ep":0,"total_benefit":0.0,"requests":0,"friends":0,"cautious_friends":0,"faults":0}}"#,
+            r#"{"type":"event","track":"worker-0","seq":0,"ts_ns":1,"sev":"debug","kind":"episode_begin","args":{"net":0,"ep":0,"global_ep":0,"policy":"Random","dataset":"ER","budget":0,"seed":"1"}}"#,
+            r#"{"type":"event","track":"worker-0","seq":1,"ts_ns":2,"sev":"debug","kind":"episode_end","args":{"net":0,"ep":0,"global_ep":0,"total_benefit":0.0,"requests":0,"friends":0,"cautious_friends":0,"faults":0}}"#,
         ]
         .join("\n");
         let log = parse_causal_log(&text).unwrap();

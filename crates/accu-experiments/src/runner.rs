@@ -60,8 +60,8 @@ use accu_core::{
 };
 use accu_telemetry::obs::Observer;
 use accu_telemetry::{
-    Corr, CounterHandle, Event, GaugeHandle, HistogramHandle, Recorder, Severity, TraceTrack,
-    TraceValue, Tracer,
+    CounterHandle, Event, GaugeHandle, HistogramHandle, Recorder, Severity, TraceTrack, TraceValue,
+    Tracer,
 };
 use osn_graph::Graph;
 use rand::rngs::StdRng;
@@ -851,7 +851,7 @@ fn stream_network(events: &Observer, net: usize, fates: &[Fate]) {
         events.emit(|| {
             let line = |sev, status: &'static str| {
                 Event::new(sev, "run.network")
-                    .corr(Corr::none().network(net as u64))
+                    .network(net as u64)
                     .arg("cell", cell)
                     .arg("status", status)
             };
@@ -2163,7 +2163,7 @@ mod tests {
         let events = accu_telemetry::read_events(stream).events;
         let lines = events.iter().filter(|e| e.kind == "run.network");
         let cell = |e: &Event| e.get("cell").and_then(TraceValue::as_u64).unwrap();
-        lines.map(|e| (e.ids().network.unwrap(), cell(e))).collect()
+        lines.map(|e| (e.network.unwrap(), cell(e))).collect()
     }
 
     #[test]

@@ -14,18 +14,16 @@
 //! per-stage summary table and writes a machine-readable JSONL snapshot
 //! under `target/experiments/telemetry/<label>.jsonl`.
 
-use std::io::{self, Write};
+use std::io;
 use std::path::PathBuf;
-use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
-use accu_core::chaos::chaos_metrics;
 use accu_core::policy::abm_metrics;
 use accu_core::{fault_metrics, sim_metrics, validate_metrics, ChaosPlan, TraceAccumulator};
 use accu_telemetry::obs::{MetricsServer, Observer, Watchdog, WatchdogConfig};
 use accu_telemetry::{Event, JsonlSink, Recorder, Snapshot, Tracer, DEFAULT_TRACK_CAPACITY};
 
-use crate::chaosfs::{atomic_write, atomic_write_chaos, ChaosFile, ChaosSite};
+use crate::chaosfs::{atomic_write, ChaosFile, ChaosSite};
 use crate::checkpoint::Checkpoint;
 use crate::cli::Cli;
 use crate::output::{experiments_dir, fnum, Table};
@@ -94,7 +92,7 @@ pub struct Telemetry {
     /// The run's chaos plan (trivial without `--chaos`), forwarded
     /// into every [`Telemetry::run`], the checkpoint and every file
     /// sink the handle owns so one seeded schedule covers the whole
-    /// process.
+    /// process. Each sink counts the faults it injects on `recorder`.
     chaos: ChaosPlan,
     /// Absolute soft deadline, derived once from `--deadline` so every
     /// lineup of a binary shares the same wall-clock budget.
@@ -111,11 +109,6 @@ pub struct Telemetry {
     /// Set by [`Telemetry::write_csv`]: the next lineup starts a new
     /// set of stats rows.
     wrote_csv: bool,
-    /// Chaos failpoint on the streaming-progress sink, kept for its
-    /// injected-fault counters.
-    progress_site: Option<ChaosSite>,
-    /// Chaos failpoint on trace export.
-    trace_site: Option<ChaosSite>,
     /// Held for their lifetime: the metrics listener thread and the
     /// watchdog tick thread stop when the handle drops.
     server: Option<MetricsServer>,
@@ -150,21 +143,15 @@ impl Telemetry {
             Some(config) => ChaosPlan::sample(config),
             None => ChaosPlan::none(),
         };
-        let mut progress_site = None;
+        let recorder = Recorder::new(cli.telemetry || cli.metrics_addr.is_some());
         let observer = match &cli.progress {
-            // Under chaos the JSONL stream goes through a failpoint so
+            // The JSONL stream goes through a failpoint, so under chaos
             // injected EINTRs exercise the sink's retry path.
-            Some(Some(path)) if !chaos.is_trivial() => {
-                let site = ChaosSite::new(chaos, "progress");
-                progress_site = Some(site.clone());
-                let file = std::fs::File::create(path)
-                    .unwrap_or_else(|e| fail(&format!("--progress={path}"), &e));
-                let writer: Box<dyn Write + Send> = Box::new(ChaosFile::new(file, site));
-                Observer::new(Some(JsonlSink::from_writer(writer, path)), true)
-            }
             Some(Some(path)) => {
-                let sink = JsonlSink::create(path)
-                    .unwrap_or_else(|e| fail(&format!("--progress={path}"), &e));
+                let site = ChaosSite::new(chaos, "progress", &recorder);
+                let sink =
+                    JsonlSink::create_with(path, |file| Box::new(ChaosFile::new(file, site)))
+                        .unwrap_or_else(|e| fail(&format!("--progress={path}"), &e));
                 Observer::new(Some(sink), true)
             }
             Some(None) => Observer::new(None, true),
@@ -175,7 +162,6 @@ impl Telemetry {
             }
             None => Observer::disabled(),
         };
-        let recorder = Recorder::new(cli.telemetry || cli.metrics_addr.is_some());
         let server = cli.metrics_addr.as_ref().map(|addr| {
             // BindError already names the requested address, so the
             // failure message only adds the flag that asked for it.
@@ -191,8 +177,6 @@ impl Telemetry {
             strict_watchdog = config.strict;
             Watchdog::spawn(config, observer.clone())
         });
-        let trace_site =
-            (tracer.is_enabled() && !chaos.is_trivial()).then(|| ChaosSite::new(chaos, "trace"));
         Telemetry {
             recorder,
             tracer,
@@ -209,8 +193,6 @@ impl Telemetry {
             checkpoint_file: None,
             shed: Vec::new(),
             wrote_csv: false,
-            progress_site,
-            trace_site,
             strict_watchdog,
             server,
             watchdog,
@@ -276,7 +258,7 @@ impl Telemetry {
         };
         if let (None, Some((path, resume))) = (&self.checkpoint_file, &self.checkpoint) {
             let mut ckpt = Checkpoint::open(path, *resume).unwrap_or_else(|e| fail(&e));
-            ckpt.attach_chaos(&self.chaos);
+            ckpt.attach_chaos(&self.chaos, &self.recorder);
             if *resume && ckpt.loaded_entries() > 0 {
                 println!(
                     "resuming from {}: {} (cell, network) results on file",
@@ -407,7 +389,6 @@ impl Telemetry {
     /// Returns any I/O error from creating or writing the output files.
     pub fn report(&self) -> io::Result<Option<PathBuf>> {
         self.export_traces()?;
-        self.absorb_chaos_counters();
         let path = match self.snapshot().filter(|_| self.summary) {
             None => None,
             Some(snapshot) => {
@@ -442,32 +423,6 @@ impl Telemetry {
         self.recorder.snapshot(&self.label)
     }
 
-    /// Folds injected-fault counts from this handle's chaos failpoints
-    /// into the recorder, so the end-of-run snapshot carries them.
-    fn absorb_chaos_counters(&self) {
-        for site in [&self.progress_site, &self.trace_site]
-            .into_iter()
-            .flatten()
-        {
-            let counters = site.counters();
-            for (name, value) in [
-                (
-                    chaos_metrics::DISK_FULL,
-                    counters.disk_full.load(Ordering::Relaxed),
-                ),
-                (chaos_metrics::EINTR, counters.eintr.load(Ordering::Relaxed)),
-                (
-                    chaos_metrics::TORN_WRITES,
-                    counters.torn_writes.load(Ordering::Relaxed),
-                ),
-            ] {
-                if value > 0 {
-                    self.recorder.counter(name).add(value);
-                }
-            }
-        }
-    }
-
     /// Writes the Chrome trace and the JSONL causal log (no-op when
     /// tracing is off), returning the Chrome trace path. The causal log
     /// lands next to the Chrome file with a `.causal.jsonl` suffix.
@@ -495,16 +450,9 @@ impl Telemetry {
             }
         }
         let causal_path = causal_sibling(&chrome_path);
-        let written = (|| match &self.trace_site {
-            Some(site) => {
-                atomic_write_chaos(&chrome_path, chrome.as_bytes(), site)?;
-                atomic_write_chaos(&causal_path, causal.as_bytes(), site)
-            }
-            None => {
-                atomic_write(&chrome_path, chrome.as_bytes())?;
-                atomic_write(&causal_path, causal.as_bytes())
-            }
-        })();
+        let site = ChaosSite::new(self.chaos, "trace", &self.recorder);
+        let written = atomic_write(&chrome_path, chrome.as_bytes(), &site)
+            .and_then(|()| atomic_write(&causal_path, causal.as_bytes(), &site));
         if let Err(e) = written {
             eprintln!("warning: trace export failed ({e}); continuing without trace files");
             return Ok(None);
@@ -710,6 +658,7 @@ fn fmt_ns(ns: f64) -> String {
 mod tests {
     use super::*;
     use crate::ExperimentScale;
+    use accu_core::chaos_metrics;
     use accu_datasets::{DatasetSpec, ProtocolConfig};
 
     #[test]
@@ -805,6 +754,28 @@ mod tests {
         accu_telemetry::validate_chrome_trace(&text).expect("valid Chrome trace");
         let causal = std::fs::read_to_string(dir.join("run.causal.jsonl")).unwrap();
         assert!(causal.lines().count() >= 2, "begin + end lines expected");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn chaotic_trace_export_degrades_and_counts_its_fault() {
+        let dir = std::env::temp_dir().join("accu-trace-chaos-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let chrome = dir.join("run.json");
+        let path = chrome.display().to_string();
+        let cli =
+            Cli::parse_from(["--trace", &path, "--chaos", "torn=1.0", "--telemetry"]).unwrap();
+        let tel = Telemetry::from_cli(&cli, "trace-chaos-test");
+        tel.tracer().track("worker-0").span("episodes").finish();
+        assert_eq!(
+            tel.export_traces().unwrap(),
+            None,
+            "a torn export only warns"
+        );
+        assert!(!chrome.exists() && !dir.join("run.json.tmp").exists());
+        let snap = tel.snapshot().unwrap();
+        assert_eq!(snap.counter(chaos_metrics::TORN_WRITES), Some(1));
+        assert_eq!(snap.counter(chaos_metrics::IO_FAULTS), Some(1));
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -10,6 +10,7 @@ use accu_datasets::{DatasetSpec, ProtocolConfig};
 use accu_experiments::{
     run_policy_with, Checkpoint, FigureRun, PolicyKind, RunOptions, DEADLINE_MIN_NETWORKS,
 };
+use accu_telemetry::Recorder;
 use proptest::prelude::*;
 
 /// The aggregate of a run with default options.
@@ -160,7 +161,7 @@ proptest! {
                     ..ChaosConfig::none()
                 }
             };
-            ckpt.attach_chaos(&ChaosPlan::sample(&config));
+            ckpt.attach_chaos(&ChaosPlan::sample(&config), &Recorder::disabled());
             // The faulted pass may legitimately end with a checkpoint
             // error; the run itself still completes in memory.
             let _ = run_policy_with(

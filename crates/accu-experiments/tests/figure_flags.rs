@@ -7,6 +7,9 @@ use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
+use accu_core::chaos_metrics;
+use accu_telemetry::{check_events, Snapshot};
+
 /// Everything but `--samples`: one run per network, k = 10, on the
 /// 1%-scale stand-ins.
 const MICRO: [&str; 8] = [
@@ -220,4 +223,48 @@ fn fig2_killed_mid_run_resumes_to_the_clean_csvs() {
         std::fs::remove_dir_all(&dir).ok();
     }
     std::fs::remove_dir_all(&clean).ok();
+}
+
+#[test]
+fn injected_checkpoint_faults_reach_the_telemetry_snapshot() {
+    let dir = scratch("chaos-counters");
+    // Only the checkpoint writes through a failpoint here: no
+    // `--progress` stream and no `--trace` export.
+    let out = run(
+        env!("CARGO_BIN_EXE_fig2"),
+        &dir,
+        2,
+        &[
+            "--checkpoint",
+            "C",
+            "--chaos",
+            "eintr=0.5,seed=3",
+            "--telemetry",
+        ],
+    );
+    assert_success(&out);
+    let text =
+        std::fs::read_to_string(dir.join("target/experiments/telemetry/fig2.jsonl")).unwrap();
+    let snapshot = Snapshot::from_json(text.lines().next().unwrap()).unwrap();
+    let eintr = snapshot.counter(chaos_metrics::EINTR).unwrap_or(0);
+    assert!(eintr > 0, "{text}");
+    assert_eq!(snapshot.counter(chaos_metrics::IO_FAULTS), Some(eintr));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn chaotic_progress_stream_creates_its_directory() {
+    let dir = scratch("chaos-progress-dir");
+    let out = run(
+        env!("CARGO_BIN_EXE_fig2"),
+        &dir,
+        1,
+        &["--progress=missing/p.jsonl", "--chaos", "eintr=0.1"],
+    );
+    assert_success(&out);
+    let text = std::fs::read_to_string(dir.join("missing/p.jsonl")).unwrap();
+    let read = check_events(&text).unwrap();
+    assert_eq!(read.skipped_lines, 0);
+    assert!(read.events.iter().any(|e| e.kind == "run.end"), "{text}");
+    std::fs::remove_dir_all(&dir).ok();
 }

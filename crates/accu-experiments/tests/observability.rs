@@ -14,7 +14,7 @@ use accu_experiments::{
 };
 use accu_telemetry::obs::{validate_prometheus, MetricsServer, Observer};
 use accu_telemetry::{
-    read_events, Corr, Event, JsonlSink, Recorder, Source, Stamp, Tracer, DEFAULT_TRACK_CAPACITY,
+    read_events, Event, JsonlSink, Recorder, Stamp, Tracer, DEFAULT_TRACK_CAPACITY,
 };
 
 /// A small but non-trivial figure configuration shared by the tests.
@@ -101,7 +101,7 @@ fn stream_kinds(path: &Path) -> Vec<String> {
     read_events(&std::fs::read_to_string(path).unwrap())
         .events
         .iter()
-        .map(|e| match e.ids().network {
+        .map(|e| match e.network {
             Some(net) => format!("{}#{net}", e.kind),
             None => e.kind.to_string(),
         })
@@ -290,31 +290,31 @@ fn telemetry_diff_validates_prometheus_expositions() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// `--check-events` accepts a well-formed service journal (the shape
-/// older versions wrote) and exits 1 when one writer's sequence
-/// restarts — the signature of two daemon incarnations sharing a
-/// writer id.
+/// `--check-events` accepts a well-formed event file, counting the
+/// foreign lines it skips, and exits 1 when one track's sequence
+/// restarts.
 #[test]
-fn telemetry_diff_check_events_rejects_a_restarted_writer_seq() {
+fn telemetry_diff_check_events_rejects_a_restarted_track_seq() {
     let dir = scratch_dir("eventcheck");
-    let line = |writer: u64, seq: u64| {
-        let mut event = Event::info("job.submit")
-            .corr(Corr {
-                job_id: Some("j".to_string()),
-                ..Corr::none()
-            })
-            .msg("created");
+    let line = |track: &str, seq: u64| {
+        let mut event = Event::debug("request").arg("target", seq);
         event.stamp = Some(Stamp {
-            source: Source::Writer(writer),
+            track: track.into(),
             seq,
-            ts: 1,
+            ts_ns: 1,
         });
         event.to_json() + "\n"
     };
+    let snapshot = "{\"type\":\"snapshot\",\"label\":\"x\",\"counters\":{},\"histograms\":{}}\n";
     let good = dir.join("good.jsonl");
     let bad = dir.join("bad.jsonl");
-    std::fs::write(&good, line(65536, 0) + &line(65537, 0) + &line(65536, 1)).unwrap();
-    std::fs::write(&bad, line(65536, 0) + &line(65536, 1) + &line(65536, 0)).unwrap();
+    let good_text = line("worker-0", 0) + &line("worker-1", 0) + snapshot + &line("worker-0", 1);
+    std::fs::write(&good, good_text).unwrap();
+    std::fs::write(
+        &bad,
+        line("worker-0", 0) + &line("worker-0", 1) + &line("worker-0", 0),
+    )
+    .unwrap();
 
     let diff = env!("CARGO_BIN_EXE_telemetry_diff");
     let ok = Command::new(diff)
@@ -324,8 +324,10 @@ fn telemetry_diff_check_events_rejects_a_restarted_writer_seq() {
         .unwrap();
     let stdout = String::from_utf8_lossy(&ok.stdout);
     assert!(ok.status.success(), "{stdout}");
-    assert!(stdout.contains("valid journal (3 events"), "{stdout}");
-    assert!(stdout.contains("j: 3 event(s)"), "{stdout}");
+    assert!(
+        stdout.contains("valid event file (3 events, 1 torn/foreign line(s) skipped)"),
+        "{stdout}"
+    );
     let fail = Command::new(diff)
         .arg("--check-events")
         .arg(&bad)
@@ -333,7 +335,10 @@ fn telemetry_diff_check_events_rejects_a_restarted_writer_seq() {
         .unwrap();
     assert_eq!(fail.status.code(), Some(1));
     let stderr = String::from_utf8_lossy(&fail.stderr);
-    assert!(stderr.contains("writer 65536 seq went 1 -> 0"), "{stderr}");
+    assert!(
+        stderr.contains("track worker-0 seq went 1 -> 0"),
+        "{stderr}"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 

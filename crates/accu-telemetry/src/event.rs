@@ -2,8 +2,8 @@
 //!
 //! Causal-trace events, progress lines, watchdog alarms and ad-hoc
 //! sink events are all an [`Event`]: a dotted `kind`, a [`Severity`],
-//! correlation IDs ([`Corr`]), typed arguments ([`TraceValue`]) and an
-//! optional [`Stamp`]. One renderer writes them, one reader
+//! an optional sampled-network index, typed arguments ([`TraceValue`])
+//! and an optional [`Stamp`]. One renderer writes them, one reader
 //! ([`read_events`]) parses them, one validator ([`check_events`])
 //! checks them, and one bounded ring type buffers them on trace tracks.
 //!
@@ -13,24 +13,12 @@
 //! {"type":"event","sev":"info","kind":"run.network","network":0,"args":{"status":"ok"}}
 //! ```
 //!
-//! The stamp names its source — a trace `track`, with `ts_ns` since
-//! the tracer started — and a `seq` that strictly increases per source.
+//! The stamp names the trace `track` that wrote the event, a `seq` that
+//! strictly increases per track and `ts_ns` since the tracer started.
 //! Deterministic sinks (the progress stream) leave it out. Kinds ending
-//! in `.begin` / `.end` delimit spans.
-//!
-//! The reader also accepts lines that no writer in the workspace
-//! produces any more. Older versions ran a service daemon whose journal
-//! and crash dumps stamped events with a journal `writer` (wall-clock
-//! `ts_ms`) and correlated them by job:
-//!
-//! ```text
-//! {"type":"event","writer":81253,"seq":4,"ts_ms":1754650000123,"sev":"warn",
-//!  "kind":"lease.takeover","job_id":"fig2-night","epoch":3,"args":{"msg":"adopted"}}
-//! ```
-//!
-//! It also reads the lines written before this schema
-//! (`"type":"journal"`, `"type":"trace"`, `"type":"trace_drops"` and
-//! the `{"accu_flight":1,…}` dump header).
+//! in `.begin` / `.end` delimit spans. Any line that is not an event
+//! line — torn, foreign, or in a shape older versions wrote — is
+//! skipped and counted, never an error.
 
 use std::borrow::Cow;
 use std::collections::{BTreeMap, VecDeque};
@@ -75,80 +63,6 @@ impl Severity {
 impl std::fmt::Display for Severity {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.as_str())
-    }
-}
-
-/// Correlation IDs. All fields are optional — an event carries exactly
-/// the coordinates that exist at its layer — and every present field is
-/// a top-level JSON key, so `grep '"network":3'` finds a network's
-/// lines without a parser. The runner sets `network`; the other fields
-/// are read from the service journals older versions wrote.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Corr {
-    /// The service job this event belongs to.
-    pub job_id: Option<String>,
-    /// The lease fencing epoch under which the writer held the job.
-    pub epoch: Option<u64>,
-    /// The execution attempt (1-based) within one daemon.
-    pub attempt: Option<u64>,
-    /// The sampled-network index inside the run.
-    pub network: Option<u64>,
-    /// The episode-chunk index inside the network.
-    pub chunk: Option<u64>,
-}
-
-/// The IDs of an event that carries none.
-static NO_CORR: Corr = Corr {
-    job_id: None,
-    epoch: None,
-    attempt: None,
-    network: None,
-    chunk: None,
-};
-
-impl Corr {
-    /// An empty correlation set.
-    pub fn none() -> Self {
-        Corr::default()
-    }
-
-    /// Whether no field is set.
-    fn is_empty(&self) -> bool {
-        *self == NO_CORR
-    }
-
-    /// Sets the network index.
-    #[must_use]
-    pub fn network(mut self, network: u64) -> Self {
-        self.network = Some(network);
-        self
-    }
-
-    fn render_into(&self, out: &mut String) {
-        if let Some(job) = &self.job_id {
-            let _ = write!(out, ",\"job_id\":\"{}\"", json_escape(job));
-        }
-        for (key, value) in [
-            ("epoch", self.epoch),
-            ("attempt", self.attempt),
-            ("network", self.network),
-            ("chunk", self.chunk),
-        ] {
-            if let Some(value) = value {
-                let _ = write!(out, ",\"{key}\":{value}");
-            }
-        }
-    }
-
-    fn parse(doc: &Json) -> Corr {
-        let num = |key: &str| doc.get(key).and_then(Json::as_u64);
-        Corr {
-            job_id: doc.get("job_id").and_then(Json::as_str).map(str::to_string),
-            epoch: num("epoch"),
-            attempt: num("attempt"),
-            network: num("network"),
-            chunk: num("chunk"),
-        }
     }
 }
 
@@ -291,63 +205,44 @@ impl From<String> for TraceValue {
     }
 }
 
-/// Who stamped an event.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum Source {
-    /// A service-journal handle (one per open, unique across
-    /// processes), as older versions stamped their journals.
-    Writer(u64),
-    /// A trace track, by name.
-    Track(Arc<str>),
-}
-
-impl std::fmt::Display for Source {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Source::Writer(w) => write!(f, "writer {w}"),
-            Source::Track(t) => write!(f, "track {t}"),
-        }
-    }
-}
-
-/// Where and when an event was written: its source, a sequence number
-/// that strictly increases per source, and a timestamp — wall-clock
-/// milliseconds for a writer, nanoseconds since the tracer started for
-/// a track.
+/// Where and when a trace track wrote an event: the track, a sequence
+/// number that strictly increases per track, and nanoseconds since the
+/// tracer started.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Stamp {
-    /// The stamping source.
-    pub source: Source,
-    /// Per-source sequence number.
+    /// The track's name.
+    pub track: Arc<str>,
+    /// Per-track sequence number.
     pub seq: u64,
-    /// `ts_ms` (writer) or `ts_ns` (track).
-    pub ts: u64,
+    /// Nanoseconds since the tracer started.
+    pub ts_ns: u64,
 }
 
 /// One event: see the [module docs](self) for the line format.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Event {
     /// Dotted event kind (`run.network`, `obs.alarm`, `request`,
-    /// `chunk.begin`, ...).
+    /// `load.begin`, ...).
     pub kind: Cow<'static, str>,
     /// Severity.
     pub sev: Severity,
-    /// Correlation IDs, boxed and only when some are set: trace events
-    /// carry none, and a trace ring holds tens of thousands of events.
-    corr: Option<Box<Corr>>,
+    /// The sampled-network index inside the run, rendered as a
+    /// top-level `"network"` key so `grep '"network":3'` finds a
+    /// network's lines without a parser.
+    pub network: Option<u64>,
     /// Typed arguments, in emission order.
     pub args: Vec<(Cow<'static, str>, TraceValue)>,
-    /// Source stamp; deterministic sinks leave it out.
+    /// Track stamp; deterministic sinks leave it out.
     pub stamp: Option<Stamp>,
 }
 
 impl Event {
-    /// An unstamped event with no correlation IDs or arguments.
+    /// An unstamped event with no network index or arguments.
     pub fn new(sev: Severity, kind: impl Into<Cow<'static, str>>) -> Event {
         Event {
             kind: kind.into(),
             sev,
-            corr: None,
+            network: None,
             args: Vec::new(),
             stamp: None,
         }
@@ -373,16 +268,11 @@ impl Event {
         Event::new(Severity::Error, kind)
     }
 
-    /// Sets the correlation IDs.
+    /// Sets the sampled-network index.
     #[must_use]
-    pub fn corr(mut self, corr: Corr) -> Event {
-        self.corr = (!corr.is_empty()).then(|| Box::new(corr));
+    pub fn network(mut self, network: u64) -> Event {
+        self.network = Some(network);
         self
-    }
-
-    /// The correlation IDs present on the event.
-    pub fn ids(&self) -> &Corr {
-        self.corr.as_deref().unwrap_or(&NO_CORR)
     }
 
     /// Appends one argument.
@@ -419,20 +309,13 @@ impl Event {
     pub fn render_into(&self, out: &mut String) {
         out.push_str("{\"type\":\"event\"");
         if let Some(stamp) = &self.stamp {
-            let _ = match &stamp.source {
-                Source::Writer(w) => write!(
-                    out,
-                    ",\"writer\":{w},\"seq\":{},\"ts_ms\":{}",
-                    stamp.seq, stamp.ts
-                ),
-                Source::Track(t) => write!(
-                    out,
-                    ",\"track\":\"{}\",\"seq\":{},\"ts_ns\":{}",
-                    json_escape(t),
-                    stamp.seq,
-                    stamp.ts
-                ),
-            };
+            let _ = write!(
+                out,
+                ",\"track\":\"{}\",\"seq\":{},\"ts_ns\":{}",
+                json_escape(&stamp.track),
+                stamp.seq,
+                stamp.ts_ns
+            );
         }
         let _ = write!(
             out,
@@ -440,7 +323,9 @@ impl Event {
             self.sev,
             json_escape(&self.kind)
         );
-        self.ids().render_into(out);
+        if let Some(network) = self.network {
+            let _ = write!(out, ",\"network\":{network}");
+        }
         if !self.args.is_empty() {
             out.push_str(",\"args\":{");
             for (i, (key, value)) in self.args.iter().enumerate() {
@@ -455,13 +340,16 @@ impl Event {
         out.push('}');
     }
 
-    /// Parses one line: `Ok(Some)` for an event (current or legacy
-    /// shape), `Ok(None)` for a torn (non-JSON) or foreign line, `Err`
-    /// for a line that claims an event shape but breaks it.
+    /// Parses one line: `Ok(Some)` for an event line, `Ok(None)` for a
+    /// torn (non-JSON) or foreign line, `Err` for an event line that
+    /// breaks the shape.
     pub fn parse(line: &str) -> Result<Option<Event>, String> {
         let Ok(doc) = parse_json(line.trim()) else {
             return Ok(None);
         };
+        if doc.get("type").and_then(Json::as_str) != Some("event") {
+            return Ok(None);
+        }
         let text = |key: &str| {
             doc.get(key)
                 .and_then(Json::as_str)
@@ -472,41 +360,8 @@ impl Event {
                 .and_then(Json::as_u64)
                 .ok_or_else(|| format!("missing integer field {key:?}"))
         };
-        let ty = match doc.get("type").and_then(Json::as_str) {
-            Some(ty) => ty,
-            // The header of a flight dump written before this schema.
-            None if doc.get("accu_flight").is_some() => {
-                return Ok(Some(
-                    Event::info("flight.dump")
-                        .arg("accu_flight", num("accu_flight")?)
-                        .arg("dropped", num("dropped")?)
-                        .arg("events", num("events")?),
-                ));
-            }
-            None => return Ok(None),
-        };
-        let sev = || Severity::parse(text("sev")?).ok_or_else(|| "unknown severity".to_string());
-        let mut event = match ty {
-            "event" => Event::new(sev()?, text("kind")?.to_string()),
-            "journal" => Event::new(sev()?, text("kind")?.to_string()).msg(text("msg")?),
-            "trace" => {
-                let name = text("name")?;
-                Event::debug(match text("kind")? {
-                    "instant" => name.to_string(),
-                    "begin" => format!("{name}.begin"),
-                    "end" => format!("{name}.end"),
-                    other => return Err(format!("unknown trace phase {other:?}")),
-                })
-            }
-            "trace_drops" => {
-                return Ok(Some(
-                    Event::warn("trace.dropped")
-                        .arg("track", text("track")?.to_string())
-                        .arg("dropped", num("dropped")?),
-                ))
-            }
-            _ => return Ok(None),
-        };
+        let sev = Severity::parse(text("sev")?).ok_or_else(|| "unknown severity".to_string())?;
+        let mut event = Event::new(sev, text("kind")?.to_string());
         match doc.get("args") {
             None => {}
             Some(Json::Obj(fields)) => {
@@ -518,25 +373,14 @@ impl Event {
             }
             Some(_) => return Err("args is not an object".to_string()),
         }
-        event = event.corr(Corr::parse(&doc));
-        event.stamp = if let Some(writer) = doc.get("writer") {
-            let writer = writer.as_u64().ok_or("writer is not an integer")?;
-            Some(Stamp {
-                source: Source::Writer(writer),
+        event.network = doc.get("network").and_then(Json::as_u64);
+        if doc.get("track").is_some() {
+            event.stamp = Some(Stamp {
+                track: Arc::from(text("track")?),
                 seq: num("seq")?,
-                ts: num("ts_ms")?,
-            })
-        } else if doc.get("track").is_some() {
-            Some(Stamp {
-                source: Source::Track(Arc::from(text("track")?)),
-                seq: num("seq")?,
-                ts: num("ts_ns")?,
-            })
-        } else if ty == "event" {
-            None
-        } else {
-            return Err(format!("{ty} line without a writer or track"));
-        };
+                ts_ns: num("ts_ns")?,
+            });
+        }
         Ok(Some(event))
     }
 }
@@ -557,14 +401,13 @@ pub fn read_events(text: &str) -> EventRead {
     scan(text, false).unwrap_or_default()
 }
 
-/// Reads event lines strictly: a line that claims an event shape but
-/// breaks it, or a source whose `seq` fails to strictly increase in
-/// file order, is an error. Torn and foreign lines are still only
-/// counted.
+/// Reads event lines strictly: an event line that breaks the shape, or
+/// a track whose `seq` fails to strictly increase in file order, is an
+/// error. Torn and foreign lines are still only counted.
 ///
 /// # Errors
 ///
-/// Names the offending line, or the source and sequence pair.
+/// Names the offending line, or the track and sequence pair.
 pub fn check_events(text: &str) -> Result<EventRead, String> {
     scan(text, true)
 }
@@ -582,13 +425,13 @@ fn scan(text: &str, strict: bool) -> Result<EventRead, String> {
         }
     }
     if strict {
-        let mut last: BTreeMap<&Source, u64> = BTreeMap::new();
+        let mut last: BTreeMap<&str, u64> = BTreeMap::new();
         for stamp in read.events.iter().filter_map(|e| e.stamp.as_ref()) {
-            if let Some(prev) = last.insert(&stamp.source, stamp.seq) {
+            if let Some(prev) = last.insert(&stamp.track, stamp.seq) {
                 if stamp.seq <= prev {
                     return Err(format!(
-                        "{} seq went {prev} -> {} (must strictly increase)",
-                        stamp.source, stamp.seq
+                        "track {} seq went {prev} -> {} (must strictly increase)",
+                        stamp.track, stamp.seq
                     ));
                 }
             }
@@ -638,36 +481,36 @@ impl Ring {
 mod tests {
     use super::*;
 
-    fn stamped(source: Source, seq: u64) -> Event {
+    fn stamped(track: &str, seq: u64) -> Event {
         let mut event = Event::info("tick");
-        event.stamp = Some(Stamp { source, seq, ts: 1 });
+        event.stamp = Some(Stamp {
+            track: Arc::from(track),
+            seq,
+            ts_ns: 1,
+        });
         event
     }
 
     #[test]
     fn events_round_trip_through_json() {
-        let mut event = Event::warn("lease.takeover")
-            .corr(Corr {
-                job_id: Some("fig2-night".to_string()),
-                epoch: Some(3),
-                attempt: Some(2),
-                network: Some(5),
-                chunk: Some(1),
-            })
-            .msg("adopted \"stale\" lease")
+        let mut event = Event::warn("run.network")
+            .network(5)
+            .msg("quarantined \"stale\" network")
             .arg("gain", 0.1 + 0.2)
             .arg("theta", -1i64)
             .arg("ok", true);
         event.stamp = Some(Stamp {
-            source: Source::Writer(42),
+            track: Arc::from("worker-0"),
             seq: 7,
-            ts: 123_456,
+            ts_ns: 123_456,
         });
         let line = event.to_json();
         assert_eq!(Event::parse(&line).unwrap().unwrap(), event);
-        // Correlation fields are top-level keys: grep-level access.
-        assert!(line.contains("\"job_id\":\"fig2-night\""), "{line}");
-        assert!(line.contains("\"epoch\":3"), "{line}");
+        // The network index is a top-level key: grep-level access.
+        assert!(
+            line.contains("\"kind\":\"run.network\",\"network\":5,"),
+            "{line}"
+        );
         // Floats travel bit-exactly.
         let back = Event::parse(&line).unwrap().unwrap();
         let gain = back.get("gain").and_then(TraceValue::as_f64).unwrap();
@@ -680,14 +523,6 @@ mod tests {
             .and_then(TraceValue::as_f64)
             .unwrap()
             .is_sign_negative());
-
-        let mut traced = Event::debug("chunk.begin").arg("net", 0u64);
-        traced.stamp = Some(Stamp {
-            source: Source::Track(Arc::from("worker-0")),
-            seq: 3,
-            ts: 99,
-        });
-        assert_eq!(Event::parse(&traced.to_json()).unwrap().unwrap(), traced);
     }
 
     #[test]
@@ -695,33 +530,14 @@ mod tests {
         let line = Event::info("run.end").to_json();
         assert_eq!(line, r#"{"type":"event","sev":"info","kind":"run.end"}"#);
         let back = Event::parse(&line).unwrap().unwrap();
-        assert!(back.ids().is_empty() && back.corr.is_none());
-        assert!(back.stamp.is_none() && back.args.is_empty());
+        assert!(back.network.is_none() && back.stamp.is_none() && back.args.is_empty());
     }
 
+    #[cfg(target_pointer_width = "64")]
     #[test]
-    fn legacy_lines_read_as_events() {
-        let journal = r#"{"type":"journal","writer":9,"seq":4,"ts_ms":17,"sev":"error","kind":"chaos.kill","msg":"abort","job_id":"j"}"#;
-        let event = Event::parse(journal).unwrap().unwrap();
-        assert_eq!(
-            (event.kind.as_ref(), event.sev, event.message()),
-            ("chaos.kill", Severity::Error, "abort")
-        );
-        assert_eq!(event.ids().job_id.as_deref(), Some("j"));
-        assert_eq!(event.stamp.unwrap().source, Source::Writer(9));
-
-        let trace = r#"{"type":"trace","track":"w","seq":1,"ts_ns":2,"kind":"begin","name":"load","args":{"net":0}}"#;
-        let event = Event::parse(trace).unwrap().unwrap();
-        assert_eq!(event.kind, "load.begin");
-        assert_eq!(event.get("net"), Some(&TraceValue::U64(0)));
-
-        let drops = r#"{"type":"trace_drops","track":"w","dropped":3}"#;
-        let event = Event::parse(drops).unwrap().unwrap();
-        assert_eq!(event.kind, "trace.dropped");
-        assert_eq!(event.get("dropped"), Some(&TraceValue::U64(3)));
-
-        let header = r#"{"accu_flight":1,"dropped":2,"events":5}"#;
-        assert_eq!(Event::parse(header).unwrap().unwrap().kind, "flight.dump");
+    fn an_event_stays_104_bytes() {
+        // A trace ring holds tens of thousands of events.
+        assert_eq!(std::mem::size_of::<Event>(), 104);
     }
 
     #[test]
@@ -730,11 +546,21 @@ mod tests {
             "{\"type\":\"event\",\"sev\":\"info\",\"kind\":\"a\"}\n",
             "{\"type\":\"snapshot\",\"label\":\"x\"}\n",
             "\n",
-            "{\"type\":\"event\",\"writer\":9,\"se",
+            // The shapes older versions wrote before the event line.
+            r#"{"type":"journal","writer":9,"seq":4,"ts_ms":17,"sev":"error","kind":"chaos.kill","msg":"abort","job_id":"j"}"#,
+            "\n",
+            r#"{"type":"trace","track":"w","seq":1,"ts_ns":2,"kind":"begin","name":"load","args":{"net":0}}"#,
+            "\n",
+            r#"{"type":"trace_drops","track":"w","dropped":3}"#,
+            "\n",
+            r#"{"accu_flight":1,"dropped":2,"events":5}"#,
+            "\n",
+            "{\"type\":\"event\",\"track\":\"w\",\"se",
         );
         for read in [read_events(text), check_events(text).unwrap()] {
             assert_eq!(read.events.len(), 1);
-            assert_eq!(read.skipped_lines, 2);
+            assert_eq!(read.events[0].kind, "a");
+            assert_eq!(read.skipped_lines, 6);
         }
     }
 
@@ -744,9 +570,9 @@ mod tests {
             r#"{"type":"event","kind":"a"}"#,
             r#"{"type":"event","sev":"loud","kind":"a"}"#,
             r#"{"type":"event","sev":"info","kind":"a","args":{"x":[1]}}"#,
-            r#"{"type":"event","writer":1,"sev":"info","kind":"a"}"#,
-            r#"{"type":"trace"}"#,
-            r#"{"type":"journal","sev":"info","kind":"a","msg":""}"#,
+            r#"{"type":"event","sev":"info","kind":"a","args":[1]}"#,
+            r#"{"type":"event","track":"w","sev":"info","kind":"a"}"#,
+            r#"{"type":"event","track":1,"seq":0,"ts_ns":0,"sev":"info","kind":"a"}"#,
         ] {
             let text = format!("{{\"type\":\"event\",\"sev\":\"info\",\"kind\":\"ok\"}}\n{bad}\n");
             let err = check_events(&text).unwrap_err();
@@ -756,29 +582,28 @@ mod tests {
     }
 
     #[test]
-    fn check_requires_seq_to_increase_per_source() {
+    fn check_requires_seq_to_increase_per_track() {
         let render = |events: &[Event]| {
             events
                 .iter()
                 .map(|e| e.to_json() + "\n")
                 .collect::<String>()
         };
-        let track = || Source::Track(Arc::from("worker-0"));
         let ok = render(&[
-            stamped(Source::Writer(5), 0),
-            stamped(track(), 0),
-            stamped(Source::Writer(5), 1),
-            stamped(Source::Writer(6), 0),
-            stamped(track(), 4),
+            stamped("worker-0", 0),
+            stamped("worker-1", 0),
+            stamped("worker-0", 1),
+            Event::info("run.end"),
+            stamped("worker-1", 4),
         ]);
         assert_eq!(check_events(&ok).unwrap().events.len(), 5);
-        let restarted = render(&[stamped(Source::Writer(5), 1), stamped(Source::Writer(5), 0)]);
+        let restarted = render(&[stamped("worker-0", 1), stamped("worker-0", 0)]);
         let err = check_events(&restarted).unwrap_err();
-        assert!(err.contains("writer 5 seq went 1 -> 0"), "{err}");
-        let duplicate = render(&[stamped(track(), 2), stamped(track(), 2)]);
+        assert!(err.contains("track worker-0 seq went 1 -> 0"), "{err}");
+        let duplicate = render(&[stamped("worker-1", 2), stamped("worker-1", 2)]);
         assert!(check_events(&duplicate)
             .unwrap_err()
-            .contains("track worker-0"));
+            .contains("track worker-1"));
         // The lenient reader does not judge ordering.
         assert_eq!(read_events(&restarted).events.len(), 2);
     }

@@ -70,9 +70,7 @@ mod snapshot;
 pub mod trace;
 
 pub use counter::{Counter, CounterHandle};
-pub use event::{
-    check_events, read_events, Corr, Event, EventRead, Severity, Source, Stamp, TraceValue,
-};
+pub use event::{check_events, read_events, Event, EventRead, Severity, Stamp, TraceValue};
 pub use gauge::{Gauge, GaugeHandle};
 pub use histogram::{Histogram, HistogramHandle, SpanGuard};
 pub use recorder::Recorder;

@@ -7,8 +7,8 @@
 //!
 //! * `run.begin` — `args`: `cells` (the run's cell labels, one per
 //!   line), `networks` (its `run.network` lines to come) and `episodes`;
-//! * `run.network` — one per (network, cell) pair, `network` correlation
-//!   ID plus `args.cell` (the cell's index), `args.status` (`ok`,
+//! * `run.network` — one per (network, cell) pair, the `network` index
+//!   plus `args.cell` (the cell's index), `args.status` (`ok`,
 //!   `resumed`, `quarantined` or `shed`) and the status's statistics;
 //! * `run.end` / `run.fail` — the section's last line;
 //! * `obs.alarm` — watchdog alarms (wall-clock events by nature; a run
@@ -398,7 +398,6 @@ impl Observer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Corr;
 
     fn tmp(name: &str) -> PathBuf {
         std::env::temp_dir().join(format!("accu-obs-progress-{}-{name}", std::process::id()))
@@ -417,7 +416,7 @@ mod tests {
 
     fn network(net: u64, status: &'static str) -> Event {
         Event::info("run.network")
-            .corr(Corr::none().network(net))
+            .network(net)
             .arg("status", status)
     }
 
@@ -451,7 +450,7 @@ mod tests {
         obs.record(&begin("cell-a\ncell-b", 3, 6));
         obs.record(&ok(0, 2, true));
         obs.record(&network(1, "resumed").arg("episodes", 2u64));
-        obs.record(&Event::debug("run.chunk").corr(Corr::none().network(1)));
+        obs.record(&Event::debug("run.chunk").network(1));
         obs.record(
             &network(2, "quarantined")
                 .arg("stage", "protocol")

@@ -312,25 +312,28 @@ impl JsonlSink {
     /// Returns any underlying I/O error — callers must surface it, not
     /// swallow it.
     pub fn create(path: impl AsRef<Path>) -> io::Result<Self> {
+        Self::create_with(path, |file| Box::new(file))
+    }
+
+    /// [`JsonlSink::create`], writing through `wrap(file)` (e.g. a
+    /// chaos-injecting wrapper around the file).
+    ///
+    /// # Errors
+    ///
+    /// Returns any underlying I/O error.
+    pub fn create_with(
+        path: impl AsRef<Path>,
+        wrap: impl FnOnce(fs::File) -> Box<dyn Write + Send>,
+    ) -> io::Result<Self> {
         let path = path.as_ref().to_path_buf();
         if let Some(parent) = path.parent() {
             fs::create_dir_all(parent)?;
         }
         let file = fs::File::create(&path)?;
         Ok(JsonlSink {
-            writer: BufWriter::new(Box::new(file)),
+            writer: BufWriter::new(wrap(file)),
             path,
         })
-    }
-
-    /// Builds a sink over an arbitrary writer (e.g. a chaos-injecting
-    /// wrapper around a file). `path` is reporting-only: it names the
-    /// sink in flush-failure messages and [`JsonlSink::path`].
-    pub fn from_writer(writer: Box<dyn Write + Send>, path: impl AsRef<Path>) -> Self {
-        JsonlSink {
-            writer: BufWriter::new(writer),
-            path: path.as_ref().to_path_buf(),
-        }
     }
 
     /// The sink's file path.
@@ -349,8 +352,8 @@ impl JsonlSink {
     }
 
     /// Appends one pre-serialized JSON line (the newline is added
-    /// here). Used by emitters that build their lines by hand, e.g. the
-    /// progress observer's reorder buffer.
+    /// here). Used by emitters that render their lines themselves, e.g.
+    /// the progress observer.
     ///
     /// # Errors
     ///

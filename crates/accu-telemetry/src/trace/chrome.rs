@@ -37,7 +37,7 @@ fn phase(event: &Event) -> (Phase, &str) {
 }
 
 fn ts_ns(event: &Event) -> u64 {
-    event.stamp.as_ref().map_or(0, |s| s.ts)
+    event.stamp.as_ref().map_or(0, |s| s.ts_ns)
 }
 
 pub(super) fn export(tracer: &Tracer) -> String {

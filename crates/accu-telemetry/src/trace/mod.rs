@@ -50,7 +50,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use crate::event::{Event, Ring, Source, Stamp, TraceValue};
+use crate::event::{Event, Ring, Stamp, TraceValue};
 
 mod chrome;
 mod json;
@@ -235,16 +235,16 @@ struct TrackHandle {
 impl TrackHandle {
     fn push(&self, kind: Cow<'static, str>, args: &[(&'static str, TraceValue)]) {
         let seq = self.shared.seq.fetch_add(1, Ordering::Relaxed);
-        let ts = u64::try_from(self.shared.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        let ts_ns = u64::try_from(self.shared.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX);
         let mut event = Event::debug(kind);
         event.args = args
             .iter()
             .map(|(k, v)| (Cow::Borrowed(*k), v.clone()))
             .collect();
         event.stamp = Some(Stamp {
-            source: Source::Track(Arc::clone(&self.buffer.name)),
+            track: Arc::clone(&self.buffer.name),
             seq,
-            ts,
+            ts_ns,
         });
         self.buffer.ring.push(event);
     }

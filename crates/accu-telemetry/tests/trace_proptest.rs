@@ -4,7 +4,7 @@
 //! export as structurally valid Chrome trace JSON (balanced begin/end
 //! per track) and as a causal log whose every line is a valid event.
 
-use accu_telemetry::{check_events, validate_chrome_trace, Source, TraceSpan, TraceValue, Tracer};
+use accu_telemetry::{check_events, validate_chrome_trace, TraceSpan, TraceValue, Tracer};
 use proptest::prelude::*;
 
 /// One scripted action against a random track.
@@ -103,7 +103,7 @@ proptest! {
         let mut dropped = 0u64;
         for event in &read.events {
             match &event.stamp {
-                Some(stamp) => prop_assert!(matches!(stamp.source, Source::Track(_))),
+                Some(stamp) => prop_assert!(stamp.track.starts_with("worker-")),
                 None => {
                     prop_assert_eq!(event.kind.as_ref(), "trace.dropped");
                     dropped += event
@@ -125,10 +125,10 @@ proptest! {
         let tracer = run_script(&ops, 2, 1 << 12, 1);
         let causal = tracer.export_causal().expect("enabled tracer exports");
         let read = check_events(&causal).expect("valid causal log");
-        let mut last_seq: std::collections::HashMap<Source, u64> = Default::default();
+        let mut last_seq: std::collections::HashMap<&str, u64> = Default::default();
         for stamp in read.events.iter().filter_map(|e| e.stamp.as_ref()) {
-            if let Some(prev) = last_seq.insert(stamp.source.clone(), stamp.seq) {
-                prop_assert!(prev < stamp.seq, "{} seq {} after {}", stamp.source, stamp.seq, prev);
+            if let Some(prev) = last_seq.insert(&stamp.track, stamp.seq) {
+                prop_assert!(prev < stamp.seq, "{} seq {} after {}", stamp.track, stamp.seq, prev);
             }
         }
     }
