@@ -123,17 +123,9 @@ impl AcceptanceCuts {
         row_start.push(0);
         let mut values = Vec::new();
         let mut scratch: Vec<f64> = Vec::new();
-        for (i, &class) in classes.iter().enumerate() {
+        for (i, class) in classes.iter().enumerate() {
             let degree = graph.degree(NodeId::from(i)) as u32;
-            scratch.clear();
-            scratch.extend(
-                (0..=degree)
-                    .map(|m| class.acceptance_probability_at(m))
-                    .filter(|&q| q > 0.0 && q < 1.0),
-            );
-            scratch.sort_by(f64::total_cmp);
-            scratch.dedup();
-            values.extend_from_slice(&scratch);
+            push_cuts(class, degree, &mut scratch, &mut values);
             row_start.push(values.len());
         }
         AcceptanceCuts { row_start, values }
@@ -142,6 +134,33 @@ impl AcceptanceCuts {
     #[inline]
     fn row(&self, u: NodeId) -> &[f64] {
         &self.values[self.row_start[u.index()]..self.row_start[u.index() + 1]]
+    }
+}
+
+/// Appends `class`'s acceptance cuts over mutual counts `0..=degree` to
+/// `values`, ascending. A reckless user's curve is flat (`[q]` when
+/// `0 < q < 1`) and a cautious user's is a 0/1 step (no cut), so only
+/// hesitant and linear users pay the per-count sweep, sort and dedup,
+/// with `scratch` as its buffer.
+fn push_cuts(class: &UserClass, degree: u32, scratch: &mut Vec<f64>, values: &mut Vec<f64>) {
+    match *class {
+        UserClass::Reckless { acceptance: q } => {
+            if q > 0.0 && q < 1.0 {
+                values.push(q);
+            }
+        }
+        UserClass::Cautious { .. } => {}
+        UserClass::Hesitant { .. } | UserClass::MutualLinear { .. } => {
+            scratch.clear();
+            scratch.extend(
+                (0..=degree)
+                    .map(|m| class.acceptance_probability_at(m))
+                    .filter(|&q| q > 0.0 && q < 1.0),
+            );
+            scratch.sort_by(f64::total_cmp);
+            scratch.dedup();
+            values.extend_from_slice(scratch);
+        }
     }
 }
 
@@ -554,6 +573,48 @@ impl AccuInstanceBuilder {
 mod tests {
     use super::*;
     use osn_graph::GraphBuilder;
+    use proptest::prelude::*;
+
+    /// The per-mutual-count sweep every class paid before the closed
+    /// forms: the reference the cuts must equal.
+    fn swept_cuts(class: &UserClass, degree: u32) -> Vec<u64> {
+        let mut cuts: Vec<f64> = (0..=degree)
+            .map(|m| class.acceptance_probability_at(m))
+            .filter(|&q| q > 0.0 && q < 1.0)
+            .collect();
+        cuts.sort_by(f64::total_cmp);
+        cuts.dedup();
+        cuts.into_iter().map(f64::to_bits).collect()
+    }
+
+    /// A probability, with both ends of `[0, 1]` drawn often.
+    fn probability() -> impl Strategy<Value = f64> {
+        prop_oneof![Just(0.0), Just(1.0), 0.0f64..1.0]
+    }
+
+    fn any_class() -> impl Strategy<Value = UserClass> {
+        prop_oneof![
+            probability().prop_map(UserClass::reckless),
+            (1u32..250).prop_map(UserClass::cautious),
+            (probability(), probability(), 1u32..250)
+                .prop_map(|(a, b, theta)| UserClass::hesitant(a.min(b), a.max(b), theta)),
+            (probability(), prop_oneof![Just(0.0), 0.0f64..0.3])
+                .prop_map(|(base, slope)| UserClass::mutual_linear(base, slope)),
+        ]
+    }
+
+    proptest! {
+        #[test]
+        fn closed_form_cuts_equal_the_sweep(class in any_class()) {
+            let (mut scratch, mut values) = (Vec::new(), Vec::new());
+            for degree in 0..=200 {
+                values.clear();
+                push_cuts(&class, degree, &mut scratch, &mut values);
+                let got: Vec<u64> = values.iter().map(|q| q.to_bits()).collect();
+                prop_assert_eq!(got, swept_cuts(&class, degree), "{} at degree {}", class, degree);
+            }
+        }
+    }
 
     fn triangle() -> Graph {
         GraphBuilder::from_edges(3, [(0u32, 1u32), (1, 2), (2, 0)]).unwrap()

@@ -454,6 +454,11 @@ impl Telemetry {
         let written = atomic_write(&chrome_path, chrome.as_bytes(), &site)
             .and_then(|()| atomic_write(&causal_path, causal.as_bytes(), &site));
         if let Err(e) = written {
+            // A fault on the causal log lands after the Chrome trace was
+            // replaced; remove both, so the pair never mixes two runs.
+            for path in [&chrome_path, &causal_path] {
+                let _ = std::fs::remove_file(path);
+            }
             eprintln!("warning: trace export failed ({e}); continuing without trace files");
             return Ok(None);
         }
@@ -754,6 +759,57 @@ mod tests {
         accu_telemetry::validate_chrome_trace(&text).expect("valid Chrome trace");
         let causal = std::fs::read_to_string(dir.join("run.causal.jsonl")).unwrap();
         assert!(causal.lines().count() >= 2, "begin + end lines expected");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Exports one trace pair whose span is named `run`, under `chaos`.
+    fn export_pair(
+        chrome: &std::path::Path,
+        run: &'static str,
+        chaos: Option<&str>,
+    ) -> Option<PathBuf> {
+        let path = chrome.display().to_string();
+        let mut args = vec!["--trace", &path];
+        if let Some(spec) = chaos {
+            args.extend(["--chaos", spec]);
+        }
+        let tel = Telemetry::from_cli(&Cli::parse_from(args).unwrap(), "pair-test");
+        tel.tracer().track("worker-0").span(run).finish();
+        tel.export_traces().unwrap()
+    }
+
+    /// Which of the two runs each trace file holds, if it exists.
+    fn trace_pair_runs(chrome: &std::path::Path) -> [Option<&'static str>; 2] {
+        [chrome.to_path_buf(), causal_sibling(chrome)].map(|path| {
+            let text = std::fs::read_to_string(path).ok()?;
+            Some(if text.contains("second-run") {
+                "second"
+            } else {
+                "first"
+            })
+        })
+    }
+
+    #[test]
+    fn failed_trace_export_leaves_no_mismatched_pair() {
+        let dir = std::env::temp_dir().join("accu-trace-pair-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let chrome = dir.join("t.json");
+        // A plan whose first trace write lands and whose second (the
+        // causal log) is torn, and one that tears both.
+        let second_only = (0..1_000u64)
+            .map(|seed| format!("torn=0.5,seed={seed}"))
+            .find(|spec| {
+                let plan = ChaosPlan::sample(&accu_core::ChaosConfig::parse(spec).unwrap());
+                plan.io_fault("trace", 0).is_none() && plan.io_fault("trace", 1).is_some()
+            })
+            .expect("some seed tears only the causal log");
+        for chaos in ["torn=1.0", second_only.as_str()] {
+            assert!(export_pair(&chrome, "first-run", None).is_some());
+            assert_eq!(trace_pair_runs(&chrome), [Some("first"); 2]);
+            assert_eq!(export_pair(&chrome, "second-run", Some(chaos)), None);
+            assert_eq!(trace_pair_runs(&chrome), [None; 2], "under {chaos}");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -88,29 +88,33 @@ pub fn pagerank(g: &Graph, cfg: &PageRankConfig) -> Vec<f64> {
     }
     let uniform = 1.0 / n as f64;
     let mut rank = vec![uniform; n];
-    let mut next = vec![0.0f64; n];
+    // share[v] is what v sends along each of its edges this iteration.
+    let mut share = vec![0.0f64; n];
     for _ in 0..cfg.max_iterations {
         let mut dangling_mass = 0.0;
         for v in g.nodes() {
             let d = g.degree(v);
             if d == 0 {
                 dangling_mass += rank[v.index()];
+            } else {
+                share[v.index()] = cfg.damping * rank[v.index()] / d as f64;
             }
         }
-        for x in next.iter_mut() {
-            *x = (1.0 - cfg.damping) * uniform + cfg.damping * dangling_mass * uniform;
-        }
-        for v in g.nodes() {
-            let d = g.degree(v);
-            if d > 0 {
-                let share = cfg.damping * rank[v.index()] / d as f64;
-                for &w in g.neighbors(v) {
-                    next[w.index()] += share;
-                }
+        let base = (1.0 - cfg.damping) * uniform + cfg.damping * dangling_mass * uniform;
+        // Pull: w sums its neighbours' shares over its sorted row, the
+        // same additions in the same order as pushing from each v in
+        // ascending id, so the scores are bit-for-bit the push result.
+        // The shares hold everything the sums read, so rank is
+        // overwritten in place.
+        let mut delta = 0.0;
+        for w in g.nodes() {
+            let mut next = base;
+            for &v in g.neighbors(w) {
+                next += share[v.index()];
             }
+            delta += (rank[w.index()] - next).abs();
+            rank[w.index()] = next;
         }
-        let delta: f64 = rank.iter().zip(&next).map(|(a, b)| (a - b).abs()).sum();
-        std::mem::swap(&mut rank, &mut next);
         if delta < cfg.tolerance {
             break;
         }
@@ -166,6 +170,57 @@ mod tests {
         let pr = pagerank(&g, &PageRankConfig::new().damping(0.0));
         for &x in &pr {
             assert!((x - 1.0 / 3.0).abs() < 1e-12);
+        }
+    }
+
+    /// The push formulation: every node adds its share to each
+    /// neighbour, in ascending node order.
+    fn pagerank_by_push(g: &Graph, cfg: &PageRankConfig) -> Vec<f64> {
+        let n = g.node_count();
+        let uniform = 1.0 / n as f64;
+        let mut rank = vec![uniform; n];
+        let mut next = vec![0.0f64; n];
+        for _ in 0..cfg.max_iterations {
+            let mut dangling_mass = 0.0;
+            for v in g.nodes() {
+                if g.degree(v) == 0 {
+                    dangling_mass += rank[v.index()];
+                }
+            }
+            next.fill((1.0 - cfg.damping) * uniform + cfg.damping * dangling_mass * uniform);
+            for v in g.nodes() {
+                let d = g.degree(v);
+                if d > 0 {
+                    let share = cfg.damping * rank[v.index()] / d as f64;
+                    for &w in g.neighbors(v) {
+                        next[w.index()] += share;
+                    }
+                }
+            }
+            let delta: f64 = rank.iter().zip(&next).map(|(a, b)| (a - b).abs()).sum();
+            std::mem::swap(&mut rank, &mut next);
+            if delta < cfg.tolerance {
+                break;
+            }
+        }
+        rank
+    }
+
+    #[test]
+    fn pull_equals_push_bit_for_bit() {
+        use rand::{rngs::StdRng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(11);
+        // A heavy-tailed graph plus isolated nodes, so dangling mass
+        // is exercised too.
+        let ba = crate::generators::barabasi_albert(400, 3, &mut rng).unwrap();
+        let g = GraphBuilder::from_edges(420, ba.edges().iter().copied()).unwrap();
+        for cfg in [PageRankConfig::new(), PageRankConfig::new().damping(0.6)] {
+            let pull: Vec<u64> = pagerank(&g, &cfg).iter().map(|x| x.to_bits()).collect();
+            let push: Vec<u64> = pagerank_by_push(&g, &cfg)
+                .iter()
+                .map(|x| x.to_bits())
+                .collect();
+            assert_eq!(pull, push);
         }
     }
 

@@ -1,15 +1,15 @@
 //! Incremental construction of immutable [`Graph`]s.
 
-use std::collections::HashSet;
-
 use crate::{Edge, Graph, GraphError, NodeId};
 
 /// Builder that accumulates edges and produces an immutable [`Graph`].
 ///
 /// The node count is fixed up front; nodes are the dense ids
-/// `0..node_count`. Duplicate edges are silently deduplicated (the insert
-/// reports whether the edge was new), self-loops and out-of-range
-/// endpoints are rejected.
+/// `0..node_count`. Self-loops and out-of-range endpoints are rejected
+/// as they are added; duplicates (in either orientation) are kept until
+/// [`build`](Self::build), which puts the edges into canonical order and
+/// drops the repeats. Adding an edge is a validated push, so a builder
+/// costs what its edges cost: no hash set, and no comparison sort.
 ///
 /// # Examples
 ///
@@ -19,8 +19,8 @@ use crate::{Edge, Graph, GraphError, NodeId};
 /// let mut b = GraphBuilder::new(4);
 /// b.add_edge(NodeId::new(0), NodeId::new(1))?;
 /// b.add_edge(NodeId::new(1), NodeId::new(2))?;
-/// // duplicates are fine; the second insert reports `false`:
-/// assert!(!b.add_edge(NodeId::new(2), NodeId::new(1))?);
+/// // duplicates are fine; `build` keeps one copy:
+/// b.add_edge(NodeId::new(2), NodeId::new(1))?;
 /// let g = b.build();
 /// assert_eq!(g.node_count(), 4);
 /// assert_eq!(g.edge_count(), 2);
@@ -29,7 +29,8 @@ use crate::{Edge, Graph, GraphError, NodeId};
 #[derive(Debug, Clone, Default)]
 pub struct GraphBuilder {
     node_count: usize,
-    edges: HashSet<Edge>,
+    /// Every accepted edge, duplicates included, in insertion order.
+    edges: Vec<Edge>,
     /// First edge rejected by [`Extend::extend`], deferred so bulk
     /// insertion stays panic-free; surfaced by [`try_build`](Self::try_build).
     deferred: Option<GraphError>,
@@ -40,19 +41,14 @@ pub struct GraphBuilder {
 impl GraphBuilder {
     /// Creates a builder for a graph with `node_count` nodes and no edges.
     pub fn new(node_count: usize) -> Self {
-        GraphBuilder {
-            node_count,
-            edges: HashSet::new(),
-            deferred: None,
-            rejected: 0,
-        }
+        Self::with_edge_capacity(node_count, 0)
     }
 
     /// Creates a builder pre-sized for roughly `edge_hint` edges.
     pub fn with_edge_capacity(node_count: usize, edge_hint: usize) -> Self {
         GraphBuilder {
             node_count,
-            edges: HashSet::with_capacity(edge_hint),
+            edges: Vec::with_capacity(edge_hint),
             deferred: None,
             rejected: 0,
         }
@@ -63,22 +59,15 @@ impl GraphBuilder {
         self.node_count
     }
 
-    /// Number of distinct edges added so far.
-    pub fn edge_count(&self) -> usize {
-        self.edges.len()
-    }
-
-    /// Adds the undirected edge `(a, b)`.
-    ///
-    /// Returns `Ok(true)` if the edge was new, `Ok(false)` if it was
-    /// already present.
+    /// Adds the undirected edge `(a, b)`. Adding an edge that is already
+    /// present is allowed; the built graph holds it once.
     ///
     /// # Errors
     ///
     /// Returns [`GraphError::SelfLoop`] if `a == b` and
     /// [`GraphError::NodeOutOfRange`] if either endpoint is `>=
     /// node_count`.
-    pub fn add_edge(&mut self, a: NodeId, b: NodeId) -> Result<bool, GraphError> {
+    pub fn add_edge(&mut self, a: NodeId, b: NodeId) -> Result<(), GraphError> {
         if a == b {
             return Err(GraphError::SelfLoop { node: a });
         }
@@ -90,12 +79,8 @@ impl GraphBuilder {
                 });
             }
         }
-        Ok(self.edges.insert(Edge::new(a, b)))
-    }
-
-    /// Returns `true` if the edge `(a, b)` has been added.
-    pub fn has_edge(&self, a: NodeId, b: NodeId) -> bool {
-        self.edges.contains(&Edge::new(a, b))
+        self.edges.push(Edge::new(a, b));
+        Ok(())
     }
 
     /// Fallible bulk insertion: adds edges until the first invalid one
@@ -125,16 +110,23 @@ impl GraphBuilder {
 
     /// Builds the immutable CSR-backed [`Graph`].
     ///
-    /// Edges are sorted into canonical order, so the same edge set always
-    /// produces the same graph regardless of insertion order.
+    /// Edges are put into canonical `(lo, hi)` order by two stable
+    /// counting passes over node ids (by `hi`, then by `lo`) and adjacent
+    /// duplicates are dropped: `O(edges + nodes)`, and the same edge set
+    /// always produces the same graph regardless of insertion order.
     ///
     /// Edges rejected by [`Extend::extend`] are *dropped by policy*:
     /// `build` returns the graph over the valid edges. Call
     /// [`try_build`](Self::try_build) to treat any rejected edge as an
     /// error instead.
     pub fn build(self) -> Graph {
-        let mut edges: Vec<Edge> = self.edges.into_iter().collect();
-        edges.sort_unstable();
+        let mut edges = self.edges;
+        let mut by_hi = edges.clone();
+        counting_pass(self.node_count, &edges, &mut by_hi, Edge::hi);
+        counting_pass(self.node_count, &by_hi, &mut edges, Edge::lo);
+        // Free the scratch copy before the CSR arrays are allocated.
+        drop(by_hi);
+        edges.dedup();
         Graph::from_sorted_dedup_edges(self.node_count, edges)
     }
 
@@ -195,6 +187,24 @@ impl GraphBuilder {
     }
 }
 
+/// One stable counting pass: scatters `src` into `dst` in ascending
+/// order of `key`, keeping the input order among equal keys.
+fn counting_pass(node_count: usize, src: &[Edge], dst: &mut [Edge], key: impl Fn(Edge) -> NodeId) {
+    // next[v] counts keys below v, then serves as bucket v's cursor.
+    let mut next = vec![0usize; node_count + 1];
+    for &e in src {
+        next[key(e).index() + 1] += 1;
+    }
+    for v in 1..=node_count {
+        next[v] += next[v - 1];
+    }
+    for &e in src {
+        let slot = &mut next[key(e).index()];
+        dst[*slot] = e;
+        *slot += 1;
+    }
+}
+
 impl Extend<Edge> for GraphBuilder {
     /// Extends with edges, never panicking: invalid edges are skipped
     /// and the first rejection is deferred, to be surfaced by
@@ -249,10 +259,24 @@ mod tests {
     #[test]
     fn dedups_edges_in_either_order() {
         let mut b = GraphBuilder::new(3);
-        assert!(b.add_edge(NodeId::new(0), NodeId::new(2)).unwrap());
-        assert!(!b.add_edge(NodeId::new(2), NodeId::new(0)).unwrap());
-        assert_eq!(b.edge_count(), 1);
-        assert!(b.has_edge(NodeId::new(2), NodeId::new(0)));
+        b.add_edge(NodeId::new(0), NodeId::new(2)).unwrap();
+        b.add_edge(NodeId::new(2), NodeId::new(0)).unwrap();
+        b.add_edge(NodeId::new(0), NodeId::new(2)).unwrap();
+        let g = b.build();
+        assert_eq!(g.edges(), &[Edge::new(NodeId::new(0), NodeId::new(2))]);
+        assert!(g.has_edge(NodeId::new(2), NodeId::new(0)));
+    }
+
+    #[test]
+    fn build_orders_edges_canonically() {
+        let g = GraphBuilder::from_edges(5, [(4u32, 0u32), (3, 1), (1, 0), (2, 4), (0, 3), (1, 3)])
+            .unwrap();
+        let pairs: Vec<(u32, u32)> = g
+            .edges()
+            .iter()
+            .map(|e| (e.lo().as_u32(), e.hi().as_u32()))
+            .collect();
+        assert_eq!(pairs, vec![(0, 1), (0, 3), (0, 4), (1, 3), (2, 4)]);
     }
 
     #[test]
@@ -273,10 +297,9 @@ mod tests {
     fn extend_accepts_valid_edges() {
         let mut b = GraphBuilder::new(3);
         b.extend([Edge::new(NodeId::new(0), NodeId::new(1))]);
-        assert_eq!(b.edge_count(), 1);
         assert!(b.deferred_error().is_none());
         assert_eq!(b.rejected_edges(), 0);
-        assert!(b.try_build().is_ok());
+        assert_eq!(b.try_build().unwrap().edge_count(), 1);
     }
 
     #[test]
@@ -288,7 +311,6 @@ mod tests {
             Edge::new(NodeId::new(2), NodeId::new(2)), // self-loop: counted too
             Edge::new(NodeId::new(1), NodeId::new(2)),
         ]);
-        assert_eq!(b.edge_count(), 2);
         assert_eq!(b.rejected_edges(), 2);
         // The first rejection is the one surfaced.
         assert!(matches!(
@@ -316,10 +338,10 @@ mod tests {
             ])
             .unwrap_err();
         assert!(matches!(err, GraphError::SelfLoop { .. }));
-        // Edges before the failure stay; the one after was never visited.
-        assert_eq!(b.edge_count(), 1);
         // try_extend does not defer: build-by-policy is untainted.
         assert!(b.deferred_error().is_none());
-        assert!(b.try_build().is_ok());
+        // Edges before the failure stay; the one after was never visited.
+        let g = b.try_build().unwrap();
+        assert_eq!(g.edges(), &[Edge::new(NodeId::new(0), NodeId::new(1))]);
     }
 }

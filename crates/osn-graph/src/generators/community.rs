@@ -4,7 +4,7 @@ use rand::Rng;
 
 use crate::{Graph, GraphBuilder, GraphError, NodeId};
 
-use super::erdos_renyi_gnp;
+use super::er::gnp_pairs;
 
 /// Parameters for [`planted_partition`].
 ///
@@ -102,46 +102,24 @@ pub fn planted_partition<R: Rng + ?Sized>(
 ) -> Result<Graph, GraphError> {
     let n = params.node_count();
     let mut b = GraphBuilder::new(n);
-    // Intra-community edges: sample each block as a small G(n_c, p_in).
+    // Intra-community edges: each block is a G(n_c, p_in) over its own
+    // contiguous id range.
     let mut offset = 0usize;
     for &s in &params.sizes {
-        let sub = erdos_renyi_gnp(s, params.p_in, rng)?;
-        for e in sub.edges() {
-            b.add_edge(
-                NodeId::from(offset + e.lo().index()),
-                NodeId::from(offset + e.hi().index()),
-            )?;
-        }
+        gnp_pairs(s, params.p_in, rng, |v, w| {
+            b.add_edge(NodeId::from(offset + v), NodeId::from(offset + w))
+        })?;
         offset += s;
     }
-    // Inter-community edges: geometric skipping over cross pairs, block
-    // by block, to stay O(expected edges).
-    if params.p_out > 0.0 {
-        let memberships = params.memberships();
-        if params.p_out >= 1.0 {
-            for i in 0..n {
-                for j in (i + 1)..n {
-                    if memberships[i] != memberships[j] {
-                        b.add_edge(NodeId::from(i), NodeId::from(j))?;
-                    }
-                }
-            }
-        } else {
-            let lnq = (1.0 - params.p_out).ln();
-            let (mut v, mut w) = (1usize, -1i64);
-            while v < n {
-                let r: f64 = rng.gen_range(f64::EPSILON..1.0);
-                w += 1 + (r.ln() / lnq).floor() as i64;
-                while w >= v as i64 && v < n {
-                    w -= v as i64;
-                    v += 1;
-                }
-                if v < n && memberships[v] != memberships[w as usize] {
-                    b.add_edge(NodeId::from(v), NodeId::from(w as usize))?;
-                }
-            }
+    // Inter-community edges: the pairs of a G(n, p_out) whose endpoints
+    // lie in different blocks.
+    let memberships = params.memberships();
+    gnp_pairs(n, params.p_out, rng, |v, w| {
+        if memberships[v] == memberships[w] {
+            return Ok(());
         }
-    }
+        b.add_edge(NodeId::from(v), NodeId::from(w))
+    })?;
     Ok(b.build())
 }
 

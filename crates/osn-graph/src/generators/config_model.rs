@@ -137,7 +137,7 @@ fn configuration_from_degrees<R: Rng + ?Sized>(
     for pair in stubs.chunks_exact(2) {
         let (a, c) = (pair[0], pair[1]);
         if a != c {
-            // Duplicate edges return Ok(false); both erasures are silent.
+            // `build` keeps one copy of a duplicate: both erasures are silent.
             b.add_edge(NodeId::new(a), NodeId::new(c))?;
         }
     }

@@ -1,8 +1,10 @@
 //! Erdős–Rényi random graphs.
 
+use std::collections::HashSet;
+
 use rand::Rng;
 
-use crate::{Graph, GraphBuilder, GraphError, NodeId};
+use crate::{Edge, Graph, GraphBuilder, GraphError, NodeId};
 
 /// Samples `G(n, p)`: each of the `n·(n−1)/2` possible edges exists
 /// independently with probability `p`.
@@ -38,18 +40,35 @@ pub fn erdos_renyi_gnp<R: Rng + ?Sized>(
         });
     }
     let mut b = GraphBuilder::new(n);
+    gnp_pairs(n, p, rng, |v, w| {
+        b.add_edge(NodeId::from(v), NodeId::from(w))
+    })?;
+    Ok(b.build())
+}
+
+/// Draws the node pairs of a `G(n, p)` sample and hands each to `emit`
+/// as `(v, w)` with `w < v < n`, stopping at `emit`'s first error.
+///
+/// `p` must lie in `[0, 1]`. `p = 0` and `p = 1` draw nothing from
+/// `rng`; otherwise Batagelj–Brandes geometric skipping visits the
+/// strictly-lower-triangular pairs in `O(n + expected edges)` draws.
+pub(super) fn gnp_pairs<R: Rng + ?Sized>(
+    n: usize,
+    p: f64,
+    rng: &mut R,
+    mut emit: impl FnMut(usize, usize) -> Result<(), GraphError>,
+) -> Result<(), GraphError> {
     if p == 0.0 || n < 2 {
-        return Ok(b.build());
+        return Ok(());
     }
     if p == 1.0 {
-        for i in 0..n as u32 {
-            for j in (i + 1)..n as u32 {
-                b.add_edge(NodeId::new(i), NodeId::new(j))?;
+        for v in 1..n {
+            for w in 0..v {
+                emit(v, w)?;
             }
         }
-        return Ok(b.build());
+        return Ok(());
     }
-    // Batagelj–Brandes skipping over the strictly-lower-triangular pairs.
     let lnq = (1.0 - p).ln();
     let (mut v, mut w) = (1usize, -1i64);
     while v < n {
@@ -60,10 +79,10 @@ pub fn erdos_renyi_gnp<R: Rng + ?Sized>(
             v += 1;
         }
         if v < n {
-            b.add_edge(NodeId::from(v), NodeId::from(w as usize))?;
+            emit(v, w as usize)?;
         }
     }
-    Ok(b.build())
+    Ok(())
 }
 
 /// Samples `G(n, m)`: a graph with exactly `m` distinct edges chosen
@@ -100,11 +119,17 @@ pub fn erdos_renyi_gnm<R: Rng + ?Sized>(
     // Rejection sampling is fine while m is far below the maximum; fall
     // back to dense enumeration + partial shuffle when the graph is dense.
     if (m as f64) < 0.5 * max_edges as f64 {
-        while b.edge_count() < m {
+        // The loop needs a live count of distinct edges, which the
+        // builder does not keep.
+        let mut seen: HashSet<Edge> = HashSet::with_capacity(m);
+        while seen.len() < m {
             let a = rng.gen_range(0..n as u32);
             let c = rng.gen_range(0..n as u32);
             if a != c {
-                b.add_edge(NodeId::new(a), NodeId::new(c))?;
+                let e = Edge::new(NodeId::new(a), NodeId::new(c));
+                if seen.insert(e) {
+                    b.add_edge(e.lo(), e.hi())?;
+                }
             }
         }
     } else {

@@ -1,9 +1,11 @@
 //! R-MAT (recursive matrix) graphs — the generator family behind many
 //! SNAP-style benchmark graphs (Graph500 uses it too).
 
+use std::collections::HashSet;
+
 use rand::Rng;
 
-use crate::{Graph, GraphBuilder, GraphError, NodeId};
+use crate::{Edge, Graph, GraphBuilder, GraphError, NodeId};
 
 /// Parameters of the R-MAT recursive quadrant distribution.
 ///
@@ -109,9 +111,11 @@ pub fn rmat<R: Rng + ?Sized>(
     let ab = params.a + params.b;
     let a_frac = params.a / ab;
     let c_frac = params.c / (params.c + params.d);
+    // The loop needs a live count of distinct edges, which the builder
+    // does not keep.
+    let mut seen: HashSet<Edge> = HashSet::with_capacity(target);
     let mut budget = target * 8; // retry budget for loops/duplicates
-    let mut added = 0usize;
-    while added < target && budget > 0 {
+    while seen.len() < target && budget > 0 {
         budget -= 1;
         let (mut lo_u, mut lo_v) = (0usize, 0usize);
         let mut half = n >> 1;
@@ -130,8 +134,11 @@ pub fn rmat<R: Rng + ?Sized>(
             }
             half >>= 1;
         }
-        if lo_u != lo_v && builder.add_edge(NodeId::from(lo_u), NodeId::from(lo_v))? {
-            added += 1;
+        if lo_u != lo_v {
+            let e = Edge::new(NodeId::from(lo_u), NodeId::from(lo_v));
+            if seen.insert(e) {
+                builder.add_edge(e.lo(), e.hi())?;
+            }
         }
     }
     Ok(builder.build())

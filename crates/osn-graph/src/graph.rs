@@ -128,26 +128,13 @@ impl Graph {
             target_edges[cursor[b.index()]] = id;
             cursor[b.index()] += 1;
         }
-        // Each row is already sorted: edges are processed in canonical
-        // order, so for a fixed node the lo-endpoint targets arrive in
-        // increasing hi order — but hi-endpoint targets (the lo side)
-        // interleave, so sort each row with its parallel edge ids.
-        for v in 0..node_count {
-            let (s, e) = (offsets[v], offsets[v + 1]);
-            let row: &mut [NodeId] = &mut targets[s..e];
-            if !row.is_sorted() {
-                let mut paired: Vec<(NodeId, EdgeId)> = row
-                    .iter()
-                    .copied()
-                    .zip(target_edges[s..e].iter().copied())
-                    .collect();
-                paired.sort_unstable();
-                for (i, (t, id)) in paired.into_iter().enumerate() {
-                    targets[s + i] = t;
-                    target_edges[s + i] = id;
-                }
-            }
-        }
+        // Rows come out sorted: in `(lo, hi)` order a node first receives
+        // its lower neighbours (as `hi`, in ascending `lo`), then its upper
+        // neighbours (as `lo`, in ascending `hi`).
+        debug_assert!(
+            (0..node_count).all(|v| targets[offsets[v]..offsets[v + 1]].is_sorted()),
+            "canonical edge order yields sorted rows"
+        );
         Graph {
             offsets,
             targets,
@@ -350,8 +337,8 @@ mod tests {
 
     #[test]
     fn neighbors_are_sorted_in_star_graph() {
-        // Star with center 5 inserted in scrambled order: exercises the
-        // per-row sort fix-up path.
+        // Star with center 5 inserted in scrambled order: the builder's
+        // canonical order alone must sort the row.
         let g =
             GraphBuilder::from_edges(6, [(5u32, 3u32), (5, 0), (5, 4), (5, 1), (5, 2)]).unwrap();
         let n: Vec<u32> = g

@@ -1,6 +1,6 @@
 //! Property-based tests for the graph substrate.
 
-use std::collections::HashSet;
+use std::collections::{BTreeSet, HashSet};
 
 use osn_graph::algo::{
     bfs_distances, common_neighbors, connected_components, degree_histogram,
@@ -10,7 +10,7 @@ use osn_graph::generators::{
     barabasi_albert, community_affiliation, erdos_renyi_gnm, erdos_renyi_gnp, planted_partition,
     powerlaw_configuration, rmat, watts_strogatz, AgmParams, PlantedPartition, RmatParams,
 };
-use osn_graph::{Edge, Graph, GraphBuilder, NodeId};
+use osn_graph::{Edge, Graph, GraphBuilder, GraphError, NodeId};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -66,7 +66,103 @@ fn assert_edge_ids_are_a_bijection(g: &Graph) {
     }
 }
 
+/// Strategy: a node count and a multiset of endpoint pairs over a few
+/// ids past it, each added `1 + r` times with alternating orientation,
+/// so duplicates, reversed duplicates, self-loops and out-of-range ids
+/// are all common.
+fn arb_pair_multiset() -> impl Strategy<Value = (usize, Vec<(u32, u32)>)> {
+    (1usize..24).prop_flat_map(|n| {
+        let id = 0..n as u32 + 2;
+        proptest::collection::vec((id.clone(), id, 0u32..3), 0..80).prop_map(move |draws| {
+            let pairs = draws
+                .into_iter()
+                .flat_map(|(x, y, r)| {
+                    (0..=r).map(move |i| if i % 2 == 0 { (x, y) } else { (y, x) })
+                })
+                .collect();
+            (n, pairs)
+        })
+    })
+}
+
+/// The rejection `add_edge` owes `(x, y)` on `n` nodes, if any.
+fn expected_rejection(n: usize, x: u32, y: u32) -> Option<GraphError> {
+    let out_of_range = |v: u32| GraphError::NodeOutOfRange {
+        node: NodeId::new(v),
+        node_count: n,
+    };
+    if x == y {
+        Some(GraphError::SelfLoop {
+            node: NodeId::new(x),
+        })
+    } else if x as usize >= n {
+        Some(out_of_range(x))
+    } else if y as usize >= n {
+        Some(out_of_range(y))
+    } else {
+        None
+    }
+}
+
 proptest! {
+    /// The builder equals a `BTreeSet` canonicalization of the valid
+    /// pairs, rejects exactly the invalid ones, and its three bulk entry
+    /// points keep their semantics.
+    #[test]
+    fn builder_matches_btreeset_canonicalization((n, pairs) in arb_pair_multiset()) {
+        let mut b = GraphBuilder::new(n);
+        let mut want = BTreeSet::new();
+        // The bulk entry points add each `Edge` as `(lo, hi)`, so their
+        // rejections name the canonical endpoints.
+        let mut rejections = Vec::new();
+        for &(x, y) in &pairs {
+            let got = b.add_edge(NodeId::new(x), NodeId::new(y));
+            prop_assert_eq!(got.err(), expected_rejection(n, x, y), "({}, {}) on {} nodes", x, y, n);
+            match expected_rejection(n, x.min(y), x.max(y)) {
+                None => {
+                    want.insert((x.min(y), x.max(y)));
+                }
+                Some(e) => rejections.push(e),
+            }
+        }
+        let want: Vec<(u32, u32)> = want.into_iter().collect();
+        let pairs_of = |g: &Graph| -> Vec<(u32, u32)> {
+            g.edges().iter().map(|e| (e.lo().as_u32(), e.hi().as_u32())).collect()
+        };
+        let g = b.build();
+        prop_assert_eq!(g.node_count(), n);
+        prop_assert_eq!(pairs_of(&g), want.clone());
+        assert_adjacency_symmetric_and_sorted(&g);
+        assert_edge_ids_are_a_bijection(&g);
+
+        // `extend` skips and counts every rejection, defers the first,
+        // and `build` keeps the valid edges while `try_build` refuses.
+        let edges: Vec<Edge> = pairs
+            .iter()
+            .map(|&(x, y)| Edge::new(NodeId::new(x), NodeId::new(y)))
+            .collect();
+        let mut bulk = GraphBuilder::new(n);
+        bulk.extend(edges.iter().copied());
+        prop_assert_eq!(bulk.rejected_edges(), rejections.len());
+        prop_assert_eq!(bulk.deferred_error(), rejections.first());
+        prop_assert_eq!(pairs_of(&bulk.clone().build()), want);
+        prop_assert_eq!(bulk.try_build().err(), rejections.first().cloned());
+
+        // `try_extend` stops at the first rejection, keeping what came
+        // before it.
+        let mut strict = GraphBuilder::new(n);
+        let first_bad = pairs
+            .iter()
+            .position(|&(x, y)| expected_rejection(n, x, y).is_some())
+            .unwrap_or(pairs.len());
+        prop_assert_eq!(strict.try_extend(edges.iter().copied()).err(), rejections.first().cloned());
+        let before: BTreeSet<(u32, u32)> = pairs[..first_bad]
+            .iter()
+            .map(|&(x, y)| (x.min(y), x.max(y)))
+            .collect();
+        prop_assert_eq!(pairs_of(&strict.build()), before.into_iter().collect::<Vec<_>>());
+    }
+
     #[test]
     fn handshake_lemma(g in arb_graph()) {
         let degree_sum: usize = g.nodes().map(|v| g.degree(v)).sum();
@@ -183,5 +279,19 @@ proptest! {
             let b = back.labels[e.hi().index()] as u32;
             prop_assert!(g.has_edge(NodeId::new(a), NodeId::new(b)));
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// A failing case's panic names its test, its index and the case
+    /// count that reproduces it, then the failing assertion's message.
+    #[test]
+    #[should_panic(
+        expected = "failing_case_names_its_index: case 0 failed (PROPTEST_CASES=1 reproduces it): boom"
+    )]
+    fn failing_case_names_its_index(x in 0u32..10) {
+        prop_assert!(x > 10, "boom");
     }
 }

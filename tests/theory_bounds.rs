@@ -108,8 +108,9 @@ fn observation1_lambda_is_one_without_cautious_users() {
                 }
             }
         }
-        let m = b.edge_count();
-        let inst = AccuInstanceBuilder::new(b.build())
+        let g = b.build();
+        let m = g.edge_count();
+        let inst = AccuInstanceBuilder::new(g)
             .edge_probabilities(
                 (0..m)
                     .map(|_| if rng.gen_bool(0.5) { 1.0 } else { 0.5 })
