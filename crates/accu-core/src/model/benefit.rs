@@ -105,31 +105,6 @@ impl BenefitSchedule {
         self.friend[u.index()] - self.fof[u.index()]
     }
 
-    /// Overwrites the friend benefit of one user.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AccuError::InvalidBenefit`] if the new value would
-    /// violate `B_f(u) ≥ B_fof(u)`, or [`AccuError::NodeOutOfRange`] for
-    /// a bad id.
-    pub fn set_friend(&mut self, u: NodeId, bf: f64) -> Result<(), AccuError> {
-        if u.index() >= self.friend.len() {
-            return Err(AccuError::NodeOutOfRange {
-                node: u,
-                node_count: self.friend.len(),
-            });
-        }
-        if !bf.is_finite() || bf < self.fof[u.index()] {
-            return Err(AccuError::InvalidBenefit {
-                node: u,
-                friend: bf,
-                fof: self.fof[u.index()],
-            });
-        }
-        self.friend[u.index()] = bf;
-        Ok(())
-    }
-
     /// Returns `true` if `B_f(u) − B_fof(u) > 0` for **every** user —
     /// the precondition of the paper's Lemma 1 / Theorem 1.
     pub fn has_strict_gap(&self) -> bool {
@@ -174,15 +149,6 @@ mod tests {
     fn strict_gap_detects_equality() {
         let b = BenefitSchedule::new(vec![2.0, 1.0], vec![1.0, 1.0]).unwrap();
         assert!(!b.has_strict_gap());
-    }
-
-    #[test]
-    fn set_friend_validates() {
-        let mut b = BenefitSchedule::uniform(2, 2.0, 1.0).unwrap();
-        b.set_friend(NodeId::new(0), 50.0).unwrap();
-        assert_eq!(b.friend(NodeId::new(0)), 50.0);
-        assert!(b.set_friend(NodeId::new(0), 0.5).is_err());
-        assert!(b.set_friend(NodeId::new(7), 3.0).is_err());
     }
 
     #[test]

@@ -105,65 +105,6 @@ impl CautiousIndex {
     }
 }
 
-/// CSR of per-node acceptance-curve cut points: for each user, the
-/// distinct acceptance probabilities strictly inside `(0, 1)` reachable
-/// over mutual-friend counts `0..=degree`, sorted ascending.
-/// Precomputed once per instance so realization probability math never
-/// re-derives (or allocates) them.
-#[derive(Debug, Clone)]
-pub(crate) struct AcceptanceCuts {
-    row_start: Vec<usize>,
-    values: Vec<f64>,
-}
-
-impl AcceptanceCuts {
-    fn build(graph: &Graph, classes: &[UserClass]) -> Self {
-        let n = graph.node_count();
-        let mut row_start = Vec::with_capacity(n + 1);
-        row_start.push(0);
-        let mut values = Vec::new();
-        let mut scratch: Vec<f64> = Vec::new();
-        for (i, class) in classes.iter().enumerate() {
-            let degree = graph.degree(NodeId::from(i)) as u32;
-            push_cuts(class, degree, &mut scratch, &mut values);
-            row_start.push(values.len());
-        }
-        AcceptanceCuts { row_start, values }
-    }
-
-    #[inline]
-    fn row(&self, u: NodeId) -> &[f64] {
-        &self.values[self.row_start[u.index()]..self.row_start[u.index() + 1]]
-    }
-}
-
-/// Appends `class`'s acceptance cuts over mutual counts `0..=degree` to
-/// `values`, ascending. A reckless user's curve is flat (`[q]` when
-/// `0 < q < 1`) and a cautious user's is a 0/1 step (no cut), so only
-/// hesitant and linear users pay the per-count sweep, sort and dedup,
-/// with `scratch` as its buffer.
-fn push_cuts(class: &UserClass, degree: u32, scratch: &mut Vec<f64>, values: &mut Vec<f64>) {
-    match *class {
-        UserClass::Reckless { acceptance: q } => {
-            if q > 0.0 && q < 1.0 {
-                values.push(q);
-            }
-        }
-        UserClass::Cautious { .. } => {}
-        UserClass::Hesitant { .. } | UserClass::MutualLinear { .. } => {
-            scratch.clear();
-            scratch.extend(
-                (0..=degree)
-                    .map(|m| class.acceptance_probability_at(m))
-                    .filter(|&q| q > 0.0 && q < 1.0),
-            );
-            scratch.sort_by(f64::total_cmp);
-            scratch.dedup();
-            values.extend_from_slice(scratch);
-        }
-    }
-}
-
 /// A complete instance of the Adaptive Crawling with Cautious Users
 /// problem: the social graph, per-edge link-existence probabilities
 /// `p: E → [0,1]`, per-user behavioral classes (reckless `q_u` / cautious
@@ -204,23 +145,24 @@ pub struct AccuInstance {
     pub(crate) benefits: BenefitSchedule,
     pub(crate) cautious: Vec<NodeId>,
     cautious_index: CautiousIndex,
-    cuts: AcceptanceCuts,
     instance_id: u64,
 }
 
 impl AccuInstance {
     /// Assembles an instance from already-validated parts, computing
-    /// the derived read-only indexes (cautious-neighbor CSR,
-    /// acceptance-cut CSR) shared by every episode run on the instance.
+    /// the cautious-user list and the cautious-neighbor CSR shared by
+    /// every episode run on the instance.
     pub(crate) fn from_parts(
         graph: Graph,
         edge_prob: Vec<f64>,
         classes: Vec<UserClass>,
         benefits: BenefitSchedule,
-        cautious: Vec<NodeId>,
     ) -> Self {
+        let cautious = (0..classes.len())
+            .map(NodeId::from)
+            .filter(|v| classes[v.index()].is_cautious())
+            .collect();
         let cautious_index = CautiousIndex::build(&graph, &classes, &benefits);
-        let cuts = AcceptanceCuts::build(&graph, &classes);
         AccuInstance {
             graph,
             edge_prob,
@@ -228,7 +170,6 @@ impl AccuInstance {
             benefits,
             cautious,
             cautious_index,
-            cuts,
             instance_id: NEXT_INSTANCE_ID.fetch_add(1, Ordering::Relaxed),
         }
     }
@@ -263,14 +204,30 @@ impl AccuInstance {
     }
 
     /// The distinct interior cut points of `u`'s acceptance curve over
-    /// mutual-friend counts `0..=degree(u)`: every acceptance
-    /// probability strictly inside `(0, 1)`, sorted ascending.
-    /// Precomputed at build time; cautious users have no cuts (their
-    /// curve is a 0/1 step), reckless users at most one.
-    #[inline]
-    pub fn acceptance_cuts(&self, u: NodeId) -> &[f64] {
-        self.cuts.row(u)
+    /// mutual-friend counts `0..=degree(u)` (see
+    /// [`UserClass::acceptance_cuts`]). Only exhaustive enumeration
+    /// reads them, so they are derived on each call.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `u` is out of range.
+    pub fn acceptance_cuts(&self, u: NodeId) -> Vec<f64> {
+        self.classes[u.index()].acceptance_cuts(self.graph.degree(u) as u32)
     }
+
+    /// A builder holding this instance's parameters, so a variant that
+    /// differs in a few attributes sets only those before
+    /// [`build`](AccuInstanceBuilder::build).
+    pub fn to_builder(&self) -> AccuInstanceBuilder {
+        AccuInstanceBuilder {
+            graph: self.graph.clone(),
+            edge_prob: self.edge_prob.clone(),
+            classes: self.classes.clone(),
+            friend_benefit: self.benefits.friend.clone(),
+            fof_benefit: self.benefits.fof.clone(),
+        }
+    }
+
     /// The social graph topology.
     #[inline]
     pub fn graph(&self) -> &Graph {
@@ -379,11 +336,11 @@ impl fmt::Debug for AccuInstance {
 /// (the paper's reckless-user defaults).
 #[derive(Debug, Clone)]
 pub struct AccuInstanceBuilder {
-    pub(crate) graph: Graph,
-    pub(crate) edge_prob: Vec<f64>,
-    pub(crate) classes: Vec<UserClass>,
-    pub(crate) friend_benefit: Vec<f64>,
-    pub(crate) fof_benefit: Vec<f64>,
+    graph: Graph,
+    edge_prob: Vec<f64>,
+    classes: Vec<UserClass>,
+    friend_benefit: Vec<f64>,
+    fof_benefit: Vec<f64>,
 }
 
 impl AccuInstanceBuilder {
@@ -459,13 +416,19 @@ impl AccuInstanceBuilder {
 
     /// Validates and builds the instance.
     ///
+    /// This is the one check of the model's value ranges, so every
+    /// [`AccuInstance`] satisfies them. The structural preconditions a
+    /// valid instance can still break are
+    /// [`validate_instance`](crate::validate_instance)'s.
+    ///
     /// # Errors
     ///
     /// * [`AccuError::LengthMismatch`] if a replaced attribute vector has
     ///   the wrong length;
     /// * [`AccuError::InvalidProbability`] if any edge or acceptance
     ///   probability is outside `[0, 1]`;
-    /// * [`AccuError::ZeroThreshold`] if a cautious user has `θ = 0`;
+    /// * [`AccuError::ZeroThreshold`] if a cautious or hesitant user has
+    ///   `θ = 0`;
     /// * [`AccuError::InvalidBenefit`] if any user violates
     ///   `B_f ≥ B_fof ≥ 0`.
     pub fn build(self) -> Result<AccuInstance, AccuError> {
@@ -552,19 +515,11 @@ impl AccuInstanceBuilder {
             }
         }
         let benefits = BenefitSchedule::new(self.friend_benefit, self.fof_benefit)?;
-        let cautious: Vec<NodeId> = self
-            .classes
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.is_cautious())
-            .map(|(i, _)| NodeId::from(i))
-            .collect();
         Ok(AccuInstance::from_parts(
             self.graph,
             self.edge_prob,
             self.classes,
             benefits,
-            cautious,
         ))
     }
 }
@@ -573,48 +528,6 @@ impl AccuInstanceBuilder {
 mod tests {
     use super::*;
     use osn_graph::GraphBuilder;
-    use proptest::prelude::*;
-
-    /// The per-mutual-count sweep every class paid before the closed
-    /// forms: the reference the cuts must equal.
-    fn swept_cuts(class: &UserClass, degree: u32) -> Vec<u64> {
-        let mut cuts: Vec<f64> = (0..=degree)
-            .map(|m| class.acceptance_probability_at(m))
-            .filter(|&q| q > 0.0 && q < 1.0)
-            .collect();
-        cuts.sort_by(f64::total_cmp);
-        cuts.dedup();
-        cuts.into_iter().map(f64::to_bits).collect()
-    }
-
-    /// A probability, with both ends of `[0, 1]` drawn often.
-    fn probability() -> impl Strategy<Value = f64> {
-        prop_oneof![Just(0.0), Just(1.0), 0.0f64..1.0]
-    }
-
-    fn any_class() -> impl Strategy<Value = UserClass> {
-        prop_oneof![
-            probability().prop_map(UserClass::reckless),
-            (1u32..250).prop_map(UserClass::cautious),
-            (probability(), probability(), 1u32..250)
-                .prop_map(|(a, b, theta)| UserClass::hesitant(a.min(b), a.max(b), theta)),
-            (probability(), prop_oneof![Just(0.0), 0.0f64..0.3])
-                .prop_map(|(base, slope)| UserClass::mutual_linear(base, slope)),
-        ]
-    }
-
-    proptest! {
-        #[test]
-        fn closed_form_cuts_equal_the_sweep(class in any_class()) {
-            let (mut scratch, mut values) = (Vec::new(), Vec::new());
-            for degree in 0..=200 {
-                values.clear();
-                push_cuts(&class, degree, &mut scratch, &mut values);
-                let got: Vec<u64> = values.iter().map(|q| q.to_bits()).collect();
-                prop_assert_eq!(got, swept_cuts(&class, degree), "{} at degree {}", class, degree);
-            }
-        }
-    }
 
     fn triangle() -> Graph {
         GraphBuilder::from_edges(3, [(0u32, 1u32), (1, 2), (2, 0)]).unwrap()

@@ -171,6 +171,30 @@ impl UserClass {
         }
     }
 
+    /// The distinct interior cut points of the acceptance curve over
+    /// mutual counts `0..=degree`: every acceptance probability strictly
+    /// inside `(0, 1)`, sorted ascending. Draws between two adjacent
+    /// cuts behave identically, which is what exhaustive enumeration
+    /// needs. A cautious user has no cuts (its curve is a 0/1 step) and
+    /// a reckless user at most one.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use accu_core::UserClass;
+    /// assert_eq!(UserClass::mutual_linear(0.2, 0.3).acceptance_cuts(3), vec![0.2, 0.5, 0.8]);
+    /// assert!(UserClass::cautious(2).acceptance_cuts(5).is_empty());
+    /// ```
+    pub fn acceptance_cuts(&self, degree: u32) -> Vec<f64> {
+        let mut cuts: Vec<f64> = (0..=degree)
+            .map(|m| self.acceptance_probability_at(m))
+            .filter(|&q| q > 0.0 && q < 1.0)
+            .collect();
+        cuts.sort_by(f64::total_cmp);
+        cuts.dedup();
+        cuts
+    }
+
     /// Mutual-friend threshold for threshold-gated users, `None` for
     /// reckless and linear-acceptance users.
     pub const fn threshold(&self) -> Option<u32> {

@@ -366,17 +366,6 @@ impl Realization {
         self.realized_neighbors(instance, v).count()
     }
 
-    /// The distinct interior cut points of `u`'s acceptance curve — the
-    /// level values strictly inside `(0, 1)`, over the mutual counts
-    /// `0..=deg(u)` — sorted ascending. Draws within the same band
-    /// induce identical behavior. Delegates to the per-instance CSR
-    /// precomputed at build time ([`AccuInstance::acceptance_cuts`]);
-    /// kept for callers that want an owned vector.
-    #[cfg(test)]
-    pub(crate) fn acceptance_cuts(instance: &AccuInstance, u: NodeId) -> Vec<f64> {
-        instance.acceptance_cuts(u).to_vec()
-    }
-
     /// Probability mass of this realization's *outcome class* on
     /// `instance`: the product of edge-outcome probabilities and, per
     /// user, the length of the draw's behavioral band. Sentinel (forced,
@@ -569,10 +558,7 @@ mod tests {
                                                             // Its band is [0.5, 0.8) → mass 0.3.
         assert!((real.probability(&inst) - 0.3).abs() < 1e-12);
         // Cut points over mutual 0..=3: {0.2, 0.5, 0.8}.
-        assert_eq!(
-            Realization::acceptance_cuts(&inst, NodeId::new(0)),
-            vec![0.2, 0.5, 0.8]
-        );
+        assert_eq!(inst.acceptance_cuts(NodeId::new(0)), vec![0.2, 0.5, 0.8]);
     }
 
     #[test]

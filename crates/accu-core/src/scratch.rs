@@ -22,8 +22,10 @@ pub mod engine_metrics {
     /// Episodes that had to grow the scratch buffers (first episode on
     /// a worker, or a larger instance than any seen before).
     pub const SCRATCH_ALLOCS: &str = "engine.scratch_allocs";
-    /// Wall-clock nanoseconds per network's episode loop: policy
-    /// set-up plus every episode (one sample per network).
+    /// Wall-clock nanoseconds per cell's episode loop on one network:
+    /// policy set-up plus every episode (one sample per (cell, network)
+    /// pair), so a network's set-up is `runner.network_ns` minus its
+    /// summed samples.
     pub const CHUNK_NS: &str = "engine.chunk_ns";
 }
 

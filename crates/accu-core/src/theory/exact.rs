@@ -63,7 +63,7 @@ pub fn enumerate_realizations(instance: &AccuInstance) -> Result<RealizationEnse
         .map(|i| {
             let cuts = instance.acceptance_cuts(NodeId::from(i));
             let mut bounds = vec![0.0f64];
-            bounds.extend_from_slice(cuts);
+            bounds.extend(cuts);
             bounds.push(1.0);
             bounds
                 .windows(2)

@@ -1,12 +1,18 @@
-//! Paper-precondition sentinel: typed violation taxonomy, instance
-//! validation, and deterministic repair for degraded-mode execution.
+//! Paper-precondition sentinel: the structural preconditions a built
+//! instance can break, instance validation, and deterministic repair for
+//! degraded-mode execution.
 //!
-//! The ACCU analysis (paper §II model, §IV `1 − e^{−λ}` guarantee) rests
-//! on structural preconditions that untrusted inputs routinely violate:
-//! cautious users pairwise non-adjacent, every cautious `v` reachable
-//! through at least `θ_v` reckless neighbors, probabilities in `[0, 1]`,
-//! and the strict benefit gap `B_f > B_fof` of Theorem 1. This module
-//! checks them *as data*: [`validate_instance`] returns either an
+//! The paper's model (§II-A) has two kinds of rule. Value ranges —
+//! probabilities in `[0, 1]`, `θ_v ≥ 1`, `B_f ≥ B_fof ≥ 0` — are
+//! enforced where values enter the program, by
+//! [`AccuInstanceBuilder::build`](crate::AccuInstanceBuilder::build), so
+//! every [`AccuInstance`] already satisfies them. The ACCU analysis (§IV
+//! `1 − e^{−λ}` guarantee) also rests on structural preconditions that
+//! such an instance can still break: cautious users pairwise
+//! non-adjacent, every cautious `v` reachable through at least `θ_v`
+//! reckless neighbors, the strict benefit gap `B_f > B_fof` of
+//! Theorem 1, and a first request some user can accept. This module
+//! checks those *as data*: [`validate_instance`] returns either an
 //! [`InstanceReport`] or the full list of typed [`Violation`]s, each
 //! tagged fatal vs repairable, and [`repair_instance`] deterministically
 //! fixes the repairable ones so a campaign can proceed in degraded mode —
@@ -24,7 +30,7 @@ use std::str::FromStr;
 use osn_graph::{Graph, NodeId};
 
 use crate::fault::splitmix64;
-use crate::{AccuInstance, AccuInstanceBuilder, BenefitSchedule, UserClass};
+use crate::{AccuInstance, BenefitSchedule, UserClass};
 
 /// Well-known validation metric names recorded by the experiment runner.
 pub mod validate_metrics {
@@ -34,9 +40,7 @@ pub mod validate_metrics {
     pub const REPAIRED_NETWORKS: &str = "validate.repaired_networks";
     /// Networks rejected outright (strict mode or fatal violation).
     pub const REJECTED_NETWORKS: &str = "validate.rejected_networks";
-    /// Probabilities clamped back into `[0, 1]` (edges and users).
-    pub const CLAMPED_PROBABILITIES: &str = "validate.clamped_probabilities";
-    /// Users whose benefit pair was fixed (swap, clamp, or gap bump).
+    /// Users whose collapsed benefit gap was restored.
     pub const BENEFIT_FIXES: &str = "validate.benefit_fixes";
     /// Cautious users demoted to reckless to restore preconditions.
     pub const DEMOTED_USERS: &str = "validate.demoted_users";
@@ -107,7 +111,7 @@ pub enum RepairMode {
     Lenient,
 }
 
-/// A violated model precondition found by [`validate_instance`].
+/// A violated structural precondition found by [`validate_instance`].
 ///
 /// Each variant maps to a precondition of the paper (see DESIGN.md §8):
 /// repairable violations void only the theoretical guarantees, fatal ones
@@ -115,42 +119,9 @@ pub enum RepairMode {
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum Violation {
-    /// A probability-like scalar is outside `[0, 1]` (or not finite).
-    ProbabilityOutOfRange {
-        /// Which scalar, e.g. `"edge existence"` or `"reckless acceptance"`.
-        what: &'static str,
-        /// Edge index or node index, depending on `what`.
-        index: usize,
-        /// The offending value.
-        value: f64,
-    },
-    /// A user's benefits are non-finite or negative.
-    BenefitOutOfRange {
-        /// The user.
-        node: NodeId,
-        /// Its `B_f`.
-        friend: f64,
-        /// Its `B_fof`.
-        fof: f64,
-    },
-    /// A user has `B_f < B_fof` — a friend would see *less* than a
-    /// friend-of-friend, inverting the model's monotonicity.
-    BenefitInversion {
-        /// The user.
-        node: NodeId,
-        /// Its `B_f`.
-        friend: f64,
-        /// Its `B_fof`.
-        fof: f64,
-    },
     /// A user has `B_f = B_fof`, voiding Theorem 1's strict-gap
     /// requirement.
     BenefitGapCollapsed {
-        /// The user.
-        node: NodeId,
-    },
-    /// A threshold-gated user has `θ = 0` (the model requires `θ ≥ 1`).
-    ZeroThreshold {
         /// The user.
         node: NodeId,
     },
@@ -176,40 +147,22 @@ pub enum Violation {
     /// (every acceptance probability at zero mutual friends is zero), so
     /// the campaign can never bootstrap.
     IsolatedSource,
-    /// **Fatal**: an attribute vector does not match the graph size, so
-    /// per-node/per-edge indices are meaningless.
-    AttributeLengthMismatch {
-        /// Which vector, e.g. `"edge probabilities"`.
-        what: &'static str,
-        /// Entries required by the graph.
-        expected: usize,
-        /// Entries supplied.
-        actual: usize,
-    },
 }
 
 impl Violation {
     /// `true` if the violation cannot be repaired and must reject the
     /// instance even under [`RepairMode::Lenient`].
     pub fn is_fatal(&self) -> bool {
-        matches!(
-            self,
-            Violation::IsolatedSource | Violation::AttributeLengthMismatch { .. }
-        )
+        matches!(self, Violation::IsolatedSource)
     }
 
     /// Stable snake_case code for telemetry and reports.
     pub fn code(&self) -> &'static str {
         match self {
-            Violation::ProbabilityOutOfRange { .. } => "probability_out_of_range",
-            Violation::BenefitOutOfRange { .. } => "benefit_out_of_range",
-            Violation::BenefitInversion { .. } => "benefit_inversion",
             Violation::BenefitGapCollapsed { .. } => "benefit_gap_collapsed",
-            Violation::ZeroThreshold { .. } => "zero_threshold",
             Violation::CautiousAdjacency { .. } => "cautious_adjacency",
             Violation::ThresholdUnreachable { .. } => "threshold_unreachable",
             Violation::IsolatedSource => "isolated_source",
-            Violation::AttributeLengthMismatch { .. } => "attribute_length_mismatch",
         }
     }
 }
@@ -217,31 +170,10 @@ impl Violation {
 impl fmt::Display for Violation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Violation::ProbabilityOutOfRange { what, index, value } => {
-                write!(f, "{what} probability [{index}] = {value} outside [0, 1]")
-            }
-            Violation::BenefitOutOfRange { node, friend, fof } => {
-                write!(
-                    f,
-                    "user {node}: non-finite or negative benefits (B_f={friend}, B_fof={fof})"
-                )
-            }
-            Violation::BenefitInversion { node, friend, fof } => {
-                write!(
-                    f,
-                    "user {node}: inverted benefits B_f={friend} < B_fof={fof}"
-                )
-            }
             Violation::BenefitGapCollapsed { node } => {
                 write!(
                     f,
                     "user {node}: B_f = B_fof voids Theorem 1's strict benefit gap"
-                )
-            }
-            Violation::ZeroThreshold { node } => {
-                write!(
-                    f,
-                    "threshold-gated user {node} has θ = 0 (model requires θ ≥ 1)"
                 )
             }
             Violation::CautiousAdjacency { a, b } => {
@@ -265,13 +197,6 @@ impl fmt::Display for Violation {
                     f,
                     "no user can accept the attacker's first request (zero acceptance at 0 mutual friends)"
                 )
-            }
-            Violation::AttributeLengthMismatch {
-                what,
-                expected,
-                actual,
-            } => {
-                write!(f, "{what}: expected {expected} entries, got {actual}")
             }
         }
     }
@@ -300,9 +225,7 @@ pub struct InstanceReport {
 pub struct RepairReport {
     /// All violations found before repairing (empty for clean inputs).
     pub violations: Vec<Violation>,
-    /// Probabilities clamped into `[0, 1]` (edges and user classes).
-    pub clamped_probabilities: usize,
-    /// Users whose benefit pair was clamped, swapped, or gap-bumped.
+    /// Users whose collapsed benefit gap was restored.
     pub benefit_fixes: usize,
     /// Cautious/hesitant users demoted to reckless.
     pub demoted_users: usize,
@@ -324,7 +247,7 @@ impl RepairReport {
 
     /// Total individual fixes applied.
     pub fn repairs(&self) -> usize {
-        self.clamped_probabilities + self.benefit_fixes + self.demoted_users
+        self.benefit_fixes + self.demoted_users
     }
 }
 
@@ -332,8 +255,8 @@ impl RepairReport {
 ///
 /// # Errors
 ///
-/// Returns every [`Violation`] found, in deterministic order (attribute
-/// lengths, probabilities, benefits, adjacency, reachability, source).
+/// Returns every [`Violation`] found, in deterministic order (benefit
+/// gaps, adjacency, reachability, source).
 ///
 /// # Examples
 ///
@@ -354,13 +277,7 @@ impl RepairReport {
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn validate_instance(instance: &AccuInstance) -> Result<InstanceReport, Vec<Violation>> {
-    let violations = scan(
-        &instance.graph,
-        &instance.edge_prob,
-        &instance.classes,
-        &instance.benefits.friend,
-        &instance.benefits.fof,
-    );
+    let violations = scan(instance);
     if !violations.is_empty() {
         return Err(violations);
     }
@@ -377,76 +294,82 @@ pub fn validate_instance(instance: &AccuInstance) -> Result<InstanceReport, Vec<
 /// applied; [`RepairReport::lambda_guarantee_void`] tells the caller to
 /// flag downstream numbers as degraded.
 ///
+/// One pass fixes every repairable violation: a collapsed gap is bumped,
+/// and cautious users are demoted to reckless. Demotions only add
+/// reckless neighbors and give a positive acceptance at zero mutual
+/// friends, so they cannot break another precondition; a re-scan checks
+/// that the repaired instance is clean.
+///
 /// # Errors
 ///
 /// Returns the violation list if `mode` is [`RepairMode::Strict`] and
-/// anything is wrong, or if a fatal violation is present (or emerges
-/// during repair — e.g. clamping every negative acceptance to zero can
-/// leave no bootstrappable user).
+/// anything is wrong, or if a fatal violation is present.
 pub fn repair_instance(
     instance: AccuInstance,
     mode: RepairMode,
 ) -> Result<(AccuInstance, RepairReport), Vec<Violation>> {
-    let found = scan(
-        &instance.graph,
-        &instance.edge_prob,
-        &instance.classes,
-        &instance.benefits.friend,
-        &instance.benefits.fof,
-    );
-    if found.is_empty() {
+    let violations = scan(&instance);
+    if violations.is_empty() {
         return Ok((instance, RepairReport::default()));
+    }
+    if mode == RepairMode::Strict || violations.iter().any(Violation::is_fatal) {
+        return Err(violations);
     }
     let AccuInstance {
         graph,
         edge_prob,
-        classes,
-        benefits: BenefitSchedule { friend, fof },
+        mut classes,
+        benefits: BenefitSchedule {
+            mut friend,
+            mut fof,
+        },
         ..
     } = instance;
-    repair_parts(graph, edge_prob, classes, friend, fof, found, mode)
-}
-
-impl AccuInstanceBuilder {
-    /// Scans the builder's current state for precondition
-    /// [`Violation`]s without consuming it.
-    ///
-    /// Unlike [`build`](Self::build), which enforces only hard
-    /// invariants and stops at the first error, this reports *every*
-    /// violated paper precondition (including the soft ones like
-    /// cautious adjacency) in one pass.
-    pub fn validate(&self) -> Vec<Violation> {
-        scan(
-            &self.graph,
-            &self.edge_prob,
-            &self.classes,
-            &self.friend_benefit,
-            &self.fof_benefit,
-        )
+    let (mut benefit_fixes, mut demoted_users) = (0, 0);
+    for violation in &violations {
+        match *violation {
+            Violation::BenefitGapCollapsed { node } => {
+                (friend[node.index()], fof[node.index()]) = with_gap(fof[node.index()]);
+                benefit_fixes += 1;
+            }
+            // Adjacent pairs come in canonical edge order: demote the
+            // higher-id endpoint, skipping pairs an earlier demotion
+            // already resolved.
+            Violation::CautiousAdjacency { a, b } => {
+                if classes[a.index()].is_cautious() && classes[b.index()].is_cautious() {
+                    classes[b.index()] = demoted(b);
+                    demoted_users += 1;
+                }
+            }
+            // Ascending ids: recount, since the demotions above may
+            // have added reckless neighbors.
+            Violation::ThresholdUnreachable {
+                node, threshold, ..
+            } => {
+                if classes[node.index()].is_cautious()
+                    && reckless_neighbors(&graph, &classes, node) < threshold
+                {
+                    classes[node.index()] = demoted(node);
+                    demoted_users += 1;
+                }
+            }
+            Violation::IsolatedSource => unreachable!("fatal violations are rejected above"),
+        }
     }
-
-    /// Builds the instance after a validation/repair pass.
-    ///
-    /// # Errors
-    ///
-    /// Returns the violation list under [`RepairMode::Strict`] if any
-    /// violation exists, or under [`RepairMode::Lenient`] if a fatal
-    /// one does.
-    pub fn build_repaired(
-        self,
-        mode: RepairMode,
-    ) -> Result<(AccuInstance, RepairReport), Vec<Violation>> {
-        let found = self.validate();
-        repair_parts(
-            self.graph,
-            self.edge_prob,
-            self.classes,
-            self.friend_benefit,
-            self.fof_benefit,
-            found,
-            mode,
-        )
+    let repaired =
+        AccuInstance::from_parts(graph, edge_prob, classes, BenefitSchedule { friend, fof });
+    let remaining = scan(&repaired);
+    if !remaining.is_empty() {
+        return Err(remaining);
     }
+    Ok((
+        repaired,
+        RepairReport {
+            violations,
+            benefit_fixes,
+            demoted_users,
+        },
+    ))
 }
 
 fn report_for(instance: &AccuInstance) -> InstanceReport {
@@ -471,124 +394,24 @@ fn report_for(instance: &AccuInstance) -> InstanceReport {
     }
 }
 
-/// The shared scan over instance parts. Emits violations in a
-/// deterministic order; on an attribute-length mismatch only the
-/// mismatches are reported (per-element indices would be meaningless).
-fn scan(
-    graph: &Graph,
-    edge_prob: &[f64],
-    classes: &[UserClass],
-    friend: &[f64],
-    fof: &[f64],
-) -> Vec<Violation> {
-    let n = graph.node_count();
-    let m = graph.edge_count();
+/// Scans `instance` for the structural preconditions its values can
+/// break, in a fixed order: collapsed gaps by node, adjacent cautious
+/// pairs in canonical edge order, unreachable cautious users by id, then
+/// the source.
+fn scan(instance: &AccuInstance) -> Vec<Violation> {
+    let AccuInstance {
+        graph,
+        classes,
+        benefits,
+        cautious,
+        ..
+    } = instance;
     let mut out = Vec::new();
-    for (what, expected, actual) in [
-        ("edge probabilities", m, edge_prob.len()),
-        ("user classes", n, classes.len()),
-        ("friend benefits", n, friend.len()),
-        ("friend-of-friend benefits", n, fof.len()),
-    ] {
-        if expected != actual {
-            out.push(Violation::AttributeLengthMismatch {
-                what,
-                expected,
-                actual,
+    for (i, (bf, bfof)) in benefits.friend.iter().zip(&benefits.fof).enumerate() {
+        if bf == bfof {
+            out.push(Violation::BenefitGapCollapsed {
+                node: NodeId::from(i),
             });
-        }
-    }
-    if !out.is_empty() {
-        return out;
-    }
-    for (i, &p) in edge_prob.iter().enumerate() {
-        if !unit(p) {
-            out.push(Violation::ProbabilityOutOfRange {
-                what: "edge existence",
-                index: i,
-                value: p,
-            });
-        }
-    }
-    for (i, c) in classes.iter().enumerate() {
-        match *c {
-            UserClass::Reckless { acceptance } => {
-                if !unit(acceptance) {
-                    out.push(Violation::ProbabilityOutOfRange {
-                        what: "reckless acceptance",
-                        index: i,
-                        value: acceptance,
-                    });
-                }
-            }
-            UserClass::Cautious { threshold } => {
-                if threshold == 0 {
-                    out.push(Violation::ZeroThreshold {
-                        node: NodeId::from(i),
-                    });
-                }
-            }
-            UserClass::Hesitant {
-                below,
-                at_or_above,
-                threshold,
-            } => {
-                if threshold == 0 {
-                    out.push(Violation::ZeroThreshold {
-                        node: NodeId::from(i),
-                    });
-                }
-                for q in [below, at_or_above] {
-                    if !unit(q) {
-                        out.push(Violation::ProbabilityOutOfRange {
-                            what: "hesitant acceptance",
-                            index: i,
-                            value: q,
-                        });
-                    }
-                }
-                if unit(below) && unit(at_or_above) && below > at_or_above {
-                    out.push(Violation::ProbabilityOutOfRange {
-                        what: "hesitant acceptance order (q1 > q2)",
-                        index: i,
-                        value: below,
-                    });
-                }
-            }
-            UserClass::MutualLinear { base, slope } => {
-                if !unit(base) {
-                    out.push(Violation::ProbabilityOutOfRange {
-                        what: "linear acceptance base",
-                        index: i,
-                        value: base,
-                    });
-                }
-                if !slope.is_finite() || slope < 0.0 {
-                    out.push(Violation::ProbabilityOutOfRange {
-                        what: "linear acceptance slope",
-                        index: i,
-                        value: slope,
-                    });
-                }
-            }
-        }
-    }
-    for (i, (&bf, &bfof)) in friend.iter().zip(fof).enumerate() {
-        let node = NodeId::from(i);
-        if !(bf.is_finite() && bfof.is_finite()) || bfof < 0.0 {
-            out.push(Violation::BenefitOutOfRange {
-                node,
-                friend: bf,
-                fof: bfof,
-            });
-        } else if bf < bfof {
-            out.push(Violation::BenefitInversion {
-                node,
-                friend: bf,
-                fof: bfof,
-            });
-        } else if bf == bfof {
-            out.push(Violation::BenefitGapCollapsed { node });
         }
     }
     for e in graph.edges() {
@@ -599,28 +422,18 @@ fn scan(
             });
         }
     }
-    for (i, c) in classes.iter().enumerate() {
-        if !c.is_cautious() {
-            continue;
-        }
-        let theta = c.threshold().unwrap_or(0) as usize;
-        if theta == 0 {
-            continue; // already reported as ZeroThreshold
-        }
-        let reckless_neighbors = graph
-            .neighbors(NodeId::from(i))
-            .iter()
-            .filter(|w| !classes[w.index()].is_cautious())
-            .count();
-        if reckless_neighbors < theta {
+    for &node in cautious {
+        let threshold = classes[node.index()].threshold().unwrap_or(0) as usize;
+        let reckless_neighbors = reckless_neighbors(graph, classes, node);
+        if reckless_neighbors < threshold {
             out.push(Violation::ThresholdUnreachable {
-                node: NodeId::from(i),
+                node,
                 reckless_neighbors,
-                threshold: theta,
+                threshold,
             });
         }
     }
-    if n > 0
+    if !classes.is_empty()
         && classes
             .iter()
             .all(|c| c.acceptance_probability_at(0) <= 0.0)
@@ -630,214 +443,39 @@ fn scan(
     out
 }
 
-fn unit(p: f64) -> bool {
-    p.is_finite() && (0.0..=1.0).contains(&p)
-}
-
-/// Repairs raw instance parts, given the violations `found` by scanning
-/// them, then assembles the instance. Shared by [`repair_instance`] and
-/// [`AccuInstanceBuilder::build_repaired`].
-fn repair_parts(
-    graph: Graph,
-    mut edge_prob: Vec<f64>,
-    mut classes: Vec<UserClass>,
-    mut friend: Vec<f64>,
-    mut fof: Vec<f64>,
-    found: Vec<Violation>,
-    mode: RepairMode,
-) -> Result<(AccuInstance, RepairReport), Vec<Violation>> {
-    let mut report = RepairReport {
-        violations: found,
-        ..RepairReport::default()
-    };
-    if !report.violations.is_empty() {
-        if mode == RepairMode::Strict || report.violations.iter().any(Violation::is_fatal) {
-            return Err(report.violations);
-        }
-        // A single normalization pass fixes everything the scan flags;
-        // the re-scan loop guards against repair-induced violations
-        // (e.g. clamping every acceptance to zero isolates the source,
-        // which is fatal and must reject).
-        let mut converged = false;
-        for _ in 0..4 {
-            apply_repairs(
-                &graph,
-                &mut edge_prob,
-                &mut classes,
-                &mut friend,
-                &mut fof,
-                &mut report,
-            );
-            let remaining = scan(&graph, &edge_prob, &classes, &friend, &fof);
-            if remaining.is_empty() {
-                converged = true;
-                break;
-            }
-            if remaining.iter().any(Violation::is_fatal) {
-                return Err(remaining);
-            }
-        }
-        if !converged {
-            return Err(scan(&graph, &edge_prob, &classes, &friend, &fof));
-        }
-    }
-    let cautious: Vec<NodeId> = classes
+/// How many of `v`'s neighbors are not threshold-gated.
+fn reckless_neighbors(graph: &Graph, classes: &[UserClass], v: NodeId) -> usize {
+    graph
+        .neighbors(v)
         .iter()
-        .enumerate()
-        .filter(|(_, c)| c.is_cautious())
-        .map(|(i, _)| NodeId::from(i))
-        .collect();
-    Ok((
-        AccuInstance::from_parts(
-            graph,
-            edge_prob,
-            classes,
-            BenefitSchedule { friend, fof },
-            cautious,
-        ),
-        report,
-    ))
+        .filter(|w| !classes[w.index()].is_cautious())
+        .count()
 }
 
-/// One deterministic normalization pass. Idempotent on valid values, so
-/// repeated application converges (demotions strictly shrink the
-/// cautious set; clamps and benefit fixes are value-local).
-fn apply_repairs(
-    graph: &Graph,
-    edge_prob: &mut [f64],
-    classes: &mut [UserClass],
-    friend: &mut [f64],
-    fof: &mut [f64],
-    report: &mut RepairReport,
-) {
-    for p in edge_prob.iter_mut() {
-        *p = clamp_unit(*p, &mut report.clamped_probabilities);
+/// The `(B_f, B_fof)` pair that restores a collapsed gap at `B_fof`:
+/// `B_f` bumped above it by the smallest representable amount ≥
+/// [`MIN_BENEFIT_GAP`]. Within about `10⁻¹²·f64::MAX` of the top of the
+/// range the bump overflows to `∞`, and the pair falls back to the paper
+/// defaults `(2, 1)`.
+fn with_gap(bfof: f64) -> (f64, f64) {
+    let mut gap = MIN_BENEFIT_GAP.max(bfof * 1e-12);
+    while bfof + gap - bfof <= 0.0 {
+        gap *= 2.0;
     }
-    for (i, c) in classes.iter_mut().enumerate() {
-        match *c {
-            UserClass::Reckless { acceptance } => {
-                let q = clamp_unit(acceptance, &mut report.clamped_probabilities);
-                *c = UserClass::Reckless { acceptance: q };
-            }
-            UserClass::Cautious { threshold } => {
-                if threshold == 0 {
-                    *c = demoted(i, &mut report.demoted_users);
-                }
-            }
-            UserClass::Hesitant {
-                below,
-                at_or_above,
-                threshold,
-            } => {
-                if threshold == 0 {
-                    *c = demoted(i, &mut report.demoted_users);
-                } else {
-                    let mut q1 = clamp_unit(below, &mut report.clamped_probabilities);
-                    let mut q2 = clamp_unit(at_or_above, &mut report.clamped_probabilities);
-                    if q1 > q2 {
-                        std::mem::swap(&mut q1, &mut q2);
-                        report.clamped_probabilities += 1;
-                    }
-                    *c = UserClass::Hesitant {
-                        below: q1,
-                        at_or_above: q2,
-                        threshold,
-                    };
-                }
-            }
-            UserClass::MutualLinear { base, slope } => {
-                let base = clamp_unit(base, &mut report.clamped_probabilities);
-                let slope = if !slope.is_finite() || slope < 0.0 {
-                    report.clamped_probabilities += 1;
-                    0.0
-                } else {
-                    slope
-                };
-                *c = UserClass::MutualLinear { base, slope };
-            }
-        }
-    }
-    for i in 0..friend.len() {
-        let (bf, bfof) = repaired_benefits(friend[i], fof[i]);
-        // `!=` also catches a NaN being replaced.
-        if bf != friend[i] || bfof != fof[i] || friend[i].is_nan() || fof[i].is_nan() {
-            friend[i] = bf;
-            fof[i] = bfof;
-            report.benefit_fixes += 1;
-        }
-    }
-    // Adjacent cautious pairs: demote the higher-id endpoint of each
-    // offending edge, in canonical edge order, skipping pairs already
-    // resolved by an earlier demotion.
-    for e in graph.edges() {
-        if classes[e.lo().index()].is_cautious() && classes[e.hi().index()].is_cautious() {
-            classes[e.hi().index()] = demoted(e.hi().index(), &mut report.demoted_users);
-        }
-    }
-    // Unreachable cautious users: demote, ascending ids. Later
-    // demotions only add reckless neighbors, so survivors stay valid.
-    for i in 0..classes.len() {
-        if !classes[i].is_cautious() {
-            continue;
-        }
-        let theta = classes[i].threshold().unwrap_or(0) as usize;
-        let reckless_neighbors = graph
-            .neighbors(NodeId::from(i))
-            .iter()
-            .filter(|w| !classes[w.index()].is_cautious())
-            .count();
-        if reckless_neighbors < theta {
-            classes[i] = demoted(i, &mut report.demoted_users);
-        }
-    }
-}
-
-fn clamp_unit(p: f64, fixes: &mut usize) -> f64 {
-    if !p.is_finite() {
-        *fixes += 1;
-        0.5
-    } else if p < 0.0 {
-        *fixes += 1;
-        0.0
-    } else if p > 1.0 {
-        *fixes += 1;
-        1.0
+    let bf = bfof + gap;
+    if bf.is_finite() {
+        (bf, bfof)
     } else {
-        p
+        (2.0, 1.0)
     }
 }
 
-/// Produces a fully valid `(B_f, B_fof)` pair from an arbitrary one:
-/// non-finite pairs fall back to the paper defaults `(2, 1)`, negatives
-/// clamp to zero, inversions swap, and a collapsed gap is bumped by the
-/// smallest representable amount ≥ [`MIN_BENEFIT_GAP`]. Idempotent on
-/// valid pairs.
-fn repaired_benefits(bf: f64, bfof: f64) -> (f64, f64) {
-    if !(bf.is_finite() && bfof.is_finite()) {
-        return (2.0, 1.0);
-    }
-    let mut bf = bf.max(0.0);
-    let mut bfof = bfof.max(0.0);
-    if bf < bfof {
-        std::mem::swap(&mut bf, &mut bfof);
-    }
-    if bf - bfof <= 0.0 {
-        let mut gap = MIN_BENEFIT_GAP.max(bfof.abs() * 1e-12);
-        while bfof + gap - bfof <= 0.0 {
-            gap *= 2.0;
-        }
-        bf = bfof + gap;
-    }
-    (bf, bfof)
-}
-
-/// The reckless acceptance probability assigned to a demoted user:
-/// a pure hash of the node id into `[0.05, 0.95]`, mimicking the
-/// experiment protocol's heterogeneous reckless population without
+/// The reckless class assigned to a demoted user: an acceptance
+/// probability hashed from the node id into `[0.05, 0.95]`, mimicking
+/// the experiment protocol's heterogeneous reckless population without
 /// consuming any experiment RNG (repair must not perturb seeded runs).
-fn demoted(index: usize, demotions: &mut usize) -> UserClass {
-    *demotions += 1;
-    let h = splitmix64(index as u64 ^ 0xACC0_5EED);
+fn demoted(v: NodeId) -> UserClass {
+    let h = splitmix64(v.index() as u64 ^ 0xACC0_5EED);
     let unit = (h >> 11) as f64 / (1u64 << 53) as f64;
     UserClass::Reckless {
         acceptance: 0.05 + 0.9 * unit,
@@ -847,7 +485,7 @@ fn demoted(index: usize, demotions: &mut usize) -> UserClass {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::AccuError;
+    use crate::AccuInstanceBuilder;
     use osn_graph::GraphBuilder;
 
     /// A 6-cycle: every node has degree 2, so `cautious(1)` or
@@ -895,45 +533,11 @@ mod tests {
     }
 
     #[test]
-    fn builder_validate_reports_every_planted_class() {
-        // Plant one violation of each repairable kind into the cycle.
-        let b = AccuInstanceBuilder::new(cycle6())
-            .uniform_edge_probability(0.5)
-            .edge_probability(osn_graph::EdgeId::new(0), 1.5) // probability
-            .user_class(NodeId::new(0), UserClass::cautious(1))
-            .user_class(NodeId::new(1), UserClass::cautious(1)) // adjacency (0-1)
-            .user_class(NodeId::new(3), UserClass::cautious(9)) // unreachable
-            .user_class(NodeId::new(5), UserClass::hesitant(0.2, 0.8, 0)) // θ = 0
-            .benefits(NodeId::new(2), 1.0, 2.0) // inversion
-            .benefits(NodeId::new(4), 3.0, 3.0); // collapsed gap
-        let violations = b.validate();
-        for code in [
-            "probability_out_of_range",
-            "benefit_inversion",
-            "benefit_gap_collapsed",
-            "zero_threshold",
-            "cautious_adjacency",
-            "threshold_unreachable",
-        ] {
-            assert!(
-                violations.iter().any(|v| v.code() == code),
-                "missing {code} in {violations:?}"
-            );
-        }
-        // And the lenient repair reaches a clean fixpoint.
-        let (inst, rep) = b.build_repaired(RepairMode::Lenient).unwrap();
-        assert!(validate_instance(&inst).is_ok());
-        assert!(rep.lambda_guarantee_void());
-        assert!(rep.demoted_users >= 3);
-        assert!(rep.benefit_fixes >= 2);
-        assert!(rep.clamped_probabilities >= 1);
-    }
-
-    #[test]
     fn strict_repair_rejects_any_violation() {
-        let b = clean_builder().uniform_edge_probability(1.5);
-        let err = b.build_repaired(RepairMode::Strict).unwrap_err();
-        assert!(err.iter().all(|v| v.code() == "probability_out_of_range"));
+        let inst = clean_builder().uniform_benefits(3.0, 3.0).build().unwrap();
+        let err = repair_instance(inst, RepairMode::Strict).unwrap_err();
+        assert_eq!(err.len(), 6);
+        assert!(err.iter().all(|v| v.code() == "benefit_gap_collapsed"));
     }
 
     #[test]
@@ -948,69 +552,49 @@ mod tests {
     }
 
     #[test]
-    fn repair_can_surface_fatality_it_creates() {
-        // All-negative acceptances clamp to zero — and a network nobody
-        // can bootstrap is fatal, not silently "repaired".
-        let b = AccuInstanceBuilder::new(cycle6()).user_classes(vec![UserClass::reckless(-0.5); 6]);
-        let err = b.build_repaired(RepairMode::Lenient).unwrap_err();
-        assert!(err.iter().any(|v| v == &Violation::IsolatedSource));
-    }
-
-    #[test]
-    fn length_mismatch_is_fatal() {
-        let b = clean_builder().edge_probabilities(vec![0.5; 2]);
-        let violations = b.validate();
-        assert!(violations
-            .iter()
-            .all(|v| matches!(v, Violation::AttributeLengthMismatch { .. }) && v.is_fatal()));
-        assert!(b.build_repaired(RepairMode::Lenient).is_err());
-    }
-
-    #[test]
     fn adjacency_repair_demotes_higher_endpoint() {
-        let b = AccuInstanceBuilder::new(cycle6())
-            .user_class(NodeId::new(0), UserClass::cautious(1))
-            .user_class(NodeId::new(1), UserClass::cautious(1));
-        let (inst, rep) = b.build_repaired(RepairMode::Lenient).unwrap();
+        let adjacent = || {
+            AccuInstanceBuilder::new(cycle6())
+                .user_class(NodeId::new(0), UserClass::cautious(1))
+                .user_class(NodeId::new(1), UserClass::cautious(1))
+                .build()
+                .unwrap()
+        };
+        let (inst, rep) = repair_instance(adjacent(), RepairMode::Lenient).unwrap();
         assert_eq!(rep.demoted_users, 1);
         assert!(inst.is_cautious(NodeId::new(0)));
         assert!(!inst.is_cautious(NodeId::new(1)));
         // Demotion acceptance is a pure function of the node id.
         let q = inst.acceptance_probability(NodeId::new(1)).unwrap();
         assert!((0.05..=0.95).contains(&q));
-        let (inst2, _) = AccuInstanceBuilder::new(cycle6())
-            .user_class(NodeId::new(0), UserClass::cautious(1))
-            .user_class(NodeId::new(1), UserClass::cautious(1))
-            .build_repaired(RepairMode::Lenient)
-            .unwrap();
+        let (inst2, _) = repair_instance(adjacent(), RepairMode::Lenient).unwrap();
         assert_eq!(inst2.acceptance_probability(NodeId::new(1)), Some(q));
     }
 
     #[test]
     fn repaired_instance_passes_its_own_builder_invariants() {
-        // The repaired parts must satisfy the hard `build()` checks too.
-        let b = AccuInstanceBuilder::new(cycle6())
-            .uniform_edge_probability(f64::NAN)
-            .user_class(NodeId::new(1), UserClass::hesitant(0.9, 0.1, 2))
-            .user_class(NodeId::new(4), UserClass::mutual_linear(1.4, -2.0))
-            .benefits(NodeId::new(0), f64::INFINITY, f64::NAN);
-        let (inst, rep) = b.build_repaired(RepairMode::Lenient).unwrap();
-        assert!(rep.repairs() > 0);
-        let rebuilt: Result<AccuInstance, AccuError> = AccuInstanceBuilder::new(cycle6())
-            .edge_probabilities(inst.edge_prob.clone())
-            .user_classes(inst.classes.clone())
-            .build();
-        assert!(rebuilt.is_ok());
-        assert_eq!(inst.benefits.friend[0], 2.0);
-        assert_eq!(inst.benefits.fof[0], 1.0);
+        // The repaired values must satisfy every `build()` check too.
+        let inst = AccuInstanceBuilder::new(cycle6())
+            .user_class(NodeId::new(0), UserClass::cautious(1))
+            .user_class(NodeId::new(1), UserClass::hesitant(0.2, 0.9, 1))
+            .user_class(NodeId::new(3), UserClass::cautious(3))
+            .benefits(NodeId::new(4), 0.0, 0.0)
+            .build()
+            .unwrap();
+        let (inst, rep) = repair_instance(inst, RepairMode::Lenient).unwrap();
+        assert_eq!((rep.benefit_fixes, rep.demoted_users), (1, 2));
+        assert!(inst.to_builder().build().is_ok());
+        assert_eq!(inst.benefits.fof[4], 0.0);
+        assert_eq!(inst.benefits.friend[4], MIN_BENEFIT_GAP);
     }
 
     #[test]
     fn gap_bump_survives_large_magnitudes() {
-        let (bf, bfof) = repaired_benefits(1e15, 1e15);
+        let (bf, bfof) = with_gap(1e15);
         assert!(bf > bfof, "bump must be representable at 1e15");
-        let (bf2, bfof2) = repaired_benefits(bf, bfof);
-        assert_eq!((bf, bfof), (bf2, bfof2), "repair must be idempotent");
+        assert_eq!(bfof, 1e15);
+        // A bump past f64::MAX falls back to the paper defaults.
+        assert_eq!(with_gap(f64::MAX), (2.0, 1.0));
     }
 
     #[test]

@@ -16,9 +16,7 @@
 //! paper's model makes the attack.
 
 use accu_core::policy::{pure_greedy, Abm, AbmWeights, Policy};
-use accu_core::{
-    run_attack_with, AccuInstance, AccuInstanceBuilder, AttackOptions, EpisodeScratch, UserClass,
-};
+use accu_core::{run_attack_with, AccuInstance, AttackOptions, EpisodeScratch, UserClass};
 use accu_datasets::{apply_protocol, DatasetSpec, ProtocolConfig};
 use accu_experiments::output::{fnum, Table};
 use accu_experiments::{Cli, Telemetry};
@@ -29,28 +27,17 @@ use rand::SeedableRng;
 /// Swaps every cautious user's class for the given family, preserving
 /// thresholds/benefits.
 fn with_model(base: &AccuInstance, family: &str) -> AccuInstance {
-    let m = base.graph().edge_count();
-    let mut builder = AccuInstanceBuilder::new(base.graph().clone()).edge_probabilities(
-        (0..m)
-            .map(|i| base.edge_probability(osn_graph::EdgeId::from(i)))
-            .collect(),
-    );
-    for i in 0..base.node_count() {
-        let v = NodeId::from(i);
-        let class = match base.user_class(v) {
-            UserClass::Cautious { threshold } => match family {
+    let mut builder = base.to_builder();
+    for &v in base.cautious_users() {
+        if let UserClass::Cautious { threshold } = base.user_class(v) {
+            let class = match family {
                 "threshold" => UserClass::cautious(threshold),
                 "hesitant" => UserClass::hesitant(0.05, 1.0, threshold),
                 "linear" => UserClass::mutual_linear(0.1, 0.05),
                 other => panic!("unknown family {other}"),
-            },
-            other => other,
-        };
-        builder = builder.user_class(v, class).benefits(
-            v,
-            base.benefits().friend(v),
-            base.benefits().friend_of_friend(v),
-        );
+            };
+            builder = builder.user_class(v, class);
+        }
     }
     builder.build().expect("converted instance is valid")
 }

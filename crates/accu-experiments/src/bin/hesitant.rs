@@ -14,31 +14,17 @@ use accu_core::{run_attack_with, AccuInstance, AttackOptions, EpisodeScratch, Us
 use accu_datasets::{apply_protocol, DatasetSpec, ProtocolConfig};
 use accu_experiments::output::{fnum, Table};
 use accu_experiments::{Cli, Telemetry};
-use osn_graph::NodeId;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// Rebuilds the instance with every cautious user converted to a
 /// hesitant user with below-threshold probability `q1`.
 fn with_hesitant(instance: &AccuInstance, q1: f64) -> AccuInstance {
-    let mut builder = accu_core::AccuInstanceBuilder::new(instance.graph().clone());
-    let m = instance.graph().edge_count();
-    builder = builder.edge_probabilities(
-        (0..m)
-            .map(|i| instance.edge_probability(osn_graph::EdgeId::from(i)))
-            .collect(),
-    );
-    for i in 0..instance.node_count() {
-        let v = NodeId::from(i);
-        let class = match instance.user_class(v) {
-            UserClass::Cautious { threshold } => UserClass::hesitant(q1, 1.0, threshold),
-            other => other,
-        };
-        builder = builder.user_class(v, class).benefits(
-            v,
-            instance.benefits().friend(v),
-            instance.benefits().friend_of_friend(v),
-        );
+    let mut builder = instance.to_builder();
+    for &v in instance.cautious_users() {
+        if let UserClass::Cautious { threshold } = instance.user_class(v) {
+            builder = builder.user_class(v, UserClass::hesitant(q1, 1.0, threshold));
+        }
     }
     builder.build().expect("converted instance is valid")
 }

@@ -8,7 +8,7 @@
 
 use accu_core::policy::{Abm, AbmWeights, Policy, Random};
 use accu_core::{
-    run_attack_with, AccuInstance, AccuInstanceBuilder, AttackOptions, EpisodeScratch, Realization,
+    run_attack_with, AccuInstance, AttackOptions, EpisodeScratch, Realization, UserClass,
 };
 use accu_datasets::{apply_protocol, DatasetSpec, ProtocolConfig};
 use accu_experiments::output::{fnum, Table};
@@ -20,28 +20,21 @@ use rand::{Rng, SeedableRng};
 /// Perturbs every probability by a uniform multiplicative factor in
 /// `[1 − noise, 1 + noise]`, clamped to `[0, 1]`.
 fn perturbed(truth: &AccuInstance, noise: f64, rng: &mut StdRng) -> AccuInstance {
-    let m = truth.graph().edge_count();
     let jitter = |p: f64, rng: &mut StdRng| -> f64 {
         (p * rng.gen_range(1.0 - noise..=1.0 + noise)).clamp(0.0, 1.0)
     };
-    let edge_probs: Vec<f64> = (0..m)
+    // `noise_ablation.csv` depends on this draw order: every edge, then
+    // reckless users by id.
+    let edge_probs: Vec<f64> = (0..truth.graph().edge_count())
         .map(|i| jitter(truth.edge_probability(EdgeId::from(i)), rng))
         .collect();
-    let mut builder =
-        AccuInstanceBuilder::new(truth.graph().clone()).edge_probabilities(edge_probs);
+    let mut builder = truth.to_builder().edge_probabilities(edge_probs);
     for i in 0..truth.node_count() {
         let v = NodeId::from(i);
-        let class = match truth.user_class(v) {
-            accu_core::UserClass::Reckless { acceptance } => {
-                accu_core::UserClass::reckless(jitter(acceptance, rng))
-            }
-            other => other, // thresholds assumed known (public profiles)
-        };
-        builder = builder.user_class(v, class).benefits(
-            v,
-            truth.benefits().friend(v),
-            truth.benefits().friend_of_friend(v),
-        );
+        // Thresholds are assumed known (public profiles).
+        if let UserClass::Reckless { acceptance } = truth.user_class(v) {
+            builder = builder.user_class(v, UserClass::reckless(jitter(acceptance, rng)));
+        }
     }
     builder.build().expect("perturbed instance is valid")
 }

@@ -55,8 +55,8 @@ use accu_core::policy::{
 };
 use accu_core::{
     engine_metrics, repair_instance, run_attack_with, validate_metrics, AccuError, AccuInstance,
-    AttackOptions, AttackOutcome, EpisodeScratch, FaultConfig, FaultPlan, Policy, RetryPolicy,
-    TraceAccumulator, ValidationMode, Violation,
+    AttackOptions, EpisodeScratch, FaultConfig, FaultPlan, Policy, RetryPolicy, TraceAccumulator,
+    ValidationMode, Violation,
 };
 use accu_telemetry::obs::Observer;
 use accu_telemetry::{
@@ -530,7 +530,8 @@ pub fn run_policy_with(
 ///
 /// With an enabled tracer every worker gets its own [`TraceTrack`] (one
 /// Perfetto thread track per worker), stage spans cover network
-/// load/validate, the episode loop, the fold, and checkpoint appends, and
+/// load/validate, the episode loop (which folds each outcome as it
+/// finishes), and checkpoint appends, and
 /// — on episodes selected by the tracer's sampling period — the
 /// simulator and policy emit per-request and per-decision events
 /// bracketed by `episode_begin`/`episode_end`. The progress stream of
@@ -1116,10 +1117,6 @@ fn init_network(
                 if !report.is_clean() {
                     count(validate_metrics::VIOLATIONS, report.violations.len());
                     count(validate_metrics::REPAIRED_NETWORKS, 1);
-                    count(
-                        validate_metrics::CLAMPED_PROBABILITIES,
-                        report.clamped_probabilities,
-                    );
                     count(validate_metrics::BENEFIT_FIXES, report.benefit_fixes);
                     count(validate_metrics::DEMOTED_USERS, report.demoted_users);
                     if report.lambda_guarantee_void() {
@@ -1186,9 +1183,10 @@ fn run_network(ctx: &RunCtx<'_, '_>, w: &mut Worker, net: usize) -> Vec<Fate> {
 
 /// Runs every episode of one cell on a built network: the policy is
 /// instantiated once, the episodes run in order in the worker's
-/// [`EpisodeScratch`], and their outcomes fold in episode order.
-/// Returns the cell's fate: folded, or quarantined by a panic in the
-/// episode loop (stage `episodes`, not retried).
+/// [`EpisodeScratch`], and each outcome folds into the cell's
+/// accumulator as its episode finishes. Returns the cell's fate: folded,
+/// or quarantined by a panic in the episode loop (stage `episodes`, not
+/// retried), which drops the partial accumulator.
 ///
 /// Tracing: the episode loop runs under an `episodes` span on the
 /// worker's `track`; each episode toggles the track's sampling gate by
@@ -1209,7 +1207,7 @@ fn run_episodes(
     let episodes = catch_unwind(AssertUnwindSafe(|| {
         let mut policy_impl =
             policy.instantiate_instrumented(state.policy_seed, ctx.recorder, track);
-        let mut outcomes: Vec<AttackOutcome> = Vec::with_capacity(state.run_seeds.len());
+        let mut acc = TraceAccumulator::new(figure.budget);
         let episodes_trace = track.span_with("episodes", &[("net", TraceValue::U64(net as u64))]);
         for (ep, &run_seed) in state.run_seeds.iter().enumerate() {
             if w.scratch.prepare(&state.instance) {
@@ -1286,33 +1284,26 @@ fn run_episodes(
                     ],
                 );
             }
-            outcomes.push(outcome.clone());
+            acc.add(outcome);
             w.episodes.incr();
             w.worker_episodes.incr();
             ctx.events.episode_done(outcome.faults.faults_seen() as u64);
         }
         drop(episodes_trace);
-        outcomes
+        acc
     }));
     loop_span.finish();
-    // Re-open the gate so the stage spans below (fold, checkpoint, the
+    // Re-open the gate so the stage spans that follow (checkpoint, the
     // next network's load) emit even when the last episode was
     // unsampled — or when the loop panicked with the gate closed.
     if track.is_enabled() {
         track.set_active(true);
     }
     match episodes {
-        Ok(outcomes) => {
-            let _span = track.span_with("fold", &[("net", TraceValue::U64(net as u64))]);
-            let mut acc = TraceAccumulator::new(figure.budget);
-            for outcome in &outcomes {
-                acc.add(outcome);
-            }
-            Fate::Folded {
-                acc,
-                repaired: state.was_repaired,
-            }
-        }
+        Ok(acc) => Fate::Folded {
+            acc,
+            repaired: state.was_repaired,
+        },
         Err(payload) => Fate::Quarantined(NetworkFailure {
             network: net,
             stage: "episodes",
@@ -1669,7 +1660,7 @@ mod tests {
     #[test]
     fn violations_message_truncates_long_lists() {
         let violations: Vec<Violation> = (0..5)
-            .map(|n| Violation::ZeroThreshold {
+            .map(|n| Violation::BenefitGapCollapsed {
                 node: osn_graph::NodeId::new(n),
             })
             .collect();

@@ -162,7 +162,8 @@ fn baseline_policy_episodes_replay_without_decide_events() {
 
 /// The runner's stage spans show up as named tracks in the Chrome
 /// export: one thread-name metadata row per worker, with the load,
-/// validate, episodes and fold spans of each network it ran.
+/// validate and episodes spans of each network it ran (outcomes fold
+/// inside the episodes span, as each episode finishes).
 #[test]
 fn chrome_export_carries_worker_tracks_and_stage_spans() {
     let figure = small_figure(3, 0.0);
@@ -173,8 +174,9 @@ fn chrome_export_carries_worker_tracks_and_stage_spans() {
     assert_eq!(stats.metadata as usize, stats.tracks);
     assert!(stats.spans > 0, "load/validate/episodes spans expected");
     assert!(stats.instants > 0, "episode markers expected");
-    for name in ["\"load\"", "\"validate\"", "\"episodes\"", "\"fold\""] {
+    for name in ["\"load\"", "\"validate\"", "\"episodes\""] {
         assert!(chrome.contains(name), "missing {name} span in export");
     }
     assert!(!chrome.contains("\"chunk\""), "networks run whole");
+    assert!(!chrome.contains("\"fold\""), "no separate fold stage");
 }
