@@ -12,13 +12,14 @@
 //! recovery testable at all.
 //!
 //! The experiment crate wraps its sinks (checkpoint, progress, trace) in
-//! chaos-aware writers that consult a [`ChaosPlan`] before each physical
-//! write; each runner worker consults [`ChaosPlan::worker_fault`]
-//! on its first attempt at a network. A plan sampled from
-//! [`ChaosConfig::none`] is trivial and adds zero overhead.
+//! chaos-aware writers that consult [`ChaosConfig::io_fault`] before
+//! each physical write; each runner worker consults
+//! [`ChaosConfig::worker_fault`] on its first attempt at a network.
+//! [`ChaosConfig::none`] injects nothing and adds zero overhead.
 
 use crate::error::AccuError;
 use crate::fault::splitmix64;
+use crate::realization::unit;
 use std::time::Duration;
 
 /// Canonical metric names for chaos accounting, so producers and
@@ -83,8 +84,7 @@ impl ChaosConfig {
         }
     }
 
-    /// Whether this config can never inject a fault. Plans sampled
-    /// from such a config are trivial and add zero overhead.
+    /// Whether this config can never inject a fault.
     pub fn is_none(&self) -> bool {
         self.disk_full <= 0.0
             && self.eintr <= 0.0
@@ -201,6 +201,47 @@ impl ChaosConfig {
             .map_err(|e| format!("invalid chaos spec: {e}"))?;
         Ok(config)
     }
+
+    /// The fault (if any) injected into operation number `op` at the
+    /// named sink `site`. Sites are open-ended strings; the harness
+    /// draws from `"checkpoint"`, `"progress"` and `"trace"`.
+    /// Deterministic in `(self, site, op)`: a pure function, identical on
+    /// every thread, worker count and resume.
+    pub fn io_fault(&self, site: &str, op: u64) -> Option<IoFault> {
+        if self.disk_full <= 0.0 && self.eintr <= 0.0 && self.torn_write <= 0.0 {
+            return None;
+        }
+        let key = fnv1a(site.as_bytes()) ^ op.wrapping_mul(0xD6E8_FEB8_6659_FD93);
+        let u = unit(mix(self.seed, key));
+        if u < self.disk_full {
+            Some(IoFault::DiskFull)
+        } else if u < self.disk_full + self.eintr {
+            Some(IoFault::Interrupted)
+        } else if u < self.disk_full + self.eintr + self.torn_write {
+            Some(IoFault::TornWrite)
+        } else {
+            None
+        }
+    }
+
+    /// The fault (if any) injected when a worker first claims network
+    /// `net`. Deterministic in `(self, net)` — and therefore
+    /// independent of which worker claims the network or how many
+    /// workers exist.
+    pub fn worker_fault(&self, net: usize) -> Option<WorkerFault> {
+        if self.worker_panic <= 0.0 && self.worker_stall <= 0.0 {
+            return None;
+        }
+        let key = (net as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0xC2B2_AE3D_27D4_EB4F;
+        let u = unit(mix(self.seed, key));
+        if u < self.worker_panic {
+            Some(WorkerFault::Panic)
+        } else if u < self.worker_panic + self.worker_stall {
+            Some(WorkerFault::Stall(Duration::from_millis(self.stall_ms)))
+        } else {
+            None
+        }
+    }
 }
 
 impl Default for ChaosConfig {
@@ -234,91 +275,6 @@ pub enum WorkerFault {
     Stall(Duration),
 }
 
-/// A concrete chaos realization for one run: a pure function from
-/// `(site, operation index)` to an optional fault, identical on every
-/// thread, worker count, and resume.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ChaosPlan {
-    config: ChaosConfig,
-}
-
-impl ChaosPlan {
-    /// The trivial plan: no chaos, zero overhead.
-    pub fn none() -> Self {
-        ChaosPlan {
-            config: ChaosConfig::none(),
-        }
-    }
-
-    /// Samples the (deterministic) plan for a run.
-    pub fn sample(config: &ChaosConfig) -> Self {
-        ChaosPlan { config: *config }
-    }
-
-    /// Whether this plan can never inject a fault.
-    pub fn is_trivial(&self) -> bool {
-        self.config.is_none()
-    }
-
-    /// The configuration this plan realizes.
-    pub fn config(&self) -> &ChaosConfig {
-        &self.config
-    }
-
-    /// Abort threshold for durable checkpoint appends, if configured.
-    pub fn kill_after_appends(&self) -> Option<u64> {
-        self.config.kill_after_appends
-    }
-
-    /// The fault (if any) injected into operation number `op` at the
-    /// named sink `site`. Sites are open-ended strings; the harness
-    /// draws from `"checkpoint"`, `"progress"` and `"trace"`.
-    /// Deterministic in `(config, site, op)`.
-    pub fn io_fault(&self, site: &str, op: u64) -> Option<IoFault> {
-        let c = &self.config;
-        if c.disk_full <= 0.0 && c.eintr <= 0.0 && c.torn_write <= 0.0 {
-            return None;
-        }
-        let key = fnv1a(site.as_bytes()) ^ op.wrapping_mul(0xD6E8_FEB8_6659_FD93);
-        let u = unit(mix(c.seed, key));
-        if u < c.disk_full {
-            Some(IoFault::DiskFull)
-        } else if u < c.disk_full + c.eintr {
-            Some(IoFault::Interrupted)
-        } else if u < c.disk_full + c.eintr + c.torn_write {
-            Some(IoFault::TornWrite)
-        } else {
-            None
-        }
-    }
-
-    /// The fault (if any) injected when a worker first claims network
-    /// `net`. Deterministic in `(config, net)` — and therefore
-    /// independent of which worker claims the network or how many
-    /// workers exist.
-    pub fn worker_fault(&self, net: usize) -> Option<WorkerFault> {
-        let c = &self.config;
-        if c.worker_panic <= 0.0 && c.worker_stall <= 0.0 {
-            return None;
-        }
-        let key = (net as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0xC2B2_AE3D_27D4_EB4F;
-        let u = unit(mix(c.seed, key));
-        if u < c.worker_panic {
-            Some(WorkerFault::Panic)
-        } else if u < c.worker_panic + c.worker_stall {
-            Some(WorkerFault::Stall(Duration::from_millis(c.stall_ms)))
-        } else {
-            None
-        }
-    }
-}
-
-impl Default for ChaosPlan {
-    fn default() -> Self {
-        ChaosPlan::none()
-    }
-}
-
 /// Mixes the chaos seed with a site/op key, mirroring the
 /// [`crate::fault::FaultPlan`] seeding idiom so the chaos stream stays
 /// decorrelated from the realization and protocol-fault streams.
@@ -336,42 +292,37 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// Maps a draw to the unit interval `[0, 1)` with 53-bit precision.
-fn unit(x: u64) -> f64 {
-    (x >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn none_is_trivial_and_injects_nothing() {
-        let plan = ChaosPlan::sample(&ChaosConfig::none());
-        assert!(plan.is_trivial());
+    fn none_injects_nothing() {
+        let chaos = ChaosConfig::none();
+        assert!(chaos.is_none());
         for op in 0..1000 {
-            assert_eq!(plan.io_fault("checkpoint", op), None);
+            assert_eq!(chaos.io_fault("checkpoint", op), None);
         }
         for net in 0..50 {
-            assert_eq!(plan.worker_fault(net), None);
+            assert_eq!(chaos.worker_fault(net), None);
         }
     }
 
     #[test]
     fn draws_are_deterministic_and_seed_sensitive() {
-        let a = ChaosPlan::sample(&ChaosConfig {
+        let a = ChaosConfig {
             seed: 1,
             ..ChaosConfig::scaled(1.0)
-        });
-        let b = ChaosPlan::sample(&ChaosConfig {
+        };
+        let b = ChaosConfig {
             seed: 1,
             ..ChaosConfig::scaled(1.0)
-        });
-        let c = ChaosPlan::sample(&ChaosConfig {
+        };
+        let c = ChaosConfig {
             seed: 2,
             ..ChaosConfig::scaled(1.0)
-        });
-        let faults = |p: &ChaosPlan| -> Vec<Option<IoFault>> {
+        };
+        let faults = |p: &ChaosConfig| -> Vec<Option<IoFault>> {
             (0..500).map(|op| p.io_fault("progress", op)).collect()
         };
         assert_eq!(faults(&a), faults(&b));
@@ -380,42 +331,44 @@ mod tests {
 
     #[test]
     fn sites_get_independent_streams() {
-        let plan = ChaosPlan::sample(&ChaosConfig {
+        let chaos = ChaosConfig {
             seed: 9,
             ..ChaosConfig::scaled(1.0)
-        });
-        let ckpt: Vec<_> = (0..500).map(|op| plan.io_fault("checkpoint", op)).collect();
-        let trace: Vec<_> = (0..500).map(|op| plan.io_fault("trace", op)).collect();
+        };
+        let ckpt: Vec<_> = (0..500)
+            .map(|op| chaos.io_fault("checkpoint", op))
+            .collect();
+        let trace: Vec<_> = (0..500).map(|op| chaos.io_fault("trace", op)).collect();
         assert_ne!(ckpt, trace);
     }
 
     #[test]
     fn full_probability_always_faults() {
-        let plan = ChaosPlan::sample(&ChaosConfig {
+        let chaos = ChaosConfig {
             disk_full: 1.0,
             ..ChaosConfig::none()
-        });
+        };
         for op in 0..100 {
-            assert_eq!(plan.io_fault("x", op), Some(IoFault::DiskFull));
+            assert_eq!(chaos.io_fault("x", op), Some(IoFault::DiskFull));
         }
-        let plan = ChaosPlan::sample(&ChaosConfig {
+        let chaos = ChaosConfig {
             worker_panic: 1.0,
             ..ChaosConfig::none()
-        });
+        };
         for net in 0..20 {
-            assert_eq!(plan.worker_fault(net), Some(WorkerFault::Panic));
+            assert_eq!(chaos.worker_fault(net), Some(WorkerFault::Panic));
         }
     }
 
     #[test]
     fn scaled_rates_are_plausible() {
-        let plan = ChaosPlan::sample(&ChaosConfig {
+        let chaos = ChaosConfig {
             seed: 3,
             ..ChaosConfig::scaled(1.0)
-        });
+        };
         let n = 20_000u64;
         let injected = (0..n)
-            .filter(|&op| plan.io_fault("s", op).is_some())
+            .filter(|&op| chaos.io_fault("s", op).is_some())
             .count();
         let rate = injected as f64 / n as f64;
         // disk 0.05 + eintr 0.10 + torn 0.05 = 0.20 expected.
@@ -461,14 +414,14 @@ mod tests {
         // The draw is keyed by the network only: any schedule of claims
         // across any worker count sees the same faults. The pinned
         // pattern keeps every recorded chaos schedule as it was.
-        let plan = ChaosPlan::sample(&ChaosConfig {
+        let chaos = ChaosConfig {
             worker_panic: 0.3,
             worker_stall: 0.3,
             seed: 11,
             ..ChaosConfig::none()
-        });
+        };
         let pattern: String = (0..30)
-            .map(|net| match plan.worker_fault(net) {
+            .map(|net| match chaos.worker_fault(net) {
                 Some(WorkerFault::Panic) => 'P',
                 Some(WorkerFault::Stall(_)) => 'S',
                 None => '.',
@@ -478,12 +431,11 @@ mod tests {
     }
 
     #[test]
-    fn kill_after_threads_through_plan() {
-        let plan = ChaosPlan::sample(&ChaosConfig {
+    fn kill_after_alone_is_chaos() {
+        let chaos = ChaosConfig {
             kill_after_appends: Some(5),
             ..ChaosConfig::none()
-        });
-        assert_eq!(plan.kill_after_appends(), Some(5));
-        assert!(!plan.is_trivial());
+        };
+        assert!(!chaos.is_none());
     }
 }

@@ -17,8 +17,9 @@
 use std::collections::HashSet;
 use std::error::Error as StdError;
 use std::fmt;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufReader, Read, Write};
 
+use osn_graph::io::read_capped_line;
 use osn_graph::{GraphBuilder, NodeId};
 
 use crate::{AccuError, AccuInstance, AccuInstanceBuilder, AttackOutcome, UserClass};
@@ -214,46 +215,6 @@ impl Default for InstanceReadOptions {
     }
 }
 
-/// Reads one line into `buf` (terminator excluded) without ever
-/// buffering more than `max_line_len` bytes. Returns `Ok(false)` at EOF
-/// with nothing read.
-fn read_capped_line<R: BufRead>(
-    reader: &mut R,
-    buf: &mut Vec<u8>,
-    max_line_len: usize,
-    lineno: usize,
-) -> Result<bool, InstanceIoError> {
-    buf.clear();
-    let mut saw_any = false;
-    loop {
-        let (done, used) = {
-            let available = reader.fill_buf()?;
-            if available.is_empty() {
-                (true, 0)
-            } else {
-                saw_any = true;
-                let pos = available.iter().position(|&b| b == b'\n');
-                let take = pos.unwrap_or(available.len());
-                if buf.len() + take > max_line_len {
-                    return Err(InstanceIoError::LineTooLong {
-                        line: lineno,
-                        limit: max_line_len,
-                    });
-                }
-                buf.extend_from_slice(&available[..take]);
-                match pos {
-                    Some(p) => (true, p + 1),
-                    None => (false, take),
-                }
-            }
-        };
-        reader.consume(used);
-        if done {
-            return Ok(saw_any);
-        }
-    }
-}
-
 /// Converts a parsed numeric field into a `u32` threshold, rejecting
 /// fractional, negative, non-finite, or overflowing values instead of
 /// silently truncating them through `as`.
@@ -304,7 +265,11 @@ pub fn read_instance_with<R: Read>(
     let mut lineno = 0usize;
     loop {
         lineno += 1;
-        if !read_capped_line(&mut reader, &mut buf, opts.max_line_len, lineno)? {
+        let too_long = || InstanceIoError::LineTooLong {
+            line: lineno,
+            limit: opts.max_line_len,
+        };
+        if !read_capped_line(&mut reader, &mut buf, opts.max_line_len, too_long)? {
             break;
         }
         let line = std::str::from_utf8(&buf).map_err(|_| InstanceIoError::Parse {

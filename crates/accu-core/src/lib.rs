@@ -75,7 +75,7 @@ pub mod theory;
 mod validate;
 mod view;
 
-pub use chaos::{chaos_metrics, ChaosConfig, ChaosPlan, IoFault, WorkerFault};
+pub use chaos::{chaos_metrics, ChaosConfig, IoFault, WorkerFault};
 pub use defense::{
     cautious_risk_scores, gatekeeper_scores, simulate_exposure, top_scored, ExposureReport,
 };

@@ -281,7 +281,17 @@ impl TraceAccumulator {
     /// between the series and `k`.
     pub fn from_json(s: &str) -> Result<Self, AccuError> {
         let doc = parse_json(s).map_err(|e| malformed(format!("invalid JSON: {e}")))?;
-        let Json::Obj(fields) = &doc else {
+        Self::from_json_value(&doc)
+    }
+
+    /// [`from_json`](TraceAccumulator::from_json) on an already parsed
+    /// document, such as the accumulator field of a checkpoint line.
+    ///
+    /// # Errors
+    ///
+    /// As [`from_json`](TraceAccumulator::from_json), except for syntax.
+    pub fn from_json_value(doc: &Json) -> Result<Self, AccuError> {
+        let Json::Obj(fields) = doc else {
             return Err(malformed("expected a JSON object".to_string()));
         };
         for (i, (key, _)) in fields.iter().enumerate() {

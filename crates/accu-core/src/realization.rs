@@ -47,7 +47,7 @@ fn mix(key: u64, id: usize) -> u64 {
 
 /// The top 53 bits of `x` as a uniform in `[0, 1)`.
 #[inline]
-fn unit(x: u64) -> f64 {
+pub(crate) fn unit(x: u64) -> f64 {
     (x >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 

@@ -8,7 +8,8 @@
 //! draw), and hands them back to the simulator
 //! ([`run_attack_with`](crate::run_attack_with)), which sizes them for
 //! the instance on its first episode, so further episodes allocate
-//! nothing at all.
+//! nothing at all. Every episode runs in one: [`run_attack`](crate::run_attack)
+//! fills a fresh arena with a copy of its realization.
 
 use crate::fault::FaultSummary;
 use crate::{AccuInstance, AttackOutcome, BenefitState, Observation, Realization};
@@ -29,36 +30,10 @@ pub mod engine_metrics {
     pub const CHUNK_NS: &str = "engine.chunk_ns";
 }
 
-/// The simulator-side half of the arena: observation, benefit state,
-/// the revealed-neighbor staging buffer and the outcome slot (whose
-/// trace and friend vectors are reused across episodes).
-#[derive(Debug, Clone)]
-pub(crate) struct SimScratch {
-    pub(crate) observation: Observation,
-    pub(crate) benefit: BenefitState,
-    pub(crate) revealed: Vec<osn_graph::NodeId>,
-    pub(crate) outcome: AttackOutcome,
-}
-
-impl SimScratch {
-    pub(crate) fn new() -> Self {
-        SimScratch {
-            observation: Observation::empty(),
-            benefit: BenefitState::empty(),
-            revealed: Vec::new(),
-            outcome: AttackOutcome {
-                trace: Vec::new(),
-                total_benefit: 0.0,
-                friends: Vec::new(),
-                cautious_friends: 0,
-                faults: FaultSummary::default(),
-            },
-        }
-    }
-}
-
 /// All per-episode state for the zero-allocation episode engine: the
-/// realization slot plus the simulator scratch.
+/// realization slot, the observation, the benefit state, the
+/// revealed-neighbor staging buffer and the outcome slot (whose trace
+/// and friend vectors are reused across episodes).
 ///
 /// # Examples
 ///
@@ -96,7 +71,10 @@ pub struct EpisodeScratch {
     /// The realization slot; sample it with
     /// [`Realization::sample_into`] before each episode.
     pub realization: Realization,
-    pub(crate) sim: SimScratch,
+    pub(crate) observation: Observation,
+    pub(crate) benefit: BenefitState,
+    pub(crate) revealed: Vec<osn_graph::NodeId>,
+    pub(crate) outcome: AttackOutcome,
     seen_nodes: usize,
     seen_edges: usize,
 }
@@ -106,7 +84,16 @@ impl EpisodeScratch {
     pub fn new() -> Self {
         EpisodeScratch {
             realization: Realization::empty(),
-            sim: SimScratch::new(),
+            observation: Observation::empty(),
+            benefit: BenefitState::empty(),
+            revealed: Vec::new(),
+            outcome: AttackOutcome {
+                trace: Vec::new(),
+                total_benefit: 0.0,
+                friends: Vec::new(),
+                cautious_friends: 0,
+                faults: FaultSummary::default(),
+            },
             seen_nodes: 0,
             seen_edges: 0,
         }
@@ -123,11 +110,6 @@ impl EpisodeScratch {
         self.seen_nodes = self.seen_nodes.max(nodes);
         self.seen_edges = self.seen_edges.max(edges);
         reuse
-    }
-
-    /// The outcome of the last episode run in this scratch.
-    pub fn outcome(&self) -> &AttackOutcome {
-        &self.sim.outcome
     }
 }
 

@@ -19,7 +19,7 @@ use accu_telemetry::{CounterHandle, HistogramHandle, Recorder, TraceTrack, Trace
 use osn_graph::NodeId;
 
 use crate::fault::{fault_metrics, FaultPlan, FaultSummary, RetryPolicy};
-use crate::scratch::{EpisodeScratch, SimScratch};
+use crate::scratch::EpisodeScratch;
 use crate::{
     AccuError, AccuInstance, AttackerView, MarginalGain, Observation, Policy, Realization,
 };
@@ -267,8 +267,9 @@ impl Default for AttackOptions<'_> {
 /// observed mutual-friend count, which by construction equals the true
 /// realized count `|N(v) ∩ N(s)|`.
 ///
-/// Allocates fresh buffers per call; Monte-Carlo loops use
-/// [`run_attack_with`] and an [`EpisodeScratch`] instead.
+/// Runs in a fresh [`EpisodeScratch`] holding a copy of `realization`;
+/// Monte-Carlo loops reuse one arena through [`run_attack_with`]
+/// instead.
 ///
 /// # Panics
 ///
@@ -279,16 +280,10 @@ pub fn run_attack(
     policy: &mut dyn Policy,
     k: usize,
 ) -> AttackOutcome {
-    let mut sim = SimScratch::new();
-    attack_core(
-        instance,
-        realization,
-        policy,
-        k,
-        &AttackOptions::default(),
-        &mut sim,
-    );
-    sim.outcome
+    let mut scratch = EpisodeScratch::new();
+    scratch.realization = realization.clone();
+    attack_core(instance, policy, k, &AttackOptions::default(), &mut scratch);
+    scratch.outcome
 }
 
 /// Runs one attack episode on `instance` under `opts`, entirely inside
@@ -321,15 +316,8 @@ pub fn run_attack_with<'s>(
     if let Some(believed) = opts.believed {
         check_topology(instance, believed)?;
     }
-    attack_core(
-        instance,
-        &scratch.realization,
-        policy,
-        k,
-        opts,
-        &mut scratch.sim,
-    );
-    Ok(&scratch.sim.outcome)
+    attack_core(instance, policy, k, opts, scratch);
+    Ok(&scratch.outcome)
 }
 
 /// [`run_attack_with`] with the fault plan, retry policy and recorder
@@ -385,7 +373,8 @@ enum AttemptFate {
 }
 
 /// The attack loop behind every entry point: the policy sees
-/// `opts.believed` (or `truth`), requests resolve, edges are revealed
+/// `opts.believed` (or `truth`), requests resolve against
+/// `scratch.realization`, edges are revealed
 /// (at the truth's probabilities, for a keyed realization) and benefit
 /// accrues on `truth`. Budget is consumed per *slot*: fault-free, one
 /// slot per request; under faults, failed attempts, backoff waits and
@@ -393,11 +382,10 @@ enum AttemptFate {
 /// `scratch` in place.
 fn attack_core(
     truth: &AccuInstance,
-    realization: &Realization,
     policy: &mut dyn Policy,
     k: usize,
     opts: &AttackOptions<'_>,
-    scratch: &mut SimScratch,
+    scratch: &mut EpisodeScratch,
 ) {
     let AttackOptions {
         believed,
@@ -416,12 +404,15 @@ fn attack_core(
         Some(FaultTelemetry::new(recorder))
     };
     let episode_span = tel.episode_ns.span();
-    let SimScratch {
+    let EpisodeScratch {
+        realization,
         observation,
         benefit,
         revealed,
         outcome,
+        ..
     } = scratch;
+    let realization = &*realization;
     observation.reset_for(truth);
     benefit.reset_for(truth);
     policy.reset(&AttackerView::new(believed, observation));

@@ -27,6 +27,8 @@ mod snap;
 mod spec;
 
 pub use fuzz::{run_fuzz, FuzzConfig, FuzzReport};
-pub use protocol::{apply_protocol, select_cautious_users, ProtocolConfig, ProtocolError};
+pub use protocol::{
+    apply_protocol, greedy_independent_set, select_cautious_users, ProtocolConfig, ProtocolError,
+};
 pub use snap::{load_snap, load_snap_reader, load_snap_sampled};
 pub use spec::{DatasetSpec, NetworkKind};

@@ -30,8 +30,9 @@ pub enum ProtocolError {
         /// The value supplied.
         value: f64,
     },
-    /// The assembled instance failed its own validation (unreachable
-    /// with a config that passes [`ProtocolConfig::validate`]).
+    /// The assembled instance failed the builder's checks, e.g. a
+    /// benefit violating `B_f ≥ B_fof ≥ 0`
+    /// ([`AccuError::InvalidBenefit`]).
     Instance(AccuError),
 }
 
@@ -118,13 +119,17 @@ impl Default for ProtocolConfig {
 
 impl ProtocolConfig {
     /// Checks the config for degenerate parameters: a NaN, infinite or
-    /// negative `threshold_fraction`, a zero `cautious_count`, an
-    /// inverted degree band, or benefits violating `B_f ≥ B_fof ≥ 0`.
+    /// negative `threshold_fraction`, a zero `cautious_count`, or an
+    /// inverted degree band.
     ///
     /// [`apply_protocol`] calls this before touching the graph, so a bad
     /// sweep value fails with a typed error naming the parameter instead
-    /// of surfacing as a confusing instance-builder failure (or, worse,
-    /// silently producing a degenerate experiment cell).
+    /// of silently producing a degenerate experiment cell. Benefits are
+    /// not checked here: `B_f ≥ B_fof ≥ 0` is the instance builder's
+    /// rule, and [`apply_protocol`] reports a violation as
+    /// [`ProtocolError::Instance`]. A cautious `B_f` reaches the builder
+    /// only through a selected cautious user, so a bad one passes when
+    /// the degree band yields none.
     ///
     /// # Errors
     ///
@@ -152,31 +157,6 @@ impl ProtocolConfig {
                 value: self.threshold_fraction,
             });
         }
-        if !self.fof_benefit.is_finite() || self.fof_benefit < 0.0 {
-            return Err(ProtocolError::InvalidParameter {
-                what: "fof_benefit",
-                requirement: "B_fof must be finite and non-negative",
-                value: self.fof_benefit,
-            });
-        }
-        if !self.reckless_friend_benefit.is_finite()
-            || self.reckless_friend_benefit < self.fof_benefit
-        {
-            return Err(ProtocolError::InvalidParameter {
-                what: "reckless_friend_benefit",
-                requirement: "B_f must be finite and ≥ B_fof",
-                value: self.reckless_friend_benefit,
-            });
-        }
-        if !self.cautious_friend_benefit.is_finite()
-            || self.cautious_friend_benefit < self.fof_benefit
-        {
-            return Err(ProtocolError::InvalidParameter {
-                what: "cautious_friend_benefit",
-                requirement: "B_f must be finite and ≥ B_fof",
-                value: self.cautious_friend_benefit,
-            });
-        }
         Ok(())
     }
 
@@ -195,8 +175,7 @@ impl ProtocolConfig {
 }
 
 /// Selects cautious users per the paper's procedure: shuffle the degree
-/// band, then greedily keep nodes that are not adjacent to any already
-/// selected node, until `count` users are chosen or candidates run out.
+/// band, then keep a [`greedy_independent_set`] in that order.
 ///
 /// Returns the selected nodes, sorted by id.
 pub fn select_cautious_users<R: Rng + ?Sized>(
@@ -211,9 +190,18 @@ pub fn select_cautious_users<R: Rng + ?Sized>(
         let j = rng.gen_range(0..=i);
         candidates.swap(i, j);
     }
+    let mut chosen = greedy_independent_set(graph, &candidates, count);
+    chosen.sort_unstable();
+    chosen
+}
+
+/// Walks `ordered` and greedily keeps each node not adjacent to one
+/// already kept, until `count` nodes are kept or the order runs out.
+/// Returns them in the order kept.
+pub fn greedy_independent_set(graph: &Graph, ordered: &[NodeId], count: usize) -> Vec<NodeId> {
     let mut chosen: Vec<NodeId> = Vec::with_capacity(count);
     let mut blocked = vec![false; graph.node_count()];
-    for v in candidates {
+    for &v in ordered {
         if chosen.len() == count {
             break;
         }
@@ -226,7 +214,6 @@ pub fn select_cautious_users<R: Rng + ?Sized>(
             blocked[w.index()] = true;
         }
     }
-    chosen.sort_unstable();
     chosen
 }
 
@@ -237,8 +224,10 @@ pub fn select_cautious_users<R: Rng + ?Sized>(
 ///
 /// Returns [`ProtocolError::InvalidParameter`] for a degenerate config
 /// (checked up front by [`ProtocolConfig::validate`]) and
-/// [`ProtocolError::Instance`] if instance assembly fails (unreachable
-/// with a validated config).
+/// [`ProtocolError::Instance`] when the builder rejects the assembled
+/// instance: a benefit violating `B_f ≥ B_fof ≥ 0` on some user
+/// ([`AccuError::InvalidBenefit`]). A bad cautious `B_f` is set on no
+/// user, and so builds, when the degree band yields no cautious user.
 ///
 /// # Examples
 ///
@@ -421,7 +410,7 @@ mod tests {
 
     #[test]
     fn validate_rejects_degenerate_parameters_with_typed_errors() {
-        let cases: [(ProtocolConfig, &str); 6] = [
+        let cases: [(ProtocolConfig, &str); 4] = [
             (
                 ProtocolConfig {
                     cautious_count: 0,
@@ -450,20 +439,6 @@ mod tests {
                 },
                 "threshold_fraction",
             ),
-            (
-                ProtocolConfig {
-                    fof_benefit: -1.0,
-                    ..Default::default()
-                },
-                "fof_benefit",
-            ),
-            (
-                ProtocolConfig {
-                    cautious_friend_benefit: 0.5, // below fof_benefit = 1.0
-                    ..Default::default()
-                },
-                "cautious_friend_benefit",
-            ),
         ];
         for (cfg, field) in cases {
             match cfg.validate().unwrap_err() {
@@ -473,17 +448,72 @@ mod tests {
         }
     }
 
+    /// `apply_protocol` on a Facebook stand-in whose degree band yields
+    /// cautious users.
+    fn protocol_on_cautious_graph(cfg: &ProtocolConfig) -> Result<AccuInstance, ProtocolError> {
+        let mut rng = StdRng::seed_from_u64(3);
+        let g = DatasetSpec::facebook()
+            .scaled(0.1)
+            .generate(&mut rng)
+            .unwrap();
+        assert!(!select_cautious_users(&g, cfg.degree_band, 1, &mut rng.clone()).is_empty());
+        apply_protocol(g, cfg, &mut rng)
+    }
+
+    #[test]
+    fn the_builder_rejects_benefits_out_of_order() {
+        for cfg in [
+            ProtocolConfig {
+                fof_benefit: -1.0,
+                ..Default::default()
+            },
+            ProtocolConfig {
+                reckless_friend_benefit: 0.5, // below fof_benefit = 1.0
+                ..Default::default()
+            },
+            ProtocolConfig {
+                cautious_friend_benefit: 0.5,
+                ..Default::default()
+            },
+            ProtocolConfig {
+                cautious_friend_benefit: f64::INFINITY,
+                ..Default::default()
+            },
+        ] {
+            assert!(cfg.validate().is_ok(), "validate leaves benefits alone");
+            match protocol_on_cautious_graph(&cfg).unwrap_err() {
+                ProtocolError::Instance(AccuError::InvalidBenefit { .. }) => {}
+                other => panic!("expected InvalidBenefit, got {other:?}"),
+            }
+        }
+    }
+
     #[test]
     fn benefit_parameter_errors_name_the_paper_symbol() {
         // Downstream quarantine reporting keys off the B_f symbol, so the
         // message must carry it.
-        let err = ProtocolConfig {
+        let err = protocol_on_cautious_graph(&ProtocolConfig {
             cautious_friend_benefit: 0.5,
             ..Default::default()
-        }
-        .validate()
+        })
         .unwrap_err();
         assert!(err.to_string().contains("B_f"), "message: {err}");
+    }
+
+    #[test]
+    fn a_bad_cautious_benefit_builds_when_no_user_is_cautious() {
+        let mut rng = StdRng::seed_from_u64(3);
+        let g = DatasetSpec::facebook()
+            .scaled(0.1)
+            .generate(&mut rng)
+            .unwrap();
+        let cfg = ProtocolConfig {
+            degree_band: (g.node_count(), g.node_count()),
+            cautious_friend_benefit: 0.5,
+            ..Default::default()
+        };
+        let inst = apply_protocol(g, &cfg, &mut rng).unwrap();
+        assert!(inst.cautious_users().is_empty());
     }
 
     #[test]

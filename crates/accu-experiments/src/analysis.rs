@@ -13,7 +13,6 @@
 use std::io;
 use std::path::Path;
 
-use accu_telemetry::obs::TRAJECTORY_SCHEMA;
 use accu_telemetry::trace::{parse_json, Json};
 use accu_telemetry::{HistogramSnapshot, Snapshot};
 
@@ -291,6 +290,16 @@ pub struct TrajectoryEntry {
     /// Entry schema version (1 when the field is absent).
     pub schema: u64,
 }
+
+/// Schema version stamped onto `BENCH_trajectory.jsonl` entries.
+///
+/// Version history: entries without a `schema` field are version 1 (the
+/// original `date`/`bench`/`fixture`/`budget`/`eps_per_sec`/`status`
+/// shape); version 2 added the `schema` and `git` fields themselves.
+/// `bench_engine` and `scale_sweep` write entries; [`load_trajectory`]
+/// skips entries from schemas *newer* than it understands, so an old
+/// binary never misreads a future format.
+pub const TRAJECTORY_SCHEMA: u64 = 2;
 
 /// Loads the bench trajectory, returning the parsed entries plus the
 /// count of lines skipped (unparseable, or a schema newer than

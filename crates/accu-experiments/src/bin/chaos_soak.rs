@@ -26,9 +26,7 @@ use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::time::Instant;
 
-use accu_core::{
-    ChaosConfig, ChaosPlan, FaultConfig, RetryPolicy, TraceAccumulator, ValidationMode,
-};
+use accu_core::{ChaosConfig, FaultConfig, RetryPolicy, TraceAccumulator, ValidationMode};
 use accu_datasets::{DatasetSpec, ProtocolConfig};
 use accu_experiments::output::series_table;
 use accu_experiments::{
@@ -101,7 +99,7 @@ fn heal_profile(fig_seed: u64, config: ChaosConfig) -> bool {
         &figure,
         PolicyKind::abm_balanced(),
         RunOptions {
-            chaos: ChaosPlan::sample(&config),
+            chaos: config,
             max_workers: Some(2),
             ..RunOptions::default()
         },
@@ -165,7 +163,7 @@ fn checkpoint_chaos_profile(fig_seed: u64, config: ChaosConfig, path: &Path) -> 
                 return false;
             }
         };
-        ckpt.attach_chaos(&ChaosPlan::sample(&config), &Recorder::disabled());
+        ckpt.attach_chaos(&config, &Recorder::disabled());
         // The faulted pass: an append error aborts checkpointing but
         // not the run, so Ok and Err(Checkpoint) are both legitimate.
         let _ = run_policy_with(
@@ -227,7 +225,7 @@ fn run_kill_child(path: &str, kill_after: u64, fig_seed: u64) {
         kill_after_appends: Some(kill_after),
         ..ChaosConfig::none()
     };
-    ckpt.attach_chaos(&ChaosPlan::sample(&kill), &Recorder::disabled());
+    ckpt.attach_chaos(&kill, &Recorder::disabled());
     let _ = run_policy_with(
         &figure,
         PolicyKind::abm_balanced(),

@@ -17,7 +17,7 @@ use accu_core::policy::{Abm, AbmWeights};
 use accu_core::{
     run_attack_with, AccuInstance, AccuInstanceBuilder, AttackOptions, EpisodeScratch, UserClass,
 };
-use accu_datasets::{select_cautious_users, DatasetSpec, ProtocolConfig};
+use accu_datasets::{greedy_independent_set, select_cautious_users, DatasetSpec, ProtocolConfig};
 use accu_experiments::output::{fnum, Table};
 use accu_experiments::{Cli, Telemetry};
 use osn_graph::algo::core_numbers;
@@ -74,15 +74,15 @@ fn main() {
 
     // Three placements of `count` cautious users.
     let band = select_cautious_users(&graph, cfg.degree_band, count, &mut rng);
-    let mut by_core: Vec<NodeId> = graph.nodes().collect();
+    let mut by_core: Vec<NodeId> = graph.nodes().filter(|&v| graph.degree(v) > 0).collect();
     by_core.sort_by_key(|v| std::cmp::Reverse(cores[v.index()]));
-    let core_set = independent_prefix(&graph, &by_core, count);
+    let core_set = greedy_independent_set(&graph, &by_core, count);
     let mut shuffled: Vec<NodeId> = graph.nodes().filter(|&v| graph.degree(v) >= 2).collect();
     for i in (1..shuffled.len()).rev() {
         let j = rng.gen_range(0..=i);
         shuffled.swap(i, j);
     }
-    let uniform = independent_prefix(&graph, &shuffled, count);
+    let uniform = greedy_independent_set(&graph, &shuffled, count);
 
     println!(
         "Cautious-placement ablation: {} users, {} cautious each, ABM k={k}, {runs} runs\n",
@@ -144,24 +144,4 @@ fn main() {
     if let Err(e) = tel.report() {
         eprintln!("telemetry write failed: {e}");
     }
-}
-
-/// Greedily keeps a pairwise non-adjacent prefix of `ordered`.
-fn independent_prefix(graph: &Graph, ordered: &[NodeId], count: usize) -> Vec<NodeId> {
-    let mut blocked = vec![false; graph.node_count()];
-    let mut out = Vec::with_capacity(count);
-    for &v in ordered {
-        if out.len() == count {
-            break;
-        }
-        if blocked[v.index()] || graph.degree(v) == 0 {
-            continue;
-        }
-        out.push(v);
-        blocked[v.index()] = true;
-        for &w in graph.neighbors(v) {
-            blocked[w.index()] = true;
-        }
-    }
-    out
 }

@@ -4,7 +4,7 @@
 //!
 //! [`ChaosSite`] names one sink (`"checkpoint"`, `"progress"`,
 //! `"trace"`), hands out per-operation faults from the run's
-//! [`ChaosPlan`] and counts each fault it injects under `chaos.*` on a
+//! [`ChaosConfig`] and counts each fault it injects under `chaos.*` on a
 //! [`Recorder`]; [`ChaosFile`] wraps any writer and realizes those
 //! faults as real `io::Error`s — `ErrorKind::Interrupted` (which
 //! `write_all` transparently retries, exercising the retry path without
@@ -12,10 +12,10 @@
 //! lands half the buffer before erroring. [`atomic_write`] is the
 //! temp-file + rename + `sync_all` (file and directory) primitive used
 //! for crash-durable file replacement. Every sink writes through a
-//! site; a site with a trivial plan ([`ChaosSite::none`], or any site
-//! of a run without `--chaos`) injects nothing.
+//! site; a site on [`ChaosConfig::none`] ([`ChaosSite::none`], or any
+//! site of a run without `--chaos`) injects nothing.
 
-use accu_core::{chaos_metrics, ChaosPlan, IoFault};
+use accu_core::{chaos_metrics, ChaosConfig, IoFault};
 use accu_telemetry::Recorder;
 use std::fs;
 use std::io::{self, Write};
@@ -24,23 +24,23 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// One named failpoint site: a monotone operation counter plus the
-/// run's chaos plan and the recorder its injected faults are counted
+/// run's chaos config and the recorder its injected faults are counted
 /// on. Cloning shares the counter, so a site can be consulted from
 /// several layers of a sink stack without double counting operations.
 #[derive(Debug, Clone)]
 pub struct ChaosSite {
-    plan: ChaosPlan,
+    chaos: ChaosConfig,
     name: &'static str,
     ops: Arc<AtomicU64>,
     recorder: Recorder,
 }
 
 impl ChaosSite {
-    /// Creates a site drawing from `plan`'s stream for `name` that
+    /// Creates a site drawing from `chaos`'s stream for `name` that
     /// counts each fault it injects on `recorder`.
-    pub fn new(plan: ChaosPlan, name: &'static str, recorder: &Recorder) -> Self {
+    pub fn new(chaos: ChaosConfig, name: &'static str, recorder: &Recorder) -> Self {
         ChaosSite {
-            plan,
+            chaos,
             name,
             ops: Arc::new(AtomicU64::new(0)),
             recorder: recorder.clone(),
@@ -49,18 +49,18 @@ impl ChaosSite {
 
     /// A site that never injects a fault.
     pub fn none() -> Self {
-        ChaosSite::new(ChaosPlan::none(), "none", &Recorder::disabled())
+        ChaosSite::new(ChaosConfig::none(), "none", &Recorder::disabled())
     }
 
     /// Draws the fault (if any) for the next operation at this site and
     /// counts it under `chaos.io_faults` and its kind's counter. Returns
     /// `None` on the fault-free fast path.
     pub fn next_fault(&self) -> Option<IoFault> {
-        if self.plan.is_trivial() {
+        if self.chaos.is_none() {
             return None;
         }
         let op = self.ops.fetch_add(1, Ordering::Relaxed);
-        let fault = self.plan.io_fault(self.name, op)?;
+        let fault = self.chaos.io_fault(self.name, op)?;
         let kind = match fault {
             IoFault::DiskFull => chaos_metrics::DISK_FULL,
             IoFault::Interrupted => chaos_metrics::EINTR,
@@ -175,7 +175,6 @@ pub fn sync_parent_dir(path: &Path) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use accu_core::ChaosConfig;
 
     fn temp_dir(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -188,9 +187,9 @@ mod tests {
         dir
     }
 
-    /// A site on `config`'s plan whose faults `recorder` counts.
+    /// A site on `config` whose faults `recorder` counts.
     fn site(config: ChaosConfig, recorder: &Recorder) -> ChaosSite {
-        ChaosSite::new(ChaosPlan::sample(&config), "t", recorder)
+        ChaosSite::new(config, "t", recorder)
     }
 
     /// The `chaos.*` counters `recorder` holds, by name.
@@ -206,7 +205,7 @@ mod tests {
     #[test]
     fn trivial_site_never_faults_and_counts_nothing() {
         let rec = Recorder::enabled();
-        let site = ChaosSite::new(ChaosPlan::none(), "checkpoint", &rec);
+        let site = ChaosSite::new(ChaosConfig::none(), "checkpoint", &rec);
         for _ in 0..100 {
             assert_eq!(site.next_fault(), None);
         }
@@ -340,7 +339,7 @@ mod tests {
                 }
             })
             .collect();
-        let alone = ChaosSite::new(ChaosPlan::sample(&config), "t", &Recorder::disabled());
+        let alone = ChaosSite::new(config, "t", &Recorder::disabled());
         let expected: Vec<Option<IoFault>> = (0..32).map(|_| alone.next_fault()).collect();
         assert_eq!(interleaved, expected);
         let faults = expected.iter().flatten().count() as u64;

@@ -21,7 +21,7 @@
 //!   drains userspace buffers — acknowledged lines could still be lost
 //!   in the page cache.)
 //! * A truncated final line (the signature a crash mid-append leaves
-//!   behind) is detected by the parser and simply dropped: that network
+//!   behind) does not parse as JSON and is simply dropped: that network
 //!   is recomputed on resume.
 //!
 //! Appends go through a failpoint site that injects nothing until
@@ -35,8 +35,8 @@ use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use accu_core::{ChaosPlan, TraceAccumulator};
-use accu_telemetry::{json_escape, Recorder};
+use accu_core::{ChaosConfig, TraceAccumulator};
+use accu_telemetry::{json_escape, parse_json, Recorder};
 
 use crate::chaosfs::{atomic_write, ChaosFile, ChaosSite};
 use crate::runner::RunnerError;
@@ -50,8 +50,8 @@ const HEADER: &str = "{\"accu_checkpoint\":1}";
 pub struct Checkpoint {
     path: PathBuf,
     file: File,
-    /// (cell, network) → serialized accumulator, as loaded at open time.
-    entries: BTreeMap<(String, usize), String>,
+    /// (cell, network) → accumulator, as loaded at open time.
+    entries: BTreeMap<(String, usize), TraceAccumulator>,
     /// Lines dropped at load because they did not parse (a crashed
     /// append leaves at most one).
     skipped_lines: usize,
@@ -113,9 +113,9 @@ impl Checkpoint {
             if line.trim().is_empty() || line == HEADER {
                 continue;
             }
-            match parse_entry(line) {
-                Some((cell, net, acc_json)) => {
-                    entries.insert((cell, net), acc_json);
+            match read_entry(line) {
+                Some((key, acc)) => {
+                    entries.insert(key, acc);
                 }
                 None => skipped += 1,
             }
@@ -164,10 +164,10 @@ impl Checkpoint {
     /// Routes subsequent appends through the run's seeded chaos
     /// schedule (failpoint site `"checkpoint"`, its injected faults
     /// counted on `recorder`) and arms the deterministic `kill-after`
-    /// abort, if configured. A trivial plan injects nothing.
-    pub fn attach_chaos(&mut self, plan: &ChaosPlan, recorder: &Recorder) {
-        self.site = ChaosSite::new(*plan, "checkpoint", recorder);
-        self.kill_after = plan.kill_after_appends();
+    /// abort, if configured. [`ChaosConfig::none`] injects nothing.
+    pub fn attach_chaos(&mut self, chaos: &ChaosConfig, recorder: &Recorder) {
+        self.site = ChaosSite::new(*chaos, "checkpoint", recorder);
+        self.kill_after = chaos.kill_after_appends;
     }
 
     /// Number of unparseable lines dropped at load time.
@@ -180,18 +180,11 @@ impl Checkpoint {
         self.entries.len()
     }
 
-    /// The completed networks recorded for `cell`, deserialized.
-    ///
-    /// Entries that fail to deserialize are dropped (treated like
-    /// truncated lines): their networks are simply recomputed.
+    /// The completed networks recorded for `cell`.
     pub fn completed(&self, cell: &str) -> BTreeMap<usize, TraceAccumulator> {
         self.entries
             .range((cell.to_string(), 0)..=(cell.to_string(), usize::MAX))
-            .filter_map(|((_, net), acc_json)| {
-                TraceAccumulator::from_json(acc_json)
-                    .ok()
-                    .map(|a| (*net, a))
-            })
+            .map(|((_, net), acc)| (*net, acc.clone()))
             .collect()
     }
 
@@ -237,26 +230,15 @@ impl Checkpoint {
     }
 }
 
-/// Parses one entry line into `(cell, net, accumulator-json)`. Returns
-/// `None` on any malformation — the caller drops such lines.
-fn parse_entry(line: &str) -> Option<(String, usize, String)> {
-    let rest = line.strip_prefix("{\"cell\":\"")?;
-    // Cell labels are written through `json_escape`, but contain no
-    // characters that escape in practice; reject the line if any did.
-    let quote = rest.find('"')?;
-    let cell = &rest[..quote];
-    if cell.contains('\\') {
-        return None;
-    }
-    let rest = rest[quote + 1..].strip_prefix(",\"net\":")?;
-    let comma = rest.find(',')?;
-    let net: usize = rest[..comma].parse().ok()?;
-    let acc_json = rest[comma + 1..].strip_prefix("\"acc\":")?;
-    let acc_json = acc_json.strip_suffix('}')?;
-    // Validate eagerly so a truncated accumulator object is dropped at
-    // load time, not discovered later.
-    TraceAccumulator::from_json(acc_json).ok()?;
-    Some((cell.to_string(), net, acc_json.to_string()))
+/// Reads one entry line as `((cell, net), accumulator)`. Returns
+/// `None` for a line that is not a whole entry (a torn append): the
+/// caller drops it.
+fn read_entry(line: &str) -> Option<((String, usize), TraceAccumulator)> {
+    let doc = parse_json(line).ok()?;
+    let cell = doc.get("cell")?.as_str()?.to_string();
+    let net = usize::try_from(doc.get("net")?.as_u64()?).ok()?;
+    let acc = TraceAccumulator::from_json_value(doc.get("acc")?).ok()?;
+    Some(((cell, net), acc))
 }
 
 #[cfg(test)]
@@ -300,6 +282,28 @@ mod tests {
         assert_eq!(a[&0], acc);
         assert_eq!(ckpt.completed("cellB").len(), 1);
         assert!(ckpt.completed("cellC").is_empty());
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn labels_with_escaped_characters_round_trip() {
+        // `record` writes the label through `json_escape`; a label with
+        // a quote, a newline or a backslash must resume like any other
+        // instead of reading as a torn line.
+        let path = temp_path("escaped-label");
+        let acc = sample_acc();
+        let label = "fig \"quick\"\nsecond line \\ end";
+        {
+            let mut ckpt = Checkpoint::create(&path).unwrap();
+            ckpt.record(label, 4, &acc).unwrap();
+        }
+        let contents = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(contents.lines().count(), 2, "header plus one entry line");
+        let ckpt = Checkpoint::resume(&path).unwrap();
+        assert_eq!(ckpt.skipped_lines(), 0);
+        let done = ckpt.completed(label);
+        assert_eq!(done.keys().copied().collect::<Vec<_>>(), vec![4]);
+        assert_eq!(done[&4], acc);
         std::fs::remove_file(&path).ok();
     }
 
@@ -384,17 +388,16 @@ mod tests {
 
     #[test]
     fn injected_torn_append_is_recoverable_on_resume() {
-        use accu_core::{ChaosConfig, ChaosPlan};
         let path = temp_path("chaos-torn");
         let acc = sample_acc();
         {
             let mut ckpt = Checkpoint::create(&path).unwrap();
             ckpt.record("cell", 0, &acc).unwrap();
             ckpt.attach_chaos(
-                &ChaosPlan::sample(&ChaosConfig {
+                &ChaosConfig {
                     torn_write: 1.0,
                     ..ChaosConfig::none()
-                }),
+                },
                 &Recorder::disabled(),
             );
             let err = ckpt.record("cell", 1, &acc).unwrap_err();
@@ -414,18 +417,18 @@ mod tests {
 
     #[test]
     fn injected_eintr_does_not_lose_appends() {
-        use accu_core::{chaos_metrics, ChaosConfig, ChaosPlan};
+        use accu_core::chaos_metrics;
         let path = temp_path("chaos-eintr");
         let acc = sample_acc();
         let recorder = Recorder::enabled();
         {
             let mut ckpt = Checkpoint::create(&path).unwrap();
             ckpt.attach_chaos(
-                &ChaosPlan::sample(&ChaosConfig {
+                &ChaosConfig {
                     eintr: 0.5,
                     seed: 21,
                     ..ChaosConfig::none()
-                }),
+                },
                 &recorder,
             );
             for net in 0..8 {

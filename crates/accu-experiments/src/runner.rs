@@ -49,7 +49,7 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
-use accu_core::chaos::{chaos_metrics, ChaosPlan, WorkerFault};
+use accu_core::chaos::{chaos_metrics, ChaosConfig, WorkerFault};
 use accu_core::policy::{
     Abm, AbmWeights, CentralityKind, CentralityPolicy, MaxDegree, PageRankPolicy, Random, Snowball,
 };
@@ -429,7 +429,7 @@ pub struct RunOptions<'a> {
     pub max_workers: Option<usize>,
     /// Infrastructure chaos schedule (worker panics / stalls injected at
     /// network claim). The trivial default injects nothing at zero cost.
-    pub chaos: ChaosPlan,
+    pub chaos: ChaosConfig,
     /// Soft deadline; once it passes, networks not yet claimed are shed
     /// instead of run (graceful degradation), except the first
     /// [`DEADLINE_MIN_NETWORKS`]. Networks are claimed in ascending
@@ -446,7 +446,7 @@ impl Default for RunOptions<'_> {
             events: Observer::disabled(),
             checkpoint: None,
             max_workers: None,
-            chaos: ChaosPlan::none(),
+            chaos: ChaosConfig::none(),
             deadline: None,
         }
     }
@@ -787,7 +787,7 @@ struct RunCtx<'env, 'ck> {
     tracer: &'env Tracer,
     /// Progress observer for the lifecycle events.
     events: &'env Observer,
-    chaos: ChaosPlan,
+    chaos: ChaosConfig,
     deadline: Option<Instant>,
     /// Networks not yet claimed, in index order. A lineup that fails
     /// clears it, so every worker stops at its next claim.
@@ -1000,7 +1000,7 @@ fn settle(ctx: &RunCtx<'_, '_>, w: &mut Worker, net: usize) -> Option<Vec<Fate>>
     }))
 }
 
-/// Injects the chaos plan's worker fault for network `net`, if any: a
+/// Injects the chaos config's worker fault for network `net`, if any: a
 /// stall, or a panic raised with [`resume_unwind`], which skips the
 /// panic hook, so a healed injected panic prints only its restart line.
 fn inject_worker_fault(ctx: &RunCtx<'_, '_>, net: usize) {
@@ -1968,10 +1968,10 @@ mod tests {
         // clean run bit-for-bit.
         let fig = tiny_figure();
         let reference = run(&fig, PolicyKind::abm_balanced());
-        let chaos = ChaosPlan::sample(&accu_core::ChaosConfig {
+        let chaos = ChaosConfig {
             worker_panic: 1.0,
-            ..accu_core::ChaosConfig::none()
-        });
+            ..ChaosConfig::none()
+        };
         let recorder = Recorder::enabled();
         let report = run_policy_with(
             &fig,
@@ -2059,11 +2059,11 @@ mod tests {
             runs_per_network: 1,
             ..tiny_figure()
         };
-        let chaos = ChaosPlan::sample(&accu_core::ChaosConfig {
+        let chaos = ChaosConfig {
             worker_stall: 1.0,
             stall_ms: 30,
-            ..accu_core::ChaosConfig::none()
-        });
+            ..ChaosConfig::none()
+        };
         for workers in [1usize, 3] {
             let report = run_policy_with(
                 &fig,
@@ -2101,10 +2101,10 @@ mod tests {
         // twice: each spends one restart on its retry, then dies at
         // stage "supervisor", exactly once.
         let fig = tiny_figure();
-        let chaos = ChaosPlan::sample(&accu_core::ChaosConfig {
+        let chaos = ChaosConfig {
             worker_panic: 1.0,
-            ..accu_core::ChaosConfig::none()
-        });
+            ..ChaosConfig::none()
+        };
         let recorder = Recorder::enabled();
         REPEAT_CHAOS.set(true);
         let report = run_policy_with(
@@ -2174,16 +2174,15 @@ mod tests {
         // A chaos seed that stalls network 0 for 200 ms and leaves
         // networks 1 and 2 alone, so on 3 workers they retire first.
         let chaos = (0..)
-            .map(|seed| {
-                ChaosPlan::sample(&accu_core::ChaosConfig {
-                    worker_stall: 0.5,
-                    stall_ms: 200,
-                    seed,
-                    ..accu_core::ChaosConfig::none()
-                })
+            .map(|seed| ChaosConfig {
+                worker_stall: 0.5,
+                stall_ms: 200,
+                seed,
+                ..ChaosConfig::none()
             })
-            .find(|plan| {
-                plan.worker_fault(0).is_some() && (1..3).all(|net| plan.worker_fault(net).is_none())
+            .find(|chaos| {
+                chaos.worker_fault(0).is_some()
+                    && (1..3).all(|net| chaos.worker_fault(net).is_none())
             })
             .unwrap();
         let cells = paper_cells(&tiny_figure());
@@ -2231,10 +2230,10 @@ mod tests {
             (fig.clone(), PolicyKind::MaxDegree),
             (fig, PolicyKind::Random),
         ];
-        let chaos = ChaosPlan::sample(&accu_core::ChaosConfig {
+        let chaos = ChaosConfig {
             worker_panic: 1.0,
-            ..accu_core::ChaosConfig::none()
-        });
+            ..ChaosConfig::none()
+        };
         for workers in [1, 3] {
             let path = temp(&format!("abort-{workers}"));
             let sink = accu_telemetry::JsonlSink::create(&path).unwrap();

@@ -19,7 +19,7 @@ use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use accu_core::policy::abm_metrics;
-use accu_core::{fault_metrics, sim_metrics, validate_metrics, ChaosPlan, TraceAccumulator};
+use accu_core::{fault_metrics, sim_metrics, validate_metrics, ChaosConfig, TraceAccumulator};
 use accu_telemetry::obs::{MetricsServer, Observer, Watchdog, WatchdogConfig};
 use accu_telemetry::{Event, JsonlSink, Recorder, Snapshot, Tracer, DEFAULT_TRACK_CAPACITY};
 
@@ -89,11 +89,11 @@ pub struct Telemetry {
     /// `--watchdog=strict`: [`Telemetry::report`] exits nonzero when
     /// any alarm fired.
     strict_watchdog: bool,
-    /// The run's chaos plan (trivial without `--chaos`), forwarded
+    /// The run's chaos config (none without `--chaos`), forwarded
     /// into every [`Telemetry::run`], the checkpoint and every file
     /// sink the handle owns so one seeded schedule covers the whole
     /// process. Each sink counts the faults it injects on `recorder`.
-    chaos: ChaosPlan,
+    chaos: ChaosConfig,
     /// Absolute soft deadline, derived once from `--deadline` so every
     /// lineup of a binary shares the same wall-clock budget.
     deadline_at: Option<Instant>,
@@ -139,10 +139,7 @@ impl Telemetry {
             eprintln!("error: {what}: {err}");
             std::process::exit(2);
         };
-        let chaos = match &cli.chaos {
-            Some(config) => ChaosPlan::sample(config),
-            None => ChaosPlan::none(),
-        };
+        let chaos = cli.chaos.unwrap_or_default();
         let recorder = Recorder::new(cli.telemetry || cli.metrics_addr.is_some());
         let observer = match &cli.progress {
             // The JSONL stream goes through a failpoint, so under chaos
@@ -231,11 +228,6 @@ impl Telemetry {
     /// Whether a `--watchdog` is armed on this handle.
     pub fn watchdog_armed(&self) -> bool {
         self.watchdog.is_some()
-    }
-
-    /// The run's chaos plan (trivial unless `--chaos` was passed).
-    pub fn chaos(&self) -> &ChaosPlan {
-        &self.chaos
     }
 
     /// Runs one lineup — cells over the same sampled networks, see
@@ -795,13 +787,13 @@ mod tests {
         let dir = std::env::temp_dir().join("accu-trace-pair-test");
         std::fs::create_dir_all(&dir).unwrap();
         let chrome = dir.join("t.json");
-        // A plan whose first trace write lands and whose second (the
+        // A schedule whose first trace write lands and whose second (the
         // causal log) is torn, and one that tears both.
         let second_only = (0..1_000u64)
             .map(|seed| format!("torn=0.5,seed={seed}"))
             .find(|spec| {
-                let plan = ChaosPlan::sample(&accu_core::ChaosConfig::parse(spec).unwrap());
-                plan.io_fault("trace", 0).is_none() && plan.io_fault("trace", 1).is_some()
+                let chaos = ChaosConfig::parse(spec).unwrap();
+                chaos.io_fault("trace", 0).is_none() && chaos.io_fault("trace", 1).is_some()
             })
             .expect("some seed tears only the causal log");
         for chaos in ["torn=1.0", second_only.as_str()] {

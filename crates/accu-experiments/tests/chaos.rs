@@ -5,7 +5,7 @@
 
 use std::time::Instant;
 
-use accu_core::{ChaosConfig, ChaosPlan, FaultConfig, RetryPolicy, ValidationMode};
+use accu_core::{ChaosConfig, FaultConfig, RetryPolicy, ValidationMode};
 use accu_datasets::{DatasetSpec, ProtocolConfig};
 use accu_experiments::{
     run_policy_with, Checkpoint, FigureRun, PolicyKind, RunOptions, DEADLINE_MIN_NETWORKS,
@@ -118,7 +118,7 @@ proptest! {
             &figure,
             PolicyKind::abm_balanced(),
             RunOptions {
-                chaos: ChaosPlan::sample(&config),
+                chaos: config,
                 max_workers: Some(2),
                 ..RunOptions::default()
             },
@@ -161,7 +161,7 @@ proptest! {
                     ..ChaosConfig::none()
                 }
             };
-            ckpt.attach_chaos(&ChaosPlan::sample(&config), &Recorder::disabled());
+            ckpt.attach_chaos(&config, &Recorder::disabled());
             // The faulted pass may legitimately end with a checkpoint
             // error; the run itself still completes in memory.
             let _ = run_policy_with(

@@ -5,7 +5,7 @@
 use std::time::Instant;
 
 use accu_core::{
-    repair_instance, run_attack_episode, run_attack_with, AttackOptions, ChaosConfig, ChaosPlan,
+    repair_instance, run_attack_episode, run_attack_with, AttackOptions, ChaosConfig,
     EpisodeScratch, FaultConfig, FaultPlan, Realization, RetryPolicy, TraceAccumulator,
     ValidationMode,
 };
@@ -304,12 +304,12 @@ fn lineup_cells_match_their_solo_runs() {
         protocols(ValidationMode::Strict),
         protocols(ValidationMode::Lenient),
     ];
-    let panics = ChaosPlan::sample(&ChaosConfig {
+    let panics = ChaosConfig {
         worker_panic: 1.0,
         ..ChaosConfig::none()
-    });
+    };
     let passed = Some(Instant::now());
-    let none = ChaosPlan::none();
+    let none = ChaosConfig::none();
     for cells in &lineups {
         for (workers, deadline, chaos) in [
             (1, None, none),

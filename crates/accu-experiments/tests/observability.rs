@@ -7,7 +7,7 @@
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-use accu_core::{ChaosConfig, ChaosPlan, FaultConfig, RetryPolicy, ValidationMode};
+use accu_core::{ChaosConfig, FaultConfig, RetryPolicy, ValidationMode};
 use accu_datasets::{DatasetSpec, ProtocolConfig};
 use accu_experiments::{
     run_policy_with, FigureRun, PolicyKind, RunOptions, RunnerError, Telemetry,
@@ -124,10 +124,10 @@ fn aborted_run_flushes_salvaged_networks_and_the_next_run_starts_clean() {
         runs_per_network: 1,
         ..small_figure(31)
     };
-    let chaos = ChaosPlan::sample(&ChaosConfig {
+    let chaos = ChaosConfig {
         worker_panic: 1.0,
         ..ChaosConfig::none()
-    });
+    };
     let path = dir.join("progress.jsonl");
     let progress = Observer::new(Some(JsonlSink::create(&path).unwrap()), false);
     let recorder = Recorder::enabled();

@@ -19,9 +19,7 @@
 //!   spike alarms, emitting `obs.alarm` events (the `--watchdog` flag).
 //!
 //! Cross-run analytics (`telemetry_diff`, `bench_report`) live in the
-//! experiments crate, which owns the JSONL artifacts they compare; the
-//! trajectory schema constants they share sit here so the bench writer
-//! and every reader agree on one version.
+//! experiments crate, which owns the JSONL artifacts they compare.
 
 pub mod progress;
 pub mod prometheus;
@@ -31,4 +29,4 @@ pub mod watchdog;
 pub use progress::Observer;
 pub use prometheus::{encode_prometheus, validate_prometheus, PromStats};
 pub use server::{BindError, MetricsServer};
-pub use watchdog::{Watchdog, WatchdogConfig, TRAJECTORY_SCHEMA};
+pub use watchdog::{Watchdog, WatchdogConfig};

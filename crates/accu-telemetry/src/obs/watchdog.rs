@@ -19,15 +19,6 @@ use std::time::Duration;
 use crate::event::Event;
 use crate::obs::progress::{ObsStats, Observer};
 
-/// Schema version stamped onto `BENCH_trajectory.jsonl` entries.
-///
-/// Version history: entries without a `schema` field are version 1 (the
-/// original `date`/`bench`/`fixture`/`budget`/`eps_per_sec`/`status`
-/// shape); version 2 added the `schema` and `git` fields themselves.
-/// Readers (`bench_report`) skip entries from schemas *newer* than
-/// they understand, so an old binary never misreads a future format.
-pub const TRAJECTORY_SCHEMA: u64 = 2;
-
 /// One fired rule as an `obs.alarm` event: the rule (`stall`,
 /// `throughput_floor`, `fault_rate`) as the `alarm` argument, a
 /// human-readable `msg`, the observed `value` and the `threshold` it

@@ -33,7 +33,7 @@ use std::time::{Instant, SystemTime, UNIX_EPOCH};
 use accu_bench::{default_instance, git_revision, host_cores, utc_date};
 use accu_core::policy::{Abm, AbmWeights};
 use accu_core::{run_attack_episode, sim_metrics, EpisodeScratch, FaultPlan, RetryPolicy};
-use accu_telemetry::obs::TRAJECTORY_SCHEMA;
+use accu_experiments::analysis::TRAJECTORY_SCHEMA;
 use accu_telemetry::{parse_json, Json, Recorder};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -205,9 +205,8 @@ fn render_json(m: &Measurement) -> String {
 ///
 /// Entries are stamped with the trajectory schema version
 /// ([`TRAJECTORY_SCHEMA`]) and the producing git revision, so
-/// cross-run analytics (`bench_report`, the `--watchdog` throughput
-/// floor) can tell comparable entries from foreign ones and trace any
-/// number back to its commit.
+/// `bench_report` can tell comparable entries from foreign ones and
+/// trace any number back to its commit.
 fn append_trajectory(out_path: &str, m: &Measurement, status: &str) {
     let path = Path::new(out_path)
         .parent()

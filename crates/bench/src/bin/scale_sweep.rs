@@ -36,7 +36,7 @@ use accu_core::{
     run_attack_episode, sim_metrics, AccuInstance, EpisodeScratch, FaultPlan, RetryPolicy,
 };
 use accu_datasets::{apply_protocol, ProtocolConfig};
-use accu_telemetry::obs::TRAJECTORY_SCHEMA;
+use accu_experiments::analysis::TRAJECTORY_SCHEMA;
 use accu_telemetry::Recorder;
 use osn_graph::{generators, Graph};
 use rand::rngs::StdRng;

@@ -2,7 +2,7 @@
 
 use crate::{Graph, NodeId};
 
-use super::mutual::merge_count;
+use super::mutual::mutual_count;
 
 /// Counts the triangles of `g`.
 ///
@@ -21,7 +21,7 @@ use super::mutual::merge_count;
 pub fn triangle_count(g: &Graph) -> usize {
     let mut total = 0usize;
     for e in g.edges() {
-        total += merge_count(g.neighbors(e.lo()), g.neighbors(e.hi()));
+        total += mutual_count(g.neighbors(e.lo()), g.neighbors(e.hi()));
     }
     total / 3
 }

@@ -28,20 +28,9 @@ pub fn mutual_friend_count(g: &Graph, a: NodeId, b: NodeId) -> usize {
     mutual_count(g.neighbors(a), g.neighbors(b))
 }
 
-/// Size-skew threshold above which [`mutual_count`] switches from the
-/// linear merge to galloping: probing pays a `log` factor per element
-/// of the small side, which only wins once the large side is
-/// substantially longer.
-const GALLOP_SKEW: usize = 16;
-
-/// Counts elements common to two sorted, duplicate-free slices —
-/// the intersection kernel behind [`mutual_friend_count`] and the
-/// cautious-index construction in `accu-core`.
-///
-/// Balanced inputs use a linear merge (`O(|a| + |b|)`); heavily skewed
-/// inputs (one side ≥ 16× longer) use a galloping scan
-/// (`O(min · log max)`), the classic win for hub-vs-leaf adjacency
-/// intersections in power-law graphs.
+/// Counts elements common to two sorted, duplicate-free slices by a
+/// linear merge, `O(|a| + |b|)`: the intersection kernel behind
+/// [`mutual_friend_count`] and [`triangle_count`](crate::algo::triangle_count).
 ///
 /// # Examples
 ///
@@ -53,47 +42,16 @@ const GALLOP_SKEW: usize = 16;
 /// assert_eq!(mutual_count(&a, &b), 2);
 /// ```
 pub fn mutual_count(a: &[NodeId], b: &[NodeId]) -> usize {
-    let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    if small.is_empty() {
-        return 0;
-    }
-    if large.len() / small.len() >= GALLOP_SKEW {
-        gallop_count(small, large)
-    } else {
-        merge_count(small, large)
-    }
-}
-
-/// Galloping lower bound: the first index `i ≥ lo` with
-/// `large[i] >= x`, found by exponential probing then binary search in
-/// the bracketed window.
-fn lower_bound_from(large: &[NodeId], mut lo: usize, x: NodeId) -> usize {
-    let mut step = 1usize;
-    let mut hi = lo;
-    while hi < large.len() && large[hi] < x {
-        lo = hi + 1;
-        hi += step;
-        step *= 2;
-    }
-    let hi = hi.min(large.len());
-    lo + large[lo..hi].partition_point(|&y| y < x)
-}
-
-/// Intersection count by galloping the small side through the large
-/// one. Both slices sorted and duplicate-free.
-fn gallop_count(small: &[NodeId], large: &[NodeId]) -> usize {
-    let mut count = 0usize;
-    let mut from = 0usize;
-    for &x in small {
-        if from >= large.len() {
-            break;
-        }
-        let pos = lower_bound_from(large, from, x);
-        if pos < large.len() && large[pos] == x {
-            count += 1;
-            from = pos + 1;
-        } else {
-            from = pos;
+    let (mut i, mut j, mut count) = (0usize, 0usize, 0usize);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => {
+                count += 1;
+                i += 1;
+                j += 1;
+            }
         }
     }
     count
@@ -120,23 +78,6 @@ pub fn common_neighbors(g: &Graph, a: NodeId, b: NodeId) -> Vec<NodeId> {
         }
     }
     out
-}
-
-/// Counts elements common to two sorted slices.
-pub(crate) fn merge_count(a: &[NodeId], b: &[NodeId]) -> usize {
-    let (mut i, mut j, mut count) = (0usize, 0usize, 0usize);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                count += 1;
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    count
 }
 
 #[cfg(test)]
@@ -169,45 +110,12 @@ mod tests {
     }
 
     #[test]
-    fn gallop_matches_merge_on_skewed_rows() {
-        // Small side of 3 vs a large side of 200: well past the skew
-        // threshold, so mutual_count takes the galloping path; compare
-        // it against the straightforward merge.
-        let small: Vec<NodeId> = [3u32, 100, 398].into_iter().map(NodeId::new).collect();
-        let large: Vec<NodeId> = (0..200u32).map(|i| NodeId::new(2 * i)).collect();
-        assert_eq!(mutual_count(&small, &large), merge_count(&small, &large));
-        assert_eq!(mutual_count(&small, &large), 2); // 100 and 398; 3 is odd
-                                                     // Argument order must not matter.
-        assert_eq!(mutual_count(&large, &small), mutual_count(&small, &large));
-        // Exhaustive cross-check over deterministic pseudo-random rows.
-        let mut x = 12345u64;
-        let mut next = move || {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (x >> 33) as u32 % 1000
-        };
-        for trial in 0..50 {
-            let mut a: Vec<u32> = (0..(trial % 7 + 1)).map(|_| next()).collect();
-            let mut b: Vec<u32> = (0..(trial * 13 % 300 + 1)).map(|_| next()).collect();
-            a.sort_unstable();
-            a.dedup();
-            b.sort_unstable();
-            b.dedup();
-            let a: Vec<NodeId> = a.into_iter().map(NodeId::new).collect();
-            let b: Vec<NodeId> = b.into_iter().map(NodeId::new).collect();
-            assert_eq!(mutual_count(&a, &b), merge_count(&a, &b), "trial {trial}");
-        }
-        assert_eq!(mutual_count(&small, &[]), 0);
-        assert_eq!(mutual_count(&[], &large), 0);
-    }
-
-    #[test]
-    fn merge_count_matches_naive() {
+    fn mutual_count_matches_naive() {
         let a: Vec<NodeId> = [1u32, 3, 5, 7, 9].into_iter().map(NodeId::new).collect();
         let b: Vec<NodeId> = [2u32, 3, 4, 7, 10].into_iter().map(NodeId::new).collect();
-        assert_eq!(merge_count(&a, &b), 2);
-        assert_eq!(merge_count(&a, &[]), 0);
-        assert_eq!(merge_count(&a, &a), a.len());
+        assert_eq!(mutual_count(&a, &b), 2);
+        assert_eq!(mutual_count(&b, &a), 2);
+        assert_eq!(mutual_count(&a, &[]), 0);
+        assert_eq!(mutual_count(&a, &a), a.len());
     }
 }

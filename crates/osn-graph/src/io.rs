@@ -101,16 +101,23 @@ pub struct LabeledGraph {
 }
 
 /// Reads one line from `reader` into `buf` (terminator excluded),
-/// enforcing the byte cap. Returns `Ok(false)` at EOF with nothing read.
+/// enforcing the byte cap: a longer line fails with `too_long()`.
+/// Returns `Ok(false)` at EOF with nothing read.
 ///
 /// This never buffers more than `max_line_len` bytes of the line, so an
-/// adversarial input without newlines cannot exhaust memory.
-fn read_capped_line<R: BufRead>(
+/// adversarial input without newlines cannot exhaust memory. Every
+/// line-based reader of the workspace (edge lists here, instance files
+/// in `accu-core`) reads through it.
+///
+/// # Errors
+///
+/// `too_long()` for an over-long line, or the underlying read error.
+pub fn read_capped_line<R: BufRead, E: From<std::io::Error>>(
     reader: &mut R,
     buf: &mut Vec<u8>,
     max_line_len: usize,
-    lineno: usize,
-) -> Result<bool, IoError> {
+    too_long: impl FnOnce() -> E,
+) -> Result<bool, E> {
     buf.clear();
     let mut saw_any = false;
     loop {
@@ -120,33 +127,21 @@ fn read_capped_line<R: BufRead>(
                 (true, 0)
             } else {
                 saw_any = true;
-                match available.iter().position(|&b| b == b'\n') {
-                    Some(pos) => {
-                        if buf.len() + pos > max_line_len {
-                            return Err(IoError::LineTooLong {
-                                line: lineno,
-                                limit: max_line_len,
-                            });
-                        }
-                        buf.extend_from_slice(&available[..pos]);
-                        (true, pos + 1)
-                    }
-                    None => {
-                        if buf.len() + available.len() > max_line_len {
-                            return Err(IoError::LineTooLong {
-                                line: lineno,
-                                limit: max_line_len,
-                            });
-                        }
-                        buf.extend_from_slice(available);
-                        (false, available.len())
-                    }
+                let pos = available.iter().position(|&b| b == b'\n');
+                let take = pos.unwrap_or(available.len());
+                if buf.len() + take > max_line_len {
+                    return Err(too_long());
+                }
+                buf.extend_from_slice(&available[..take]);
+                match pos {
+                    Some(p) => (true, p + 1),
+                    None => (false, take),
                 }
             }
         };
         reader.consume(used);
         if done {
-            return Ok(saw_any || !buf.is_empty());
+            return Ok(saw_any);
         }
     }
 }
@@ -254,7 +249,11 @@ pub fn read_edge_list_with<R: Read>(
     let mut lineno = 0usize;
     loop {
         lineno += 1;
-        if !read_capped_line(&mut reader, &mut buf, opts.max_line_len, lineno)? {
+        let too_long = || IoError::LineTooLong {
+            line: lineno,
+            limit: opts.max_line_len,
+        };
+        if !read_capped_line(&mut reader, &mut buf, opts.max_line_len, too_long)? {
             break;
         }
         let line = std::str::from_utf8(&buf).map_err(|_| IoError::InvalidUtf8 { line: lineno })?;
