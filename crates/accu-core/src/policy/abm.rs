@@ -1,7 +1,5 @@
 //! Adaptive Benefit Maximization (paper Algorithm 1).
 
-use std::cmp::Ordering;
-
 use accu_telemetry::{CounterHandle, Recorder, TraceTrack, TraceValue};
 use osn_graph::NodeId;
 
@@ -117,83 +115,129 @@ impl Default for AbmWeights {
     }
 }
 
+/// Flips the magnitude bits of a negative `f64`'s bit pattern: the map
+/// `f64::total_cmp` applies before it compares two `i64`s. It keeps the
+/// sign bit, so it is its own inverse.
+#[inline]
+const fn flip_negative(bits: i64) -> i64 {
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
+}
+
+/// `x` as an `i64` whose order is `f64::total_cmp`'s.
+#[inline]
+const fn order_key(x: f64) -> i64 {
+    flip_negative(x.to_bits() as i64)
+}
+
+/// The inverse of [`order_key`].
+#[inline]
+fn from_order_key(key: i64) -> f64 {
+    f64::from_bits(flip_negative(key) as u64)
+}
+
+/// The key of a retired node, `-inf` under [`order_key`].
+const RETIRED: i64 = order_key(f64::NEG_INFINITY);
+
+/// One winner-tree slot: a node and its key under [`order_key`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Entry {
+    key: i64,
+    id: u32,
+}
+
+impl Entry {
+    /// The winner of `self` and `other`: the larger key, the lower id
+    /// on a tie. The compare is branch-free and the choice a select,
+    /// since which side wins is a coin flip to the branch predictor.
+    #[inline]
+    fn winner(self, other: Entry) -> Entry {
+        let wins = (self.key > other.key) | ((self.key == other.key) & (self.id < other.id));
+        std::hint::select_unpredictable(wins, self, other)
+    }
+}
+
 /// A winner (tournament) tree over node ids keyed by potential: the
 /// argmax under `total_cmp`, ties broken toward the lower id, is read
 /// at the root in O(1) and a key change costs one leaf-to-root walk
-/// that stops as soon as a level's winner is unaffected.
+/// that stops as soon as a level's winner is unchanged.
 ///
 /// Layout: `slot[n + i]` is the leaf of node `i` and every internal
 /// `slot[j]` (`1 ≤ j < n`) holds the winner of `slot[2j]` and
-/// `slot[2j + 1]`, so `slot[1]` is the overall winner. A retired node
-/// (already requested) is keyed `-inf`; potentials are finite, so it
-/// wins only once every node is retired.
+/// `slot[2j + 1]`, so `slot[1]` is the overall winner. Each slot holds
+/// its winner's key inline, so a level compares two adjacent slots and
+/// follows no id to a key array. A retired node (already requested) is
+/// keyed `-inf`; potentials are finite, so it wins only once every node
+/// is retired.
 #[derive(Debug, Clone, Default)]
 struct WinnerTree {
-    key: Vec<f64>,
-    slot: Vec<NodeId>,
+    slot: Vec<Entry>,
 }
 
 impl WinnerTree {
-    /// Recomputes every slot from the keys, bottom up (after the keys
-    /// were filled in bulk).
-    fn rebuild(&mut self) {
-        let n = self.key.len();
+    /// Rebuilds the tree over `keys`, node `i` keyed `keys[i]`.
+    fn fill(&mut self, keys: impl ExactSizeIterator<Item = f64>) {
+        let n = keys.len();
         self.slot.clear();
-        self.slot.resize(n, NodeId::default()); // slot 0 is unused
-        self.slot.extend((0..n).map(NodeId::from));
+        self.slot.resize(n, Entry::default()); // slot 0 is unused
+        self.slot.extend(keys.enumerate().map(|(i, key)| Entry {
+            key: order_key(key),
+            id: NodeId::from(i).as_u32(),
+        }));
         for j in (1..n).rev() {
-            self.slot[j] = self.winner(self.slot[2 * j], self.slot[2 * j + 1]);
+            self.slot[j] = self.slot[2 * j].winner(self.slot[2 * j + 1]);
         }
     }
 
     /// Overwrites this tree with `other` without reallocating.
     fn copy_from(&mut self, other: &WinnerTree) {
-        self.key.clone_from(&other.key);
         self.slot.clone_from(&other.slot);
     }
 
+    /// The index of `u`'s leaf slot.
+    fn leaf(&self, u: NodeId) -> usize {
+        self.slot.len() / 2 + u.index()
+    }
+
     fn key(&self, u: NodeId) -> f64 {
-        self.key[u.index()]
+        from_order_key(self.slot[self.leaf(u)].key)
     }
 
-    fn winner(&self, a: NodeId, b: NodeId) -> NodeId {
-        match self.key[a.index()].total_cmp(&self.key[b.index()]) {
-            Ordering::Greater => a,
-            Ordering::Less => b,
-            Ordering::Equal => a.min(b),
-        }
-    }
-
-    /// Re-keys `u` and repairs its path to the root. The walk stops at
-    /// the first level whose winner is neither changed nor `u`: above
-    /// it nothing depends on `u`'s key.
+    /// Re-keys `u` and repairs its path to the root. Each level takes
+    /// the winner of the entry coming up and its sibling; the walk
+    /// stops at the first parent that already stores that winner, since
+    /// nothing above it reads anything else.
     fn set(&mut self, u: NodeId, key: f64) {
-        self.key[u.index()] = key;
-        let mut j = (self.key.len() + u.index()) / 2;
-        while j >= 1 {
-            let w = self.winner(self.slot[2 * j], self.slot[2 * j + 1]);
-            if w == self.slot[j] && w != u {
+        let mut j = self.leaf(u);
+        let mut up = Entry {
+            key: order_key(key),
+            id: u.as_u32(),
+        };
+        self.slot[j] = up;
+        while j > 1 {
+            up = up.winner(self.slot[j ^ 1]);
+            j /= 2;
+            if self.slot[j] == up {
                 return;
             }
-            self.slot[j] = w;
-            j /= 2;
+            self.slot[j] = up;
         }
     }
 
     /// Keys `u` `-inf` so it never wins again (a no-op if it already
     /// is).
     fn retire(&mut self, u: NodeId) {
-        if self.key(u) != f64::NEG_INFINITY {
+        if self.slot[self.leaf(u)].key != RETIRED {
             self.set(u, f64::NEG_INFINITY);
         }
     }
 
-    /// The highest-keyed node, or `None` when every node is retired.
-    fn best(&self) -> Option<NodeId> {
+    /// The highest-keyed node and its key, or `None` when every node is
+    /// retired.
+    fn best(&self) -> Option<(NodeId, f64)> {
         self.slot
             .get(1)
-            .copied()
-            .filter(|&u| self.key(u) != f64::NEG_INFINITY)
+            .filter(|top| top.key != RETIRED)
+            .map(|top| (NodeId::new(top.id), from_order_key(top.key)))
     }
 }
 
@@ -219,8 +263,10 @@ impl WinnerTree {
 /// [`potential_of`](Abm::potential_of) by construction:
 ///
 /// * **Sums kept by deltas.** Each node keeps a record
-///   `(S_D, S_I, q, base)`: the two neighbor sums of `P_D` and `P_I`,
-///   its acceptance belief and `B_f(u) − [fof]·B_fof(u)`. An acceptance
+///   `(S_D, S_I, q, base, scale)`: the two neighbor sums of `P_D` and
+///   `P_I`, its acceptance belief, `B_f(u) − [fof]·B_fof(u)` and its
+///   row scale (below), so a delta finds the scale in the record it
+///   writes instead of loading it from the instance. An acceptance
 ///   walks only the rows whose term changed — the target's (its direct
 ///   term if it was not a friend-of-friend, its indirect term if it was
 ///   still live) and that of each revealed node that just became a
@@ -237,9 +283,14 @@ impl WinnerTree {
 ///   need no argument to match it. The scale keeps every sum below
 ///   `2^61`; plain `+=`/`-=` make debug builds trap any overflow.
 /// * **Winner tree of upper bounds: rises eager, falls deferred.** The
-///   candidates key an in-place tournament tree over node ids (strict
-///   order: `total_cmp`, then the lower id). A tree key is an upper
-///   bound on the candidate's exact potential, its record combined.
+///   candidates key an in-place tournament tree (strict order:
+///   `total_cmp`, then the lower id). Every slot holds its winner as
+///   `(key, id)`, the key mapped to an `i64` that orders as `total_cmp`
+///   does, so a level of a re-key's leaf-to-root walk compares the
+///   entry coming up with its sibling slot, branch-free, and takes the
+///   winner with a select; the walk stops at the first parent already
+///   holding that entry. A tree key is an upper bound on the
+///   candidate's exact potential, its record combined.
 ///   Every term is non-negative — `p ∈ [0, 1]` and `q ∈ [0, 1]`
 ///   (checked by [`AccuInstanceBuilder::build`](crate::AccuInstanceBuilder::build)),
 ///   `0 ≤ B_fof ≤ B_f` (checked by
@@ -324,6 +375,8 @@ struct Record {
     q: f64,
     /// `B_f(u)`, less `B_fof(u)` once `u` is a friend-of-friend.
     base: f64,
+    /// `u`'s row scale, so a delta finds it in the record it writes.
+    scale: f64,
 }
 
 impl Record {
@@ -368,6 +421,7 @@ impl Record {
             indirect,
             q,
             base,
+            scale,
         }
     }
 
@@ -506,15 +560,15 @@ impl Abm {
         )
     }
 
-    /// The tree's root with its key made exact, or `None` once every
+    /// The tree's root and its key, made exact, or `None` once every
     /// node is retired: while the root's tree key is above its exact
     /// potential, the root is re-keyed to it and read again.
-    fn settled_best(&mut self, inst: &AccuInstance) -> Option<NodeId> {
+    fn settled_best(&mut self, inst: &AccuInstance) -> Option<(NodeId, f64)> {
         loop {
-            let u = self.tree.best()?;
+            let (u, key) = self.tree.best()?;
             let exact = self.exact_key(inst, u);
-            if exact.total_cmp(&self.tree.key(u)).is_eq() {
-                return Some(u);
+            if exact.total_cmp(&key).is_eq() {
+                return Some((u, key));
             }
             self.tree.set(u, exact);
             self.tel.stale_skip.incr();
@@ -524,15 +578,15 @@ impl Abm {
 
     /// Emits the `decide` trace instant for a pick already retired
     /// from the tree: the potential breakdown of the picked node, the
-    /// runner-up (the settled root), and the margin between them.
-    /// Only called while the track's gate is open, so the untraced
-    /// select path pays one relaxed load and nothing else.
+    /// runner-up (the settled root, with its key), and the margin
+    /// between them. Only called while the track's gate is open, so the
+    /// untraced select path pays one relaxed load and nothing else.
     fn emit_decide(
         &self,
         view: &AttackerView<'_>,
         picked: NodeId,
         potential: f64,
-        runner_up: Option<NodeId>,
+        runner_up: Option<(NodeId, f64)>,
     ) {
         let (q, p_d, p_i) = potential_parts(view, picked, self.weights);
         self.trace.instant(
@@ -548,14 +602,14 @@ impl Abm {
                 (
                     "runner_up",
                     match runner_up {
-                        Some(r) => TraceValue::I64(r.index() as i64),
+                        Some((r, _)) => TraceValue::I64(r.index() as i64),
                         None => TraceValue::I64(-1),
                     },
                 ),
                 (
                     "margin",
                     match runner_up {
-                        Some(r) => TraceValue::F64(potential - self.tree.key(r)),
+                        Some((_, key)) => TraceValue::F64(potential - key),
                         None => TraceValue::F64(potential),
                     },
                 ),
@@ -594,9 +648,9 @@ impl Abm {
         let (fof, gap) = (benefits.friend_of_friend(x), benefits.gap(x));
         let rises = matches!(indirect, Some((_, Some(_))));
         for (u, e) in inst.graph().neighbor_entries(x) {
-            let scale = inst.row_scale(u).scale;
             let p = inst.edge_prob[e.index()];
             let rec = &mut self.records[u.index()];
+            let scale = rec.scale;
             if drop_direct {
                 rec.direct -= fixed(p * fof, scale);
             }
@@ -652,10 +706,8 @@ impl Policy for Abm {
                     let u = NodeId::from(i);
                     Record::scratch(view, u, view.acceptance_belief(u), w)
                 }));
-                self.tree.key.clear();
                 self.tree
-                    .key
-                    .extend(self.records.iter().enumerate().map(|(i, rec)| {
+                    .fill(self.records.iter().enumerate().map(|(i, rec)| {
                         let u = NodeId::from(i);
                         if obs.was_requested(u) {
                             f64::NEG_INFINITY
@@ -663,7 +715,6 @@ impl Policy for Abm {
                             weigh(rec.parts(inst.row_scale(u).inv), w)
                         }
                     }));
-                self.tree.rebuild();
                 if fresh {
                     self.init_cache = Some(InitCache {
                         instance_id: id,
@@ -678,8 +729,7 @@ impl Policy for Abm {
 
     fn select(&mut self, view: &AttackerView<'_>) -> Option<NodeId> {
         let inst = view.instance();
-        let picked = self.settled_best(inst)?;
-        let potential = self.tree.key(picked);
+        let (picked, potential) = self.settled_best(inst)?;
         self.tree.retire(picked);
         self.tel.heap_pop.incr();
         self.tel.selects.incr();
@@ -766,6 +816,8 @@ impl Policy for Abm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cmp::Ordering;
+
     use crate::{
         run_attack, AccuInstance, AccuInstanceBuilder, Observation, Realization, UserClass,
     };
@@ -1064,16 +1116,15 @@ mod tests {
             let mut rebuilt = Abm::new(abm.weights);
             rebuilt.reset(view);
             let requests = view.observation().requests().len();
-            let inst = view.instance();
             for u in view.candidates() {
                 let fresh = abm.potential_of(view, u);
                 assert_eq!(
-                    abm.exact_key(inst, u).to_bits(),
+                    abm.exact_key(view.instance(), u).to_bits(),
                     fresh.to_bits(),
                     "cached potential of {u} diverged after {requests} requests"
                 );
                 assert_eq!(
-                    rebuilt.exact_key(inst, u).to_bits(),
+                    rebuilt.exact_key(view.instance(), u).to_bits(),
                     fresh.to_bits(),
                     "reset after {requests} requests misscored {u}"
                 );
@@ -1445,11 +1496,61 @@ mod tests {
     }
 
     #[test]
+    fn order_key_is_a_bijection_ordered_as_total_cmp() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(17);
+        let mut values = vec![
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            f64::from_bits(1),                     // the smallest subnormal
+            -f64::from_bits(1),                    // and its negative
+            f64::from_bits(0x000f_ffff_ffff_ffff), // the largest subnormal
+            -f64::from_bits(0x000f_ffff_ffff_ffff),
+            f64::MAX,
+            f64::MIN,
+            1.0,
+            -1.0,
+            f64::NAN,
+            -f64::NAN,
+            f64::from_bits(0x7ff0_0000_0000_0001), // signalling NaN payloads
+            f64::from_bits(0xfff0_0000_0000_0001),
+            f64::from_bits(0x7fff_ffff_ffff_ffff), // the largest payloads
+            f64::from_bits(0xffff_ffff_ffff_ffff),
+        ];
+        values.extend((0..200).map(|_| f64::from_bits(rng.gen::<u64>())));
+        for &a in &values {
+            assert_eq!(from_order_key(order_key(a)).to_bits(), a.to_bits());
+            for &b in &values {
+                assert_eq!(
+                    order_key(a).cmp(&order_key(b)),
+                    a.total_cmp(&b),
+                    "{a:e} ({:#x}) vs {b:e} ({:#x})",
+                    a.to_bits(),
+                    b.to_bits()
+                );
+            }
+        }
+        // Onto as well as one-to-one: every `i64` is some key.
+        for _ in 0..1000 {
+            let key = rng.gen::<u64>() as i64;
+            assert_eq!(order_key(from_order_key(key)), key);
+        }
+        for key in [i64::MIN, -1, 0, 1, i64::MAX] {
+            assert_eq!(order_key(from_order_key(key)), key);
+        }
+        assert_eq!(RETIRED, order_key(f64::NEG_INFINITY));
+    }
+
+    #[test]
     fn winner_tree_matches_brute_force_argmax() {
         use rand::{rngs::StdRng, Rng, SeedableRng};
-        // The largest key, the lower id on ties; `None` once every key
-        // is `-inf` (retired).
-        fn brute_force(key: &[f64]) -> Option<NodeId> {
+        // The largest key, the lower id on ties, with its key; `None`
+        // once every key is `-inf` (retired).
+        fn brute_force(key: &[f64]) -> Option<(NodeId, f64)> {
             let mut best: Option<usize> = None;
             for (i, k) in key.iter().enumerate() {
                 if *k != f64::NEG_INFINITY
@@ -1458,35 +1559,85 @@ mod tests {
                     best = Some(i);
                 }
             }
-            best.map(NodeId::from)
+            best.map(|b| (NodeId::from(b), key[b]))
+        }
+        /// Every node's key reads back bit for bit.
+        fn keys_round_trip(tree: &WinnerTree, key: &[f64]) {
+            for (i, k) in key.iter().enumerate() {
+                assert_eq!(
+                    tree.key(NodeId::from(i)).to_bits(),
+                    k.to_bits(),
+                    "key of {i}"
+                );
+            }
         }
         for n in [1usize, 2, 3, 1031] {
             let mut rng = StdRng::seed_from_u64(n as u64);
-            // Four key levels only, so ties are everywhere.
-            let level = |rng: &mut StdRng| f64::from(rng.gen_range(0..4u32));
-            let mut tree = WinnerTree {
-                key: (0..n).map(|_| level(&mut rng)).collect(),
-                slot: Vec::new(),
+            // Four key levels only, so ties are everywhere; a few keys
+            // sit on -0.0, which `total_cmp` orders below +0.0.
+            let level = |rng: &mut StdRng| match rng.gen_range(0..5u32) {
+                4 => -0.0,
+                l => f64::from(l),
             };
-            tree.rebuild();
-            assert_eq!(tree.best(), brute_force(&tree.key), "n {n}: after rebuild");
+            let mut key: Vec<f64> = (0..n).map(|_| level(&mut rng)).collect();
+            let mut tree = WinnerTree::default();
+            tree.fill(key.iter().copied());
+            assert_eq!(tree.best(), brute_force(&key), "n {n}: after fill");
+            keys_round_trip(&tree, &key);
             for step in 0..4 * n + 64 {
-                let u = NodeId::from(rng.gen_range(0..n));
-                let k = tree.key(u);
-                match rng.gen_range(0..4u32) {
+                let i = rng.gen_range(0..n);
+                let (u, k) = (NodeId::from(i), key[i]);
+                key[i] = match rng.gen_range(0..4u32) {
                     _ if k == f64::NEG_INFINITY => continue, // retired for good
-                    0 => tree.set(u, k + 1.0),
-                    1 => tree.set(u, k - 1.0),
-                    2 => tree.set(u, level(&mut rng)),
-                    _ => tree.retire(u),
+                    0 => k + 1.0,
+                    1 => k - 1.0,
+                    2 => level(&mut rng),
+                    _ => f64::NEG_INFINITY,
+                };
+                if key[i] == f64::NEG_INFINITY {
+                    tree.retire(u);
+                } else {
+                    tree.set(u, key[i]);
                 }
-                assert_eq!(tree.best(), brute_force(&tree.key), "n {n}, step {step}");
+                assert_eq!(tree.best(), brute_force(&key), "n {n}, step {step}");
+                assert_eq!(
+                    tree.key(u).to_bits(),
+                    key[i].to_bits(),
+                    "n {n}, step {step}"
+                );
             }
+            keys_round_trip(&tree, &key);
             for i in (0..n).rev() {
                 tree.retire(NodeId::from(i));
-                assert_eq!(tree.best(), brute_force(&tree.key), "n {n}, retiring {i}");
+                key[i] = f64::NEG_INFINITY;
+                assert_eq!(tree.best(), brute_force(&key), "n {n}, retiring {i}");
             }
             assert_eq!(tree.best(), None);
         }
+
+        // Node 7 wins at 9 and node 1 holds 5; every other key is 0.
+        let mut key = [0.0, 5.0, 0.0, 0.0, 0.0, 0.0, 0.0, 9.0];
+        let mut tree = WinnerTree::default();
+        tree.fill(key.iter().copied());
+        assert_eq!(tree.best(), Some((NodeId::new(7), 9.0)));
+        // A rise that does not beat its sibling stops below the root:
+        // a marker planted in the root slot is neither read as changed
+        // nor overwritten.
+        let marker = Entry { key: 1, id: 99 };
+        let root = std::mem::replace(&mut tree.slot[1], marker);
+        tree.set(NodeId::new(0), 1.0);
+        assert_eq!(tree.slot[1], marker, "the rise walked up to the root");
+        tree.slot[1] = root;
+        key[0] = 1.0;
+        assert_eq!(tree.best(), brute_force(&key));
+        // The root can fall: node 7 drops below node 1 and then retires.
+        tree.set(NodeId::new(7), 2.0);
+        key[7] = 2.0;
+        assert_eq!(tree.best(), Some((NodeId::new(1), 5.0)));
+        assert_eq!(tree.best(), brute_force(&key));
+        tree.retire(NodeId::new(1));
+        key[1] = f64::NEG_INFINITY;
+        assert_eq!(tree.best(), Some((NodeId::new(7), 2.0)));
+        keys_round_trip(&tree, &key);
     }
 }

@@ -17,5 +17,5 @@ pub use components::{connected_components, largest_component, ComponentLabels};
 pub use degree::{degree_histogram, nodes_with_degree_in, DegreeStats};
 pub use distance::{degree_assortativity, double_sweep_diameter, sampled_average_path_length};
 pub use kcore::{core_numbers, max_core};
-pub use mutual::{common_neighbors, mutual_count, mutual_friend_count};
+pub use mutual::{mutual_count, mutual_friend_count};
 pub use pagerank::{pagerank, PageRankConfig};

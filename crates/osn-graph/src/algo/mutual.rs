@@ -57,29 +57,6 @@ pub fn mutual_count(a: &[NodeId], b: &[NodeId]) -> usize {
     count
 }
 
-/// Returns the sorted list of common neighbors of `a` and `b`.
-///
-/// # Panics
-///
-/// Panics if either node is out of range.
-pub fn common_neighbors(g: &Graph, a: NodeId, b: NodeId) -> Vec<NodeId> {
-    let (mut i, mut j) = (0usize, 0usize);
-    let (na, nb) = (g.neighbors(a), g.neighbors(b));
-    let mut out = Vec::new();
-    while i < na.len() && j < nb.len() {
-        match na[i].cmp(&nb[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                out.push(na[i]);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -89,7 +66,6 @@ mod tests {
     fn disjoint_neighborhoods() {
         let g = GraphBuilder::from_edges(4, [(0u32, 1u32), (2, 3)]).unwrap();
         assert_eq!(mutual_friend_count(&g, NodeId::new(0), NodeId::new(2)), 0);
-        assert!(common_neighbors(&g, NodeId::new(0), NodeId::new(2)).is_empty());
     }
 
     #[test]
@@ -97,10 +73,6 @@ mod tests {
         // Both 1 and 2 attach to hubs 0 and 3.
         let g = GraphBuilder::from_edges(4, [(0u32, 1u32), (0, 2), (3, 1), (3, 2)]).unwrap();
         assert_eq!(mutual_friend_count(&g, NodeId::new(1), NodeId::new(2)), 2);
-        assert_eq!(
-            common_neighbors(&g, NodeId::new(1), NodeId::new(2)),
-            vec![NodeId::new(0), NodeId::new(3)]
-        );
     }
 
     #[test]

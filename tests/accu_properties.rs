@@ -137,6 +137,34 @@ proptest! {
         }
     }
 
+    /// The winner tree, its inline keys and the delta-kept records only
+    /// make the argmax cheap: replayed through an observation, every
+    /// pick of a whole episode is the argmax of the from-scratch
+    /// potential over the candidates, ties to the lower id.
+    #[test]
+    fn abm_picks_the_exact_argmax_at_every_step((inst, real) in arb_instance_and_realization()) {
+        for weights in [AbmWeights::new(1.0, 0.0), AbmWeights::balanced()] {
+            let out = run_attack(&inst, &real, &mut Abm::new(weights), inst.node_count());
+            prop_assert_eq!(out.trace.len(), inst.node_count());
+            let scorer = Abm::new(weights);
+            let mut obs = Observation::for_instance(&inst);
+            for r in &out.trace {
+                let view = AttackerView::new(&inst, &obs);
+                let argmax = view
+                    .candidates()
+                    .map(|u| (scorer.potential_of(&view, u), u))
+                    .reduce(|best, next| if next.0.total_cmp(&best.0).is_gt() { next } else { best })
+                    .map(|(_, u)| u);
+                prop_assert_eq!(Some(r.target), argmax, "step {} at weights {:?}", r.step, weights);
+                if r.accepted {
+                    obs.record_acceptance(r.target, &inst, &real);
+                } else {
+                    obs.record_rejection(r.target);
+                }
+            }
+        }
+    }
+
     #[test]
     fn instance_serialization_round_trips((inst, _) in arb_instance_and_realization()) {
         use accu::core::io::{read_instance, write_instance};
